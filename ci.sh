@@ -58,6 +58,13 @@ cargo test -q --test recovery
 echo "==> cargo test --release --test shard_equivalence (sharded ≡ monolithic, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 
+# The conflict-sized contract: Algorithm 4's cover-row check and diff, the
+# hash-free distinct-count kernel and the conflict-row-indexed search graphs
+# must agree with the whole-instance computations they replace, checked at
+# the 100k-row warehouse variant where conflicts touch few of the rows.
+echo "==> cargo test --release --test sparse_equivalence (conflict-sized ≡ row-sized, 100k warehouse)"
+RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test sparse_equivalence
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo fmt --check"
     cargo fmt --check

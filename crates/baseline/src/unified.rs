@@ -106,7 +106,7 @@ pub fn unified_cost_repair_with_graph(
 
     loop {
         let current_fds = sigma.extend_lhs(&appended);
-        let current_cover = approx_vertex_cover(&conflict.subgraph_for(&current_fds)).len();
+        let current_cover = approx_vertex_cover(conflict.subgraph_for(&current_fds).local()).len();
         if current_cover == 0 {
             break;
         }
@@ -120,7 +120,8 @@ pub fn unified_cost_repair_with_graph(
                 let mut trial = appended.clone();
                 trial[j] = trial[j].with(attr);
                 let trial_fds = sigma.extend_lhs(&trial);
-                let trial_cover = approx_vertex_cover(&conflict.subgraph_for(&trial_fds)).len();
+                let trial_cover =
+                    approx_vertex_cover(conflict.subgraph_for(&trial_fds).local()).len();
                 let trial_data_cost = config.cell_change_weight * (alpha * trial_cover) as f64;
                 let modification_cost =
                     config.fd_modification_weight * weight.weight(AttrSet::singleton(attr));

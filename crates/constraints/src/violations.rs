@@ -21,7 +21,7 @@
 
 use crate::attrset::AttrSet;
 use crate::fd::FdSet;
-use rt_graph::UndirectedGraph;
+use rt_graph::{CompactGraph, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use rt_relation::Instance;
 use std::collections::HashMap;
@@ -472,8 +472,10 @@ impl ConflictGraph {
     /// original FD set, computed purely from the stored difference sets.
     ///
     /// This is sound and complete for relaxations: every pair violating `Σ'`
-    /// also violates `Σ` and is therefore among the stored edges.
-    pub fn subgraph_for(&self, relaxed: &FdSet) -> UndirectedGraph {
+    /// also violates `Σ` and is therefore among the stored edges. The graph
+    /// is indexed by the rows its edges touch ([`CompactGraph`]), so its
+    /// cost follows the conflicts, not the instance's row count.
+    pub fn subgraph_for(&self, relaxed: &FdSet) -> CompactGraph {
         self.subgraph_for_with(relaxed, Parallelism::Serial)
     }
 
@@ -481,17 +483,18 @@ impl ConflictGraph {
     /// setting: the per-edge violation tests fan out over worker threads and
     /// surviving edges are inserted in their original (sorted) order, so the
     /// result is identical for every setting.
-    pub fn subgraph_for_with(&self, relaxed: &FdSet, par: Parallelism) -> UndirectedGraph {
+    pub fn subgraph_for_with(&self, relaxed: &FdSet, par: Parallelism) -> CompactGraph {
         let keep = par_map_indexed(par, self.edges.len(), |i| {
             self.edges[i].violates_any(relaxed)
         });
-        let mut g = UndirectedGraph::with_vertices(self.row_count);
-        for (e, keep) in self.edges.iter().zip(keep) {
-            if keep {
-                g.add_edge(e.rows.0, e.rows.1);
-            }
-        }
-        g
+        let kept: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .zip(keep)
+            .filter(|(_, keep)| *keep)
+            .map(|(e, _)| e.rows)
+            .collect();
+        CompactGraph::from_edges(&kept)
     }
 
     /// Number of edges that still violate a relaxation `Σ'`.

@@ -20,7 +20,7 @@
 //! cache whatever they need at construction time.
 
 use crate::attrset::AttrSet;
-use rt_relation::{AttrId, Instance};
+use rt_relation::{distinct_rows, AttrId, Code, CodeSpace, Instance};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -86,20 +86,40 @@ impl Weight for AttrCountWeight {
 /// `w(Y) = |Π_Y(I)|`: the number of distinct value combinations the appended
 /// attributes take in the initial instance (0 for the empty set).
 ///
+/// Holds no copy of the instance: only its code columns, each with the
+/// code space of its dictionary, which is all [`distinct_rows`] reads.
 /// Computed lazily per attribute set and cached, since the FD-repair search
 /// evaluates the same extension sets over and over.
 pub struct DistinctCountWeight {
-    instance: Instance,
+    rows: usize,
+    columns: Vec<(Vec<Code>, CodeSpace)>,
     cache: Mutex<HashMap<AttrSet, f64>>,
 }
 
 impl DistinctCountWeight {
-    /// Captures (a clone of) the initial instance.
+    /// Captures the code columns of the initial instance.
     pub fn new(instance: &Instance) -> Self {
         DistinctCountWeight {
-            instance: instance.clone(),
+            rows: instance.len(),
+            columns: instance
+                .schema()
+                .attr_ids()
+                .map(|a| (instance.codes(a).to_vec(), instance.dict(a).code_space()))
+                .collect(),
             cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// `|Π_attrs(I)|`.
+    fn count(&self, attrs: AttrSet) -> usize {
+        let cols: Vec<(&[Code], CodeSpace)> = attrs
+            .iter()
+            .map(|a| {
+                let (codes, space) = &self.columns[a.index()];
+                (codes.as_slice(), *space)
+            })
+            .collect();
+        distinct_rows(self.rows, &cols)
     }
 }
 
@@ -111,7 +131,7 @@ impl Weight for DistinctCountWeight {
         if let Some(w) = self.cache.lock().unwrap().get(&attrs) {
             return *w;
         }
-        let w = self.instance.distinct_projection_count(&attrs.to_vec()) as f64;
+        let w = self.count(attrs) as f64;
         self.cache.lock().unwrap().insert(attrs, w);
         w
     }
@@ -121,11 +141,8 @@ impl Weight for DistinctCountWeight {
         // `I`; if even the largest candidate `Y = domain \ {a}` does not
         // determine `a`, no subset does (augmentation), so every extension
         // set drawn from the domain gains strictly.
-        let rest = domain.difference(AttrSet::singleton(a)).to_vec();
-        let mut with_a = rest.clone();
-        with_a.push(a);
-        self.instance.distinct_projection_count(&with_a)
-            > self.instance.distinct_projection_count(&rest)
+        let rest = domain.difference(AttrSet::singleton(a));
+        self.count(rest.with(a)) > self.count(rest)
     }
 }
 

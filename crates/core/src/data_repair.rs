@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rt_constraints::{ConflictGraph, FdSet};
-use rt_graph::{approx_vertex_cover, approx_vertex_cover_with, UndirectedGraph};
+use rt_graph::CompactGraph;
 use rt_par::{par_map_coarse, Parallelism};
 use rt_relation::{
     AttrId, CellRef, Code, CodeKey, Instance, Tuple, Value, VarId, OVERLAY_CODE_BASE,
@@ -39,6 +39,10 @@ pub struct DataRepairOutcome {
     pub changed_cells: Vec<CellRef>,
     /// Size of the 2-approximate vertex cover that was repaired.
     pub cover_size: usize,
+    /// `true` when component-parallel repair units collided (see
+    /// [`repair_data_with_cover_par`]) and this outcome is the sequential
+    /// algorithm's instead.
+    pub sequential_fallback: bool,
 }
 
 impl DataRepairOutcome {
@@ -48,47 +52,62 @@ impl DataRepairOutcome {
     }
 }
 
-/// Per-FD hash index of the *clean* tuples: packed LHS code key → (RHS code,
-/// RHS value).
+/// Per-FD hash index of clean tuples: packed LHS code key → entry.
 ///
 /// Because the clean set satisfies `Σ'`, each LHS key maps to exactly one RHS
 /// value, so [`find_assignment`] can detect violations in `O(|Σ'|)` lookups
 /// instead of scanning all clean tuples (this matches the complexity analysis
-/// in Section 6 of the paper). Keys and the forced-RHS test are dictionary
-/// codes under the unit's encoding (instance dictionaries plus the
-/// [`UnitEncoder`] overlay for scratch variables); the value is kept
-/// alongside its code because a forced repair writes it into the candidate.
-struct CleanIndex {
-    per_fd: Vec<HashMap<CodeKey, (Code, Value)>>,
+/// in Section 6 of the paper). Keys are dictionary codes under the unit's
+/// encoding (instance dictionaries plus the [`ScratchCodes`] overlay for
+/// scratch variables). The index of the initially-clean tuples stores row
+/// ids (`CleanIndex<usize>`) and reads RHS codes and values from the
+/// instance; a unit's repaired tuples are not in the instance, so their
+/// index stores the RHS code and value (`CleanIndex<(Code, Value)>`).
+struct CleanIndex<T> {
+    per_fd: Vec<HashMap<CodeKey, T>>,
 }
 
-impl CleanIndex {
+impl<T> CleanIndex<T> {
     fn new(fds: &FdSet) -> Self {
         CleanIndex {
-            per_fd: vec![HashMap::new(); fds.len()],
+            per_fd: (0..fds.len()).map(|_| HashMap::new()).collect(),
         }
     }
+}
 
-    /// Indexes an instance row straight from its code columns — no value
-    /// hashing, no key allocation.
-    fn insert_row(&mut self, instance: &Instance, fds: &FdSet, row: usize) {
-        for (idx, fd) in fds.iter() {
-            let key = CodeKey::from_codes(fd.lhs.iter().map(|a| instance.code_at(row, a)));
-            self.per_fd[idx].insert(
-                key,
-                (
-                    instance.code_at(row, fd.rhs),
-                    instance.tuple_unchecked(row).get(fd.rhs).clone(),
-                ),
-            );
+/// The LHS key of FD `fd_idx` over a tuple's codes.
+fn lhs_key(fds: &FdSet, fd_idx: usize, codes: &[Code]) -> CodeKey {
+    CodeKey::from_codes(fds.get(fd_idx).lhs.iter().map(|a| codes[a.index()]))
+}
+
+/// The unit's view of the clean set: its own repaired tuples first, then
+/// the frozen, shared index of the initially-clean tuples.
+///
+/// This is what lets repair units (connected components of the conflict
+/// graph) run on worker threads: the base is read-only and shared, the
+/// overlay is private to the unit.
+struct ScopedIndex<'a> {
+    instance: &'a Instance,
+    base: &'a CleanIndex<usize>,
+    local: CleanIndex<(Code, Value)>,
+}
+
+impl<'a> ScopedIndex<'a> {
+    fn new(instance: &'a Instance, base: &'a CleanIndex<usize>, fds: &FdSet) -> Self {
+        ScopedIndex {
+            instance,
+            base,
+            local: CleanIndex::new(fds),
         }
     }
 
     /// Indexes a repaired tuple given its encoded cells.
     fn insert_coded(&mut self, fds: &FdSet, tuple: &Tuple, codes: &[Code]) {
         for (idx, fd) in fds.iter() {
-            let key = CodeKey::from_codes(fd.lhs.iter().map(|a| codes[a.index()]));
-            self.per_fd[idx].insert(key, (codes[fd.rhs.index()], tuple.get(fd.rhs).clone()));
+            self.local.per_fd[idx].insert(
+                lhs_key(fds, idx, codes),
+                (codes[fd.rhs.index()], tuple.get(fd.rhs).clone()),
+            );
         }
     }
 
@@ -99,48 +118,21 @@ impl CleanIndex {
         fds: &FdSet,
         fd_idx: usize,
         cand_codes: &[Code],
-    ) -> Option<&(Code, Value)> {
-        let fd = fds.get(fd_idx);
+    ) -> Option<(Code, &Value)> {
         // A fresh scratch variable in the LHS carries an overlay code no
         // clean tuple can share, so it never matches a stored key — exactly
         // the V-instance semantics.
-        let key = CodeKey::from_codes(fd.lhs.iter().map(|a| cand_codes[a.index()]));
-        self.per_fd[fd_idx].get(&key)
-    }
-}
-
-/// A [`CleanIndex`] layered over a shared, frozen base: lookups consult the
-/// unit's own repaired tuples first, then the initially-clean tuples.
-///
-/// This is what lets repair units (connected components of the conflict
-/// graph) run on worker threads: the base is read-only and shared, the
-/// overlay is private to the unit.
-struct ScopedIndex<'a> {
-    base: &'a CleanIndex,
-    local: CleanIndex,
-}
-
-impl<'a> ScopedIndex<'a> {
-    fn new(base: &'a CleanIndex, fds: &FdSet) -> Self {
-        ScopedIndex {
-            base,
-            local: CleanIndex::new(fds),
+        let key = lhs_key(fds, fd_idx, cand_codes);
+        if let Some((code, value)) = self.local.per_fd[fd_idx].get(&key) {
+            return Some((*code, value));
         }
-    }
-
-    fn insert_coded(&mut self, fds: &FdSet, tuple: &Tuple, codes: &[Code]) {
-        self.local.insert_coded(fds, tuple, codes);
-    }
-
-    fn forced_rhs(
-        &self,
-        fds: &FdSet,
-        fd_idx: usize,
-        cand_codes: &[Code],
-    ) -> Option<&(Code, Value)> {
-        self.local
-            .forced_rhs(fds, fd_idx, cand_codes)
-            .or_else(|| self.base.forced_rhs(fds, fd_idx, cand_codes))
+        let rhs = fds.get(fd_idx).rhs;
+        self.base.per_fd[fd_idx].get(&key).map(|&row| {
+            (
+                self.instance.code_at(row, rhs),
+                self.instance.tuple_unchecked(row).get(rhs),
+            )
+        })
     }
 }
 
@@ -190,16 +182,16 @@ struct VarAlloc {
 }
 
 impl VarAlloc {
-    /// Scans `instance` for the largest variable id per attribute, so scratch
-    /// ids can never collide with pre-existing variables.
+    /// One past the largest variable id per attribute in the instance's
+    /// dictionaries, so scratch ids can never collide with pre-existing
+    /// variables. Every variable in a column was interned into its
+    /// dictionary, so this bounds the columns without scanning them.
     fn scratch_base(instance: &Instance) -> Vec<u32> {
         let mut base = vec![0u32; instance.schema().arity()];
-        for (_, tuple) in instance.tuples() {
-            for i in 0..tuple.arity() {
-                if let Value::Var(vid) = tuple.get(AttrId(i as u16)) {
-                    let slot = &mut base[vid.attr as usize];
-                    *slot = (*slot).max(vid.id.saturating_add(1));
-                }
+        for attr in instance.schema().attr_ids() {
+            for vid in instance.dict(attr).var_ids() {
+                let slot = &mut base[vid.attr as usize];
+                *slot = (*slot).max(vid.id.saturating_add(1));
             }
         }
         base
@@ -256,11 +248,11 @@ fn find_assignment(
         let mut changed = false;
         for (fd_idx, fd) in fds.iter() {
             if let Some((forced_code, forced)) = index.forced_rhs(fds, fd_idx, &cand_codes) {
-                if cand_codes[fd.rhs.index()] != *forced_code {
+                if cand_codes[fd.rhs.index()] != forced_code {
                     if fixed.contains(&fd.rhs) {
                         return None;
                     }
-                    cand_codes[fd.rhs.index()] = *forced_code;
+                    cand_codes[fd.rhs.index()] = forced_code;
                     candidate.set(fd.rhs, forced.clone());
                     fixed.insert(fd.rhs);
                     changed = true;
@@ -279,9 +271,11 @@ fn find_assignment(
 /// `seed` drives the random attribute/tuple orderings; fixing it makes runs
 /// reproducible.
 pub fn repair_data(instance: &Instance, fds: &FdSet, seed: u64) -> DataRepairOutcome {
-    let conflict = ConflictGraph::build(instance, fds);
-    let cover = approx_vertex_cover(&conflict.to_graph());
-    let cover_rows: Vec<usize> = cover.iter().collect();
+    let graph = ConflictGraph::build(instance, fds).subgraph_for(fds);
+    let cover_rows: Vec<usize> = graph
+        .vertex_cover_with(Parallelism::Serial)
+        .iter()
+        .collect();
     repair_data_with_cover(instance, fds, &cover_rows, seed)
 }
 
@@ -294,10 +288,8 @@ pub fn repair_data_par(
     seed: u64,
     par: Parallelism,
 ) -> DataRepairOutcome {
-    let conflict = ConflictGraph::build_with(instance, fds, par);
-    let graph = conflict.to_graph();
-    let cover = approx_vertex_cover_with(&graph, par);
-    let cover_rows: Vec<usize> = cover.iter().collect();
+    let graph = ConflictGraph::build_with(instance, fds, par).subgraph_for_with(fds, par);
+    let cover_rows: Vec<usize> = graph.vertex_cover_with(par).iter().collect();
     repair_data_with_cover_and_graph(instance, fds, &cover_rows, seed, par, &graph)
 }
 
@@ -339,9 +331,11 @@ pub fn repair_data_with_cover(
 /// several overlapping FDs two tuples from different components could in
 /// principle be steered into a *new* joint violation (each copying the same
 /// clean value into a shared LHS). The sequential algorithm excludes this by
-/// construction, so after merging we verify `Σ'` actually holds; in the rare
-/// failure case the sequential path is rerun as the authoritative answer.
-/// The check is itself deterministic, so the guarantee above still holds.
+/// construction, so after merging we verify `Σ'` actually holds
+/// ([`cover_rows_consistent`]); in the rare failure case the sequential
+/// path is rerun as the authoritative answer and the outcome says so
+/// ([`DataRepairOutcome::sequential_fallback`]). The check is itself
+/// deterministic, so the guarantee above still holds.
 pub fn repair_data_with_cover_par(
     instance: &Instance,
     fds: &FdSet,
@@ -349,7 +343,7 @@ pub fn repair_data_with_cover_par(
     seed: u64,
     par: Parallelism,
 ) -> DataRepairOutcome {
-    let graph = ConflictGraph::build_with(instance, fds, par).to_graph();
+    let graph = ConflictGraph::build_with(instance, fds, par).subgraph_for_with(fds, par);
     repair_data_with_cover_and_graph(instance, fds, cover_rows, seed, par, &graph)
 }
 
@@ -361,22 +355,30 @@ const MIN_COVER_ROWS_FOR_PARALLEL: usize = 64;
 /// (violating) conflict graph of `(instance, fds)` — e.g. the FD search,
 /// whose `RepairProblem` answers any relaxation's subgraph from the stored
 /// difference sets without touching the data again.
+///
+/// `cover_rows` must cover `graph` (debug-asserted): the cross-unit check
+/// relies on it, since it tests only the pairs that contain a cover row.
 pub fn repair_data_with_cover_and_graph(
     instance: &Instance,
     fds: &FdSet,
     cover_rows: &[usize],
     seed: u64,
     par: Parallelism,
-    graph: &UndirectedGraph,
+    graph: &CompactGraph,
 ) -> DataRepairOutcome {
     // Group cover rows by connected component of the conflict graph.
-    let components = graph.connected_components();
     let cover_set: BTreeSet<usize> = cover_rows.iter().copied().collect();
-    let mut units: Vec<Vec<usize>> = components
-        .iter()
+    debug_assert!(
+        graph
+            .edges()
+            .all(|(u, v)| cover_set.contains(&u) || cover_set.contains(&v)),
+        "cover rows must cover the violating graph"
+    );
+    let mut units: Vec<Vec<usize>> = graph
+        .connected_components()
+        .into_iter()
         .map(|c| {
-            c.iter()
-                .copied()
+            c.into_iter()
                 .filter(|r| cover_set.contains(r))
                 .collect::<Vec<usize>>()
         })
@@ -384,11 +386,10 @@ pub fn repair_data_with_cover_and_graph(
         .collect();
     // Defensive: cover rows outside the conflict graph (possible when the
     // caller passes a stale cover) form one trailing unit.
-    let in_units: BTreeSet<usize> = units.iter().flatten().copied().collect();
     let rest: Vec<usize> = cover_rows
         .iter()
         .copied()
-        .filter(|r| !in_units.contains(r))
+        .filter(|r| graph.rows().binary_search(r).is_err())
         .collect();
     if !rest.is_empty() {
         units.push(rest);
@@ -415,22 +416,70 @@ pub fn repair_data_with_cover_and_graph(
 
     // Units repaired in isolation: verify no *cross-unit* violation crept
     // in, falling back to the sequential algorithm when one did. A single
-    // unit IS the sequential algorithm, and the check itself is the
-    // near-linear partition-based one (not the quadratic `holds_on`).
-    if unit_count <= 1 || ConflictGraph::build_with(&merged.repaired, fds, par).is_empty() {
+    // unit IS the sequential algorithm.
+    if unit_count <= 1 || consistent_with_index(&merged.repaired, fds, cover_rows, &base) {
         merged
     } else {
-        repair_data_with_cover(instance, fds, cover_rows, seed)
+        DataRepairOutcome {
+            sequential_fallback: true,
+            ..repair_data_with_cover(instance, fds, cover_rows, seed)
+        }
     }
 }
 
-/// Indexes the initially-clean tuples (everything outside the cover).
-fn build_clean_index(instance: &Instance, fds: &FdSet, cover_rows: &[usize]) -> CleanIndex {
-    let cover_set: BTreeSet<usize> = cover_rows.iter().copied().collect();
+/// Algorithm 4's cross-unit check: does `repaired` satisfy `fds`, given
+/// that the rows outside `cover_rows` already do pairwise?
+///
+/// Only pairs containing a cover row can violate then, so the check costs
+/// `O(|cover| · |Σ'|)` index lookups after indexing the clean rows: each
+/// FD's cover rows are matched against each other through an LHS-key map,
+/// and against the clean rows through the clean index (clean rows sharing
+/// an LHS key agree on the RHS, so one representative stands for all). It
+/// agrees with `ConflictGraph::build(repaired, fds).is_empty()` whenever
+/// the precondition holds, e.g. when `cover_rows` covers the violating
+/// graph of the instance `repaired` was repaired from and only cover rows
+/// changed.
+pub fn cover_rows_consistent(repaired: &Instance, fds: &FdSet, cover_rows: &[usize]) -> bool {
+    let base = build_clean_index(repaired, fds, cover_rows);
+    consistent_with_index(repaired, fds, cover_rows, &base)
+}
+
+/// [`cover_rows_consistent`] against an already built index of the clean
+/// rows (keyed on the unrepaired instance, whose clean rows `repaired`
+/// shares code for code).
+fn consistent_with_index(
+    repaired: &Instance,
+    fds: &FdSet,
+    cover_rows: &[usize],
+    base: &CleanIndex<usize>,
+) -> bool {
+    fds.iter().all(|(idx, fd)| {
+        let lhs: Vec<&[Code]> = fd.lhs.iter().map(|a| repaired.codes(a)).collect();
+        let rhs = repaired.codes(fd.rhs);
+        let mut repaired_rhs: HashMap<CodeKey, Code> = HashMap::with_capacity(cover_rows.len());
+        cover_rows.iter().all(|&row| {
+            let key = CodeKey::from_cols(&lhs, row);
+            let agrees_with_clean = base.per_fd[idx]
+                .get(&key)
+                .is_none_or(|&clean| rhs[clean] == rhs[row]);
+            agrees_with_clean && *repaired_rhs.entry(key).or_insert(rhs[row]) == rhs[row]
+        })
+    })
+}
+
+/// Indexes the initially-clean tuples (everything outside the cover) by
+/// row id: one pass over the rows per FD, no value cloned.
+fn build_clean_index(instance: &Instance, fds: &FdSet, cover_rows: &[usize]) -> CleanIndex<usize> {
+    let mut in_cover = vec![false; instance.len()];
+    for &row in cover_rows {
+        in_cover[row] = true;
+    }
     let mut index = CleanIndex::new(fds);
-    for row in 0..instance.len() {
-        if !cover_set.contains(&row) {
-            index.insert_row(instance, fds, row);
+    for (idx, fd) in fds.iter() {
+        let lhs: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
+        let map = &mut index.per_fd[idx];
+        for row in (0..instance.len()).filter(|&r| !in_cover[r]) {
+            map.insert(CodeKey::from_cols(&lhs, row), row);
         }
     }
     index
@@ -443,13 +492,13 @@ fn repair_unit(
     instance: &Instance,
     fds: &FdSet,
     rows: &[usize],
-    base_index: &CleanIndex,
+    base_index: &CleanIndex<usize>,
     scratch_base: &[u32],
     seed: u64,
 ) -> Vec<(usize, Tuple)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let all_attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
-    let mut index = ScopedIndex::new(base_index, fds);
+    let mut index = ScopedIndex::new(instance, base_index, fds);
     let mut vars = VarAlloc::new(scratch_base.to_vec());
     let mut scratch = ScratchCodes::new(instance.schema().arity());
 
@@ -523,7 +572,8 @@ fn repair_unit(
 
 /// Writes the units' repaired tuples into a copy of `instance`, renumbering
 /// scratch variables to real fresh variables in deterministic (unit, tuple,
-/// attribute) order, and computes the changed-cell diff.
+/// attribute) order, and computes the changed-cell diff — over the repaired
+/// rows only, since no other row is written.
 fn apply_units(
     instance: &Instance,
     units: Vec<Vec<(usize, Tuple)>>,
@@ -532,11 +582,13 @@ fn apply_units(
 ) -> DataRepairOutcome {
     let mut repaired = instance.clone();
     let all_attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
+    let mut rows: Vec<usize> = Vec::with_capacity(cover_size);
     for unit in units {
         // Scratch variables are scoped per unit: the same scratch id in two
         // units names two different variables.
         let mut remap: HashMap<VarId, Value> = HashMap::new();
         for (row, tuple) in unit {
+            rows.push(row);
             for &attr in &all_attrs {
                 let mut v = tuple.get(attr).clone();
                 if let Value::Var(vid) = v {
@@ -553,14 +605,22 @@ fn apply_units(
             }
         }
     }
-    let changed_cells = instance
-        .diff(&repaired)
-        .expect("repair preserves schema and tuple count")
-        .changed_cells;
+    // Row-major, attribute-minor: the order `Instance::diff` reports in.
+    rows.sort_unstable();
+    rows.dedup();
+    let changed_cells = rows
+        .into_iter()
+        .flat_map(|row| all_attrs.iter().map(move |&attr| CellRef::new(row, attr)))
+        .filter(|&cell| {
+            instance.tuple_unchecked(cell.row).get(cell.attr)
+                != repaired.tuple_unchecked(cell.row).get(cell.attr)
+        })
+        .collect();
     DataRepairOutcome {
         repaired,
         changed_cells,
         cover_size,
+        sequential_fallback: false,
     }
 }
 

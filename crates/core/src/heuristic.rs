@@ -118,6 +118,28 @@ fn enumerate_goal_candidates(
     // Select Ds: heaviest difference sets first, preferring small overlap
     // with the already selected ones (ties in the paper's description).
     let selected = select_diff_sets(&violated, config.max_diff_sets);
+    // The unresolved graphs are indexed by the sorted rows of the selected
+    // groups' edges, not by all rows: the remap preserves order, so their
+    // covers (only the sizes are read) are those of the row-indexed graphs.
+    let mut rows: Vec<usize> = selected
+        .iter()
+        .flat_map(|g| g.edges.iter().flat_map(|&(u, v)| [u, v]))
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let local = |row: usize| rows.binary_search(&row).expect("row of a selected edge");
+    let selected: Vec<Selected> = selected
+        .into_iter()
+        .map(|group| Selected {
+            attrs: group.attrs,
+            edges: group
+                .edges
+                .iter()
+                .map(|&(u, v)| (local(u), local(v)))
+                .collect(),
+        })
+        .collect();
+    let selected: Vec<&Selected> = selected.iter().collect();
 
     let mut ctx = Context {
         problem,
@@ -129,7 +151,7 @@ fn enumerate_goal_candidates(
         truncated: false,
         skipped_any: false,
     };
-    let empty = UndirectedGraph::with_vertices(problem.conflict_graph().row_count());
+    let empty = UndirectedGraph::with_vertices(rows.len());
     ctx.recurse(state.clone(), empty, 0, &selected);
     let pushes = ctx
         .raw
@@ -184,7 +206,7 @@ pub fn goal_cost_estimate(
 /// branch violated FDs, cover feasibility, candidate attribute choices, the
 /// still-violated filter after an extension, budget spend, and minimality —
 /// is a function of that restriction alone (plus problem-fixed data:
-/// groups, Σ RHS/LHS, α, row count), because every attribute the recursion
+/// groups, Σ RHS/LHS, α), because every attribute the recursion
 /// adds comes from a selected group the base extension is disjoint from.
 /// Two states with the same selection and the same restricted matrix
 /// therefore produce the same recursion and the same candidate *additions*
@@ -572,6 +594,13 @@ fn select_diff_sets<'a>(violated: &[&'a DiffSetGroup], max: usize) -> Vec<&'a Di
     selected
 }
 
+/// A selected difference-set group, its edges in local vertex ids of the
+/// enumeration's unresolved graphs.
+struct Selected {
+    attrs: AttrSet,
+    edges: Vec<(usize, usize)>,
+}
+
 struct Context<'a> {
     problem: &'a RepairProblem,
     tau: usize,
@@ -602,7 +631,7 @@ impl<'a> Context<'a> {
         current: RepairState,
         unresolved: UndirectedGraph,
         path_threshold: usize,
-        remaining: &[&DiffSetGroup],
+        remaining: &[&Selected],
     ) {
         self.nodes += 1;
         if remaining.is_empty() {
@@ -671,7 +700,7 @@ impl<'a> Context<'a> {
             // Remaining difference sets that the extended state still
             // violates.
             let ext_relaxed = self.problem.relaxed_fds(&extended);
-            let still: Vec<&DiffSetGroup> = rest
+            let still: Vec<&Selected> = rest
                 .iter()
                 .copied()
                 .filter(|g| {

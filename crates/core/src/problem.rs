@@ -12,7 +12,7 @@ use crate::state::RepairState;
 use rt_constraints::{
     AttrCountWeight, AttrSet, ConflictGraph, DistinctCountWeight, EntropyWeight, FdSet, Weight,
 };
-use rt_graph::{approx_vertex_cover_with, UndirectedGraph, VertexCover};
+use rt_graph::{CompactGraph, VertexCover};
 use rt_par::Parallelism;
 use rt_relation::Instance;
 use std::sync::Arc;
@@ -314,18 +314,15 @@ impl RepairProblem {
         self.weight.extension_cost(state.extensions())
     }
 
-    /// The subgraph of conflict edges still violating the relaxation.
-    pub fn violating_subgraph(&self, state: &RepairState) -> UndirectedGraph {
+    /// The subgraph of conflict edges still violating the relaxation,
+    /// indexed by the rows those edges touch.
+    pub fn violating_subgraph(&self, state: &RepairState) -> CompactGraph {
         self.conflict.subgraph_for(&self.relaxed_fds(state))
     }
 
     /// [`RepairProblem::violating_subgraph`] with an explicit
     /// [`Parallelism`] setting for the per-edge violation tests.
-    pub fn violating_subgraph_with(
-        &self,
-        state: &RepairState,
-        par: Parallelism,
-    ) -> UndirectedGraph {
+    pub fn violating_subgraph_with(&self, state: &RepairState, par: Parallelism) -> CompactGraph {
         self.conflict
             .subgraph_for_with(&self.relaxed_fds(state), par)
     }
@@ -339,10 +336,8 @@ impl RepairProblem {
     /// both the edge filtering and the per-component cover computation fan
     /// out over worker threads. Bit-identical for every setting.
     pub fn cover_for_with(&self, state: &RepairState, par: Parallelism) -> VertexCover {
-        let subgraph = self
-            .conflict
-            .subgraph_for_with(&self.relaxed_fds(state), par);
-        approx_vertex_cover_with(&subgraph, par)
+        self.violating_subgraph_with(state, par)
+            .vertex_cover_with(par)
     }
 
     /// `δ_P(Σ', I) = α · |C2opt(Σ', I)|` — the P-approximate upper bound on

@@ -12,6 +12,9 @@
 //! This crate provides:
 //!
 //! * [`UndirectedGraph`] — an adjacency-list graph over `usize` vertices;
+//! * [`CompactGraph`] — the same graph indexed by the sorted rows its edges
+//!   touch, so graphs over a few conflicting rows of a large table cost
+//!   what their edges cost, not what the table's row count costs;
 //! * [`vertex_cover::matching_vertex_cover`] — the classical maximal-matching
 //!   2-approximation (Garey & Johnson, the paper's reference \[7\]);
 //! * [`vertex_cover::greedy_degree_vertex_cover`] — a max-degree greedy
@@ -43,9 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compact;
 pub mod graph;
 pub mod vertex_cover;
 
+pub use compact::CompactGraph;
 pub use graph::UndirectedGraph;
 pub use vertex_cover::{
     approx_vertex_cover, approx_vertex_cover_with, exact_vertex_cover, greedy_degree_vertex_cover,

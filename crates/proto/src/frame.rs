@@ -82,6 +82,11 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<String, FrameError> {
 
 /// Writes one frame (payload + `\n`) and flushes.
 ///
+/// The payload and its terminator go out in a single `write_all`: on an
+/// unbuffered socket two writes would be two segments, and Nagle's
+/// algorithm holds the second (the lone `\n`) until the peer's delayed
+/// ACK for the first arrives — tens of milliseconds per request.
+///
 /// Payloads are rendered by `rt_engine::json::render`, which escapes every
 /// control character — a rendered frame can never contain a raw newline.
 /// The size cap is enforced here too, so a server response that would be
@@ -91,9 +96,11 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &str) -> Result<(), FrameE
         return Err(FrameError::Oversized);
     }
     debug_assert!(!payload.contains('\n'), "frame payloads must be one line");
+    let mut frame = Vec::with_capacity(payload.len() + 1);
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
     writer
-        .write_all(payload.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
+        .write_all(&frame)
         .and_then(|()| writer.flush())
         .map_err(|e| FrameError::Io(e.to_string()))
 }
@@ -144,6 +151,33 @@ mod tests {
     fn invalid_utf8_is_typed() {
         let mut reader = BufReader::new(&[0xff, 0xfe, b'\n'][..]);
         assert!(matches!(read_frame(&mut reader), Err(FrameError::Encoding)));
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write() {
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, "{\"type\":\"ping\"}").unwrap();
+        assert_eq!(writer.writes, vec![b"{\"type\":\"ping\"}\n".to_vec()]);
+        write_frame(&mut writer, "").unwrap();
+        assert_eq!(writer.writes.len(), 2);
+        assert_eq!(writer.writes[1], b"\n");
     }
 
     #[test]

@@ -231,6 +231,101 @@ impl AttrDict {
     pub fn var_count(&self) -> usize {
         self.var_ids.len()
     }
+
+    /// The interned variables, in code order.
+    pub fn var_ids(&self) -> &[VarId] {
+        &self.var_ids
+    }
+
+    /// The dense index space of the codes issued so far.
+    pub fn code_space(&self) -> CodeSpace {
+        CodeSpace {
+            consts: self.const_values.len() as u32,
+            vars: self.var_ids.len() as u32,
+        }
+    }
+}
+
+/// The codes a dictionary has issued, laid out densely: constants at
+/// `0..consts`, then variables. Lets counting kernels index flat arrays by
+/// code instead of hashing it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeSpace {
+    consts: u32,
+    vars: u32,
+}
+
+impl CodeSpace {
+    /// Number of dense slots.
+    pub fn size(self) -> usize {
+        self.consts as usize + self.vars as usize
+    }
+
+    /// The dense slot of an issued code.
+    #[inline]
+    pub fn index(self, code: Code) -> usize {
+        if code < VAR_CODE_BASE {
+            code as usize
+        } else {
+            self.consts as usize + (code - VAR_CODE_BASE) as usize
+        }
+    }
+}
+
+/// Number of distinct rows of the projection of `rows` rows onto `cols`
+/// (each a code column with the space its codes come from): the weighting
+/// `|Π_Y(I)|` of Section 8.1.
+///
+/// Partition refinement over dense ids, with no hashing and no per-row key:
+/// rows start in one class; each column splits every class by code, the
+/// rows of a class visited together so a stamp array (one slot per code)
+/// finds the class's distinct codes. Cost per column is
+/// `O(rows + classes + space)`. Dictionary entries no longer present in a
+/// column only widen its space; they never add a class.
+pub fn distinct_rows(rows: usize, cols: &[(&[Code], CodeSpace)]) -> usize {
+    if rows == 0 || cols.is_empty() {
+        return rows.min(1);
+    }
+    // `class[r]` is row r's class id in `0..classes`; `order` lists the
+    // rows grouped by class, `starts[c]..starts[c + 1]` being class c.
+    let mut class = vec![0u32; rows];
+    let mut classes = 1usize;
+    let mut order: Vec<u32> = (0..rows as u32).collect();
+    let mut starts: Vec<usize> = vec![0, rows];
+    for (i, &(col, space)) in cols.iter().enumerate() {
+        debug_assert_eq!(col.len(), rows);
+        let mut stamp = vec![u32::MAX; space.size()];
+        let mut slot = vec![0u32; space.size()];
+        let mut next = 0u32;
+        for c in 0..classes {
+            for &r in &order[starts[c]..starts[c + 1]] {
+                let x = space.index(col[r as usize]);
+                if stamp[x] != c as u32 {
+                    stamp[x] = c as u32;
+                    slot[x] = next;
+                    next += 1;
+                }
+                class[r as usize] = slot[x];
+            }
+        }
+        classes = next as usize;
+        if i + 1 < cols.len() {
+            // Counting sort of the rows by their new class.
+            starts = vec![0usize; classes + 1];
+            for &k in &class {
+                starts[k as usize + 1] += 1;
+            }
+            for k in 0..classes {
+                starts[k + 1] += starts[k];
+            }
+            let mut fill = starts.clone();
+            for (r, &k) in class.iter().enumerate() {
+                order[fill[k as usize]] = r as u32;
+                fill[k as usize] += 1;
+            }
+        }
+    }
+    classes
 }
 
 /// How many codes a [`CodeKey`] can hold without spilling to the heap.

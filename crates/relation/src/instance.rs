@@ -10,7 +10,7 @@
 //! "distinct variables are never equal" semantics simply by never reusing an
 //! id.
 
-use crate::dict::{AttrDict, Code, CodeKey};
+use crate::dict::{distinct_rows, AttrDict, Code, CodeSpace};
 use crate::error::RelationError;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
@@ -407,15 +407,11 @@ impl Instance {
     /// This is the paper's experimental weighting function
     /// `w(Y) = |Π_Y(I)|` (Section 8.1).
     pub fn distinct_projection_count(&self, attrs: &[AttrId]) -> usize {
-        if attrs.is_empty() {
-            return usize::from(!self.tuples.is_empty());
-        }
-        let cols: Vec<&[Code]> = attrs.iter().map(|a| self.codes(*a)).collect();
-        let mut seen: HashSet<CodeKey> = HashSet::with_capacity(self.tuples.len());
-        for row in 0..self.tuples.len() {
-            seen.insert(CodeKey::from_cols(&cols, row));
-        }
-        seen.len()
+        let cols: Vec<(&[Code], CodeSpace)> = attrs
+            .iter()
+            .map(|a| (self.codes(*a), self.dict(*a).code_space()))
+            .collect();
+        distinct_rows(self.tuples.len(), &cols)
     }
 
     /// Shannon entropy (in bits) of the value distribution of a column.

@@ -18,7 +18,8 @@
 //!   column values to dense `u32` [`Code`]s (variables in a reserved
 //!   range, so code equality coincides with [`Value::matches`]), the
 //!   instance maintains columnar code views incrementally under every
-//!   mutation, and [`CodeKey`] packs multi-attribute equality keys.
+//!   mutation, [`CodeKey`] packs multi-attribute equality keys, and
+//!   [`distinct_rows`] counts distinct projections without hashing.
 //! * [`work`] — deterministic equality-work counters
 //!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
 //!   offline benchmark gate.
@@ -61,7 +62,10 @@ pub mod tuple;
 pub mod value;
 pub mod work;
 
-pub use dict::{AttrDict, Code, CodeKey, CODE_KEY_INLINE, OVERLAY_CODE_BASE, VAR_CODE_BASE};
+pub use dict::{
+    distinct_rows, AttrDict, Code, CodeKey, CodeSpace, CODE_KEY_INLINE, OVERLAY_CODE_BASE,
+    VAR_CODE_BASE,
+};
 pub use error::RelationError;
 pub use instance::{CellRef, Instance, InstanceDiff};
 pub use load::{ChunkBuffer, ColumnType, EncodedLoader};
