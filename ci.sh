@@ -65,6 +65,12 @@ RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 echo "==> cargo test --release --test sparse_equivalence (conflict-sized ≡ row-sized, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test sparse_equivalence
 
+# The one self-checking experiment: every parallel stage (graph build,
+# vertex cover, Algorithm 4, τ-sweep) must reproduce its serial output
+# bit for bit; `exp` panics otherwise. Smoke scale keeps it to seconds.
+echo "==> exp par-speedup --scale smoke --threads 2 (serial ≡ parallel, stage by stage)"
+cargo run --release -q -p rt-bench --bin exp -- par-speedup --scale smoke --threads 2
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -117,5 +123,8 @@ if [ "$bench" -eq 1 ]; then
         --check ci/bench_baseline.json \
         --selftest
 fi
+
+# Code size is tracked next to the bench trajectory (ROADMAP).
+echo "==> tracked .rs lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
 
 echo "==> CI OK"

@@ -1,6 +1,6 @@
 //! Rendering experiment results as aligned text tables and JSON reports.
 
-use crate::json::ToJson;
+use rt_engine::json::{self, JsonValue};
 use std::path::PathBuf;
 
 /// Renders a simple aligned table (header + rows) for terminal output.
@@ -52,13 +52,37 @@ pub fn report_dir() -> PathBuf {
     dir
 }
 
-/// Serializes an experiment's rows to `target/experiments/<name>.json`.
-/// Returns the path on success.
-pub fn write_json_report<T: ToJson + ?Sized>(name: &str, rows: &T) -> Option<PathBuf> {
+/// Serializes an experiment's rows as a JSON array to
+/// `target/experiments/<name>.json`. Returns the path on success.
+pub fn write_json_report<R>(name: &str, rows: &[R]) -> Option<PathBuf>
+where
+    for<'r> &'r R: Into<JsonValue>,
+{
+    let doc = JsonValue::Arr(rows.iter().map(Into::into).collect());
     let path = report_dir().join(format!("{name}.json"));
-    std::fs::write(&path, rows.to_json()).ok()?;
+    std::fs::write(&path, json::render(&doc) + "\n").ok()?;
     Some(path)
 }
+
+/// Declares a named-field experiment row together with its
+/// `From<&Row> for JsonValue`: one JSON object keyed by the field names, in
+/// declaration order.
+macro_rules! json_row {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name { $($(#[$fmeta])* $fvis $field: $ty),+ }
+
+        impl From<&$name> for rt_engine::json::JsonValue {
+            fn from(row: &$name) -> Self {
+                rt_engine::json::JsonValue::Obj(vec![
+                    $((stringify!($field).to_string(), Clone::clone(&row.$field).into()),)+
+                ])
+            }
+        }
+    };
+}
+pub(crate) use json_row;
 
 /// Formats a float with 3 decimal places (quality scores).
 pub fn fmt_score(v: f64) -> String {
@@ -91,16 +115,21 @@ mod tests {
 
     #[test]
     fn json_report_round_trips() {
-        struct Row {
-            x: usize,
-            y: f64,
+        json_row! {
+            struct Row {
+                x: usize,
+                y: f64,
+            }
         }
-        crate::impl_to_json!(Row { x, y });
-        let rows = vec![Row { x: 1, y: 0.5 }, Row { x: 2, y: 0.25 }];
+        let rows = vec![Row { x: 1, y: 0.5 }, Row { x: 2, y: f64::NAN }];
         let path = write_json_report("unit_test_report", &rows).expect("report written");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("0.5"));
         std::fs::remove_file(path).ok();
+        let doc = json::parse(&text).expect("report is valid JSON");
+        let rows = doc.as_array().unwrap();
+        assert_eq!(rows[0].get("y").and_then(JsonValue::as_f64), Some(0.5));
+        assert_eq!(rows[1].get("x").and_then(JsonValue::as_usize), Some(2));
+        assert_eq!(rows[1].get("y"), Some(&JsonValue::Null));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Workload construction shared by the experiment drivers and benches.
+//! Workload construction shared by the experiment drivers and `bench_gate`.
 
 use rt_constraints::FdSet;
 use rt_core::{Parallelism, WeightKind};
@@ -10,28 +10,29 @@ use rt_relation::Instance;
 pub enum Scale {
     /// A few seconds per experiment; used by tests and CI.
     Smoke,
-    /// Minutes for the whole suite; the default for the `exp_*` binaries.
+    /// Minutes for the whole suite; the default for the `exp` binary.
     Default,
     /// Paper-sized workloads (tens of minutes to hours on laptop hardware).
     Paper,
 }
 
-impl Scale {
-    /// Parses `--scale smoke|default|paper` style arguments; unknown values
-    /// fall back to `Default`.
-    pub fn from_args(args: &[String]) -> Scale {
-        for window in args.windows(2) {
-            if window[0] == "--scale" {
-                return match window[1].as_str() {
-                    "smoke" => Scale::Smoke,
-                    "paper" => Scale::Paper,
-                    _ => Scale::Default,
-                };
-            }
-        }
-        Scale::Default
-    }
+impl std::str::FromStr for Scale {
+    type Err = String;
 
+    /// Parses `smoke`, `default` or `paper`; anything else is an error.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "smoke" => Ok(Scale::Smoke),
+            "default" => Ok(Scale::Default),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!(
+                "unknown scale `{other}` (use smoke, default or paper)"
+            )),
+        }
+    }
+}
+
+impl Scale {
     /// Multiplies a baseline tuple count by the scale factor.
     pub fn tuples(self, default_tuples: usize) -> usize {
         match self {
@@ -180,11 +181,10 @@ mod tests {
 
     #[test]
     fn scale_parsing_and_sizing() {
-        assert_eq!(Scale::from_args(&[]), Scale::Default);
-        let args: Vec<String> = vec!["prog".into(), "--scale".into(), "smoke".into()];
-        assert_eq!(Scale::from_args(&args), Scale::Smoke);
-        let args: Vec<String> = vec!["--scale".into(), "paper".into()];
-        assert_eq!(Scale::from_args(&args), Scale::Paper);
+        assert_eq!("smoke".parse(), Ok(Scale::Smoke));
+        assert_eq!("default".parse(), Ok(Scale::Default));
+        assert_eq!("paper".parse(), Ok(Scale::Paper));
+        assert!("smok".parse::<Scale>().is_err());
         assert_eq!(Scale::Smoke.tuples(1000), 250);
         assert_eq!(Scale::Default.tuples(1000), 1000);
         assert_eq!(Scale::Paper.tuples(1000), 5000);

@@ -1,16 +1,12 @@
-//! A minimal JSON reader.
+//! The workspace's one JSON codec.
 //!
-//! The writing half of the workspace's JSON story lives in `rt-bench`
-//! (flat experiment rows); this is the *reading* half the engine-session
-//! I/O needs — mutation logs (see [`crate::mutation_log`]) and the CI
-//! bench baselines. Just enough JSON, hand-rolled because the build
-//! environment is offline (no serde).
+//! [`parse`] reads mutation logs (see [`crate::mutation_log`]), wire frames
+//! and the CI bench baselines; [`render`] writes wire frames, WAL records,
+//! experiment reports and bench-gate keys. Just enough JSON, hand-rolled
+//! because the build environment is offline (no serde). JSON has no
+//! NaN or infinity literal, so non-finite numbers render as `null`.
 
-/// A parsed JSON value.
-///
-/// The reading half of this module: just enough JSON to read back the flat
-/// reports the writer produces (bench baselines, mutation logs). Objects
-/// keep their key order.
+/// A parsed (or to-be-rendered) JSON value. Objects keep their key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -77,6 +73,36 @@ impl JsonValue {
     }
 }
 
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Num(n)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
 /// Renders a value as compact single-line JSON.
 ///
 /// The inverse of [`parse`] and the writer `rt-proto` frames ride on:
@@ -84,7 +110,7 @@ impl JsonValue {
 /// never contains a raw line break — one rendered value is always one
 /// line-delimited frame. Numbers print integrally when they are integral
 /// (so `parse ∘ render` is the identity for every value `parse` can
-/// produce, up to f64 precision).
+/// produce, up to f64 precision). NaN and infinities render as `null`.
 pub fn render(value: &JsonValue) -> String {
     let mut out = String::new();
     render_into(value, &mut out);
@@ -94,6 +120,7 @@ pub fn render(value: &JsonValue) -> String {
 fn render_into(value: &JsonValue, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
+        JsonValue::Num(n) if !n.is_finite() => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 => {
             out.push_str(&format!("{}", *n as i64));
@@ -125,7 +152,8 @@ fn render_into(value: &JsonValue, out: &mut String) {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal: the workspace's one escaper.
+pub(crate) fn render_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -369,6 +397,44 @@ mod tests {
         // Integral floats print integrally; fractional ones keep their dot.
         assert_eq!(render(&JsonValue::Num(3.0)), "3");
         assert_eq!(render(&JsonValue::Num(-0.5)), "-0.5");
+        // JSON has no NaN/Infinity literal: non-finite numbers render as
+        // `null`, which parses back.
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rendered = render(&JsonValue::Arr(vec![JsonValue::Num(n)]));
+            assert_eq!(rendered, "[null]");
+            assert_eq!(parse(&rendered), Ok(JsonValue::Arr(vec![JsonValue::Null])));
+        }
+    }
+
+    #[test]
+    fn primitives_render() {
+        assert_eq!(render(&1usize.into()), "1");
+        assert_eq!(render(&(-2.0).into()), "-2");
+        assert_eq!(render(&0.5.into()), "0.5");
+        assert_eq!(render(&f64::NAN.into()), "null");
+        assert_eq!(render(&true.into()), "true");
+        assert_eq!(
+            render(&"a\"b\\c\n".to_string().into()),
+            "\"a\\\"b\\\\c\\n\""
+        );
+        assert_eq!(render(&Some(3usize).into()), "3");
+        assert_eq!(render(&Option::<f64>::None.into()), "null");
+    }
+
+    #[test]
+    fn vectors_and_structs_render() {
+        let row = |x: usize, y: f64, label: &str| {
+            JsonValue::Obj(vec![
+                ("x".to_string(), x.into()),
+                ("y".to_string(), y.into()),
+                ("label".to_string(), label.to_string().into()),
+            ])
+        };
+        let rows = JsonValue::Arr(vec![row(1, 0.5, "a"), row(2, 0.25, "b")]);
+        assert_eq!(
+            render(&rows),
+            "[{\"x\":1,\"y\":0.5,\"label\":\"a\"},{\"x\":2,\"y\":0.25,\"label\":\"b\"}]"
+        );
     }
 
     #[test]

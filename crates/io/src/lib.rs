@@ -79,7 +79,7 @@ impl CsvOptions {
             delimiter: b',',
             has_header: true,
             trim: true,
-            null_tokens: ["", "NULL", "null", "NA"]
+            null_tokens: rt_relation::csv::NULL_TOKENS
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),

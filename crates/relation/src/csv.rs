@@ -1,108 +1,44 @@
-//! Minimal CSV reading and writing.
+//! Minimal CSV writing.
 //!
-//! The examples load small data sets from CSV and write repaired instances
-//! back out. We keep the implementation intentionally small (no quoting
-//! dialects beyond double quotes, no streaming) because the workloads used by
-//! the paper's experiments are generated in memory by `rt-datagen`.
+//! Repaired instances are written back out as CSV; reading CSV is `rt-io`'s
+//! job (typed, dictionary-encoded loads). The writer quotes exactly the
+//! fields `rt-io` would otherwise misread, so its output loads back as the
+//! same data under `rt-io`'s default dialect.
 
-use crate::error::RelationError;
 use crate::instance::Instance;
-use crate::schema::Schema;
-use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
-/// Splits one CSV line into fields, honouring double-quoted fields with
-/// embedded commas and doubled quotes (`""` = literal quote).
-fn split_line(line: &str) -> std::result::Result<Vec<String>, String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        cur.push('"');
-                        chars.next();
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                other => cur.push(other),
-            }
-        } else {
-            match c {
-                '"' => {
-                    if cur.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err("unexpected quote in unquoted field".to_string());
-                    }
-                }
-                ',' => {
-                    fields.push(std::mem::take(&mut cur));
-                }
-                other => cur.push(other),
-            }
-        }
-    }
-    if in_quotes {
-        return Err("unterminated quoted field".to_string());
-    }
-    fields.push(cur);
-    Ok(fields)
+/// The unquoted fields `rt-io`'s default CSV dialect reads as `Null`. A
+/// string cell equal to one of them is written quoted, so it reads back as
+/// that string.
+pub const NULL_TOKENS: [&str; 4] = ["", "NULL", "null", "NA"];
+
+fn quoted(field: &str) -> String {
+    format!("\"{}\"", field.replace('"', "\"\""))
 }
 
 /// Escapes one field for CSV output.
 fn escape_field(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
+    if field.contains([',', '"', '\n', '\r']) {
+        quoted(field)
     } else {
         field.to_string()
     }
 }
 
-/// Reads an instance from a CSV reader. The first line must be a header
-/// naming the attributes; every value is parsed with [`Value::parse`].
-pub fn read_instance<R: Read>(relation_name: &str, reader: R) -> Result<Instance> {
-    let mut lines = BufReader::new(reader).lines();
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => return Err(RelationError::Csv("empty input: missing header".into())),
-    };
-    let attrs = split_line(&header).map_err(RelationError::Csv)?;
-    let schema = Schema::new(relation_name, attrs)?;
-    let arity = schema.arity();
-    let mut instance = Instance::new(schema);
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+/// Renders one cell. A string that an unquoted field would not carry back
+/// — a null token, or text with leading or trailing whitespace (which
+/// `rt-io` trims) — is quoted; `Null` is the empty unquoted field.
+fn cell_field(value: &Value) -> String {
+    match value {
+        Value::Str(s) if NULL_TOKENS.contains(&s.as_str()) || s.trim().len() != s.len() => {
+            quoted(s)
         }
-        let fields = split_line(&line)
-            .map_err(|e| RelationError::Csv(format!("line {}: {}", lineno + 2, e)))?;
-        if fields.len() != arity {
-            return Err(RelationError::Csv(format!(
-                "line {}: expected {} fields, found {}",
-                lineno + 2,
-                arity,
-                fields.len()
-            )));
-        }
-        let tuple = Tuple::new(fields.iter().map(|f| Value::parse(f)).collect());
-        instance.push(tuple)?;
+        other => escape_field(&other.to_string()),
     }
-    Ok(instance)
-}
-
-/// Reads an instance from a CSV file.
-pub fn read_instance_from_path(relation_name: &str, path: impl AsRef<Path>) -> Result<Instance> {
-    let file = std::fs::File::open(path)?;
-    read_instance(relation_name, file)
 }
 
 /// Writes an instance as CSV (header + one line per tuple). V-instance
@@ -119,7 +55,7 @@ pub fn write_instance<W: Write>(instance: &Instance, mut writer: W) -> Result<()
         let row: Vec<String> = instance
             .schema()
             .attr_ids()
-            .map(|a| escape_field(&tuple.get(a).to_string()))
+            .map(|a| cell_field(tuple.get(a)))
             .collect();
         writeln!(writer, "{}", row.join(","))?;
     }
@@ -135,100 +71,44 @@ pub fn write_instance_to_path(instance: &Instance, path: impl AsRef<Path>) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::AttrId;
-
-    const SAMPLE: &str = "\
-Name,Age,City
-Alice,30,Waterloo
-Bob,41,\"Doha, Qatar\"
-\"Cara \"\"C\"\"\",25,
-";
-
-    #[test]
-    fn read_parses_header_types_and_quotes() {
-        let inst = read_instance("people", SAMPLE.as_bytes()).unwrap();
-        assert_eq!(inst.schema().arity(), 3);
-        assert_eq!(inst.len(), 3);
-        assert_eq!(
-            *inst.cell(crate::CellRef::new(0, AttrId(1))).unwrap(),
-            Value::Int(30)
-        );
-        assert_eq!(
-            *inst.cell(crate::CellRef::new(1, AttrId(2))).unwrap(),
-            Value::Str("Doha, Qatar".into())
-        );
-        assert_eq!(
-            *inst.cell(crate::CellRef::new(2, AttrId(0))).unwrap(),
-            Value::Str("Cara \"C\"".into())
-        );
-        assert_eq!(
-            *inst.cell(crate::CellRef::new(2, AttrId(2))).unwrap(),
-            Value::Null
-        );
-    }
-
-    #[test]
-    fn round_trip_preserves_values() {
-        let inst = read_instance("people", SAMPLE.as_bytes()).unwrap();
-        let mut buf = Vec::new();
-        write_instance(&inst, &mut buf).unwrap();
-        let reread = read_instance("people", buf.as_slice()).unwrap();
-        assert_eq!(inst.len(), reread.len());
-        for (row, tuple) in inst.tuples() {
-            for (attr, val) in tuple.cells() {
-                assert_eq!(
-                    val,
-                    reread.tuple(row).unwrap().get(attr),
-                    "cell ({row},{attr})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn field_count_mismatch_is_an_error() {
-        let bad = "A,B\n1,2,3\n";
-        let err = read_instance("r", bad.as_bytes()).unwrap_err();
-        assert!(matches!(err, RelationError::Csv(_)));
-        assert!(err.to_string().contains("expected 2 fields"));
-    }
-
-    #[test]
-    fn empty_input_is_an_error() {
-        let err = read_instance("r", "".as_bytes()).unwrap_err();
-        assert!(matches!(err, RelationError::Csv(_)));
-    }
-
-    #[test]
-    fn unterminated_quote_is_an_error() {
-        let bad = "A,B\n\"oops,2\n";
-        let err = read_instance("r", bad.as_bytes()).unwrap_err();
-        assert!(matches!(err, RelationError::Csv(_)));
-    }
-
-    #[test]
-    fn blank_lines_are_skipped() {
-        let data = "A,B\n1,2\n\n3,4\n";
-        let inst = read_instance("r", data.as_bytes()).unwrap();
-        assert_eq!(inst.len(), 2);
-    }
+    use crate::schema::Schema;
+    use crate::tuple::Tuple;
 
     #[test]
     fn escape_round_trip() {
         assert_eq!(escape_field("plain"), "plain");
         assert_eq!(escape_field("a,b"), "\"a,b\"");
         assert_eq!(escape_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(cell_field(&Value::Null), "");
+        assert_eq!(cell_field(&Value::str("")), "\"\"");
+        assert_eq!(cell_field(&Value::str("null")), "\"null\"");
+        assert_eq!(cell_field(&Value::str("NULLs")), "NULLs");
+        assert_eq!(cell_field(&Value::str("\tx")), "\"\tx\"");
+        assert_eq!(cell_field(&Value::str("a b")), "a b");
     }
 
     #[test]
     fn file_round_trip() {
+        let mut inst = Instance::new(Schema::new("people", vec!["Name", "Age", "City"]).unwrap());
+        for row in [
+            [Value::str("Cara \"C\""), Value::Int(25), Value::Null],
+            [Value::str("Bob"), Value::Int(41), Value::str("Doha, Qatar")],
+            [Value::str("NA"), Value::float(0.5), Value::str(" padded ")],
+        ] {
+            inst.push(Tuple::new(row.to_vec())).unwrap();
+        }
         let dir = std::env::temp_dir().join("rt_relation_csv_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
-        let inst = read_instance("people", SAMPLE.as_bytes()).unwrap();
         write_instance_to_path(&inst, &path).unwrap();
-        let reread = read_instance_from_path("people", &path).unwrap();
-        assert_eq!(reread.len(), inst.len());
+        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(
+            text,
+            "Name,Age,City\n\
+             \"Cara \"\"C\"\"\",25,\n\
+             Bob,41,\"Doha, Qatar\"\n\
+             \"NA\",0.5,\" padded \"\n"
+        );
     }
 }

@@ -27,7 +27,7 @@
 //!   [`EncodedLoader`] behind `Instance::encoded_loader`, which parses raw
 //!   text fields **directly into dictionary codes** so bulk loads never
 //!   build per-cell `Value` probe keys (the `rt-io` CSV reader drives it).
-//! * [`csv`] — minimal untyped CSV reading/writing used by the examples.
+//! * [`csv`] — CSV writing for repaired instances (reading is `rt-io`'s).
 //!
 //! The crate is deliberately free of any constraint logic; functional
 //! dependencies, violation detection and conflict graphs live in

@@ -1686,8 +1686,9 @@ mod tests {
             },
         };
         run(&options).unwrap();
-        let repaired =
-            relative_trust::relation::csv::read_instance_from_path("out", &output).unwrap();
+        let repaired = relative_trust::io::load_path(&output, &CsvOptions::csv())
+            .unwrap()
+            .instance;
         assert_eq!(repaired.len(), 3);
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&output).ok();

@@ -88,6 +88,17 @@ fn null_tokens_apply_per_cell_and_quoting_escapes_them() {
 }
 
 #[test]
+fn empty_input_is_an_error() {
+    for err in [
+        read_instance("".as_bytes(), &CsvOptions::csv()).unwrap_err(),
+        read_instance_chunked("".as_bytes(), 2, &CsvOptions::csv()).unwrap_err(),
+    ] {
+        assert!(matches!(err, IoError::Parse { line: 0, .. }), "{err:?}");
+        assert!(err.to_string().contains("missing header"), "{err}");
+    }
+}
+
+#[test]
 fn type_inference_conflicts_fall_back_to_str() {
     // Column a: ints until a stray word → Str (and "7" loads as the
     // string "7", not the integer 7). Column b: ints then a float → Float.
@@ -228,4 +239,54 @@ fn typed_load_feeds_the_engine_end_to_end() {
         .unwrap();
     let repair = engine.repair_at(engine.delta_p_original()).unwrap();
     assert!(repair.modified_fds.holds_on(&repair.repaired_instance));
+}
+
+#[test]
+fn written_csv_reads_back_as_the_same_data() {
+    // Every string the writer must quote to survive the reader's null
+    // policy and trimming, next to ones it must not disturb.
+    let strings = [
+        "",
+        "NULL",
+        "null",
+        "NA",
+        " padded ",
+        "\tlead",
+        "trail ",
+        "a,b",
+        "say \"hi\"",
+        "two\nlines",
+        "NULLs",
+        "plain",
+    ];
+    let schema = Schema::new("rt", vec!["s", "n", "x"]).unwrap();
+    let mut original = Instance::new(schema);
+    for (i, s) in strings.iter().enumerate() {
+        let n = if i % 3 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i as i64)
+        };
+        let row = vec![Value::str(*s), n, Value::float(i as f64 / 4.0)];
+        original.push(Tuple::new(row)).unwrap();
+    }
+    original
+        .push(Tuple::new(vec![Value::Null, Value::Int(-1), Value::Null]))
+        .unwrap();
+
+    let mut buf = Vec::new();
+    relative_trust::relation::csv::write_instance(&original, &mut buf).unwrap();
+    let reread = read_instance(buf.as_slice(), &CsvOptions::csv()).unwrap();
+    assert_eq!(
+        reread.columns,
+        vec![ColumnType::Str, ColumnType::Int, ColumnType::Float]
+    );
+    assert_eq!(reread.instance.len(), original.len());
+    for (row, tuple) in original.tuples() {
+        assert_eq!(
+            reread.instance.tuple(row).unwrap(),
+            tuple,
+            "row {row} changed in a write → read round trip"
+        );
+    }
 }

@@ -221,7 +221,12 @@ fn csv_round_trip_feeds_the_repair_pipeline() {
     let (instance, fds) = employee_example();
     let mut buf = Vec::new();
     relative_trust::relation::csv::write_instance(&instance, &mut buf).unwrap();
-    let reread = relative_trust::relation::csv::read_instance("Persons", buf.as_slice()).unwrap();
+    let reread = relative_trust::io::read_instance(
+        buf.as_slice(),
+        &relative_trust::io::CsvOptions::csv().relation("Persons"),
+    )
+    .unwrap()
+    .instance;
     assert_eq!(reread.len(), instance.len());
 
     let engine = RepairEngine::new(reread, fds).unwrap();
