@@ -65,6 +65,10 @@ RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 echo "==> cargo test --release --test sparse_equivalence (conflict-sized ≡ row-sized, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test sparse_equivalence
 
+# The columnar contract: CSV writer, cell()/tuple(), equality and snapshots ≡ a row-major decode of the codes.
+echo "==> cargo test --release --test columnar_equivalence (code columns ≡ row-major decode, 100k warehouse)"
+RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test columnar_equivalence
+
 # The one self-checking experiment: every parallel stage (graph build,
 # vertex cover, Algorithm 4, τ-sweep) must reproduce its serial output
 # bit for bit; `exp` panics otherwise. Smoke scale keeps it to seconds.

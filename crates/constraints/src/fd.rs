@@ -9,7 +9,7 @@
 //! is defined over.
 
 use crate::attrset::AttrSet;
-use rt_relation::{AttrId, Instance, Schema, Tuple};
+use rt_relation::{AttrId, Code, Instance, Schema, Tuple};
 use std::fmt;
 
 /// A functional dependency `X → A`.
@@ -92,15 +92,12 @@ impl Fd {
     /// Quadratic fallback used by tests and small examples; production code
     /// paths use the partition-based checker in [`crate::violations`].
     pub fn holds_on(&self, instance: &Instance) -> bool {
-        let tuples: Vec<&Tuple> = instance.tuples().map(|(_, t)| t).collect();
-        for i in 0..tuples.len() {
-            for j in (i + 1)..tuples.len() {
-                if self.violated_by(tuples[i], tuples[j]) {
-                    return false;
-                }
-            }
-        }
-        true
+        // Pairwise on the code columns: equal codes ⟺ matching cells.
+        let lhs: Vec<&[Code]> = self.lhs.iter().map(|a| instance.codes(a)).collect();
+        let rhs = instance.codes(self.rhs);
+        let n = instance.len();
+        (0..n)
+            .all(|i| (i + 1..n).all(|j| rhs[i] == rhs[j] || lhs.iter().any(|col| col[i] != col[j])))
     }
 
     /// Renders the FD with schema attribute names, e.g. `Surname,GivenName -> Income`.
@@ -364,7 +361,8 @@ mod tests {
         let fds = figure2_fds(&schema);
         let a_b = fds.get(0);
         let c_d = fds.get(1);
-        let t = |i: usize| inst.tuple(i).unwrap();
+        let rows: Vec<Tuple> = inst.tuples().map(|(_, t)| t).collect();
+        let t = |i: usize| &rows[i];
         // (t1, t2) violate both FDs (paper's labelling: rows 0 and 1 here).
         assert!(a_b.violated_by(t(0), t(1)));
         assert!(c_d.violated_by(t(0), t(1)));

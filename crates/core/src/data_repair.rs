@@ -25,9 +25,7 @@ use rand::SeedableRng;
 use rt_constraints::{ConflictGraph, FdSet};
 use rt_graph::CompactGraph;
 use rt_par::{par_map_coarse, Parallelism};
-use rt_relation::{
-    AttrId, CellRef, Code, CodeKey, Instance, Tuple, Value, VarId, OVERLAY_CODE_BASE,
-};
+use rt_relation::{AttrId, CellRef, Code, CodeKey, Instance, Value, OVERLAY_CODE_BASE};
 use std::collections::{BTreeSet, HashMap};
 
 /// Outcome of a data repair.
@@ -60,9 +58,9 @@ impl DataRepairOutcome {
 /// in Section 6 of the paper). Keys are dictionary codes under the unit's
 /// encoding (instance dictionaries plus the [`ScratchCodes`] overlay for
 /// scratch variables). The index of the initially-clean tuples stores row
-/// ids (`CleanIndex<usize>`) and reads RHS codes and values from the
-/// instance; a unit's repaired tuples are not in the instance, so their
-/// index stores the RHS code and value (`CleanIndex<(Code, Value)>`).
+/// ids (`CleanIndex<usize>`) and reads RHS codes from the instance; a
+/// unit's repaired tuples are not in the instance, so their index stores
+/// the RHS code (`CleanIndex<Code>`).
 struct CleanIndex<T> {
     per_fd: Vec<HashMap<CodeKey, T>>,
 }
@@ -89,7 +87,7 @@ fn lhs_key(fds: &FdSet, fd_idx: usize, codes: &[Code]) -> CodeKey {
 struct ScopedIndex<'a> {
     instance: &'a Instance,
     base: &'a CleanIndex<usize>,
-    local: CleanIndex<(Code, Value)>,
+    local: CleanIndex<Code>,
 }
 
 impl<'a> ScopedIndex<'a> {
@@ -102,53 +100,42 @@ impl<'a> ScopedIndex<'a> {
     }
 
     /// Indexes a repaired tuple given its encoded cells.
-    fn insert_coded(&mut self, fds: &FdSet, tuple: &Tuple, codes: &[Code]) {
+    fn insert_coded(&mut self, fds: &FdSet, codes: &[Code]) {
         for (idx, fd) in fds.iter() {
-            self.local.per_fd[idx].insert(
-                lhs_key(fds, idx, codes),
-                (codes[fd.rhs.index()], tuple.get(fd.rhs).clone()),
-            );
+            self.local.per_fd[idx].insert(lhs_key(fds, idx, codes), codes[fd.rhs.index()]);
         }
     }
 
-    /// The RHS the clean tuples force for the given candidate codes and FD,
-    /// if any clean tuple shares the candidate's LHS projection.
-    fn forced_rhs(
-        &self,
-        fds: &FdSet,
-        fd_idx: usize,
-        cand_codes: &[Code],
-    ) -> Option<(Code, &Value)> {
+    /// The RHS code the clean tuples force for the given candidate codes and
+    /// FD, if any clean tuple shares the candidate's LHS projection.
+    fn forced_rhs(&self, fds: &FdSet, fd_idx: usize, cand_codes: &[Code]) -> Option<Code> {
         // A fresh scratch variable in the LHS carries an overlay code no
         // clean tuple can share, so it never matches a stored key — exactly
         // the V-instance semantics.
         let key = lhs_key(fds, fd_idx, cand_codes);
-        if let Some((code, value)) = self.local.per_fd[fd_idx].get(&key) {
-            return Some((*code, value));
+        if let Some(&code) = self.local.per_fd[fd_idx].get(&key) {
+            return Some(code);
         }
         let rhs = fds.get(fd_idx).rhs;
-        self.base.per_fd[fd_idx].get(&key).map(|&row| {
-            (
-                self.instance.code_at(row, rhs),
-                self.instance.tuple_unchecked(row).get(rhs),
-            )
-        })
+        self.base.per_fd[fd_idx]
+            .get(&key)
+            .map(|&row| self.instance.code_at(row, rhs))
     }
 }
 
 /// Hands out private codes from the reserved overlay range
-/// ([`OVERLAY_CODE_BASE`]) for the unit's scratch variables.
+/// ([`OVERLAY_CODE_BASE`]) for the unit's scratch variables: fresh
+/// V-instance variables that exist only inside the unit until
+/// [`apply_units`] replaces each with a real fresh variable of the output.
 ///
-/// No hashing or interning is needed: a scratch variable is — by
-/// construction of [`VarAlloc::scratch_base`] — never present in the
-/// instance dictionaries, every [`VarAlloc::fresh`] variable is distinct,
-/// and each one is encoded exactly once (at creation; afterwards its code
-/// travels with it through the candidate/working code slots). A bare
-/// per-attribute counter therefore extends the instance encoding
-/// injectively, so **code equality keeps coinciding with
-/// [`Value::matches`]** inside the unit; and because each unit owns its
-/// allocator, units stay independent and the component-parallel repair
-/// remains deterministic.
+/// No hashing or interning is needed: an overlay code is never issued by
+/// the instance dictionaries, and each scratch variable is encoded exactly
+/// once (at creation; afterwards its code travels with it through the
+/// candidate/working code slots). A bare per-attribute counter therefore
+/// extends the instance encoding injectively, so **code equality keeps
+/// coinciding with [`Value::matches`]** inside the unit; and because each
+/// unit owns its allocator, units stay independent and the
+/// component-parallel repair remains deterministic.
 struct ScratchCodes {
     /// Per-attribute next overlay code.
     next: Vec<Code>,
@@ -170,76 +157,35 @@ impl ScratchCodes {
     }
 }
 
-/// Hands out fresh V-instance variables from a private id namespace.
-///
-/// Worker threads cannot share the instance's variable counters, so each
-/// repair unit allocates *scratch* variables starting at `base[attr]` (one
-/// past the largest id already present in the instance's columns). After the
-/// units finish, [`apply_units`] remaps every scratch variable to a real
-/// fresh variable of the output instance, in deterministic order.
-struct VarAlloc {
-    next: Vec<u32>,
-}
-
-impl VarAlloc {
-    /// One past the largest variable id per attribute in the instance's
-    /// dictionaries, so scratch ids can never collide with pre-existing
-    /// variables. Every variable in a column was interned into its
-    /// dictionary, so this bounds the columns without scanning them.
-    fn scratch_base(instance: &Instance) -> Vec<u32> {
-        let mut base = vec![0u32; instance.schema().arity()];
-        for attr in instance.schema().attr_ids() {
-            for vid in instance.dict(attr).var_ids() {
-                let slot = &mut base[vid.attr as usize];
-                *slot = (*slot).max(vid.id.saturating_add(1));
-            }
-        }
-        base
-    }
-
-    fn new(base: Vec<u32>) -> Self {
-        VarAlloc { next: base }
-    }
-
-    fn fresh(&mut self, attr: AttrId) -> Value {
-        let c = &mut self.next[attr.index()];
-        let id = *c;
-        *c += 1;
-        Value::Var(VarId::new(attr.0, id))
-    }
-}
-
-/// Algorithm 5 (`Find_Assignment`): tries to complete `tuple` into an
-/// assignment that keeps the attributes in `fixed` unchanged and does not
-/// violate any FD against the clean tuples indexed in `index`.
+/// Algorithm 5 (`Find_Assignment`): tries to complete the tuple encoded by
+/// `tuple_codes` into an assignment that keeps the attributes in `fixed`
+/// unchanged and does not violate any FD against the clean tuples indexed
+/// in `index`.
 ///
 /// Returns `None` when no such assignment exists (some fixed attribute is
-/// forced to a conflicting value), otherwise the completed tuple, in which
-/// attributes outside `fixed` hold either values copied from clean tuples or
-/// fresh V-instance variables.
+/// forced to a conflicting value), otherwise the completed tuple's codes, in
+/// which attributes outside `fixed` hold either codes copied from clean
+/// tuples or fresh scratch variables.
 fn find_assignment(
-    tuple: &Tuple,
     tuple_codes: &[Code],
     fixed: &BTreeSet<AttrId>,
     fds: &FdSet,
     index: &ScopedIndex<'_>,
-    vars: &mut VarAlloc,
     scratch: &mut ScratchCodes,
-) -> Option<(Tuple, Vec<Code>)> {
-    let arity = tuple.arity();
+) -> Option<Vec<Code>> {
     let mut fixed = fixed.clone();
-    let mut candidate = Tuple::nulls(arity);
-    let mut cand_codes = vec![0 as Code; arity];
-    for i in 0..arity {
-        let attr = AttrId(i as u16);
-        if fixed.contains(&attr) {
-            candidate.set(attr, tuple.get(attr).clone());
-            cand_codes[i] = tuple_codes[i];
-        } else {
-            cand_codes[i] = scratch.fresh_code(attr);
-            candidate.set(attr, vars.fresh(attr));
-        }
-    }
+    let mut cand_codes: Vec<Code> = tuple_codes
+        .iter()
+        .enumerate()
+        .map(|(i, &code)| {
+            let attr = AttrId(i as u16);
+            if fixed.contains(&attr) {
+                code
+            } else {
+                scratch.fresh_code(attr)
+            }
+        })
+        .collect();
     // Iterate to a fixpoint; each round either returns, or fixes one more
     // attribute, so at most |Σ'| + 1 rounds run. Consistency against the
     // clean tuples is checked on codes only (code equality ≡ value
@@ -247,20 +193,19 @@ fn find_assignment(
     loop {
         let mut changed = false;
         for (fd_idx, fd) in fds.iter() {
-            if let Some((forced_code, forced)) = index.forced_rhs(fds, fd_idx, &cand_codes) {
-                if cand_codes[fd.rhs.index()] != forced_code {
+            if let Some(forced) = index.forced_rhs(fds, fd_idx, &cand_codes) {
+                if cand_codes[fd.rhs.index()] != forced {
                     if fixed.contains(&fd.rhs) {
                         return None;
                     }
-                    cand_codes[fd.rhs.index()] = forced_code;
-                    candidate.set(fd.rhs, forced.clone());
+                    cand_codes[fd.rhs.index()] = forced;
                     fixed.insert(fd.rhs);
                     changed = true;
                 }
             }
         }
         if !changed {
-            return Some((candidate, cand_codes));
+            return Some(cand_codes);
         }
     }
 }
@@ -308,9 +253,8 @@ pub fn repair_data_with_cover(
     // The whole cover forms a single repair unit with the caller's seed —
     // exactly the sequential algorithm.
     let base = build_clean_index(instance, fds, cover_rows);
-    let scratch = VarAlloc::scratch_base(instance);
-    let unit = repair_unit(instance, fds, cover_rows, &base, &scratch, seed);
-    apply_units(instance, vec![unit], &scratch, cover_rows.len())
+    let unit = repair_unit(instance, fds, cover_rows, &base, seed);
+    apply_units(instance, vec![unit], cover_rows.len())
 }
 
 /// Component-parallel variant of [`repair_data_with_cover`] (the tentpole of
@@ -396,7 +340,6 @@ pub fn repair_data_with_cover_and_graph(
     }
 
     let base = build_clean_index(instance, fds, cover_rows);
-    let scratch = VarAlloc::scratch_base(instance);
     // Units are coarse, few and size-skewed, so bypass `par_map_indexed`'s
     // per-item cutoff; the work-size gate (cover rows, an input property)
     // keeps tiny repairs inline.
@@ -405,14 +348,14 @@ pub fn repair_data_with_cover_and_graph(
     } else {
         par
     };
-    let unit_results: Vec<Vec<(usize, Tuple)>> = par_map_coarse(unit_par, units.len(), |u| {
+    let unit_results: Vec<Vec<(usize, Vec<Code>)>> = par_map_coarse(unit_par, units.len(), |u| {
         // Distinct, deterministic per-unit seed streams (the shim's
         // `seed_from_u64` scrambles, so XORing the index is safe).
         let unit_seed = seed ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        repair_unit(instance, fds, &units[u], &base, &scratch, unit_seed)
+        repair_unit(instance, fds, &units[u], &base, unit_seed)
     });
     let unit_count = unit_results.len();
-    let merged = apply_units(instance, unit_results, &scratch, cover_rows.len());
+    let merged = apply_units(instance, unit_results, cover_rows.len());
 
     // Units repaired in isolation: verify no *cross-unit* violation crept
     // in, falling back to the sequential algorithm when one did. A single
@@ -486,20 +429,18 @@ fn build_clean_index(instance: &Instance, fds: &FdSet, cover_rows: &[usize]) -> 
 }
 
 /// Repairs one unit (a set of cover rows) against the frozen clean index,
-/// returning the repaired tuples in processing order. Scratch variables are
-/// allocated from `scratch_base`; [`apply_units`] renumbers them.
+/// returning the repaired tuples' codes in processing order. Fresh
+/// variables are scratch overlay codes; [`apply_units`] replaces them.
 fn repair_unit(
     instance: &Instance,
     fds: &FdSet,
     rows: &[usize],
     base_index: &CleanIndex<usize>,
-    scratch_base: &[u32],
     seed: u64,
-) -> Vec<(usize, Tuple)> {
+) -> Vec<(usize, Vec<Code>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let all_attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
     let mut index = ScopedIndex::new(instance, base_index, fds);
-    let mut vars = VarAlloc::new(scratch_base.to_vec());
     let mut scratch = ScratchCodes::new(instance.schema().arity());
 
     // Process covered tuples in random order.
@@ -508,10 +449,8 @@ fn repair_unit(
 
     let mut out = Vec::with_capacity(order.len());
     for &row in &order {
-        let mut working = instance.tuple_unchecked(row).clone();
-        // The working tuple starts as the instance row, so its codes start
-        // as the row's code column entries; both are kept in lock-step.
-        let mut working_codes: Vec<Code> = all_attrs
+        // The working tuple starts as the instance row's codes.
+        let mut working: Vec<Code> = all_attrs
             .iter()
             .map(|&a| instance.code_at(row, a))
             .collect();
@@ -523,37 +462,17 @@ fn repair_unit(
         let mut fixed: BTreeSet<AttrId> = BTreeSet::new();
         fixed.insert(attr_order[0]);
 
-        let (mut last_valid, mut last_valid_codes) = find_assignment(
-            &working,
-            &working_codes,
-            &fixed,
-            fds,
-            &index,
-            &mut vars,
-            &mut scratch,
-        )
-        .expect("an assignment always exists when a single attribute is fixed");
+        let mut last_valid = find_assignment(&working, &fixed, fds, &index, &mut scratch)
+            .expect("an assignment always exists when a single attribute is fixed");
 
         for &attr in &attr_order[1..] {
             fixed.insert(attr);
-            match find_assignment(
-                &working,
-                &working_codes,
-                &fixed,
-                fds,
-                &index,
-                &mut vars,
-                &mut scratch,
-            ) {
-                Some((assignment, codes)) => {
-                    last_valid = assignment;
-                    last_valid_codes = codes;
-                }
+            match find_assignment(&working, &fixed, fds, &index, &mut scratch) {
+                Some(assignment) => last_valid = assignment,
                 None => {
                     // Keeping `attr` as-is is impossible: overwrite it with
                     // the value the previous valid assignment gave it.
-                    working.set(attr, last_valid.get(attr).clone());
-                    working_codes[attr.index()] = last_valid_codes[attr.index()];
+                    working[attr.index()] = last_valid[attr.index()];
                     // `working[attr]` now equals `last_valid[attr]`, so
                     // `last_valid` remains a valid assignment for the grown
                     // fixed set.
@@ -564,41 +483,41 @@ fn repair_unit(
         // All attributes fixed: `working` equals the last valid assignment
         // and is consistent with every clean tuple. It joins the unit's
         // clean set.
-        index.insert_coded(fds, &working, &working_codes);
+        index.insert_coded(fds, &working);
         out.push((row, working));
     }
     out
 }
 
-/// Writes the units' repaired tuples into a copy of `instance`, renumbering
-/// scratch variables to real fresh variables in deterministic (unit, tuple,
-/// attribute) order, and computes the changed-cell diff — over the repaired
-/// rows only, since no other row is written.
+/// Writes the units' repaired tuples into a copy of `instance` — a copy of
+/// its code columns and dictionaries — replacing scratch variables by real
+/// fresh variables in deterministic (unit, tuple, attribute) order, and
+/// computes the changed-cell diff over the repaired rows only, since no
+/// other row is written.
 fn apply_units(
     instance: &Instance,
-    units: Vec<Vec<(usize, Tuple)>>,
-    scratch_base: &[u32],
+    units: Vec<Vec<(usize, Vec<Code>)>>,
     cover_size: usize,
 ) -> DataRepairOutcome {
     let mut repaired = instance.clone();
     let all_attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
     let mut rows: Vec<usize> = Vec::with_capacity(cover_size);
     for unit in units {
-        // Scratch variables are scoped per unit: the same scratch id in two
-        // units names two different variables.
-        let mut remap: HashMap<VarId, Value> = HashMap::new();
-        for (row, tuple) in unit {
+        // Scratch variables are scoped per unit: the same overlay code in
+        // two units names two different variables.
+        let mut remap: HashMap<(AttrId, Code), Value> = HashMap::new();
+        for (row, codes) in unit {
             rows.push(row);
             for &attr in &all_attrs {
-                let mut v = tuple.get(attr).clone();
-                if let Value::Var(vid) = v {
-                    if vid.id >= scratch_base[vid.attr as usize] {
-                        v = remap
-                            .entry(vid)
-                            .or_insert_with(|| repaired.fresh_var(AttrId(vid.attr)))
-                            .clone();
-                    }
-                }
+                let code = codes[attr.index()];
+                let v = if code >= OVERLAY_CODE_BASE {
+                    remap
+                        .entry((attr, code))
+                        .or_insert_with(|| repaired.fresh_var(attr))
+                        .clone()
+                } else {
+                    instance.dict(attr).value(code).clone()
+                };
                 repaired
                     .set_cell(CellRef::new(row, attr), v)
                     .expect("row exists");
@@ -606,14 +525,15 @@ fn apply_units(
         }
     }
     // Row-major, attribute-minor: the order `Instance::diff` reports in.
+    // `repaired`'s dictionaries extend `instance`'s, so equal codes mean
+    // equal values.
     rows.sort_unstable();
     rows.dedup();
     let changed_cells = rows
         .into_iter()
         .flat_map(|row| all_attrs.iter().map(move |&attr| CellRef::new(row, attr)))
         .filter(|&cell| {
-            instance.tuple_unchecked(cell.row).get(cell.attr)
-                != repaired.tuple_unchecked(cell.row).get(cell.attr)
+            instance.code_at(cell.row, cell.attr) != repaired.code_at(cell.row, cell.attr)
         })
         .collect();
     DataRepairOutcome {

@@ -252,7 +252,7 @@ mod tests {
             }
             let mut shuffled = Instance::new(inst.schema().clone());
             for &old in &perm {
-                shuffled.push(inst.tuple(old).unwrap().clone()).unwrap();
+                shuffled.push(inst.tuple(old).unwrap()).unwrap();
             }
             let shuffled_plan = ShardPlan::compute(&shuffled, &fds);
 

@@ -77,9 +77,10 @@ pub fn generate_mutation_stream(
     let mut domains: Vec<Vec<Value>> = (0..arity)
         .map(|a| {
             let attr = AttrId(a as u16);
+            let dict = instance.dict(attr);
             let mut values: Vec<Value> = Vec::new();
-            for (_, tuple) in instance.tuples() {
-                let v = tuple.get(attr);
+            for &code in instance.codes(attr) {
+                let v = dict.value(code);
                 if v.is_constant() && !values.contains(v) {
                     values.push(v.clone());
                 }

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rt_constraints::{AttrSet, Fd, FdSet};
-use rt_relation::{AttrId, CellRef, Instance, Value};
+use rt_relation::{AttrId, CellRef, Code, Instance, Value};
 use std::collections::HashMap;
 
 /// Perturbation parameters.
@@ -154,9 +154,9 @@ fn inject_rhs_violation(
     rng: &mut StdRng,
 ) -> Option<CellRef> {
     let key_attrs: Vec<AttrId> = fd.lhs.with(fd.rhs).iter().collect();
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (row, tuple) in dirty.tuples() {
-        let key: Vec<Value> = key_attrs.iter().map(|a| tuple.get(*a).clone()).collect();
+    let mut groups: HashMap<Vec<Code>, Vec<usize>> = HashMap::new();
+    for row in 0..dirty.len() {
+        let key: Vec<Code> = key_attrs.iter().map(|&a| dirty.code_at(row, a)).collect();
         groups.entry(key).or_default().push(row);
     }
     let mut candidates: Vec<&Vec<usize>> = groups.values().filter(|g| g.len() >= 2).collect();
@@ -192,9 +192,9 @@ fn inject_lhs_violation(
     }
     let b = *lhs.choose(rng).expect("non-empty lhs");
     let key_attrs: Vec<AttrId> = lhs.iter().copied().filter(|a| *a != b).collect();
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (row, tuple) in dirty.tuples() {
-        let key: Vec<Value> = key_attrs.iter().map(|a| tuple.get(*a).clone()).collect();
+    let mut groups: HashMap<Vec<Code>, Vec<usize>> = HashMap::new();
+    for row in 0..dirty.len() {
+        let key: Vec<Code> = key_attrs.iter().map(|&a| dirty.code_at(row, a)).collect();
         groups.entry(key).or_default().push(row);
     }
     let mut group_list: Vec<&Vec<usize>> = groups.values().filter(|g| g.len() >= 2).collect();
@@ -206,14 +206,13 @@ fn inject_lhs_violation(
         // Look for a pair differing on B and on the RHS.
         for (i, &ti) in group.iter().enumerate() {
             for &tj in group.iter().skip(i + 1) {
-                let a_i = dirty.tuple_unchecked(ti);
-                let a_j = dirty.tuple_unchecked(tj);
-                if !a_i.get(b).matches(a_j.get(b)) && !a_i.get(fd.rhs).matches(a_j.get(fd.rhs)) {
+                let differ = |a: AttrId| dirty.code_at(ti, a) != dirty.code_at(tj, a);
+                if differ(b) && differ(fd.rhs) {
                     let cell = CellRef::new(ti, b);
                     if dirty.cell(cell).ok()? != clean.cell(cell).ok()? {
                         continue;
                     }
-                    let new_value = a_j.get(b).clone();
+                    let new_value = dirty.cell(CellRef::new(tj, b)).ok()?.clone();
                     dirty.set_cell(cell, new_value).ok()?;
                     return Some(cell);
                 }

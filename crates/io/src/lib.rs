@@ -251,23 +251,21 @@ pub fn infer_schema<R: Read>(reader: R, options: &CsvOptions) -> Result<Inferred
     let arity = names.len();
     let mut states = vec![ColumnState::new(); arity];
     let mut rows = 0usize;
-    let mut observe_row = |fields: &[(&str, bool)], line: usize| -> Result<(), IoError> {
-        check_arity(fields.len(), arity, line)?;
-        for (i, (text, quoted)) in fields.iter().enumerate() {
-            if let Some(t) = options.normalize(text, *quoted) {
-                states[i].observe(t);
+    let mut observe_row = |fields: &mut dyn Iterator<Item = (&str, bool)>| {
+        for (state, (text, quoted)) in states.iter_mut().zip(fields) {
+            if let Some(t) = options.normalize(text, quoted) {
+                state.observe(t);
             }
         }
         rows += 1;
-        Ok(())
     };
     if let Some(first) = carry {
-        let fields: Vec<(&str, bool)> = first.iter().map(|(t, q)| (t.as_str(), *q)).collect();
-        observe_row(&fields, 1)?;
+        check_arity(first.len(), arity, 1)?;
+        observe_row(&mut first.iter().map(|(t, q)| (t.as_str(), *q)));
     }
     while let Some(rec) = records.next_record()? {
-        let fields: Vec<(&str, bool)> = rec.fields().collect();
-        observe_row(&fields, rec.line)?;
+        check_arity(rec.len(), arity, rec.line)?;
+        observe_row(&mut rec.fields());
     }
     Ok(InferredSchema {
         names,
@@ -293,6 +291,14 @@ pub struct LoadReport {
     pub columns: Vec<ColumnType>,
     /// Number of null cells produced by the null policy.
     pub null_cells: usize,
+}
+
+/// Empties a record's field list and hands its allocation back for the
+/// next record's borrows, so a load allocates the list once, not once per
+/// record.
+fn recycle<'a>(mut fields: Vec<Option<&str>>) -> Vec<Option<&'a str>> {
+    fields.clear();
+    fields.into_iter().map(|_| None).collect()
 }
 
 /// Shared encode loop: streams the remaining records of `records` (plus an
@@ -321,14 +327,16 @@ fn encode_records<R: BufRead>(
                 .push_row(&fields)
                 .map_err(|e| IoError::parse(1, e.to_string()))?;
         }
+        let mut spare = Vec::with_capacity(columns.len());
         while let Some(rec) = records.next_record()? {
-            let fields: Vec<Option<&str>> =
-                rec.fields().map(|(t, q)| options.normalize(t, q)).collect();
+            let mut fields = recycle(std::mem::take(&mut spare));
+            fields.extend(rec.fields().map(|(t, q)| options.normalize(t, q)));
             check_arity(fields.len(), columns.len(), rec.line)?;
             null_cells += fields.iter().filter(|f| f.is_none()).count();
             loader
                 .push_row(&fields)
                 .map_err(|e| IoError::parse(rec.line, e.to_string()))?;
+            spare = recycle(fields);
         }
     }
     Ok(LoadReport {
@@ -388,12 +396,14 @@ fn encode_records_chunked<R: BufRead>(
                     .map_err(|(line, e)| IoError::parse(line, e.to_string()))?;
             }
         }
+        let mut spare = Vec::with_capacity(columns.len());
         while let Some(rec) = records.next_record()? {
-            let fields: Vec<Option<&str>> =
-                rec.fields().map(|(t, q)| options.normalize(t, q)).collect();
+            let mut fields = recycle(std::mem::take(&mut spare));
+            fields.extend(rec.fields().map(|(t, q)| options.normalize(t, q)));
             check_arity(fields.len(), columns.len(), rec.line)?;
             null_cells += fields.iter().filter(|f| f.is_none()).count();
             buffer.push(&fields, rec.line);
+            spare = recycle(fields);
             if buffer.is_full() {
                 buffer
                     .flush(&mut loader)

@@ -83,10 +83,8 @@ pub fn encode_repair(repair: &Repair) -> JsonValue {
         (
             "rows",
             JsonValue::Arr(
-                repair
-                    .repaired_instance
-                    .tuples()
-                    .map(|(_, t)| JsonValue::Arr(t.cells().map(|(_, v)| encode_value(v)).collect()))
+                (0..repair.repaired_instance.len())
+                    .map(|row| encode_row(&repair.repaired_instance, row))
                     .collect(),
             ),
         ),
@@ -102,6 +100,17 @@ pub fn encode_repair(repair: &Repair) -> JsonValue {
             ),
         ),
     ])
+}
+
+/// One row of the `rows` field: each cell's value, read from its column.
+fn encode_row(instance: &Instance, row: usize) -> JsonValue {
+    JsonValue::Arr(
+        instance
+            .schema()
+            .attr_ids()
+            .map(|a| encode_value(instance.cell(CellRef::new(row, a)).expect("row in range")))
+            .collect(),
+    )
 }
 
 /// Decodes a repair written by [`encode_repair`] against the session's

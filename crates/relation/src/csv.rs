@@ -5,6 +5,7 @@
 //! fields `rt-io` would otherwise misread, so its output loads back as the
 //! same data under `rt-io`'s default dialect.
 
+use crate::dict::{AttrDict, Code, CodeSpace};
 use crate::instance::Instance;
 use crate::value::Value;
 use crate::Result;
@@ -41,9 +42,49 @@ fn cell_field(value: &Value) -> String {
     }
 }
 
+/// One column's fields, each dictionary entry rendered once: the field of
+/// the entry in dense slot `i` (see [`CodeSpace`]) is
+/// `text[bounds[i]..bounds[i + 1]]`.
+struct RenderedColumn {
+    space: CodeSpace,
+    text: Vec<u8>,
+    bounds: Vec<usize>,
+}
+
+impl RenderedColumn {
+    fn new(dict: &AttrDict) -> Self {
+        let space = dict.code_space();
+        let mut text = Vec::new();
+        let mut bounds = Vec::with_capacity(space.size() + 1);
+        bounds.push(0);
+        let consts = dict.constants().iter().map(cell_field);
+        let vars = dict.var_ids().map(|vid| cell_field(&Value::Var(vid)));
+        for field in consts.chain(vars) {
+            text.extend_from_slice(field.as_bytes());
+            bounds.push(text.len());
+        }
+        RenderedColumn {
+            space,
+            text,
+            bounds,
+        }
+    }
+
+    fn field(&self, code: Code) -> &[u8] {
+        let slot = self.space.index(code);
+        &self.text[self.bounds[slot]..self.bounds[slot + 1]]
+    }
+}
+
+/// Bytes gathered before each hand-off to the writer.
+const WRITE_CHUNK: usize = 1 << 16;
+
 /// Writes an instance as CSV (header + one line per tuple). V-instance
 /// variables are rendered using their display form (`v3^A2`), which keeps the
 /// output lossless enough for human inspection of suggested repairs.
+///
+/// Each column's distinct values are rendered once; the rows are then
+/// assembled from those bytes by code.
 pub fn write_instance<W: Write>(instance: &Instance, mut writer: W) -> Result<()> {
     let header: Vec<String> = instance
         .schema()
@@ -51,14 +92,26 @@ pub fn write_instance<W: Write>(instance: &Instance, mut writer: W) -> Result<()
         .map(|(_, n)| escape_field(n))
         .collect();
     writeln!(writer, "{}", header.join(","))?;
-    for (_, tuple) in instance.tuples() {
-        let row: Vec<String> = instance
-            .schema()
-            .attr_ids()
-            .map(|a| cell_field(tuple.get(a)))
-            .collect();
-        writeln!(writer, "{}", row.join(","))?;
+    let columns: Vec<(RenderedColumn, &[Code])> = instance
+        .schema()
+        .attr_ids()
+        .map(|a| (RenderedColumn::new(instance.dict(a)), instance.codes(a)))
+        .collect();
+    let mut buf: Vec<u8> = Vec::with_capacity(WRITE_CHUNK);
+    for row in 0..instance.len() {
+        for (i, (column, codes)) in columns.iter().enumerate() {
+            if i > 0 {
+                buf.push(b',');
+            }
+            buf.extend_from_slice(column.field(codes[row]));
+        }
+        buf.push(b'\n');
+        if buf.len() >= WRITE_CHUNK {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
     }
+    writer.write_all(&buf)?;
     Ok(())
 }
 

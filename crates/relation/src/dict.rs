@@ -56,7 +56,8 @@ pub struct AttrDict {
     constants: HashMap<Value, Code>,
     const_values: Vec<Value>,
     vars: HashMap<VarId, Code>,
-    var_ids: Vec<VarId>,
+    /// Every entry is a `Value::Var`, so [`AttrDict::value`] can lend it.
+    var_values: Vec<Value>,
 }
 
 impl AttrDict {
@@ -94,14 +95,14 @@ impl AttrDict {
                 if let Some(&code) = self.vars.get(vid) {
                     return code;
                 }
-                let idx = self.var_ids.len() as Code;
+                let idx = self.var_values.len() as Code;
                 assert!(
                     VAR_CODE_BASE + idx < OVERLAY_CODE_BASE,
                     "variable code range exhausted"
                 );
                 let code = VAR_CODE_BASE + idx;
                 self.vars.insert(*vid, code);
-                self.var_ids.push(*vid);
+                self.var_values.push(value.clone());
                 code
             }
             _ => {
@@ -127,17 +128,22 @@ impl AttrDict {
         }
     }
 
-    /// Decodes a code back to its value (owned; variables are rebuilt from
-    /// the stored [`VarId`]).
+    /// The value a code stands for, borrowed from the dictionary — the one
+    /// place an instance stores its cells' values.
     ///
     /// Panics on a code this dictionary never issued (including overlay
     /// codes).
-    pub fn decode(&self, code: Code) -> Value {
+    pub fn value(&self, code: Code) -> &Value {
         if Self::is_var_code(code) {
-            Value::Var(self.var_ids[(code - VAR_CODE_BASE) as usize])
+            &self.var_values[(code - VAR_CODE_BASE) as usize]
         } else {
-            self.const_values[code as usize].clone()
+            &self.const_values[code as usize]
         }
+    }
+
+    /// Decodes a code back to an owned value ([`AttrDict::value`], cloned).
+    pub fn decode(&self, code: Code) -> Value {
+        self.value(code).clone()
     }
 
     /// Compares two codes by the **order of their decoded values** (the
@@ -147,26 +153,24 @@ impl AttrDict {
     pub fn cmp_codes(&self, a: Code, b: Code) -> std::cmp::Ordering {
         match (Self::is_var_code(a), Self::is_var_code(b)) {
             (false, false) => self.const_values[a as usize].cmp(&self.const_values[b as usize]),
-            (true, true) => self.var_ids[(a - VAR_CODE_BASE) as usize]
-                .cmp(&self.var_ids[(b - VAR_CODE_BASE) as usize]),
+            (true, true) => self.var_values[(a - VAR_CODE_BASE) as usize]
+                .cmp(&self.var_values[(b - VAR_CODE_BASE) as usize]),
             // Any constant sorts before any variable (enum variant order).
             (false, true) => std::cmp::Ordering::Less,
             (true, false) => std::cmp::Ordering::Greater,
         }
     }
 
-    /// Checked [`AttrDict::decode`]: `None` on a code this dictionary never
+    /// Checked [`AttrDict::value`]: `None` on a code this dictionary never
     /// issued (including overlay codes) instead of a panic — the
     /// snapshot-restore path must fail typed on corrupt input.
-    pub fn try_decode(&self, code: Code) -> Option<Value> {
+    pub fn try_value(&self, code: Code) -> Option<&Value> {
         if code >= OVERLAY_CODE_BASE {
             None
         } else if Self::is_var_code(code) {
-            self.var_ids
-                .get((code - VAR_CODE_BASE) as usize)
-                .map(|vid| Value::Var(*vid))
+            self.var_values.get((code - VAR_CODE_BASE) as usize)
         } else {
-            self.const_values.get(code as usize).cloned()
+            self.const_values.get(code as usize)
         }
     }
 
@@ -176,7 +180,7 @@ impl AttrDict {
     /// [`AttrDict::from_parts`] this round-trips the dictionary exactly,
     /// preserving every issued code.
     pub fn export_parts(&self) -> (Vec<Value>, Vec<VarId>) {
-        (self.const_values.clone(), self.var_ids.clone())
+        (self.const_values.clone(), self.var_ids().collect())
     }
 
     /// Rebuilds a dictionary from exported parts, reassigning code `c` to
@@ -203,7 +207,7 @@ impl AttrDict {
             constants,
             const_values,
             vars,
-            var_ids,
+            var_values: var_ids.into_iter().map(Value::Var).collect(),
         })
     }
 
@@ -214,7 +218,7 @@ impl AttrDict {
 
     /// Number of interned entries (constants + variables).
     pub fn len(&self) -> usize {
-        self.const_values.len() + self.var_ids.len()
+        self.const_values.len() + self.var_values.len()
     }
 
     /// `true` when nothing has been interned yet.
@@ -229,19 +233,28 @@ impl AttrDict {
 
     /// Number of interned variables.
     pub fn var_count(&self) -> usize {
-        self.var_ids.len()
+        self.var_values.len()
     }
 
     /// The interned variables, in code order.
-    pub fn var_ids(&self) -> &[VarId] {
-        &self.var_ids
+    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.var_values.iter().map(|v| match v {
+            Value::Var(vid) => *vid,
+            _ => unreachable!("variable slots hold variables"),
+        })
+    }
+
+    /// The interned constants, in code order (`constants()[c]` is the value
+    /// of code `c`).
+    pub fn constants(&self) -> &[Value] {
+        &self.const_values
     }
 
     /// The dense index space of the codes issued so far.
     pub fn code_space(&self) -> CodeSpace {
         CodeSpace {
             consts: self.const_values.len() as u32,
-            vars: self.var_ids.len() as u32,
+            vars: self.var_values.len() as u32,
         }
     }
 }
@@ -480,11 +493,12 @@ mod tests {
             assert_eq!(rebuilt.lookup(&d.decode(code)), Some(code));
         }
         assert_eq!(rebuilt.len(), d.len());
-        // try_decode is total: unknown and overlay codes come back as None.
-        assert_eq!(rebuilt.try_decode(s), Some(Value::str("x")));
-        assert_eq!(rebuilt.try_decode(99), None);
-        assert_eq!(rebuilt.try_decode(VAR_CODE_BASE + 9), None);
-        assert_eq!(rebuilt.try_decode(OVERLAY_CODE_BASE), None);
+        // try_value is total: unknown and overlay codes come back as None.
+        assert_eq!(rebuilt.try_value(s), Some(&Value::str("x")));
+        assert_eq!(rebuilt.try_value(v), Some(&Value::Var(VarId::new(2, 7))));
+        assert_eq!(rebuilt.try_value(99), None);
+        assert_eq!(rebuilt.try_value(VAR_CODE_BASE + 9), None);
+        assert_eq!(rebuilt.try_value(OVERLAY_CODE_BASE), None);
         // Corrupt parts fail typed.
         assert!(AttrDict::from_parts(vec![Value::int(1), Value::int(1)], vec![]).is_err());
         assert!(AttrDict::from_parts(vec![Value::Var(VarId::new(0, 0))], vec![]).is_err());

@@ -1,9 +1,14 @@
 //! Database instances (and V-instances).
 //!
-//! An [`Instance`] couples a [`Schema`] with a vector of [`Tuple`]s. The
-//! repair algorithms never delete or insert tuples (Section 3.1 of the paper:
-//! all repairs in `S(I)` have the same number of tuples as `I`), so rows keep
-//! stable indices and cells are addressed with [`CellRef`] = `(row, attr)`.
+//! An [`Instance`] couples a [`Schema`] with one dictionary-coded column per
+//! attribute: an [`AttrDict`] of the column's distinct values and a `Code`
+//! per row. There is no row store — [`Instance::cell`] borrows a value from
+//! its dictionary and [`Instance::tuple`] decodes an owned [`Tuple`]. The
+//! repair algorithms never delete or insert tuples (Section 3.1 of the
+//! paper: all repairs in `S(I)` have the same number of tuples as `I`), so
+//! rows keep stable indices, cells are addressed with [`CellRef`] =
+//! `(row, attr)`, and a repaired copy is the input's code columns plus a
+//! few cell edits.
 //!
 //! The instance also owns the V-instance variable counters: fresh variables
 //! are handed out through [`Instance::fresh_var`], which guarantees the
@@ -69,49 +74,77 @@ impl InstanceDiff {
     }
 }
 
-/// A (V-)instance of a relation schema.
+/// A (V-)instance of a relation schema, stored column by column.
 ///
-/// Besides the row store, an instance maintains a per-attribute
-/// **dictionary encoding** of its cells: every column value is interned into
-/// an [`AttrDict`] and the resulting [`Code`]s are kept in columnar arrays,
-/// updated in lock-step by every mutation ([`Instance::push`],
-/// [`Instance::set_cell`], [`Instance::remove_rows`]) so untouched rows are
-/// never re-encoded. Equality hot paths read the codes via
-/// [`Instance::codes`] and compare/hash `u32`s instead of values; the
-/// encoding is `Value::matches`-faithful (equal codes ⟺ matching cells), so
-/// results are bit-identical to value-level comparison.
+/// Each attribute owns an [`AttrDict`] that interns the column's distinct
+/// values, and a column of [`Code`]s with one entry per row. That pair is
+/// the only place a cell lives: there is no row store. [`Instance::cell`]
+/// borrows the value from the dictionary, [`Instance::tuple`] and
+/// [`Instance::tuples`] decode owned rows on demand, and every mutation
+/// ([`Instance::push`], [`Instance::set_cell`], [`Instance::remove_rows`])
+/// touches only codes and dictionaries, so untouched rows are never
+/// re-encoded. Equality hot paths read the codes via [`Instance::codes`]
+/// and compare/hash `u32`s instead of values; the encoding is
+/// `Value::matches`-faithful (equal codes ⟺ matching cells), so results
+/// are bit-identical to value-level comparison.
 #[derive(Debug, Clone)]
 pub struct Instance {
     pub(crate) schema: Schema,
-    pub(crate) tuples: Vec<Tuple>,
+    /// Number of rows (kept apart from the code columns so a zero-attribute
+    /// schema still has a length).
+    pub(crate) rows: usize,
     /// Next fresh-variable counter, one per attribute.
     pub(crate) var_counters: Vec<u32>,
     /// Per-attribute value interners (append-only).
     pub(crate) dicts: Vec<AttrDict>,
-    /// Columnar code views: `codes[attr][row]` is the code of
-    /// `tuples[row][attr]` under `dicts[attr]`.
+    /// Columnar cells: `codes[attr][row]` is the code of cell `(row, attr)`
+    /// under `dicts[attr]`.
     pub(crate) codes: Vec<Vec<Code>>,
 }
 
-/// Two instances are equal when their logical content (schema, tuples,
-/// variable counters) is equal; the dictionaries are an encoding detail and
-/// deliberately excluded — equal data interned in different orders carries
-/// different codes.
+/// Two instances are equal when their logical content is equal: schema,
+/// variable counters, and the decoded value of every cell. Codes and
+/// dictionaries are an encoding detail and deliberately excluded — equal
+/// data interned in different orders carries different codes.
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
-            && self.tuples == other.tuples
+            && self.rows == other.rows
             && self.var_counters == other.var_counters
+            && (0..self.codes.len()).all(|a| self.column_eq(other, a))
     }
 }
 
 impl Instance {
+    /// Whether column `a` decodes to the same values in both instances.
+    ///
+    /// Interning is injective, so a code of `self` can only ever match one
+    /// code of `other`; once a pair is verified by value, later rows
+    /// holding the same pair cost one array lookup.
+    fn column_eq(&self, other: &Instance, a: usize) -> bool {
+        let (mine, theirs) = (&self.dicts[a], &other.dicts[a]);
+        let space = mine.code_space();
+        let mut matched: Vec<Option<Code>> = vec![None; space.size()];
+        self.codes[a].iter().zip(&other.codes[a]).all(|(&x, &y)| {
+            match &mut matched[space.index(x)] {
+                Some(known) => *known == y,
+                slot @ None => {
+                    let equal = mine.value(x) == theirs.value(y);
+                    if equal {
+                        *slot = Some(y);
+                    }
+                    equal
+                }
+            }
+        })
+    }
+
     /// Creates an empty instance of the given schema.
     pub fn new(schema: Schema) -> Self {
         let arity = schema.arity();
         Instance {
             schema,
-            tuples: Vec::new(),
+            rows: 0,
             var_counters: vec![0; arity],
             dicts: (0..arity).map(|_| AttrDict::new()).collect(),
             codes: vec![Vec::new(); arity],
@@ -141,7 +174,7 @@ impl Instance {
         Instance::from_tuples(schema, tuples)
     }
 
-    /// Appends a tuple.
+    /// Appends a tuple, interning each cell into its column's dictionary.
     ///
     /// # Errors
     ///
@@ -157,15 +190,15 @@ impl Instance {
             let code = self.dicts[attr.index()].intern(value);
             self.codes[attr.index()].push(code);
         }
-        self.tuples.push(tuple);
+        self.rows += 1;
         Ok(())
     }
 
     /// Rebuilds an instance from its encoded representation: per-attribute
     /// dictionaries, columnar code arrays and fresh-variable counters — the
-    /// snapshot-restore path. Tuples are decoded cell-by-cell from the code
-    /// columns, so the rebuilt instance carries *exactly* the original codes
-    /// (not merely logically equal ones interned in a different order).
+    /// snapshot-restore path. The rebuilt instance carries *exactly* the
+    /// original codes (not merely logically equal ones interned in a
+    /// different order).
     ///
     /// # Errors
     ///
@@ -194,21 +227,16 @@ impl Instance {
                 "ragged code columns in encoded instance".into(),
             ));
         }
-        let mut rows_cells: Vec<Vec<Value>> = vec![Vec::with_capacity(arity); rows];
         for (attr, (col, dict)) in codes.iter().zip(&dicts).enumerate() {
-            for (cells, &code) in rows_cells.iter_mut().zip(col) {
-                let value = dict.try_decode(code).ok_or_else(|| {
-                    RelationError::IncompatibleInstances(format!(
-                        "code {code} in column {attr} was never issued by its dictionary"
-                    ))
-                })?;
-                cells.push(value);
+            if let Some(code) = col.iter().find(|&&c| dict.try_value(c).is_none()) {
+                return Err(RelationError::IncompatibleInstances(format!(
+                    "code {code} in column {attr} was never issued by its dictionary"
+                )));
             }
         }
-        let tuples = rows_cells.into_iter().map(Tuple::new).collect();
         Ok(Instance {
             schema,
-            tuples,
+            rows,
             var_counters,
             dicts,
             codes,
@@ -222,39 +250,58 @@ impl Instance {
 
     /// Number of tuples `n = |I|`.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows
     }
 
     /// `true` when the instance holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows == 0
     }
 
-    /// Borrows a tuple by row index.
+    fn check_row(&self, row: usize) -> Result<()> {
+        if row < self.rows {
+            Ok(())
+        } else {
+            Err(RelationError::RowOutOfRange {
+                row,
+                rows: self.rows,
+            })
+        }
+    }
+
+    /// Decodes a row into an owned tuple.
     ///
     /// # Errors
     ///
     /// Fails when the row is out of range.
-    pub fn tuple(&self, row: usize) -> Result<&Tuple> {
-        self.tuples.get(row).ok_or(RelationError::RowOutOfRange {
-            row,
-            rows: self.tuples.len(),
-        })
+    pub fn tuple(&self, row: usize) -> Result<Tuple> {
+        self.check_row(row)?;
+        Ok(self.decode_row(row))
     }
 
-    /// Borrows a tuple without bounds-check error handling (panics on OOB).
-    pub fn tuple_unchecked(&self, row: usize) -> &Tuple {
-        &self.tuples[row]
+    fn decode_row(&self, row: usize) -> Tuple {
+        Tuple::new(
+            self.dicts
+                .iter()
+                .zip(&self.codes)
+                .map(|(dict, col)| dict.decode(col[row]))
+                .collect(),
+        )
     }
 
-    /// Iterates over `(row, &Tuple)`.
-    pub fn tuples(&self) -> impl Iterator<Item = (usize, &Tuple)> {
-        self.tuples.iter().enumerate()
+    /// Iterates over `(row, Tuple)`, decoding each row on demand.
+    pub fn tuples(&self) -> impl Iterator<Item = (usize, Tuple)> + '_ {
+        (0..self.rows).map(|row| (row, self.decode_row(row)))
     }
 
-    /// Reads a cell.
+    /// Reads a cell, borrowing its value from the column's dictionary.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the row is out of range.
     pub fn cell(&self, cell: CellRef) -> Result<&Value> {
-        Ok(self.tuple(cell.row)?.get(cell.attr))
+        self.check_row(cell.row)?;
+        Ok(self.dicts[cell.attr.index()].value(self.codes[cell.attr.index()][cell.row]))
     }
 
     /// Overwrites a cell.
@@ -263,16 +310,8 @@ impl Instance {
     ///
     /// Fails when the row is out of range.
     pub fn set_cell(&mut self, cell: CellRef, value: Value) -> Result<()> {
-        let rows = self.tuples.len();
-        let t = self
-            .tuples
-            .get_mut(cell.row)
-            .ok_or(RelationError::RowOutOfRange {
-                row: cell.row,
-                rows,
-            })?;
+        self.check_row(cell.row)?;
         self.codes[cell.attr.index()][cell.row] = self.dicts[cell.attr.index()].intern(&value);
-        t.set(cell.attr, value);
         Ok(())
     }
 
@@ -289,7 +328,7 @@ impl Instance {
     /// Fails when any row index is out of range; the instance is left
     /// unchanged in that case.
     pub fn remove_rows(&mut self, rows: &[usize]) -> Result<usize> {
-        let n = self.tuples.len();
+        let n = self.rows;
         if let Some(&bad) = rows.iter().find(|&&r| r >= n) {
             return Err(RelationError::RowOutOfRange { row: bad, rows: n });
         }
@@ -304,12 +343,11 @@ impl Instance {
         if removed == 0 {
             return Ok(0);
         }
-        let mut keep = doomed.iter().map(|d| !d);
-        self.tuples.retain(|_| keep.next().unwrap());
         for col in &mut self.codes {
             let mut keep = doomed.iter().map(|d| !d);
             col.retain(|_| keep.next().unwrap());
         }
+        self.rows -= removed;
         Ok(removed)
     }
 
@@ -331,7 +369,7 @@ impl Instance {
     /// The counters are part of an instance's logical identity (two equal
     /// instances must agree on them — see the `PartialEq` impl), so codecs
     /// that serialize an instance cell-by-cell must carry them alongside the
-    /// tuples and replay them with [`Instance::restore_var_counters`].
+    /// cells and replay them with [`Instance::restore_var_counters`].
     pub fn var_counters(&self) -> &[u32] {
         &self.var_counters
     }
@@ -357,8 +395,8 @@ impl Instance {
         Ok(())
     }
 
-    /// The columnar code view of attribute `attr`: `codes(a)[row]` is the
-    /// dictionary code of `tuple(row)[a]`. Two cells of the column match
+    /// The code column of attribute `attr`: `codes(a)[row]` is the
+    /// dictionary code of cell `(row, a)`. Two cells of the column match
     /// (under [`Value::matches`]) iff their codes are equal.
     pub fn codes(&self, attr: AttrId) -> &[Code] {
         &self.codes[attr.index()]
@@ -394,7 +432,7 @@ impl Instance {
 
     /// Number of distinct values (constants and variables) in a column.
     pub fn distinct_count(&self, attr: AttrId) -> usize {
-        let mut seen: HashSet<Code> = HashSet::with_capacity(self.tuples.len());
+        let mut seen: HashSet<Code> = HashSet::with_capacity(self.rows);
         for &code in &self.codes[attr.index()] {
             crate::work::count_key_hash(4);
             seen.insert(code);
@@ -411,14 +449,14 @@ impl Instance {
             .iter()
             .map(|a| (self.codes(*a), self.dict(*a).code_space()))
             .collect();
-        distinct_rows(self.tuples.len(), &cols)
+        distinct_rows(self.rows, &cols)
     }
 
     /// Shannon entropy (in bits) of the value distribution of a column.
     /// Used by the entropy-based weighting function.
     pub fn column_entropy(&self, attr: AttrId) -> f64 {
         use std::collections::HashMap;
-        if self.tuples.is_empty() {
+        if self.rows == 0 {
             return 0.0;
         }
         let mut counts: HashMap<Code, usize> = HashMap::new();
@@ -434,7 +472,7 @@ impl Instance {
         let dict = &self.dicts[attr.index()];
         let mut counts: Vec<(Code, usize)> = counts.into_iter().collect();
         counts.sort_unstable_by(|(a, _), (b, _)| dict.cmp_codes(*a, *b));
-        let n = self.tuples.len() as f64;
+        let n = self.rows as f64;
         counts
             .into_iter()
             .map(|(_, c)| {
@@ -456,18 +494,18 @@ impl Instance {
                 "schemas differ".into(),
             ));
         }
-        if self.tuples.len() != other.tuples.len() {
+        if self.rows != other.rows {
             return Err(RelationError::IncompatibleInstances(format!(
                 "tuple counts differ ({} vs {})",
-                self.tuples.len(),
-                other.tuples.len()
+                self.rows, other.rows
             )));
         }
         let mut changed = Vec::new();
-        for (row, (a, b)) in self.tuples.iter().zip(other.tuples.iter()).enumerate() {
+        for row in 0..self.rows {
             for attr in self.schema.attr_ids() {
-                if a.get(attr) != b.get(attr) {
-                    changed.push(CellRef::new(row, attr));
+                let cell = CellRef::new(row, attr);
+                if self.cell_value(cell) != other.cell_value(cell) {
+                    changed.push(cell);
                 }
             }
         }
@@ -477,37 +515,49 @@ impl Instance {
     }
 
     /// Projects the instance onto the first `k` attributes, dropping the rest
-    /// (Figure 10's attribute-scalability workload).
+    /// (Figure 10's attribute-scalability workload). The kept columns carry
+    /// their codes and dictionaries over unchanged.
     pub fn project_prefix(&self, k: usize) -> Result<Instance> {
         let schema = self.schema.project_prefix(k)?;
         let arity = schema.arity();
-        let tuples = self
-            .tuples
-            .iter()
-            .map(|t| Tuple::new(t.as_slice()[..arity].to_vec()))
-            .collect();
-        Instance::from_tuples(schema, tuples)
+        Ok(Instance {
+            schema,
+            rows: self.rows,
+            var_counters: self.var_counters[..arity].to_vec(),
+            dicts: self.dicts[..arity].to_vec(),
+            codes: self.codes[..arity].to_vec(),
+        })
     }
 
     /// Keeps only the first `n` tuples (used when sampling smaller workloads
     /// from a generated data set).
     pub fn truncate(&self, n: usize) -> Instance {
-        let mut copy = self.clone();
-        copy.tuples.truncate(n);
-        for col in &mut copy.codes {
-            col.truncate(n);
+        let rows = self.rows.min(n);
+        Instance {
+            schema: self.schema.clone(),
+            rows,
+            var_counters: self.var_counters.clone(),
+            dicts: self.dicts.clone(),
+            codes: self.codes.iter().map(|col| col[..rows].to_vec()).collect(),
         }
-        copy
     }
 
     /// Total number of cells `n · |R|`.
     pub fn cell_count(&self) -> usize {
-        self.tuples.len() * self.schema.arity()
+        self.rows * self.schema.arity()
     }
 
     /// Number of cells currently holding V-instance variables.
     pub fn var_cell_count(&self) -> usize {
-        self.tuples.iter().map(Tuple::var_count).sum()
+        self.codes
+            .iter()
+            .map(|col| col.iter().filter(|&&c| AttrDict::is_var_code(c)).count())
+            .sum()
+    }
+
+    /// The value of an in-range cell (panics on out-of-range indices).
+    fn cell_value(&self, cell: CellRef) -> &Value {
+        self.dicts[cell.attr.index()].value(self.codes[cell.attr.index()][cell.row])
     }
 }
 
@@ -515,11 +565,11 @@ impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names: Vec<&str> = self.schema.attributes().map(|(_, n)| n).collect();
         writeln!(f, "{}", names.join(" | "))?;
-        for (_, t) in self.tuples() {
+        for row in 0..self.rows {
             let row: Vec<String> = self
                 .schema
                 .attr_ids()
-                .map(|a| t.get(a).to_string())
+                .map(|a| self.cell_value(CellRef::new(row, a)).to_string())
                 .collect();
             writeln!(f, "{}", row.join(" | "))?;
         }

@@ -11,15 +11,16 @@
 //!   or other variables".
 //! * [`Schema`] / [`AttrId`] — relation schemas with up to 64 attributes
 //!   (the paper's Census-Income experiments use 34).
-//! * [`Tuple`] and [`Instance`] — a simple row store with cell addressing,
-//!   instance diffing (`Δ_d(I, I')`, the set of changed cells) and
-//!   V-instance-aware equality.
-//! * [`dict`] — per-attribute dictionary encoding: [`AttrDict`] interns
-//!   column values to dense `u32` [`Code`]s (variables in a reserved
-//!   range, so code equality coincides with [`Value::matches`]), the
-//!   instance maintains columnar code views incrementally under every
-//!   mutation, [`CodeKey`] packs multi-attribute equality keys, and
-//!   [`distinct_rows`] counts distinct projections without hashing.
+//! * [`Instance`] — a columnar store with cell addressing, instance diffing
+//!   (`Δ_d(I, I')`, the set of changed cells) and V-instance-aware
+//!   equality; [`Tuple`] is the owned row it decodes on request.
+//! * [`dict`] — per-attribute dictionary encoding, the one place a cell's
+//!   value is stored: [`AttrDict`] interns column values to dense `u32`
+//!   [`Code`]s (variables in a reserved range, so code equality coincides
+//!   with [`Value::matches`]), the instance keeps one code column per
+//!   attribute under every mutation, [`CodeKey`] packs multi-attribute
+//!   equality keys, and [`distinct_rows`] counts distinct projections
+//!   without hashing.
 //! * [`work`] — deterministic equality-work counters
 //!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
 //!   offline benchmark gate.

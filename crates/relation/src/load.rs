@@ -12,6 +12,9 @@
 //! `key_allocs` counter stays at exactly zero (provable: the `csv_load`
 //! scenario of `bench_gate` asserts it).
 //!
+//! A pushed row becomes one code per column and nothing else: the instance
+//! has no row store, so a repeated value costs a probe and a `u32` append.
+//!
 //! Fields arrive pre-classified as `Option<&str>` (`None` = null under the
 //! caller's null policy) together with a per-column [`ColumnType`]; the
 //! typed CSV reader in `rt-io` infers those types and drives this loader.
@@ -19,7 +22,6 @@
 use crate::dict::Code;
 use crate::error::RelationError;
 use crate::instance::Instance;
-use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::{work, Result};
 use std::collections::HashMap;
@@ -87,6 +89,8 @@ pub struct EncodedLoader<'a> {
     seen: Vec<HashMap<Box<str>, Code>>,
     /// Cached code of `Value::Null` per attribute.
     null_code: Vec<Option<Code>>,
+    /// The row being pushed, one code per column (reused across rows).
+    row_codes: Vec<Code>,
     rows_pushed: usize,
 }
 
@@ -111,6 +115,7 @@ impl Instance {
             types,
             seen: (0..arity).map(|_| HashMap::new()).collect(),
             null_code: vec![None; arity],
+            row_codes: Vec::with_capacity(arity),
             rows_pushed: 0,
         })
     }
@@ -131,26 +136,22 @@ impl EncodedLoader<'_> {
                 schema: self.types.len(),
             });
         }
-        let mut cells: Vec<Value> = Vec::with_capacity(fields.len());
-        let mut row_codes: Vec<Code> = Vec::with_capacity(fields.len());
+        self.row_codes.clear();
         for (a, field) in fields.iter().enumerate() {
-            let (code, value) = match field {
-                None => {
-                    let code = match self.null_code[a] {
-                        Some(c) => c,
-                        None => {
-                            let c = self.instance.dicts[a].intern_uncounted(&Value::Null);
-                            self.null_code[a] = Some(c);
-                            c
-                        }
-                    };
-                    (code, Value::Null)
-                }
+            let code = match field {
+                None => match self.null_code[a] {
+                    Some(c) => c,
+                    None => {
+                        let c = self.instance.dicts[a].intern_uncounted(&Value::Null);
+                        self.null_code[a] = Some(c);
+                        c
+                    }
+                },
                 Some(text) => {
                     // The hot probe: raw bytes, no Value, no allocation.
                     work::count_key_hash(text.len());
                     match self.seen[a].get(*text) {
-                        Some(&code) => (code, self.instance.dicts[a].decode(code)),
+                        Some(&code) => code,
                         None => {
                             let value = self.types[a].parse_field(text).map_err(|e| {
                                 RelationError::Csv(format!(
@@ -163,18 +164,17 @@ impl EncodedLoader<'_> {
                             })?;
                             let code = self.instance.dicts[a].intern_uncounted(&value);
                             self.seen[a].insert((*text).into(), code);
-                            (code, value)
+                            code
                         }
                     }
                 }
             };
-            row_codes.push(code);
-            cells.push(value);
+            self.row_codes.push(code);
         }
-        for (a, code) in row_codes.into_iter().enumerate() {
-            self.instance.codes[a].push(code);
+        for (col, &code) in self.instance.codes.iter_mut().zip(&self.row_codes) {
+            col.push(code);
         }
-        self.instance.tuples.push(Tuple::new(cells));
+        self.instance.rows += 1;
         self.rows_pushed += 1;
         Ok(())
     }
@@ -210,9 +210,14 @@ impl EncodedLoader<'_> {
 #[derive(Debug)]
 pub struct ChunkBuffer {
     capacity_rows: usize,
-    /// Buffered rows as `(fields, tag)`; `tag` is an opaque caller label
-    /// (rt-io passes the source line number) echoed back on flush errors.
-    rows: Vec<(Vec<Option<Box<str>>>, usize)>,
+    /// The buffered fields' text, back to back in one arena.
+    text: String,
+    /// Per buffered field: its byte range in `text`, `None` for a null.
+    fields: Vec<Option<(usize, usize)>>,
+    /// Per buffered row: its first entry in `fields`, and an opaque caller
+    /// label (rt-io passes the source line number) echoed back on flush
+    /// errors.
+    rows: Vec<(usize, usize)>,
     /// Raw cells currently charged to the resident gauge.
     cells_charged: usize,
 }
@@ -223,6 +228,8 @@ impl ChunkBuffer {
     pub fn new(capacity_rows: usize) -> Self {
         ChunkBuffer {
             capacity_rows: capacity_rows.max(1),
+            text: String::new(),
+            fields: Vec::new(),
             rows: Vec::new(),
             cells_charged: 0,
         }
@@ -244,12 +251,19 @@ impl ChunkBuffer {
         self.rows.is_empty()
     }
 
-    /// Buffers one raw row (copying the field text) under an opaque `tag`.
+    /// Buffers one raw row (copying the field text into the chunk's arena)
+    /// under an opaque `tag`.
     pub fn push(&mut self, fields: &[Option<&str>], tag: usize) {
-        let row: Vec<Option<Box<str>>> = fields.iter().map(|f| f.map(Box::from)).collect();
-        work::add_resident_cells(row.len());
-        self.cells_charged += row.len();
-        self.rows.push((row, tag));
+        self.rows.push((self.fields.len(), tag));
+        for field in fields {
+            self.fields.push(field.map(|text| {
+                let start = self.text.len();
+                self.text.push_str(text);
+                (start, self.text.len())
+            }));
+        }
+        work::add_resident_cells(fields.len());
+        self.cells_charged += fields.len();
     }
 
     /// Flushes every buffered row into `loader`, in push order, and empties
@@ -268,21 +282,32 @@ impl ChunkBuffer {
         let arity = loader.types().len();
         let mut flushed = 0usize;
         let mut failed: Option<(usize, RelationError)> = None;
-        for (row, tag) in self.rows.drain(..) {
-            if failed.is_some() {
-                continue;
-            }
-            let fields: Vec<Option<&str>> = row.iter().map(|f| f.as_deref()).collect();
-            match loader.push_row(&fields) {
+        let mut row: Vec<Option<&str>> = Vec::with_capacity(arity);
+        for (i, &(first, tag)) in self.rows.iter().enumerate() {
+            let end = self.rows.get(i + 1).map_or(self.fields.len(), |r| r.0);
+            row.clear();
+            row.extend(
+                self.fields[first..end]
+                    .iter()
+                    .map(|f| f.map(|(a, b)| &self.text[a..b])),
+            );
+            match loader.push_row(&row) {
                 // The raw cells die with this chunk; the encoded row (one
                 // code per column) is permanent storage from here on.
                 Ok(()) => {
                     work::add_resident_cells(arity);
                     flushed += 1;
                 }
-                Err(e) => failed = Some((tag, e)),
+                Err(e) => {
+                    failed = Some((tag, e));
+                    break;
+                }
             }
         }
+        drop(row);
+        self.text.clear();
+        self.fields.clear();
+        self.rows.clear();
         work::sub_resident_cells(self.cells_charged);
         self.cells_charged = 0;
         match failed {
@@ -296,7 +321,7 @@ impl ChunkBuffer {
 mod tests {
     use super::*;
     use crate::schema::{AttrId, Schema};
-    use crate::CellRef;
+    use crate::{CellRef, Tuple};
 
     fn loader_instance() -> Instance {
         let schema = Schema::new("t", vec!["name", "score", "count"]).unwrap();

@@ -81,11 +81,6 @@ impl Tuple {
             .map(|(i, _)| AttrId(i as u16))
             .collect()
     }
-
-    /// Number of cells holding V-instance variables.
-    pub fn var_count(&self) -> usize {
-        self.cells.iter().filter(|c| c.is_var()).count()
-    }
 }
 
 impl Index<AttrId> for Tuple {
@@ -158,8 +153,6 @@ mod tests {
         assert!(a.agree_on(&b, [AttrId(0)]));
         assert!(!a.agree_on(&b, [AttrId(1)]));
         assert_eq!(a.differing_attrs(&b), vec![AttrId(1)]);
-        assert_eq!(a.var_count(), 1);
-        assert_eq!(b.var_count(), 0);
     }
 
     #[test]

@@ -298,7 +298,7 @@ pub fn write_warehouse_csv<W: std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_relation::AttrId;
+    use rt_relation::{AttrId, CellRef};
 
     #[test]
     fn sensor_fds_hold_and_readings_are_floats() {
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(inst.len(), 200);
         assert!(fds.holds_on(&inst));
         let has_float = (0..inst.len())
-            .any(|r| matches!(inst.tuple(r).unwrap().get(AttrId(4)), Value::Float(_)));
+            .any(|r| matches!(inst.cell(CellRef::new(r, AttrId(4))), Ok(Value::Float(_))));
         assert!(has_float);
         // Deterministic per seed.
         assert_eq!(inst, sensor_readings(200, 42).0);
@@ -324,8 +324,8 @@ mod tests {
         let mut changed = 0;
         for row in 0..3000 {
             for a in 0..clean.schema().arity() {
-                let attr = AttrId(a as u16);
-                if clean.tuple(row).unwrap().get(attr) != dirty.tuple(row).unwrap().get(attr) {
+                let cell = CellRef::new(row, AttrId(a as u16));
+                if clean.cell(cell).unwrap() != dirty.cell(cell).unwrap() {
                     assert_eq!(a, 1, "only store_city is corrupted");
                     changed += 1;
                 }

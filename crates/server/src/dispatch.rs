@@ -7,7 +7,7 @@ use crate::state::ServerState;
 use rt_engine::{decode_mutation_log, EngineError, FdSet, MutationBatch, MutationOp, RepairEngine};
 use rt_io::{read_instance, CsvOptions, IoError};
 use rt_proto::{EngineOpts, ErrorFrame, LoadSummary, Request, Response, TauSpec};
-use rt_relation::Value;
+use rt_relation::{ColumnType, Value};
 use std::sync::Arc;
 
 /// Relation name given to instances loaded over the wire (matches the CLI
@@ -408,24 +408,37 @@ fn persist_rotation(
 }
 
 /// Recomputes the `load_csv`-shaped summary from a restored engine, so a
-/// reconnecting client learns the schema it is talking to. Column types
-/// are inferred from the values (any string makes the column `str`, else
-/// any float makes it `float`), matching the loader's widening rules.
+/// reconnecting client learns the schema it is talking to. Each column's
+/// type follows the loader's rule (`rt-io`'s inference) over the column's
+/// dictionary constants: any string makes it `str`, else any float
+/// `float`, else any integer `int`, and a column with no non-null value
+/// is `str`.
 fn summary_of(engine: &RepairEngine) -> LoadSummary {
     let instance = engine.problem().instance();
     let schema = instance.schema();
     let arity = schema.arity();
-    let mut types = vec![0u8; arity]; // 0 = int, 1 = float, 2 = str
+    let mut types = Vec::with_capacity(arity);
     let mut null_cells = 0usize;
-    for (_, tuple) in instance.tuples() {
-        for (i, slot) in types.iter_mut().enumerate() {
-            match tuple.get(rt_relation::AttrId(i as u16)) {
-                Value::Null => null_cells += 1,
-                Value::Str(_) => *slot = 2,
-                Value::Float(_) => *slot = (*slot).max(1),
-                _ => {}
+    for attr in schema.attr_ids() {
+        let (mut int, mut float, mut string) = (false, false, false);
+        for (code, value) in instance.dict(attr).constants().iter().enumerate() {
+            match value {
+                Value::Null => {
+                    let null = code as rt_relation::Code;
+                    null_cells += instance.codes(attr).iter().filter(|&&c| c == null).count();
+                }
+                Value::Int(_) => int = true,
+                Value::Float(_) => float = true,
+                Value::Str(_) => string = true,
+                // Dictionary constants never hold variables.
+                Value::Var(_) => {}
             }
         }
+        types.push(match (int, float, string) {
+            (_, _, true) | (false, false, _) => ColumnType::Str,
+            (_, true, _) => ColumnType::Float,
+            _ => ColumnType::Int,
+        });
     }
     LoadSummary {
         relation: schema.name().to_string(),
@@ -437,17 +450,7 @@ fn summary_of(engine: &RepairEngine) -> LoadSummary {
                     .to_string()
             })
             .collect(),
-        types: types
-            .iter()
-            .map(|t| {
-                match t {
-                    2 => "str",
-                    1 => "float",
-                    _ => "int",
-                }
-                .to_string()
-            })
-            .collect(),
+        types: types.iter().map(ColumnType::to_string).collect(),
         rows: instance.len(),
         null_cells,
         delta_p: engine.delta_p_original(),

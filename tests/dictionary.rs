@@ -106,11 +106,10 @@ fn value_conflict_edges(
     instance: &Instance,
     fds: &FdSet,
 ) -> Vec<((usize, usize), Vec<usize>, AttrSet)> {
+    let tuples: Vec<Tuple> = instance.tuples().map(|(_, t)| t).collect();
     let mut edges = Vec::new();
-    for u in 0..instance.len() {
-        for v in (u + 1)..instance.len() {
-            let tu = instance.tuple_unchecked(u);
-            let tv = instance.tuple_unchecked(v);
+    for (u, tu) in tuples.iter().enumerate() {
+        for (v, tv) in tuples.iter().enumerate().skip(u + 1) {
             let violated = fds.violated_by(tu, tv);
             if !violated.is_empty() {
                 edges.push((
@@ -243,7 +242,7 @@ fn spectra_are_invariant_under_code_assignment_order() {
         }
         scrambled.remove_rows(&[0, 1, 2]).unwrap();
         for (_, tuple) in instance.tuples() {
-            scrambled.push(tuple.clone()).unwrap();
+            scrambled.push(tuple).unwrap();
         }
         for attr in instance.schema().attr_ids() {
             for _ in 0..instance.dict(attr).var_count() {

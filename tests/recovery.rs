@@ -263,6 +263,30 @@ fn restore_without_durable_state_is_a_typed_error() {
 }
 
 #[test]
+fn restored_summary_reports_the_loaded_column_types() {
+    // `note` is null in every row: the loader types it `str`, and so must
+    // the summary a restore recomputes from the engine.
+    const CSV: &str = "A,B,note,score\n1,x,,1.5\n1,y,NA,2\n2,x,,2\n";
+    let dir = temp_dir("restore-types");
+    let (client, _handle, _addr, worker) = loopback(durable_config(&dir));
+    let mut session = client.create_session("t", opts()).unwrap();
+    let loaded = session.load_csv(CSV, false, &["A->B"]).unwrap();
+    assert_eq!(loaded.types, ["int", "str", "str", "float"]);
+    drop(session);
+    client.shutdown().unwrap();
+    worker.join().unwrap().unwrap();
+
+    let (client, _handle, _addr, worker) = loopback(durable_config(&dir));
+    let (_session, restored, _) = client.restore_session("t").unwrap();
+    assert_eq!(restored.types, loaded.types);
+    assert_eq!(restored.null_cells, loaded.null_cells);
+    assert_eq!(restored.rows, loaded.rows);
+    client.shutdown().unwrap();
+    worker.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn mid_frame_disconnect_is_a_typed_io_error_immediately() {
     let (client, _handle, addr, worker) = loopback(ServerConfig::default());
 

@@ -109,11 +109,11 @@ fn bridging_batch(instance: &Instance, fds: &FdSet, target: usize, victim: usize
     let fd = fds.get(0);
     let mut batch = MutationBatch::new();
     for attr in fd.lhs.iter() {
-        let v = instance.tuple(target).unwrap().get(attr).clone();
+        let v = instance.cell(CellRef::new(target, attr)).unwrap().clone();
         batch = batch.update_cell(CellRef::new(victim, attr), v);
     }
-    let rhs_target = instance.tuple(target).unwrap().get(fd.rhs).clone();
-    let rhs_victim = instance.tuple(victim).unwrap().get(fd.rhs).clone();
+    let rhs_target = instance.cell(CellRef::new(target, fd.rhs)).unwrap();
+    let rhs_victim = instance.cell(CellRef::new(victim, fd.rhs)).unwrap();
     if rhs_target == rhs_victim {
         // Same RHS would merely merge classes without a conflict; force one.
         batch = batch.update_cell(CellRef::new(victim, fd.rhs), Value::int(777_777));
