@@ -75,6 +75,14 @@ RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test columnar_equivalence
 echo "==> exp par-speedup --scale smoke --threads 2 (serial ≡ parallel, stage by stage)"
 cargo run --release -q -p rt-bench --bin exp -- par-speedup --scale smoke --threads 2
 
+# The examples are runnable documentation with their own assertions (one
+# conflict-graph build per session, typed cells on a live insert); run them
+# rather than only compiling them. All four together take well under 1 s.
+for example in quickstart census_cleaning trust_exploration csv_repair; do
+    echo "==> cargo run --release --example $example"
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -112,9 +120,9 @@ if [ "$bench" -eq 1 ]; then
     # rebuild bit-identically, and a serve.multi_session scenario driving
     # interleaved sessions over loopback TCP through an LRU eviction with
     # the wire spectrum hard-asserted bit-identical to an in-process twin
-    # (this container has one core and no network, so wall-clock numbers
-    # would be noise — work counters are exact; the server's idle clock is
-    # a logical request counter, so even the serve counters are exact),
+    # (wall-clock numbers on a shared 2-core host are noisy and belong to
+    # perfbench/ — work counters are exact; the server's idle clock is a
+    # logical request counter, so even the serve counters are exact),
     # and the warehouse scale tiers (10k/100k/1M rows streamed through the
     # chunked loader into the sharded engine build, per-row counters
     # hard-asserted flat and the 10k tier sharded ≡ monolithic).

@@ -1,9 +1,9 @@
 //! `bench_gate` — deterministic work-metric regression gate for CI.
 //!
-//! This container has one core and no network, so wall-clock benchmarks are
-//! noise. The gate instead counts *work*: A* node expansions, heuristic
-//! recursion nodes, conflict-graph builds, cells changed, incremental edge
-//! deltas. Every counter is bit-deterministic (the workspace's parallel ≡
+//! Wall-clock numbers on a small shared host are too noisy to gate on (they
+//! belong to `perfbench/`), so the gate counts *work*: A* node expansions,
+//! heuristic recursion nodes, conflict-graph builds, cells changed,
+//! incremental edge deltas. Every counter is bit-deterministic (the workspace's parallel ≡
 //! serial and incremental ≡ rebuild contracts), so any drift is a real
 //! behavioural change — improvements re-baseline, regressions fail.
 //!

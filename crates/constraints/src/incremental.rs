@@ -9,7 +9,7 @@
 //! rows* can appear or disappear.
 //!
 //! [`FdPartitionIndex`] keeps one LHS partition per FD — the same
-//! equivalence classes the batch build hashes up from scratch — and
+//! equivalence classes the batch build sorts into runs from scratch — and
 //! maintains them under row insertion, removal, renumbering and FD edits.
 //! [`incident_conflict_edges`] then answers the delta question ("which
 //! conflict edges touch these rows *now*?") by looking only at the touched

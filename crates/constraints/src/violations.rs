@@ -20,10 +20,10 @@
 //! avoiding a full re-partitioning per search state.
 
 use crate::attrset::AttrSet;
-use crate::fd::FdSet;
+use crate::fd::{Fd, FdSet};
 use rt_graph::{CompactGraph, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
-use rt_relation::Instance;
+use rt_relation::{code_runs, row_u32, sort_rows_by_codes, Code, CodeSpace, Instance};
 use std::collections::HashMap;
 
 /// One conflict-graph edge: a pair of tuples violating at least one FD.
@@ -163,6 +163,53 @@ pub(crate) fn labelled_edge(
     }
 }
 
+/// Blocking for one FD (Section 6): sorts `rows` (ascending) by their
+/// codes on `lhs ++ [rhs]` ([`sort_rows_by_codes`]), so each LHS class is a
+/// run and its RHS sub-classes are runs inside it. Returns every class with
+/// at least two sub-classes as a block: its sub-classes ordered by first
+/// row, blocks ordered by first row.
+fn fd_blocks(instance: &Instance, fd: &Fd, mut rows: Vec<u32>) -> Vec<Vec<Vec<usize>>> {
+    let lhs = fd.lhs.to_vec();
+    let lhs_cols: Vec<&[Code]> = lhs.iter().map(|&a| instance.codes(a)).collect();
+    let rhs = instance.codes(fd.rhs);
+    let key: Vec<(&[Code], CodeSpace)> = lhs
+        .iter()
+        .chain([&fd.rhs])
+        .map(|&a| instance.code_column(a))
+        .collect();
+    sort_rows_by_codes(&mut rows, &key);
+    let mut blocks: Vec<Vec<Vec<usize>>> = code_runs(&rows, &lhs_cols)
+        // Sorted by RHS within the class: one sub-class iff the ends agree.
+        .filter(|class| rhs[class[0] as usize] != rhs[class[class.len() - 1] as usize])
+        .map(|class| {
+            let mut subs: Vec<Vec<usize>> = class
+                .chunk_by(|&a, &b| rhs[a as usize] == rhs[b as usize])
+                .map(|sub| sub.iter().map(|&r| r as usize).collect())
+                .collect();
+            subs.sort_unstable_by_key(|sub| sub[0]);
+            subs
+        })
+        .collect();
+    blocks.sort_unstable_by_key(|subs| subs[0][0]);
+    blocks
+}
+
+/// Every pair of rows in different sub-classes of a block: each violates
+/// the block's FD.
+fn block_pairs(sub_classes: &[Vec<usize>]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for i in 0..sub_classes.len() {
+        for j in (i + 1)..sub_classes.len() {
+            for &u in &sub_classes[i] {
+                for &v in &sub_classes[j] {
+                    pairs.push((u.min(v), u.max(v)));
+                }
+            }
+        }
+    }
+    pairs
+}
+
 /// The conflict graph of an instance with respect to an FD set, enriched with
 /// difference sets so questions about *relaxations* of that FD set can be
 /// answered without touching the data again.
@@ -176,8 +223,8 @@ impl ConflictGraph {
     /// Builds the conflict graph of `instance` w.r.t. `fds`.
     ///
     /// Construction follows Section 6 of the paper: for every FD, partition
-    /// tuples by their LHS projection (hashing), sub-partition each class by
-    /// the RHS, and emit one edge for every pair of tuples in the same class
+    /// tuples by their LHS projection, sub-partition each class by the RHS,
+    /// and emit one edge for every pair of tuples in the same class
     /// but different sub-classes. Edges found for several FDs are merged and
     /// labelled with every violated FD.
     pub fn build(instance: &Instance, fds: &FdSet) -> Self {
@@ -189,9 +236,11 @@ impl ConflictGraph {
     /// The construction is split into three phases so the quadratic part can
     /// fan out over worker threads:
     ///
-    /// 1. **blocking** (serial, linear): per FD, partition rows by LHS
-    ///    projection and sub-partition each class by RHS value; every class
-    ///    with ≥ 2 sub-classes becomes one *block* of pending pair scans;
+    /// 1. **blocking** (serial, linear): per FD, radix-sort the rows by
+    ///    their `lhs ++ [rhs]` codes, so each LHS class is a run and its RHS
+    ///    sub-classes are runs inside it — no hashing, no per-class
+    ///    allocation; every class with ≥ 2 sub-classes becomes one *block*
+    ///    of pending pair scans;
     /// 2. **pair scans** (parallel over blocks): each block emits its
     ///    cross-sub-class row pairs independently — blocks never share
     ///    mutable state;
@@ -203,59 +252,56 @@ impl ConflictGraph {
     /// sorted and deduplicated, the result is bit-identical for every
     /// `Parallelism` setting (covered by the workspace determinism tests).
     pub fn build_with(instance: &Instance, fds: &FdSet, par: Parallelism) -> Self {
-        use rt_relation::{Code, CodeKey};
+        Self::build_over(instance, fds, (0..row_u32(instance.len())).collect(), par)
+    }
 
-        // Phase 1: blocking, entirely on dictionary codes. A block is the
-        // list of RHS sub-classes of one LHS class of one FD; sub-classes are
-        // kept in first-row order so the block list itself is deterministic.
-        // Grouping by packed code keys is `Value::matches`-faithful (equal
-        // codes ⟺ matching cells), so the blocks — and hence the edges —
-        // are bit-identical to value-level blocking.
-        let mut blocks: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-        for (fd_idx, fd) in fds.iter() {
-            let lhs_cols: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
-            let rhs_col = instance.codes(fd.rhs);
-            let mut by_lhs: HashMap<CodeKey, Vec<usize>> = HashMap::new();
-            for row in 0..instance.len() {
-                by_lhs
-                    .entry(CodeKey::from_cols(&lhs_cols, row))
-                    .or_default()
-                    .push(row);
-            }
-            let mut classes: Vec<Vec<usize>> =
-                by_lhs.into_values().filter(|c| c.len() >= 2).collect();
-            classes.sort_by_key(|c| c[0]);
-            for class in classes {
-                let mut by_rhs: HashMap<Code, Vec<usize>> = HashMap::new();
-                for &row in &class {
-                    rt_relation::work::count_key_hash(4);
-                    by_rhs.entry(rhs_col[row]).or_default().push(row);
-                }
-                if by_rhs.len() < 2 {
-                    continue;
-                }
-                let mut sub_classes: Vec<Vec<usize>> = by_rhs.into_values().collect();
-                sub_classes.sort_by_key(|c| c[0]);
-                blocks.push((fd_idx, sub_classes));
-            }
-        }
+    /// Builds the conflict graph restricted to `rows` — the per-shard half
+    /// of sharded construction. Edges keep **global** row ids, and
+    /// `row_count` is the full instance length, so shard graphs merge back
+    /// into a whole-instance graph without renumbering.
+    ///
+    /// The construction is [`ConflictGraph::build_with`]'s, with blocking
+    /// sorting `rows` instead of `0..len`. When `rows` is closed under LHS
+    /// blocking (no row outside the shard shares an LHS class with a row
+    /// inside — exactly what the shard partitioner guarantees), the
+    /// emitted edges are bit-identical to the monolithic edges among those
+    /// rows: the classes and sub-classes are the same. Blocking a `k`-row
+    /// shard costs `O(k)` per FD whatever the columns' code spaces, so a
+    /// plan of many small shards stays linear overall.
+    pub fn build_for_rows(
+        instance: &Instance,
+        fds: &FdSet,
+        rows: &[usize],
+        par: Parallelism,
+    ) -> Self {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
+        Self::build_over(
+            instance,
+            fds,
+            rows.iter().map(|&r| row_u32(r)).collect(),
+            par,
+        )
+    }
+
+    /// The three phases of [`ConflictGraph::build_with`] over `rows`
+    /// (ascending).
+    fn build_over(instance: &Instance, fds: &FdSet, rows: Vec<u32>, par: Parallelism) -> Self {
+        // Phase 1: blocking, entirely on dictionary codes. Grouping by codes
+        // is `Value::matches`-faithful (equal codes ⟺ matching cells), so
+        // the blocks — and hence the edges — are bit-identical to
+        // value-level blocking.
+        let blocks: Vec<(usize, Vec<Vec<usize>>)> = fds
+            .iter()
+            .flat_map(|(fd_idx, fd)| {
+                fd_blocks(instance, fd, rows.clone())
+                    .into_iter()
+                    .map(move |b| (fd_idx, b))
+            })
+            .collect();
 
         // Phase 2: per-block pair scans, fanned out over worker threads.
-        // Every pair of rows in different sub-classes violates the FD.
-        let per_block: Vec<Vec<(usize, usize)>> = par_map_indexed(par, blocks.len(), |b| {
-            let (_, sub_classes) = &blocks[b];
-            let mut pairs = Vec::new();
-            for i in 0..sub_classes.len() {
-                for j in (i + 1)..sub_classes.len() {
-                    for &u in &sub_classes[i] {
-                        for &v in &sub_classes[j] {
-                            pairs.push((u.min(v), u.max(v)));
-                        }
-                    }
-                }
-            }
-            pairs
-        });
+        let per_block: Vec<Vec<(usize, usize)>> =
+            par_map_indexed(par, blocks.len(), |b| block_pairs(&blocks[b].1));
 
         // Phase 3a: deterministic merge, in block order.
         let mut edge_map: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
@@ -268,98 +314,6 @@ impl ConflictGraph {
         // Phase 3b: sort the edge keys, then label edges in parallel (the
         // difference-set computation walks both tuples, which dominates for
         // wide schemas).
-        let mut keyed: Vec<((usize, usize), Vec<usize>)> = edge_map.into_iter().collect();
-        keyed.sort_unstable_by_key(|(rows, _)| *rows);
-        let edges: Vec<ConflictEdge> = par_map_indexed(par, keyed.len(), |i| {
-            let ((u, v), violated) = &keyed[i];
-            let mut violated = violated.clone();
-            violated.sort_unstable();
-            violated.dedup();
-            let diff = AttrSet::from_attrs(instance.differing_attrs_coded(*u, *v));
-            ConflictEdge {
-                rows: (*u, *v),
-                violated_fds: violated,
-                difference_set: diff,
-            }
-        });
-        ConflictGraph {
-            row_count: instance.len(),
-            edges,
-        }
-    }
-
-    /// Builds the conflict graph restricted to `rows` — the per-shard half
-    /// of sharded construction. Edges keep **global** row ids, and
-    /// `row_count` is the full instance length, so shard graphs merge back
-    /// into a whole-instance graph without renumbering.
-    ///
-    /// The construction mirrors [`ConflictGraph::build_with`] phase by
-    /// phase, with blocking iterating `rows` instead of `0..len`. When
-    /// `rows` is closed under LHS blocking (no row outside the shard shares
-    /// an LHS class with a row inside — exactly what the shard partitioner
-    /// guarantees), the emitted edges are bit-identical to the monolithic
-    /// edges among those rows: the classes, sub-classes and their first-row
-    /// orderings are the same because `rows` is sorted ascending.
-    pub fn build_for_rows(
-        instance: &Instance,
-        fds: &FdSet,
-        rows: &[usize],
-        par: Parallelism,
-    ) -> Self {
-        use rt_relation::{Code, CodeKey};
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
-
-        let mut blocks: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-        for (fd_idx, fd) in fds.iter() {
-            let lhs_cols: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
-            let rhs_col = instance.codes(fd.rhs);
-            let mut by_lhs: HashMap<CodeKey, Vec<usize>> = HashMap::new();
-            for &row in rows {
-                by_lhs
-                    .entry(CodeKey::from_cols(&lhs_cols, row))
-                    .or_default()
-                    .push(row);
-            }
-            let mut classes: Vec<Vec<usize>> =
-                by_lhs.into_values().filter(|c| c.len() >= 2).collect();
-            classes.sort_by_key(|c| c[0]);
-            for class in classes {
-                let mut by_rhs: HashMap<Code, Vec<usize>> = HashMap::new();
-                for &row in &class {
-                    rt_relation::work::count_key_hash(4);
-                    by_rhs.entry(rhs_col[row]).or_default().push(row);
-                }
-                if by_rhs.len() < 2 {
-                    continue;
-                }
-                let mut sub_classes: Vec<Vec<usize>> = by_rhs.into_values().collect();
-                sub_classes.sort_by_key(|c| c[0]);
-                blocks.push((fd_idx, sub_classes));
-            }
-        }
-
-        let per_block: Vec<Vec<(usize, usize)>> = par_map_indexed(par, blocks.len(), |b| {
-            let (_, sub_classes) = &blocks[b];
-            let mut pairs = Vec::new();
-            for i in 0..sub_classes.len() {
-                for j in (i + 1)..sub_classes.len() {
-                    for &u in &sub_classes[i] {
-                        for &v in &sub_classes[j] {
-                            pairs.push((u.min(v), u.max(v)));
-                        }
-                    }
-                }
-            }
-            pairs
-        });
-
-        let mut edge_map: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        for ((fd_idx, _), pairs) in blocks.iter().zip(per_block) {
-            for pair in pairs {
-                edge_map.entry(pair).or_default().push(*fd_idx);
-            }
-        }
-
         let mut keyed: Vec<((usize, usize), Vec<usize>)> = edge_map.into_iter().collect();
         keyed.sort_unstable_by_key(|(rows, _)| *rows);
         let edges: Vec<ConflictEdge> = par_map_indexed(par, keyed.len(), |i| {
@@ -614,7 +568,8 @@ impl ConflictGraph {
 
     /// Integrates a newly appended FD (`fds.get(fd_idx)`, with `fd_idx`
     /// pointing past the FDs the graph was built for): one blocking pass
-    /// over the data *for that FD only* finds its violating pairs, which
+    /// over the data *for that FD only* (the build's blocking) finds its
+    /// violating pairs, which
     /// either label existing edges or become new ones.
     pub fn integrate_fd(
         &mut self,
@@ -622,43 +577,11 @@ impl ConflictGraph {
         fds: &FdSet,
         fd_idx: usize,
     ) -> ConflictGraphDeltaSummary {
-        use rt_relation::{Code, CodeKey};
-        let fd = fds.get(fd_idx);
-        let lhs_cols: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
-        let rhs_col = instance.codes(fd.rhs);
-        let mut by_lhs: HashMap<CodeKey, Vec<usize>> = HashMap::new();
-        for row in 0..instance.len() {
-            by_lhs
-                .entry(CodeKey::from_cols(&lhs_cols, row))
-                .or_default()
-                .push(row);
-        }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        // rtlint: allow(D001) -- pairs are sorted and deduplicated after the loop, erasing visit order
-        for class in by_lhs.into_values() {
-            if class.len() < 2 {
-                continue;
-            }
-            let mut by_rhs: HashMap<Code, Vec<usize>> = HashMap::new();
-            for &row in &class {
-                rt_relation::work::count_key_hash(4);
-                by_rhs.entry(rhs_col[row]).or_default().push(row);
-            }
-            if by_rhs.len() < 2 {
-                continue;
-            }
-            // rtlint: allow(D001) -- cross-products land in `pairs`, sorted and deduplicated below
-            let sub_classes: Vec<Vec<usize>> = by_rhs.into_values().collect();
-            for i in 0..sub_classes.len() {
-                for j in (i + 1)..sub_classes.len() {
-                    for &u in &sub_classes[i] {
-                        for &v in &sub_classes[j] {
-                            pairs.push((u.min(v), u.max(v)));
-                        }
-                    }
-                }
-            }
-        }
+        let rows = (0..row_u32(instance.len())).collect();
+        let mut pairs: Vec<(usize, usize)> = fd_blocks(instance, fds.get(fd_idx), rows)
+            .iter()
+            .flat_map(|block| block_pairs(block))
+            .collect();
         pairs.sort_unstable();
         pairs.dedup();
 

@@ -25,7 +25,10 @@ use rand::SeedableRng;
 use rt_constraints::{ConflictGraph, FdSet};
 use rt_graph::CompactGraph;
 use rt_par::{par_map_coarse, Parallelism};
-use rt_relation::{AttrId, CellRef, Code, CodeKey, Instance, Value, OVERLAY_CODE_BASE};
+use rt_relation::{
+    code_range, row_u32, sort_rows_by_codes, AttrId, CellRef, Code, CodeKey, CodeSpace, Instance,
+    Value, OVERLAY_CODE_BASE,
+};
 use std::collections::{BTreeSet, HashMap};
 
 /// Outcome of a data repair.
@@ -50,27 +53,80 @@ impl DataRepairOutcome {
     }
 }
 
-/// Per-FD hash index of clean tuples: packed LHS code key → entry.
+/// Algorithm 4's index of the initially-clean tuples (every row outside the
+/// cover): per FD, the clean rows sorted by their LHS codes
+/// ([`sort_rows_by_codes`]), so rows sharing an LHS projection form one run.
 ///
-/// Because the clean set satisfies `Σ'`, each LHS key maps to exactly one RHS
-/// value, so [`find_assignment`] can detect violations in `O(|Σ'|)` lookups
-/// instead of scanning all clean tuples (this matches the complexity analysis
-/// in Section 6 of the paper). Keys are dictionary codes under the unit's
-/// encoding (instance dictionaries plus the [`ScratchCodes`] overlay for
-/// scratch variables). The index of the initially-clean tuples stores row
-/// ids (`CleanIndex<usize>`) and reads RHS codes from the instance; a
-/// unit's repaired tuples are not in the instance, so their index stores
-/// the RHS code (`CleanIndex<Code>`).
-struct CleanIndex<T> {
-    per_fd: Vec<HashMap<CodeKey, T>>,
+/// Because the clean set satisfies `Σ'`, each LHS projection determines one
+/// RHS value, so [`find_assignment`] can detect violations with `O(|Σ'|)`
+/// binary searches ([`code_range`]) instead of scanning all clean tuples
+/// (this matches the complexity analysis in Section 6 of the paper). Probes
+/// compare raw codes under the unit's encoding (instance dictionaries plus
+/// the [`ScratchCodes`] overlay for scratch variables); an overlay code
+/// sorts above every issued code and matches no clean row.
+struct CleanRows<'a> {
+    per_fd: Vec<FdCleanRows<'a>>,
 }
 
-impl<T> CleanIndex<T> {
-    fn new(fds: &FdSet) -> Self {
-        CleanIndex {
-            per_fd: (0..fds.len()).map(|_| HashMap::new()).collect(),
+/// One FD's slice of [`CleanRows`].
+struct FdCleanRows<'a> {
+    /// The LHS attributes, in the order the rows are sorted by.
+    lhs: Vec<AttrId>,
+    /// The indexed instance's code columns of `lhs`.
+    cols: Vec<&'a [Code]>,
+    /// The clean rows, sorted by their codes on `lhs`.
+    rows: Vec<u32>,
+}
+
+impl<'a> CleanRows<'a> {
+    /// Sorts the rows outside `cover_rows` once per FD: no value cloned,
+    /// nothing hashed.
+    fn build(instance: &'a Instance, fds: &FdSet, cover_rows: &[usize]) -> Self {
+        let mut in_cover = vec![false; instance.len()];
+        for &row in cover_rows {
+            in_cover[row] = true;
         }
+        let clean: Vec<u32> = (0..row_u32(instance.len()))
+            .filter(|&r| !in_cover[r as usize])
+            .collect();
+        let mut per_fd: Vec<FdCleanRows<'a>> = Vec::with_capacity(fds.len());
+        for (_, fd) in fds.iter() {
+            let lhs = fd.lhs.to_vec();
+            let key: Vec<(&[Code], CodeSpace)> =
+                lhs.iter().map(|&a| instance.code_column(a)).collect();
+            // FDs sharing an LHS share its order: sort once.
+            let rows = match per_fd.iter().find(|f| f.lhs == lhs) {
+                Some(same) => same.rows.clone(),
+                None => {
+                    let mut rows = clean.clone();
+                    sort_rows_by_codes(&mut rows, &key);
+                    rows
+                }
+            };
+            per_fd.push(FdCleanRows {
+                lhs,
+                cols: key.into_iter().map(|(col, _)| col).collect(),
+                rows,
+            });
+        }
+        CleanRows { per_fd }
     }
+
+    /// A clean row whose LHS codes of FD `fd_idx` equal the probe (`key(i)`
+    /// for the `i`-th LHS attribute), if any: the largest such row.
+    fn row_for(&self, fd_idx: usize, key: impl Fn(usize) -> Code) -> Option<usize> {
+        let fd = &self.per_fd[fd_idx];
+        code_range(&fd.rows, &fd.cols, key)
+            .last()
+            .map(|&row| row as usize)
+    }
+}
+
+/// A unit's own repaired tuples, per FD: packed LHS code key → RHS code.
+/// The tuples are not in the instance, and the map grows one insert per
+/// repaired tuple, so it stays a hash map.
+struct CleanIndex {
+    per_fd: Vec<HashMap<CodeKey, Code>>,
 }
 
 /// The LHS key of FD `fd_idx` over a tuple's codes.
@@ -86,16 +142,18 @@ fn lhs_key(fds: &FdSet, fd_idx: usize, codes: &[Code]) -> CodeKey {
 /// overlay is private to the unit.
 struct ScopedIndex<'a> {
     instance: &'a Instance,
-    base: &'a CleanIndex<usize>,
-    local: CleanIndex<Code>,
+    base: &'a CleanRows<'a>,
+    local: CleanIndex,
 }
 
 impl<'a> ScopedIndex<'a> {
-    fn new(instance: &'a Instance, base: &'a CleanIndex<usize>, fds: &FdSet) -> Self {
+    fn new(instance: &'a Instance, base: &'a CleanRows<'a>, fds: &FdSet) -> Self {
         ScopedIndex {
             instance,
             base,
-            local: CleanIndex::new(fds),
+            local: CleanIndex {
+                per_fd: (0..fds.len()).map(|_| HashMap::new()).collect(),
+            },
         }
     }
 
@@ -116,10 +174,10 @@ impl<'a> ScopedIndex<'a> {
         if let Some(&code) = self.local.per_fd[fd_idx].get(&key) {
             return Some(code);
         }
-        let rhs = fds.get(fd_idx).rhs;
-        self.base.per_fd[fd_idx]
-            .get(&key)
-            .map(|&row| self.instance.code_at(row, rhs))
+        let lhs = &self.base.per_fd[fd_idx].lhs;
+        self.base
+            .row_for(fd_idx, |i| cand_codes[lhs[i].index()])
+            .map(|row| self.instance.code_at(row, fds.get(fd_idx).rhs))
     }
 }
 
@@ -252,7 +310,7 @@ pub fn repair_data_with_cover(
 ) -> DataRepairOutcome {
     // The whole cover forms a single repair unit with the caller's seed —
     // exactly the sequential algorithm.
-    let base = build_clean_index(instance, fds, cover_rows);
+    let base = CleanRows::build(instance, fds, cover_rows);
     let unit = repair_unit(instance, fds, cover_rows, &base, seed);
     apply_units(instance, vec![unit], cover_rows.len())
 }
@@ -339,7 +397,7 @@ pub fn repair_data_with_cover_and_graph(
         units.push(rest);
     }
 
-    let base = build_clean_index(instance, fds, cover_rows);
+    let base = CleanRows::build(instance, fds, cover_rows);
     // Units are coarse, few and size-skewed, so bypass `par_map_indexed`'s
     // per-item cutoff; the work-size gate (cover rows, an input property)
     // keeps tiny repairs inline.
@@ -374,16 +432,16 @@ pub fn repair_data_with_cover_and_graph(
 /// that the rows outside `cover_rows` already do pairwise?
 ///
 /// Only pairs containing a cover row can violate then, so the check costs
-/// `O(|cover| · |Σ'|)` index lookups after indexing the clean rows: each
-/// FD's cover rows are matched against each other through an LHS-key map,
-/// and against the clean rows through the clean index (clean rows sharing
-/// an LHS key agree on the RHS, so one representative stands for all). It
+/// `O(|cover| · |Σ'|)` lookups after sorting the clean rows by LHS codes:
+/// each FD's cover rows are matched against each other through an LHS-key
+/// map, and against the clean rows by binary search (clean rows sharing an
+/// LHS key agree on the RHS, so one representative stands for all). It
 /// agrees with `ConflictGraph::build(repaired, fds).is_empty()` whenever
 /// the precondition holds, e.g. when `cover_rows` covers the violating
 /// graph of the instance `repaired` was repaired from and only cover rows
 /// changed.
 pub fn cover_rows_consistent(repaired: &Instance, fds: &FdSet, cover_rows: &[usize]) -> bool {
-    let base = build_clean_index(repaired, fds, cover_rows);
+    let base = CleanRows::build(repaired, fds, cover_rows);
     consistent_with_index(repaired, fds, cover_rows, &base)
 }
 
@@ -394,38 +452,23 @@ fn consistent_with_index(
     repaired: &Instance,
     fds: &FdSet,
     cover_rows: &[usize],
-    base: &CleanIndex<usize>,
+    base: &CleanRows<'_>,
 ) -> bool {
     fds.iter().all(|(idx, fd)| {
         let lhs: Vec<&[Code]> = fd.lhs.iter().map(|a| repaired.codes(a)).collect();
         let rhs = repaired.codes(fd.rhs);
         let mut repaired_rhs: HashMap<CodeKey, Code> = HashMap::with_capacity(cover_rows.len());
         cover_rows.iter().all(|&row| {
-            let key = CodeKey::from_cols(&lhs, row);
-            let agrees_with_clean = base.per_fd[idx]
-                .get(&key)
-                .is_none_or(|&clean| rhs[clean] == rhs[row]);
-            agrees_with_clean && *repaired_rhs.entry(key).or_insert(rhs[row]) == rhs[row]
+            let agrees_with_clean = base
+                .row_for(idx, |i| lhs[i][row])
+                .is_none_or(|clean| rhs[clean] == rhs[row]);
+            agrees_with_clean
+                && *repaired_rhs
+                    .entry(CodeKey::from_cols(&lhs, row))
+                    .or_insert(rhs[row])
+                    == rhs[row]
         })
     })
-}
-
-/// Indexes the initially-clean tuples (everything outside the cover) by
-/// row id: one pass over the rows per FD, no value cloned.
-fn build_clean_index(instance: &Instance, fds: &FdSet, cover_rows: &[usize]) -> CleanIndex<usize> {
-    let mut in_cover = vec![false; instance.len()];
-    for &row in cover_rows {
-        in_cover[row] = true;
-    }
-    let mut index = CleanIndex::new(fds);
-    for (idx, fd) in fds.iter() {
-        let lhs: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
-        let map = &mut index.per_fd[idx];
-        for row in (0..instance.len()).filter(|&r| !in_cover[r]) {
-            map.insert(CodeKey::from_cols(&lhs, row), row);
-        }
-    }
-    index
 }
 
 /// Repairs one unit (a set of cover rows) against the frozen clean index,
@@ -435,7 +478,7 @@ fn repair_unit(
     instance: &Instance,
     fds: &FdSet,
     rows: &[usize],
-    base_index: &CleanIndex<usize>,
+    base_index: &CleanRows<'_>,
     seed: u64,
 ) -> Vec<(usize, Vec<Code>)> {
     let mut rng = StdRng::seed_from_u64(seed);

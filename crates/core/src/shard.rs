@@ -2,12 +2,14 @@
 //!
 //! Two tuples can only share a conflict edge when they agree on some FD's
 //! left-hand side — i.e. when they fall into the same LHS *blocking class*
-//! of at least one FD (the same classes the conflict-graph build hashes
-//! up). Taking the union-find closure of those classes therefore
-//! over-approximates conflict-graph connectivity: every conflict edge is
-//! *intra-shard* by construction, so each shard's conflict subgraph can be
-//! built independently ([`rt_constraints::ConflictGraph::build_for_rows`])
-//! and the per-shard graphs merged back bit-identically
+//! of at least one FD (the same classes the conflict-graph build groups
+//! into runs by sorting the rows' dictionary codes,
+//! [`rt_relation::sort_rows_by_codes`]). Taking the union-find closure of
+//! those classes therefore over-approximates conflict-graph connectivity:
+//! every conflict edge is *intra-shard* by construction, so each shard's
+//! conflict subgraph can be built independently
+//! ([`rt_constraints::ConflictGraph::build_for_rows`]) and the per-shard
+//! graphs merged back bit-identically
 //! ([`rt_constraints::ConflictGraph::merge_shards`]).
 //!
 //! The plan is **canonical**: shards are ordered by their smallest global
@@ -21,10 +23,17 @@
 //! million singletons, keeping the shard count (and the
 //! `conflict_graph_builds == shard_count` accounting of sharded engines)
 //! proportional to the actual conflict structure.
+//!
+//! Both halves group rows by sorting their codes, never by hashing keys:
+//! the plan takes one radix sort of all rows per distinct FD LHS, and each
+//! shard's graph build sorts only the shard's rows, at a cost that follows
+//! the shard's size, not its columns' code spaces. On the 1M-row warehouse
+//! scenario (release build, 2-core x86-64 host, traced) the plan takes
+//! 0.06–0.09 s and the 245 shard builds 0.03–0.08 s together, against
+//! 0.22–0.23 s and 0.33–0.39 s when both hashed packed LHS keys.
 
-use rt_constraints::FdSet;
-use rt_relation::{Code, CodeKey, Instance};
-use std::collections::HashMap;
+use rt_constraints::{AttrSet, FdSet};
+use rt_relation::{code_runs, Code, Instance};
 
 /// Union-find over row ids with path halving and union by size.
 #[derive(Debug)]
@@ -77,48 +86,49 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Computes the shard plan of `(instance, fds)`: one linear pass per FD
-    /// over the code columns, keyed exactly like the conflict-graph
-    /// blocking phase (packed [`CodeKey`]s, charged to the same work
-    /// counters), followed by the union-find closure.
+    /// Computes the shard plan of `(instance, fds)`: per FD, the rows
+    /// sorted by their LHS codes ([`Instance::rows_sorted_by`], the same
+    /// hash-free grouping as the conflict-graph blocking) put each LHS
+    /// class in one run, and every row of a run is unioned with the run's
+    /// first row; the union-find closure follows.
     pub fn compute(instance: &Instance, fds: &FdSet) -> ShardPlan {
         let n = instance.len();
         let mut uf = UnionFind::new(n);
+        let mut lhs_seen: Vec<AttrSet> = Vec::new();
         for (_, fd) in fds.iter() {
-            let lhs_cols: Vec<&[Code]> = fd.lhs.iter().map(|a| instance.codes(a)).collect();
-            // First row seen per LHS class; later members union into it.
-            let mut first_of_class: HashMap<CodeKey, usize> = HashMap::new();
-            for row in 0..n {
-                match first_of_class.entry(CodeKey::from_cols(&lhs_cols, row)) {
-                    std::collections::hash_map::Entry::Occupied(e) => uf.union(*e.get(), row),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(row);
-                    }
+            // FDs sharing an LHS share its classes: union them once.
+            if lhs_seen.contains(&fd.lhs) {
+                continue;
+            }
+            lhs_seen.push(fd.lhs);
+            let lhs = fd.lhs.to_vec();
+            let lhs_cols: Vec<&[Code]> = lhs.iter().map(|&a| instance.codes(a)).collect();
+            let sorted = instance.rows_sorted_by(&lhs);
+            for class in code_runs(&sorted, &lhs_cols) {
+                for &row in &class[1..] {
+                    uf.union(class[0] as usize, row as usize);
                 }
             }
         }
 
         // Canonicalize: group rows by root in first-appearance order (rows
-        // ascend, so every group comes out sorted), pool singleton
-        // components into one residual shard, order shards by smallest row.
+        // ascend, so every group comes out sorted and groups are ordered by
+        // smallest row), pool singleton components into one residual shard,
+        // then put the residual shard in its place by smallest row.
         let mut slot_of_root: Vec<usize> = vec![usize::MAX; n];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for row in 0..n {
-            let root = uf.find(row);
-            if slot_of_root[root] == usize::MAX {
-                slot_of_root[root] = groups.len();
-                groups.push(Vec::new());
-            }
-            groups[slot_of_root[root]].push(row);
-        }
         let mut shards: Vec<Vec<usize>> = Vec::new();
         let mut residual: Vec<usize> = Vec::new();
-        for rows in groups {
-            if rows.len() >= 2 {
-                shards.push(rows);
-            } else {
-                residual.extend(rows);
+        for row in 0..n {
+            let root = uf.find(row);
+            if uf.size[root] < 2 {
+                residual.push(row);
+                continue;
             }
+            if slot_of_root[root] == usize::MAX {
+                slot_of_root[root] = shards.len();
+                shards.push(Vec::new());
+            }
+            shards[slot_of_root[root]].push(row);
         }
         if !residual.is_empty() {
             shards.push(residual);

@@ -2,10 +2,9 @@
 //!
 //! Typed, streaming CSV/TSV ingestion for the relative-trust repair system.
 //!
-//! The legacy reader (`rt_relation::csv`) parses every cell into an owned
-//! `Value` and pushes whole tuples — one transient heap key per string
-//! cell. This crate is the bulk-load front door that avoids that round
-//! trip: a hand-rolled, offline, streaming record parser
+//! This crate is the workspace's one way to read CSV (`rt_relation::csv`
+//! only writes it). It never builds a per-cell `Value` to find a cell's
+//! code: a hand-rolled, offline, streaming record parser
 //! ([`record::RecordReader`]: quoting, escaped quotes, CRLF, multiline
 //! quoted fields, configurable delimiter, header handling) feeds raw field
 //! text **directly into the dictionary encoding** via

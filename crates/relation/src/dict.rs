@@ -7,7 +7,10 @@
 //! dictionary encoding: intern the distinct values of attribute `A` once,
 //! hand out dense `u32` [`Code`]s, and let every hot path — conflict-graph
 //! blocking, stripped partitions, partition indexes, clean-tuple lookups —
-//! hash and compare 4-byte codes instead of heap-allocated `Vec<Value>` keys.
+//! sort, hash and compare 4-byte codes instead of heap-allocated
+//! `Vec<Value>` keys. Whole-instance grouping sorts rows by their codes'
+//! dense slots ([`sort_rows_by_codes`]) and hashes nothing; maps updated in
+//! place key on packed [`CodeKey`]s.
 //!
 //! # Code layout
 //!
@@ -341,6 +344,107 @@ pub fn distinct_rows(rows: usize, cols: &[(&[Code], CodeSpace)]) -> usize {
     classes
 }
 
+/// Digit width of the radix passes in [`sort_rows_by_codes`]: a 32-bit
+/// slot takes at most three passes, and the count array stays in L1.
+const RADIX_BITS: u32 = 11;
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// Row lists up to this long are sorted by comparison instead: a radix pass
+/// clears and sums its whole count array, which would dominate a small
+/// subset (a 2-row shard), while a comparison sort's cost follows the rows.
+const SMALL_SORT_ROWS: usize = 512;
+
+/// Narrows a row id to the `u32` the grouping kernel sorts.
+///
+/// Panics past `u32::MAX` rows, far beyond what an instance can hold.
+pub fn row_u32(row: usize) -> u32 {
+    u32::try_from(row).expect("row ids fit in u32")
+}
+
+/// Groups rows by their codes without hashing: sorts `rows` (ascending on
+/// entry) by their code tuple over `cols`, each column given with the space
+/// its codes come from, and among equal tuples by row id. Rows with equal
+/// codes on every column then form one contiguous run ([`code_runs`]), and
+/// a sorted row list doubles as an index searched by [`code_range`].
+///
+/// A stable LSD radix sort on the dense slots ([`CodeSpace::index`]): one
+/// counting pass per 11-bit digit a column's space needs (a pass whose
+/// digits all agree is skipped), the columns taken last to first. A
+/// column's space sets how many passes it needs, never how much memory a
+/// pass touches, so sorting `k` rows costs `O(k · passes)` whatever the
+/// space; lists of at most 512 rows are sorted by comparing codes instead.
+/// The slot is monotone in the raw code, so the order is lexicographic by
+/// raw code tuple.
+pub fn sort_rows_by_codes(rows: &mut Vec<u32>, cols: &[(&[Code], CodeSpace)]) {
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+    let k = rows.len();
+    if k <= SMALL_SORT_ROWS {
+        rows.sort_unstable_by(|&a, &b| {
+            cols.iter()
+                .map(|(col, _)| col[a as usize].cmp(&col[b as usize]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        return;
+    }
+    let mut buf = vec![0u32; k];
+    for &(col, space) in cols.iter().rev() {
+        let bits = usize::BITS - space.size().saturating_sub(1).leading_zeros();
+        for shift in (0..bits).step_by(RADIX_BITS as usize) {
+            let digit = |row: u32| (space.index(col[row as usize]) >> shift) & (RADIX - 1);
+            let mut count = [0usize; RADIX];
+            for &row in rows.iter() {
+                count[digit(row)] += 1;
+            }
+            if count.contains(&k) {
+                continue;
+            }
+            let mut sum = 0;
+            for c in count.iter_mut() {
+                (*c, sum) = (sum, sum + *c);
+            }
+            for &row in rows.iter() {
+                let d = digit(row);
+                buf[count[d]] = row;
+                count[d] += 1;
+            }
+            std::mem::swap(rows, &mut buf);
+        }
+    }
+}
+
+/// The runs of rows of `sorted` (ordered by [`sort_rows_by_codes`] over the
+/// same columns) that agree on every column of `cols`: the classes of the
+/// grouping, each ascending by row, in code-tuple order.
+pub fn code_runs<'s>(
+    sorted: &'s [u32],
+    cols: &'s [&'s [Code]],
+) -> impl Iterator<Item = &'s [u32]> + 's {
+    sorted.chunk_by(|&a, &b| cols.iter().all(|c| c[a as usize] == c[b as usize]))
+}
+
+/// The run of `sorted` (ordered by [`sort_rows_by_codes`] over `cols`)
+/// whose codes equal the probe `key(i)` on every column `cols[i]`: two
+/// binary searches comparing raw codes. A probe code the columns' spaces
+/// never issued (e.g. an overlay code) matches no row.
+pub fn code_range<'s>(
+    sorted: &'s [u32],
+    cols: &[&[Code]],
+    key: impl Fn(usize) -> Code,
+) -> &'s [u32] {
+    let cmp = |row: u32| {
+        cols.iter()
+            .enumerate()
+            .map(|(i, col)| col[row as usize].cmp(&key(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let start = sorted.partition_point(|&r| cmp(r).is_lt());
+    let len = sorted[start..].partition_point(|&r| cmp(r).is_eq());
+    &sorted[start..start + len]
+}
+
 /// How many codes a [`CodeKey`] can hold without spilling to the heap.
 pub const CODE_KEY_INLINE: usize = 4;
 
@@ -503,6 +607,40 @@ mod tests {
         assert!(AttrDict::from_parts(vec![Value::int(1), Value::int(1)], vec![]).is_err());
         assert!(AttrDict::from_parts(vec![Value::Var(VarId::new(0, 0))], vec![]).is_err());
         assert!(AttrDict::from_parts(vec![], vec![VarId::new(0, 0), VarId::new(0, 0)]).is_err());
+    }
+
+    #[test]
+    fn sorted_rows_group_and_search_by_code() {
+        // Codes 0..40 plus variables; above 512 rows the radix path runs.
+        let mut d = AttrDict::new();
+        let consts: Vec<Code> = (0..40).map(|i| d.intern(&Value::int(i))).collect();
+        let vars: Vec<Code> = (0..3)
+            .map(|i| d.intern(&Value::Var(VarId::new(0, i))))
+            .collect();
+        for n in [7u32, 1500] {
+            let col: Vec<Code> = (0..n)
+                .map(|r| match r % 7 {
+                    0 => vars[(r % 3) as usize],
+                    _ => consts[(r * 13 % 40) as usize],
+                })
+                .collect();
+            let cols = [(&col[..], d.code_space())];
+            let mut rows: Vec<u32> = (0..n).collect();
+            sort_rows_by_codes(&mut rows, &cols);
+            assert!(rows
+                .windows(2)
+                .all(|w| (col[w[0] as usize], w[0]) < (col[w[1] as usize], w[1])));
+            let codes = [&col[..]];
+            let runs: Vec<&[u32]> = code_runs(&rows, &codes).collect();
+            for run in &runs {
+                let code = col[run[0] as usize];
+                assert!(run.iter().all(|&r| col[r as usize] == code));
+                assert_eq!(code_range(&rows, &codes, |_| code), *run);
+            }
+            let distinct: std::collections::BTreeSet<Code> = col.iter().copied().collect();
+            assert_eq!(runs.len(), distinct.len());
+            assert!(code_range(&rows, &codes, |_| OVERLAY_CODE_BASE).is_empty());
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! "distinct variables are never equal" semantics simply by never reusing an
 //! id.
 
-use crate::dict::{distinct_rows, AttrDict, Code, CodeSpace};
+use crate::dict::{distinct_rows, row_u32, sort_rows_by_codes, AttrDict, Code, CodeSpace};
 use crate::error::RelationError;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
@@ -402,6 +402,23 @@ impl Instance {
         &self.codes[attr.index()]
     }
 
+    /// The code column of `attr` with the dense space its codes come from:
+    /// the input of the code-slot kernels ([`crate::distinct_rows`],
+    /// [`crate::sort_rows_by_codes`]).
+    pub fn code_column(&self, attr: AttrId) -> (&[Code], CodeSpace) {
+        (self.codes(attr), self.dict(attr).code_space())
+    }
+
+    /// Every row id, sorted by the rows' codes on `attrs` and then by row
+    /// ([`crate::sort_rows_by_codes`]): rows agreeing on `attrs` form
+    /// contiguous runs.
+    pub fn rows_sorted_by(&self, attrs: &[AttrId]) -> Vec<u32> {
+        let cols: Vec<(&[Code], CodeSpace)> = attrs.iter().map(|&a| self.code_column(a)).collect();
+        let mut rows: Vec<u32> = (0..row_u32(self.rows)).collect();
+        sort_rows_by_codes(&mut rows, &cols);
+        rows
+    }
+
     /// The code of a single cell (panics on out-of-range indices).
     pub fn code_at(&self, row: usize, attr: AttrId) -> Code {
         self.codes[attr.index()][row]
@@ -445,10 +462,7 @@ impl Instance {
     /// This is the paper's experimental weighting function
     /// `w(Y) = |Π_Y(I)|` (Section 8.1).
     pub fn distinct_projection_count(&self, attrs: &[AttrId]) -> usize {
-        let cols: Vec<(&[Code], CodeSpace)> = attrs
-            .iter()
-            .map(|a| (self.codes(*a), self.dict(*a).code_space()))
-            .collect();
+        let cols: Vec<(&[Code], CodeSpace)> = attrs.iter().map(|&a| self.code_column(a)).collect();
         distinct_rows(self.rows, &cols)
     }
 

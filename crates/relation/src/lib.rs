@@ -19,8 +19,11 @@
 //!   [`Code`]s (variables in a reserved range, so code equality coincides
 //!   with [`Value::matches`]), the instance keeps one code column per
 //!   attribute under every mutation, [`CodeKey`] packs multi-attribute
-//!   equality keys, and [`distinct_rows`] counts distinct projections
-//!   without hashing.
+//!   equality keys for the maps updated in place, [`distinct_rows`] counts
+//!   distinct projections without hashing, and [`sort_rows_by_codes`]
+//!   groups rows by code tuple without hashing (a radix sort whose runs
+//!   are the classes, [`code_runs`], and whose order is searchable,
+//!   [`code_range`]).
 //! * [`work`] — deterministic equality-work counters
 //!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
 //!   offline benchmark gate.
@@ -64,8 +67,8 @@ pub mod value;
 pub mod work;
 
 pub use dict::{
-    distinct_rows, AttrDict, Code, CodeKey, CodeSpace, CODE_KEY_INLINE, OVERLAY_CODE_BASE,
-    VAR_CODE_BASE,
+    code_range, code_runs, distinct_rows, row_u32, sort_rows_by_codes, AttrDict, Code, CodeKey,
+    CodeSpace, CODE_KEY_INLINE, OVERLAY_CODE_BASE, VAR_CODE_BASE,
 };
 pub use error::RelationError;
 pub use instance::{CellRef, Instance, InstanceDiff};

@@ -55,11 +55,19 @@ impl fmt::Display for ColumnType {
 }
 
 impl ColumnType {
-    /// Parses one raw field under this type. `Int`/`Float` reject
+    /// Parses one raw (non-null) field under this type — the typed value a
+    /// loaded cell of the column holds. `Int`/`Float` reject
     /// non-conforming text (the caller's inference should have prevented
     /// it); non-finite floats are rejected so instances only ever hold
     /// finite numbers.
-    fn parse_field(self, text: &str) -> std::result::Result<Value, String> {
+    ///
+    /// ```
+    /// use rt_relation::{ColumnType, Value};
+    /// assert_eq!(ColumnType::Float.parse("91.5"), Ok(Value::float(91.5)));
+    /// assert_eq!(ColumnType::Str.parse("91.5"), Ok(Value::str("91.5")));
+    /// assert!(ColumnType::Int.parse("91.5").is_err());
+    /// ```
+    pub fn parse(self, text: &str) -> std::result::Result<Value, String> {
         match self {
             ColumnType::Int => text
                 .parse::<i64>()
@@ -153,7 +161,7 @@ impl EncodedLoader<'_> {
                     match self.seen[a].get(*text) {
                         Some(&code) => code,
                         None => {
-                            let value = self.types[a].parse_field(text).map_err(|e| {
+                            let value = self.types[a].parse(text).map_err(|e| {
                                 RelationError::Csv(format!(
                                     "column `{}`: {e}",
                                     self.instance

@@ -180,24 +180,6 @@ impl Value {
     pub fn float(f: f64) -> Self {
         Value::Float(FloatBits::new(f))
     }
-
-    /// Parses a raw CSV field into a value: empty string becomes `Null`,
-    /// an integer literal becomes `Int`, anything else `Str`.
-    ///
-    /// This is the *untyped* legacy parse used by [`crate::csv`]; it never
-    /// produces [`Value::Float`] (a float literal stays `Str`). The typed
-    /// ingestion layer (`rt-io`) infers column types instead and parses
-    /// floats explicitly.
-    pub fn parse(field: &str) -> Self {
-        let trimmed = field.trim();
-        if trimmed.is_empty() {
-            return Value::Null;
-        }
-        if let Ok(i) = trimmed.parse::<i64>() {
-            return Value::Int(i);
-        }
-        Value::Str(trimmed.to_string())
-    }
 }
 
 impl fmt::Display for Value {
@@ -265,16 +247,6 @@ mod tests {
         // A variable never equals a constant.
         assert!(!v1.matches(&Value::int(42)));
         assert!(!Value::str("x").matches(&v1));
-    }
-
-    #[test]
-    fn parse_classifies_fields() {
-        assert_eq!(Value::parse(""), Value::Null);
-        assert_eq!(Value::parse("  "), Value::Null);
-        assert_eq!(Value::parse("42"), Value::Int(42));
-        assert_eq!(Value::parse("-7"), Value::Int(-7));
-        assert_eq!(Value::parse("42k"), Value::Str("42k".into()));
-        assert_eq!(Value::parse(" hello "), Value::Str("hello".into()));
     }
 
     #[test]

@@ -85,19 +85,36 @@ fn main() -> Result<(), EngineError> {
 
     // --- 4. live mutation replay -------------------------------------------
     // New records arrive and an upstream fix lands; the session absorbs
-    // both incrementally and stays bit-identical to a fresh rebuild.
+    // both incrementally and stays bit-identical to a fresh rebuild. The
+    // inserted row is parsed under the column types the load inferred, so
+    // its cells compare equal to loaded cells of the same value.
     let zip = schema.attr_id("zip").map_err(EngineError::Relation)?;
+    let score = schema.attr_id("score").map_err(EngineError::Relation)?;
+    let new_row: Vec<Value> = "10011,Lakeside General,1 Pier Rd,Mobile,AL,36608,Mobile,\
+                               2515550111,AMI-1,Aspirin at arrival,Heart Attack,91.5,120"
+        .split(',')
+        .zip(&report.columns)
+        .map(|(field, column)| column.parse(field))
+        .collect::<Result<_, _>>()
+        .map_err(|message| EngineError::Parse {
+            path: "inserted row".into(),
+            line: 0,
+            message,
+        })?;
     let outcome = engine.apply(
         &MutationBatch::new()
-            .insert_row(
-                "10011,Lakeside General,1 Pier Rd,Mobile,AL,36608,Mobile,2515550111,AMI-1,\
-                 Aspirin at arrival,Heart Attack,91.5,120"
-                    .split(',')
-                    .map(Value::parse)
-                    .collect(),
-            )
+            .insert_row(new_row)
             .update_cell(CellRef::new(3, zip), Value::int(35233)),
     )?;
+    let inserted = CellRef::new(engine.problem().instance().len() - 1, score);
+    assert_eq!(
+        *engine
+            .problem()
+            .instance()
+            .cell(inserted)
+            .map_err(EngineError::Relation)?,
+        Value::float(91.5)
+    );
     println!(
         "\napplied a live batch: +{} rows, ~{} cells, conflict edges +{}/-{}",
         outcome.effect.rows_inserted,

@@ -290,3 +290,140 @@ fn written_csv_reads_back_as_the_same_data() {
         );
     }
 }
+
+/// SplitMix64 — the fuzz loop's seeded randomness, no dependencies.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One seeded, mostly malformed CSV text: a header and a few records of
+/// 0 to 300 fields (ragged widths included), built from well-formed
+/// fields mixed with doubled and stray quotes, unterminated quoted fields,
+/// NUL bytes, invalid UTF-8 and CR-only line ends.
+fn fuzz_csv(rng: &mut Mix) -> Vec<u8> {
+    const FIELDS: &[&[u8]] = &[
+        b"ab",
+        b"7",
+        b"2.5",
+        b"",
+        b"NULL",
+        b"\"x,y\"",
+        b"\"a\"\"b\"",
+        b"\"two\nlines\"",
+        b"a\"b",
+        b"\"abc",
+        b"\"q\"tail",
+        b"\0",
+        b"n\0ul",
+        b"\xff",
+        b"\xc3",
+        b"caf\xc3\xa9",
+        b"\r",
+        b" padded ",
+    ];
+    const ENDS: &[&[u8]] = &[b"\n", b"\r\n", b"\r", b"\n\n"];
+    let width = match rng.below(4) {
+        0 => rng.below(4),
+        1 => 300,
+        _ => rng.below(301),
+    };
+    // Most fields are clean, so some cases load and the error paths sit
+    // deep inside otherwise valid input.
+    let dirt = 1 + rng.below(40);
+    let mut text = Vec::new();
+    for record in 0..=rng.below(6) {
+        let fields = match rng.below(8) {
+            0 => rng.below(width + 2),
+            _ => width,
+        };
+        for f in 0..fields.max(1) {
+            if f > 0 {
+                text.push(b',');
+            }
+            if record == 0 {
+                text.extend_from_slice(format!("c{f}").as_bytes());
+            } else if rng.below(dirt) == 0 {
+                text.extend_from_slice(FIELDS[rng.below(FIELDS.len())]);
+            } else {
+                text.extend_from_slice(FIELDS[rng.below(3)]);
+            }
+        }
+        text.extend_from_slice(
+            ENDS[if rng.below(dirt) == 0 {
+                rng.below(ENDS.len())
+            } else {
+                0
+            }],
+        );
+    }
+    text
+}
+
+#[test]
+fn seeded_malformed_input_fails_typed_and_never_panics() {
+    let dir = std::env::temp_dir().join(format!("rt_csv_io_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("case.csv");
+    let (mut loaded, mut rejected) = (0, 0);
+    for case in 0..48u64 {
+        let mut rng = Mix(0xC5F_F022 ^ case);
+        let text = fuzz_csv(&mut rng);
+
+        // The record parser alone: every record or a typed error, then EOF.
+        let mut records =
+            relative_trust::io::record::RecordReader::new(std::io::BufReader::new(&text[..]), b',')
+                .unwrap();
+        loop {
+            match records.next_record() {
+                Ok(Some(record)) => assert!(record.len() <= text.len() + 1, "case {case}"),
+                Ok(None) => break,
+                Err(IoError::Parse { line, .. }) => {
+                    assert!(line >= 1, "case {case}: parse errors carry a line");
+                    break;
+                }
+                Err(e) => {
+                    assert!(matches!(e, IoError::Io(_)), "case {case}: {e:?}");
+                    break;
+                }
+            }
+        }
+
+        // Every loader agrees: the same instance, or an error for all.
+        std::fs::write(&path, &text).unwrap();
+        let buffered = read_instance(&text[..], &CsvOptions::csv());
+        for chunk_rows in [1usize, 3] {
+            let chunked = load_path_chunked(&path, chunk_rows, &CsvOptions::csv());
+            match (&buffered, &chunked) {
+                (Ok(a), Ok(b)) => assert_eq!(a.instance, b.instance, "case {case}"),
+                (Err(_), Err(e)) => assert!(!e.to_string().is_empty(), "case {case}"),
+                _ => panic!(
+                    "case {case}, chunk_rows={chunk_rows}: loaders disagree: {:?} vs {:?}",
+                    buffered.as_ref().map(|r| r.instance.len()),
+                    chunked.as_ref().map(|r| r.instance.len())
+                ),
+            }
+        }
+        match buffered {
+            Ok(_) => loaded += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    // The loop exercises both outcomes, not just one.
+    assert!(
+        loaded >= 4 && rejected >= 4,
+        "{loaded} loaded, {rejected} rejected"
+    );
+}
