@@ -76,30 +76,6 @@ fn measure_spectrum(metrics: &mut Metrics) {
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));
     push_work_counters(metrics, "spectrum");
-
-    // Dominance-pruned rerun: same workload with pruning enabled must record
-    // the bit-identical spectrum while skipping dominated children. (After
-    // `push_work_counters` so the rerun doesn't pollute the work metrics.)
-    let dominant = RepairEngine::builder(
-        workload.dirty_instance().clone(),
-        workload.dirty_fds().clone(),
-    )
-    .weight(WeightKind::DistinctCount)
-    .parallelism(Parallelism::Serial)
-    .max_expansions(200_000)
-    .seed(workload.spec.seed)
-    .dominance_pruning(true)
-    .build()
-    .expect("pruned engine builds");
-    let pruned_spectrum = dominant.spectrum().expect("pruned spectrum completes");
-    assert!(
-        spectrum.bit_identical(&pruned_spectrum),
-        "spectrum: dominance pruning changed the recorded spectrum"
-    );
-    metrics.push(m(
-        "dominance_pruned",
-        dominant.stats().dominance_pruned as u64,
-    ));
 }
 
 /// Scenario 2: a live mutation stream replayed against one engine session,
@@ -306,22 +282,6 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
         "scenario `{name}`: incremental engine diverged from a fresh rebuild"
     );
 
-    // Dominance-pruned rerun on the pre-mutation inputs: enabling the
-    // pruning must skip children without changing one bit of the recorded
-    // spectrum prefix.
-    let dominant = RepairEngine::builder(scenario.dirty.clone(), scenario.dirty_fds.clone())
-        .weight(WeightKind::DistinctCount)
-        .parallelism(Parallelism::Serial)
-        .max_expansions(400_000)
-        .seed(17)
-        .dominance_pruning(true)
-        .build()
-        .expect("dominance-pruned scenario engine builds");
-    assert!(
-        before.bit_identical(&sweep_prefix(&dominant, name)),
-        "scenario `{name}`: dominance pruning changed the recorded spectrum"
-    );
-
     let (points, cells) = spectrum_signature(&before);
     let m = |k: &str, v: u64| (format!("scenario.{name}.{k}"), v);
     metrics.push(m("conflict_edges", edge_count as u64));
@@ -331,10 +291,6 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
     metrics.push(m(
         "heuristic_cache_entries",
         stats.heuristic_cache_entries as u64,
-    ));
-    metrics.push(m(
-        "dominance_pruned",
-        dominant.stats().dominance_pruned as u64,
     ));
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));

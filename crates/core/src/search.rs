@@ -55,17 +55,6 @@ pub struct SearchConfig {
     /// way; on saves the exponential enumeration whenever a projected
     /// difference-set key repeats at an answerable `τ`.
     pub heuristic_cache: bool,
-    /// Skip enqueueing sweep children whose single added attribute is
-    /// conflict-irrelevant for the FD it extends (no difference-set group
-    /// contains both it and that FD's RHS while avoiding its LHS) *and*
-    /// strictly weight-increasing over the FD's extension domain
-    /// (`Weight::strict_gain_within`) — such a child's whole subtree
-    /// repeats the conflict structure of its attribute-free counterpart at
-    /// strictly higher cost, so it can never be a recorded repair; see
-    /// `RepairProblem::conflict_irrelevant_attrs`. Off by default because
-    /// it changes `states_generated`/`states_expanded` accounting; recorded
-    /// spectra stay bit-identical. `RangeSearch` only.
-    pub dominance_pruning: bool,
     /// Read the wall clock around searches and report it in
     /// [`SearchStats::elapsed`]. Off by default: tests and gates compare
     /// counters, and a search that never looks at a clock cannot leak
@@ -81,7 +70,6 @@ impl Default for SearchConfig {
             heuristic: HeuristicConfig::default(),
             parallelism: Parallelism::Auto,
             heuristic_cache: true,
-            dominance_pruning: false,
             timing: false,
         }
     }
@@ -124,13 +112,42 @@ pub struct SearchStats {
     /// difference-set keys) — a gauge (the current cache size), not a
     /// cumulative counter.
     pub heuristic_cache_entries: usize,
-    /// Children skipped by dominance pruning (conflict-irrelevant single
-    /// additions; `RangeSearch` only).
-    pub dominance_pruned: usize,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
     /// `true` when the expansion cap was hit before finding a goal.
     pub truncated: bool,
+}
+
+impl SearchStats {
+    /// Folds `other` into `self`: counters and `elapsed` add, the
+    /// `heuristic_cache_entries` gauge keeps the larger value and
+    /// `truncated` is set if either run was truncated.
+    pub fn merge(&mut self, other: &SearchStats) {
+        self.states_expanded += other.states_expanded;
+        self.states_generated += other.states_generated;
+        self.heuristic_nodes += other.heuristic_nodes;
+        self.heuristic_cache_hits += other.heuristic_cache_hits;
+        self.heuristic_cache_entries = self
+            .heuristic_cache_entries
+            .max(other.heuristic_cache_entries);
+        self.elapsed += other.elapsed;
+        self.truncated |= other.truncated;
+    }
+
+    /// The work done since the cumulative snapshot `earlier` of the same
+    /// run: counters subtract, `elapsed` saturates at zero, and the
+    /// `heuristic_cache_entries` gauge and `truncated` flag are `self`'s.
+    pub fn since(&self, earlier: &SearchStats) -> SearchStats {
+        SearchStats {
+            states_expanded: self.states_expanded - earlier.states_expanded,
+            states_generated: self.states_generated - earlier.states_generated,
+            heuristic_nodes: self.heuristic_nodes - earlier.heuristic_nodes,
+            heuristic_cache_hits: self.heuristic_cache_hits - earlier.heuristic_cache_hits,
+            heuristic_cache_entries: self.heuristic_cache_entries,
+            elapsed: self.elapsed.saturating_sub(earlier.elapsed),
+            truncated: self.truncated,
+        }
+    }
 }
 
 /// Folds one batch of heuristic evaluations into the stats — the single
@@ -147,8 +164,9 @@ pub(crate) fn charge_heuristic(stats: &mut SearchStats, values: &[HeuristicValue
 }
 
 /// Evaluates `gc` for a batch of states, through the cache when enabled or
-/// via the legacy per-state path otherwise. Both paths produce bit-identical
-/// lower bounds; only the `nodes`/`cache_hit` accounting differs.
+/// via the uncached per-state reference path otherwise. Both paths produce
+/// bit-identical lower bounds; only the `nodes`/`cache_hit` accounting
+/// differs.
 pub(crate) fn evaluate_heuristic_batch(
     cache: &mut HeuristicCache,
     use_cache: bool,
@@ -521,5 +539,47 @@ mod tests {
                 None => assert!(got.repair.is_none()),
             }
         }
+    }
+
+    #[test]
+    fn merging_the_delta_since_a_snapshot_reproduces_the_later_stats() {
+        let a = SearchStats {
+            states_expanded: 3,
+            states_generated: 10,
+            heuristic_nodes: 40,
+            heuristic_cache_hits: 2,
+            heuristic_cache_entries: 7,
+            elapsed: Duration::from_millis(5),
+            truncated: false,
+        };
+        let b = SearchStats {
+            states_expanded: 8,
+            states_generated: 25,
+            heuristic_nodes: 41,
+            heuristic_cache_hits: 9,
+            heuristic_cache_entries: 12,
+            elapsed: Duration::from_millis(9),
+            truncated: true,
+        };
+        let delta = b.since(&a);
+        assert_eq!(delta.states_expanded, 5);
+        assert_eq!(delta.elapsed, Duration::from_millis(4));
+        // The gauge and the flag pass through `since` …
+        assert_eq!(delta.heuristic_cache_entries, 12);
+        assert!(delta.truncated);
+        // … so merging the delta back into `a` reproduces `b` exactly:
+        // counters add, the gauge takes the max and the flag ORs.
+        let mut merged = a;
+        merged.merge(&delta);
+        assert_eq!(merged, b);
+        // The gauge is a max, not a sum, and `elapsed` saturates at zero.
+        let mut gauge = b;
+        gauge.merge(&a);
+        assert_eq!(gauge.heuristic_cache_entries, 12);
+        let untimed = SearchStats {
+            elapsed: Duration::ZERO,
+            ..b
+        };
+        assert_eq!(untimed.since(&a).elapsed, Duration::ZERO);
     }
 }

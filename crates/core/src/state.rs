@@ -114,22 +114,7 @@ impl RepairState {
     ///   - if `A` is smaller, the child's parent would remove a different
     ///     attribute, so the child is not generated here.
     pub fn children(&self, sigma: &FdSet, arity: usize) -> Vec<RepairState> {
-        self.children_filtered(sigma, arity, &[]).0
-    }
-
-    /// Like [`RepairState::children`], but skips children that add an
-    /// attribute from `skip[j]` to FD `j` (missing entries skip nothing),
-    /// returning the surviving children together with the number skipped.
-    /// Used by dominance pruning, which passes the per-FD
-    /// conflict-irrelevant attributes as the masks.
-    pub fn children_filtered(
-        &self,
-        sigma: &FdSet,
-        arity: usize,
-        skip: &[AttrSet],
-    ) -> (Vec<RepairState>, usize) {
         let mut out = Vec::new();
-        let mut skipped = 0usize;
         let appended = self.appended_attrs();
         let greatest = appended.max_attr();
         for (j, fd) in sigma.iter() {
@@ -156,15 +141,11 @@ impl RepairState {
                     }
                 };
                 if valid {
-                    if skip.get(j).is_some_and(|s| s.contains(attr)) {
-                        skipped += 1;
-                    } else {
-                        out.push(self.with_attr(j, attr));
-                    }
+                    out.push(self.with_attr(j, attr));
                 }
             }
         }
-        (out, skipped)
+        out
     }
 }
 

@@ -98,7 +98,6 @@ pub struct RepairEngineBuilder {
     max_expansions: usize,
     heuristic: HeuristicConfig,
     heuristic_cache: bool,
-    dominance_pruning: bool,
     timing: bool,
     seed: u64,
     shard_rows: ShardRows,
@@ -116,7 +115,6 @@ impl RepairEngineBuilder {
             max_expansions: defaults.max_expansions,
             heuristic: defaults.heuristic,
             heuristic_cache: defaults.heuristic_cache,
-            dominance_pruning: defaults.dominance_pruning,
             timing: defaults.timing,
             seed: 0,
             shard_rows: ShardRows::Auto,
@@ -160,21 +158,10 @@ impl RepairEngineBuilder {
 
     /// Memoize the structural half of the A* heuristic `gc(S)` across
     /// states and `τ` values (default: `true`). Results are bit-identical
-    /// either way; `false` forces the legacy per-state enumeration (the
-    /// oracle path the equivalence tests compare against).
+    /// either way; `false` forces the uncached per-state enumeration, the
+    /// reference path the equivalence tests compare against.
     pub fn heuristic_cache(mut self, enabled: bool) -> Self {
         self.heuristic_cache = enabled;
-        self
-    }
-
-    /// Skip sweep children whose single added attribute is
-    /// conflict-irrelevant for the extended FD and strictly
-    /// weight-increasing — states that provably cannot become recorded
-    /// repairs (default: `false`). Recorded spectra are bit-identical
-    /// either way; expansion/generation counters differ, so the default
-    /// keeps the paper-faithful accounting.
-    pub fn dominance_pruning(mut self, enabled: bool) -> Self {
-        self.dominance_pruning = enabled;
         self
     }
 
@@ -276,7 +263,6 @@ impl RepairEngineBuilder {
             heuristic: self.heuristic,
             parallelism: self.parallelism,
             heuristic_cache: self.heuristic_cache,
-            dominance_pruning: self.dominance_pruning,
             timing: self.timing,
         };
         Ok(RepairEngine::from_parts(

@@ -138,18 +138,9 @@ impl<'e> RepairStream<'e> {
     /// engine's cumulative totals.
     fn publish_stats(&mut self) {
         let now = self.search().stats();
-        let delta = SearchStats {
-            states_expanded: now.states_expanded - self.absorbed.states_expanded,
-            states_generated: now.states_generated - self.absorbed.states_generated,
-            heuristic_nodes: now.heuristic_nodes - self.absorbed.heuristic_nodes,
-            heuristic_cache_hits: now.heuristic_cache_hits - self.absorbed.heuristic_cache_hits,
-            // A gauge, not a counter: pass the current cache size through
-            // (the engine folds it in with `max`, not `+`).
-            heuristic_cache_entries: now.heuristic_cache_entries,
-            dominance_pruned: now.dominance_pruned - self.absorbed.dominance_pruned,
-            elapsed: now.elapsed.saturating_sub(self.absorbed.elapsed),
-            truncated: now.truncated,
-        };
+        // `since` passes the cache-size gauge through; the engine folds it
+        // in with `max`, not `+`.
+        let delta = now.since(&self.absorbed);
         self.absorbed = now;
         self.engine.absorb_search_stats(&delta);
     }

@@ -371,7 +371,6 @@ pub fn encode_engine_stats(stats: &EngineStats) -> JsonValue {
             "heuristic_cache_entries",
             num(stats.heuristic_cache_entries),
         ),
-        ("dominance_pruned", num(stats.dominance_pruned)),
         (
             "search_elapsed_ns",
             u64_str(stats.search_elapsed.as_nanos() as u64),
@@ -402,7 +401,6 @@ pub fn decode_engine_stats(v: &JsonValue) -> Result<EngineStats, String> {
         heuristic_nodes: usize_field(v, "heuristic_nodes")?,
         heuristic_cache_hits: usize_field(v, "heuristic_cache_hits")?,
         heuristic_cache_entries: usize_field(v, "heuristic_cache_entries")?,
-        dominance_pruned: usize_field(v, "dominance_pruned")?,
         search_elapsed: Duration::from_nanos(u64_field(v, "search_elapsed_ns")?),
         truncated: bool_field(v, "truncated")?,
         mutation_batches: usize_field(v, "mutation_batches")?,
@@ -412,15 +410,8 @@ pub fn decode_engine_stats(v: &JsonValue) -> Result<EngineStats, String> {
         graph_rebuild_avoided: usize_field(v, "graph_rebuild_avoided")?,
         sweep_cache_hits: usize_field(v, "sweep_cache_hits")?,
         dict_entries: usize_field(v, "dict_entries")?,
-        // Tolerant of stats written before sharding existed.
-        shards: match v.get("shards") {
-            None => 0,
-            Some(_) => usize_field(v, "shards")?,
-        },
-        shard_replans: match v.get("shard_replans") {
-            None => 0,
-            Some(_) => usize_field(v, "shard_replans")?,
-        },
+        shards: usize_field(v, "shards")?,
+        shard_replans: usize_field(v, "shard_replans")?,
     })
 }
 
@@ -437,8 +428,20 @@ mod tests {
             repair_queries: 2,
             states_expanded: 99,
             truncated: true,
+            shards: 3,
             ..Default::default()
         };
+        // Every stats field is required: a frame missing one (here from a
+        // peer that predates sharding) is a typed error, not a zero.
+        assert_eq!(decode_engine_stats(&encode_engine_stats(&stats)), Ok(stats));
+        let JsonValue::Obj(mut fields) = encode_engine_stats(&stats) else {
+            panic!("stats encode to an object");
+        };
+        fields.retain(|(key, _)| key != "shards");
+        assert_eq!(
+            decode_engine_stats(&JsonValue::Obj(fields)),
+            Err("missing field `shards`".to_string())
+        );
         let responses = vec![
             Response::Pong,
             Response::Created {

@@ -228,7 +228,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// Maps a failure from the legacy CSV writer onto the right `EngineError`
+/// Maps a failure from the CSV writer (`relation::csv`) onto the right `EngineError`
 /// variant: file-access problems become `Io` (with the path), parse
 /// problems keep their structured `Relation` form.
 fn file_error(path: &str, e: RelationError) -> EngineError {
@@ -1229,113 +1229,52 @@ fn run_connect(target: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        return match parse_serve_args(&args[1..]) {
-            Ok(options) => match run_serve(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
+/// Parses `connect`'s optional target (default `127.0.0.1:7171`). A flag
+/// other than `--help`, or more than one argument, gets the one-line usage.
+fn parse_connect_args(args: &[String]) -> Result<String, String> {
+    let target = args.first().map_or("127.0.0.1:7171", String::as_str);
+    if args.len() > 1 || target.starts_with("--") && target != "--help" {
+        return Err("usage: rtclean connect [<host:port> | unix:<path>]".to_string());
     }
-    if args.first().map(String::as_str) == Some("connect") {
-        let target = args.get(1).cloned().unwrap_or("127.0.0.1:7171".to_string());
-        if args.len() > 2 || target.starts_with("--") && target != "--help" {
-            eprintln!("usage: rtclean connect [<host:port> | unix:<path>]");
-            return ExitCode::FAILURE;
-        }
-        if target == "--help" {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-        return match run_connect(&target) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
+    if target == "--help" {
+        return Err(USAGE.to_string());
     }
-    if args.first().map(String::as_str) == Some("scenario") {
-        return match parse_scenario_args(&args[1..]) {
-            Ok(options) => match run_scenario(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("snapshot") {
-        return match parse_snapshot_args(&args[1..]) {
-            Ok(options) => match run_snapshot(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("restore") {
-        return match parse_restore_args(&args[1..]) {
-            Ok(options) => match run_restore(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("apply") {
-        return match parse_apply_args(&args[1..]) {
-            Ok(options) => match run_apply(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match parse_args(&args) {
-        Ok(options) => match run(&options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+    Ok(target.to_string())
+}
+
+/// Runs one subcommand to its exit code. A parse error is usage text and
+/// prints bare; a run error prints with an `error: ` prefix.
+fn exit_with<O, E: std::fmt::Display>(
+    parsed: Result<O, String>,
+    run: impl FnOnce(&O) -> Result<(), E>,
+) -> ExitCode {
+    let result = match parsed {
+        Ok(options) => run(&options),
         Err(message) => {
             eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("serve") => exit_with(parse_serve_args(rest), run_serve),
+        Some("connect") => exit_with(parse_connect_args(rest), |target| run_connect(target)),
+        Some("scenario") => exit_with(parse_scenario_args(rest), run_scenario),
+        Some("snapshot") => exit_with(parse_snapshot_args(rest), run_snapshot),
+        Some("restore") => exit_with(parse_restore_args(rest), run_restore),
+        Some("apply") => exit_with(parse_apply_args(rest), run_apply),
+        _ => exit_with(parse_args(&args), run),
     }
 }
 
