@@ -61,7 +61,7 @@ mod value;
 
 pub use error::{decode_engine_error, encode_engine_error, ErrorFrame};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
-pub use opts::EngineOpts;
+pub use opts::{take_value, EngineOpts};
 pub use repair::{decode_point, decode_repair, encode_point, encode_repair};
 pub use request::{Request, TauSpec};
 pub use response::{decode_engine_stats, encode_engine_stats, LoadSummary, Response};

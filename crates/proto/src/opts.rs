@@ -5,6 +5,16 @@ use crate::value::{obj, str_field, u64_field, u64_str, usize_field};
 use rt_engine::json::JsonValue;
 use rt_engine::{Parallelism, RepairEngineBuilder, ShardRows, WeightKind};
 
+/// Reads the value following the flag at `args[*i]`, advancing `i` past it.
+/// The one value reader of every command-line and REPL flag.
+pub fn take_value(args: &[String], i: &mut usize) -> Result<String, String> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .ok_or_else(|| format!("missing value after `{flag}`"))
+}
+
 /// Engine-configuration options (`--weight`, `--seed`, `--max-expansions`,
 /// `--threads`, `--shard-rows`).
 ///
@@ -44,13 +54,6 @@ impl EngineOpts {
     /// `i` past any flag value. Returns `Ok(true)` when consumed — the
     /// single CLI/REPL parsing path.
     pub fn consume_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        let take_value = |args: &[String], i: &mut usize| -> Result<String, String> {
-            let flag = args[*i].clone();
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after `{flag}`"))
-        };
         match args[*i].as_str() {
             "--weight" => {
                 let v = take_value(args, i)?;

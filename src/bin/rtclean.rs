@@ -12,6 +12,8 @@
 //!   never rebuilt, or
 //! * builds and repairs a named workload from the scenario catalog
 //!   (`scenario`), or
+//! * writes a built engine to a snapshot file (`snapshot`) and answers
+//!   repair queries from one (`restore`), or
 //! * hosts repair sessions as a service (`serve`) / drives one
 //!   interactively (`connect`).
 //!
@@ -29,76 +31,19 @@
 //! rtclean connect 127.0.0.1:7171
 //! ```
 //!
-//! Every subcommand shares the `rt-proto` option surface: the engine flags
-//! (`--weight`, `--seed`, `--max-expansions`, `--threads`, `--shard-rows`)
-//! parse through
-//! [`EngineOpts::consume_flag`] whether they come from the command line,
-//! the `connect` REPL, or a `create_session` wire request.
+//! Every command — each subcommand and the `connect` REPL's `open`, `load`
+//! and `repair` — parses through one loop, [`parse`], against its row of
+//! the flag table ([`COMMANDS`], [`OPEN`], [`LOAD`], [`REPAIR`]): the row
+//! names the flags the command accepts and the arguments it requires.
+//! The engine flags (`--weight`, `--seed`, `--max-expansions`, `--threads`,
+//! `--shard-rows`) go through [`EngineOpts::consume_flag`], the same path a
+//! `create_session` wire request takes. `--help` prints the usage to stdout
+//! and exits 0; a parse error prints to stderr and exits 1.
 
+use relative_trust::engine::parse_mutation_log;
 use relative_trust::prelude::*;
+use relative_trust::proto::take_value;
 use std::process::ExitCode;
-
-/// Reads the value following `args[*i]`, advancing `i` past it.
-fn take_value(args: &[String], i: &mut usize) -> Result<String, String> {
-    let flag = args[*i].clone();
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("missing value after `{flag}`"))
-}
-
-/// Tries to consume `args[*i]` as one of the repair-selection options
-/// shared by the CSV and scenario front ends
-/// (`--tau`, `--tau-r`, `--spectrum`, `--output`).
-fn consume_mode_option(
-    args: &[String],
-    i: &mut usize,
-    mode: &mut Option<Mode>,
-    output: &mut Option<String>,
-) -> Result<bool, String> {
-    match args[*i].as_str() {
-        "--tau" => {
-            let v = take_value(args, i)?;
-            let n = v
-                .parse::<usize>()
-                .map_err(|_| format!("invalid --tau value `{v}`"))?;
-            *mode = Some(Mode::Repair(TauSpec::Absolute(n)));
-        }
-        "--tau-r" => {
-            let v = take_value(args, i)?;
-            let f = v
-                .parse::<f64>()
-                .map_err(|_| format!("invalid --tau-r value `{v}`"))?;
-            *mode = Some(Mode::Repair(
-                TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?,
-            ));
-        }
-        "--spectrum" => *mode = Some(Mode::Spectrum),
-        "--output" => *output = Some(take_value(args, i)?),
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// Parsed command-line options.
-#[derive(Debug, Clone, PartialEq)]
-struct Options {
-    input: String,
-    fd_specs: Vec<String>,
-    mode: Mode,
-    output: Option<String>,
-    tsv: bool,
-    engine: EngineOpts,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    /// Single repair at a budget — the wire's [`TauSpec`], so the CLI and
-    /// the protocol validate trust levels through the same code.
-    Repair(TauSpec),
-    /// Enumerate the full spectrum of repairs.
-    Spectrum,
-}
 
 const USAGE: &str = "\
 usage: rtclean <input.csv> --fd \"X1,X2->A\" [--fd ...] [options]
@@ -169,7 +114,8 @@ options:
   --tau-r <F>          relative trust in [0,1]; 0 = trust the data (default: --spectrum)
   --spectrum           enumerate all non-dominated repairs
   --weight <kind>      distinct | count | entropy   (default: distinct)
-  --output <file>      write the repaired instance as CSV (single-repair modes)
+  --output <file>      write the repaired instance as CSV (needs --tau or --tau-r;
+                       for snapshot: the snapshot file)
   --seed <N>           seed for the data-repair step (default: 0)
   --max-expansions <N> search budget (default: 500000)
   --threads <T>        worker threads: auto | serial | <count>  (default: auto)
@@ -183,49 +129,278 @@ options:
   --help               print this help
 ";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-    let mut tsv = false;
-    let mut engine = EngineOpts::new(0);
+/// What `connect` prints for any argument other than one target or `--help`.
+const CONNECT_USAGE: &str = "usage: rtclean connect [<host:port> | unix:<path>]";
 
+/// The address `serve` listens on and `connect` dials by default.
+const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+
+/// One command's row of the flag table.
+struct Command {
+    name: &'static str,
+    /// The flags it accepts, in groups.
+    flags: &'static [&'static [&'static str]],
+    /// Whether it takes one positional argument (input file, scenario name,
+    /// snapshot file or connect target). Without one, any token outside
+    /// `flags` is an "unknown `name` option".
+    positional: bool,
+    /// The arguments it requires, in the order they are checked, each with
+    /// the message for its absence; `"input"` is the positional argument.
+    required: &'static [(&'static str, &'static str)],
+    /// The default engine seed.
+    seed: u64,
+}
+
+// Flag groups shared between rows.
+const HELP: &[&str] = &["--help", "-h"];
+const ENGINE: &[&str] = &[
+    "--weight",
+    "--seed",
+    "--max-expansions",
+    "--threads",
+    "--shard-rows",
+];
+const DATA: &[&str] = &["--fd", "--tsv"];
+const TAU: &[&str] = &["--tau", "--tau-r"];
+const SELECT: &[&str] = &["--spectrum", "--output"];
+
+// Required arguments shared between rows.
+const INPUT: (&str, &str) = ("input", USAGE);
+const FD: (&str, &str) = ("--fd", "at least one --fd is required");
+
+/// The subcommands; the first row is the main form, which has no name.
+const COMMANDS: [Command; 7] = [
+    Command {
+        name: "",
+        flags: &[HELP, ENGINE, DATA, TAU, SELECT],
+        positional: true,
+        required: &[INPUT, FD],
+        seed: 0,
+    },
+    Command {
+        name: "apply",
+        flags: &[
+            HELP,
+            ENGINE,
+            DATA,
+            &["--log", "--per-op", "--batch", "--verify"],
+        ],
+        positional: true,
+        required: &[
+            INPUT,
+            FD,
+            ("--log", "apply requires --log <mutations.json>"),
+        ],
+        seed: 0,
+    },
+    Command {
+        name: "scenario",
+        flags: &[HELP, ENGINE, TAU, SELECT, &["--rows"]],
+        positional: true,
+        required: &[INPUT],
+        // The engine seed doubles as the scenario seed (generation +
+        // injection), so one `--seed` controls the whole run.
+        seed: 17,
+    },
+    Command {
+        name: "snapshot",
+        flags: &[HELP, ENGINE, DATA, &["--output"]],
+        positional: true,
+        required: &[
+            FD,
+            INPUT,
+            ("--output", "snapshot requires --output <file.snap>"),
+        ],
+        seed: 0,
+    },
+    Command {
+        name: "restore",
+        flags: &[HELP, TAU, SELECT],
+        positional: true,
+        required: &[INPUT],
+        seed: 0,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            HELP,
+            &[
+                "--listen",
+                "--unix",
+                "--max-sessions",
+                "--max-cells",
+                "--idle-ops",
+                "--max-connections",
+                "--data-dir",
+                "--wal-sync",
+            ],
+        ],
+        positional: false,
+        required: &[],
+        seed: 0,
+    },
+    Command {
+        name: "connect",
+        flags: &[&["--help"]],
+        positional: true,
+        required: &[],
+        seed: 0,
+    },
+];
+
+/// The REPL's `open <name>` flags.
+const OPEN: Command = Command {
+    name: "open",
+    flags: &[ENGINE],
+    positional: false,
+    required: &[],
+    seed: 0,
+};
+
+/// The REPL's `load <file.csv>` flags.
+const LOAD: Command = Command {
+    name: "load",
+    flags: &[DATA],
+    positional: false,
+    required: &[FD],
+    seed: 0,
+};
+
+/// The REPL's `repair` flags.
+const REPAIR: Command = Command {
+    name: "repair",
+    flags: &[TAU],
+    positional: false,
+    required: &[],
+    seed: 0,
+};
+
+impl Command {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags.iter().any(|group| group.contains(&flag))
+    }
+}
+
+/// Parsed arguments of any command; each command reads the fields its row
+/// accepts.
+#[derive(Debug, Clone, PartialEq)]
+struct Options {
+    /// `--help` was given; parsing stopped there.
+    help: bool,
+    input: Option<String>,
+    fd_specs: Vec<String>,
+    tsv: bool,
+    /// The trust level of a single repair; `None` enumerates the spectrum.
+    tau: Option<TauSpec>,
+    output: Option<String>,
+    log: Option<String>,
+    /// One engine batch per log entry (streaming replay) vs one atomic
+    /// batch for the whole log.
+    per_op: bool,
+    verify: bool,
+    rows: Option<usize>,
+    engine: EngineOpts,
+    listen: String,
+    unix: Option<String>,
+    server: ServerConfig,
+}
+
+/// Reads the value after the flag at `args[*i]` as a number.
+fn number<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    let v = take_value(args, i)?;
+    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
+}
+
+/// Parses `args` against `command`'s row of the flag table: the one place
+/// every `rtclean` flag is matched.
+fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
+    let mut o = Options {
+        help: false,
+        input: None,
+        fd_specs: Vec::new(),
+        tsv: false,
+        tau: None,
+        output: None,
+        log: None,
+        per_op: true,
+        verify: false,
+        rows: None,
+        engine: EngineOpts::new(command.seed),
+        listen: DEFAULT_ADDR.to_string(),
+        unix: None,
+        server: ServerConfig::default(),
+    };
     let mut i = 0;
     while i < args.len() {
-        if engine.consume_flag(args, &mut i)?
-            || consume_mode_option(args, &mut i, &mut mode, &mut output)?
-        {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
+        let arg = args[i].as_str();
+        if !command.accepts(arg) {
+            if !command.positional {
+                return Err(format!("unknown {} option `{arg}`", command.name));
+            }
+            if arg.starts_with("--") {
+                return Err(format!("unknown option `{arg}`"));
+            }
+            if o.input.is_some() {
+                return Err(format!("unexpected positional argument `{arg}`"));
+            }
+            o.input = Some(arg.to_string());
+        } else if !o.engine.consume_flag(args, &mut i)? {
+            match arg {
+                "--help" | "-h" => {
+                    o.help = true;
+                    return Ok(o);
                 }
-                input = Some(other.to_string());
+                "--fd" => o.fd_specs.push(take_value(args, &mut i)?),
+                "--tsv" => o.tsv = true,
+                "--tau" => o.tau = Some(TauSpec::Absolute(number(args, &mut i)?)),
+                "--tau-r" => {
+                    let f = number(args, &mut i)?;
+                    o.tau = Some(TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?);
+                }
+                "--spectrum" => o.tau = None,
+                "--output" => o.output = Some(take_value(args, &mut i)?),
+                "--log" => o.log = Some(take_value(args, &mut i)?),
+                "--per-op" => o.per_op = true,
+                "--batch" => o.per_op = false,
+                "--verify" => o.verify = true,
+                "--rows" => o.rows = Some(number(args, &mut i)?),
+                "--listen" => o.listen = take_value(args, &mut i)?,
+                "--unix" => o.unix = Some(take_value(args, &mut i)?),
+                "--max-sessions" => o.server.max_sessions = number(args, &mut i)?,
+                "--max-cells" => o.server.max_session_cells = number(args, &mut i)?,
+                "--idle-ops" => o.server.idle_ops = number(args, &mut i)?,
+                "--max-connections" => o.server.max_connections = number(args, &mut i)?,
+                "--data-dir" => o.server.data_dir = Some(take_value(args, &mut i)?.into()),
+                "--wal-sync" => o.server.wal_sync = true,
+                other => unreachable!("flag `{other}` is in the table but not matched"),
             }
         }
         i += 1;
     }
-
-    let input = input.ok_or_else(|| USAGE.to_string())?;
-    if fd_specs.is_empty() {
-        return Err("at least one --fd is required".to_string());
+    for &(argument, message) in command.required {
+        let absent = match argument {
+            "input" => o.input.is_none(),
+            "--fd" => o.fd_specs.is_empty(),
+            "--log" => o.log.is_none(),
+            "--output" => o.output.is_none(),
+            other => unreachable!("no check for required `{other}`"),
+        };
+        if absent {
+            return Err(message.to_string());
+        }
     }
-    Ok(Options {
-        input,
-        fd_specs,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-        tsv,
-        engine,
-    })
+    // `--output` writes one repair; only `snapshot` reads it otherwise.
+    if o.output.is_some() && o.tau.is_none() && command.accepts("--tau") {
+        return Err("--output needs a single repair: add --tau <N> or --tau-r <F>".to_string());
+    }
+    Ok(o)
+}
+
+/// A value that the command's row of the flag table requires, so [`parse`]
+/// has checked that it is set.
+fn required(value: &Option<String>) -> &str {
+    value.as_deref().expect("required by the flag table")
 }
 
 /// Maps a failure from the CSV writer (`relation::csv`) onto the right `EngineError`
@@ -233,10 +408,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// problems keep their structured `Relation` form.
 fn file_error(path: &str, e: RelationError) -> EngineError {
     match e {
-        RelationError::Io(message) => EngineError::Io {
-            path: path.to_string(),
-            message,
-        },
+        RelationError::Io(message) => EngineError::io(path, message),
         other => EngineError::Relation(other),
     }
 }
@@ -246,10 +418,7 @@ fn file_error(path: &str, e: RelationError) -> EngineError {
 /// line number), substrate problems stay `Relation`.
 fn load_error(path: &str, e: IoError) -> EngineError {
     match e {
-        IoError::Io(message) => EngineError::Io {
-            path: path.to_string(),
-            message,
-        },
+        IoError::Io(message) => EngineError::io(path, message),
         IoError::Parse { line, message } => EngineError::Parse {
             path: path.to_string(),
             line,
@@ -260,130 +429,149 @@ fn load_error(path: &str, e: IoError) -> EngineError {
 }
 
 /// Loads the input through the typed ingestion layer (inferred column
-/// types, dictionary-direct encoding) and reports what was inferred.
-fn load_input(path: &str, tsv: bool) -> Result<relative_trust::io::LoadReport, EngineError> {
-    let base = if tsv {
+/// types, dictionary-direct encoding), reports what was inferred, parses
+/// the FDs against it and builds the engine — the prelude of the main
+/// form, `apply` and `snapshot`. File I/O and CSV parsing surface as typed
+/// `EngineError`s, never as panics.
+fn build_engine(options: &Options) -> Result<RepairEngine, EngineError> {
+    let path = required(&options.input);
+    let base = if options.tsv {
         CsvOptions::tsv()
     } else {
         CsvOptions::csv()
     };
     let report = relative_trust::io::load_path(path, &base.relation("input"))
         .map_err(|e| load_error(path, e))?;
-    let types: Vec<String> = report
-        .instance
-        .schema()
+    let instance = report.instance;
+    let schema = instance.schema();
+    let types: Vec<String> = schema
         .attributes()
         .zip(report.columns.iter())
         .map(|((_, name), ty)| format!("{name}:{ty}"))
         .collect();
     println!(
         "loaded {} tuples × {} attributes from {path} ({} null cells)",
-        report.instance.len(),
-        report.instance.schema().arity(),
+        instance.len(),
+        schema.arity(),
         report.null_cells,
     );
     println!("inferred column types: {}", types.join(", "));
-    Ok(report)
+    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
+    let fds = FdSet::parse(&specs, schema).map_err(EngineError::Fd)?;
+    options
+        .engine
+        .configure(RepairEngine::builder(instance, fds))
+        .build()
 }
 
-fn run(options: &Options) -> Result<(), EngineError> {
-    // File I/O and CSV parsing surface as typed `EngineError`s, never as
-    // panics: bad user input exits non-zero with a one-line message.
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-    println!("FDs: {}", fds.display_with(&schema));
-    if fds.holds_on(&instance) {
-        println!("the data already satisfies the FDs — nothing to repair");
-        return Ok(());
-    }
+/// An FD set by attribute names, or by count when the schema is unknown.
+fn fds_text(fds: &FdSet, schema: Option<&Schema>) -> String {
+    schema.map_or_else(|| format!("{} FDs", fds.len()), |s| fds.display_with(s))
+}
 
-    let engine = options
-        .engine
-        .configure(RepairEngine::builder(instance.clone(), fds))
-        .build()?;
-    let budget = engine.delta_p_original();
-    println!(
-        "{} conflicting tuple pairs; repairing everything by cell changes would \
-         touch at most {budget} cells\n",
-        engine.problem().conflict_graph().edge_count()
-    );
-
-    report_results(
-        &engine,
-        &instance,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
+/// One spectrum point, as every front end prints it.
+fn point_line(point: &RepairPoint, schema: Option<&Schema>) -> String {
+    format!(
+        "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
+        point.tau_range.0,
+        point.tau_range.1,
+        point.repair.dist_c,
+        point.repair.data_changes(),
+        fds_text(&point.repair.modified_fds, schema)
     )
 }
 
-/// Shared reporting tail of the CSV and scenario front ends: the lazy
-/// spectrum sweep, or one materialized repair (optionally written out).
-fn report_results(
-    engine: &RepairEngine,
-    instance: &Instance,
-    schema: &Schema,
-    mode: Mode,
-    output: Option<&str>,
-) -> Result<(), EngineError> {
-    let budget = engine.delta_p_original();
-    match mode {
-        Mode::Spectrum => {
+/// The summary of one repair, as every front end prints it.
+fn repair_summary(repair: &Repair, schema: Option<&Schema>) -> String {
+    format!(
+        "repair for τ = {}:\n  modified FDs : {}\n  FD distance  : {:.1}\n  cell changes : {}",
+        repair.tau,
+        fds_text(&repair.modified_fds, schema),
+        repair.dist_c,
+        repair.data_changes(),
+    )
+}
+
+/// The counts of one mutation batch's effect.
+fn effect_line(e: &MutationEffect) -> String {
+    format!(
+        "rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}",
+        e.rows_inserted,
+        e.rows_deleted,
+        e.cells_updated,
+        e.fds_added,
+        e.fds_removed,
+        e.edges_added,
+        e.edges_removed,
+    )
+}
+
+fn sweep_cache(retained: bool) -> &'static str {
+    if retained {
+        "kept"
+    } else {
+        "reset"
+    }
+}
+
+fn run(options: &Options) -> Result<(), EngineError> {
+    let engine = build_engine(options)?;
+    let problem = engine.problem();
+    println!(
+        "FDs: {}",
+        problem.sigma().display_with(problem.instance().schema())
+    );
+    println!(
+        "{} conflicting tuple pairs; repairing everything by cell changes would \
+         touch at most {} cells\n",
+        problem.conflict_graph().edge_count(),
+        engine.delta_p_original()
+    );
+    report_results(&engine, options)
+}
+
+/// Shared reporting tail of the main form, `scenario` and `restore`: the
+/// lazy spectrum sweep, or one materialized repair (optionally written
+/// out).
+fn report_results(engine: &RepairEngine, options: &Options) -> Result<(), EngineError> {
+    let instance = engine.problem().instance();
+    let schema = instance.schema();
+    match options.tau {
+        None => {
             // The sweep is lazy: each repair is materialized as it is
             // printed, off one shared Range-Repair traversal.
             let mut count = 0usize;
-            for point in engine.sweep(0..=budget) {
-                let point = point?;
+            for point in engine.sweep(0..=engine.delta_p_original()) {
+                println!("{}", point_line(&point?, Some(schema)));
                 count += 1;
-                println!(
-                    "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
-                    point.tau_range.0,
-                    point.tau_range.1,
-                    point.repair.dist_c,
-                    point.repair.data_changes(),
-                    point.repair.modified_fds.display_with(schema)
-                );
             }
             println!("{count} non-dominated repairs.");
             println!(
                 "\nre-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one."
             );
         }
-        Mode::Repair(spec) => {
-            let tau = match spec {
-                TauSpec::Absolute(t) => t.min(budget),
-                TauSpec::Relative(f) => engine.absolute_tau(f),
+        Some(spec) => {
+            let repair = match spec {
+                TauSpec::Absolute(t) => engine.repair_at(t)?,
+                TauSpec::Relative(f) => engine.repair_at_relative(f)?,
             };
-            let repair = engine.repair_at(tau)?;
-            println!("repair for τ = {tau}:");
-            println!(
-                "  modified FDs : {}",
-                repair.modified_fds.display_with(schema)
-            );
-            println!("  FD distance  : {:.1}", repair.dist_c);
-            println!("  cell changes : {}", repair.data_changes());
-            for cell in repair.changed_cells.iter().take(25) {
+            println!("{}", repair_summary(&repair, Some(schema)));
+            let value = |source: &Instance, cell| {
+                source.cell(cell).map(|v| v.to_string()).unwrap_or_default()
+            };
+            for &cell in repair.changed_cells.iter().take(25) {
                 println!(
                     "    row {} [{}]: {} -> {}",
                     cell.row,
                     schema.attr_name(cell.attr).unwrap_or("?"),
-                    instance
-                        .cell(*cell)
-                        .map(|v| v.to_string())
-                        .unwrap_or_default(),
-                    repair
-                        .repaired_instance
-                        .cell(*cell)
-                        .map(|v| v.to_string())
-                        .unwrap_or_default()
+                    value(instance, cell),
+                    value(&repair.repaired_instance, cell)
                 );
             }
             if repair.changed_cells.len() > 25 {
                 println!("    ... and {} more", repair.changed_cells.len() - 25);
             }
-            if let Some(path) = output {
+            if let Some(path) = &options.output {
                 relative_trust::relation::csv::write_instance_to_path(
                     &repair.repaired_instance,
                     path,
@@ -396,124 +584,32 @@ fn report_results(
     Ok(())
 }
 
-/// Options of the `apply` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-struct ApplyOptions {
-    input: String,
-    fd_specs: Vec<String>,
-    log: String,
-    tsv: bool,
-    /// One engine batch per log entry (streaming replay) vs one atomic
-    /// batch for the whole log.
-    per_op: bool,
-    verify: bool,
-    engine: EngineOpts,
-}
-
-fn parse_apply_args(args: &[String]) -> Result<ApplyOptions, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut log: Option<String> = None;
-    let mut tsv = false;
-    let mut per_op = true;
-    let mut verify = false;
-    let mut engine = EngineOpts::new(0);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--log" => log = Some(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            "--per-op" => per_op = true,
-            "--batch" => per_op = false,
-            "--verify" => verify = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-
-    Ok(ApplyOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        fd_specs: if fd_specs.is_empty() {
-            return Err("at least one --fd is required".to_string());
-        } else {
-            fd_specs
-        },
-        log: log.ok_or_else(|| "apply requires --log <mutations.json>".to_string())?,
-        tsv,
-        per_op,
-        verify,
-        engine,
-    })
-}
-
-fn run_apply(options: &ApplyOptions) -> Result<(), EngineError> {
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-
-    let log_text =
-        std::fs::read_to_string(&options.log).map_err(|e| EngineError::io(&options.log, e))?;
-    let ops = relative_trust::engine::parse_mutation_log(&log_text, &schema)
+fn run_apply(options: &Options) -> Result<(), EngineError> {
+    let mut engine = build_engine(options)?;
+    let log = required(&options.log);
+    let log_text = std::fs::read_to_string(log).map_err(|e| EngineError::io(log, e))?;
+    let ops = parse_mutation_log(&log_text, engine.problem().instance().schema())
         .map_err(EngineError::Mutation)?;
-
-    println!("{} log entries from {}", ops.len(), options.log);
-
-    let mut engine = options
-        .engine
-        .configure(RepairEngine::builder(instance, fds))
-        .build()?;
+    println!("{} log entries from {log}", ops.len());
 
     if options.per_op {
         for (i, op) in ops.iter().enumerate() {
             let outcome = engine.apply(&MutationBatch::new().push(op.clone()))?;
-            let e = outcome.effect;
             println!(
-                "  op #{i:<3} rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  \
-                 components {}  sweep cache {}",
-                e.rows_inserted,
-                e.rows_deleted,
-                e.cells_updated,
-                e.fds_added,
-                e.fds_removed,
-                e.edges_added,
-                e.edges_removed,
-                e.components_dirtied,
-                if outcome.sweep_cache_retained {
-                    "kept"
-                } else {
-                    "reset"
-                }
+                "  op #{i:<3} {}  components {}  sweep cache {}",
+                effect_line(&outcome.effect),
+                outcome.effect.components_dirtied,
+                sweep_cache(outcome.sweep_cache_retained)
             );
         }
     } else {
         let batch: MutationBatch = ops.iter().cloned().collect();
-        let outcome = engine.apply(&batch)?;
-        let e = outcome.effect;
+        let effect = engine.apply(&batch)?.effect;
         println!(
-            "  batch of {}: rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  components {}",
+            "  batch of {}: {}  components {}",
             batch.len(),
-            e.rows_inserted,
-            e.rows_deleted,
-            e.cells_updated,
-            e.fds_added,
-            e.fds_removed,
-            e.edges_added,
-            e.edges_removed,
-            e.components_dirtied,
+            effect_line(&effect),
+            effect.components_dirtied,
         );
     }
 
@@ -536,15 +632,9 @@ fn run_apply(options: &ApplyOptions) -> Result<(), EngineError> {
     let budget = engine.delta_p_original();
     println!("\npost-mutation spectrum (δP reference {budget}):");
     let spectrum = engine.spectrum()?;
+    let schema = engine.problem().instance().schema();
     for point in &spectrum.points {
-        println!(
-            "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
-            point.tau_range.0,
-            point.tau_range.1,
-            point.repair.dist_c,
-            point.repair.data_changes(),
-            point.repair.modified_fds.display_with(&schema)
-        );
+        println!("{}", point_line(point, Some(schema)));
     }
 
     if options.verify {
@@ -571,64 +661,9 @@ fn run_apply(options: &ApplyOptions) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Options of the `scenario` subcommand. The engine seed doubles as the
-/// scenario seed (generation + injection), so one `--seed` controls the
-/// whole run.
-#[derive(Debug, Clone, PartialEq)]
-struct ScenarioOptions {
-    name: String,
-    rows: Option<usize>,
-    mode: Mode,
-    output: Option<String>,
-    engine: EngineOpts,
-}
-
-fn parse_scenario_args(args: &[String]) -> Result<ScenarioOptions, String> {
-    let mut name: Option<String> = None;
-    let mut rows: Option<usize> = None;
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-    let mut engine = EngineOpts::new(17);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)?
-            || consume_mode_option(args, &mut i, &mut mode, &mut output)?
-        {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--rows" => {
-                let v = take_value(args, &mut i)?;
-                rows = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --rows value `{v}`"))?,
-                );
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if name.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                name = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-
-    Ok(ScenarioOptions {
-        name: name.ok_or_else(|| USAGE.to_string())?,
-        rows,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-        engine,
-    })
-}
-
-fn run_scenario(options: &ScenarioOptions) -> Result<(), EngineError> {
-    if options.name == "list" {
+fn run_scenario(options: &Options) -> Result<(), EngineError> {
+    let name = required(&options.input);
+    if name == "list" {
         println!("available scenarios:");
         for info in relative_trust::scenarios::catalog() {
             println!("  {:<10} {}", info.name, info.description);
@@ -637,14 +672,14 @@ fn run_scenario(options: &ScenarioOptions) -> Result<(), EngineError> {
         return Ok(());
     }
     let scenario = relative_trust::scenarios::build(
-        &options.name,
+        name,
         &ScenarioConfig {
             seed: options.engine.seed,
             rows: options.rows,
         },
     )
     .map_err(EngineError::InvalidConfig)?;
-    let schema = scenario.dirty.schema().clone();
+    let schema = scenario.dirty.schema();
     println!("scenario `{}`: {}", scenario.name, scenario.description);
     println!(
         "  {} tuples × {} attributes (seed {})",
@@ -652,7 +687,7 @@ fn run_scenario(options: &ScenarioOptions) -> Result<(), EngineError> {
         schema.arity(),
         options.engine.seed
     );
-    println!("  FDs: {}", scenario.dirty_fds.display_with(&schema));
+    println!("  FDs: {}", scenario.dirty_fds.display_with(schema));
     let r = &scenario.report;
     println!(
         "  injected errors: {} typos, {} swaps, {} corruptions, {} FD attrs dropped",
@@ -661,226 +696,58 @@ fn run_scenario(options: &ScenarioOptions) -> Result<(), EngineError> {
 
     let engine = options
         .engine
-        .configure(RepairEngine::builder(
-            scenario.dirty.clone(),
-            scenario.dirty_fds.clone(),
-        ))
+        .configure(RepairEngine::builder(scenario.dirty, scenario.dirty_fds))
         .build()?;
     println!(
         "  {} conflicting tuple pairs; δP reference {}\n",
         engine.problem().conflict_graph().edge_count(),
         engine.delta_p_original()
     );
-    report_results(
-        &engine,
-        &scenario.dirty,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
-    )
+    report_results(&engine, options)
 }
 
-/// Options of the `snapshot` subcommand: the main form's load surface
-/// plus a mandatory snapshot destination.
-#[derive(Debug, Clone, PartialEq)]
-struct SnapshotOptions {
-    input: String,
-    fd_specs: Vec<String>,
-    output: String,
-    tsv: bool,
-    engine: EngineOpts,
-}
-
-fn parse_snapshot_args(args: &[String]) -> Result<SnapshotOptions, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut output: Option<String> = None;
-    let mut tsv = false;
-    let mut engine = EngineOpts::new(0);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--output" => output = Some(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-    if fd_specs.is_empty() {
-        return Err("at least one --fd is required".to_string());
-    }
-    Ok(SnapshotOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        fd_specs,
-        output: output.ok_or_else(|| "snapshot requires --output <file.snap>".to_string())?,
-        tsv,
-        engine,
-    })
-}
-
-fn run_snapshot(options: &SnapshotOptions) -> Result<(), EngineError> {
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-    let engine = options
-        .engine
-        .configure(RepairEngine::builder(instance, fds))
-        .build()?;
+fn run_snapshot(options: &Options) -> Result<(), EngineError> {
+    let engine = build_engine(options)?;
+    let output = required(&options.output);
     let blob = engine.snapshot()?;
-    std::fs::write(&options.output, &blob).map_err(|e| EngineError::io(&options.output, e))?;
+    std::fs::write(output, &blob).map_err(|e| EngineError::io(output, e))?;
     println!(
-        "snapshot: {} bytes ({} tuples, {} FDs, {} conflict edges) written to {}",
+        "snapshot: {} bytes ({} tuples, {} FDs, {} conflict edges) written to {output}",
         blob.len(),
         engine.problem().instance().len(),
         engine.problem().fd_count(),
         engine.problem().conflict_graph().edge_count(),
-        options.output,
     );
-    println!("restore it with: rtclean restore {}", options.output);
+    println!("restore it with: rtclean restore {output}");
     Ok(())
 }
 
-/// Options of the `restore` subcommand: a snapshot file plus the shared
-/// repair-selection surface.
-#[derive(Debug, Clone, PartialEq)]
-struct RestoreOptions {
-    input: String,
-    mode: Mode,
-    output: Option<String>,
-}
-
-fn parse_restore_args(args: &[String]) -> Result<RestoreOptions, String> {
-    let mut input: Option<String> = None;
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        if consume_mode_option(args, &mut i, &mut mode, &mut output)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-    Ok(RestoreOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-    })
-}
-
-fn run_restore(options: &RestoreOptions) -> Result<(), EngineError> {
-    let bytes = std::fs::read(&options.input).map_err(|e| EngineError::io(&options.input, e))?;
+fn run_restore(options: &Options) -> Result<(), EngineError> {
+    let path = required(&options.input);
+    let bytes = std::fs::read(path).map_err(|e| EngineError::io(path, e))?;
     let engine = RepairEngine::restore(&bytes)?;
-    let instance = engine.problem().instance().clone();
-    let schema = instance.schema().clone();
-    let stats = engine.stats();
+    let instance = engine.problem().instance();
     println!(
-        "restored {} tuples × {} attributes, {} FDs, {} conflict edges from {}",
+        "restored {} tuples × {} attributes, {} FDs, {} conflict edges from {path}",
         instance.len(),
-        schema.arity(),
+        instance.schema().arity(),
         engine.problem().fd_count(),
         engine.problem().conflict_graph().edge_count(),
-        options.input,
     );
     println!(
         "prepared state came back warm: conflict graph builds since restore = {}\n",
-        stats.conflict_graph_builds
+        engine.stats().conflict_graph_builds
     );
-    report_results(
-        &engine,
-        &instance,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
-    )
+    report_results(&engine, options)
 }
 
-/// Options of the `serve` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-struct ServeOptions {
-    listen: String,
-    unix: Option<String>,
-    config: ServerConfig,
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
-    let mut options = ServeOptions {
-        listen: "127.0.0.1:7171".to_string(),
-        unix: None,
-        config: ServerConfig::default(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--listen" => options.listen = take_value(args, &mut i)?,
-            "--unix" => options.unix = Some(take_value(args, &mut i)?),
-            "--max-sessions" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_sessions = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-sessions value `{v}`"))?;
-            }
-            "--max-cells" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_session_cells = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-cells value `{v}`"))?;
-            }
-            "--idle-ops" => {
-                let v = take_value(args, &mut i)?;
-                options.config.idle_ops = v
-                    .parse()
-                    .map_err(|_| format!("invalid --idle-ops value `{v}`"))?;
-            }
-            "--max-connections" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_connections = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-connections value `{v}`"))?;
-            }
-            "--data-dir" => {
-                options.config.data_dir = Some(std::path::PathBuf::from(take_value(args, &mut i)?));
-            }
-            "--wal-sync" => options.config.wal_sync = true,
-            other => return Err(format!("unknown serve option `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(options)
-}
-
-fn run_serve(options: &ServeOptions) -> Result<(), String> {
+fn run_serve(options: &Options) -> Result<(), String> {
+    let config = options.server.clone();
     let server = match &options.unix {
         Some(path) => {
             #[cfg(unix)]
             {
-                Server::bind_unix_with(path, options.config.clone())
+                Server::bind_unix_with(path, config)
                     .map_err(|e| format!("cannot bind unix socket {path}: {e}"))?
             }
             #[cfg(not(unix))]
@@ -888,7 +755,7 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
                 return Err("unix sockets are not available on this platform".to_string());
             }
         }
-        None => Server::bind_tcp_with(&options.listen, options.config.clone())
+        None => Server::bind_tcp_with(&options.listen, config)
             .map_err(|e| format!("cannot bind {}: {e}", options.listen))?,
     };
     match server.local_addr() {
@@ -898,11 +765,11 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
             options.unix.as_deref().unwrap_or("?")
         ),
     }
-    if let Some(dir) = &options.config.data_dir {
+    if let Some(dir) = &options.server.data_dir {
         println!(
             "durable sessions in {} ({}); restarts recover them by restore + WAL replay",
             dir.display(),
-            if options.config.wal_sync {
+            if options.server.wal_sync {
                 "WAL fsynced per mutation"
             } else {
                 "WAL buffered"
@@ -963,14 +830,7 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                 .clone();
             // The REPL parses engine flags through the same EngineOpts
             // path as the command line and the wire.
-            let mut opts = EngineOpts::new(0);
-            let mut i = 2;
-            while i < tokens.len() {
-                if !opts.consume_flag(&tokens, &mut i)? {
-                    return Err(format!("unknown open option `{}`", tokens[i]));
-                }
-                i += 1;
-            }
+            let opts = parse(&OPEN, &tokens[2..])?.engine;
             let created = client
                 .create_session(&name, opts)
                 .map_err(|e| e.to_string())?;
@@ -983,25 +843,12 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                 .get(1)
                 .filter(|t| !t.starts_with("--"))
                 .ok_or("usage: load <file.csv> --fd <spec> [--fd ...] [--tsv]")?;
-            let mut fds = Vec::new();
-            let mut tsv = false;
-            let mut i = 2;
-            while i < tokens.len() {
-                match tokens[i].as_str() {
-                    "--fd" => fds.push(take_value(&tokens, &mut i)?),
-                    "--tsv" => tsv = true,
-                    other => return Err(format!("unknown load option `{other}`")),
-                }
-                i += 1;
-            }
-            if fds.is_empty() {
-                return Err("at least one --fd is required".to_string());
-            }
+            let load = parse(&LOAD, &tokens[2..])?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let specs: Vec<&str> = fds.iter().map(String::as_str).collect();
+            let specs: Vec<&str> = load.fd_specs.iter().map(String::as_str).collect();
             let active = session.as_mut().expect("checked above");
             let summary = active
-                .load_csv(&text, tsv, &specs)
+                .load_csv(&text, load.tsv, &specs)
                 .map_err(|e| e.to_string())?;
             Ok(format!(
                 "loaded {} rows × {} attributes ({}; {} null cells)\n\
@@ -1027,60 +874,23 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
             let active = session.as_mut().expect("checked above");
             let (effect, retained) = active.apply_text(&text).map_err(|e| e.to_string())?;
             Ok(format!(
-                "applied: rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  sweep cache {}",
-                effect.rows_inserted,
-                effect.rows_deleted,
-                effect.cells_updated,
-                effect.fds_added,
-                effect.fds_removed,
-                effect.edges_added,
-                effect.edges_removed,
-                if retained { "kept" } else { "reset" },
+                "applied: {}  sweep cache {}",
+                effect_line(&effect),
+                sweep_cache(retained)
             ))
         }
         "repair" => {
             need_session(session)?;
-            let mut spec: Option<TauSpec> = None;
-            let mut i = 1;
-            while i < tokens.len() {
-                match tokens[i].as_str() {
-                    "--tau" => {
-                        let v = take_value(&tokens, &mut i)?;
-                        spec = Some(TauSpec::Absolute(
-                            v.parse()
-                                .map_err(|_| format!("invalid --tau value `{v}`"))?,
-                        ));
-                    }
-                    "--tau-r" => {
-                        let v = take_value(&tokens, &mut i)?;
-                        let f: f64 = v
-                            .parse()
-                            .map_err(|_| format!("invalid --tau-r value `{v}`"))?;
-                        spec = Some(TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?);
-                    }
-                    other => return Err(format!("unknown repair option `{other}`")),
-                }
-                i += 1;
-            }
-            let spec = spec.ok_or("usage: repair --tau <N> | --tau-r <F>")?;
+            let spec = parse(&REPAIR, &tokens[1..])?
+                .tau
+                .ok_or("usage: repair --tau <N> | --tau-r <F>")?;
             let active = session.as_mut().expect("checked above");
-            let schema = active.schema().cloned();
             let repair = match spec {
                 TauSpec::Absolute(t) => active.repair_at(t),
                 TauSpec::Relative(f) => active.repair_at_relative(f),
             }
             .map_err(|e| e.to_string())?;
-            let fds = match &schema {
-                Some(s) => repair.modified_fds.display_with(s),
-                None => format!("{} FDs", repair.modified_fds.len()),
-            };
-            Ok(format!(
-                "repair for τ = {}:\n  modified FDs : {}\n  FD distance  : {:.1}\n  cell changes : {}",
-                repair.tau,
-                fds,
-                repair.dist_c,
-                repair.data_changes(),
-            ))
+            Ok(repair_summary(&repair, active.schema()))
         }
         "sweep" | "spectrum" => {
             need_session(session)?;
@@ -1112,21 +922,10 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                     format!("{n} points{}", if done { " (range exhausted)" } else { "" }),
                 )
             };
-            let schema = active.schema().cloned();
             let mut out = String::new();
             for point in &points {
-                let fds = match &schema {
-                    Some(s) => point.repair.modified_fds.display_with(s),
-                    None => format!("{} FDs", point.repair.modified_fds.len()),
-                };
-                out.push_str(&format!(
-                    "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}\n",
-                    point.tau_range.0,
-                    point.tau_range.1,
-                    point.repair.dist_c,
-                    point.repair.data_changes(),
-                    fds,
-                ));
+                out.push_str(&point_line(point, active.schema()));
+                out.push('\n');
             }
             out.push_str(&trailer);
             Ok(out)
@@ -1229,32 +1028,9 @@ fn run_connect(target: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `connect`'s optional target (default `127.0.0.1:7171`). A flag
-/// other than `--help`, or more than one argument, gets the one-line usage.
-fn parse_connect_args(args: &[String]) -> Result<String, String> {
-    let target = args.first().map_or("127.0.0.1:7171", String::as_str);
-    if args.len() > 1 || target.starts_with("--") && target != "--help" {
-        return Err("usage: rtclean connect [<host:port> | unix:<path>]".to_string());
-    }
-    if target == "--help" {
-        return Err(USAGE.to_string());
-    }
-    Ok(target.to_string())
-}
-
-/// Runs one subcommand to its exit code. A parse error is usage text and
-/// prints bare; a run error prints with an `error: ` prefix.
-fn exit_with<O, E: std::fmt::Display>(
-    parsed: Result<O, String>,
-    run: impl FnOnce(&O) -> Result<(), E>,
-) -> ExitCode {
-    let result = match parsed {
-        Ok(options) => run(&options),
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Prints a run error with an `error: ` prefix and maps the result to the
+/// exit code.
+fn report<E: std::fmt::Display>(result: Result<(), E>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1266,39 +1042,78 @@ fn exit_with<O, E: std::fmt::Display>(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rest = args.get(1..).unwrap_or_default();
-    match args.first().map(String::as_str) {
-        Some("serve") => exit_with(parse_serve_args(rest), run_serve),
-        Some("connect") => exit_with(parse_connect_args(rest), |target| run_connect(target)),
-        Some("scenario") => exit_with(parse_scenario_args(rest), run_scenario),
-        Some("snapshot") => exit_with(parse_snapshot_args(rest), run_snapshot),
-        Some("restore") => exit_with(parse_restore_args(rest), run_restore),
-        Some("apply") => exit_with(parse_apply_args(rest), run_apply),
-        _ => exit_with(parse_args(&args), run),
+    let (command, rest) = match args
+        .first()
+        .and_then(|a| COMMANDS[1..].iter().find(|c| c.name == a))
+    {
+        Some(command) => (command, &args[1..]),
+        None => (&COMMANDS[0], &args[..]),
+    };
+    let options = match parse(command, rest) {
+        Ok(options) if options.help => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Ok(options) => options,
+        Err(message) => {
+            let message = if command.name == "connect" {
+                CONNECT_USAGE
+            } else {
+                &message
+            };
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match command.name {
+        "apply" => report(run_apply(&options)),
+        "scenario" => report(run_scenario(&options)),
+        "snapshot" => report(run_snapshot(&options)),
+        "restore" => report(run_restore(&options)),
+        "serve" => report(run_serve(&options)),
+        "connect" => report(run_connect(
+            options.input.as_deref().unwrap_or(DEFAULT_ADDR),
+        )),
+        _ => report(run(&options)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The row of subcommand `name` (`""` is the main form).
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    fn parse_main(list: &[&str]) -> Result<Options, String> {
+        parse(command(""), &args(list))
+    }
+
+    /// Options of the main form on a small engine budget, serial.
+    fn main_options(list: &[&str]) -> Options {
+        let common = ["--weight", "count", "--threads", "serial"];
+        parse_main(&[list, &common[..]].concat()).unwrap()
+    }
+
     #[test]
     fn parses_minimal_spectrum_invocation() {
-        let o = parse_args(&args(&["data.csv", "--fd", "A->B"])).unwrap();
-        assert_eq!(o.input, "data.csv");
+        let o = parse_main(&["data.csv", "--fd", "A->B"]).unwrap();
+        assert_eq!(o.input.as_deref(), Some("data.csv"));
         assert_eq!(o.fd_specs, vec!["A->B".to_string()]);
-        assert_eq!(o.mode, Mode::Spectrum);
-        assert_eq!(o.engine.weight, WeightKind::DistinctCount);
-        assert_eq!(o.engine.seed, 0);
+        assert_eq!(o.tau, None);
+        assert_eq!(o.engine, EngineOpts::new(0));
     }
 
     #[test]
     fn parses_full_single_repair_invocation() {
-        let o = parse_args(&args(&[
+        let o = parse_main(&[
             "d.csv",
             "--fd",
             "A->B",
@@ -1314,10 +1129,10 @@ mod tests {
             "9",
             "--max-expansions",
             "1234",
-        ]))
+        ])
         .unwrap();
         assert_eq!(o.fd_specs.len(), 2);
-        assert_eq!(o.mode, Mode::Repair(TauSpec::Relative(0.25)));
+        assert_eq!(o.tau, Some(TauSpec::Relative(0.25)));
         assert_eq!(o.engine.weight, WeightKind::Entropy);
         assert_eq!(o.output.as_deref(), Some("out.csv"));
         assert_eq!(o.engine.seed, 9);
@@ -1326,49 +1141,131 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&args(&["--fd", "A->B"])).is_err()); // no input file
-        assert!(parse_args(&args(&["d.csv"])).is_err()); // no FDs
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--tau", "x"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--tau-r", "1.5"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--weight", "bogus"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--bogus"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "extra.csv", "--fd", "A->B"])).is_err());
-        assert!(parse_args(&args(&["--help"])).is_err());
+        assert_eq!(parse_main(&["--fd", "A->B"]).unwrap_err(), USAGE); // no input file
+        assert!(parse_main(&["d.csv"]).is_err()); // no FDs
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--tau", "x"]).is_err());
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--tau-r", "1.5"]).is_err());
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--weight", "bogus"]).is_err());
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--bogus"]).is_err());
+        assert!(parse_main(&["d.csv", "extra.csv", "--fd", "A->B"]).is_err());
+        // --output writes a single repair, so it needs a trust level.
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--output", "o.csv"]).is_err());
+        // --help is not an error: it stops parsing, even before the input.
+        assert!(parse_main(&["--help"]).unwrap().help);
+        assert!(parse_main(&["d.csv", "-h", "--bogus"]).unwrap().help);
     }
 
     #[test]
     fn tau_mode_parses_absolute_budget() {
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--tau", "7"])).unwrap();
-        assert_eq!(o.mode, Mode::Repair(TauSpec::Absolute(7)));
+        let o = parse_main(&["d.csv", "--fd", "A->B", "--tau", "7"]).unwrap();
+        assert_eq!(o.tau, Some(TauSpec::Absolute(7)));
+        // The last of --tau / --tau-r / --spectrum wins.
+        let o = parse_main(&["d.csv", "--fd", "A->B", "--tau", "7", "--spectrum"]).unwrap();
+        assert_eq!(o.tau, None);
     }
 
     #[test]
     fn threads_flag_parses_all_spellings() {
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B"])).unwrap();
+        let o = parse_main(&["d.csv", "--fd", "A->B"]).unwrap();
         assert_eq!(o.engine.threads, Parallelism::Auto);
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "serial"])).unwrap();
+        let o = parse_main(&["d.csv", "--fd", "A->B", "--threads", "serial"]).unwrap();
         assert_eq!(o.engine.threads, Parallelism::Serial);
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "4"])).unwrap();
+        let o = parse_main(&["d.csv", "--fd", "A->B", "--threads", "4"]).unwrap();
         assert_eq!(o.engine.threads, Parallelism::Fixed(4));
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "x"])).is_err());
+        assert!(parse_main(&["d.csv", "--fd", "A->B", "--threads", "x"]).is_err());
+    }
+
+    /// Every subcommand × every flag of the union, accepted exactly where
+    /// listed. A flag counts as accepted when parsing gets past it to a
+    /// trailing unknown flag (for `--help`/`-h`: when parsing stops with
+    /// `help` set).
+    #[test]
+    fn flag_acceptance_matrix() {
+        let expected: [(&str, &str); 7] = [
+            (
+                "",
+                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                 --tau --tau-r --spectrum --output",
+            ),
+            (
+                "apply",
+                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                 --log --per-op --batch --verify",
+            ),
+            (
+                "scenario",
+                "--help -h --weight --seed --max-expansions --threads --shard-rows \
+                 --tau --tau-r --spectrum --output --rows",
+            ),
+            (
+                "snapshot",
+                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                 --output",
+            ),
+            ("restore", "--help -h --tau --tau-r --spectrum --output"),
+            (
+                "serve",
+                "--help -h --listen --unix --max-sessions --max-cells --idle-ops \
+                 --max-connections --data-dir --wal-sync",
+            ),
+            // `-h` is a connect target, as it always was.
+            ("connect", "--help"),
+        ];
+        let union: &[(&str, Option<&str>)] = &[
+            ("--help", None),
+            ("-h", None),
+            ("--weight", Some("count")),
+            ("--seed", Some("1")),
+            ("--max-expansions", Some("5")),
+            ("--threads", Some("serial")),
+            ("--shard-rows", Some("off")),
+            ("--fd", Some("A->B")),
+            ("--tsv", None),
+            ("--tau", Some("1")),
+            ("--tau-r", Some("0.5")),
+            ("--spectrum", None),
+            ("--output", Some("o.csv")),
+            ("--log", Some("m.json")),
+            ("--per-op", None),
+            ("--batch", None),
+            ("--verify", None),
+            ("--rows", Some("3")),
+            ("--listen", Some("127.0.0.1:0")),
+            ("--unix", Some("/tmp/s")),
+            ("--max-sessions", Some("2")),
+            ("--max-cells", Some("2")),
+            ("--idle-ops", Some("2")),
+            ("--max-connections", Some("2")),
+            ("--data-dir", Some("dd")),
+            ("--wal-sync", None),
+        ];
+        for (name, accepted) in expected {
+            let accepted: Vec<&str> = accepted.split_whitespace().collect();
+            for &(flag, value) in union {
+                let help = matches!(flag, "--help" | "-h");
+                let mut argv = vec![flag];
+                argv.extend(value);
+                if !help {
+                    argv.push("--zzz");
+                }
+                let got = match parse(command(name), &args(&argv)) {
+                    Ok(o) => o.help,
+                    Err(e) => !help && e.contains("`--zzz`"),
+                };
+                assert_eq!(got, accepted.contains(&flag), "`{name}` × `{flag}`");
+            }
+        }
     }
 
     #[test]
     fn missing_input_file_is_a_typed_error_not_a_panic() {
-        let options = Options {
-            input: "/nonexistent/definitely_missing.csv".to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(1)),
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = main_options(&[
+            "/nonexistent/definitely_missing.csv",
+            "--fd",
+            "A->B",
+            "--tau",
+            "1",
+        ]);
         let err = run(&options).unwrap_err();
         assert!(matches!(err, EngineError::Io { .. }), "got {err:?}");
         assert!(err.to_string().contains("definitely_missing.csv"));
@@ -1381,20 +1278,7 @@ mod tests {
         let input = dir.join("ragged.csv");
         // Second data row has the wrong number of fields.
         std::fs::write(&input, "A,B\n1,1\n2\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(1)),
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = main_options(&[&input.to_string_lossy(), "--fd", "A->B", "--tau", "1"]);
         let err = run(&options).unwrap_err();
         // A parse failure is not an access failure: it surfaces as the
         // structured Parse error with the offending line, not Io.
@@ -1412,20 +1296,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("in.csv");
         std::fs::write(&input, "A,B\n1,1\n1,2\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->Nope".to_string()],
-            mode: Mode::Spectrum,
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = main_options(&[&input.to_string_lossy(), "--fd", "A->Nope"]);
         let err = run(&options).unwrap_err();
         assert!(matches!(err, EngineError::Fd(_)), "got {err:?}");
         std::fs::remove_file(&input).ok();
@@ -1433,27 +1304,42 @@ mod tests {
 
     #[test]
     fn apply_arg_parsing() {
-        let o = parse_apply_args(&args(&[
+        let apply = |list: &[&str]| parse(command("apply"), &args(list));
+        let o = apply(&[
             "d.csv", "--fd", "A->B", "--log", "m.json", "--verify", "--batch", "--weight", "count",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.input, "d.csv");
-        assert_eq!(o.log, "m.json");
+        assert_eq!(o.input.as_deref(), Some("d.csv"));
+        assert_eq!(o.log.as_deref(), Some("m.json"));
         assert!(o.verify);
         assert!(!o.per_op);
         assert_eq!(o.engine.weight, WeightKind::AttrCount);
         // apply accepts --tsv like the main form (the usage text promises
         // it for input files generally).
-        let o = parse_apply_args(&args(&[
-            "d.tsv", "--fd", "A->B", "--log", "m.json", "--tsv",
-        ]))
-        .unwrap();
+        let o = apply(&["d.tsv", "--fd", "A->B", "--log", "m.json", "--tsv"]).unwrap();
         assert!(o.tsv);
+        assert!(o.per_op);
         // --log is mandatory, as is an input and at least one FD.
-        assert!(parse_apply_args(&args(&["d.csv", "--fd", "A->B"])).is_err());
-        assert!(parse_apply_args(&args(&["d.csv", "--log", "m.json"])).is_err());
-        assert!(parse_apply_args(&args(&["--fd", "A->B", "--log", "m.json"])).is_err());
-        assert!(parse_apply_args(&args(&["d.csv", "--fd", "A->B", "--log"])).is_err());
+        assert!(apply(&["d.csv", "--fd", "A->B"]).is_err());
+        assert!(apply(&["d.csv", "--log", "m.json"]).is_err());
+        assert!(apply(&["--fd", "A->B", "--log", "m.json"]).is_err());
+        assert!(apply(&["d.csv", "--fd", "A->B", "--log"]).is_err());
+    }
+
+    fn apply_options(input: &Path, log: &Path, extra: &[&str]) -> Options {
+        let list = [
+            &["--fd", "A->B", "--weight", "count", "--threads", "serial"][..],
+            &["--max-expansions", "100000", "--seed", "3"],
+            extra,
+        ]
+        .concat();
+        let mut list = args(&list);
+        list.extend([
+            input.to_string_lossy().to_string(),
+            "--log".to_string(),
+            log.to_string_lossy().to_string(),
+        ]);
+        parse(command("apply"), &list).unwrap()
     }
 
     #[test]
@@ -1474,23 +1360,8 @@ mod tests {
             ]"#,
         )
         .unwrap();
-        for per_op in [true, false] {
-            let options = ApplyOptions {
-                input: input.to_string_lossy().to_string(),
-                fd_specs: vec!["A->B".to_string()],
-                log: log.to_string_lossy().to_string(),
-                tsv: false,
-                per_op,
-                verify: true,
-                engine: EngineOpts {
-                    weight: WeightKind::AttrCount,
-                    seed: 3,
-                    max_expansions: 100_000,
-                    threads: Parallelism::Serial,
-                    shard_rows: ShardRows::Auto,
-                },
-            };
-            run_apply(&options).unwrap();
+        for mode in ["--per-op", "--batch"] {
+            run_apply(&apply_options(&input, &log, &[mode, "--verify"])).unwrap();
         }
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&log).ok();
@@ -1504,30 +1375,19 @@ mod tests {
         let log = dir.join("bad.json");
         std::fs::write(&input, "A,B\n1,1\n1,2\n").unwrap();
         std::fs::write(&log, r#"[{"op": "delete", "rows": [99]}]"#).unwrap();
-        let options = ApplyOptions {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            log: log.to_string_lossy().to_string(),
-            tsv: false,
-            per_op: true,
-            verify: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 10_000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        let err = run_apply(&options).unwrap_err();
+        let err = run_apply(&apply_options(&input, &log, &[])).unwrap_err();
         assert!(matches!(err, EngineError::Mutation(_)), "got {err:?}");
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&log).ok();
     }
 
+    fn parse_scenario(list: &[&str]) -> Result<Options, String> {
+        parse(command("scenario"), &args(list))
+    }
+
     #[test]
     fn scenario_arg_parsing() {
-        let o = parse_scenario_args(&args(&[
+        let o = parse_scenario(&[
             "hospital",
             "--seed",
             "9",
@@ -1539,44 +1399,27 @@ mod tests {
             "count",
             "--threads",
             "serial",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.name, "hospital");
+        assert_eq!(o.input.as_deref(), Some("hospital"));
         assert_eq!(o.engine.seed, 9);
         assert_eq!(o.rows, Some(25));
-        assert_eq!(o.mode, Mode::Repair(TauSpec::Absolute(2)));
+        assert_eq!(o.tau, Some(TauSpec::Absolute(2)));
         assert_eq!(o.engine.weight, WeightKind::AttrCount);
         // Defaults: catalog seed, scenario-default rows, spectrum mode.
-        let o = parse_scenario_args(&args(&["sensors"])).unwrap();
+        let o = parse_scenario(&["sensors"]).unwrap();
         assert_eq!(o.engine.seed, 17);
         assert_eq!(o.rows, None);
-        assert_eq!(o.mode, Mode::Spectrum);
-        assert!(parse_scenario_args(&args(&[])).is_err());
-        assert!(parse_scenario_args(&args(&["sensors", "--rows", "x"])).is_err());
-        assert!(parse_scenario_args(&args(&["sensors", "--bogus"])).is_err());
+        assert_eq!(o.tau, None);
+        assert!(parse_scenario(&[]).is_err());
+        assert!(parse_scenario(&["sensors", "--rows", "x"]).is_err());
+        assert!(parse_scenario(&["sensors", "--bogus"]).is_err());
     }
 
     #[test]
     fn scenario_list_and_unknown_names() {
-        let list = ScenarioOptions {
-            name: "list".to_string(),
-            rows: None,
-            mode: Mode::Spectrum,
-            output: None,
-            engine: EngineOpts {
-                weight: WeightKind::DistinctCount,
-                seed: 17,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        run_scenario(&list).unwrap();
-        let err = run_scenario(&ScenarioOptions {
-            name: "nope".to_string(),
-            ..list
-        })
-        .unwrap_err();
+        run_scenario(&parse_scenario(&["list"]).unwrap()).unwrap();
+        let err = run_scenario(&parse_scenario(&["nope"]).unwrap()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)), "got {err:?}");
         assert!(err.to_string().contains("hospital"));
     }
@@ -1586,19 +1429,22 @@ mod tests {
         // τ far above δP: the search accepts the unmodified FDs immediately
         // and only the data-repair half runs, keeping this test fast in
         // debug builds.
-        let options = ScenarioOptions {
-            name: "hospital".to_string(),
-            rows: Some(30),
-            mode: Mode::Repair(TauSpec::Absolute(100_000)),
-            output: None,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 3,
-                max_expansions: 200_000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = parse_scenario(&[
+            "hospital",
+            "--rows",
+            "30",
+            "--tau",
+            "100000",
+            "--weight",
+            "count",
+            "--seed",
+            "3",
+            "--max-expansions",
+            "200000",
+            "--threads",
+            "serial",
+        ])
+        .unwrap();
         run_scenario(&options).unwrap();
     }
 
@@ -1610,20 +1456,22 @@ mod tests {
         let input = dir.join("in.csv");
         let output = dir.join("out.csv");
         std::fs::write(&input, "A,B\n1,1\n1,2\n2,5\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(2)),
-            output: Some(output.to_string_lossy().to_string()),
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 1,
-                max_expansions: 10_000,
-                threads: Parallelism::Fixed(2),
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = parse_main(&[
+            &input.to_string_lossy(),
+            "--fd",
+            "A->B",
+            "--tau",
+            "2",
+            "--output",
+            &output.to_string_lossy(),
+            "--weight",
+            "count",
+            "--seed",
+            "1",
+            "--threads",
+            "2",
+        ])
+        .unwrap();
         run(&options).unwrap();
         let repaired = relative_trust::io::load_path(&output, &CsvOptions::csv())
             .unwrap()
@@ -1635,7 +1483,8 @@ mod tests {
 
     #[test]
     fn serve_args_parse_every_flag() {
-        let options = parse_serve_args(&args(&[
+        let serve = |list: &[&str]| parse(command("serve"), &args(list));
+        let options = serve(&[
             "--listen",
             "0.0.0.0:9000",
             "--max-sessions",
@@ -1646,21 +1495,30 @@ mod tests {
             "50",
             "--max-connections",
             "2",
-        ]))
+            "--data-dir",
+            "store",
+            "--wal-sync",
+        ])
         .unwrap();
         assert_eq!(options.listen, "0.0.0.0:9000");
         assert_eq!(options.unix, None);
-        assert_eq!(options.config.max_sessions, 3);
-        assert_eq!(options.config.max_session_cells, 1000);
-        assert_eq!(options.config.idle_ops, 50);
-        assert_eq!(options.config.max_connections, 2);
+        assert_eq!(options.server.max_sessions, 3);
+        assert_eq!(options.server.max_session_cells, 1000);
+        assert_eq!(options.server.idle_ops, 50);
+        assert_eq!(options.server.max_connections, 2);
+        assert_eq!(options.server.data_dir, Some("store".into()));
+        assert!(options.server.wal_sync);
 
-        let defaults = parse_serve_args(&[]).unwrap();
+        let defaults = serve(&[]).unwrap();
         assert_eq!(defaults.listen, "127.0.0.1:7171");
-        assert_eq!(defaults.config, ServerConfig::default());
+        assert_eq!(defaults.server, ServerConfig::default());
 
-        assert!(parse_serve_args(&args(&["--max-sessions", "x"])).is_err());
-        assert!(parse_serve_args(&args(&["--bogus"])).is_err());
+        assert!(serve(&["--max-sessions", "x"]).is_err());
+        assert_eq!(
+            serve(&["--bogus"]).unwrap_err(),
+            "unknown serve option `--bogus`"
+        );
+        assert_eq!(serve(&["foo"]).unwrap_err(), "unknown serve option `foo`");
     }
 
     #[test]
@@ -1688,17 +1546,36 @@ mod tests {
             .contains("unknown command"));
         assert!(eval(&mut session, "help").unwrap().contains("spectrum"));
 
+        // The REPL's flags go through the command line's parser, with the
+        // REPL's own wording for a flag its command does not take.
+        assert_eq!(
+            eval(&mut session, "open s1 --tau 1").unwrap_err(),
+            "unknown open option `--tau`"
+        );
         eval(&mut session, "open s1 --seed 1 --threads serial").unwrap();
-        let loaded = eval(
-            &mut session,
-            &format!("load {} --fd A->B", csv.to_string_lossy()),
-        )
-        .unwrap();
+        let path = csv.to_string_lossy();
+        assert_eq!(
+            eval(&mut session, &format!("load {path} --fd A->B --help")).unwrap_err(),
+            "unknown load option `--help`"
+        );
+        assert_eq!(
+            eval(&mut session, &format!("load {path} --tsv")).unwrap_err(),
+            "at least one --fd is required"
+        );
+        let loaded = eval(&mut session, &format!("load {path} --fd A->B")).unwrap();
         assert!(loaded.contains("3 rows"), "got {loaded}");
         // Bad relative trust is rejected by the shared TauSpec validation.
         assert!(eval(&mut session, "repair --tau-r 1.5")
             .unwrap_err()
             .contains("[0,1]"));
+        assert_eq!(
+            eval(&mut session, "repair --spectrum").unwrap_err(),
+            "unknown repair option `--spectrum`"
+        );
+        assert_eq!(
+            eval(&mut session, "repair").unwrap_err(),
+            "usage: repair --tau <N> | --tau-r <F>"
+        );
         let repaired = eval(&mut session, "repair --tau 1").unwrap();
         assert!(repaired.contains("cell changes"), "got {repaired}");
         let spectrum = eval(&mut session, "spectrum").unwrap();
