@@ -69,6 +69,11 @@ RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test sparse_equivalence
 echo "==> cargo test --release --test columnar_equivalence (code columns ≡ row-major decode, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test columnar_equivalence
 
+# The one-pass ingest contract: a warehouse CSV streamed from disk, its column
+# types fixed only at EOF, loads back as the generated instance, codes included.
+echo "==> cargo test --release --test csv_io (one-pass CSV load ≡ generated instance, 100k warehouse)"
+RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test csv_io
+
 # The one self-checking experiment: every parallel stage (graph build,
 # vertex cover, Algorithm 4, τ-sweep) must reproduce its serial output
 # bit for bit; `exp` panics otherwise. Smoke scale keeps it to seconds.
@@ -124,7 +129,7 @@ if [ "$bench" -eq 1 ]; then
     # perfbench/ — work counters are exact; the server's idle clock is a
     # logical request counter, so even the serve counters are exact),
     # and the warehouse scale tiers (10k/100k/1M rows streamed through the
-    # chunked loader into the sharded engine build, per-row counters
+    # one-pass loader into the sharded engine build, per-row counters
     # hard-asserted flat and the 10k tier sharded ≡ monolithic).
     # --selftest additionally proves the gate trips when any counter is
     # artificially inflated. Re-baseline intentional changes with:

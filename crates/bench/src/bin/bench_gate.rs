@@ -301,18 +301,12 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
     metrics.push(m("value_compares", w.value_compares));
 }
 
-/// Rows per encode chunk for the warehouse ingestion tiers. The chunked
-/// loader's contract makes this the resident-text bound: at any moment at
-/// most `WAREHOUSE_CHUNK_ROWS × arity` undecoded cells are held, whatever
-/// the file size.
-const WAREHOUSE_CHUNK_ROWS: usize = 8192;
-
 /// The warehouse row-count tiers. Per-row work must stay flat across two
 /// orders of magnitude — that is the scale-up claim, stated as counters.
 const WAREHOUSE_TIERS: [(usize, &str); 3] = [(10_000, "10k"), (100_000, "100k"), (1_000_000, "1m")];
 
 /// Scenario: the memory-bounded scale-up path end to end — stream a seeded
-/// warehouse CSV from disk in bounded chunks, build the engine through the
+/// warehouse CSV from disk in one pass, build the engine through the
 /// sharded conflict-graph path, and sweep the gated prefix — at 10k, 100k
 /// and 1M rows. The gate is *per-row* work: bytes hashed per row and the
 /// peak resident-cell estimate must not grow with the tier (hard asserts,
@@ -339,26 +333,22 @@ fn measure_warehouse(metrics: &mut Metrics) {
         }
 
         rt_relation::work::reset();
-        let report = rt_io::load_path_chunked(
-            &path,
-            WAREHOUSE_CHUNK_ROWS,
-            &rt_io::CsvOptions::csv().relation("warehouse"),
-        )
-        .expect("warehouse CSV loads chunked");
+        let report = rt_io::load_path(&path, &rt_io::CsvOptions::csv().relation("warehouse"))
+            .expect("warehouse CSV loads");
         std::fs::remove_file(&path).ok();
         let load = rt_relation::work::snapshot();
         assert_eq!(
             load.key_allocs, 0,
-            "warehouse.{label}: the chunked load path must not build equality keys"
+            "warehouse.{label}: the load path must not build equality keys"
         );
-        // The gauge counts the permanent encoded columns plus the raw text
-        // in flight, so the memory bound is "the encoded relation + at most
-        // two chunks' worth of cells" (one buffered raw, one mid-flush).
+        // The gauge counts the encoded columns; the one-pass load holds no
+        // raw text beyond the current record, so the bound is the encoded
+        // relation itself.
         let peak = rt_relation::work::peak_resident_cells();
         let arity = report.instance.schema().arity();
         assert!(
-            peak <= ((rows + 2 * WAREHOUSE_CHUNK_ROWS) * arity) as u64,
-            "warehouse.{label}: resident cells exceeded the chunked bound ({peak} cells)"
+            peak <= (rows * arity) as u64,
+            "warehouse.{label}: resident cells exceeded the encoded relation ({peak} cells)"
         );
 
         let fds = gen::warehouse_fds(report.instance.schema());

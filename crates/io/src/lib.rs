@@ -6,23 +6,24 @@
 //! only writes it). It never builds a per-cell `Value` to find a cell's
 //! code: a hand-rolled, offline, streaming record parser
 //! ([`record::RecordReader`]: quoting, escaped quotes, CRLF, multiline
-//! quoted fields, configurable delimiter, header handling) feeds raw field
-//! text **directly into the dictionary encoding** via
-//! `Instance::encoded_loader`, with per-column types inferred up front
-//! (`Int` / `Float` / `Str`, conflicts falling back to `Str`) and a
-//! configurable per-cell null policy. On the encoded path an already-seen
-//! value costs one hash probe and zero allocations — the `csv_load`
-//! scenario of `bench_gate` holds the `key_allocs` counter at exactly 0.
+//! quoted fields, configurable delimiter, header handling, a leading
+//! byte-order mark) feeds raw field text **directly into the dictionary
+//! encoding** via `rt_relation::EncodedLoader`, with a configurable
+//! per-cell null policy. Every load is one streaming pass: each record is
+//! read and parsed once, each non-null cell costs one hash probe by its raw
+//! text and zero allocations (the `csv_load` scenario of `bench_gate` holds
+//! the `key_allocs` counter at exactly 0), and column types (`Int` /
+//! `Float` / `Str`, conflicts falling back to `Str`) are inferred from the
+//! *distinct* texts of each column and fixed at the end of the input.
+//! Memory is the encoded columns, the distinct texts and one record.
 //!
 //! Entry points, from most to least convenient:
 //!
-//! * [`load_path`] — two streaming passes over a file (infer, then
-//!   encode); memory stays bounded by the widest record.
-//! * [`read_instance`] — any `Read` source; buffers the text once, then
-//!   runs the same two passes over the buffer.
-//! * [`read_instance_with_types`] — single streaming pass when the column
-//!   types are already known.
-//! * [`infer_schema`] / [`infer_schema_path`] — the inference pass alone.
+//! * [`load_path`] — a file, with inferred column types.
+//! * [`read_instance`] — any `Read` source, with inferred column types.
+//! * [`read_instance_with_types`] — any `Read` source, with the column
+//!   types given; a field that does not parse under its type fails the load
+//!   on its own line.
 //! * [`InstanceCsvExt`] — the `Instance::from_csv` convenience.
 //!
 //! ```
@@ -46,15 +47,15 @@ pub mod record;
 
 pub use error::IoError;
 
-use record::RecordReader;
-use rt_relation::{ChunkBuffer, ColumnType, Instance, Schema};
+use record::{Record, RecordReader};
+use rt_relation::{ColumnType, EncodedLoader, Instance, Schema};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Dialect and policy knobs for the typed reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsvOptions {
-    /// Field delimiter (a single byte; `,` for CSV, `\t` for TSV).
+    /// Field delimiter (a single ASCII byte; `,` for CSV, `\t` for TSV).
     pub delimiter: u8,
     /// When `true` (the default) the first record names the columns;
     /// otherwise columns are named `c0`, `c1`, ….
@@ -134,100 +135,15 @@ impl Default for CsvOptions {
     }
 }
 
-/// The outcome of the inference pass: column names, inferred types and the
-/// number of data records seen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferredSchema {
-    /// Column names (from the header, or synthesized `c0`, `c1`, …).
-    pub names: Vec<String>,
-    /// Inferred type per column.
+/// A fully loaded instance plus what the loader learned on the way in.
+#[derive(Debug, Clone)]
+pub struct LoadReport {
+    /// The loaded instance, dictionary-encoded as it was read.
+    pub instance: Instance,
+    /// The column types the cells were parsed under.
     pub columns: Vec<ColumnType>,
-    /// Number of data records scanned.
-    pub rows: usize,
-}
-
-/// Per-column accumulator for the inference pass.
-#[derive(Debug, Clone, Copy)]
-struct ColumnState {
-    saw_value: bool,
-    can_int: bool,
-    can_float: bool,
-}
-
-impl ColumnState {
-    fn new() -> Self {
-        ColumnState {
-            saw_value: false,
-            can_int: true,
-            can_float: true,
-        }
-    }
-
-    fn observe(&mut self, text: &str) {
-        self.saw_value = true;
-        if self.can_int && text.parse::<i64>().is_err() {
-            self.can_int = false;
-        }
-        if self.can_float && !matches!(text.parse::<f64>(), Ok(f) if f.is_finite()) {
-            // Non-finite spellings ("inf", "NaN") deliberately demote to
-            // Str: instances only ever hold finite numbers.
-            self.can_float = false;
-        }
-    }
-
-    fn conclude(self) -> ColumnType {
-        match self {
-            // An all-null column carries no type evidence: Str, the
-            // universal fallback.
-            ColumnState {
-                saw_value: false, ..
-            } => ColumnType::Str,
-            ColumnState { can_int: true, .. } => ColumnType::Int,
-            ColumnState {
-                can_float: true, ..
-            } => ColumnType::Float,
-            _ => ColumnType::Str,
-        }
-    }
-}
-
-/// A first record carried over for re-processing when the input has no
-/// header: `(raw text, was quoted)` per field.
-type CarriedRecord = Vec<(String, bool)>;
-
-/// What [`read_names`] learned from the first record: the column names and
-/// (for headerless input) the record itself, to be re-processed as data.
-type NamesAndCarry = (Vec<String>, Option<CarriedRecord>);
-
-/// Reads the header (or synthesizes names from the first record's width)
-/// and returns the names plus the arity. Leaves the reader positioned at
-/// the first data record — when there is no header, the first record is
-/// returned for re-processing via the carried record.
-fn read_names<R: BufRead>(
-    reader: &mut RecordReader<R>,
-    options: &CsvOptions,
-) -> Result<Option<NamesAndCarry>, IoError> {
-    let first = match reader.next_record()? {
-        Some(r) => r,
-        None => return Ok(None),
-    };
-    if options.has_header {
-        let names: Vec<String> = first
-            .fields()
-            .map(|(t, quoted)| {
-                if !quoted && options.trim {
-                    t.trim().to_string()
-                } else {
-                    t.to_string()
-                }
-            })
-            .collect();
-        Ok(Some((names, None)))
-    } else {
-        let names = (0..first.len()).map(|i| format!("c{i}")).collect();
-        let carry = first.fields().map(|(t, q)| (t.to_string(), q)).collect();
-        Ok(Some((names, Some(carry))))
-    }
+    /// Number of null cells produced by the null policy.
+    pub null_cells: usize,
 }
 
 fn check_arity(found: usize, expected: usize, line: usize) -> Result<(), IoError> {
@@ -240,289 +156,105 @@ fn check_arity(found: usize, expected: usize, line: usize) -> Result<(), IoError
     Ok(())
 }
 
-/// Runs the inference pass over a buffered source.
-pub fn infer_schema<R: Read>(reader: R, options: &CsvOptions) -> Result<InferredSchema, IoError> {
-    let mut records = RecordReader::new(BufReader::new(reader), options.delimiter)?;
-    let (names, carry) = match read_names(&mut records, options)? {
-        Some(x) => x,
-        None => return Err(IoError::parse(0, "empty input: missing header")),
+/// Normalizes one record and appends it to `loader`.
+fn push_record(
+    loader: &mut EncodedLoader,
+    record: Record<'_>,
+    arity: usize,
+    options: &CsvOptions,
+) -> Result<(), IoError> {
+    check_arity(record.len(), arity, record.line)?;
+    loader
+        .push_row(record.fields().map(|(t, q)| options.normalize(t, q)))
+        .map_err(|e| IoError::parse(record.line, e.to_string()))
+}
+
+/// The one load loop: reads the header (or, for headerless input, names
+/// the columns after the first record's width and loads it as data), then
+/// streams every record into an encoded loader. Column types are
+/// `columns` when given, inferred otherwise.
+fn load<R: BufRead>(
+    input: R,
+    columns: Option<&[ColumnType]>,
+    options: &CsvOptions,
+) -> Result<LoadReport, IoError> {
+    let mut records = RecordReader::new(input, options.delimiter)?;
+    let Some(first) = records.next_record()? else {
+        return Err(IoError::parse(0, "empty input: missing header"));
+    };
+    let names: Vec<String> = if options.has_header {
+        first
+            .fields()
+            .map(|(t, quoted)| {
+                if !quoted && options.trim {
+                    t.trim().to_string()
+                } else {
+                    t.to_string()
+                }
+            })
+            .collect()
+    } else {
+        (0..first.len()).map(|i| format!("c{i}")).collect()
     };
     let arity = names.len();
-    let mut states = vec![ColumnState::new(); arity];
-    let mut rows = 0usize;
-    let mut observe_row = |fields: &mut dyn Iterator<Item = (&str, bool)>| {
-        for (state, (text, quoted)) in states.iter_mut().zip(fields) {
-            if let Some(t) = options.normalize(text, quoted) {
-                state.observe(t);
-            }
-        }
-        rows += 1;
-    };
-    if let Some(first) = carry {
-        check_arity(first.len(), arity, 1)?;
-        observe_row(&mut first.iter().map(|(t, q)| (t.as_str(), *q)));
-    }
-    while let Some(rec) = records.next_record()? {
-        check_arity(rec.len(), arity, rec.line)?;
-        observe_row(&mut rec.fields());
-    }
-    Ok(InferredSchema {
-        names,
-        columns: states.into_iter().map(ColumnState::conclude).collect(),
-        rows,
-    })
-}
-
-/// Runs the inference pass over a file.
-pub fn infer_schema_path(
-    path: impl AsRef<Path>,
-    options: &CsvOptions,
-) -> Result<InferredSchema, IoError> {
-    infer_schema(std::fs::File::open(path)?, options)
-}
-
-/// A fully loaded instance plus what the loader learned on the way in.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// The loaded instance, dictionary-encoded as it was read.
-    pub instance: Instance,
-    /// The column types the cells were parsed under.
-    pub columns: Vec<ColumnType>,
-    /// Number of null cells produced by the null policy.
-    pub null_cells: usize,
-}
-
-/// Empties a record's field list and hands its allocation back for the
-/// next record's borrows, so a load allocates the list once, not once per
-/// record.
-fn recycle<'a>(mut fields: Vec<Option<&str>>) -> Vec<Option<&'a str>> {
-    fields.clear();
-    fields.into_iter().map(|_| None).collect()
-}
-
-/// Shared encode loop: streams the remaining records of `records` (plus an
-/// optional carried-over first record) into an encoded loader over a fresh
-/// instance.
-fn encode_records<R: BufRead>(
-    records: &mut RecordReader<R>,
-    carry: Option<CarriedRecord>,
-    names: Vec<String>,
-    columns: &[ColumnType],
-    options: &CsvOptions,
-) -> Result<LoadReport, IoError> {
-    let schema = Schema::new(&options.relation_name, names)?;
-    let mut instance = Instance::new(schema);
-    let mut null_cells = 0usize;
-    {
-        let mut loader = instance.encoded_loader(columns.to_vec())?;
-        if let Some(first) = &carry {
-            let fields: Vec<Option<&str>> = first
-                .iter()
-                .map(|(t, q)| options.normalize(t, *q))
-                .collect();
-            check_arity(fields.len(), columns.len(), 1)?;
-            null_cells += fields.iter().filter(|f| f.is_none()).count();
-            loader
-                .push_row(&fields)
-                .map_err(|e| IoError::parse(1, e.to_string()))?;
-        }
-        let mut spare = Vec::with_capacity(columns.len());
-        while let Some(rec) = records.next_record()? {
-            let mut fields = recycle(std::mem::take(&mut spare));
-            fields.extend(rec.fields().map(|(t, q)| options.normalize(t, q)));
-            check_arity(fields.len(), columns.len(), rec.line)?;
-            null_cells += fields.iter().filter(|f| f.is_none()).count();
-            loader
-                .push_row(&fields)
-                .map_err(|e| IoError::parse(rec.line, e.to_string()))?;
-            spare = recycle(fields);
+    if let Some(columns) = columns {
+        if columns.len() != arity {
+            return Err(IoError::parse(
+                1,
+                format!(
+                    "{} column types provided for {arity} columns",
+                    columns.len()
+                ),
+            ));
         }
     }
+    let mut loader = EncodedLoader::new(Schema::new(&options.relation_name, names)?, columns)?;
+    if !options.has_header {
+        push_record(&mut loader, first, arity, options)?;
+    }
+    while let Some(record) = records.next_record()? {
+        push_record(&mut loader, record, arity, options)?;
+    }
+    let null_cells = loader.null_cells();
+    let (instance, columns) = loader.finish();
     Ok(LoadReport {
         instance,
-        columns: columns.to_vec(),
+        columns,
         null_cells,
     })
 }
 
-/// Single encode pass over a rewound source whose schema is already known.
-fn encode_pass<R: Read>(
-    reader: R,
-    names: &[String],
-    columns: &[ColumnType],
-    options: &CsvOptions,
-) -> Result<LoadReport, IoError> {
-    let mut records = RecordReader::new(BufReader::new(reader), options.delimiter)?;
-    let carry = match read_names(&mut records, options)? {
-        Some((_, carry)) => carry,
-        None => None,
-    };
-    encode_records(&mut records, carry, names.to_vec(), columns, options)
-}
-
-/// Chunked encode loop: batches raw records into a [`ChunkBuffer`] of
-/// `chunk_rows` rows and flushes each full chunk through the encoded
-/// loader. Behaviourally identical to [`encode_records`] — same instance,
-/// same dictionaries, same codes, same first-error semantics — but the
-/// undecoded text held at any moment is bounded by one chunk, and the
-/// buffered cells are charged to the `resident_cells` gauge
-/// ([`rt_relation::work::peak_resident_cells`]) so the bound is testable.
-fn encode_records_chunked<R: BufRead>(
-    records: &mut RecordReader<R>,
-    carry: Option<CarriedRecord>,
-    names: Vec<String>,
-    columns: &[ColumnType],
-    options: &CsvOptions,
-    chunk_rows: usize,
-) -> Result<LoadReport, IoError> {
-    let schema = Schema::new(&options.relation_name, names)?;
-    let mut instance = Instance::new(schema);
-    let mut null_cells = 0usize;
-    {
-        let mut loader = instance.encoded_loader(columns.to_vec())?;
-        let mut buffer = ChunkBuffer::new(chunk_rows);
-        if let Some(first) = &carry {
-            let fields: Vec<Option<&str>> = first
-                .iter()
-                .map(|(t, q)| options.normalize(t, *q))
-                .collect();
-            check_arity(fields.len(), columns.len(), 1)?;
-            null_cells += fields.iter().filter(|f| f.is_none()).count();
-            buffer.push(&fields, 1);
-            if buffer.is_full() {
-                buffer
-                    .flush(&mut loader)
-                    .map_err(|(line, e)| IoError::parse(line, e.to_string()))?;
-            }
-        }
-        let mut spare = Vec::with_capacity(columns.len());
-        while let Some(rec) = records.next_record()? {
-            let mut fields = recycle(std::mem::take(&mut spare));
-            fields.extend(rec.fields().map(|(t, q)| options.normalize(t, q)));
-            check_arity(fields.len(), columns.len(), rec.line)?;
-            null_cells += fields.iter().filter(|f| f.is_none()).count();
-            buffer.push(&fields, rec.line);
-            spare = recycle(fields);
-            if buffer.is_full() {
-                buffer
-                    .flush(&mut loader)
-                    .map_err(|(line, e)| IoError::parse(line, e.to_string()))?;
-            }
-        }
-        buffer
-            .flush(&mut loader)
-            .map_err(|(line, e)| IoError::parse(line, e.to_string()))?;
-    }
-    Ok(LoadReport {
-        instance,
-        columns: columns.to_vec(),
-        null_cells,
-    })
-}
-
-/// Loads a file with inferred column types: one streaming pass to infer,
-/// one to encode. Memory stays bounded by the widest record — the file is
-/// read twice instead of being buffered.
+/// Loads a file with inferred column types, in one streaming pass.
 pub fn load_path(path: impl AsRef<Path>, options: &CsvOptions) -> Result<LoadReport, IoError> {
-    let path = path.as_ref();
-    let inferred = infer_schema(std::fs::File::open(path)?, options)?;
-    encode_pass(
-        std::fs::File::open(path)?,
-        &inferred.names,
-        &inferred.columns,
-        options,
-    )
+    load(BufReader::new(std::fs::File::open(path)?), None, options)
 }
 
-/// [`load_path`] with the encode pass running in `chunk_rows`-row batches
-/// through a [`ChunkBuffer`]. The result is identical to [`load_path`] for
-/// every chunk size; the difference is the accounting contract — at any
-/// moment at most one chunk of undecoded field text is resident, on top of
-/// the (dictionary-coded) columns already flushed. This is the scale-up
-/// ingestion path the `warehouse` scenario and the sharded engine build on.
+/// An alias of [`load_path`]; `chunk_rows` is ignored, since the one-pass
+/// loader holds no raw text beyond the current record. It stays while
+/// `perfbench` calls it.
 pub fn load_path_chunked(
     path: impl AsRef<Path>,
-    chunk_rows: usize,
+    _chunk_rows: usize,
     options: &CsvOptions,
 ) -> Result<LoadReport, IoError> {
-    let path = path.as_ref();
-    let inferred = infer_schema(std::fs::File::open(path)?, options)?;
-    let mut records = RecordReader::new(
-        BufReader::new(std::fs::File::open(path)?),
-        options.delimiter,
-    )?;
-    let carry = match read_names(&mut records, options)? {
-        Some((_, carry)) => carry,
-        None => None,
-    };
-    encode_records_chunked(
-        &mut records,
-        carry,
-        inferred.names,
-        &inferred.columns,
-        options,
-        chunk_rows,
-    )
+    load_path(path, options)
 }
 
-/// [`read_instance`]'s chunked sibling: buffers the text once, infers, then
-/// encodes in `chunk_rows`-row batches (see [`load_path_chunked`]).
-pub fn read_instance_chunked<R: Read>(
-    mut reader: R,
-    chunk_rows: usize,
-    options: &CsvOptions,
-) -> Result<LoadReport, IoError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    let inferred = infer_schema(text.as_bytes(), options)?;
-    let mut records = RecordReader::new(BufReader::new(text.as_bytes()), options.delimiter)?;
-    let carry = match read_names(&mut records, options)? {
-        Some((_, carry)) => carry,
-        None => None,
-    };
-    encode_records_chunked(
-        &mut records,
-        carry,
-        inferred.names,
-        &inferred.columns,
-        options,
-        chunk_rows,
-    )
+/// Loads any `Read` source with inferred column types, in one streaming
+/// pass (the source is never buffered whole).
+pub fn read_instance<R: Read>(reader: R, options: &CsvOptions) -> Result<LoadReport, IoError> {
+    load(BufReader::new(reader), None, options)
 }
 
-/// Loads any `Read` source with inferred column types. The text is
-/// buffered once (generic readers cannot be rewound), then the same two
-/// passes as [`load_path`] run over the buffer.
-pub fn read_instance<R: Read>(mut reader: R, options: &CsvOptions) -> Result<LoadReport, IoError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    let inferred = infer_schema(text.as_bytes(), options)?;
-    encode_pass(text.as_bytes(), &inferred.names, &inferred.columns, options)
-}
-
-/// Loads a `Read` source in a single streaming pass with caller-provided
-/// column types (skips inference entirely).
+/// Loads any `Read` source in one streaming pass with caller-provided
+/// column types. Each distinct field text is parsed under its column's
+/// type when first seen, so a bad field fails the load on its own line.
 pub fn read_instance_with_types<R: Read>(
     reader: R,
     columns: &[ColumnType],
     options: &CsvOptions,
 ) -> Result<LoadReport, IoError> {
-    let mut records = RecordReader::new(BufReader::new(reader), options.delimiter)?;
-    let (names, carry) = match read_names(&mut records, options)? {
-        Some(x) => x,
-        None => return Err(IoError::parse(0, "empty input: missing header")),
-    };
-    if columns.len() != names.len() {
-        return Err(IoError::parse(
-            1,
-            format!(
-                "{} column types provided for {} columns",
-                columns.len(),
-                names.len()
-            ),
-        ));
-    }
-    encode_records(&mut records, carry, names, columns, options)
+    load(BufReader::new(reader), Some(columns), options)
 }
 
 /// `Instance::from_csv`-style conveniences, as an extension trait so the
@@ -560,10 +292,16 @@ Cara,NA,-0.5,
 
     #[test]
     fn inference_types_every_column() {
-        let s = infer_schema(SAMPLE.as_bytes(), &CsvOptions::csv()).unwrap();
-        assert_eq!(s.names, vec!["name", "age", "score", "city"]);
+        let report = read_instance(SAMPLE.as_bytes(), &CsvOptions::csv()).unwrap();
+        let names: Vec<&str> = report
+            .instance
+            .schema()
+            .attributes()
+            .map(|(_, n)| n)
+            .collect();
+        assert_eq!(names, vec!["name", "age", "score", "city"]);
         assert_eq!(
-            s.columns,
+            report.columns,
             vec![
                 ColumnType::Str,
                 ColumnType::Int,
@@ -571,7 +309,7 @@ Cara,NA,-0.5,
                 ColumnType::Str
             ]
         );
-        assert_eq!(s.rows, 3);
+        assert_eq!(report.instance.len(), 3);
     }
 
     #[test]
@@ -646,7 +384,7 @@ Cara,NA,-0.5,
         let inst = Instance::from_csv(&path, &CsvOptions::csv().relation("people")).unwrap();
         assert_eq!(inst.schema().name(), "people");
         assert_eq!(inst.len(), 3);
-        // load_path (two streaming passes) agrees with the buffered reader.
+        // The file and the in-memory text load alike.
         let buffered =
             Instance::from_csv_str(SAMPLE, &CsvOptions::csv().relation("people")).unwrap();
         assert_eq!(inst, buffered);

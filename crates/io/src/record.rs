@@ -11,15 +11,26 @@
 //! * CRLF and LF line endings (a CR directly before the line break is
 //!   stripped; line breaks *inside* quoted fields are normalized to `\n`);
 //! * empty lines between records are skipped (whitespace-only lines are
-//!   real one-field records, never dropped).
+//!   real one-field records, never dropped);
+//! * one UTF-8 byte-order mark at the very start of the stream is dropped,
+//!   so it never becomes part of the first column's name.
+//!
+//! Lines are read as bytes and validated as UTF-8 once each. A line with no
+//! `"` in it is split on the delimiter in place: its fields are slices of
+//! the line, copied nowhere. Only a line holding a quote goes through the
+//! quote-aware scanner, which unescapes its fields into a second buffer.
 //!
 //! Malformed input — a stray quote inside an unquoted field, text after a
 //! closing quote, an unterminated quoted field at EOF — is a typed
 //! [`IoError::Parse`] carrying the 1-based physical line number on which
-//! the record started.
+//! the record started. Invalid UTF-8 is an [`IoError::Io`].
 
 use crate::error::IoError;
 use std::io::BufRead;
+
+/// The UTF-8 encoding of U+FEFF, the byte-order mark some editors write at
+/// the start of a CSV file.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
 
 /// Incremental record reader over a buffered input stream.
 #[derive(Debug)]
@@ -28,23 +39,30 @@ pub struct RecordReader<R> {
     delimiter: u8,
     /// Raw current line, reused across reads.
     line_buf: String,
-    /// Concatenated text of the current record's fields.
+    /// Unescaped text of the current record's fields, when it has quotes.
     text: String,
-    /// End offset of each field within `text`.
-    ends: Vec<usize>,
-    /// Whether each field was quoted (quoted fields are exempt from
-    /// trimming and null classification downstream).
-    quoted: Vec<bool>,
+    /// The current record's fields, as ranges of `line_buf` (quote-free
+    /// record) or of `text` (quoted record).
+    spans: Vec<Span>,
     /// 1-based number of the last physical line read.
     line: usize,
+}
+
+/// One field of the current record: its byte range and whether it was
+/// quoted (quoted fields are exempt from trimming and null classification
+/// downstream).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+    quoted: bool,
 }
 
 /// One parsed record, borrowed from the reader's internal buffers.
 #[derive(Debug, Clone, Copy)]
 pub struct Record<'a> {
     text: &'a str,
-    ends: &'a [usize],
-    quoted: &'a [bool],
+    spans: &'a [Span],
     /// 1-based physical line on which the record starts.
     pub line: usize,
 }
@@ -52,22 +70,22 @@ pub struct Record<'a> {
 impl<'a> Record<'a> {
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.spans.len()
     }
 
     /// `true` when the record has no fields (never produced by the reader).
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.spans.is_empty()
     }
 
     /// The raw text of field `i` and whether it was quoted.
     pub fn field(&self, i: usize) -> (&'a str, bool) {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        (&self.text[start..self.ends[i]], self.quoted[i])
+        let span = self.spans[i];
+        (&self.text[span.start..span.end], span.quoted)
     }
 
     /// Iterates over `(raw text, was quoted)` pairs.
-    pub fn fields(&self) -> impl Iterator<Item = (&'a str, bool)> + '_ {
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (&'a str, bool)> + '_ {
         (0..self.len()).map(move |i| self.field(i))
     }
 }
@@ -75,10 +93,10 @@ impl<'a> Record<'a> {
 impl<R: BufRead> RecordReader<R> {
     /// Creates a reader over `input` with the given field delimiter.
     ///
-    /// The delimiter must not be a quote or a line-break byte — those are
-    /// structural in every dialect this parser accepts.
+    /// The delimiter must be an ASCII byte other than a quote or a line
+    /// break — those are structural in every dialect this parser accepts.
     pub fn new(input: R, delimiter: u8) -> Result<Self, IoError> {
-        if matches!(delimiter, b'"' | b'\n' | b'\r') {
+        if !delimiter.is_ascii() || matches!(delimiter, b'"' | b'\n' | b'\r') {
             return Err(IoError::parse(
                 0,
                 format!("invalid delimiter {:?}", delimiter as char),
@@ -89,8 +107,7 @@ impl<R: BufRead> RecordReader<R> {
             delimiter,
             line_buf: String::new(),
             text: String::new(),
-            ends: Vec::new(),
-            quoted: Vec::new(),
+            spans: Vec::new(),
             line: 0,
         })
     }
@@ -98,18 +115,29 @@ impl<R: BufRead> RecordReader<R> {
     /// Reads the next physical line (without its terminator) into
     /// `line_buf`. Returns `false` at EOF.
     fn next_line(&mut self) -> Result<bool, IoError> {
-        self.line_buf.clear();
-        let n = self.input.read_line(&mut self.line_buf)?;
-        if n == 0 {
+        // The line is read as bytes into `line_buf`'s own allocation and
+        // handed back after one UTF-8 check, so no line is copied.
+        let mut bytes = std::mem::take(&mut self.line_buf).into_bytes();
+        bytes.clear();
+        if self.input.read_until(b'\n', &mut bytes)? == 0 {
             return Ok(false);
         }
+        if self.line == 0 && bytes.starts_with(BOM) {
+            bytes.drain(..BOM.len());
+        }
         self.line += 1;
-        if self.line_buf.ends_with('\n') {
-            self.line_buf.pop();
-            if self.line_buf.ends_with('\r') {
-                self.line_buf.pop();
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
             }
         }
+        self.line_buf = String::from_utf8(bytes).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         Ok(true)
     }
 
@@ -128,12 +156,38 @@ impl<R: BufRead> RecordReader<R> {
                 break;
             }
         }
-        self.text.clear();
-        self.ends.clear();
-        self.quoted.clear();
+        self.spans.clear();
         let record_line = self.line;
-        let delimiter = self.delimiter as char;
+        let bytes = self.line_buf.as_bytes();
+        if !bytes.contains(&b'"') {
+            // An ASCII delimiter byte is a whole character, so every split
+            // point is a character boundary.
+            let mut start = 0;
+            for (at, &b) in bytes.iter().enumerate() {
+                if b == self.delimiter {
+                    self.spans.push(Span {
+                        start,
+                        end: at,
+                        quoted: false,
+                    });
+                    start = at + 1;
+                }
+            }
+            self.spans.push(Span {
+                start,
+                end: self.line_buf.len(),
+                quoted: false,
+            });
+            return Ok(Some(Record {
+                text: &self.line_buf,
+                spans: &self.spans,
+                line: record_line,
+            }));
+        }
 
+        self.text.clear();
+        let delimiter = self.delimiter as char;
+        let mut field_start = 0;
         let mut in_quotes = false;
         let mut field_was_quoted = false;
         // `line_buf` is swapped out during the scan so quoted fields can
@@ -152,8 +206,11 @@ impl<R: BufRead> RecordReader<R> {
                     chars = pending.chars().peekable();
                 }
                 None => {
-                    self.ends.push(self.text.len());
-                    self.quoted.push(field_was_quoted);
+                    self.spans.push(Span {
+                        start: field_start,
+                        end: self.text.len(),
+                        quoted: field_was_quoted,
+                    });
                     break;
                 }
                 Some(c) if in_quotes => {
@@ -169,8 +226,7 @@ impl<R: BufRead> RecordReader<R> {
                     }
                 }
                 Some('"') => {
-                    let at_field_start = self.text.len() == self.ends.last().copied().unwrap_or(0);
-                    if field_was_quoted || !at_field_start {
+                    if field_was_quoted || self.text.len() != field_start {
                         return Err(IoError::parse(
                             record_line,
                             if field_was_quoted {
@@ -184,8 +240,12 @@ impl<R: BufRead> RecordReader<R> {
                     field_was_quoted = true;
                 }
                 Some(c) if c == delimiter => {
-                    self.ends.push(self.text.len());
-                    self.quoted.push(field_was_quoted);
+                    self.spans.push(Span {
+                        start: field_start,
+                        end: self.text.len(),
+                        quoted: field_was_quoted,
+                    });
+                    field_start = self.text.len();
                     field_was_quoted = false;
                 }
                 Some(c) => {
@@ -202,8 +262,7 @@ impl<R: BufRead> RecordReader<R> {
         self.line_buf = pending;
         Ok(Some(Record {
             text: &self.text,
-            ends: &self.ends,
-            quoted: &self.quoted,
+            spans: &self.spans,
             line: record_line,
         }))
     }
@@ -280,6 +339,24 @@ mod tests {
         let err = collect("\"ok\"trailing,2\n", b',').unwrap_err();
         assert!(err.to_string().contains("after closing quote"));
         assert!(RecordReader::new("x".as_bytes(), b'"').is_err());
+        assert!(RecordReader::new("x".as_bytes(), 0xA7).is_err());
+    }
+
+    #[test]
+    fn one_leading_byte_order_mark_is_dropped() {
+        let recs = collect("\u{feff}a,b\n1,2\n", b',').unwrap();
+        assert_eq!(recs[0][0], ("a".to_string(), false));
+        // Only at stream start: a later U+FEFF is field text.
+        let recs = collect("\u{feff}\u{feff}a\n\u{feff}x\n", b',').unwrap();
+        assert_eq!(recs[0][0], ("\u{feff}a".to_string(), false));
+        assert_eq!(recs[1][0], ("\u{feff}x".to_string(), false));
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_io_error() {
+        let mut reader = RecordReader::new(&b"a,b\n\xff,2\n"[..], b',').unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        assert!(matches!(reader.next_record(), Err(IoError::Io(_))));
     }
 
     #[test]

@@ -74,8 +74,8 @@ impl AttrDict {
     /// Probing with a heap-carrying value ([`Value::Str`]) counts one
     /// `key_alloc`: the caller had to materialize an owned string to build
     /// the probe key. Bulk ingestion avoids that cost by probing with the
-    /// raw field text instead (see `Instance::encoded_loader`), which is
-    /// what keeps the encoded CSV load path at `key_allocs == 0`.
+    /// raw field text instead (see `EncodedLoader`), which is what keeps
+    /// the encoded CSV load path at `key_allocs == 0`.
     ///
     /// Panics if a code range overflows — 2^31 distinct constants or 2^30
     /// distinct variables in one column, far beyond anything this workspace

@@ -28,9 +28,10 @@
 //!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
 //!   offline benchmark gate.
 //! * [`load`] — typed bulk ingestion: [`ColumnType`] and the
-//!   [`EncodedLoader`] behind `Instance::encoded_loader`, which parses raw
-//!   text fields **directly into dictionary codes** so bulk loads never
-//!   build per-cell `Value` probe keys (the `rt-io` CSV reader drives it).
+//!   [`EncodedLoader`], which parses raw text fields **directly into
+//!   dictionary codes** in one pass, inferring column types from the
+//!   distinct texts as it goes, so bulk loads never build per-cell `Value`
+//!   probe keys (the `rt-io` CSV reader drives it).
 //! * [`csv`] — CSV writing for repaired instances (reading is `rt-io`'s).
 //!
 //! The crate is deliberately free of any constraint logic; functional
@@ -38,16 +39,14 @@
 //! `rt-constraints`.
 //!
 //! ```
-//! use rt_relation::{ColumnType, Instance, Schema, Value, AttrId, CellRef};
+//! use rt_relation::{EncodedLoader, Schema, Value, AttrId, CellRef, ColumnType};
 //!
 //! let schema = Schema::new("readings", vec!["sensor", "value"]).unwrap();
-//! let mut instance = Instance::new(schema);
-//! let mut loader = instance
-//!     .encoded_loader(vec![ColumnType::Str, ColumnType::Float])
-//!     .unwrap();
-//! loader.push_row(&[Some("s1"), Some("20.5")]).unwrap();
-//! loader.push_row(&[Some("s1"), None]).unwrap();
-//! drop(loader);
+//! let mut loader = EncodedLoader::new(schema, None).unwrap();
+//! loader.push_row([Some("s1"), Some("20.5")]).unwrap();
+//! loader.push_row([Some("s1"), None]).unwrap();
+//! let (instance, types) = loader.finish();
+//! assert_eq!(types, vec![ColumnType::Str, ColumnType::Float]);
 //! assert_eq!(instance.len(), 2);
 //! assert_eq!(*instance.cell(CellRef::new(0, AttrId(1))).unwrap(), Value::float(20.5));
 //! assert_eq!(*instance.cell(CellRef::new(1, AttrId(1))).unwrap(), Value::Null);
@@ -72,7 +71,7 @@ pub use dict::{
 };
 pub use error::RelationError;
 pub use instance::{CellRef, Instance, InstanceDiff};
-pub use load::{ChunkBuffer, ColumnType, EncodedLoader};
+pub use load::{ColumnType, EncodedLoader};
 pub use schema::{AttrId, Schema};
 pub use tuple::Tuple;
 pub use value::{FloatBits, Value, VarId};

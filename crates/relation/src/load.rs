@@ -1,27 +1,37 @@
-//! Typed, dictionary-direct bulk ingestion.
+//! Typed, dictionary-direct bulk ingestion in one streaming pass.
 //!
 //! The ordinary load path ([`Instance::push`]) receives fully materialized
 //! [`Value`]s: a CSV reader allocates an owned `String` per string cell just
 //! to build the `Value` that probes the dictionary — one transient equality
 //! key per cell, counted by the `key_allocs` work counter. The encoded path
-//! here inverts that: an [`EncodedLoader`] probes each attribute's
-//! dictionary **by the raw field text** (`&str`, no allocation), so an
-//! already-seen value costs one hash probe and zero heap allocations. Only
-//! the *first* occurrence of a value parses and interns it — and that
-//! allocation is permanent storage, not a probe key, so the bulk-load
+//! here inverts that: an [`EncodedLoader`] probes a per-attribute map **by
+//! the raw field text** (`&str`, no allocation), so an already-seen text
+//! costs one hash probe and zero heap allocations. Only the *first*
+//! occurrence of a text parses or inspects it — and the one allocation it
+//! makes is permanent storage, not a probe key, so the bulk-load
 //! `key_allocs` counter stays at exactly zero (provable: the `csv_load`
 //! scenario of `bench_gate` asserts it).
 //!
-//! A pushed row becomes one code per column and nothing else: the instance
-//! has no row store, so a repeated value costs a probe and a `u32` append.
+//! Column types need not be known up front. While a column's type is open,
+//! each distinct raw text gets a *provisional id* on first sight (in
+//! first-occurrence order, null taking an id of its own) and is shown once
+//! to the type inference; rows store provisional ids. At the end of the
+//! input, [`EncodedLoader::finish`] fixes each column's [`ColumnType`],
+//! parses every distinct text once and interns the values in provisional-id
+//! order — which hands out exactly the codes, in exactly the dictionary
+//! order, that a value-by-value load of the typed cells would. The code
+//! column is rewritten only where distinct spellings collapse to one value
+//! (`7` and `07` under `Int`, `1` and `1.0` under `Float`). With types given
+//! by the caller, the first sighting parses and interns at once, so a bad
+//! field fails on its own row.
 //!
-//! Fields arrive pre-classified as `Option<&str>` (`None` = null under the
-//! caller's null policy) together with a per-column [`ColumnType`]; the
-//! typed CSV reader in `rt-io` infers those types and drives this loader.
+//! A pushed row becomes one code per column and nothing else: the instance
+//! has no row store and no raw text outlives the row that carried it.
 
-use crate::dict::Code;
+use crate::dict::{AttrDict, Code};
 use crate::error::RelationError;
 use crate::instance::Instance;
+use crate::schema::{AttrId, Schema};
 use crate::value::Value;
 use crate::{work, Result};
 use std::collections::HashMap;
@@ -82,100 +92,241 @@ impl ColumnType {
     }
 }
 
-/// A bulk loader that appends rows to an [`Instance`] by interning raw
-/// field text directly into the per-attribute dictionaries.
+/// Type inference for one column, fed each distinct non-null raw text
+/// once.
 ///
-/// Created by [`Instance::encoded_loader`]; see the [module docs](self) for
-/// why this exists. The loader keeps a per-attribute `raw text → code` map,
-/// so repeated values cost one hash probe and no allocation.
-#[derive(Debug)]
-pub struct EncodedLoader<'a> {
-    instance: &'a mut Instance,
-    types: Vec<ColumnType>,
-    /// Per-attribute: raw field text → code. Distinct spellings of the same
-    /// typed value ("7" and "07") map to the same code.
-    seen: Vec<HashMap<Box<str>, Code>>,
-    /// Cached code of `Value::Null` per attribute.
-    null_code: Vec<Option<Code>>,
-    /// The row being pushed, one code per column (reused across rows).
-    row_codes: Vec<Code>,
-    rows_pushed: usize,
+/// Inference is monotone along `Int → Float → Str` (see [`ColumnType`]):
+/// a text only ever takes candidate types away, so the order texts are seen
+/// in does not matter, and observing a repeated text again would change
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+struct ColumnState {
+    saw_value: bool,
+    can_int: bool,
+    can_float: bool,
 }
 
-impl Instance {
-    /// Starts a typed bulk load: returns an [`EncodedLoader`] that appends
-    /// rows parsed from raw text fields, probing the dictionaries without
-    /// building per-cell `Value` keys.
+impl ColumnState {
+    fn new() -> Self {
+        ColumnState {
+            saw_value: false,
+            can_int: true,
+            can_float: true,
+        }
+    }
+
+    fn observe(&mut self, text: &str) {
+        self.saw_value = true;
+        if self.can_int && text.parse::<i64>().is_err() {
+            self.can_int = false;
+        }
+        if self.can_float && !matches!(text.parse::<f64>(), Ok(f) if f.is_finite()) {
+            // Non-finite spellings ("inf", "NaN") deliberately demote to
+            // Str: instances only ever hold finite numbers.
+            self.can_float = false;
+        }
+    }
+
+    /// The narrowest type every observed text parses under — so
+    /// [`ColumnType::parse`] accepts each of them.
+    fn conclude(self) -> ColumnType {
+        match self {
+            // An all-null column carries no type evidence: Str, the
+            // universal fallback.
+            ColumnState {
+                saw_value: false, ..
+            } => ColumnType::Str,
+            ColumnState { can_int: true, .. } => ColumnType::Int,
+            ColumnState {
+                can_float: true, ..
+            } => ColumnType::Float,
+            _ => ColumnType::Str,
+        }
+    }
+}
+
+/// One column of an [`EncodedLoader`].
+#[derive(Debug)]
+struct ColumnLoad {
+    /// The caller's type: first sightings parse and intern at once, and
+    /// `seen` maps to final codes. `None` while the type is inferred:
+    /// `seen` maps to provisional ids, typed and interned at finish.
+    ty: Option<ColumnType>,
+    state: ColumnState,
+    /// Raw field text → code or provisional id.
+    seen: HashMap<Box<str>, Code>,
+    /// The code or provisional id of null, once a null was pushed.
+    null: Option<Code>,
+}
+
+impl ColumnLoad {
+    /// Records a value seen for the first time — `text`, or null for
+    /// `None` — and returns its code (typed column) or provisional id
+    /// (inferred column).
+    fn first_sighting(
+        &mut self,
+        text: Option<&str>,
+        dict: &mut AttrDict,
+        name: &str,
+    ) -> Result<Code> {
+        let code = match self.ty {
+            None => {
+                if let Some(text) = text {
+                    self.state.observe(text);
+                }
+                (self.seen.len() + usize::from(self.null.is_some())) as Code
+            }
+            Some(ty) => {
+                let value = match text {
+                    None => Value::Null,
+                    Some(text) => ty
+                        .parse(text)
+                        .map_err(|e| RelationError::Csv(format!("column `{name}`: {e}")))?,
+                };
+                dict.intern_uncounted(&value)
+            }
+        };
+        match text {
+            None => self.null = Some(code),
+            Some(text) => {
+                self.seen.insert(text.into(), code);
+            }
+        }
+        Ok(code)
+    }
+
+    /// Fixes an inferred column's type, interns its distinct values in
+    /// first-occurrence order and rewrites `codes` from provisional ids to
+    /// codes where the two differ. A typed column is already final.
+    fn finish(self, dict: &mut AttrDict, codes: &mut [Code]) -> ColumnType {
+        if let Some(ty) = self.ty {
+            return ty;
+        }
+        let ty = self.state.conclude();
+        let mut by_id: Vec<Option<&str>> =
+            vec![None; self.seen.len() + usize::from(self.null.is_some())];
+        // rtlint: allow(D001) -- each text lands in its own id's slot; the result is the same in any visit order
+        for (text, &id) in &self.seen {
+            by_id[id as usize] = Some(text);
+        }
+        // The one `None` left is null's slot.
+        let remap: Vec<Code> = by_id
+            .into_iter()
+            .map(|text| {
+                let value = text.map_or(Value::Null, |text| {
+                    ty.parse(text)
+                        .expect("inference concludes a type every observed text parses under")
+                });
+                dict.intern_uncounted(&value)
+            })
+            .collect();
+        // Codes are dense in first-occurrence order, so they equal the
+        // provisional ids unless two spellings collapsed to one value.
+        if remap
+            .iter()
+            .enumerate()
+            .any(|(id, &code)| code as usize != id)
+        {
+            for code in codes {
+                *code = remap[*code as usize];
+            }
+        }
+        ty
+    }
+}
+
+/// A bulk loader that builds a new [`Instance`] from raw text fields,
+/// interning them directly into the per-attribute dictionaries.
+///
+/// See the [module docs](self) for why this exists and how column types
+/// are inferred while loading.
+#[derive(Debug)]
+pub struct EncodedLoader {
+    instance: Instance,
+    columns: Vec<ColumnLoad>,
+    /// The row being pushed, one code per column (reused across rows).
+    row_codes: Vec<Code>,
+    null_cells: usize,
+}
+
+impl EncodedLoader {
+    /// Starts a typed bulk load of an empty instance over `schema`. With
+    /// `types`, cells parse under those column types; with `None`, each
+    /// column's type is inferred from its cells and fixed by
+    /// [`EncodedLoader::finish`].
     ///
     /// # Errors
     ///
     /// Fails when `types` does not provide exactly one type per attribute.
-    pub fn encoded_loader(&mut self, types: Vec<ColumnType>) -> Result<EncodedLoader<'_>> {
-        if types.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                tuple: types.len(),
-                schema: self.schema.arity(),
-            });
+    pub fn new(schema: Schema, types: Option<&[ColumnType]>) -> Result<Self> {
+        let arity = schema.arity();
+        if let Some(types) = types {
+            if types.len() != arity {
+                return Err(RelationError::ArityMismatch {
+                    tuple: types.len(),
+                    schema: arity,
+                });
+            }
         }
-        let arity = types.len();
+        let columns = (0..arity)
+            .map(|a| ColumnLoad {
+                ty: types.map(|types| types[a]),
+                state: ColumnState::new(),
+                seen: HashMap::new(),
+                null: None,
+            })
+            .collect();
         Ok(EncodedLoader {
-            instance: self,
-            types,
-            seen: (0..arity).map(|_| HashMap::new()).collect(),
-            null_code: vec![None; arity],
+            instance: Instance::new(schema),
+            columns,
             row_codes: Vec::with_capacity(arity),
-            rows_pushed: 0,
+            null_cells: 0,
         })
     }
-}
 
-impl EncodedLoader<'_> {
-    /// Appends one row. `fields[i]` is the raw text of column `i`, already
+    /// Appends one row. Field `i` is the raw text of column `i`, already
     /// classified by the caller's null policy (`None` = null).
     ///
     /// # Errors
     ///
     /// Fails on arity mismatch or on a field that does not parse under its
-    /// column's [`ColumnType`]; the instance is left unchanged in that case.
-    pub fn push_row(&mut self, fields: &[Option<&str>]) -> Result<()> {
-        if fields.len() != self.types.len() {
+    /// column's given [`ColumnType`]; no row is appended in that case.
+    pub fn push_row<'t, I>(&mut self, fields: I) -> Result<()>
+    where
+        I: IntoIterator<Item = Option<&'t str>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let fields = fields.into_iter();
+        if fields.len() != self.columns.len() {
             return Err(RelationError::ArityMismatch {
                 tuple: fields.len(),
-                schema: self.types.len(),
+                schema: self.columns.len(),
             });
         }
         self.row_codes.clear();
-        for (a, field) in fields.iter().enumerate() {
+        let mut nulls = 0;
+        for (a, (field, col)) in fields.zip(&mut self.columns).enumerate() {
             let code = match field {
-                None => match self.null_code[a] {
-                    Some(c) => c,
-                    None => {
-                        let c = self.instance.dicts[a].intern_uncounted(&Value::Null);
-                        self.null_code[a] = Some(c);
-                        c
-                    }
-                },
+                None => {
+                    nulls += 1;
+                    col.null
+                }
                 Some(text) => {
                     // The hot probe: raw bytes, no Value, no allocation.
                     work::count_key_hash(text.len());
-                    match self.seen[a].get(*text) {
-                        Some(&code) => code,
-                        None => {
-                            let value = self.types[a].parse(text).map_err(|e| {
-                                RelationError::Csv(format!(
-                                    "column `{}`: {e}",
-                                    self.instance
-                                        .schema
-                                        .attr_name(crate::AttrId(a as u16))
-                                        .unwrap_or("?")
-                                ))
-                            })?;
-                            let code = self.instance.dicts[a].intern_uncounted(&value);
-                            self.seen[a].insert((*text).into(), code);
-                            code
-                        }
-                    }
+                    col.seen.get(text).copied()
                 }
+            };
+            let code = match code {
+                Some(code) => code,
+                None => col.first_sighting(
+                    field,
+                    &mut self.instance.dicts[a],
+                    self.instance
+                        .schema
+                        .attr_name(AttrId(a as u16))
+                        .unwrap_or("?"),
+                )?,
             };
             self.row_codes.push(code);
         }
@@ -183,175 +334,65 @@ impl EncodedLoader<'_> {
             col.push(code);
         }
         self.instance.rows += 1;
-        self.rows_pushed += 1;
+        self.null_cells += nulls;
         Ok(())
     }
 
-    /// Number of rows this loader has appended.
+    /// Number of rows appended so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_pushed
+        self.instance.rows
     }
 
-    /// The column types the loader parses with.
-    pub fn types(&self) -> &[ColumnType] {
-        &self.types
-    }
-}
-
-/// A bounded buffer of raw, undecoded rows feeding an [`EncodedLoader`]
-/// chunk by chunk — the memory-bounded half of streaming ingestion.
-///
-/// A large file is streamed as: parse records into the buffer until it is
-/// [full](ChunkBuffer::is_full), [flush](ChunkBuffer::flush) the chunk into
-/// the loader, repeat. At any instant the process holds the growing encoded
-/// columns plus **at most one chunk** of raw field text, never the whole
-/// undecoded file. The buffer charges the resident-cell gauge
-/// ([`work::add_resident_cells`]) for the raw cells it holds and releases
-/// them on flush, charging the (permanent) encoded cells instead — which is
-/// what makes the peak-resident-cell estimate gated by `bench_gate` an
-/// honest account of this path.
-///
-/// Flushing a chunk is bit-identical to pushing the same rows straight into
-/// the loader: the buffer only delays the `push_row` calls, it never
-/// reorders or re-interprets them (chunk size 1 ≡ chunk size 10 000 ≡
-/// whole file; the workspace's CSV tests assert this on a real fixture).
-#[derive(Debug)]
-pub struct ChunkBuffer {
-    capacity_rows: usize,
-    /// The buffered fields' text, back to back in one arena.
-    text: String,
-    /// Per buffered field: its byte range in `text`, `None` for a null.
-    fields: Vec<Option<(usize, usize)>>,
-    /// Per buffered row: its first entry in `fields`, and an opaque caller
-    /// label (rt-io passes the source line number) echoed back on flush
-    /// errors.
-    rows: Vec<(usize, usize)>,
-    /// Raw cells currently charged to the resident gauge.
-    cells_charged: usize,
-}
-
-impl ChunkBuffer {
-    /// A buffer holding at most `capacity_rows` rows per chunk (clamped to
-    /// at least 1).
-    pub fn new(capacity_rows: usize) -> Self {
-        ChunkBuffer {
-            capacity_rows: capacity_rows.max(1),
-            text: String::new(),
-            fields: Vec::new(),
-            rows: Vec::new(),
-            cells_charged: 0,
-        }
+    /// Number of null cells among the rows appended so far.
+    pub fn null_cells(&self) -> usize {
+        self.null_cells
     }
 
-    /// `true` once the buffer holds a full chunk and must be flushed before
-    /// the next push.
-    pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.capacity_rows
-    }
-
-    /// Number of buffered (unflushed) rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Buffers one raw row (copying the field text into the chunk's arena)
-    /// under an opaque `tag`.
-    pub fn push(&mut self, fields: &[Option<&str>], tag: usize) {
-        self.rows.push((self.fields.len(), tag));
-        for field in fields {
-            self.fields.push(field.map(|text| {
-                let start = self.text.len();
-                self.text.push_str(text);
-                (start, self.text.len())
-            }));
-        }
-        work::add_resident_cells(fields.len());
-        self.cells_charged += fields.len();
-    }
-
-    /// Flushes every buffered row into `loader`, in push order, and empties
-    /// the buffer. Returns the number of rows flushed.
-    ///
-    /// # Errors
-    ///
-    /// On the first row the loader rejects, returns that row's `tag`
-    /// together with the underlying error. Rows before it are already
-    /// appended (exactly as if they had been pushed unbuffered); the failing
-    /// row and everything after it are dropped with their resident charge.
-    pub fn flush(
-        &mut self,
-        loader: &mut EncodedLoader<'_>,
-    ) -> std::result::Result<usize, (usize, RelationError)> {
-        let arity = loader.types().len();
-        let mut flushed = 0usize;
-        let mut failed: Option<(usize, RelationError)> = None;
-        let mut row: Vec<Option<&str>> = Vec::with_capacity(arity);
-        for (i, &(first, tag)) in self.rows.iter().enumerate() {
-            let end = self.rows.get(i + 1).map_or(self.fields.len(), |r| r.0);
-            row.clear();
-            row.extend(
-                self.fields[first..end]
-                    .iter()
-                    .map(|f| f.map(|(a, b)| &self.text[a..b])),
-            );
-            match loader.push_row(&row) {
-                // The raw cells die with this chunk; the encoded row (one
-                // code per column) is permanent storage from here on.
-                Ok(()) => {
-                    work::add_resident_cells(arity);
-                    flushed += 1;
-                }
-                Err(e) => {
-                    failed = Some((tag, e));
-                    break;
-                }
-            }
-        }
-        drop(row);
-        self.text.clear();
-        self.fields.clear();
-        self.rows.clear();
-        work::sub_resident_cells(self.cells_charged);
-        self.cells_charged = 0;
-        match failed {
-            Some(err) => Err(err),
-            None => Ok(flushed),
-        }
+    /// Ends the load: fixes every inferred column type and returns the
+    /// instance together with the type of each column.
+    pub fn finish(self) -> (Instance, Vec<ColumnType>) {
+        let EncodedLoader {
+            mut instance,
+            columns,
+            ..
+        } = self;
+        let Instance { dicts, codes, .. } = &mut instance;
+        let types = columns
+            .into_iter()
+            .zip(dicts.iter_mut().zip(codes.iter_mut()))
+            .map(|(col, (dict, codes))| col.finish(dict, codes))
+            .collect();
+        // The encoded columns are the load's only resident cells.
+        work::add_resident_cells(instance.rows * instance.schema.arity());
+        (instance, types)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrId, Schema};
     use crate::{CellRef, Tuple};
 
-    fn loader_instance() -> Instance {
-        let schema = Schema::new("t", vec!["name", "score", "count"]).unwrap();
-        Instance::new(schema)
+    fn schema() -> Schema {
+        Schema::new("t", vec!["name", "score", "count"]).unwrap()
     }
+
+    const TYPES: [ColumnType; 3] = [ColumnType::Str, ColumnType::Float, ColumnType::Int];
 
     #[test]
     fn typed_rows_land_with_codes_in_lockstep() {
-        let mut inst = loader_instance();
-        {
-            let mut loader = inst
-                .encoded_loader(vec![ColumnType::Str, ColumnType::Float, ColumnType::Int])
-                .unwrap();
-            loader
-                .push_row(&[Some("alice"), Some("1.5"), Some("3")])
-                .unwrap();
-            loader.push_row(&[Some("bob"), None, Some("3")]).unwrap();
-            loader
-                .push_row(&[Some("alice"), Some("2.5"), Some("4")])
-                .unwrap();
-            assert_eq!(loader.rows_pushed(), 3);
-        }
+        let mut loader = EncodedLoader::new(schema(), Some(&TYPES)).unwrap();
+        loader
+            .push_row([Some("alice"), Some("1.5"), Some("3")])
+            .unwrap();
+        loader.push_row([Some("bob"), None, Some("3")]).unwrap();
+        loader
+            .push_row([Some("alice"), Some("2.5"), Some("4")])
+            .unwrap();
+        assert_eq!(loader.rows_pushed(), 3);
+        assert_eq!(loader.null_cells(), 1);
+        let (mut inst, types) = loader.finish();
+        assert_eq!(types, TYPES);
         assert_eq!(inst.len(), 3);
         assert_eq!(
             *inst.cell(CellRef::new(0, AttrId(1))).unwrap(),
@@ -378,111 +419,57 @@ mod tests {
 
     #[test]
     fn alternate_spellings_share_one_code() {
-        let mut inst = Instance::new(Schema::new("t", vec!["n"]).unwrap());
-        let mut loader = inst.encoded_loader(vec![ColumnType::Int]).unwrap();
-        loader.push_row(&[Some("7")]).unwrap();
-        loader.push_row(&[Some("07")]).unwrap();
-        loader.push_row(&[Some(" 7".trim())]).unwrap();
-        drop(loader);
-        assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(1, AttrId(0)));
-        assert_eq!(inst.dict(AttrId(0)).constant_count(), 1);
+        // With the type given, and with it inferred at the end of the load.
+        for types in [Some(&[ColumnType::Int][..]), None] {
+            let schema = Schema::new("t", vec!["n"]).unwrap();
+            let mut loader = EncodedLoader::new(schema, types).unwrap();
+            for text in ["07", "7", " 7".trim(), "8"] {
+                loader.push_row([Some(text)]).unwrap();
+            }
+            let (inst, types) = loader.finish();
+            assert_eq!(types, [ColumnType::Int]);
+            assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(1, AttrId(0)));
+            assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(2, AttrId(0)));
+            assert_eq!(inst.codes(AttrId(0)), [0, 0, 0, 1]);
+            assert_eq!(
+                inst.dict(AttrId(0)).constants(),
+                [Value::Int(7), Value::Int(8)]
+            );
+        }
     }
 
     #[test]
     fn bad_fields_are_typed_errors_and_leave_the_instance_unchanged() {
-        let mut inst = loader_instance();
-        let mut loader = inst
-            .encoded_loader(vec![ColumnType::Str, ColumnType::Float, ColumnType::Int])
-            .unwrap();
+        let mut loader = EncodedLoader::new(schema(), Some(&TYPES)).unwrap();
         loader
-            .push_row(&[Some("a"), Some("1.0"), Some("1")])
+            .push_row([Some("a"), Some("1.0"), Some("1")])
             .unwrap();
         let err = loader
-            .push_row(&[Some("b"), Some("oops"), Some("2")])
+            .push_row([Some("b"), Some("oops"), Some("2")])
             .unwrap_err();
         assert!(matches!(err, RelationError::Csv(_)));
         assert!(err.to_string().contains("score"));
         // Non-finite floats never enter an instance.
         let err = loader
-            .push_row(&[Some("b"), Some("inf"), Some("2")])
+            .push_row([Some("b"), Some("inf"), Some("2")])
             .unwrap_err();
         assert!(matches!(err, RelationError::Csv(_)));
         // Ragged rows are arity errors.
         assert!(matches!(
-            loader.push_row(&[Some("b")]),
+            loader.push_row([Some("b")]),
             Err(RelationError::ArityMismatch { .. })
         ));
-        drop(loader);
+        let (inst, _) = loader.finish();
         assert_eq!(inst.len(), 1);
         assert_eq!(inst.codes(AttrId(0)).len(), 1);
     }
 
     #[test]
     fn loader_requires_one_type_per_attribute() {
-        let mut inst = loader_instance();
         assert!(matches!(
-            inst.encoded_loader(vec![ColumnType::Str]),
+            EncodedLoader::new(schema(), Some(&[ColumnType::Str])),
             Err(RelationError::ArityMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn chunked_flushes_match_direct_pushes() {
-        let rows: Vec<Vec<Option<&str>>> = vec![
-            vec![Some("alice"), Some("1.5"), Some("3")],
-            vec![Some("bob"), None, Some("3")],
-            vec![Some("alice"), Some("2.5"), Some("4")],
-            vec![None, Some("1.5"), Some("9")],
-            vec![Some("carol"), Some("0.5"), Some("3")],
-        ];
-        let types = vec![ColumnType::Str, ColumnType::Float, ColumnType::Int];
-        let mut direct = loader_instance();
-        {
-            let mut loader = direct.encoded_loader(types.clone()).unwrap();
-            for row in &rows {
-                loader.push_row(row).unwrap();
-            }
-        }
-        for chunk_rows in [1usize, 2, 100] {
-            let mut inst = loader_instance();
-            {
-                let mut loader = inst.encoded_loader(types.clone()).unwrap();
-                let mut buffer = ChunkBuffer::new(chunk_rows);
-                for (i, row) in rows.iter().enumerate() {
-                    if buffer.is_full() {
-                        buffer.flush(&mut loader).unwrap();
-                    }
-                    buffer.push(row, i);
-                }
-                let last = buffer.len();
-                assert_eq!(buffer.flush(&mut loader).unwrap(), last);
-            }
-            assert_eq!(inst, direct, "chunk size {chunk_rows}");
-            for a in 0..3 {
-                let attr = AttrId(a);
-                assert_eq!(inst.codes(attr), direct.codes(attr));
-                assert_eq!(
-                    inst.dict(attr).constant_count(),
-                    direct.dict(attr).constant_count()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_flush_errors_carry_the_row_tag() {
-        let mut inst = Instance::new(Schema::new("t", vec!["n"]).unwrap());
-        let mut loader = inst.encoded_loader(vec![ColumnType::Int]).unwrap();
-        let mut buffer = ChunkBuffer::new(10);
-        buffer.push(&[Some("1")], 41);
-        buffer.push(&[Some("oops")], 42);
-        buffer.push(&[Some("3")], 43);
-        let (tag, err) = buffer.flush(&mut loader).unwrap_err();
-        assert_eq!(tag, 42);
-        assert!(matches!(err, RelationError::Csv(_)));
-        assert!(buffer.is_empty());
-        // Rows before the failure landed; the rest were dropped.
-        assert_eq!(loader.rows_pushed(), 1);
     }
 
     // The `key_allocs == 0` claim for this path is asserted where counters

@@ -78,11 +78,10 @@ pub fn count_value_compares(n: usize) {
 /// the peak.
 ///
 /// The gauge is a deterministic *memory estimate*, not an allocator probe:
-/// streaming loaders charge one cell per undecoded field they buffer and one
-/// cell per dictionary code they append, and release the buffered fields
-/// again when a chunk is flushed. The resulting peak — code columns plus at
-/// most one chunk of raw fields — is what the memory-bounded-ingest gate in
-/// `bench_gate` divides by the row count.
+/// the bulk loader charges one cell per dictionary code it appends (it
+/// holds no raw field beyond the current record). The resulting peak — the
+/// code columns — is what the memory-bounded-ingest gate in `bench_gate`
+/// divides by the row count.
 #[inline]
 pub fn add_resident_cells(n: usize) {
     let now = RESIDENT_CELLS.fetch_add(n as u64, Relaxed) + n as u64;

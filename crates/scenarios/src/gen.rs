@@ -270,9 +270,9 @@ pub fn warehouse_with_errors(rows: usize, seed: u64, errors: usize) -> (Instance
 /// Streams the dirty warehouse relation as CSV — header plus
 /// `warehouse_with_errors(rows, seed, errors)` row for row — without ever
 /// materializing the instance (or the text) in memory. This is the 1M-row
-/// ingestion fixture: loading the output through the chunked typed reader
-/// (`rt_io::load_path_chunked`) reproduces the generated instance exactly,
-/// codes, dictionaries and all.
+/// ingestion fixture: loading the output through the typed reader
+/// (`rt_io::load_path`) reproduces the generated instance exactly, codes,
+/// dictionaries and all.
 pub fn write_warehouse_csv<W: std::io::Write>(
     out: &mut W,
     rows: usize,
@@ -338,13 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn warehouse_csv_round_trips_through_the_chunked_loader() {
+    fn warehouse_csv_round_trips_through_the_loader() {
         let rows = 2500;
         let mut csv = Vec::new();
         write_warehouse_csv(&mut csv, rows, 5, 16).unwrap();
-        let report = rt_io::read_instance_chunked(
+        let report = rt_io::read_instance(
             csv.as_slice(),
-            512,
             &rt_io::CsvOptions::csv().relation("warehouse"),
         )
         .unwrap();

@@ -347,6 +347,24 @@ re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 }
 
 #[test]
+fn a_byte_order_mark_does_not_hide_the_first_column() {
+    let dir = Dir::new("bom");
+    std::fs::write(dir.path("bom.csv"), "\u{feff}A,B\n1,x\n1,y\n").unwrap();
+    let expected = "\
+loaded 2 tuples × 2 attributes from bom.csv (0 null cells)
+inferred column types: A:int, B:str
+FDs: {A -> B}
+1 conflicting tuple pairs; repairing everything by cell changes would touch at most 1 cells
+
+  τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {A -> B}
+1 non-dominated repairs.
+
+re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
+";
+    assert_eq!(dir.run(&["bom.csv", "--fd", "A->B"]), run(0, expected, ""));
+}
+
+#[test]
 fn scenario_list_prints_the_catalog() {
     let dir = Dir::new("scenario_list");
     let mut expected = "available scenarios:\n".to_string();

@@ -1,13 +1,15 @@
 //! Edge-case coverage for the typed CSV/TSV ingestion layer, driven
 //! through the public facade the way a user would: quoted delimiters,
-//! CRLF endings, ragged rows, null-token policy, and type-inference
-//! conflicts falling back to `Str`.
+//! CRLF endings, ragged rows, null-token policy, a byte-order mark,
+//! type-inference conflicts falling back to `Str`, types fixed only at the
+//! end of the input, and error order.
 
 use relative_trust::io::{
-    infer_schema, load_path, load_path_chunked, read_instance, read_instance_chunked, CsvOptions,
-    IoError,
+    load_path, load_path_chunked, read_instance, read_instance_with_types, CsvOptions, IoError,
+    LoadReport,
 };
 use relative_trust::prelude::*;
+use relative_trust::scenarios::{gen, WAREHOUSE_ERRORS};
 
 #[test]
 fn quoted_delimiters_quotes_and_newlines_stay_literal() {
@@ -91,7 +93,7 @@ fn null_tokens_apply_per_cell_and_quoting_escapes_them() {
 fn empty_input_is_an_error() {
     for err in [
         read_instance("".as_bytes(), &CsvOptions::csv()).unwrap_err(),
-        read_instance_chunked("".as_bytes(), 2, &CsvOptions::csv()).unwrap_err(),
+        read_instance_with_types("".as_bytes(), &[], &CsvOptions::csv()).unwrap_err(),
     ] {
         assert!(matches!(err, IoError::Parse { line: 0, .. }), "{err:?}");
         assert!(err.to_string().contains("missing header"), "{err}");
@@ -104,9 +106,9 @@ fn type_inference_conflicts_fall_back_to_str() {
     // string "7", not the integer 7). Column b: ints then a float → Float.
     // Column c: all ints → Int. Column d: only nulls → Str.
     let csv = "a,b,c,d\n7,1,10,NULL\n8,2.5,11,\nword,3,12,NA\n";
-    let schema = infer_schema(csv.as_bytes(), &CsvOptions::csv()).unwrap();
+    let report = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap();
     assert_eq!(
-        schema.columns,
+        report.columns,
         vec![
             ColumnType::Str,
             ColumnType::Float,
@@ -114,7 +116,6 @@ fn type_inference_conflicts_fall_back_to_str() {
             ColumnType::Str
         ]
     );
-    let report = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap();
     let inst = &report.instance;
     assert_eq!(
         *inst.cell(CellRef::new(0, AttrId(0))).unwrap(),
@@ -129,8 +130,8 @@ fn type_inference_conflicts_fall_back_to_str() {
         Value::Int(10)
     );
     // Non-finite spellings never become floats.
-    let schema = infer_schema("x\n1.5\ninf\n".as_bytes(), &CsvOptions::csv()).unwrap();
-    assert_eq!(schema.columns, vec![ColumnType::Str]);
+    let report = read_instance("x\n1.5\ninf\n".as_bytes(), &CsvOptions::csv()).unwrap();
+    assert_eq!(report.columns, vec![ColumnType::Str]);
 }
 
 #[test]
@@ -146,7 +147,7 @@ fn tsv_dialect_and_instance_from_csv_round_trip() {
         *inst.cell(CellRef::new(1, AttrId(1))).unwrap(),
         Value::float(3.5)
     );
-    // load_path (two streaming passes) agrees with the buffered reader.
+    // The file and the in-memory text load alike.
     let text = std::fs::read_to_string(&path).unwrap();
     let buffered = read_instance(text.as_bytes(), &CsvOptions::tsv()).unwrap();
     let streamed = load_path(&path, &CsvOptions::tsv()).unwrap();
@@ -154,74 +155,236 @@ fn tsv_dialect_and_instance_from_csv_round_trip() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Asserts two loads agree on everything a load reports: the instance
+/// (codes and dictionaries included), column types and null count.
+fn assert_same_load(a: &LoadReport, b: &LoadReport, context: &str) {
+    assert_eq!(a.instance, b.instance, "{context}: instances differ");
+    for (attr, _) in a.instance.schema().attributes() {
+        assert_eq!(
+            a.instance.codes(attr),
+            b.instance.codes(attr),
+            "{context}: {attr:?}"
+        );
+        assert_eq!(
+            a.instance.dict(attr).constants(),
+            b.instance.dict(attr).constants(),
+            "{context}: {attr:?}"
+        );
+    }
+    assert_eq!(a.columns, b.columns, "{context}: column types");
+    assert_eq!(a.null_cells, b.null_cells, "{context}: null cells");
+}
+
 #[test]
 fn chunked_streaming_is_identical_for_every_chunk_size() {
-    // The memory-bounded ingestion contract: the chunk size is an
-    // accounting knob, never a semantic one. Chunk-of-1, chunk-of-10k
-    // (bigger than the fixture, so a single flush) and the unchunked
-    // reader must produce the same instance — codes, dictionaries,
-    // column types and null count included.
+    // Every entry point is the same one-pass load: the in-memory reader,
+    // the reader with the inferred types given back to it, the file
+    // loader, and `load_path_chunked`, whose chunk size is ignored.
     let csv = relative_trust::scenarios::HOSPITAL_CSV;
     let options = CsvOptions::csv().relation("hospital");
     let whole = read_instance(csv.as_bytes(), &options).unwrap();
-    for chunk_rows in [1usize, 7, 10_000] {
-        let chunked = read_instance_chunked(csv.as_bytes(), chunk_rows, &options).unwrap();
-        assert_eq!(
-            whole.instance, chunked.instance,
-            "chunk_rows={chunk_rows}: instances differ"
-        );
-        assert_eq!(whole.columns, chunked.columns, "chunk_rows={chunk_rows}");
-        assert_eq!(
-            whole.null_cells, chunked.null_cells,
-            "chunk_rows={chunk_rows}"
-        );
-    }
+    let typed = read_instance_with_types(csv.as_bytes(), &whole.columns, &options).unwrap();
+    assert_same_load(&whole, &typed, "given types");
 
-    // Same contract for the file-backed streaming pass.
     let dir = std::env::temp_dir().join("rt_csv_io_chunked_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("hospital.csv");
     std::fs::write(&path, csv).unwrap();
-    let streamed = load_path(&path, &options).unwrap();
-    for chunk_rows in [1usize, 10_000] {
+    assert_same_load(&whole, &load_path(&path, &options).unwrap(), "load_path");
+    for chunk_rows in [1usize, 7, 10_000] {
         let chunked = load_path_chunked(&path, chunk_rows, &options).unwrap();
-        assert_eq!(
-            streamed.instance, chunked.instance,
-            "chunk_rows={chunk_rows}"
-        );
+        assert_same_load(&whole, &chunked, &format!("chunk_rows={chunk_rows}"));
     }
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn ragged_chunk_boundaries_keep_quoted_fields_intact() {
-    // Regression guard: a quoted field holding delimiters, escaped quotes
-    // and embedded newlines must survive chunk boundaries landing on (and
-    // inside the textual span of) its record. chunk_rows=1 puts a flush
-    // between every pair of records, chunk_rows=2 puts one mid-list.
+    // A quoted field holding delimiters, escaped quotes and embedded
+    // newlines, between quote-free records, loads the same from a file
+    // as from memory.
     let csv = "name,note\n\
                \"Doe, Jane\",\"says \"\"hi\"\"\"\n\
                plain,\"two\nlines\"\n\
-               \"last, one\",\"tail\nend\"\n";
+               \"last, one\",\"tail\nend\"\n\
+               bare,text\n";
     let whole = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap();
-    for chunk_rows in [1usize, 2, 3] {
-        let chunked =
-            read_instance_chunked(csv.as_bytes(), chunk_rows, &CsvOptions::csv()).unwrap();
-        assert_eq!(
-            whole.instance, chunked.instance,
-            "chunk_rows={chunk_rows}: quoted fields corrupted at a chunk boundary"
-        );
-    }
+    let dir = std::env::temp_dir().join(format!("rt_csv_io_quoted_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("quoted.csv");
+    std::fs::write(&path, csv).unwrap();
+    assert_same_load(
+        &whole,
+        &load_path(&path, &CsvOptions::csv()).unwrap(),
+        "file",
+    );
     let inst = &whole.instance;
     assert_eq!(
         *inst.cell(CellRef::new(2, AttrId(1))).unwrap(),
         Value::str("tail\nend")
     );
+    assert_eq!(
+        *inst.cell(CellRef::new(3, AttrId(1))).unwrap(),
+        Value::str("text")
+    );
 
-    // Errors keep their line numbers even when they land mid-chunk.
-    let err =
-        read_instance_chunked("a,b,c\n1,2,3\n4,5\n".as_bytes(), 1, &CsvOptions::csv()).unwrap_err();
+    // Errors keep their line numbers.
+    std::fs::write(&path, "a,b,c\n1,2,3\n4,5\n").unwrap();
+    let err = load_path(&path, &CsvOptions::csv()).unwrap_err();
     assert!(matches!(err, IoError::Parse { line: 3, .. }), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_leading_byte_order_mark_is_not_part_of_the_first_name() {
+    let report = read_instance("\u{feff}A,B\n1,x\n1,y\n".as_bytes(), &CsvOptions::csv()).unwrap();
+    let names: Vec<&str> = report
+        .instance
+        .schema()
+        .attributes()
+        .map(|(_, n)| n)
+        .collect();
+    assert_eq!(names, ["A", "B"]);
+    assert_eq!(report.columns, [ColumnType::Int, ColumnType::Str]);
+    // Headerless input: the first cell is the integer 1, not "\u{feff}1".
+    let report =
+        read_instance("\u{feff}1,x\n".as_bytes(), &CsvOptions::csv().header(false)).unwrap();
+    assert_eq!(
+        *report.instance.cell(CellRef::new(0, AttrId(0))).unwrap(),
+        Value::Int(1)
+    );
+}
+
+#[test]
+fn deferred_typing_keeps_value_by_value_codes() {
+    // Built so that the one-pass load must fix types at EOF and rewrite
+    // codes: `n` starts with a null and spells 7 as `07` before `7` (Int);
+    // `f` holds both `1` and `1.0` (Float); `s` reads as Int for 500 rows
+    // and demotes to Str on its last row, so its `07` and `7` stay apart.
+    let rows = 501;
+    let mut csv = String::from("n,f,s\n");
+    let mut reference = Instance::new(Schema::new("csv", vec!["n", "f", "s"]).unwrap());
+    for i in 0..rows {
+        let n = match i {
+            0 => "".to_string(),
+            1 => "07".to_string(),
+            2 => "7".to_string(),
+            _ if i % 9 == 0 => "NA".to_string(),
+            _ => (i % 11).to_string(),
+        };
+        let f = match i % 4 {
+            0 => "1".to_string(),
+            1 => "1.0".to_string(),
+            2 => format!("{}.5", i % 6),
+            _ => (i % 5).to_string(),
+        };
+        let s = match i {
+            1 => "07".to_string(),
+            2 => "7".to_string(),
+            500 => "word".to_string(),
+            _ => (i % 13).to_string(),
+        };
+        csv.push_str(&format!("{n},{f},{s}\n"));
+        let n = if n.is_empty() || n == "NA" {
+            Value::Null
+        } else {
+            Value::Int(n.parse().unwrap())
+        };
+        let row = vec![n, Value::float(f.parse().unwrap()), Value::str(s)];
+        reference.push(Tuple::new(row)).unwrap();
+    }
+    let columns = [ColumnType::Int, ColumnType::Float, ColumnType::Str];
+    let nulls = (0..rows)
+        .filter(|&r| {
+            reference
+                .cell(CellRef::new(r, AttrId(0)))
+                .unwrap()
+                .is_null()
+        })
+        .count();
+    let expected = LoadReport {
+        instance: reference,
+        columns: columns.to_vec(),
+        null_cells: nulls,
+    };
+
+    let dir = std::env::temp_dir().join(format!("rt_csv_io_deferred_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deferred.csv");
+    std::fs::write(&path, &csv).unwrap();
+    let options = CsvOptions::csv();
+    assert_same_load(&expected, &load_path(&path, &options).unwrap(), "load_path");
+    assert_same_load(
+        &expected,
+        &read_instance(csv.as_bytes(), &options).unwrap(),
+        "read_instance",
+    );
+    assert_same_load(
+        &expected,
+        &read_instance_with_types(csv.as_bytes(), &columns, &options).unwrap(),
+        "read_instance_with_types",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_first_bad_line_is_the_one_reported() {
+    // Given types: the bad Int on line 3 fails the load before the reader
+    // reaches the unterminated quote on line 5.
+    let csv = "a,b\n1,x\noops,y\n2,z\n\"open,w\n";
+    let err = read_instance_with_types(
+        csv.as_bytes(),
+        &[ColumnType::Int, ColumnType::Str],
+        &CsvOptions::csv(),
+    )
+    .unwrap_err();
+    match err {
+        IoError::Parse { line, message } => {
+            assert_eq!(line, 3);
+            assert!(message.contains("`oops` is not an integer"), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    // Inferred types: the first ragged line, ahead of later ragged and
+    // malformed ones.
+    let csv = "a,b\n1,x\n2\n3,y,z\n\"open,w\n";
+    let err = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap_err();
+    assert!(matches!(err, IoError::Parse { line: 3, .. }), "{err:?}");
+}
+
+#[test]
+fn warehouse_csv_loads_back_as_the_generated_instance() {
+    // The ingest scale test: `RT_WAREHOUSE_ROWS` rows (CI runs 100k in
+    // release; the debug default stays small).
+    let rows: usize = std::env::var("RT_WAREHOUSE_ROWS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20_000);
+    let dir = std::env::temp_dir().join(format!("rt_csv_io_warehouse_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("warehouse.csv");
+    {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        gen::write_warehouse_csv(&mut out, rows, 17, WAREHOUSE_ERRORS).unwrap();
+        std::io::Write::flush(&mut out).unwrap();
+    }
+    let report = load_path(&path, &CsvOptions::csv().relation("warehouse")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let (generated, _) = gen::warehouse_with_errors(rows, 17, WAREHOUSE_ERRORS);
+    assert_eq!(report.instance, generated);
+    for (attr, _) in generated.schema().attributes() {
+        assert_eq!(
+            report.instance.codes(attr),
+            generated.codes(attr),
+            "{attr:?}"
+        );
+        assert_eq!(
+            report.instance.dict(attr).constants(),
+            generated.dict(attr).constants(),
+            "{attr:?}"
+        );
+    }
+    assert_eq!(report.null_cells, 0);
 }
 
 #[test]
@@ -403,17 +566,15 @@ fn seeded_malformed_input_fails_typed_and_never_panics() {
         // Every loader agrees: the same instance, or an error for all.
         std::fs::write(&path, &text).unwrap();
         let buffered = read_instance(&text[..], &CsvOptions::csv());
-        for chunk_rows in [1usize, 3] {
-            let chunked = load_path_chunked(&path, chunk_rows, &CsvOptions::csv());
-            match (&buffered, &chunked) {
-                (Ok(a), Ok(b)) => assert_eq!(a.instance, b.instance, "case {case}"),
-                (Err(_), Err(e)) => assert!(!e.to_string().is_empty(), "case {case}"),
-                _ => panic!(
-                    "case {case}, chunk_rows={chunk_rows}: loaders disagree: {:?} vs {:?}",
-                    buffered.as_ref().map(|r| r.instance.len()),
-                    chunked.as_ref().map(|r| r.instance.len())
-                ),
-            }
+        let streamed = load_path(&path, &CsvOptions::csv());
+        match (&buffered, &streamed) {
+            (Ok(a), Ok(b)) => assert_eq!(a.instance, b.instance, "case {case}"),
+            (Err(_), Err(e)) => assert!(!e.to_string().is_empty(), "case {case}"),
+            _ => panic!(
+                "case {case}: loaders disagree: {:?} vs {:?}",
+                buffered.as_ref().map(|r| r.instance.len()),
+                streamed.as_ref().map(|r| r.instance.len())
+            ),
         }
         match buffered {
             Ok(_) => loaded += 1,
