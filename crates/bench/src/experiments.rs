@@ -306,7 +306,8 @@ fn measure_search(
         WeightKind::DistinctCount,
     );
     let tau = problem.absolute_tau(tau_r);
-    let outcome = rt_core::search::run_search(&problem, tau, config, algorithm);
+    let (outcome, seconds) =
+        timed(|| rt_core::search::run_search(&problem, tau, config, algorithm));
     PerfRow {
         algorithm: match algorithm {
             SearchAlgorithm::AStar => "A*-Repair".to_string(),
@@ -316,7 +317,7 @@ fn measure_search(
         attributes: workload.spec.attributes,
         fds: workload.spec.fd_count,
         tau_r,
-        seconds: outcome.stats.elapsed.as_secs_f64(),
+        seconds,
         states_visited: outcome.stats.states_expanded,
         truncated: outcome.stats.truncated,
     }
@@ -329,7 +330,6 @@ fn measure_search(
 fn perf_config() -> SearchConfig {
     SearchConfig {
         max_expansions: 10_000,
-        timing: true,
         ..Default::default()
     }
 }
@@ -484,26 +484,27 @@ pub fn multi_repair_comparison(scale: Scale, par: Parallelism) -> Vec<MultiRepai
         // resumable RangeSearch directly instead of the materializing
         // sweep: same traversal and stats, no data repairs built just to
         // be counted.
-        let range =
-            RangeSearch::new(engine.problem(), 0, tau_high, engine.search_config()).run_to_end();
-        let (repairs_found, range_stats) = (range.repairs.len(), range.stats);
+        let search = RangeSearch::new(engine.problem(), 0, tau_high, engine.search_config());
+        let (range, seconds) = timed(|| search.run_to_end());
         rows.push(MultiRepairRow {
             algorithm: "Range-Repair".to_string(),
             max_tau_r,
-            seconds: range_stats.elapsed.as_secs_f64(),
-            repairs_found,
-            states_visited: range_stats.states_expanded,
+            seconds,
+            repairs_found: range.repairs.len(),
+            states_visited: range.stats.states_expanded,
         });
 
         // The paper samples τ_r in steps of 1.7% of δ_P.
         let step = (((reference as f64) * 0.017).ceil() as usize).max(1);
-        let sampling = engine.sampling_spectrum(0..=tau_high, step);
+        let (sampling, seconds) = timed(|| {
+            rt_core::sampling_search(engine.problem(), 0, tau_high, step, engine.search_config())
+        });
         rows.push(MultiRepairRow {
             algorithm: "Sampling-Repair".to_string(),
             max_tau_r,
-            seconds: sampling.search_stats.elapsed.as_secs_f64(),
-            repairs_found: sampling.len(),
-            states_visited: sampling.search_stats.states_expanded,
+            seconds,
+            repairs_found: sampling.repairs.len(),
+            states_visited: sampling.stats.states_expanded,
         });
     }
     rows
@@ -530,6 +531,13 @@ json_row! {
     }
 }
 
+/// Runs `f` once and returns its output with the wall-clock seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
 /// Times `f` under both settings and checks the outputs match.
 fn measure_speedup<T: PartialEq>(
     stage: &str,
@@ -539,12 +547,8 @@ fn measure_speedup<T: PartialEq>(
     // Untimed warm-up so allocator and page-cache effects don't skew the
     // serial (first) measurement.
     let _ = f(Parallelism::Serial);
-    let start = Instant::now();
-    let serial_out = f(Parallelism::Serial);
-    let serial_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let parallel_out = f(par);
-    let parallel_seconds = start.elapsed().as_secs_f64();
+    let (serial_out, serial_seconds) = timed(|| f(Parallelism::Serial));
+    let (parallel_out, parallel_seconds) = timed(|| f(par));
     SpeedupRow {
         stage: stage.to_string(),
         serial_seconds,

@@ -152,7 +152,6 @@ impl Workload {
             .weight(WeightKind::DistinctCount)
             .parallelism(parallelism)
             .max_expansions(max_expansions)
-            .timing(true)
             .seed(self.spec.seed)
             .build()
             .expect("workload always yields a valid engine configuration")

@@ -23,6 +23,7 @@ use crate::attrset::AttrSet;
 use crate::fd::{Fd, FdSet};
 use rt_graph::{CompactGraph, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
+use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{code_runs, row_u32, sort_rows_by_codes, Code, CodeSpace, Instance};
 use std::collections::HashMap;
 
@@ -125,17 +126,14 @@ pub struct ConflictGraphDeltaSummary {
     pub edges_relabeled: usize,
 }
 
-impl ConflictGraphDeltaSummary {
-    /// `true` when the patch changed nothing.
-    pub fn is_noop(&self) -> bool {
-        *self == ConflictGraphDeltaSummary::default()
-    }
-
-    /// Folds another summary into this one.
-    pub fn absorb(&mut self, other: &ConflictGraphDeltaSummary) {
-        self.edges_added += other.edges_added;
-        self.edges_removed += other.edges_removed;
-        self.edges_relabeled += other.edges_relabeled;
+impl Telemetry for ConflictGraphDeltaSummary {
+    #[rustfmt::skip]
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("edges_added", Slot::Count(&mut self.edges_added)),
+            ("edges_removed", Slot::Count(&mut self.edges_removed)),
+            ("edges_relabeled", Slot::Count(&mut self.edges_relabeled)),
+        ]
     }
 }
 

@@ -89,7 +89,7 @@ pub use problem::{RepairProblem, WeightKind};
 pub use repair::Repair;
 pub use rt_par::Parallelism;
 pub use search::{
-    run_search, FdRepair, FdRepairOutcome, SearchAlgorithm, SearchConfig, SearchStats, Stopwatch,
+    run_search, FdRepair, FdRepairOutcome, SearchAlgorithm, SearchConfig, SearchStats,
 };
 pub use shard::ShardPlan;
 pub use state::RepairState;

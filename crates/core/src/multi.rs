@@ -15,10 +15,11 @@ use crate::problem::RepairProblem;
 use crate::repair::Repair;
 use crate::search::{
     charge_heuristic, evaluate_heuristic_batch, run_search, FdRepair, SearchAlgorithm,
-    SearchConfig, SearchStats, Stopwatch,
+    SearchConfig, SearchStats,
 };
 use crate::state::RepairState;
 use rt_par::{par_map_coarse, par_map_indexed, Parallelism};
+use rt_relation::work::Telemetry;
 
 /// An FD repair annotated with the relative-trust interval it covers: every
 /// `τ` in `tau_range` (inclusive bounds) yields exactly this repair.
@@ -403,7 +404,6 @@ impl<'p> RangeSearch<'p> {
         if self.exhausted {
             return None;
         }
-        let start = Stopwatch::start_if(self.config.timing);
         let problem = self.problem;
         let config = self.config;
         let produced = loop {
@@ -532,7 +532,6 @@ impl<'p> RangeSearch<'p> {
             }
         };
         self.stats.heuristic_cache_entries = self.cache.len();
-        self.stats.elapsed += start.elapsed();
         if let Some(repair) = &produced {
             self.found.push(repair.clone());
             self.replay_idx = self.found.len();
@@ -569,7 +568,6 @@ pub fn sampling_search(
     step: usize,
     config: &SearchConfig,
 ) -> MultiRepairOutcome {
-    let start = Stopwatch::start_if(config.timing);
     let step = step.max(1);
     let mut stats = SearchStats::default();
     let mut repairs: Vec<RangedFdRepair> = Vec::new();
@@ -590,8 +588,8 @@ pub fn sampling_search(
     });
 
     for (tau, outcome) in taus.into_iter().zip(outcomes) {
-        // Each per-τ search has its own cache; `merge` reports the largest.
-        stats.merge(&outcome.stats);
+        // Each per-τ search has its own cache; `absorb` reports the largest.
+        stats.absorb(&outcome.stats);
         if let Some(repair) = outcome.repair {
             let duplicate = repairs.iter().any(|r| r.repair.state == repair.state);
             if !duplicate {
@@ -603,7 +601,6 @@ pub fn sampling_search(
         }
     }
 
-    stats.elapsed = start.elapsed();
     MultiRepairOutcome { repairs, stats }
 }
 

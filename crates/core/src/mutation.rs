@@ -25,6 +25,7 @@
 
 use crate::problem::RepairProblem;
 use rt_constraints::{incident_conflict_edges, Fd, FdPartitionIndex};
+use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{CellRef, Tuple, Value};
 
 /// One primitive mutation of a repair problem's `(I, Σ)`.
@@ -43,7 +44,8 @@ pub enum MutationOp {
     RemoveFd(usize),
 }
 
-/// What a mutation (batch) did to the prepared state.
+/// What a mutation (batch) did to the prepared state. Effects fold together
+/// through [`Telemetry::absorb`]; the three flags are sticky.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationEffect {
     /// Tuples appended.
@@ -83,28 +85,23 @@ pub struct MutationEffect {
     pub diff_groups_changed: bool,
 }
 
-impl MutationEffect {
-    fn absorb_summary(&mut self, s: &rt_constraints::ConflictGraphDeltaSummary) {
-        self.edges_added += s.edges_added;
-        self.edges_removed += s.edges_removed;
-        self.edges_relabeled += s.edges_relabeled;
-    }
-
-    /// Folds another effect into this one (`search_state_invalidated` and
-    /// `weight_refreshed` are sticky).
-    pub fn absorb(&mut self, other: &MutationEffect) {
-        self.rows_inserted += other.rows_inserted;
-        self.rows_deleted += other.rows_deleted;
-        self.cells_updated += other.cells_updated;
-        self.fds_added += other.fds_added;
-        self.fds_removed += other.fds_removed;
-        self.edges_added += other.edges_added;
-        self.edges_removed += other.edges_removed;
-        self.edges_relabeled += other.edges_relabeled;
-        self.components_dirtied += other.components_dirtied;
-        self.weight_refreshed |= other.weight_refreshed;
-        self.search_state_invalidated |= other.search_state_invalidated;
-        self.diff_groups_changed |= other.diff_groups_changed;
+impl Telemetry for MutationEffect {
+    #[rustfmt::skip]
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("rows_inserted", Slot::Count(&mut self.rows_inserted)),
+            ("rows_deleted", Slot::Count(&mut self.rows_deleted)),
+            ("cells_updated", Slot::Count(&mut self.cells_updated)),
+            ("fds_added", Slot::Count(&mut self.fds_added)),
+            ("fds_removed", Slot::Count(&mut self.fds_removed)),
+            ("edges_added", Slot::Count(&mut self.edges_added)),
+            ("edges_removed", Slot::Count(&mut self.edges_removed)),
+            ("edges_relabeled", Slot::Count(&mut self.edges_relabeled)),
+            ("components_dirtied", Slot::Count(&mut self.components_dirtied)),
+            ("weight_refreshed", Slot::Flag(&mut self.weight_refreshed)),
+            ("search_state_invalidated", Slot::Flag(&mut self.search_state_invalidated)),
+            ("diff_groups_changed", Slot::Flag(&mut self.diff_groups_changed)),
+        ]
     }
 }
 
@@ -137,16 +134,11 @@ impl RepairProblem {
         let data_changed = effect.rows_inserted + effect.rows_deleted + effect.cells_updated > 0;
         let mut weight_changed = false;
         if data_changed {
-            if let Some(kind) = self.weight_kind {
-                let old_fp = self.weight.fingerprint();
-                self.weight = Self::build_weight(&self.instance, kind);
-                let new_fp = self.weight.fingerprint();
-                weight_changed = !(old_fp.is_some() && old_fp == new_fp);
-                effect.weight_refreshed = true;
-            }
-            // Caller-supplied weight functions are kept as-is (the paper
-            // prices extensions against the initial instance); they stay
-            // the same function, so they do not invalidate.
+            let old_fp = self.weight.fingerprint();
+            self.weight = Self::build_weight(&self.instance, self.weight_kind);
+            let new_fp = self.weight.fingerprint();
+            weight_changed = !(old_fp.is_some() && old_fp == new_fp);
+            effect.weight_refreshed = true;
         }
         effect.diff_groups_changed = effect.fds_added > 0
             || effect.fds_removed > 0
@@ -207,7 +199,7 @@ impl RepairProblem {
         let summary = self
             .conflict
             .apply_delta(&dirty, recomputed, self.instance.len());
-        effect.absorb_summary(&summary);
+        effect.absorb(&summary);
         effect.rows_inserted += dirty.len();
         let after = self.conflict.to_graph().components_touching(&dirty);
         effect.components_dirtied += before.max(after);
@@ -307,7 +299,7 @@ impl RepairProblem {
         let summary = self
             .conflict
             .apply_delta(&[cell.row], recomputed, self.instance.len());
-        effect.absorb_summary(&summary);
+        effect.absorb(&summary);
         effect.cells_updated += 1;
         let after = self.conflict.to_graph().components_touching(&[cell.row]);
         effect.components_dirtied += before.max(after);
@@ -333,7 +325,7 @@ impl RepairProblem {
         let summary = self
             .conflict
             .integrate_fd(&self.instance, &self.sigma, fd_idx);
-        effect.absorb_summary(&summary);
+        effect.absorb(&summary);
         effect.fds_added += 1;
         let dirty: Vec<usize> = {
             let mut rows: Vec<usize> = self
@@ -382,7 +374,7 @@ impl RepairProblem {
         // FD's edges vanish from the post graph but were still dirtied.
         let before = self.conflict.to_graph().components_touching(&dirty);
         let summary = self.conflict.remove_fd_labels(idx);
-        effect.absorb_summary(&summary);
+        effect.absorb(&summary);
         effect.fds_removed += 1;
         let after = self.conflict.to_graph().components_touching(&dirty);
         effect.components_dirtied += before.max(after);

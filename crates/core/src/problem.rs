@@ -51,10 +51,9 @@ pub struct RepairProblem {
     pub(crate) diff_groups: Vec<DiffSetGroup>,
     pub(crate) weight: Arc<dyn Weight>,
     pub(crate) alpha: usize,
-    /// Which built-in weighting the weight was constructed from, if any —
-    /// what lets a mutation rebuild it against the mutated instance. `None`
-    /// for caller-supplied weight functions (which are kept as-is).
-    pub(crate) weight_kind: Option<WeightKind>,
+    /// Which built-in weighting the weight was constructed from — what lets
+    /// a mutation rebuild it against the mutated instance.
+    pub(crate) weight_kind: WeightKind,
     /// Per-FD LHS equivalence partitions, built lazily on the first
     /// mutation and delta-maintained afterwards.
     pub(crate) incremental: Option<rt_constraints::FdPartitionIndex>,
@@ -81,10 +80,7 @@ impl RepairProblem {
         weight: WeightKind,
         par: Parallelism,
     ) -> Self {
-        let mut problem =
-            Self::with_weight_fn_par(instance, sigma, Self::build_weight(instance, weight), par);
-        problem.weight_kind = Some(weight);
-        problem
+        Self::with_weight_owned(instance.clone(), sigma, weight, par)
     }
 
     pub(crate) fn build_weight(instance: &Instance, weight: WeightKind) -> Arc<dyn Weight> {
@@ -93,22 +89,6 @@ impl RepairProblem {
             WeightKind::DistinctCount => Arc::new(DistinctCountWeight::new(instance)),
             WeightKind::Entropy => Arc::new(EntropyWeight::new(instance)),
         }
-    }
-
-    /// Prepares a repair problem with a caller-supplied weighting function.
-    pub fn with_weight_fn(instance: &Instance, sigma: &FdSet, weight: Arc<dyn Weight>) -> Self {
-        Self::with_weight_fn_par(instance, sigma, weight, Parallelism::Serial)
-    }
-
-    /// [`RepairProblem::with_weight_fn`] with an explicit [`Parallelism`]
-    /// setting.
-    pub fn with_weight_fn_par(
-        instance: &Instance,
-        sigma: &FdSet,
-        weight: Arc<dyn Weight>,
-        par: Parallelism,
-    ) -> Self {
-        Self::with_weight_fn_owned(instance.clone(), sigma, weight, par)
     }
 
     /// The owned-instance form of [`RepairProblem::with_weight_par`]: the
@@ -125,17 +105,6 @@ impl RepairProblem {
         par: Parallelism,
     ) -> Self {
         let weight_fn = Self::build_weight(&instance, weight);
-        let mut problem = Self::with_weight_fn_owned(instance, sigma, weight_fn, par);
-        problem.weight_kind = Some(weight);
-        problem
-    }
-
-    fn with_weight_fn_owned(
-        instance: Instance,
-        sigma: &FdSet,
-        weight: Arc<dyn Weight>,
-        par: Parallelism,
-    ) -> Self {
         let conflict = ConflictGraph::build_with(&instance, sigma, par);
         let diff_groups = Self::group_by_difference_set(&conflict);
         let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
@@ -144,9 +113,9 @@ impl RepairProblem {
             sigma: sigma.clone(),
             conflict,
             diff_groups,
-            weight,
+            weight: weight_fn,
             alpha,
-            weight_kind: None,
+            weight_kind: weight,
             incremental: None,
         }
     }
@@ -199,7 +168,7 @@ impl RepairProblem {
             diff_groups,
             weight: weight_fn,
             alpha,
-            weight_kind: Some(weight),
+            weight_kind: weight,
             incremental: None,
         })
     }
@@ -254,16 +223,14 @@ impl RepairProblem {
             diff_groups,
             weight: weight_fn,
             alpha,
-            weight_kind: Some(weight),
+            weight_kind: weight,
             incremental,
         }
     }
 
-    /// Which built-in weighting the problem was constructed with, or `None`
-    /// for a caller-supplied weight function. Snapshots serialize this tag
-    /// and rebuild the weight from it on restore — problems with custom
-    /// weights cannot be snapshotted.
-    pub fn weight_kind(&self) -> Option<WeightKind> {
+    /// Which built-in weighting the problem was constructed with. Snapshots
+    /// serialize this tag and rebuild the weight from it on restore.
+    pub fn weight_kind(&self) -> WeightKind {
         self.weight_kind
     }
 

@@ -16,16 +16,17 @@
 //!
 //! Both return the cheapest relaxation `Σ'` whose
 //! `δ_P(Σ', I) = α · |C2opt(Σ', I)|` fits within the cell budget `τ`,
-//! together with search statistics (expanded/generated states, wall time).
+//! together with search statistics (expanded/generated states, heuristic
+//! work).
 
 use crate::heuristic::{goal_cost_estimate, HeuristicCache, HeuristicConfig, HeuristicValue};
 use crate::problem::RepairProblem;
 use crate::state::RepairState;
 use rt_constraints::FdSet;
 use rt_par::{par_map_indexed, Parallelism};
+use rt_relation::work::{Slot, Telemetry};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,12 +56,6 @@ pub struct SearchConfig {
     /// way; on saves the exponential enumeration whenever a projected
     /// difference-set key repeats at an answerable `τ`.
     pub heuristic_cache: bool,
-    /// Read the wall clock around searches and report it in
-    /// [`SearchStats::elapsed`]. Off by default: tests and gates compare
-    /// counters, and a search that never looks at a clock cannot leak
-    /// wall-clock nondeterminism into anything. The bench layer opts in.
-    /// When off, `elapsed` stays zero.
-    pub timing: bool,
 }
 
 impl Default for SearchConfig {
@@ -70,32 +65,13 @@ impl Default for SearchConfig {
             heuristic: HeuristicConfig::default(),
             parallelism: Parallelism::Auto,
             heuristic_cache: true,
-            timing: false,
         }
     }
 }
 
-/// The workspace's single opt-in wall-clock read: a stopwatch that only
-/// ticks when explicitly enabled (`SearchConfig::timing`, the engine
-/// builder's `timing(true)`). Disabled, it reads nothing and reports
-/// `Duration::ZERO`, so the default pipeline is clock-free end to end.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Option<Instant>);
-
-impl Stopwatch {
-    /// Starts the stopwatch when `enabled`, otherwise returns an inert one.
-    pub fn start_if(enabled: bool) -> Stopwatch {
-        // rtlint: allow(D003) -- the one sanctioned wall-clock read; explicit opt-in, feeds telemetry only
-        Stopwatch(enabled.then(Instant::now))
-    }
-
-    /// Elapsed time since start, or `Duration::ZERO` when inert.
-    pub fn elapsed(&self) -> Duration {
-        self.0.map(|s| s.elapsed()).unwrap_or_default()
-    }
-}
-
-/// Counters describing one search run.
+/// Counters describing one search run. Merges and deltas go through
+/// [`Telemetry`]: counters add, the cache-size gauge keeps the larger value
+/// and `truncated` ORs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// States popped from the open list ("visited" in the paper's figures).
@@ -112,41 +88,21 @@ pub struct SearchStats {
     /// difference-set keys) — a gauge (the current cache size), not a
     /// cumulative counter.
     pub heuristic_cache_entries: usize,
-    /// Wall-clock time of the search.
-    pub elapsed: Duration,
     /// `true` when the expansion cap was hit before finding a goal.
     pub truncated: bool,
 }
 
-impl SearchStats {
-    /// Folds `other` into `self`: counters and `elapsed` add, the
-    /// `heuristic_cache_entries` gauge keeps the larger value and
-    /// `truncated` is set if either run was truncated.
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.states_expanded += other.states_expanded;
-        self.states_generated += other.states_generated;
-        self.heuristic_nodes += other.heuristic_nodes;
-        self.heuristic_cache_hits += other.heuristic_cache_hits;
-        self.heuristic_cache_entries = self
-            .heuristic_cache_entries
-            .max(other.heuristic_cache_entries);
-        self.elapsed += other.elapsed;
-        self.truncated |= other.truncated;
-    }
-
-    /// The work done since the cumulative snapshot `earlier` of the same
-    /// run: counters subtract, `elapsed` saturates at zero, and the
-    /// `heuristic_cache_entries` gauge and `truncated` flag are `self`'s.
-    pub fn since(&self, earlier: &SearchStats) -> SearchStats {
-        SearchStats {
-            states_expanded: self.states_expanded - earlier.states_expanded,
-            states_generated: self.states_generated - earlier.states_generated,
-            heuristic_nodes: self.heuristic_nodes - earlier.heuristic_nodes,
-            heuristic_cache_hits: self.heuristic_cache_hits - earlier.heuristic_cache_hits,
-            heuristic_cache_entries: self.heuristic_cache_entries,
-            elapsed: self.elapsed.saturating_sub(earlier.elapsed),
-            truncated: self.truncated,
-        }
+impl Telemetry for SearchStats {
+    #[rustfmt::skip]
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("states_expanded", Slot::Count(&mut self.states_expanded)),
+            ("states_generated", Slot::Count(&mut self.states_generated)),
+            ("heuristic_nodes", Slot::Count(&mut self.heuristic_nodes)),
+            ("heuristic_cache_hits", Slot::Count(&mut self.heuristic_cache_hits)),
+            ("heuristic_cache_entries", Slot::Gauge(&mut self.heuristic_cache_entries)),
+            ("truncated", Slot::Flag(&mut self.truncated)),
+        ]
     }
 }
 
@@ -249,7 +205,6 @@ pub fn run_search(
     config: &SearchConfig,
     algorithm: SearchAlgorithm,
 ) -> FdRepairOutcome {
-    let start = Stopwatch::start_if(config.timing);
     let mut stats = SearchStats::default();
     let mut cache = HeuristicCache::new();
     let mut seq = 0u64;
@@ -331,7 +286,6 @@ pub fn run_search(
     };
 
     stats.heuristic_cache_entries = cache.len();
-    stats.elapsed = start.elapsed();
     FdRepairOutcome {
         repair: outcome_repair,
         stats,
@@ -549,7 +503,6 @@ mod tests {
             heuristic_nodes: 40,
             heuristic_cache_hits: 2,
             heuristic_cache_entries: 7,
-            elapsed: Duration::from_millis(5),
             truncated: false,
         };
         let b = SearchStats {
@@ -558,28 +511,21 @@ mod tests {
             heuristic_nodes: 41,
             heuristic_cache_hits: 9,
             heuristic_cache_entries: 12,
-            elapsed: Duration::from_millis(9),
             truncated: true,
         };
         let delta = b.since(&a);
         assert_eq!(delta.states_expanded, 5);
-        assert_eq!(delta.elapsed, Duration::from_millis(4));
         // The gauge and the flag pass through `since` …
         assert_eq!(delta.heuristic_cache_entries, 12);
         assert!(delta.truncated);
         // … so merging the delta back into `a` reproduces `b` exactly:
         // counters add, the gauge takes the max and the flag ORs.
         let mut merged = a;
-        merged.merge(&delta);
+        merged.absorb(&delta);
         assert_eq!(merged, b);
-        // The gauge is a max, not a sum, and `elapsed` saturates at zero.
+        // The gauge is a max, not a sum.
         let mut gauge = b;
-        gauge.merge(&a);
+        gauge.absorb(&a);
         assert_eq!(gauge.heuristic_cache_entries, 12);
-        let untimed = SearchStats {
-            elapsed: Duration::ZERO,
-            ..b
-        };
-        assert_eq!(untimed.since(&a).elapsed, Duration::ZERO);
     }
 }

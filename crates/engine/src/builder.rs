@@ -5,9 +5,7 @@ use crate::error::EngineError;
 use crate::stats::EngineStats;
 use rt_constraints::FdSet;
 use rt_core::heuristic::HeuristicConfig;
-use rt_core::{
-    Parallelism, RepairProblem, SearchAlgorithm, SearchConfig, ShardPlan, Stopwatch, WeightKind,
-};
+use rt_core::{Parallelism, RepairProblem, SearchAlgorithm, SearchConfig, ShardPlan, WeightKind};
 use rt_relation::Instance;
 
 /// When (and whether) the builder shards the conflict-graph construction.
@@ -98,7 +96,6 @@ pub struct RepairEngineBuilder {
     max_expansions: usize,
     heuristic: HeuristicConfig,
     heuristic_cache: bool,
-    timing: bool,
     seed: u64,
     shard_rows: ShardRows,
 }
@@ -115,7 +112,6 @@ impl RepairEngineBuilder {
             max_expansions: defaults.max_expansions,
             heuristic: defaults.heuristic,
             heuristic_cache: defaults.heuristic_cache,
-            timing: defaults.timing,
             seed: 0,
             shard_rows: ShardRows::Auto,
         }
@@ -162,16 +158,6 @@ impl RepairEngineBuilder {
     /// reference path the equivalence tests compare against.
     pub fn heuristic_cache(mut self, enabled: bool) -> Self {
         self.heuristic_cache = enabled;
-        self
-    }
-
-    /// Read the wall clock around the build and every search, reporting it
-    /// in [`EngineStats::build_elapsed`] / [`rt_core::SearchStats::elapsed`]
-    /// (default: `false`). Off, the whole pipeline is clock-free and the
-    /// elapsed figures stay zero; the bench layer turns this on. Results
-    /// are bit-identical either way — timing is telemetry, never an input.
-    pub fn timing(mut self, enabled: bool) -> Self {
-        self.timing = enabled;
         self
     }
 
@@ -229,7 +215,6 @@ impl RepairEngineBuilder {
             }
         }
 
-        let start = Stopwatch::start_if(self.timing);
         let sharded = self.shard_rows.applies_to(self.instance.len());
         let (problem, graph_builds, shards) = if sharded {
             let plan = ShardPlan::compute(&self.instance, &self.fds);
@@ -254,7 +239,6 @@ impl RepairEngineBuilder {
         let stats = EngineStats {
             conflict_graph_builds: graph_builds,
             shards,
-            build_elapsed: start.elapsed(),
             dict_entries: problem.instance().dict_entries(),
             ..Default::default()
         };
@@ -263,7 +247,6 @@ impl RepairEngineBuilder {
             heuristic: self.heuristic,
             parallelism: self.parallelism,
             heuristic_cache: self.heuristic_cache,
-            timing: self.timing,
         };
         Ok(RepairEngine::from_parts(
             problem,

@@ -13,6 +13,7 @@ use rt_core::{
     run_search, RangeSearch, RangedFdRepair, Repair, RepairProblem, SearchAlgorithm, SearchConfig,
     SearchStats, SweepCheckpoint,
 };
+use rt_relation::work::Telemetry;
 use rt_relation::{CellRef, Instance, Tuple, Value};
 use std::ops::RangeInclusive;
 use std::sync::{Mutex, MutexGuard};
@@ -113,17 +114,8 @@ impl RepairEngine {
     ///
     /// A [`RepairEngine::restore`] of these bytes answers every query
     /// bit-identically to this engine, without ever rebuilding the conflict
-    /// graph. Only engines using a built-in weighting
-    /// ([`rt_core::WeightKind`]) are snapshottable; an engine built with a
-    /// caller-supplied `Arc<dyn Weight>` returns a typed
-    /// [`EngineError::Snapshot`] because an opaque closure cannot travel
-    /// through a byte format.
+    /// graph. Every engine state can be encoded, so this returns `Ok`.
     pub fn snapshot(&self) -> Result<Vec<u8>, EngineError> {
-        let weight = self.problem.weight_kind().ok_or_else(|| {
-            EngineError::Snapshot(
-                "engine uses a caller-supplied weight function, which cannot be serialized".into(),
-            )
-        })?;
         let sweep = lock(&self.sweep_cache)
             .as_ref()
             .map(SweepCheckpoint::export_parts);
@@ -133,7 +125,6 @@ impl RepairEngine {
         let stats = *lock(&self.stats);
         Ok(crate::snapshot::encode(
             &self.problem,
-            weight,
             &self.search_config,
             self.algorithm,
             self.seed,
@@ -195,25 +186,12 @@ impl RepairEngine {
         {
             let mut stats = lock(&self.stats);
             stats.mutation_batches += 1;
-            stats.edges_added += effect.edges_added;
-            stats.edges_removed += effect.edges_removed;
-            stats.components_dirtied += effect.components_dirtied;
+            stats.absorb(&effect);
             stats.graph_rebuild_avoided += 1;
             // The dictionaries were maintained in-place by the mutated
             // instance (append-only; untouched rows were not re-encoded) —
             // refresh the footprint figure.
             stats.dict_entries = self.problem.instance().dict_entries();
-            // A sharded engine keeps its plan honest across mutations: the
-            // partition is recomputed from the mutated code columns (cheap,
-            // one blocking pass per FD) so mutations that bridge two shards
-            // merge them and deletions can re-split. The patched conflict
-            // graph is reused as-is — `conflict_graph_builds` stays put.
-            if stats.shards > 0 {
-                let plan =
-                    rt_core::ShardPlan::compute(self.problem.instance(), self.problem.sigma());
-                stats.shards = plan.shard_count();
-                stats.shard_replans += 1;
-            }
         }
         let mut cache = lock(&self.sweep_cache);
         let sweep_cache_retained = if effect.search_state_invalidated {
@@ -323,10 +301,11 @@ impl RepairEngine {
         }
         match outcome.repair {
             Some(repair) => Ok((repair, outcome.stats)),
-            None => Err(EngineError::BudgetExhausted {
+            None if outcome.stats.truncated => Err(EngineError::BudgetExhausted {
                 tau,
                 max_expansions: self.search_config.max_expansions,
             }),
+            None => Err(EngineError::NoRepair { tau }),
         }
     }
 

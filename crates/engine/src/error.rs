@@ -43,19 +43,26 @@ pub enum EngineError {
     /// Nothing was applied: batches are all-or-nothing.
     Mutation(String),
     /// The FD-modification search hit its expansion cap before finding a
-    /// repair within the cell budget `tau`. An unbounded search always
-    /// succeeds (fully relaxed FDs need no data changes), so this means
-    /// `max_expansions` was too small for the problem.
+    /// repair within the cell budget `tau`: `max_expansions` was too small
+    /// for the problem, and a larger cap may find one.
     BudgetExhausted {
         /// The cell budget the query asked for.
         tau: usize,
         /// The expansion cap that stopped the search.
         max_expansions: usize,
     },
-    /// A snapshot could not be produced or restored: the engine is not
-    /// snapshottable (caller-supplied weight function), or the snapshot
-    /// bytes are truncated, corrupt, or of an unsupported format version.
-    /// Restoring never panics — every defect lands here.
+    /// The search explored every FD relaxation without exceeding its
+    /// expansion cap, and none fits the cell budget `tau`. Relaxing every
+    /// FD as far as the schema allows need not remove every conflict — two
+    /// rows that agree on all attributes but the RHS still violate it — so
+    /// some budgets have no repair at all.
+    NoRepair {
+        /// The cell budget the query asked for.
+        tau: usize,
+    },
+    /// Snapshot bytes could not be restored: they are truncated, corrupt,
+    /// or of an unsupported format version. Restoring never panics — every
+    /// defect lands here.
     Snapshot(String),
 }
 
@@ -83,6 +90,7 @@ impl EngineError {
             EngineError::Parse { .. } => "parse",
             EngineError::Mutation(_) => "mutation",
             EngineError::BudgetExhausted { .. } => "budget_exhausted",
+            EngineError::NoRepair { .. } => "no_repair",
             EngineError::Snapshot(_) => "snapshot",
         }
     }
@@ -115,6 +123,11 @@ impl fmt::Display for EngineError {
                 "no repair found within τ = {tau}: the search was truncated after \
                  {max_expansions} expansions (raise max_expansions)"
             ),
+            EngineError::NoRepair { tau } => write!(
+                f,
+                "no repair exists within τ = {tau}: no relaxation of the FDs fits the cell \
+                 budget (raise τ)"
+            ),
             EngineError::Snapshot(msg) => write!(f, "invalid snapshot: {msg}"),
         }
     }
@@ -143,6 +156,10 @@ mod tests {
         };
         assert!(e.to_string().contains("τ = 3"));
         assert!(e.to_string().contains("10"));
+
+        let e = EngineError::NoRepair { tau: 0 };
+        assert!(e.to_string().contains("τ = 0"));
+        assert!(!e.to_string().contains("truncated"));
 
         let e = EngineError::io("data.csv", "no such file");
         assert!(e.to_string().contains("data.csv"));
@@ -174,6 +191,7 @@ mod tests {
                 tau: 1,
                 max_expansions: 2,
             },
+            EngineError::NoRepair { tau: 1 },
             EngineError::Snapshot("x".into()),
         ];
         let codes: Vec<&str> = errors.iter().map(EngineError::code).collect();
@@ -187,6 +205,7 @@ mod tests {
                 "parse",
                 "mutation",
                 "budget_exhausted",
+                "no_repair",
                 "snapshot"
             ]
         );

@@ -20,11 +20,13 @@
 //! ```
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
-//! Floats travel as raw bit patterns and durations as nanoseconds, so a
-//! round trip is exact. Truncated, corrupt or version-skewed input fails
-//! with a typed [`EngineError::Snapshot`] — never a panic: every length is
-//! bounds-checked against the remaining bytes before it allocates, and
-//! every decoded index is validated against the structure it points into.
+//! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
+//! structs ([`Telemetry`]) travel as their slot table in field order: a
+//! count or gauge as a `u64`, a flag as one byte. Truncated, corrupt or
+//! version-skewed input fails with a typed [`EngineError::Snapshot`] —
+//! never a panic: every length is bounds-checked against the remaining
+//! bytes before it allocates, and every decoded index is validated against
+//! the structure it points into.
 
 use crate::error::EngineError;
 use crate::stats::EngineStats;
@@ -33,16 +35,16 @@ use rt_core::heuristic::HeuristicConfig;
 use rt_core::search::FdRepair;
 use rt_core::{
     CacheEntryExport, HeuristicCache, Parallelism, RangedFdRepair, RepairProblem, RepairState,
-    SearchAlgorithm, SearchConfig, SearchStats, SweepCheckpoint, SweepCheckpointParts, WeightKind,
+    SearchAlgorithm, SearchConfig, SweepCheckpoint, SweepCheckpointParts, WeightKind,
 };
+use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
-use std::time::Duration;
 
 /// Magic prefix of every engine snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 // Section tags. CONFIG..STATS are required; SWEEP and WARM are present only
 // when the engine holds the corresponding cache.
@@ -132,10 +134,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, d.as_nanos() as u64);
-}
-
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => put_u8(out, 0),
@@ -166,14 +164,13 @@ fn put_state(out: &mut Vec<u8>, state: &RepairState) {
     }
 }
 
-fn put_search_stats(out: &mut Vec<u8>, s: &SearchStats) {
-    put_usize(out, s.states_expanded);
-    put_usize(out, s.states_generated);
-    put_usize(out, s.heuristic_nodes);
-    put_usize(out, s.heuristic_cache_hits);
-    put_usize(out, s.heuristic_cache_entries);
-    put_duration(out, s.elapsed);
-    put_bool(out, s.truncated);
+fn put_telemetry<T: Telemetry>(out: &mut Vec<u8>, mut t: T) {
+    for (_, slot) in t.slots() {
+        match slot {
+            Slot::Count(v) | Slot::Gauge(v) => put_usize(out, *v),
+            Slot::Flag(b) => put_bool(out, *b),
+        }
+    }
 }
 
 fn put_cache(out: &mut Vec<u8>, entries: &[CacheEntryExport], hits: usize, nodes_spent: usize) {
@@ -312,10 +309,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| bad("invalid UTF-8 in string"))
     }
 
-    fn duration(&mut self) -> Result<Duration, EngineError> {
-        Ok(Duration::from_nanos(self.u64()?))
-    }
-
     fn value(&mut self) -> Result<Value, EngineError> {
         match self.u8()? {
             0 => Ok(Value::Null),
@@ -345,16 +338,15 @@ impl<'a> Reader<'a> {
         Ok(RepairState::new(exts))
     }
 
-    fn search_stats(&mut self) -> Result<SearchStats, EngineError> {
-        Ok(SearchStats {
-            states_expanded: self.usize_()?,
-            states_generated: self.usize_()?,
-            heuristic_nodes: self.usize_()?,
-            heuristic_cache_hits: self.usize_()?,
-            heuristic_cache_entries: self.usize_()?,
-            elapsed: self.duration()?,
-            truncated: self.bool_()?,
-        })
+    fn telemetry<T: Telemetry>(&mut self) -> Result<T, EngineError> {
+        let mut t = T::default();
+        for (_, slot) in t.slots() {
+            match slot {
+                Slot::Count(v) | Slot::Gauge(v) => *v = self.usize_()?,
+                Slot::Flag(b) => *b = self.bool_()?,
+            }
+        }
+        Ok(t)
     }
 
     fn cache(&mut self) -> Result<(Vec<CacheEntryExport>, usize, usize), EngineError> {
@@ -421,13 +413,9 @@ fn algorithm_tag(algorithm: SearchAlgorithm) -> u8 {
     }
 }
 
-/// Serializes an engine's full prepared state. `weight` must be the
-/// engine's built-in weighting tag (the caller has already rejected
-/// custom-weight engines with a typed error).
-#[allow(clippy::too_many_arguments)]
+/// Serializes an engine's full prepared state.
 pub(crate) fn encode(
     problem: &RepairProblem,
-    weight: WeightKind,
     search_config: &SearchConfig,
     algorithm: SearchAlgorithm,
     seed: u64,
@@ -440,7 +428,7 @@ pub(crate) fn encode(
     let arity = schema.arity();
 
     let mut config = Vec::new();
-    put_u8(&mut config, weight_tag(weight));
+    put_u8(&mut config, weight_tag(problem.weight_kind()));
     put_u8(&mut config, algorithm_tag(algorithm));
     put_u64(&mut config, seed);
     put_usize(&mut config, search_config.max_expansions);
@@ -461,7 +449,6 @@ pub(crate) fn encode(
         }
     }
     put_bool(&mut config, search_config.heuristic_cache);
-    put_bool(&mut config, search_config.timing);
     put_bool(&mut config, problem.has_partition_index());
 
     let mut schema_sec = Vec::new();
@@ -521,27 +508,7 @@ pub(crate) fn encode(
     }
 
     let mut stats_sec = Vec::new();
-    put_usize(&mut stats_sec, stats.conflict_graph_builds);
-    put_duration(&mut stats_sec, stats.build_elapsed);
-    put_usize(&mut stats_sec, stats.repair_queries);
-    put_usize(&mut stats_sec, stats.sweeps_started);
-    put_usize(&mut stats_sec, stats.points_materialized);
-    put_usize(&mut stats_sec, stats.states_expanded);
-    put_usize(&mut stats_sec, stats.states_generated);
-    put_usize(&mut stats_sec, stats.heuristic_nodes);
-    put_usize(&mut stats_sec, stats.heuristic_cache_hits);
-    put_usize(&mut stats_sec, stats.heuristic_cache_entries);
-    put_duration(&mut stats_sec, stats.search_elapsed);
-    put_bool(&mut stats_sec, stats.truncated);
-    put_usize(&mut stats_sec, stats.mutation_batches);
-    put_usize(&mut stats_sec, stats.edges_added);
-    put_usize(&mut stats_sec, stats.edges_removed);
-    put_usize(&mut stats_sec, stats.components_dirtied);
-    put_usize(&mut stats_sec, stats.graph_rebuild_avoided);
-    put_usize(&mut stats_sec, stats.sweep_cache_hits);
-    put_usize(&mut stats_sec, stats.dict_entries);
-    put_usize(&mut stats_sec, stats.shards);
-    put_usize(&mut stats_sec, stats.shard_replans);
+    put_telemetry(&mut stats_sec, *stats);
 
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -568,7 +535,7 @@ pub(crate) fn encode(
         put_i64(&mut sec, parts.tau_low);
         put_usize(&mut sec, parts.tau_high);
         put_usize(&mut sec, parts.current_upper);
-        put_search_stats(&mut sec, &parts.stats);
+        put_telemetry(&mut sec, parts.stats);
         put_bool(&mut sec, parts.exhausted);
         put_usize(&mut sec, parts.found.len());
         for ranged in &parts.found {
@@ -717,7 +684,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         (t, _) => return Err(bad(format!("unknown parallelism tag {t}"))),
     };
     let heuristic_cache = r.bool_()?;
-    let timing = r.bool_()?;
     let has_partition_index = r.bool_()?;
     let search_config = SearchConfig {
         max_expansions,
@@ -727,7 +693,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         },
         parallelism,
         heuristic_cache,
-        timing,
     };
 
     // SCHEMA
@@ -834,29 +799,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
 
     // STATS
     let mut r = section(SEC_STATS, "stats")?;
-    let mut stats = EngineStats {
-        conflict_graph_builds: r.usize_()?,
-        build_elapsed: r.duration()?,
-        repair_queries: r.usize_()?,
-        sweeps_started: r.usize_()?,
-        points_materialized: r.usize_()?,
-        states_expanded: r.usize_()?,
-        states_generated: r.usize_()?,
-        heuristic_nodes: r.usize_()?,
-        heuristic_cache_hits: r.usize_()?,
-        heuristic_cache_entries: r.usize_()?,
-        search_elapsed: r.duration()?,
-        truncated: r.bool_()?,
-        mutation_batches: r.usize_()?,
-        edges_added: r.usize_()?,
-        edges_removed: r.usize_()?,
-        components_dirtied: r.usize_()?,
-        graph_rebuild_avoided: r.usize_()?,
-        sweep_cache_hits: r.usize_()?,
-        dict_entries: r.usize_()?,
-        shards: r.usize_()?,
-        shard_replans: r.usize_()?,
-    };
+    let mut stats: EngineStats = r.telemetry()?;
     // The restored engine never built a conflict graph — the headline
     // invariant of restore (ROADMAP item 3): warm state, zero builds.
     stats.conflict_graph_builds = 0;
@@ -881,7 +824,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             let tau_low = r.i64()?;
             let tau_high = r.usize_()?;
             let current_upper = r.usize_()?;
-            let stats = r.search_stats()?;
+            let stats = r.telemetry()?;
             let exhausted = r.bool_()?;
             let found_n = r.count(8)?;
             let mut found = Vec::with_capacity(found_n);
@@ -959,4 +902,72 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         sweep,
         warm,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rt_core::{RangeSearch, SearchStats};
+
+    // Both stats structs are built without `..Default::default()` and with
+    // no field at its default, so a field missing from a slot table either
+    // fails to compile here or fails the round trip.
+    #[test]
+    fn every_stats_field_survives_a_snapshot() {
+        let schema = Schema::new("R", vec!["A", "B", "C"]).unwrap();
+        let rows = [vec![1, 1, 1], vec![1, 2, 1], vec![2, 3, 4], vec![2, 4, 5]];
+        let instance = Instance::from_int_rows(schema.clone(), &rows).unwrap();
+        let fds = FdSet::parse(&["A->B", "C->B"], &schema).unwrap();
+        let problem = RepairProblem::with_weight(&instance, &fds, WeightKind::AttrCount);
+        let config = SearchConfig::default();
+        let mut search = RangeSearch::new(&problem, 0, problem.delta_p_original(), &config);
+        search.next_repair().unwrap();
+        let search_stats = SearchStats {
+            states_expanded: 1,
+            states_generated: 2,
+            heuristic_nodes: 3,
+            heuristic_cache_hits: 4,
+            heuristic_cache_entries: 5,
+            truncated: true,
+        };
+        let mut sweep = search.suspend().export_parts();
+        sweep.stats = search_stats;
+        let stats = EngineStats {
+            conflict_graph_builds: 1,
+            repair_queries: 2,
+            sweeps_started: 3,
+            points_materialized: 4,
+            states_expanded: 5,
+            states_generated: 6,
+            heuristic_nodes: 7,
+            heuristic_cache_hits: 8,
+            heuristic_cache_entries: 9,
+            truncated: true,
+            mutation_batches: 10,
+            edges_added: 11,
+            edges_removed: 12,
+            components_dirtied: 13,
+            graph_rebuild_avoided: 14,
+            sweep_cache_hits: 15,
+            dict_entries: 16,
+            shards: 17,
+        };
+        let bytes = encode(
+            &problem,
+            &config,
+            SearchAlgorithm::AStar,
+            0,
+            &stats,
+            Some(sweep),
+            None,
+        );
+        let decoded = decode(&bytes).unwrap();
+        // A restored engine never built a conflict graph, by design.
+        let expected = EngineStats {
+            conflict_graph_builds: 0,
+            ..stats
+        };
+        assert_eq!(decoded.stats, expected);
+        assert_eq!(decoded.sweep.unwrap().stats(), search_stats);
+    }
 }

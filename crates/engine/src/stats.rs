@@ -1,6 +1,6 @@
 //! Cumulative telemetry of an engine session.
 
-use std::time::Duration;
+use rt_relation::work::{Slot, Telemetry};
 
 /// Counters accumulated over every query an engine has served.
 ///
@@ -8,14 +8,15 @@ use std::time::Duration;
 /// `conflict_graph_builds` stays at `1` no matter how many `repair_at`
 /// calls, sweeps or spectra the engine serves — the expensive
 /// data-dependent preparation happens exactly once, at build time.
+///
+/// Search and mutation telemetry folds in by field name through
+/// [`Telemetry::absorb`]: the fields shared with [`rt_core::SearchStats`]
+/// and [`rt_core::MutationEffect`] are the ones that accumulate here.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// How many times the conflict graph of `(I, Σ)` was built. Always `1`
     /// for an engine (at [`crate::RepairEngineBuilder::build`] time).
     pub conflict_graph_builds: usize,
-    /// Wall-clock time spent preparing the problem (conflict graph,
-    /// difference-set index, weighting function).
-    pub build_elapsed: Duration,
     /// Completed single-repair queries ([`crate::RepairEngine::repair_at`]
     /// and friends).
     pub repair_queries: usize,
@@ -40,8 +41,6 @@ pub struct EngineStats {
     /// Largest heuristic-cache size (distinct `(V, τ)` entries) observed in
     /// any search — a gauge, not a cumulative counter.
     pub heuristic_cache_entries: usize,
-    /// Wall-clock time spent inside FD searches, across all queries.
-    pub search_elapsed: Duration,
     /// `true` when any query hit the expansion cap.
     pub truncated: bool,
     /// Mutation batches applied ([`crate::RepairEngine::apply`] and the
@@ -69,29 +68,36 @@ pub struct EngineStats {
     /// refreshed after every applied mutation batch; dictionaries are
     /// append-only, so within a session this only grows.
     pub dict_entries: usize,
-    /// Shards of the current [`rt_core::ShardPlan`] when the engine was
-    /// built sharded ([`crate::ShardRows`]); `0` for a monolithic build.
-    /// For a sharded build, `conflict_graph_builds` equals the *initial*
-    /// shard count — one per-shard build, never a monolithic one.
+    /// Shards of the [`rt_core::ShardPlan`] the engine was built with
+    /// ([`crate::ShardRows`]); `0` for a monolithic build. Fixed at build
+    /// time: mutations patch the merged conflict graph and never replan.
+    /// For a sharded build, `conflict_graph_builds` equals this count — one
+    /// per-shard build, never a monolithic one.
     pub shards: usize,
-    /// Deterministic shard-plan recomputations triggered by mutation
-    /// batches on a sharded engine — the merge/re-split path. The plan is
-    /// derived from code columns only; the patched conflict graph is
-    /// reused, so `conflict_graph_builds` does not move.
-    pub shard_replans: usize,
 }
 
-impl EngineStats {
-    /// Folds one search run's statistics into the session totals.
-    pub(crate) fn absorb(&mut self, stats: &rt_core::SearchStats) {
-        self.states_expanded += stats.states_expanded;
-        self.states_generated += stats.states_generated;
-        self.heuristic_nodes += stats.heuristic_nodes;
-        self.heuristic_cache_hits += stats.heuristic_cache_hits;
-        self.heuristic_cache_entries = self
-            .heuristic_cache_entries
-            .max(stats.heuristic_cache_entries);
-        self.search_elapsed += stats.elapsed;
-        self.truncated |= stats.truncated;
+impl Telemetry for EngineStats {
+    #[rustfmt::skip]
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("conflict_graph_builds", Slot::Count(&mut self.conflict_graph_builds)),
+            ("repair_queries", Slot::Count(&mut self.repair_queries)),
+            ("sweeps_started", Slot::Count(&mut self.sweeps_started)),
+            ("points_materialized", Slot::Count(&mut self.points_materialized)),
+            ("states_expanded", Slot::Count(&mut self.states_expanded)),
+            ("states_generated", Slot::Count(&mut self.states_generated)),
+            ("heuristic_nodes", Slot::Count(&mut self.heuristic_nodes)),
+            ("heuristic_cache_hits", Slot::Count(&mut self.heuristic_cache_hits)),
+            ("heuristic_cache_entries", Slot::Gauge(&mut self.heuristic_cache_entries)),
+            ("truncated", Slot::Flag(&mut self.truncated)),
+            ("mutation_batches", Slot::Count(&mut self.mutation_batches)),
+            ("edges_added", Slot::Count(&mut self.edges_added)),
+            ("edges_removed", Slot::Count(&mut self.edges_removed)),
+            ("components_dirtied", Slot::Count(&mut self.components_dirtied)),
+            ("graph_rebuild_avoided", Slot::Count(&mut self.graph_rebuild_avoided)),
+            ("sweep_cache_hits", Slot::Count(&mut self.sweep_cache_hits)),
+            ("dict_entries", Slot::Gauge(&mut self.dict_entries)),
+            ("shards", Slot::Gauge(&mut self.shards)),
+        ]
     }
 }

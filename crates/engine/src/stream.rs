@@ -3,6 +3,7 @@
 use crate::engine::RepairEngine;
 use crate::error::EngineError;
 use rt_core::{RangeSearch, SearchStats};
+use rt_relation::work::Telemetry;
 
 /// One point of the repair spectrum: a materialized repair together with
 /// the inclusive `τ` interval for which it is *the* τ-constrained repair.

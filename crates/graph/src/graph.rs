@@ -96,15 +96,6 @@ impl UndirectedGraph {
         })
     }
 
-    /// Vertices with at least one incident edge, ascending.
-    pub fn non_isolated_vertices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.adjacency
-            .iter()
-            .enumerate()
-            .filter(|(_, adj)| !adj.is_empty())
-            .map(|(v, _)| v)
-    }
-
     /// Builds the union of this graph with another (same semantics as adding
     /// every edge of `other`).
     pub fn union(&self, other: &UndirectedGraph) -> UndirectedGraph {

@@ -734,9 +734,8 @@ fn lint_wall_clock(ctx: &Ctx, code: &[Token], out: &mut Vec<Finding>) {
                 "D003",
                 &code[i],
                 "wall-clock read (`Instant::now`) outside crates/bench and shims/".to_string(),
-                "make the timing an explicit opt-in (SearchConfig::timing), move it into \
-                 crates/bench, or justify with `// rtlint: allow(D003) -- <why no counter can \
-                 depend on it>`",
+                "count work instead, move the timing into crates/bench, or justify with \
+                 `// rtlint: allow(D003) -- <why no counter can depend on it>`",
             ));
         }
         if code[i].is_ident("SystemTime") {

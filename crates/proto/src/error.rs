@@ -105,6 +105,7 @@ pub fn encode_engine_error(err: &EngineError) -> JsonValue {
             ("tau", u64_str(*tau as u64)),
             ("max_expansions", u64_str(*max_expansions as u64)),
         ]),
+        EngineError::NoRepair { tau } => obj(vec![("code", code), ("tau", u64_str(*tau as u64))]),
     }
 }
 
@@ -132,6 +133,9 @@ pub fn decode_engine_error(v: &JsonValue) -> Result<EngineError, String> {
         "budget_exhausted" => Ok(EngineError::BudgetExhausted {
             tau: u64_field(v, "tau")? as usize,
             max_expansions: u64_field(v, "max_expansions")? as usize,
+        }),
+        "no_repair" => Ok(EngineError::NoRepair {
+            tau: u64_field(v, "tau")? as usize,
         }),
         other => Err(format!("unknown engine error code `{other}`")),
     }
@@ -238,6 +242,7 @@ mod tests {
                 tau: 3,
                 max_expansions: 10_000,
             },
+            EngineError::NoRepair { tau: 0 },
             EngineError::Snapshot("bad magic".into()),
             EngineError::Relation(RelationError::TooManyAttributes {
                 requested: 70,

@@ -64,5 +64,5 @@ pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use opts::{take_value, EngineOpts};
 pub use repair::{decode_point, decode_repair, encode_point, encode_repair};
 pub use request::{Request, TauSpec};
-pub use response::{decode_engine_stats, encode_engine_stats, LoadSummary, Response};
+pub use response::{decode_telemetry, encode_telemetry, LoadSummary, Response};
 pub use value::{decode_value, encode_value};

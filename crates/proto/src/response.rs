@@ -2,14 +2,12 @@
 
 use crate::error::ErrorFrame;
 use crate::repair::{decode_point, decode_repair, encode_point, encode_repair};
-use crate::value::{
-    array_field, bool_field, field, num, obj, str_field, u64_field, u64_str, usize_field,
-};
+use crate::value::{array_field, bool_field, field, num, obj, str_field, u64_str, usize_field};
 use rt_core::{MutationEffect, Repair};
 use rt_engine::json::{self, JsonValue};
 use rt_engine::{EngineStats, RepairPoint};
+use rt_relation::work::{Slot, Telemetry};
 use rt_relation::Schema;
-use std::time::Duration;
 
 /// What a `load_csv` built: enough for the client to reconstruct the
 /// session's [`Schema`] and report the load like the CLI front end does.
@@ -148,7 +146,7 @@ impl Response {
                 effect,
                 sweep_cache_retained,
             } => {
-                fields.push(("effect", encode_effect(effect)));
+                fields.push(("effect", encode_telemetry(*effect)));
                 fields.push((
                     "sweep_cache_retained",
                     JsonValue::Bool(*sweep_cache_retained),
@@ -171,7 +169,7 @@ impl Response {
                 ));
             }
             Response::Stats(stats) => {
-                fields.push(("stats", encode_engine_stats(stats)));
+                fields.push(("stats", encode_telemetry(*stats)));
             }
             Response::ServerStats(counters) => {
                 fields.push((
@@ -225,7 +223,7 @@ impl Response {
                 replayed: usize_field(&v, "replayed")?,
             }),
             "applied" => Ok(Response::Applied {
-                effect: decode_effect(field(&v, "effect")?)?,
+                effect: decode_telemetry(field(&v, "effect")?)?,
                 sweep_cache_retained: bool_field(&v, "sweep_cache_retained")?,
             }),
             "repair" => Ok(Response::Repaired(Box::new(decode_repair(
@@ -239,7 +237,7 @@ impl Response {
             "spectrum" => Ok(Response::Spectrum {
                 points: decode_points(&v, need_schema()?)?,
             }),
-            "stats" => Ok(Response::Stats(decode_engine_stats(field(&v, "stats")?)?)),
+            "stats" => Ok(Response::Stats(decode_telemetry(field(&v, "stats")?)?)),
             "server_stats" => {
                 let counters = field(&v, "counters")?
                     .as_object()
@@ -312,119 +310,103 @@ fn decode_summary(v: &JsonValue) -> Result<LoadSummary, String> {
     })
 }
 
-fn encode_effect(e: &MutationEffect) -> JsonValue {
-    obj(vec![
-        ("rows_inserted", num(e.rows_inserted)),
-        ("rows_deleted", num(e.rows_deleted)),
-        ("cells_updated", num(e.cells_updated)),
-        ("fds_added", num(e.fds_added)),
-        ("fds_removed", num(e.fds_removed)),
-        ("edges_added", num(e.edges_added)),
-        ("edges_removed", num(e.edges_removed)),
-        ("edges_relabeled", num(e.edges_relabeled)),
-        ("components_dirtied", num(e.components_dirtied)),
-        ("weight_refreshed", JsonValue::Bool(e.weight_refreshed)),
-        (
-            "search_state_invalidated",
-            JsonValue::Bool(e.search_state_invalidated),
-        ),
-        (
-            "diff_groups_changed",
-            JsonValue::Bool(e.diff_groups_changed),
-        ),
-    ])
+/// Encodes a telemetry struct as an object with one member per slot:
+/// counts and gauges as numbers, flags as booleans.
+pub fn encode_telemetry<T: Telemetry>(mut t: T) -> JsonValue {
+    obj(t
+        .slots()
+        .into_iter()
+        .map(|(name, slot)| match slot {
+            Slot::Count(v) | Slot::Gauge(v) => (name, num(*v)),
+            Slot::Flag(b) => (name, JsonValue::Bool(*b)),
+        })
+        .collect())
 }
 
-fn decode_effect(v: &JsonValue) -> Result<MutationEffect, String> {
-    Ok(MutationEffect {
-        rows_inserted: usize_field(v, "rows_inserted")?,
-        rows_deleted: usize_field(v, "rows_deleted")?,
-        cells_updated: usize_field(v, "cells_updated")?,
-        fds_added: usize_field(v, "fds_added")?,
-        fds_removed: usize_field(v, "fds_removed")?,
-        edges_added: usize_field(v, "edges_added")?,
-        edges_removed: usize_field(v, "edges_removed")?,
-        edges_relabeled: usize_field(v, "edges_relabeled")?,
-        components_dirtied: usize_field(v, "components_dirtied")?,
-        weight_refreshed: bool_field(v, "weight_refreshed")?,
-        search_state_invalidated: bool_field(v, "search_state_invalidated")?,
-        diff_groups_changed: bool_field(v, "diff_groups_changed")?,
-    })
-}
-
-/// Encodes cumulative engine statistics (durations travel as nanoseconds).
-pub fn encode_engine_stats(stats: &EngineStats) -> JsonValue {
-    obj(vec![
-        ("conflict_graph_builds", num(stats.conflict_graph_builds)),
-        (
-            "build_elapsed_ns",
-            u64_str(stats.build_elapsed.as_nanos() as u64),
-        ),
-        ("repair_queries", num(stats.repair_queries)),
-        ("sweeps_started", num(stats.sweeps_started)),
-        ("points_materialized", num(stats.points_materialized)),
-        ("states_expanded", num(stats.states_expanded)),
-        ("states_generated", num(stats.states_generated)),
-        ("heuristic_nodes", num(stats.heuristic_nodes)),
-        ("heuristic_cache_hits", num(stats.heuristic_cache_hits)),
-        (
-            "heuristic_cache_entries",
-            num(stats.heuristic_cache_entries),
-        ),
-        (
-            "search_elapsed_ns",
-            u64_str(stats.search_elapsed.as_nanos() as u64),
-        ),
-        ("truncated", JsonValue::Bool(stats.truncated)),
-        ("mutation_batches", num(stats.mutation_batches)),
-        ("edges_added", num(stats.edges_added)),
-        ("edges_removed", num(stats.edges_removed)),
-        ("components_dirtied", num(stats.components_dirtied)),
-        ("graph_rebuild_avoided", num(stats.graph_rebuild_avoided)),
-        ("sweep_cache_hits", num(stats.sweep_cache_hits)),
-        ("dict_entries", num(stats.dict_entries)),
-        ("shards", num(stats.shards)),
-        ("shard_replans", num(stats.shard_replans)),
-    ])
-}
-
-/// Decodes statistics written by [`encode_engine_stats`].
-pub fn decode_engine_stats(v: &JsonValue) -> Result<EngineStats, String> {
-    Ok(EngineStats {
-        conflict_graph_builds: usize_field(v, "conflict_graph_builds")?,
-        build_elapsed: Duration::from_nanos(u64_field(v, "build_elapsed_ns")?),
-        repair_queries: usize_field(v, "repair_queries")?,
-        sweeps_started: usize_field(v, "sweeps_started")?,
-        points_materialized: usize_field(v, "points_materialized")?,
-        states_expanded: usize_field(v, "states_expanded")?,
-        states_generated: usize_field(v, "states_generated")?,
-        heuristic_nodes: usize_field(v, "heuristic_nodes")?,
-        heuristic_cache_hits: usize_field(v, "heuristic_cache_hits")?,
-        heuristic_cache_entries: usize_field(v, "heuristic_cache_entries")?,
-        search_elapsed: Duration::from_nanos(u64_field(v, "search_elapsed_ns")?),
-        truncated: bool_field(v, "truncated")?,
-        mutation_batches: usize_field(v, "mutation_batches")?,
-        edges_added: usize_field(v, "edges_added")?,
-        edges_removed: usize_field(v, "edges_removed")?,
-        components_dirtied: usize_field(v, "components_dirtied")?,
-        graph_rebuild_avoided: usize_field(v, "graph_rebuild_avoided")?,
-        sweep_cache_hits: usize_field(v, "sweep_cache_hits")?,
-        dict_entries: usize_field(v, "dict_entries")?,
-        shards: usize_field(v, "shards")?,
-        shard_replans: usize_field(v, "shard_replans")?,
-    })
+/// Decodes a telemetry struct written by [`encode_telemetry`]. Every slot
+/// is required: a frame missing one is a typed error, not a zero.
+pub fn decode_telemetry<T: Telemetry>(v: &JsonValue) -> Result<T, String> {
+    let mut t = T::default();
+    for (name, slot) in t.slots() {
+        match slot {
+            Slot::Count(n) | Slot::Gauge(n) => *n = usize_field(v, name)?,
+            Slot::Flag(b) => *b = bool_field(v, name)?,
+        }
+    }
+    Ok(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_core::SearchStats;
     use rt_engine::EngineError;
+
+    // Every telemetry struct below is built without `..Default::default()`
+    // and with no field at its default, so a field missing from its slot
+    // table either fails to compile here or fails the round trip.
+    #[test]
+    fn every_telemetry_field_survives_the_wire() {
+        let stats = EngineStats {
+            conflict_graph_builds: 1,
+            repair_queries: 2,
+            sweeps_started: 3,
+            points_materialized: 4,
+            states_expanded: 5,
+            states_generated: 6,
+            heuristic_nodes: 7,
+            heuristic_cache_hits: 8,
+            heuristic_cache_entries: 9,
+            truncated: true,
+            mutation_batches: 10,
+            edges_added: 11,
+            edges_removed: 12,
+            components_dirtied: 13,
+            graph_rebuild_avoided: 14,
+            sweep_cache_hits: 15,
+            dict_entries: 16,
+            shards: 17,
+        };
+        assert_eq!(decode_telemetry(&encode_telemetry(stats)), Ok(stats));
+        let search = SearchStats {
+            states_expanded: 1,
+            states_generated: 2,
+            heuristic_nodes: 3,
+            heuristic_cache_hits: 4,
+            heuristic_cache_entries: 5,
+            truncated: true,
+        };
+        assert_eq!(decode_telemetry(&encode_telemetry(search)), Ok(search));
+        let effect = MutationEffect {
+            rows_inserted: 1,
+            rows_deleted: 2,
+            cells_updated: 3,
+            fds_added: 4,
+            fds_removed: 5,
+            edges_added: 6,
+            edges_removed: 7,
+            edges_relabeled: 8,
+            components_dirtied: 9,
+            weight_refreshed: true,
+            search_state_invalidated: true,
+            diff_groups_changed: true,
+        };
+        let applied = Response::Applied {
+            effect,
+            sweep_cache_retained: false,
+        };
+        match Response::decode(&applied.encode(), None) {
+            Ok(Response::Applied {
+                effect: decoded, ..
+            }) => assert_eq!(decoded, effect),
+            other => panic!("expected an applied response, got {other:?}"),
+        }
+    }
 
     #[test]
     fn schemaless_responses_round_trip() {
         let stats = EngineStats {
             conflict_graph_builds: 1,
-            build_elapsed: Duration::from_nanos(12345),
             repair_queries: 2,
             states_expanded: 99,
             truncated: true,
@@ -433,13 +415,13 @@ mod tests {
         };
         // Every stats field is required: a frame missing one (here from a
         // peer that predates sharding) is a typed error, not a zero.
-        assert_eq!(decode_engine_stats(&encode_engine_stats(&stats)), Ok(stats));
-        let JsonValue::Obj(mut fields) = encode_engine_stats(&stats) else {
+        assert_eq!(decode_telemetry(&encode_telemetry(stats)), Ok(stats));
+        let JsonValue::Obj(mut fields) = encode_telemetry(stats) else {
             panic!("stats encode to an object");
         };
         fields.retain(|(key, _)| key != "shards");
         assert_eq!(
-            decode_engine_stats(&JsonValue::Obj(fields)),
+            decode_telemetry::<EngineStats>(&JsonValue::Obj(fields)),
             Err("missing field `shards`".to_string())
         );
         let responses = vec![

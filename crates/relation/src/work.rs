@@ -22,7 +22,13 @@
 //! parallel ≡ serial contract), and addition is commutative. They exist for
 //! the benchmark gate and for tests; production logic must never branch on
 //! them.
+//!
+//! The module also declares the shape of per-query telemetry: a struct that
+//! implements [`Telemetry`] lists each of its fields once, as a named
+//! [`Slot`], and every consumer — merges, `since`, the snapshot and wire
+//! codecs, the REPL — iterates that one table instead of naming fields.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static KEY_BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
@@ -88,13 +94,6 @@ pub fn add_resident_cells(n: usize) {
     PEAK_RESIDENT_CELLS.fetch_max(now, Relaxed);
 }
 
-/// Lowers the resident-cell gauge by `n` cells (saturating; the peak keeps
-/// the high-water mark).
-#[inline]
-pub fn sub_resident_cells(n: usize) {
-    let _ = RESIDENT_CELLS.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n as u64)));
-}
-
 /// The high-water mark of the resident-cell gauge since the last [`reset`].
 pub fn peak_resident_cells() -> u64 {
     PEAK_RESIDENT_CELLS.load(Relaxed)
@@ -119,6 +118,74 @@ pub fn reset() {
     PEAK_RESIDENT_CELLS.store(0, Relaxed);
 }
 
+/// One field of a [`Telemetry`] struct, borrowed so a generic consumer can
+/// read or write it. The variant fixes how two readings combine.
+#[derive(Debug)]
+pub enum Slot<'a> {
+    /// A cumulative count: summed on merge, subtracted by `since`.
+    Count(&'a mut usize),
+    /// A level, such as a cache size: the larger value on merge, the later
+    /// value on `since`.
+    Gauge(&'a mut usize),
+    /// A sticky condition: OR-ed on merge, the later value on `since`.
+    Flag(&'a mut bool),
+}
+
+impl fmt::Display for Slot<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slot::Count(v) | Slot::Gauge(v) => write!(f, "{v}"),
+            Slot::Flag(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// A telemetry struct declared as a table: [`Telemetry::slots`] returns one
+/// `(field name, slot)` row per field, in field order, and the provided
+/// methods are the generic consumers every merge goes through.
+pub trait Telemetry: Copy + Default {
+    /// The struct's fields, each under its own name, in declaration order.
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)>;
+
+    /// Folds `other` into `self` by field name: counts add, gauges keep the
+    /// larger value and flags OR. Fields of `other` that `self` does not
+    /// have are ignored, so a session total can absorb one query's stats.
+    ///
+    /// # Panics
+    ///
+    /// When a shared name is a different kind of slot on the two sides — a
+    /// table bug, not a runtime condition.
+    fn absorb<T: Telemetry>(&mut self, other: &T) {
+        let mut other = *other;
+        let theirs = other.slots();
+        for (name, mine) in self.slots() {
+            let Some((_, from)) = theirs.iter().find(|(n, _)| *n == name) else {
+                continue;
+            };
+            match (mine, from) {
+                (Slot::Count(a), Slot::Count(b)) => *a += **b,
+                (Slot::Gauge(a), Slot::Gauge(b)) => *a = (*a).max(**b),
+                (Slot::Flag(a), Slot::Flag(b)) => *a |= **b,
+                _ => panic!("telemetry field `{name}` is declared with two slot kinds"),
+            }
+        }
+    }
+
+    /// The work done since `earlier`, a cumulative reading of the same run:
+    /// counts subtract, while gauges and flags keep `self`'s value.
+    /// Absorbing the result into `earlier` gives back `self`.
+    fn since(&self, earlier: &Self) -> Self {
+        let mut delta = *self;
+        let mut earlier = *earlier;
+        for ((_, d), (_, e)) in delta.slots().into_iter().zip(earlier.slots()) {
+            if let (Slot::Count(d), Slot::Count(e)) = (d, e) {
+                *d -= *e;
+            }
+        }
+        delta
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,16 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn resident_gauge_tracks_peak_and_saturates() {
+    fn resident_gauge_tracks_peak() {
         let before = peak_resident_cells();
         add_resident_cells(100);
         assert!(peak_resident_cells() >= before.max(100));
-        sub_resident_cells(60);
-        let peak_after_sub = peak_resident_cells();
-        add_resident_cells(10);
-        // Lowering then raising below the high-water mark keeps the peak.
-        assert!(peak_resident_cells() >= peak_after_sub);
-        // Release exactly what this test still holds.
-        sub_resident_cells(50);
     }
 }

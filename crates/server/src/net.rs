@@ -86,11 +86,6 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds a TCP listener with default limits.
-    pub fn bind_tcp(addr: impl ToSocketAddrs) -> std::io::Result<Server> {
-        Server::bind_tcp_with(addr, ServerConfig::default())
-    }
-
     /// Binds a TCP listener with explicit limits.
     pub fn bind_tcp_with(
         addr: impl ToSocketAddrs,

@@ -43,6 +43,7 @@
 use relative_trust::engine::parse_mutation_log;
 use relative_trust::prelude::*;
 use relative_trust::proto::take_value;
+use relative_trust::relation::work::Telemetry;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -804,6 +805,17 @@ commands:
   shutdown               stop the server
   quit | exit            leave the REPL (the session stays resident)";
 
+/// One `  name value` line per row: the REPL's format for every counter
+/// table (`stats`, `server-stats`).
+fn name_value_lines<N: std::fmt::Display, V: std::fmt::Display>(
+    rows: impl IntoIterator<Item = (N, V)>,
+) -> String {
+    rows.into_iter()
+        .map(|(name, value)| format!("  {name:<20} {value}"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Evaluates one REPL line against the server; returns the text to print.
 /// Every engine/protocol failure comes back as `Err` with the server's
 /// typed message — the REPL never panics on bad input.
@@ -933,28 +945,12 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
         "stats" => {
             need_session(session)?;
             let active = session.as_mut().expect("checked above");
-            let stats = active.stats().map_err(|e| e.to_string())?;
-            Ok(format!(
-                "conflict graph builds {} (rebuilds avoided {})\n\
-                 repair queries {}  sweeps {}  points {}\n\
-                 states expanded {}  generated {}  truncated {}",
-                stats.conflict_graph_builds,
-                stats.graph_rebuild_avoided,
-                stats.repair_queries,
-                stats.sweeps_started,
-                stats.points_materialized,
-                stats.states_expanded,
-                stats.states_generated,
-                stats.truncated,
-            ))
+            let mut stats = active.stats().map_err(|e| e.to_string())?;
+            Ok(name_value_lines(stats.slots()))
         }
         "server-stats" => {
             let counters = client.server_stats().map_err(|e| e.to_string())?;
-            Ok(counters
-                .iter()
-                .map(|(name, value)| format!("  {name:<20} {value}"))
-                .collect::<Vec<_>>()
-                .join("\n"))
+            Ok(name_value_lines(counters))
         }
         "snapshot" => {
             need_session(session)?;
@@ -1581,7 +1577,7 @@ mod tests {
         let spectrum = eval(&mut session, "spectrum").unwrap();
         assert!(spectrum.contains("non-dominated"), "got {spectrum}");
         let stats = eval(&mut session, "stats").unwrap();
-        assert!(stats.contains("conflict graph builds 1"), "got {stats}");
+        assert!(stats.contains("  conflict_graph_builds 1\n"), "got {stats}");
         let counters = eval(&mut session, "server-stats").unwrap();
         assert!(counters.contains("sessions_created"), "got {counters}");
         assert_eq!(eval(&mut session, "close").unwrap(), "session `s1` closed");

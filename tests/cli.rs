@@ -575,6 +575,18 @@ repair for τ = 100:
     );
 }
 
+#[test]
+fn a_budget_no_repair_fits_is_not_reported_as_truncated() {
+    // The two rows agree on `A`, and no attribute is left to append to
+    // `A -> B`: every relaxation still needs one cell change.
+    let dir = Dir::new("no_repair");
+    std::fs::write(dir.path("f.csv"), "A,B\n1,x\n1,y\n").unwrap();
+    let out = dir.run(&["f.csv", "--fd", "A->B", "--tau", "0"]);
+    assert_eq!(out.code, 1, "{out:?}");
+    assert!(out.stderr.contains("τ = 0"), "{out:?}");
+    assert!(!out.stderr.contains("truncated"), "{out:?}");
+}
+
 /// Waits up to 30 s (1500 polls 20 ms apart) for `child` to exit.
 fn wait(child: &mut Child) -> ExitStatus {
     for _ in 0..1500 {

@@ -312,6 +312,22 @@ fn budget_exhaustion_is_a_typed_error() {
 }
 
 #[test]
+fn a_budget_with_no_repair_is_not_budget_exhaustion() {
+    // The rows agree on every attribute but the RHS, so even the fully
+    // relaxed FD set keeps one conflict: no repair exists below τ = 1.
+    let schema = Schema::new("R", vec!["A", "B"]).unwrap();
+    let instance = Instance::from_int_rows(schema.clone(), &[vec![1, 1], vec![1, 2]]).unwrap();
+    let fds = FdSet::parse(&["A->B"], &schema).unwrap();
+    let engine = RepairEngine::new(instance, fds).unwrap();
+    assert_eq!(
+        engine.repair_at(0).unwrap_err(),
+        EngineError::NoRepair { tau: 0 }
+    );
+    assert!(!engine.stats().truncated);
+    assert!(engine.repair_at(1).is_ok());
+}
+
+#[test]
 fn unified_baseline_matches_free_function() {
     let (instance, fds) = figure2();
     let engine = RepairEngine::builder(instance.clone(), fds.clone())

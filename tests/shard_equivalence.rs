@@ -205,8 +205,8 @@ fn sharded_matches_monolithic_on_random_cases() {
         }
 
         // A mutation batch that bridges two shards: the sharded engine must
-        // replan (merging the bridged shards) without ever rebuilding, and
-        // stay bit-identical to the mutated monolithic engine.
+        // patch its merged graph without ever rebuilding, and stay
+        // bit-identical to the mutated monolithic engine.
         if shard_count >= 2 {
             let target = plan.shards()[0][0];
             let victim = plan.shards()[1][0];
@@ -230,8 +230,7 @@ fn sharded_matches_monolithic_on_random_cases() {
                 stats.conflict_graph_builds, shard_count,
                 "{context}: a mutation must never trigger a rebuild"
             );
-            assert_eq!(stats.shard_replans, 1, "{context}");
-            assert_eq!(stats.shards, replanned.shard_count(), "{context}");
+            assert_eq!(stats.shards, shard_count, "{context}: fixed at build time");
             assert_eq!(stats.graph_rebuild_avoided, 1, "{context}");
 
             let s = sharded
@@ -242,8 +241,7 @@ fn sharded_matches_monolithic_on_random_cases() {
                 .unwrap_or_else(|e| panic!("{context}: {e}"));
             assert_spectra_identical(&s, &m, &format!("{context} post-bridge"));
 
-            // Deleting the bridge row re-splits the plan deterministically.
-            let before_replans = sharded.stats().shard_replans;
+            // Deleting the bridge row stays bit-identical too.
             let delete = MutationBatch::new().delete_tuples(vec![victim]);
             sharded
                 .apply(&delete)
@@ -251,11 +249,7 @@ fn sharded_matches_monolithic_on_random_cases() {
             monolithic
                 .apply(&delete)
                 .unwrap_or_else(|e| panic!("{context}: monolithic delete: {e}"));
-            let resplit =
-                ShardPlan::compute(sharded.problem().instance(), sharded.problem().sigma());
             let stats = sharded.stats();
-            assert_eq!(stats.shard_replans, before_replans + 1, "{context}");
-            assert_eq!(stats.shards, resplit.shard_count(), "{context}");
             assert_eq!(stats.conflict_graph_builds, shard_count, "{context}");
             let s = sharded
                 .spectrum()

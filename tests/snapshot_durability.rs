@@ -172,9 +172,9 @@ fn wrong_magic_and_version_fail_typed() {
     let err = RepairEngine::restore(&wrong_magic).unwrap_err();
     assert!(err.to_string().contains("magic"), "got {err}");
 
-    // A version from the future and the previous one alike fail the typed
+    // A version from the future and the previous ones alike fail the typed
     // version check; there is no compatibility reader.
-    for version in [0xFF_u32, 2] {
+    for version in [0xFF_u32, 2, 3] {
         let mut stamped = bytes.clone();
         stamped[8..12].copy_from_slice(&version.to_le_bytes());
         let err = RepairEngine::restore(&stamped).unwrap_err();
