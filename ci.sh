@@ -69,9 +69,10 @@ RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test sparse_equivalence
 echo "==> cargo test --release --test columnar_equivalence (code columns ≡ row-major decode, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test columnar_equivalence
 
-# The one-pass ingest contract: a warehouse CSV streamed from disk, its column
-# types fixed only at EOF, loads back as the generated instance, codes included.
-echo "==> cargo test --release --test csv_io (one-pass CSV load ≡ generated instance, 100k warehouse)"
+# The block-parallel ingest contract: a warehouse CSV cut into blocks that are
+# encoded on every core and merged in file order, its column types fixed only
+# at EOF, loads back as the generated instance, codes included.
+echo "==> cargo test --release --test csv_io (block-parallel CSV load ≡ generated instance, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test csv_io
 
 # The one self-checking experiment: every parallel stage (graph build,
@@ -139,6 +140,13 @@ if [ "$bench" -eq 1 ]; then
         --out ci/BENCH_smoke.json \
         --check ci/bench_baseline.json \
         --selftest
+
+    # The wall-clock benchmark (perfbench/, its own workspace) must build
+    # against the changed crates and pass its goldens: its self-test runs
+    # every workload at tiny sizes (about two minutes) in the gitignored
+    # .bench_tmp/ scratch directory.
+    echo "==> perfbench --selftest (benchmark builds, every metric emitted, goldens pass)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selftest
 fi
 
 # Code size is tracked next to the bench trajectory (ROADMAP). The second

@@ -341,9 +341,9 @@ fn measure_warehouse(metrics: &mut Metrics) {
             load.key_allocs, 0,
             "warehouse.{label}: the load path must not build equality keys"
         );
-        // The gauge counts the encoded columns; the one-pass load holds no
-        // raw text beyond the current record, so the bound is the encoded
-        // relation itself.
+        // The gauge counts the encoded columns; the raw text the load holds
+        // is a few blocks in flight, bounded by the worker count rather
+        // than the input, so the bound is the encoded relation itself.
         let peak = rt_relation::work::peak_resident_cells();
         let arity = report.instance.schema().arity();
         assert!(

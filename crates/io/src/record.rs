@@ -24,9 +24,14 @@
 //! closing quote, an unterminated quoted field at EOF — is a typed
 //! [`IoError::Parse`] carrying the 1-based physical line number on which
 //! the record started. Invalid UTF-8 is an [`IoError::Io`].
+//!
+//! The loader splits its input into blocks that end at record boundaries
+//! (`BlockCutter`), parses each with a reader that starts at the block's
+//! first line, and so reports the same records, lines and errors as one
+//! reader over the whole input.
 
 use crate::error::IoError;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// The UTF-8 encoding of U+FEFF, the byte-order mark some editors write at
 /// the start of a CSV file.
@@ -102,14 +107,28 @@ impl<R: BufRead> RecordReader<R> {
                 format!("invalid delimiter {:?}", delimiter as char),
             ));
         }
-        Ok(RecordReader {
+        Ok(RecordReader::starting_at(input, delimiter, 1))
+    }
+
+    /// A reader whose input starts at physical line `first_line` (1-based)
+    /// of a larger stream, at a record boundary: records report their lines
+    /// in that stream, and a U+FEFF at the start of a later line is field
+    /// text. `delimiter` must already be valid.
+    pub(crate) fn starting_at(input: R, delimiter: u8, first_line: usize) -> Self {
+        RecordReader {
             input,
             delimiter,
             line_buf: String::new(),
             text: String::new(),
             spans: Vec::new(),
-            line: 0,
-        })
+            line: first_line - 1,
+        }
+    }
+
+    /// The number of physical lines read so far, counting from line 1 of
+    /// the stream, and the input positioned just after them.
+    pub(crate) fn into_input(self) -> (usize, R) {
+        (self.line, self.input)
     }
 
     /// Reads the next physical line (without its terminator) into
@@ -265,6 +284,207 @@ impl<R: BufRead> RecordReader<R> {
             spans: &self.spans,
             line: record_line,
         }))
+    }
+}
+
+/// Where the record grammar stands after a byte, as far as quoting goes:
+/// just enough state to find the line breaks that end records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Quoting {
+    /// At the start of a field, so also at the start of a line.
+    FieldStart,
+    /// Inside an unquoted field.
+    Unquoted,
+    /// Inside a quoted field, where line breaks are field text.
+    Quoted,
+    /// After a quote inside a quoted field: the closing quote, or the first
+    /// of a doubled one.
+    AfterQuote,
+    /// After a closing quote and a CR: fine only right before a line break.
+    AfterQuoteCr,
+    /// The line holds a quote the grammar rejects, so the record reader
+    /// fails on it or on an earlier line.
+    Rejected,
+}
+
+/// Cuts a record stream into blocks of raw text that end at record
+/// boundaries, counting the lines of each, so every block parses on its own
+/// with a reader [started at](RecordReader::starting_at) its first line.
+#[derive(Debug)]
+pub(crate) struct BlockCutter<R> {
+    input: R,
+    delimiter: u8,
+    state: Quoting,
+    /// Physical lines before the next block.
+    lines: usize,
+    /// In the block being cut: the offset just past its last record.
+    boundary: usize,
+    /// The input is used up, or nothing after the last block can matter.
+    done: bool,
+    /// The last block ends at a line the grammar rejects.
+    rejected: bool,
+    error: Option<std::io::Error>,
+}
+
+impl<R: BufRead> BlockCutter<R> {
+    /// A cutter over `input`, positioned at a record boundary after `lines`
+    /// physical lines.
+    pub(crate) fn new(input: R, delimiter: u8, lines: usize) -> Self {
+        BlockCutter {
+            input,
+            delimiter,
+            state: Quoting::FieldStart,
+            lines,
+            boundary: 0,
+            done: false,
+            rejected: false,
+            error: None,
+        }
+    }
+
+    /// Fills `text` with the next block and returns its first physical
+    /// line, or `None` once the input is used up. A block is `target`
+    /// bytes, or the rest of the input, extended to the first line break
+    /// outside a quoted field. A line with a quote the grammar rejects ends
+    /// its block and the input: the block's reader reports an error there
+    /// or earlier, and an error wins over everything after it.
+    ///
+    /// A read error ends the input after the last whole record read; it is
+    /// kept for [`BlockCutter::end`].
+    pub(crate) fn next_block(&mut self, text: &mut Vec<u8>, target: usize) -> Option<usize> {
+        text.clear();
+        if self.done {
+            return None;
+        }
+        let first_line = self.lines + 1;
+        self.boundary = 0;
+        let mut read_error = None;
+        // Room to finish the last line too, as a rule without regrowing;
+        // only what is read is touched, so a small input stays small.
+        text.reserve(target + 4096);
+        match (&mut self.input).take(target as u64).read_to_end(text) {
+            Ok(n) if n < target => self.done = true,
+            Ok(_) => {}
+            Err(e) => read_error = Some(e),
+        }
+        let mut scanned = 0;
+        loop {
+            if let Some(end) = self.scan(text, scanned) {
+                // The rejected line's error comes before any read error.
+                text.truncate(end);
+                self.done = true;
+                self.rejected = true;
+                break;
+            }
+            scanned = text.len();
+            if let Some(e) = read_error {
+                text.truncate(self.boundary);
+                self.error = Some(e);
+                self.done = true;
+                break;
+            }
+            if self.done || (self.state == Quoting::FieldStart && text.last() == Some(&b'\n')) {
+                break;
+            }
+            match self.input.read_until(b'\n', text) {
+                Ok(0) => self.done = true,
+                Ok(_) => {}
+                Err(e) => read_error = Some(e),
+            }
+        }
+        (!text.is_empty()).then_some(first_line)
+    }
+
+    /// Physical lines cut so far, counting from line 1 of the stream.
+    pub(crate) fn lines(&self) -> usize {
+        self.lines
+    }
+
+    /// `true` once [`BlockCutter::next_block`] has nothing more to cut.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// What ended the input early: a read error, kept for the caller to
+    /// report after every block before it, or (`Ok(true)`) a line the
+    /// grammar rejects, which a block's reader must have failed on.
+    pub(crate) fn end(&mut self) -> std::io::Result<bool> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => Ok(self.rejected),
+        }
+    }
+
+    /// Runs the quoting state over `text[from..]`, counting line breaks and
+    /// noting the last record boundary. Returns the offset just past the
+    /// line break that ends a rejected line, where the block must end.
+    fn scan(&mut self, text: &[u8], from: usize) -> Option<usize> {
+        let newlines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
+        let mut i = from;
+        while i < text.len() {
+            match self.state {
+                Quoting::FieldStart | Quoting::Unquoted => {
+                    // Up to the next quote only line breaks and delimiters
+                    // matter, and only the last of them sets the state.
+                    let end = find(&text[i..], b'"').map_or(text.len(), |p| i + p);
+                    let run = &text[i..end];
+                    if let Some(last) = run.iter().rposition(|&b| b == b'\n') {
+                        self.lines += newlines(run);
+                        self.boundary = i + last + 1;
+                    }
+                    if let Some(&last) = run.last() {
+                        self.state = if last == b'\n' || last == self.delimiter {
+                            Quoting::FieldStart
+                        } else {
+                            Quoting::Unquoted
+                        };
+                    }
+                    if end == text.len() {
+                        break;
+                    }
+                    self.state = match self.state {
+                        Quoting::FieldStart => Quoting::Quoted,
+                        _ => Quoting::Rejected,
+                    };
+                    i = end + 1;
+                }
+                Quoting::Quoted => {
+                    let end = find(&text[i..], b'"').map_or(text.len(), |p| i + p);
+                    self.lines += newlines(&text[i..end]);
+                    if end < text.len() {
+                        self.state = Quoting::AfterQuote;
+                    }
+                    i = end + 1;
+                }
+                Quoting::AfterQuote | Quoting::AfterQuoteCr => {
+                    let b = text[i];
+                    i += 1;
+                    self.state = match (self.state, b) {
+                        (_, b'\n') => {
+                            self.lines += 1;
+                            self.boundary = i;
+                            Quoting::FieldStart
+                        }
+                        (Quoting::AfterQuote, b'"') => Quoting::Quoted,
+                        (Quoting::AfterQuote, b'\r') => Quoting::AfterQuoteCr,
+                        (Quoting::AfterQuote, b) if b == self.delimiter => Quoting::FieldStart,
+                        _ => Quoting::Rejected,
+                    };
+                }
+                Quoting::Rejected => return Some(i + find(&text[i..], b'\n')? + 1),
+            }
+        }
+        None
+    }
+}
+
+/// The offset of the first `byte` in `bytes`.
+fn find(bytes: &[u8], byte: u8) -> Option<usize> {
+    // `contains` is the vectorized test; most runs have no match.
+    if bytes.contains(&byte) {
+        bytes.iter().position(|&b| b == byte)
+    } else {
+        None
     }
 }
 

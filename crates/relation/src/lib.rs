@@ -27,11 +27,12 @@
 //! * [`work`] — deterministic equality-work counters
 //!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
 //!   offline benchmark gate.
-//! * [`load`] — typed bulk ingestion: [`ColumnType`] and the
-//!   [`EncodedLoader`], which parses raw text fields **directly into
-//!   dictionary codes** in one pass, inferring column types from the
-//!   distinct texts as it goes, so bulk loads never build per-cell `Value`
-//!   probe keys (the `rt-io` CSV reader drives it).
+//! * [`load`] — typed bulk ingestion: [`ColumnType`], the
+//!   [`EncodedLoader`] and its [`EncodedBlock`]s, which encode raw text
+//!   fields **directly into dictionary codes**, hashing each cell once,
+//!   and merge in order, inferring column types from the distinct texts as
+//!   they go, so bulk loads never build per-cell `Value` probe keys (the
+//!   `rt-io` CSV reader drives it, one block per worker).
 //! * [`csv`] — CSV writing for repaired instances (reading is `rt-io`'s).
 //!
 //! The crate is deliberately free of any constraint logic; functional
@@ -43,8 +44,10 @@
 //!
 //! let schema = Schema::new("readings", vec!["sensor", "value"]).unwrap();
 //! let mut loader = EncodedLoader::new(schema, None).unwrap();
-//! loader.push_row([Some("s1"), Some("20.5")]).unwrap();
-//! loader.push_row([Some("s1"), None]).unwrap();
+//! let mut block = loader.block();
+//! block.push_row([Some("s1"), Some("20.5")]).unwrap();
+//! block.push_row([Some("s1"), None]).unwrap();
+//! loader.merge(&mut block);
 //! let (instance, types) = loader.finish();
 //! assert_eq!(types, vec![ColumnType::Str, ColumnType::Float]);
 //! assert_eq!(instance.len(), 2);
@@ -71,7 +74,7 @@ pub use dict::{
 };
 pub use error::RelationError;
 pub use instance::{CellRef, Instance, InstanceDiff};
-pub use load::{ColumnType, EncodedLoader};
+pub use load::{ColumnType, EncodedBlock, EncodedLoader};
 pub use schema::{AttrId, Schema};
 pub use tuple::Tuple;
 pub use value::{FloatBits, Value, VarId};

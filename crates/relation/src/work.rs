@@ -84,10 +84,11 @@ pub fn count_value_compares(n: usize) {
 /// the peak.
 ///
 /// The gauge is a deterministic *memory estimate*, not an allocator probe:
-/// the bulk loader charges one cell per dictionary code it appends (it
-/// holds no raw field beyond the current record). The resulting peak — the
-/// code columns — is what the memory-bounded-ingest gate in `bench_gate`
-/// divides by the row count.
+/// the bulk loader charges one cell per dictionary code it appends. The raw
+/// text it holds — a few blocks in flight, bounded by the worker count, not
+/// by the input — is not charged. The resulting peak — the code columns —
+/// is what the memory-bounded-ingest gate in `bench_gate` divides by the
+/// row count.
 #[inline]
 pub fn add_resident_cells(n: usize) {
     let now = RESIDENT_CELLS.fetch_add(n as u64, Relaxed) + n as u64;

@@ -451,10 +451,10 @@ fn build_engine(options: &Options) -> Result<RepairEngine, EngineError> {
         .map(|((_, name), ty)| format!("{name}:{ty}"))
         .collect();
     println!(
-        "loaded {} tuples × {} attributes from {path} ({} null cells)",
-        instance.len(),
-        schema.arity(),
-        report.null_cells,
+        "loaded {} × {} from {path} ({})",
+        counted(instance.len(), "tuple"),
+        counted(schema.arity(), "attribute"),
+        counted(report.null_cells, "null cell"),
     );
     println!("inferred column types: {}", types.join(", "));
     let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
@@ -465,9 +465,18 @@ fn build_engine(options: &Options) -> Result<RepairEngine, EngineError> {
         .build()
 }
 
+/// `n` and `noun`, with the noun's plural `s` unless `n` is 1.
+fn counted(n: usize, noun: &str) -> String {
+    if n == 1 {
+        format!("1 {noun}")
+    } else {
+        format!("{n} {noun}s")
+    }
+}
+
 /// An FD set by attribute names, or by count when the schema is unknown.
 fn fds_text(fds: &FdSet, schema: Option<&Schema>) -> String {
-    schema.map_or_else(|| format!("{} FDs", fds.len()), |s| fds.display_with(s))
+    schema.map_or_else(|| counted(fds.len(), "FD"), |s| fds.display_with(s))
 }
 
 /// One spectrum point, as every front end prints it.
@@ -523,10 +532,12 @@ fn run(options: &Options) -> Result<(), EngineError> {
         problem.sigma().display_with(problem.instance().schema())
     );
     println!(
-        "{} conflicting tuple pairs; repairing everything by cell changes would \
-         touch at most {} cells\n",
-        problem.conflict_graph().edge_count(),
-        engine.delta_p_original()
+        "{}; repairing everything by cell changes would touch at most {}\n",
+        counted(
+            problem.conflict_graph().edge_count(),
+            "conflicting tuple pair"
+        ),
+        counted(engine.delta_p_original(), "cell")
     );
     report_results(&engine, options)
 }
@@ -546,7 +557,7 @@ fn report_results(engine: &RepairEngine, options: &Options) -> Result<(), Engine
                 println!("{}", point_line(&point?, Some(schema)));
                 count += 1;
             }
-            println!("{count} non-dominated repairs.");
+            println!("{}.", counted(count, "non-dominated repair"));
             println!(
                 "\nre-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one."
             );
@@ -616,10 +627,13 @@ fn run_apply(options: &Options) -> Result<(), EngineError> {
 
     let stats = engine.stats();
     println!(
-        "\nlive session after replay: {} tuples, {} FDs, {} conflict edges",
-        engine.problem().instance().len(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count()
+        "\nlive session after replay: {}, {}, {}",
+        counted(engine.problem().instance().len(), "tuple"),
+        counted(engine.problem().fd_count(), "FD"),
+        counted(
+            engine.problem().conflict_graph().edge_count(),
+            "conflict edge"
+        )
     );
     println!(
         "  conflict graph builds : {} (rebuilds avoided: {})",
@@ -650,8 +664,8 @@ fn run_apply(options: &Options) -> Result<(), EngineError> {
         if spectrum.bit_identical(&fresh_spectrum) {
             println!(
                 "\nverify: OK — incremental session is bit-identical to a fresh rebuild \
-                 ({} spectrum points)",
-                spectrum.len()
+                 ({})",
+                counted(spectrum.len(), "spectrum point")
             );
         } else {
             return Err(EngineError::Mutation(
@@ -683,9 +697,9 @@ fn run_scenario(options: &Options) -> Result<(), EngineError> {
     let schema = scenario.dirty.schema();
     println!("scenario `{}`: {}", scenario.name, scenario.description);
     println!(
-        "  {} tuples × {} attributes (seed {})",
-        scenario.dirty.len(),
-        schema.arity(),
+        "  {} × {} (seed {})",
+        counted(scenario.dirty.len(), "tuple"),
+        counted(schema.arity(), "attribute"),
         options.engine.seed
     );
     println!("  FDs: {}", scenario.dirty_fds.display_with(schema));
@@ -700,8 +714,11 @@ fn run_scenario(options: &Options) -> Result<(), EngineError> {
         .configure(RepairEngine::builder(scenario.dirty, scenario.dirty_fds))
         .build()?;
     println!(
-        "  {} conflicting tuple pairs; δP reference {}\n",
-        engine.problem().conflict_graph().edge_count(),
+        "  {}; δP reference {}\n",
+        counted(
+            engine.problem().conflict_graph().edge_count(),
+            "conflicting tuple pair"
+        ),
         engine.delta_p_original()
     );
     report_results(&engine, options)
@@ -713,11 +730,14 @@ fn run_snapshot(options: &Options) -> Result<(), EngineError> {
     let blob = engine.snapshot()?;
     std::fs::write(output, &blob).map_err(|e| EngineError::io(output, e))?;
     println!(
-        "snapshot: {} bytes ({} tuples, {} FDs, {} conflict edges) written to {output}",
-        blob.len(),
-        engine.problem().instance().len(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count(),
+        "snapshot: {} ({}, {}, {}) written to {output}",
+        counted(blob.len(), "byte"),
+        counted(engine.problem().instance().len(), "tuple"),
+        counted(engine.problem().fd_count(), "FD"),
+        counted(
+            engine.problem().conflict_graph().edge_count(),
+            "conflict edge"
+        ),
     );
     println!("restore it with: rtclean restore {output}");
     Ok(())
@@ -729,11 +749,14 @@ fn run_restore(options: &Options) -> Result<(), EngineError> {
     let engine = RepairEngine::restore(&bytes)?;
     let instance = engine.problem().instance();
     println!(
-        "restored {} tuples × {} attributes, {} FDs, {} conflict edges from {path}",
-        instance.len(),
-        instance.schema().arity(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count(),
+        "restored {} × {}, {}, {} from {path}",
+        counted(instance.len(), "tuple"),
+        counted(instance.schema().arity(), "attribute"),
+        counted(engine.problem().fd_count(), "FD"),
+        counted(
+            engine.problem().conflict_graph().edge_count(),
+            "conflict edge"
+        ),
     );
     println!(
         "prepared state came back warm: conflict graph builds since restore = {}\n",
@@ -910,7 +933,10 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
             let (points, trailer) = if command == "spectrum" {
                 let spectrum = active.spectrum().map_err(|e| e.to_string())?;
                 let n = spectrum.len();
-                (spectrum.points, format!("{n} non-dominated repairs."))
+                (
+                    spectrum.points,
+                    format!("{}.", counted(n, "non-dominated repair")),
+                )
             } else {
                 let parse_at = |idx: usize, what: &str, default: usize| -> Result<usize, String> {
                     match tokens.get(idx) {
@@ -931,7 +957,11 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                 let n = points.len();
                 (
                     points,
-                    format!("{n} points{}", if done { " (range exhausted)" } else { "" }),
+                    format!(
+                        "{}{}",
+                        counted(n, "point"),
+                        if done { " (range exhausted)" } else { "" }
+                    ),
                 )
             };
             let mut out = String::new();

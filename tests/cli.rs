@@ -333,10 +333,10 @@ fn tsv_input() {
 loaded 3 tuples × 3 attributes from d.tsv (0 null cells)
 inferred column types: A:int, B:int, C:str
 FDs: {A -> B}
-1 conflicting tuple pairs; repairing everything by cell changes would touch at most 1 cells
+1 conflicting tuple pair; repairing everything by cell changes would touch at most 1 cell
 
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {A -> B}
-1 non-dominated repairs.
+1 non-dominated repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 ";
@@ -354,10 +354,10 @@ fn a_byte_order_mark_does_not_hide_the_first_column() {
 loaded 2 tuples × 2 attributes from bom.csv (0 null cells)
 inferred column types: A:int, B:str
 FDs: {A -> B}
-1 conflicting tuple pairs; repairing everything by cell changes would touch at most 1 cells
+1 conflicting tuple pair; repairing everything by cell changes would touch at most 1 cell
 
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {A -> B}
-1 non-dominated repairs.
+1 non-dominated repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 ";
@@ -430,14 +430,14 @@ inferred column types: A:int, B:int, C:str
     let tail = |avoided: usize| {
         format!(
             "
-live session after replay: 6 tuples, 1 FDs, 2 conflict edges
+live session after replay: 6 tuples, 1 FD, 2 conflict edges
   conflict graph builds : 1 (rebuilds avoided: {avoided})
   incremental edge delta: +2 / -2  (5 components dirtied)
 
 post-mutation spectrum (δP reference 1):
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {{C -> B}}
 
-verify: OK — incremental session is bit-identical to a fresh rebuild (1 spectrum points)
+verify: OK — incremental session is bit-identical to a fresh rebuild (1 spectrum point)
 "
         )
     };
@@ -516,7 +516,7 @@ repaired instance written to out.csv
 
     let expected = format!(
         "{header}  τ ∈ [   0,    0]  FD cost        0.0  cell changes     0   {{A -> B}}
-1 non-dominated repairs.
+1 non-dominated repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 "

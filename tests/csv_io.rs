@@ -588,3 +588,161 @@ fn seeded_malformed_input_fails_typed_and_never_panics() {
         "{loaded} loaded, {rejected} rejected"
     );
 }
+
+/// The loader's block size: the body of a larger input is cut into blocks
+/// of about this many bytes, each extended to the end of its last record.
+const BLOCK: usize = 256 * 1024;
+
+/// A source that returns one byte per read, so a load cannot lean on how
+/// its input arrives.
+struct OneByteReads<'a>(&'a [u8]);
+
+impl std::io::Read for OneByteReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (buf.first_mut(), self.0.split_first()) {
+            (Some(slot), Some((&byte, rest))) => {
+                *slot = byte;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn quoted_fields_across_every_block_cut_load_alike_from_any_source() {
+    // About 1 MiB of body. Each block ends at the first record boundary
+    // `BLOCK` bytes or more past its start; a quoted field with line breaks
+    // and doubled quotes is placed across each of those marks.
+    let header = "id,note,qty\n";
+    let mut body = String::new();
+    let mut spanning = Vec::new();
+    let mut row = 0;
+    let mut block_start = 0;
+    while body.len() < 4 * BLOCK {
+        let mark = block_start + BLOCK;
+        while body.len() + 40 < mark {
+            body.push_str(&format!("{row},plain {},{}\n", row % 97, row % 13));
+            row += 1;
+        }
+        let note = format!("row {row}\nsays \"hi\"\r\n{}", "x".repeat(80));
+        let field_start = body.len() + format!("{row},").len();
+        body.push_str(&format!(
+            "{row},\"{}\",{}\n",
+            note.replace('"', "\"\""),
+            row % 13
+        ));
+        assert!(
+            field_start < mark && mark < body.len() - 4,
+            "the field spans the mark"
+        );
+        spanning.push((row, note.replace("\r\n", "\n")));
+        row += 1;
+        block_start = body.len();
+    }
+    let text = format!("{header}{body}");
+
+    let dir = std::env::temp_dir().join(format!("rt_csv_io_blocks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("blocks.csv");
+    std::fs::write(&path, &text).unwrap();
+    let options = CsvOptions::csv();
+    let from_file = load_path(&path, &options).unwrap();
+    let byte_by_byte = read_instance(OneByteReads(text.as_bytes()), &options).unwrap();
+    assert_same_load(&from_file, &byte_by_byte, "one byte per read");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let inst = &from_file.instance;
+    assert_eq!(inst.len(), row);
+    assert_eq!(
+        from_file.columns,
+        [ColumnType::Int, ColumnType::Str, ColumnType::Int]
+    );
+    for (row, note) in spanning {
+        assert_eq!(
+            *inst.cell(CellRef::new(row, AttrId(1))).unwrap(),
+            Value::str(note)
+        );
+        assert_eq!(
+            *inst.cell(CellRef::new(row, AttrId(0))).unwrap(),
+            Value::Int(row as i64)
+        );
+    }
+}
+
+/// `rows` one-line records of `fields` small integers, then the header:
+/// record `r` is on line `r + 2`.
+fn numeric_rows(rows: usize, fields: usize) -> Vec<String> {
+    let mut lines = vec![(0..fields)
+        .map(|f| format!("c{f}"))
+        .collect::<Vec<_>>()
+        .join(",")];
+    lines.extend((0..rows).map(|r| {
+        (0..fields)
+            .map(|f| ((r + f) % 1000).to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    }));
+    lines
+}
+
+/// The line whose record starts about `offset` bytes into `lines`.
+fn line_at(lines: &[String], offset: usize) -> usize {
+    let mut at = 0;
+    for (i, line) in lines.iter().enumerate() {
+        at += line.len() + 1;
+        if at > offset {
+            return i + 1;
+        }
+    }
+    panic!("the input is shorter than {offset} bytes")
+}
+
+fn parse_error(lines: &[String], columns: Option<&[ColumnType]>) -> (usize, String) {
+    let text = lines.join("\n") + "\n";
+    let options = CsvOptions::csv();
+    let err = match columns {
+        Some(columns) => read_instance_with_types(text.as_bytes(), columns, &options),
+        None => read_instance(text.as_bytes(), &options),
+    }
+    .unwrap_err();
+    match err {
+        IoError::Parse { line, message } => (line, message),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn multi_block_loads_report_their_first_bad_line() {
+    // A bad typed field in the second block beats a ragged row in the
+    // fourth, though the later block may be encoded first.
+    let mut lines = numeric_rows(150_000, 2);
+    let bad = line_at(&lines, BLOCK + BLOCK / 2);
+    let ragged = line_at(&lines, 3 * BLOCK + BLOCK / 2);
+    lines[bad - 1] = "oops,1".to_string();
+    lines[ragged - 1] = "1".to_string();
+    let types = [ColumnType::Int, ColumnType::Int];
+    let (line, message) = parse_error(&lines, Some(&types));
+    assert_eq!(line, bad);
+    assert!(message.contains("`oops` is not an integer"), "{message}");
+
+    // Within one later block, a bad field in column 2 beats a bad field in
+    // column 0 on a later row.
+    let mut lines = numeric_rows(100_000, 3);
+    let first = line_at(&lines, 2 * BLOCK + BLOCK / 3);
+    lines[first - 1] = "1,2,x2".to_string();
+    lines[first + 2] = "x0,2,3".to_string();
+    let types = [ColumnType::Int, ColumnType::Str, ColumnType::Int];
+    let (line, message) = parse_error(&lines, Some(&types));
+    assert_eq!(line, first);
+    assert!(message.contains("column `c2`: `x2`"), "{message}");
+
+    // A stray quote on line 2 of a 2 MiB input.
+    let mut lines = numeric_rows(300_000, 2);
+    assert!(lines.iter().map(|l| l.len() + 1).sum::<usize>() > 8 * BLOCK);
+    lines[1] = "x\"y,1".to_string();
+    let (line, message) = parse_error(&lines, None);
+    assert_eq!(line, 2);
+    assert!(message.contains("unexpected quote"), "{message}");
+}
