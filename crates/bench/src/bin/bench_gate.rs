@@ -22,6 +22,7 @@ use rt_core::{Parallelism, WeightKind};
 use rt_datagen::{generate_mutation_stream, MutationStreamConfig};
 use rt_engine::json::{self, JsonValue};
 use rt_engine::{MutationBatch, RepairEngine, Spectrum};
+use rt_relation::work::{Slot, Telemetry};
 use std::process::ExitCode;
 
 /// Ordered metric list (order is stable so baselines diff cleanly).
@@ -32,15 +33,19 @@ fn spectrum_signature(s: &Spectrum) -> (usize, usize) {
     (s.len(), cells)
 }
 
-/// Pushes the equality-work counters accumulated since `work::reset()` under
-/// the given scenario prefix. These are the counters the dictionary-encoding
-/// layer is meant to shrink: bytes hashed and heap allocations spent building
-/// equality keys, and `Value`-level comparisons in hot paths.
+/// Pushes every work counter accumulated since `work::reset()` under the
+/// given scenario prefix, in the order of the
+/// [`WorkSnapshot`](rt_relation::work::WorkSnapshot) table: bytes
+/// hashed and heap allocations spent building equality keys, `Value`-level
+/// comparisons in hot paths, and code cells copied out of shared columns.
 fn push_work_counters(metrics: &mut Metrics, prefix: &str) {
-    let w = rt_relation::work::snapshot();
-    metrics.push((format!("{prefix}.key_bytes_hashed"), w.key_bytes_hashed));
-    metrics.push((format!("{prefix}.key_allocs"), w.key_allocs));
-    metrics.push((format!("{prefix}.value_compares"), w.value_compares));
+    let mut w = rt_relation::work::snapshot();
+    for (name, slot) in w.slots() {
+        let Slot::Total(v) = slot else {
+            unreachable!("every work counter is a total")
+        };
+        metrics.push((format!("{prefix}.{name}"), *v));
+    }
 }
 
 /// Scenario 1: a full spectrum sweep on a fixed-seed workload.
@@ -320,6 +325,7 @@ fn measure_warehouse(metrics: &mut Metrics) {
     // (tier label, milli-units per row) series for the flatness asserts.
     let mut per_row_bytes: Vec<(&str, u64)> = Vec::new();
     let mut peaks: Vec<(&str, u64)> = Vec::new();
+    let mut per_row_copied: Vec<(&str, u64)> = Vec::new();
     for (rows, label) in WAREHOUSE_TIERS {
         let path = std::env::temp_dir().join(format!(
             "rt-bench-warehouse-{rows}-{}.csv",
@@ -398,8 +404,10 @@ fn measure_warehouse(metrics: &mut Metrics) {
 
         let bytes_per_row_x1000 = w.key_bytes_hashed * 1000 / rows as u64;
         let peak_per_row_x1000 = peak * 1000 / rows as u64;
+        let copied_per_row_x1000 = w.cells_copied * 1000 / rows as u64;
         per_row_bytes.push((label, bytes_per_row_x1000));
         peaks.push((label, peak_per_row_x1000));
+        per_row_copied.push((label, copied_per_row_x1000));
 
         let (points, cells) = spectrum_signature(&prefix);
         let m = |k: &str, v: u64| (format!("warehouse.{label}.{k}"), v);
@@ -415,12 +423,14 @@ fn measure_warehouse(metrics: &mut Metrics) {
             w.key_allocs * 1000 / rows as u64,
         ));
         metrics.push(m("peak_resident_cells_per_row_x1000", peak_per_row_x1000));
+        metrics.push(m("cells_copied_per_row_x1000", copied_per_row_x1000));
     }
 
-    // Flatness across two orders of magnitude: per-row hashing and per-row
-    // resident peak within 1.5× of the smallest tier. (The baseline gates
-    // drift run-over-run; these asserts gate the *shape*.)
-    for series in [&per_row_bytes, &peaks] {
+    // Flatness across two orders of magnitude: per-row hashing, per-row
+    // resident peak and per-row column copies within 1.5× of the smallest
+    // tier. (The baseline gates drift run-over-run; these asserts gate the
+    // *shape*.)
+    for series in [&per_row_bytes, &peaks, &per_row_copied] {
         let (base_label, base) = series[0];
         for &(label, v) in &series[1..] {
             assert!(

@@ -20,9 +20,9 @@
 //! cache whatever they need at construction time.
 
 use crate::attrset::AttrSet;
-use rt_relation::{distinct_rows, Code, CodeSpace, Instance};
+use rt_relation::{distinct_rows, Code, CodeSpace, Column, Instance};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A monotone, non-negative weighting of attribute sets.
 pub trait Weight: Send + Sync {
@@ -65,25 +65,26 @@ impl Weight for AttrCountWeight {
 /// `w(Y) = |Π_Y(I)|`: the number of distinct value combinations the appended
 /// attributes take in the initial instance (0 for the empty set).
 ///
-/// Holds no copy of the instance: only its code columns, each with the
-/// code space of its dictionary, which is all [`distinct_rows`] reads.
+/// Holds no copy of the instance: it shares the instance's columns
+/// ([`Instance::column`]), which stay as they were when the weight was
+/// built because the instance copies a shared column before writing it.
 /// Computed lazily per attribute set and cached, since the FD-repair search
 /// evaluates the same extension sets over and over.
 pub struct DistinctCountWeight {
     rows: usize,
-    columns: Vec<(Vec<Code>, CodeSpace)>,
+    columns: Vec<Arc<Column>>,
     cache: Mutex<HashMap<AttrSet, f64>>,
 }
 
 impl DistinctCountWeight {
-    /// Captures the code columns of the initial instance.
+    /// Shares the columns of the initial instance.
     pub fn new(instance: &Instance) -> Self {
         DistinctCountWeight {
             rows: instance.len(),
             columns: instance
                 .schema()
                 .attr_ids()
-                .map(|a| (instance.codes(a).to_vec(), instance.dict(a).code_space()))
+                .map(|a| Arc::clone(instance.column(a)))
                 .collect(),
             cache: Mutex::new(HashMap::new()),
         }
@@ -93,10 +94,7 @@ impl DistinctCountWeight {
     fn count(&self, attrs: AttrSet) -> usize {
         let cols: Vec<(&[Code], CodeSpace)> = attrs
             .iter()
-            .map(|a| {
-                let (codes, space) = &self.columns[a.index()];
-                (codes.as_slice(), *space)
-            })
+            .map(|a| self.columns[a.index()].code_column())
             .collect();
         distinct_rows(self.rows, &cols)
     }

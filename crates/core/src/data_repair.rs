@@ -532,11 +532,12 @@ fn repair_unit(
     out
 }
 
-/// Writes the units' repaired tuples into a copy of `instance` — a copy of
-/// its code columns and dictionaries — replacing scratch variables by real
-/// fresh variables in deterministic (unit, tuple, attribute) order, and
-/// computes the changed-cell diff over the repaired rows only, since no
-/// other row is written.
+/// Writes the units' repaired tuples into a clone of `instance`, replacing
+/// scratch variables by real fresh variables in deterministic (unit, tuple,
+/// attribute) order, and computes the changed-cell diff over the repaired
+/// rows only, since no other row is written. The clone shares `instance`'s
+/// columns and [`Instance::set_cell`] stores only cells whose code changes,
+/// so the repair copies just the columns holding a changed cell.
 fn apply_units(
     instance: &Instance,
     units: Vec<Vec<(usize, Vec<Code>)>>,

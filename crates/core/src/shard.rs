@@ -33,46 +33,48 @@
 //! 0.22–0.23 s and 0.33–0.39 s when both hashed packed LHS keys.
 
 use rt_constraints::{AttrSet, FdSet};
-use rt_relation::{code_runs, Code, Instance};
+use rt_relation::{code_runs, row_u32, Code, Instance};
 
-/// Union-find over row ids with path halving and union by size.
+/// Union-find over `u32` row ids (4 bytes per row and buffer, the width
+/// of the radix-sorted row ids) with path halving and union by size.
 #[derive(Debug)]
 struct UnionFind {
-    parent: Vec<usize>,
-    size: Vec<usize>,
+    parent: Vec<u32>,
+    size: Vec<u32>,
 }
 
 impl UnionFind {
     fn new(n: usize) -> Self {
         UnionFind {
-            parent: (0..n).collect(),
+            parent: (0..row_u32(n)).collect(),
             size: vec![1; n],
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let grandparent = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = grandparent;
+            x = grandparent;
         }
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
         // Union by size; ties keep the smaller root so the forest shape is
         // deterministic (the final plan re-canonicalizes anyway).
-        let (big, small) =
-            if self.size[ra] > self.size[rb] || (self.size[ra] == self.size[rb] && ra < rb) {
-                (ra, rb)
-            } else {
-                (rb, ra)
-            };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
+        let (sa, sb) = (self.size[ra as usize], self.size[rb as usize]);
+        let (big, small) = if sa > sb || (sa == sb && ra < rb) {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
     }
 }
 
@@ -106,7 +108,7 @@ impl ShardPlan {
             let sorted = instance.rows_sorted_by(&lhs);
             for class in code_runs(&sorted, &lhs_cols) {
                 for &row in &class[1..] {
-                    uf.union(class[0] as usize, row as usize);
+                    uf.union(class[0], row);
                 }
             }
         }
@@ -115,20 +117,20 @@ impl ShardPlan {
         // ascend, so every group comes out sorted and groups are ordered by
         // smallest row), pool singleton components into one residual shard,
         // then put the residual shard in its place by smallest row.
-        let mut slot_of_root: Vec<usize> = vec![usize::MAX; n];
+        let mut slot_of_root: Vec<u32> = vec![u32::MAX; n];
         let mut shards: Vec<Vec<usize>> = Vec::new();
         let mut residual: Vec<usize> = Vec::new();
-        for row in 0..n {
-            let root = uf.find(row);
+        for row in 0..row_u32(n) {
+            let root = uf.find(row) as usize;
             if uf.size[root] < 2 {
-                residual.push(row);
+                residual.push(row as usize);
                 continue;
             }
-            if slot_of_root[root] == usize::MAX {
-                slot_of_root[root] = shards.len();
+            if slot_of_root[root] == u32::MAX {
+                slot_of_root[root] = row_u32(shards.len());
                 shards.push(Vec::new());
             }
-            shards[slot_of_root[root]].push(row);
+            shards[slot_of_root[root] as usize].push(row as usize);
         }
         if !residual.is_empty() {
             shards.push(residual);

@@ -22,7 +22,7 @@
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
 //! structs ([`Telemetry`]) travel as their slot table in field order: a
-//! count or gauge as a `u64`, a flag as one byte. Truncated, corrupt or
+//! count, gauge or total as a `u64`, a flag as one byte. Truncated, corrupt or
 //! version-skewed input fails with a typed [`EngineError::Snapshot`] —
 //! never a panic: every length is bounds-checked against the remaining
 //! bytes before it allocates, and every decoded index is validated against
@@ -169,6 +169,7 @@ fn put_telemetry<T: Telemetry>(out: &mut Vec<u8>, mut t: T) {
         match slot {
             Slot::Count(v) | Slot::Gauge(v) => put_usize(out, *v),
             Slot::Flag(b) => put_bool(out, *b),
+            Slot::Total(v) => put_u64(out, *v),
         }
     }
 }
@@ -344,6 +345,7 @@ impl<'a> Reader<'a> {
             match slot {
                 Slot::Count(v) | Slot::Gauge(v) => *v = self.usize_()?,
                 Slot::Flag(b) => *b = self.bool_()?,
+                Slot::Total(v) => *v = self.u64()?,
             }
         }
         Ok(t)

@@ -2,7 +2,9 @@
 
 use crate::error::ErrorFrame;
 use crate::repair::{decode_point, decode_repair, encode_point, encode_repair};
-use crate::value::{array_field, bool_field, field, num, obj, str_field, u64_str, usize_field};
+use crate::value::{
+    array_field, bool_field, field, num, obj, str_field, u64_field, u64_str, usize_field,
+};
 use rt_core::{MutationEffect, Repair};
 use rt_engine::json::{self, JsonValue};
 use rt_engine::{EngineStats, RepairPoint};
@@ -311,7 +313,8 @@ fn decode_summary(v: &JsonValue) -> Result<LoadSummary, String> {
 }
 
 /// Encodes a telemetry struct as an object with one member per slot:
-/// counts and gauges as numbers, flags as booleans.
+/// counts and gauges as numbers, flags as booleans, totals as decimal
+/// strings.
 pub fn encode_telemetry<T: Telemetry>(mut t: T) -> JsonValue {
     obj(t
         .slots()
@@ -319,6 +322,7 @@ pub fn encode_telemetry<T: Telemetry>(mut t: T) -> JsonValue {
         .map(|(name, slot)| match slot {
             Slot::Count(v) | Slot::Gauge(v) => (name, num(*v)),
             Slot::Flag(b) => (name, JsonValue::Bool(*b)),
+            Slot::Total(v) => (name, u64_str(*v)),
         })
         .collect())
 }
@@ -331,6 +335,7 @@ pub fn decode_telemetry<T: Telemetry>(v: &JsonValue) -> Result<T, String> {
         match slot {
             Slot::Count(n) | Slot::Gauge(n) => *n = usize_field(v, name)?,
             Slot::Flag(b) => *b = bool_field(v, name)?,
+            Slot::Total(n) => *n = u64_field(v, name)?,
         }
     }
     Ok(t)

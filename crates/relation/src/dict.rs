@@ -81,10 +81,7 @@ impl AttrDict {
     /// distinct variables in one column, far beyond anything this workspace
     /// can hold in memory.
     pub fn intern(&mut self, value: &Value) -> Code {
-        if matches!(value, Value::Str(_)) {
-            work::count_key_alloc();
-        }
-        self.intern_uncounted(value)
+        self.probe(value).unwrap_or_else(|| self.insert_new(value))
     }
 
     /// [`AttrDict::intern`] without the `key_alloc` accounting, for callers
@@ -92,12 +89,32 @@ impl AttrDict {
     /// occurrence of a value (the allocation they make is permanent storage,
     /// not a transient probe key).
     pub(crate) fn intern_uncounted(&mut self, value: &Value) -> Code {
+        work::count_key_hash(value.hash_cost());
+        self.find(value).unwrap_or_else(|| self.insert_new(value))
+    }
+
+    /// The probe half of [`AttrDict::intern`], counted as `intern` counts:
+    /// the code of `value` if it has been interned. A `None` is completed
+    /// by [`AttrDict::insert_new`].
+    pub(crate) fn probe(&self, value: &Value) -> Option<Code> {
+        if matches!(value, Value::Str(_)) {
+            work::count_key_alloc();
+        }
+        self.lookup(value)
+    }
+
+    fn find(&self, value: &Value) -> Option<Code> {
+        match value {
+            Value::Var(vid) => self.vars.get(vid).copied(),
+            _ => self.constants.get(value).copied(),
+        }
+    }
+
+    /// Issues the next code to `value`, which the dictionary does not hold
+    /// yet.
+    pub(crate) fn insert_new(&mut self, value: &Value) -> Code {
         match value {
             Value::Var(vid) => {
-                work::count_key_hash(value.hash_cost());
-                if let Some(&code) = self.vars.get(vid) {
-                    return code;
-                }
                 let idx = self.var_values.len() as Code;
                 assert!(
                     VAR_CODE_BASE + idx < OVERLAY_CODE_BASE,
@@ -109,10 +126,6 @@ impl AttrDict {
                 code
             }
             _ => {
-                work::count_key_hash(value.hash_cost());
-                if let Some(&code) = self.constants.get(value) {
-                    return code;
-                }
                 let code = self.const_values.len() as Code;
                 assert!(code < VAR_CODE_BASE, "constant code range exhausted");
                 self.constants.insert(value.clone(), code);
@@ -125,10 +138,7 @@ impl AttrDict {
     /// Read-only probe: the code of `value` if it has been interned.
     pub fn lookup(&self, value: &Value) -> Option<Code> {
         work::count_key_hash(value.hash_cost());
-        match value {
-            Value::Var(vid) => self.vars.get(vid).copied(),
-            _ => self.constants.get(value).copied(),
-        }
+        self.find(value)
     }
 
     /// The value a code stands for, borrowed from the dictionary — the one

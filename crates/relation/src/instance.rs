@@ -10,6 +10,12 @@
 //! `(row, attr)`, and a repaired copy is the input's code columns plus a
 //! few cell edits.
 //!
+//! A [`Column`] — one attribute's dictionary and codes — is the unit of
+//! sharing: each sits behind an `Arc`, so cloning an instance costs
+//! O(arity), and a column still shared with another instance (or a
+//! weight) is copied on its first write. A repaired copy therefore holds
+//! its own copy of only the columns a repair changed.
+//!
 //! The instance also owns the V-instance variable counters: fresh variables
 //! are handed out through [`Instance::fresh_var`], which guarantees the
 //! "distinct variables are never equal" semantics simply by never reusing an
@@ -20,9 +26,10 @@ use crate::error::RelationError;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
 use crate::value::{Value, VarId};
-use crate::Result;
+use crate::{work, Result};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Address of a single cell `t[A]` inside an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,11 +81,39 @@ impl InstanceDiff {
     }
 }
 
+/// One attribute's column: an [`AttrDict`] interning the column's distinct
+/// values and the [`Code`] of each row under it. Instances share columns
+/// ([`Instance::column`]); a shared column is copied on its first write.
+#[derive(Debug, Clone, Default)]
+pub struct Column {
+    pub(crate) dict: AttrDict,
+    pub(crate) codes: Vec<Code>,
+}
+
+impl Column {
+    /// The column's value dictionary.
+    pub fn dict(&self) -> &AttrDict {
+        &self.dict
+    }
+
+    /// The code of each row: `codes()[row]` is the code of the row's cell.
+    pub fn codes(&self) -> &[Code] {
+        &self.codes
+    }
+
+    /// The codes with the dense space they come from, the input of the
+    /// code-slot kernels ([`crate::distinct_rows`],
+    /// [`crate::sort_rows_by_codes`]).
+    pub fn code_column(&self) -> (&[Code], CodeSpace) {
+        (&self.codes, self.dict.code_space())
+    }
+}
+
 /// A (V-)instance of a relation schema, stored column by column.
 ///
-/// Each attribute owns an [`AttrDict`] that interns the column's distinct
-/// values, and a column of [`Code`]s with one entry per row. That pair is
-/// the only place a cell lives: there is no row store. [`Instance::cell`]
+/// Each attribute owns a [`Column`]: an [`AttrDict`] that interns the
+/// column's distinct values, and a [`Code`] per row. That pair is the only
+/// place a cell lives: there is no row store. [`Instance::cell`]
 /// borrows the value from the dictionary, [`Instance::tuple`] and
 /// [`Instance::tuples`] decode owned rows on demand, and every mutation
 /// ([`Instance::push`], [`Instance::set_cell`], [`Instance::remove_rows`])
@@ -87,6 +122,12 @@ impl InstanceDiff {
 /// and compare/hash `u32`s instead of values; the encoding is
 /// `Value::matches`-faithful (equal codes ⟺ matching cells), so results
 /// are bit-identical to value-level comparison.
+///
+/// Columns are shared copy-on-write: `clone` costs O(arity) and copies no
+/// cell, and every mutation copies a column that another instance (or a
+/// weight holding [`Instance::column`]) still shares before writing it —
+/// only the columns it writes, each on its first write, counted by
+/// [`work::cells_copied`](crate::work::WorkSnapshot::cells_copied).
 #[derive(Debug, Clone)]
 pub struct Instance {
     pub(crate) schema: Schema,
@@ -95,11 +136,9 @@ pub struct Instance {
     pub(crate) rows: usize,
     /// Next fresh-variable counter, one per attribute.
     pub(crate) var_counters: Vec<u32>,
-    /// Per-attribute value interners (append-only).
-    pub(crate) dicts: Vec<AttrDict>,
-    /// Columnar cells: `codes[attr][row]` is the code of cell `(row, attr)`
-    /// under `dicts[attr]`.
-    pub(crate) codes: Vec<Vec<Code>>,
+    /// One shared column per attribute: `columns[attr].codes[row]` is the
+    /// code of cell `(row, attr)` under `columns[attr].dict` (append-only).
+    columns: Vec<Arc<Column>>,
 }
 
 /// Two instances are equal when their logical content is equal: schema,
@@ -111,7 +150,7 @@ impl PartialEq for Instance {
         self.schema == other.schema
             && self.rows == other.rows
             && self.var_counters == other.var_counters
-            && (0..self.codes.len()).all(|a| self.column_eq(other, a))
+            && (0..self.columns.len()).all(|a| self.column_eq(other, a))
     }
 }
 
@@ -122,33 +161,55 @@ impl Instance {
     /// code of `other`; once a pair is verified by value, later rows
     /// holding the same pair cost one array lookup.
     fn column_eq(&self, other: &Instance, a: usize) -> bool {
-        let (mine, theirs) = (&self.dicts[a], &other.dicts[a]);
-        let space = mine.code_space();
+        let (mine, theirs) = (&self.columns[a], &other.columns[a]);
+        if Arc::ptr_eq(mine, theirs) {
+            return true;
+        }
+        let space = mine.dict.code_space();
         let mut matched: Vec<Option<Code>> = vec![None; space.size()];
-        self.codes[a].iter().zip(&other.codes[a]).all(|(&x, &y)| {
-            match &mut matched[space.index(x)] {
+        mine.codes
+            .iter()
+            .zip(&theirs.codes)
+            .all(|(&x, &y)| match &mut matched[space.index(x)] {
                 Some(known) => *known == y,
                 slot @ None => {
-                    let equal = mine.value(x) == theirs.value(y);
+                    let equal = mine.dict.value(x) == theirs.dict.value(y);
                     if equal {
                         *slot = Some(y);
                     }
                     equal
                 }
-            }
-        })
+            })
     }
 
     /// Creates an empty instance of the given schema.
     pub fn new(schema: Schema) -> Self {
-        let arity = schema.arity();
+        let columns = vec![Column::default(); schema.arity()];
+        Instance::from_columns(schema, 0, columns)
+    }
+
+    /// An instance of `rows` rows over freshly built columns, with every
+    /// variable counter at zero. The columns must match `schema` and `rows`.
+    pub(crate) fn from_columns(schema: Schema, rows: usize, columns: Vec<Column>) -> Self {
         Instance {
+            var_counters: vec![0; schema.arity()],
             schema,
-            rows: 0,
-            var_counters: vec![0; arity],
-            dicts: (0..arity).map(|_| AttrDict::new()).collect(),
-            codes: vec![Vec::new(); arity],
+            rows,
+            columns: columns.into_iter().map(Arc::new).collect(),
         }
+    }
+
+    /// The one write path: column `a`, copied first when another instance
+    /// or a weight still shares it. The copy is charged to
+    /// [`work::WorkSnapshot::cells_copied`].
+    fn column_mut(&mut self, a: usize) -> &mut Column {
+        let col = &mut self.columns[a];
+        if Arc::get_mut(col).is_none() {
+            work::count_cells_copied(col.codes.len());
+            *col = Arc::new(Column::clone(col));
+        }
+        // Unique now, so this never clones.
+        Arc::make_mut(col)
     }
 
     /// Creates an instance from pre-built tuples.
@@ -187,8 +248,9 @@ impl Instance {
             });
         }
         for (attr, value) in tuple.cells() {
-            let code = self.dicts[attr.index()].intern(value);
-            self.codes[attr.index()].push(code);
+            let col = self.column_mut(attr.index());
+            let code = col.dict.intern(value);
+            col.codes.push(code);
         }
         self.rows += 1;
         Ok(())
@@ -234,12 +296,14 @@ impl Instance {
                 )));
             }
         }
+        let columns = dicts
+            .into_iter()
+            .zip(codes)
+            .map(|(dict, codes)| Column { dict, codes })
+            .collect();
         Ok(Instance {
-            schema,
-            rows,
             var_counters,
-            dicts,
-            codes,
+            ..Instance::from_columns(schema, rows, columns)
         })
     }
 
@@ -281,10 +345,9 @@ impl Instance {
 
     fn decode_row(&self, row: usize) -> Tuple {
         Tuple::new(
-            self.dicts
+            self.columns
                 .iter()
-                .zip(&self.codes)
-                .map(|(dict, col)| dict.decode(col[row]))
+                .map(|col| col.dict.decode(col.codes[row]))
                 .collect(),
         )
     }
@@ -301,17 +364,25 @@ impl Instance {
     /// Fails when the row is out of range.
     pub fn cell(&self, cell: CellRef) -> Result<&Value> {
         self.check_row(cell.row)?;
-        Ok(self.dicts[cell.attr.index()].value(self.codes[cell.attr.index()][cell.row]))
+        Ok(self.cell_value(cell))
     }
 
-    /// Overwrites a cell.
+    /// Overwrites a cell. A cell that already holds `value` is left alone,
+    /// so its column is not copied; either way the dictionary probe is
+    /// counted as one [`AttrDict::intern`].
     ///
     /// # Errors
     ///
     /// Fails when the row is out of range.
     pub fn set_cell(&mut self, cell: CellRef, value: Value) -> Result<()> {
         self.check_row(cell.row)?;
-        self.codes[cell.attr.index()][cell.row] = self.dicts[cell.attr.index()].intern(&value);
+        let a = cell.attr.index();
+        let code = match self.columns[a].dict.probe(&value) {
+            Some(code) if code == self.columns[a].codes[cell.row] => return Ok(()),
+            Some(code) => code,
+            None => self.column_mut(a).dict.insert_new(&value),
+        };
+        self.column_mut(a).codes[cell.row] = code;
         Ok(())
     }
 
@@ -343,9 +414,9 @@ impl Instance {
         if removed == 0 {
             return Ok(0);
         }
-        for col in &mut self.codes {
+        for a in 0..self.columns.len() {
             let mut keep = doomed.iter().map(|d| !d);
-            col.retain(|_| keep.next().unwrap());
+            self.column_mut(a).codes.retain(|_| keep.next().unwrap());
         }
         self.rows -= removed;
         Ok(removed)
@@ -399,14 +470,21 @@ impl Instance {
     /// dictionary code of cell `(row, a)`. Two cells of the column match
     /// (under [`Value::matches`]) iff their codes are equal.
     pub fn codes(&self, attr: AttrId) -> &[Code] {
-        &self.codes[attr.index()]
+        &self.columns[attr.index()].codes
     }
 
     /// The code column of `attr` with the dense space its codes come from:
     /// the input of the code-slot kernels ([`crate::distinct_rows`],
     /// [`crate::sort_rows_by_codes`]).
     pub fn code_column(&self, attr: AttrId) -> (&[Code], CodeSpace) {
-        (self.codes(attr), self.dict(attr).code_space())
+        self.columns[attr.index()].code_column()
+    }
+
+    /// The shared column of `attr`. Cloning the `Arc` keeps this version
+    /// of the column alive without copying it: a later write to this
+    /// instance copies the column first, so the holder never sees it.
+    pub fn column(&self, attr: AttrId) -> &Arc<Column> {
+        &self.columns[attr.index()]
     }
 
     /// Every row id, sorted by the rows' codes on `attrs` and then by row
@@ -421,28 +499,28 @@ impl Instance {
 
     /// The code of a single cell (panics on out-of-range indices).
     pub fn code_at(&self, row: usize, attr: AttrId) -> Code {
-        self.codes[attr.index()][row]
+        self.codes(attr)[row]
     }
 
     /// The value dictionary of attribute `attr`.
     pub fn dict(&self, attr: AttrId) -> &AttrDict {
-        &self.dicts[attr.index()]
+        &self.columns[attr.index()].dict
     }
 
     /// Total number of dictionary entries (interned constants + variables)
     /// across all attributes — the footprint of the encoding layer.
     pub fn dict_entries(&self) -> usize {
-        self.dicts.iter().map(AttrDict::len).sum()
+        self.columns.iter().map(|col| col.dict.len()).sum()
     }
 
     /// Attributes on which rows `u` and `v` differ (under V-instance
     /// semantics), computed from the code columns — the code-level
     /// equivalent of [`Tuple::differing_attrs`] for in-instance rows.
     pub fn differing_attrs_coded(&self, u: usize, v: usize) -> Vec<AttrId> {
-        self.codes
+        self.columns
             .iter()
             .enumerate()
-            .filter(|(_, col)| col[u] != col[v])
+            .filter(|(_, col)| col.codes[u] != col.codes[v])
             .map(|(i, _)| AttrId(i as u16))
             .collect()
     }
@@ -450,8 +528,8 @@ impl Instance {
     /// Number of distinct values (constants and variables) in a column.
     pub fn distinct_count(&self, attr: AttrId) -> usize {
         let mut seen: HashSet<Code> = HashSet::with_capacity(self.rows);
-        for &code in &self.codes[attr.index()] {
-            crate::work::count_key_hash(4);
+        for &code in self.codes(attr) {
+            work::count_key_hash(4);
             seen.insert(code);
         }
         seen.len()
@@ -474,8 +552,8 @@ impl Instance {
             return 0.0;
         }
         let mut counts: HashMap<Code, usize> = HashMap::new();
-        for &code in &self.codes[attr.index()] {
-            crate::work::count_key_hash(4);
+        for &code in self.codes(attr) {
+            work::count_key_hash(4);
             *counts.entry(code).or_insert(0) += 1;
         }
         // Sum in *value* order, not HashMap or code order: float addition is
@@ -483,7 +561,7 @@ impl Instance {
         // bit-identical entropies (the incremental engine compares weight
         // fingerprints across rebuilds) even though their dictionaries may
         // have interned the values in different orders.
-        let dict = &self.dicts[attr.index()];
+        let dict = self.dict(attr);
         let mut counts: Vec<(Code, usize)> = counts.into_iter().collect();
         counts.sort_unstable_by(|(a, _), (b, _)| dict.cmp_codes(*a, *b));
         let n = self.rows as f64;
@@ -529,8 +607,8 @@ impl Instance {
     }
 
     /// Projects the instance onto the first `k` attributes, dropping the rest
-    /// (Figure 10's attribute-scalability workload). The kept columns carry
-    /// their codes and dictionaries over unchanged.
+    /// (Figure 10's attribute-scalability workload). The kept columns are
+    /// shared, not copied.
     pub fn project_prefix(&self, k: usize) -> Result<Instance> {
         let schema = self.schema.project_prefix(k)?;
         let arity = schema.arity();
@@ -538,21 +616,33 @@ impl Instance {
             schema,
             rows: self.rows,
             var_counters: self.var_counters[..arity].to_vec(),
-            dicts: self.dicts[..arity].to_vec(),
-            codes: self.codes[..arity].to_vec(),
+            columns: self.columns[..arity].to_vec(),
         })
     }
 
     /// Keeps only the first `n` tuples (used when sampling smaller workloads
-    /// from a generated data set).
+    /// from a generated data set). With `n` at least the row count the
+    /// columns are shared; otherwise each column's code prefix is copied
+    /// with its dictionary.
     pub fn truncate(&self, n: usize) -> Instance {
-        let rows = self.rows.min(n);
+        if n >= self.rows {
+            return self.clone();
+        }
+        let columns = self
+            .columns
+            .iter()
+            .map(|col| {
+                Arc::new(Column {
+                    dict: col.dict.clone(),
+                    codes: col.codes[..n].to_vec(),
+                })
+            })
+            .collect();
         Instance {
             schema: self.schema.clone(),
-            rows,
+            rows: n,
             var_counters: self.var_counters.clone(),
-            dicts: self.dicts.clone(),
-            codes: self.codes.iter().map(|col| col[..rows].to_vec()).collect(),
+            columns,
         }
     }
 
@@ -563,15 +653,21 @@ impl Instance {
 
     /// Number of cells currently holding V-instance variables.
     pub fn var_cell_count(&self) -> usize {
-        self.codes
+        self.columns
             .iter()
-            .map(|col| col.iter().filter(|&&c| AttrDict::is_var_code(c)).count())
+            .map(|col| {
+                col.codes
+                    .iter()
+                    .filter(|&&c| AttrDict::is_var_code(c))
+                    .count()
+            })
             .sum()
     }
 
     /// The value of an in-range cell (panics on out-of-range indices).
     fn cell_value(&self, cell: CellRef) -> &Value {
-        self.dicts[cell.attr.index()].value(self.codes[cell.attr.index()][cell.row])
+        self.dict(cell.attr)
+            .value(self.code_at(cell.row, cell.attr))
     }
 }
 

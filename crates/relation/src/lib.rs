@@ -13,7 +13,9 @@
 //!   (the paper's Census-Income experiments use 34).
 //! * [`Instance`] — a columnar store with cell addressing, instance diffing
 //!   (`Δ_d(I, I')`, the set of changed cells) and V-instance-aware
-//!   equality; [`Tuple`] is the owned row it decodes on request.
+//!   equality; [`Tuple`] is the owned row it decodes on request. Its
+//!   [`Column`]s are shared copy-on-write: a clone costs O(arity), and a
+//!   write copies only the shared columns it touches.
 //! * [`dict`] — per-attribute dictionary encoding, the one place a cell's
 //!   value is stored: [`AttrDict`] interns column values to dense `u32`
 //!   [`Code`]s (variables in a reserved range, so code equality coincides
@@ -24,8 +26,8 @@
 //!   groups rows by code tuple without hashing (a radix sort whose runs
 //!   are the classes, [`code_runs`], and whose order is searchable,
 //!   [`code_range`]).
-//! * [`work`] — deterministic equality-work counters
-//!   (`key_bytes_hashed`, `key_allocs`, `value_compares`) consumed by the
+//! * [`work`] — deterministic work counters (`key_bytes_hashed`,
+//!   `key_allocs`, `value_compares`, `cells_copied`) consumed by the
 //!   offline benchmark gate.
 //! * [`load`] — typed bulk ingestion: [`ColumnType`], the
 //!   [`EncodedLoader`] and its [`EncodedBlock`]s, which encode raw text
@@ -73,7 +75,7 @@ pub use dict::{
     CodeSpace, CODE_KEY_INLINE, OVERLAY_CODE_BASE, VAR_CODE_BASE,
 };
 pub use error::RelationError;
-pub use instance::{CellRef, Instance, InstanceDiff};
+pub use instance::{CellRef, Column, Instance, InstanceDiff};
 pub use load::{ColumnType, EncodedBlock, EncodedLoader};
 pub use schema::{AttrId, Schema};
 pub use tuple::Tuple;

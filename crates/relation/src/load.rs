@@ -42,7 +42,7 @@
 
 use crate::dict::{AttrDict, Code};
 use crate::error::RelationError;
-use crate::instance::Instance;
+use crate::instance::{Column, Instance};
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{work, Result};
@@ -474,7 +474,10 @@ impl ColumnLoad {
 /// how column types are inferred while loading.
 #[derive(Debug)]
 pub struct EncodedLoader {
-    instance: Instance,
+    schema: Schema,
+    /// The instance's columns, filled in file order.
+    out: Vec<Column>,
+    rows: usize,
     columns: Vec<ColumnLoad>,
     /// One hasher per load, cloned into every block.
     hasher: CellHasher,
@@ -511,7 +514,9 @@ impl EncodedLoader {
             })
             .collect();
         Ok(EncodedLoader {
-            instance: Instance::new(schema),
+            out: vec![Column::default(); arity],
+            schema,
+            rows: 0,
             columns,
             hasher: CellHasher::new(),
             remap: Vec::new(),
@@ -521,7 +526,7 @@ impl EncodedLoader {
 
     /// An empty block for this load.
     pub fn block(&self) -> EncodedBlock {
-        let schema = &self.instance.schema;
+        let schema = &self.schema;
         EncodedBlock {
             hasher: self.hasher.clone(),
             names: schema.attributes().map(|(_, n)| n.to_string()).collect(),
@@ -555,13 +560,11 @@ impl EncodedLoader {
             "a block merges only into the loader that made it"
         );
         work::count_key_hash(block.hashed_bytes);
-        let Instance { dicts, codes, .. } = &mut self.instance;
-        for (((col, local), dict), codes) in self
+        for ((col, local), Column { dict, codes }) in self
             .columns
             .iter_mut()
             .zip(&mut block.columns)
-            .zip(dicts.iter_mut())
-            .zip(codes.iter_mut())
+            .zip(&mut self.out)
         {
             col.state.absorb(local.state);
             local.state = ColumnState::new();
@@ -597,7 +600,7 @@ impl EncodedLoader {
             local.distinct.clear();
             local.ids.clear();
         }
-        self.instance.rows += block.rows;
+        self.rows += block.rows;
         self.null_cells += block.null_cells;
         block.rows = 0;
         block.null_cells = 0;
@@ -613,19 +616,20 @@ impl EncodedLoader {
     /// instance together with the type of each column.
     pub fn finish(self) -> (Instance, Vec<ColumnType>) {
         let EncodedLoader {
-            mut instance,
+            schema,
+            mut out,
+            rows,
             columns,
             ..
         } = self;
-        let Instance { dicts, codes, .. } = &mut instance;
         let types = columns
             .into_iter()
-            .zip(dicts.iter_mut().zip(codes.iter_mut()))
-            .map(|(col, (dict, codes))| col.finish(dict, codes))
+            .zip(&mut out)
+            .map(|(col, Column { dict, codes })| col.finish(dict, codes))
             .collect();
         // The encoded columns are the load's only resident cells.
-        work::add_resident_cells(instance.rows * instance.schema.arity());
-        (instance, types)
+        work::add_resident_cells(rows * schema.arity());
+        (Instance::from_columns(schema, rows, out), types)
     }
 }
 

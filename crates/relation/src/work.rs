@@ -1,9 +1,10 @@
-//! Deterministic work counters for the equality hot paths.
+//! Deterministic work counters for the equality hot paths and column copies.
 //!
 //! This workspace runs its perf gates on work *counts*, not wall clock (the
 //! CI container is single-core and offline, see `ci/bench_baseline.json`).
-//! The three counters here measure what dictionary encoding is supposed to
-//! remove from the equality hot paths:
+//! The first three counters here measure what dictionary encoding is
+//! supposed to remove from the equality hot paths; the fourth measures what
+//! copy-on-write columns are supposed to remove from instance copies:
 //!
 //! * [`count_key_alloc`] — one heap allocation made solely to build a
 //!   grouping or probe key (a `Vec<Value>`/`Vec<&Value>` key, or a spilled
@@ -14,7 +15,11 @@
 //!   length, packed code keys cost 4 bytes per attribute);
 //! * [`count_value_compares`] — `Value`-level equality tests
 //!   ([`Value::matches`](crate::Value::matches)) performed by hot paths;
-//!   code-keyed paths compare `u32`s instead and count nothing.
+//!   code-keyed paths compare `u32`s instead and count nothing;
+//! * [`count_cells_copied`] — code cells copied because a column shared
+//!   between instances was written: an instance's one column write path
+//!   charges the copied column's length, so a clone that writes nothing,
+//!   or writes a value a cell already holds, counts nothing.
 //!
 //! The counters are process-global atomics. Totals are bit-deterministic for
 //! a deterministic workload even under the workspace's parallel execution
@@ -27,6 +32,8 @@
 //! implements [`Telemetry`] lists each of its fields once, as a named
 //! [`Slot`], and every consumer — merges, `since`, the snapshot and wire
 //! codecs, the REPL — iterates that one table instead of naming fields.
+//! [`WorkSnapshot`] is such a table too, so the benchmark gate reports
+//! every work counter by iterating it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -34,10 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 static KEY_BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
 static KEY_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static VALUE_COMPARES: AtomicU64 = AtomicU64::new(0);
+static CELLS_COPIED: AtomicU64 = AtomicU64::new(0);
 static RESIDENT_CELLS: AtomicU64 = AtomicU64::new(0);
 static PEAK_RESIDENT_CELLS: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the three work counters.
+/// A snapshot of the work counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
     /// Bytes fed to hashers while building/probing equality keys.
@@ -46,19 +54,19 @@ pub struct WorkSnapshot {
     pub key_allocs: u64,
     /// `Value`-level equality tests in hot paths.
     pub value_compares: u64,
+    /// Code cells copied out of shared columns on their first write.
+    pub cells_copied: u64,
 }
 
-impl WorkSnapshot {
-    /// Counter-wise difference `self - earlier` (saturating, so an
-    /// interleaved reset cannot underflow).
-    pub fn since(&self, earlier: &WorkSnapshot) -> WorkSnapshot {
-        WorkSnapshot {
-            key_bytes_hashed: self
-                .key_bytes_hashed
-                .saturating_sub(earlier.key_bytes_hashed),
-            key_allocs: self.key_allocs.saturating_sub(earlier.key_allocs),
-            value_compares: self.value_compares.saturating_sub(earlier.value_compares),
-        }
+impl Telemetry for WorkSnapshot {
+    #[rustfmt::skip]
+    fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("key_bytes_hashed", Slot::Total(&mut self.key_bytes_hashed)),
+            ("key_allocs", Slot::Total(&mut self.key_allocs)),
+            ("value_compares", Slot::Total(&mut self.value_compares)),
+            ("cells_copied", Slot::Total(&mut self.cells_copied)),
+        ]
     }
 }
 
@@ -78,6 +86,12 @@ pub fn count_key_alloc() {
 #[inline]
 pub fn count_value_compares(n: usize) {
     VALUE_COMPARES.fetch_add(n as u64, Relaxed);
+}
+
+/// Records `n` code cells copied out of a shared column.
+#[inline]
+pub fn count_cells_copied(n: usize) {
+    CELLS_COPIED.fetch_add(n as u64, Relaxed);
 }
 
 /// Raises the resident-cell gauge by `n` cells and folds the new level into
@@ -106,6 +120,7 @@ pub fn snapshot() -> WorkSnapshot {
         key_bytes_hashed: KEY_BYTES_HASHED.load(Relaxed),
         key_allocs: KEY_ALLOCS.load(Relaxed),
         value_compares: VALUE_COMPARES.load(Relaxed),
+        cells_copied: CELLS_COPIED.load(Relaxed),
     }
 }
 
@@ -115,6 +130,7 @@ pub fn reset() {
     KEY_BYTES_HASHED.store(0, Relaxed);
     KEY_ALLOCS.store(0, Relaxed);
     VALUE_COMPARES.store(0, Relaxed);
+    CELLS_COPIED.store(0, Relaxed);
     RESIDENT_CELLS.store(0, Relaxed);
     PEAK_RESIDENT_CELLS.store(0, Relaxed);
 }
@@ -130,6 +146,10 @@ pub enum Slot<'a> {
     Gauge(&'a mut usize),
     /// A sticky condition: OR-ed on merge, the later value on `since`.
     Flag(&'a mut bool),
+    /// A process-wide cumulative count at the [`WorkSnapshot`] width:
+    /// summed on merge, subtracted by `since` (saturating, so a [`reset`]
+    /// between the two readings cannot underflow).
+    Total(&'a mut u64),
 }
 
 impl fmt::Display for Slot<'_> {
@@ -137,6 +157,7 @@ impl fmt::Display for Slot<'_> {
         match self {
             Slot::Count(v) | Slot::Gauge(v) => write!(f, "{v}"),
             Slot::Flag(b) => write!(f, "{b}"),
+            Slot::Total(v) => write!(f, "{v}"),
         }
     }
 }
@@ -148,9 +169,10 @@ pub trait Telemetry: Copy + Default {
     /// The struct's fields, each under its own name, in declaration order.
     fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)>;
 
-    /// Folds `other` into `self` by field name: counts add, gauges keep the
-    /// larger value and flags OR. Fields of `other` that `self` does not
-    /// have are ignored, so a session total can absorb one query's stats.
+    /// Folds `other` into `self` by field name: counts and totals add,
+    /// gauges keep the larger value and flags OR. Fields of `other` that
+    /// `self` does not have are ignored, so a session total can absorb one
+    /// query's stats.
     ///
     /// # Panics
     ///
@@ -167,20 +189,24 @@ pub trait Telemetry: Copy + Default {
                 (Slot::Count(a), Slot::Count(b)) => *a += **b,
                 (Slot::Gauge(a), Slot::Gauge(b)) => *a = (*a).max(**b),
                 (Slot::Flag(a), Slot::Flag(b)) => *a |= **b,
+                (Slot::Total(a), Slot::Total(b)) => *a += **b,
                 _ => panic!("telemetry field `{name}` is declared with two slot kinds"),
             }
         }
     }
 
     /// The work done since `earlier`, a cumulative reading of the same run:
-    /// counts subtract, while gauges and flags keep `self`'s value.
+    /// counts and totals subtract, while gauges and flags keep `self`'s
+    /// value.
     /// Absorbing the result into `earlier` gives back `self`.
     fn since(&self, earlier: &Self) -> Self {
         let mut delta = *self;
         let mut earlier = *earlier;
         for ((_, d), (_, e)) in delta.slots().into_iter().zip(earlier.slots()) {
-            if let (Slot::Count(d), Slot::Count(e)) = (d, e) {
-                *d -= *e;
+            match (d, e) {
+                (Slot::Count(d), Slot::Count(e)) => *d -= *e,
+                (Slot::Total(d), Slot::Total(e)) => *d = d.saturating_sub(*e),
+                _ => {}
             }
         }
         delta
@@ -200,10 +226,12 @@ mod tests {
         count_key_hash(4);
         count_key_alloc();
         count_value_compares(3);
+        count_cells_copied(5);
         let delta = snapshot().since(&before);
         assert!(delta.key_bytes_hashed >= 16);
         assert!(delta.key_allocs >= 1);
         assert!(delta.value_compares >= 3);
+        assert!(delta.cells_copied >= 5);
         // `since` saturates instead of underflowing.
         assert_eq!(before.since(&snapshot()), WorkSnapshot::default());
     }

@@ -141,6 +141,11 @@ impl Server {
     /// Serves connections until shutdown. Each connection gets a thread;
     /// concurrency is bounded by [`ServerConfig::max_connections`] via a
     /// counting gate (further accepts queue, none are dropped).
+    ///
+    /// A connection is registered on the accept loop, before its handler
+    /// thread starts, so a shutdown severs every connection that could
+    /// still block `run` from returning. One accepted after the shutdown
+    /// has severed the others is dropped unserved.
     pub fn run(self) -> std::io::Result<()> {
         let Server { state, listener } = self;
         let gate = Gate::new(state.config.max_connections);
@@ -151,8 +156,12 @@ impl Server {
                     Err(_) if state.is_shutting_down() => break,
                     Err(_) => continue,
                 };
+                let token = accepted.register(&state);
                 if state.is_shutting_down() {
                     // The wake self-connect (or a straggler): drop it.
+                    if let Some(token) = token {
+                        state.deregister(token);
+                    }
                     break;
                 }
                 let pass = gate.enter();
@@ -160,27 +169,12 @@ impl Server {
                 scope.spawn(move || {
                     let _pass = pass;
                     match accepted {
-                        Accepted::Tcp(stream) => {
-                            let token = stream
-                                .try_clone()
-                                .ok()
-                                .map(|clone| state.register(ConnHandle::Tcp(clone)));
-                            serve_connection(stream, state);
-                            if let Some(token) = token {
-                                state.deregister(token);
-                            }
-                        }
+                        Accepted::Tcp(stream) => serve_connection(stream, state),
                         #[cfg(unix)]
-                        Accepted::Unix(stream) => {
-                            let token = stream
-                                .try_clone()
-                                .ok()
-                                .map(|clone| state.register(ConnHandle::Unix(clone)));
-                            serve_connection(stream, state);
-                            if let Some(token) = token {
-                                state.deregister(token);
-                            }
-                        }
+                        Accepted::Unix(stream) => serve_connection(stream, state),
+                    }
+                    if let Some(token) = token {
+                        state.deregister(token);
                     }
                 });
             }
@@ -190,6 +184,19 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+}
+
+impl Accepted {
+    /// Registers a clone of the connection for a shutdown to sever, and
+    /// returns its token (`None` when the socket cannot be cloned).
+    fn register(&self, state: &ServerState) -> Option<usize> {
+        let handle = match self {
+            Accepted::Tcp(stream) => ConnHandle::Tcp(stream.try_clone().ok()?),
+            #[cfg(unix)]
+            Accepted::Unix(stream) => ConnHandle::Unix(stream.try_clone().ok()?),
+        };
+        Some(state.register(handle))
     }
 }
 

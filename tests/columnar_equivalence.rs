@@ -12,12 +12,29 @@
 //! * equality does not depend on dictionary order, but sees one changed
 //!   cell and one changed variable counter;
 //! * `RepairEngine::snapshot` → `restore` yields an equal instance with the
-//!   same codes, and snapshot bytes are a fixed point of restore.
+//!   same codes, and snapshot bytes are a fixed point of restore;
+//! * columns are shared copy-on-write, and no write through one instance
+//!   is seen through another: a seeded 48-case loop writes a clone through
+//!   every write path (and then the original) and checks the other side's
+//!   codes, dictionaries, `==` and `Display` after each write, an engine's
+//!   earlier sweep points survive `apply`, an unchanged `set_cell` copies
+//!   nothing, and a warehouse repair copies only the columns it changed.
+//!
+//! `work::cells_copied` is process-global, so every test here holds
+//! [`serial`] while it runs: a copy made by one test would otherwise show
+//! up in another's deltas.
 
 use relative_trust::prelude::*;
 use relative_trust::relation::csv::{write_instance, NULL_TOKENS};
-use relative_trust::relation::{AttrDict, Code, VarId, VAR_CODE_BASE};
+use relative_trust::relation::{work, AttrDict, Code, VarId, VAR_CODE_BASE};
 use relative_trust::scenarios::SCENARIO_NAMES;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Serializes this file's tests (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn quoted(field: &str) -> String {
     format!("\"{}\"", field.replace('"', "\"\""))
@@ -169,6 +186,7 @@ fn edge_case_instance() -> Instance {
 
 #[test]
 fn writer_is_byte_identical_to_the_row_major_reference() {
+    let _serial = serial();
     for name in SCENARIO_NAMES.iter().copied().chain(["warehouse"]) {
         let scenario = scenario(name);
         assert_writer_matches_reference(&scenario.dirty, &format!("{name} dirty"));
@@ -180,6 +198,7 @@ fn writer_is_byte_identical_to_the_row_major_reference() {
 
 #[test]
 fn cells_and_tuples_agree_with_the_dictionary_decode() {
+    let _serial = serial();
     let edge = edge_case_instance();
     assert!(edge.var_cell_count() > 0);
     assert_reads_decode(&edge, "edge cases");
@@ -192,6 +211,7 @@ fn cells_and_tuples_agree_with_the_dictionary_decode() {
 
 #[test]
 fn equality_ignores_dictionary_order_but_not_content() {
+    let _serial = serial();
     let original = edge_case_instance();
     let rows: Vec<Tuple> = original.tuples().map(|(_, t)| t).collect();
     let n = rows.len();
@@ -238,6 +258,7 @@ fn equality_ignores_dictionary_order_but_not_content() {
 
 #[test]
 fn snapshot_restore_keeps_the_instance_and_the_bytes() {
+    let _serial = serial();
     let scenario = scenario("hospital");
     // Engine over a repaired V-instance, so the snapshot carries variables.
     let repaired = repaired(&scenario);
@@ -259,4 +280,284 @@ fn snapshot_restore_keeps_the_instance_and_the_bytes() {
         let third = RepairEngine::restore(&second).unwrap().snapshot().unwrap();
         assert!(second == third, "snapshot bytes moved across a restore");
     }
+}
+
+/// SplitMix64 — the aliasing loop's seeded randomness, no dependencies.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Everything a reader can see of an instance: each column's codes and
+/// dictionary parts, the variable counters and the `Display` rendering.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    codes: Vec<Vec<Code>>,
+    dicts: Vec<(Vec<Value>, Vec<VarId>)>,
+    var_counters: Vec<u32>,
+    display: String,
+}
+
+fn observe(instance: &Instance) -> Observed {
+    let attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
+    Observed {
+        codes: attrs.iter().map(|&a| instance.codes(a).to_vec()).collect(),
+        dicts: attrs
+            .iter()
+            .map(|&a| instance.dict(a).export_parts())
+            .collect(),
+        var_counters: instance.var_counters().to_vec(),
+        display: instance.to_string(),
+    }
+}
+
+/// Whether `attr`'s column is one shared column in both instances.
+fn shares(a: &Instance, b: &Instance, attr: AttrId) -> bool {
+    Arc::ptr_eq(a.column(attr), b.column(attr))
+}
+
+/// An instance rebuilt from `instance`'s parts: equal codes, dictionaries
+/// and counters, sharing no column with anything.
+fn deep_copy(instance: &Instance) -> Instance {
+    let attrs: Vec<AttrId> = instance.schema().attr_ids().collect();
+    Instance::from_encoded_parts(
+        instance.schema().clone(),
+        attrs.iter().map(|&a| instance.dict(a).clone()).collect(),
+        attrs.iter().map(|&a| instance.codes(a).to_vec()).collect(),
+        instance.var_counters().to_vec(),
+    )
+    .unwrap()
+}
+
+/// A small random value of column `attr`: ints or strings from a small
+/// domain (so rows collide and FDs break), now and then null.
+fn random_value(mix: &mut Mix, attr: usize) -> Value {
+    match mix.below(10) {
+        0 => Value::Null,
+        _ if attr.is_multiple_of(2) => Value::int(mix.below(4) as i64),
+        _ => Value::str(["x", "y", "z", "w"][mix.below(4)]),
+    }
+}
+
+fn random_tuple(mix: &mut Mix, arity: usize) -> Tuple {
+    Tuple::new((0..arity).map(|a| random_value(mix, a)).collect())
+}
+
+fn random_instance(mix: &mut Mix) -> Instance {
+    let arity = 2 + mix.below(3);
+    let names: Vec<String> = (0..arity).map(|a| format!("c{a}")).collect();
+    let schema = Schema::new("alias", names.iter().map(String::as_str).collect()).unwrap();
+    let mut instance = Instance::new(schema);
+    for _ in 0..3 + mix.below(10) {
+        instance.push(random_tuple(mix, arity)).unwrap();
+    }
+    instance
+}
+
+/// One random write through one of `Instance`'s write paths, applied to
+/// `target` and to `model` alike. Returns what it did, for messages.
+fn random_write(mix: &mut Mix, target: &mut Instance, model: &mut Instance) -> String {
+    let arity = target.schema().arity();
+    let attr = AttrId(mix.below(arity) as u16);
+    let rows = target.len();
+    match mix.below(6) {
+        0 if rows > 0 => {
+            // The value the cell already holds: no column may be copied.
+            let cell = CellRef::new(mix.below(rows), attr);
+            let value = target.cell(cell).unwrap().clone();
+            let shared_before = target.column(attr).clone();
+            let before = work::snapshot().cells_copied;
+            target.set_cell(cell, value.clone()).unwrap();
+            assert_eq!(
+                work::snapshot().cells_copied,
+                before,
+                "an unchanged set_cell copied cells"
+            );
+            assert!(Arc::ptr_eq(&shared_before, target.column(attr)));
+            model.set_cell(cell, value).unwrap();
+            format!("set_cell({cell}, same value)")
+        }
+        1 if rows > 0 => {
+            let cell = CellRef::new(mix.below(rows), attr);
+            let value = random_value(mix, attr.index());
+            target.set_cell(cell, value.clone()).unwrap();
+            model.set_cell(cell, value.clone()).unwrap();
+            format!("set_cell({cell}, {value})")
+        }
+        2 if rows > 0 => {
+            let cell = CellRef::new(mix.below(rows), attr);
+            let var = target.fresh_var(attr);
+            assert_eq!(model.fresh_var(attr), var);
+            target.set_cell(cell, var.clone()).unwrap();
+            model.set_cell(cell, var.clone()).unwrap();
+            format!("set_cell({cell}, fresh {var})")
+        }
+        3 if rows > 1 => {
+            let doomed: Vec<usize> = (0..1 + mix.below(2)).map(|_| mix.below(rows)).collect();
+            target.remove_rows(&doomed).unwrap();
+            model.remove_rows(&doomed).unwrap();
+            format!("remove_rows({doomed:?})")
+        }
+        4 => {
+            let var = target.fresh_var(attr);
+            assert_eq!(model.fresh_var(attr), var);
+            format!("fresh_var({attr})")
+        }
+        _ => {
+            let tuple = random_tuple(mix, arity);
+            target.push(tuple.clone()).unwrap();
+            model.push(tuple).unwrap();
+            "push".to_string()
+        }
+    }
+}
+
+/// Writes `writer` `steps` times; after each write `writer` must read as
+/// an unshared model given the same writes, and `watched` must read
+/// exactly as it did before.
+fn write_and_watch(mix: &mut Mix, writer: &mut Instance, watched: &Instance, context: &str) {
+    let seen = observe(watched);
+    let frozen = deep_copy(watched);
+    let mut model = deep_copy(writer);
+    for step in 0..8 {
+        let op = random_write(mix, writer, &mut model);
+        let context = format!("{context}, step {step} ({op})");
+        assert_eq!(observe(watched), seen, "{context}: the write leaked");
+        assert!(*watched == frozen, "{context}: `==` moved");
+        assert_eq!(observe(writer), observe(&model), "{context}: write lost");
+        assert!(*writer == model, "{context}");
+    }
+}
+
+#[test]
+fn writes_through_a_clone_never_reach_the_original_or_back() {
+    let _serial = serial();
+    for case in 0..48u64 {
+        let mut mix = Mix(0xA11A5 + case);
+        let original = random_instance(&mut mix);
+
+        // A clone copies nothing and shares every column...
+        let before = work::snapshot().cells_copied;
+        let mut clone = original.clone();
+        assert_eq!(
+            work::snapshot().cells_copied,
+            before,
+            "case {case}: clone copied"
+        );
+        for attr in original.schema().attr_ids() {
+            assert!(shares(&clone, &original, attr), "case {case}");
+        }
+        // ...and its writes stay its own; then the original's stay its own.
+        write_and_watch(
+            &mut mix,
+            &mut clone,
+            &original,
+            &format!("case {case}, clone"),
+        );
+        let mut original = original;
+        write_and_watch(
+            &mut mix,
+            &mut original,
+            &clone,
+            &format!("case {case}, original"),
+        );
+
+        // Engine mutations: the caller's instance, and every sweep point
+        // pulled before `apply`, read the same afterwards.
+        let instance = random_instance(&mut mix);
+        let fds = FdSet::parse(&["c0->c1"], instance.schema()).unwrap();
+        let seen = observe(&instance);
+        let mut engine = RepairEngine::builder(instance.clone(), fds)
+            .seed(case)
+            .build()
+            .unwrap();
+        let points: Vec<RepairPoint> = engine
+            .sweep(0..=engine.delta_p_original())
+            .map(Result::unwrap)
+            .collect();
+        let kept: Vec<Observed> = points
+            .iter()
+            .map(|p| observe(&p.repair.repaired_instance))
+            .collect();
+        let copies: Vec<Instance> = points
+            .iter()
+            .map(|p| deep_copy(&p.repair.repaired_instance))
+            .collect();
+        for batch in 0..3 {
+            let rows = engine.problem().instance().len();
+            let arity = instance.schema().arity();
+            let cell = CellRef::new(mix.below(rows), AttrId(mix.below(arity) as u16));
+            let mut ops = MutationBatch::new()
+                .update_cell(cell, random_value(&mut mix, cell.attr.index()))
+                .insert_tuples(vec![random_tuple(&mut mix, arity)]);
+            if rows > 2 {
+                ops = ops.delete_tuples(vec![mix.below(rows)]);
+            }
+            engine.apply(&ops).unwrap();
+            let context = format!("case {case}, batch {batch}");
+            assert_eq!(
+                observe(&instance),
+                seen,
+                "{context}: caller's instance moved"
+            );
+            for (i, point) in points.iter().enumerate() {
+                let repaired = &point.repair.repaired_instance;
+                assert_eq!(observe(repaired), kept[i], "{context}: point {i} moved");
+                assert!(*repaired == copies[i], "{context}: point {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_warehouse_repair_copies_only_the_columns_it_changed() {
+    let _serial = serial();
+    let scenario = relative_trust::scenarios::build(
+        "warehouse",
+        &ScenarioConfig {
+            seed: 17,
+            rows: Some(10_000),
+        },
+    )
+    .unwrap();
+    let engine = EngineOpts::new(17)
+        .configure(RepairEngine::builder(
+            scenario.dirty.clone(),
+            scenario.dirty_fds.clone(),
+        ))
+        .build()
+        .unwrap();
+    let input = engine.problem().instance();
+    let before = work::snapshot().cells_copied;
+    let repair = engine.repair_at_relative(0.5).unwrap();
+    let copied = work::snapshot().cells_copied - before;
+
+    let mut changed: Vec<AttrId> = repair.changed_cells.iter().map(|c| c.attr).collect();
+    changed.sort_unstable();
+    changed.dedup();
+    let arity = input.schema().arity();
+    assert!(
+        !changed.is_empty() && changed.len() < arity,
+        "the repair must change some columns and leave others for this test to mean anything"
+    );
+    let repaired = &repair.repaired_instance;
+    for attr in input.schema().attr_ids() {
+        assert_eq!(
+            shares(repaired, input, attr),
+            !changed.contains(&attr),
+            "column {attr}"
+        );
+    }
+    assert_eq!(copied, (changed.len() * input.len()) as u64);
 }

@@ -24,6 +24,8 @@ use rt_chaos::{ChaosPlan, ChaosProxy, WireFault};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const BASE_CSV: &str = "A,B\n1,1\n1,2\n2,5\n2,5\n3,7\n3,8\n4,9\n4,9\n";
 const BASE_FDS: [&str; 1] = ["A->B"];
@@ -426,53 +428,78 @@ fn idempotent_requests_reconnect_and_succeed_after_a_dropped_connection() {
     worker.join().unwrap().unwrap();
 }
 
+/// How long one chaos seed may run before the watchdog fails the test. A
+/// seed takes well under a second; a hang fails with the seed and fault
+/// that reproduce it instead of stalling the suite.
+const CHAOS_SEED_DEADLINE: Duration = Duration::from_secs(60);
+
+/// One chaos seed end to end: a session through the fault proxy, then a
+/// direct ping proving the server behind it survived. `Ok(true)` is a clean
+/// arm, `Ok(false)` a typed client error.
+fn chaos_seed(seed: u64, plan: ChaosPlan) -> bool {
+    let (_client, _handle, addr, worker) = loopback(ServerConfig::default());
+    let mut proxy = ChaosProxy::spawn(addr, plan).unwrap();
+
+    let chaos_client = Client::connect(&proxy.target()).unwrap();
+    let outcome: Result<(), ClientError> = (|| {
+        let mut session = chaos_client.create_session(&format!("fuzz-{seed}"), opts())?;
+        session.load_csv(BASE_CSV, false, &BASE_FDS)?;
+        let spectrum = session.spectrum()?;
+        let _ = session.stats()?;
+        // A faithful relay must not lose results either.
+        if plan.fault == WireFault::None {
+            let twin = local_engine(BASE_CSV, &BASE_FDS);
+            assert!(spectrum.bit_identical(&twin.spectrum().unwrap()));
+        }
+        Ok(())
+    })();
+    let clean = match outcome {
+        Ok(()) => true,
+        Err(err) => {
+            // Typed means displayable and classified — never a panic.
+            assert!(!err.to_string().is_empty());
+            assert!(
+                plan.fault != WireFault::None,
+                "control arm (seed {seed}) must stay clean, got {err}"
+            );
+            false
+        }
+    };
+
+    drop(chaos_client);
+    proxy.shutdown();
+
+    // The real server behind the proxy survived the abuse.
+    let direct = Client::connect(&addr.to_string()).unwrap();
+    match direct.request(&Request::Ping, None).unwrap() {
+        Response::Pong => {}
+        other => panic!("seed {seed}: expected pong, got {}", other.kind()),
+    }
+    direct.shutdown().unwrap();
+    worker.join().unwrap().unwrap();
+    clean
+}
+
 #[test]
 fn seeded_chaos_fuzz_yields_typed_errors_and_a_surviving_server() {
     let mut clean_arms = 0;
     let mut typed_errors = 0;
     for seed in 0..24u64 {
         let plan = ChaosPlan::from_seed(seed);
-        let (_client, _handle, addr, worker) = loopback(ServerConfig::default());
-        let mut proxy = ChaosProxy::spawn(addr, plan).unwrap();
-
-        let chaos_client = Client::connect(&proxy.target()).unwrap();
-        let outcome: Result<(), ClientError> = (|| {
-            let mut session = chaos_client.create_session(&format!("fuzz-{seed}"), opts())?;
-            session.load_csv(BASE_CSV, false, &BASE_FDS)?;
-            let spectrum = session.spectrum()?;
-            let _ = session.stats()?;
-            // A faithful relay must not lose results either.
-            if plan.fault == WireFault::None {
-                let twin = local_engine(BASE_CSV, &BASE_FDS);
-                assert!(spectrum.bit_identical(&twin.spectrum().unwrap()));
+        let fault = plan.fault;
+        // Each seed runs on its own thread under a watchdog deadline.
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || done.send(chaos_seed(seed, plan)));
+        match outcome.recv_timeout(CHAOS_SEED_DEADLINE) {
+            Ok(true) => clean_arms += 1,
+            Ok(false) => typed_errors += 1,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("chaos seed {seed} ({fault:?}) hung past {CHAOS_SEED_DEADLINE:?}")
             }
-            Ok(())
-        })();
-        match outcome {
-            Ok(()) => clean_arms += 1,
-            Err(err) => {
-                // Typed means displayable and classified — never a panic,
-                // never a hang (reaching here at all proves no hang).
-                assert!(!err.to_string().is_empty());
-                assert!(
-                    plan.fault != WireFault::None,
-                    "control arm (seed {seed}) must stay clean, got {err}"
-                );
-                typed_errors += 1;
+            Err(RecvTimeoutError::Disconnected) => {
+                panic!("chaos seed {seed} ({fault:?}) panicked")
             }
         }
-
-        drop(chaos_client);
-        proxy.shutdown();
-
-        // The real server behind the proxy survived the abuse.
-        let direct = Client::connect(&addr.to_string()).unwrap();
-        match direct.request(&Request::Ping, None).unwrap() {
-            Response::Pong => {}
-            other => panic!("seed {seed}: expected pong, got {}", other.kind()),
-        }
-        direct.shutdown().unwrap();
-        worker.join().unwrap().unwrap();
     }
     // The seed sweep must actually exercise both outcomes.
     assert!(clean_arms > 0, "no chaos seed completed cleanly");
