@@ -18,7 +18,7 @@
 //! `bench_gate --out ci/bench_baseline.json`.
 
 use rt_bench::{Workload, WorkloadSpec};
-use rt_core::{Parallelism, WeightKind};
+use rt_core::{run_search, Parallelism, SearchAlgorithm, SearchStats, WeightKind};
 use rt_datagen::{generate_mutation_stream, MutationStreamConfig};
 use rt_engine::json::{self, JsonValue};
 use rt_engine::{MutationBatch, RepairEngine, Spectrum};
@@ -81,6 +81,34 @@ fn measure_spectrum(metrics: &mut Metrics) {
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));
     push_work_counters(metrics, "spectrum");
+    measure_single_tau(metrics, &engine);
+}
+
+/// Single-τ queries (Algorithm 2 and the best-first baseline) on the
+/// spectrum workload: search work summed over `τ_r ∈ {0, 0.25, 0.5, 0.75}`
+/// per algorithm, so a change to the one-budget traversal shows up even when
+/// the sweep's counters do not move.
+fn measure_single_tau(metrics: &mut Metrics, engine: &RepairEngine) {
+    for (label, algorithm) in [
+        ("astar", SearchAlgorithm::AStar),
+        ("best_first", SearchAlgorithm::BestFirst),
+    ] {
+        let mut total = SearchStats::default();
+        for tau_r in [0.0, 0.25, 0.5, 0.75] {
+            let tau = engine.absolute_tau(tau_r);
+            let outcome = run_search(engine.problem(), tau, engine.search_config(), algorithm);
+            assert!(
+                outcome.repair.is_some(),
+                "single-τ {label} query at τ={tau}"
+            );
+            total.absorb(&outcome.stats);
+        }
+        let m = |k: &str, v: usize| (format!("single_tau.{label}.{k}"), v as u64);
+        metrics.push(m("states_expanded", total.states_expanded));
+        metrics.push(m("states_generated", total.states_generated));
+        metrics.push(m("heuristic_nodes", total.heuristic_nodes));
+        metrics.push(m("heuristic_cache_hits", total.heuristic_cache_hits));
+    }
 }
 
 /// Scenario 2: a live mutation stream replayed against one engine session,
