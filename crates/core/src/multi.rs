@@ -9,17 +9,19 @@
 //! time a goal state is found its `δ_P` value closes off the upper part of
 //! the range, `τ` is tightened to `δ_P − 1`, heuristic values are refreshed,
 //! and the traversal simply continues until the range is exhausted.
+//!
+//! [`RangeSearch`] is the crate's only A* traversal: Algorithm 2 is the
+//! one-point range `[τ, τ]`, which ends at its first goal.
 
-use crate::heuristic::HeuristicCache;
+use crate::heuristic::{goal_cost_estimate, HeuristicCache, HeuristicValue};
 use crate::problem::RepairProblem;
 use crate::repair::Repair;
-use crate::search::{
-    charge_heuristic, evaluate_heuristic_batch, run_search, FdRepair, SearchAlgorithm,
-    SearchConfig, SearchStats,
-};
+use crate::search::{run_search, FdRepair, SearchAlgorithm, SearchConfig, SearchStats};
 use crate::state::RepairState;
 use rt_par::{par_map_coarse, par_map_indexed, Parallelism};
 use rt_relation::work::Telemetry;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An FD repair annotated with the relative-trust interval it covers: every
 /// `τ` in `tau_range` (inclusive bounds) yields exactly this repair.
@@ -80,13 +82,77 @@ impl MultiRepairOutcome {
     }
 }
 
-/// Open-list entry for the range search; priorities are recomputed whenever
-/// `τ` tightens, so we keep plain vectors and rescan (the open list is small
-/// compared to the cost of the heuristic itself).
-struct RangeEntry {
-    state: RepairState,
+/// Open-list entry, ordered so that [`BinaryHeap`] (a max-heap) pops the
+/// smallest `(priority, cost, seq)` first. `seq` is the insertion order, so a
+/// `(priority, cost)` tie goes to the entry generated first — which tied
+/// state expands first decides which repair is recorded.
+struct OpenEntry {
     priority: f64,
     cost: f64,
+    seq: u64,
+    state: RepairState,
+}
+
+impl PartialEq for OpenEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for OpenEntry {}
+impl PartialOrd for OpenEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for OpenEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: the smaller key is the greater entry, popped first.
+        other
+            .priority
+            .total_cmp(&self.priority)
+            .then_with(|| other.cost.total_cmp(&self.cost))
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The open list's entries in insertion order.
+fn in_insertion_order(open: BinaryHeap<OpenEntry>) -> Vec<OpenEntry> {
+    let mut entries = open.into_vec();
+    entries.sort_unstable_by_key(|e| e.seq);
+    entries
+}
+
+/// Folds one batch of heuristic evaluations into the stats — the single
+/// accounting path for heuristic work (refresh and child expansion alike).
+/// Cache hits report `nodes == 0`, so `heuristic_nodes` counts enumeration
+/// work only.
+fn charge_heuristic(stats: &mut SearchStats, values: &[HeuristicValue]) {
+    for v in values {
+        stats.heuristic_nodes += v.nodes;
+        if v.cache_hit {
+            stats.heuristic_cache_hits += 1;
+        }
+    }
+}
+
+/// Evaluates `gc` for a batch of states, through the cache when enabled or
+/// via the uncached per-state reference path otherwise. Both paths produce
+/// bit-identical lower bounds; only the `nodes`/`cache_hit` accounting
+/// differs.
+fn evaluate_heuristic_batch(
+    cache: &mut HeuristicCache,
+    problem: &RepairProblem,
+    states: &[&RepairState],
+    tau: usize,
+    config: &SearchConfig,
+) -> Vec<HeuristicValue> {
+    if config.heuristic_cache {
+        cache.evaluate_many(problem, states, tau, &config.heuristic, config.parallelism)
+    } else {
+        par_map_indexed(config.parallelism, states.len(), |i| {
+            goal_cost_estimate(problem, states[i], tau, &config.heuristic)
+        })
+    }
 }
 
 /// The suspended state of a [`RangeSearch`]: everything the traversal knows
@@ -106,7 +172,9 @@ struct RangeEntry {
 /// that (`MutationEffect::search_state_invalidated`) and drops stale
 /// checkpoints — the *invalidation-scoped* cache reset.
 pub struct SweepCheckpoint {
-    open: Vec<RangeEntry>,
+    open: BinaryHeap<OpenEntry>,
+    /// `seq` of the next entry pushed onto `open`.
+    next_seq: u64,
     tau: i64,
     tau_low: i64,
     tau_high: usize,
@@ -114,6 +182,8 @@ pub struct SweepCheckpoint {
     stats: SearchStats,
     exhausted: bool,
     found: Vec<RangedFdRepair>,
+    /// Memo table for the structural half of `gc(S)`, kept so that
+    /// suspend/resume keeps warm entries.
     cache: HeuristicCache,
 }
 
@@ -158,7 +228,7 @@ impl SweepCheckpoint {
 /// original.
 #[derive(Debug, Clone)]
 pub struct SweepCheckpointParts {
-    /// Open-list entries as `(state, priority, cost)`, in list order.
+    /// Open-list entries as `(state, priority, cost)`, in insertion order.
     pub open: Vec<(RepairState, f64, f64)>,
     /// The budget the traversal is currently exploring.
     pub tau: i64,
@@ -185,10 +255,11 @@ pub struct SweepCheckpointParts {
 impl SweepCheckpoint {
     /// Flattens the checkpoint into [`SweepCheckpointParts`].
     pub fn export_parts(&self) -> SweepCheckpointParts {
+        let mut open: Vec<&OpenEntry> = self.open.iter().collect();
+        open.sort_unstable_by_key(|e| e.seq);
         SweepCheckpointParts {
-            open: self
-                .open
-                .iter()
+            open: open
+                .into_iter()
                 .map(|e| (e.state.clone(), e.priority, e.cost))
                 .collect(),
             tau: self.tau,
@@ -204,18 +275,21 @@ impl SweepCheckpoint {
         }
     }
 
-    /// Reassembles a checkpoint from exported parts.
+    /// Reassembles a checkpoint from exported parts. Insertion order is all
+    /// the tie-break needs, so the entries are renumbered from zero.
     pub fn from_parts(parts: SweepCheckpointParts) -> Self {
+        let next_seq = parts.open.len() as u64;
         SweepCheckpoint {
-            open: parts
-                .open
-                .into_iter()
-                .map(|(state, priority, cost)| RangeEntry {
-                    state,
+            open: (0..)
+                .zip(parts.open)
+                .map(|(seq, (state, priority, cost))| OpenEntry {
                     priority,
                     cost,
+                    seq,
+                    state,
                 })
                 .collect(),
+            next_seq,
             tau: parts.tau,
             tau_low: parts.tau_low,
             tau_high: parts.tau_high,
@@ -243,8 +317,10 @@ impl std::fmt::Debug for SweepCheckpoint {
     }
 }
 
-/// A resumable Range-Repair traversal (Algorithm 6, `Find_Repairs_FDs`):
-/// the query-state cache behind the engine's streaming sweep.
+/// The one A* traversal of the crate: a resumable Range-Repair (Algorithm 6,
+/// `Find_Repairs_FDs`), the query-state cache behind the engine's streaming
+/// sweep. Algorithm 2 is the one-point range `[τ, τ]`
+/// ([`crate::search::run_search`]).
 ///
 /// The search keeps its open list, its current budget `τ` and its
 /// cumulative statistics between calls to [`RangeSearch::next_repair`], so
@@ -255,23 +331,13 @@ impl std::fmt::Debug for SweepCheckpoint {
 pub struct RangeSearch<'p> {
     problem: &'p RepairProblem,
     config: SearchConfig,
-    open: Vec<RangeEntry>,
-    tau: i64,
-    tau_low: i64,
-    tau_high: usize,
-    current_upper: usize,
-    stats: SearchStats,
-    exhausted: bool,
-    /// Every repair produced so far (live finds and replays alike), in
-    /// order — what [`RangeSearch::suspend`] checkpoints.
-    found: Vec<RangedFdRepair>,
-    /// How much of `found` has been handed out by `next_repair`; below
-    /// `found.len()` only right after a resume, while the already-found
-    /// prefix replays without search work.
+    algorithm: SearchAlgorithm,
+    /// Everything [`RangeSearch::suspend`] hands out.
+    sweep: SweepCheckpoint,
+    /// How much of `sweep.found` has been handed out by `next_repair`;
+    /// below `found.len()` only right after a resume, while the
+    /// already-found prefix replays without search work.
     replay_idx: usize,
-    /// Memo table for the structural half of `gc(S)`; rides along in
-    /// [`SweepCheckpoint`] so suspend/resume keeps warm entries.
-    cache: HeuristicCache,
 }
 
 impl<'p> RangeSearch<'p> {
@@ -298,45 +364,60 @@ impl<'p> RangeSearch<'p> {
         config: &SearchConfig,
         cache: HeuristicCache,
     ) -> Self {
-        // The root is the only state generated up front.
-        let stats = SearchStats {
-            states_generated: 1,
-            ..Default::default()
+        Self::start(
+            problem,
+            tau_low,
+            tau_high,
+            config,
+            SearchAlgorithm::AStar,
+            cache,
+        )
+    }
+
+    /// A traversal ordered by `algorithm`: A* by `gc(S)`, refreshed whenever
+    /// `τ` tightens; best-first by `dist_c(S)`, which does not depend on `τ`.
+    pub(crate) fn start(
+        problem: &'p RepairProblem,
+        tau_low: usize,
+        tau_high: usize,
+        config: &SearchConfig,
+        algorithm: SearchAlgorithm,
+        cache: HeuristicCache,
+    ) -> Self {
+        let root = OpenEntry {
+            priority: 0.0,
+            cost: 0.0,
+            seq: 0,
+            state: RepairState::root(problem.fd_count()),
         };
         RangeSearch {
             problem,
             config: *config,
-            open: vec![RangeEntry {
-                state: RepairState::root(problem.fd_count()),
-                priority: 0.0,
-                cost: 0.0,
-            }],
-            tau: tau_high as i64,
-            tau_low: tau_low as i64,
-            tau_high,
-            current_upper: tau_high,
-            stats,
-            exhausted: false,
-            found: Vec::new(),
+            algorithm,
+            sweep: SweepCheckpoint {
+                open: BinaryHeap::from(vec![root]),
+                next_seq: 1,
+                tau: tau_high as i64,
+                tau_low: tau_low as i64,
+                tau_high,
+                current_upper: tau_high,
+                // The root is the only state generated up front.
+                stats: SearchStats {
+                    states_generated: 1,
+                    ..Default::default()
+                },
+                exhausted: false,
+                found: Vec::new(),
+                cache,
+            },
             replay_idx: 0,
-            cache,
         }
     }
 
     /// Suspends the traversal into an owned [`SweepCheckpoint`], releasing
     /// the borrow of the problem.
     pub fn suspend(self) -> SweepCheckpoint {
-        SweepCheckpoint {
-            open: self.open,
-            tau: self.tau,
-            tau_low: self.tau_low,
-            tau_high: self.tau_high,
-            current_upper: self.current_upper,
-            stats: self.stats,
-            exhausted: self.exhausted,
-            found: self.found,
-            cache: self.cache,
-        }
+        self.sweep
     }
 
     /// Resumes a suspended traversal against `problem` (which must be
@@ -352,16 +433,9 @@ impl<'p> RangeSearch<'p> {
         RangeSearch {
             problem,
             config: *config,
-            open: checkpoint.open,
-            tau: checkpoint.tau,
-            tau_low: checkpoint.tau_low,
-            tau_high: checkpoint.tau_high,
-            current_upper: checkpoint.current_upper,
-            stats: checkpoint.stats,
-            exhausted: checkpoint.exhausted,
-            found: checkpoint.found,
+            algorithm: SearchAlgorithm::AStar,
+            sweep: checkpoint,
             replay_idx: 0,
-            cache: checkpoint.cache,
         }
     }
 
@@ -372,20 +446,21 @@ impl<'p> RangeSearch<'p> {
 
     /// Cumulative statistics over every `next_repair` call so far.
     pub fn stats(&self) -> SearchStats {
-        self.stats
+        self.sweep.stats
     }
 
     /// `true` once the range is exhausted (or the expansion cap was hit);
     /// every later [`RangeSearch::next_repair`] call returns `None`.
     pub fn is_exhausted(&self) -> bool {
-        self.exhausted
+        self.sweep.exhausted
     }
 
     /// The budget the traversal is currently exploring. Starts at the
     /// range's upper bound and tightens to `δ_P − 1` after each repair;
     /// `None` once it has dropped below the range's lower bound.
     pub fn current_tau(&self) -> Option<usize> {
-        (self.tau >= self.tau_low && self.tau >= 0).then_some(self.tau as usize)
+        let s = &self.sweep;
+        (s.tau >= s.tau_low && s.tau >= 0).then_some(s.tau as usize)
     }
 
     /// Resumes the traversal until the next distinct FD repair is found.
@@ -396,147 +471,141 @@ impl<'p> RangeSearch<'p> {
     pub fn next_repair(&mut self) -> Option<RangedFdRepair> {
         // A resumed search first replays the repairs its checkpoint had
         // already produced — no search work, bit-identical order.
-        if self.replay_idx < self.found.len() {
-            let repair = self.found[self.replay_idx].clone();
+        if let Some(repair) = self.sweep.found.get(self.replay_idx) {
             self.replay_idx += 1;
-            return Some(repair);
+            return Some(repair.clone());
         }
-        if self.exhausted {
+        if self.sweep.exhausted {
             return None;
         }
+        let produced = self.advance();
+        let s = &mut self.sweep;
+        s.stats.heuristic_cache_entries = s.cache.len();
+        if let Some(repair) = &produced {
+            s.found.push(repair.clone());
+            self.replay_idx = s.found.len();
+        }
+        produced
+    }
+
+    /// Pops states until one is a goal for the current `τ`, tightening `τ`
+    /// to `δ_P − 1` there, or until the range is exhausted.
+    fn advance(&mut self) -> Option<RangedFdRepair> {
         let problem = self.problem;
         let config = self.config;
-        let produced = loop {
-            if self.open.is_empty() || self.tau < self.tau_low {
-                self.exhausted = true;
-                break None;
+        loop {
+            let s = &mut self.sweep;
+            if s.open.is_empty() || s.tau < s.tau_low {
+                s.exhausted = true;
+                return None;
             }
-            if self.stats.states_expanded >= config.max_expansions {
-                self.stats.truncated = true;
-                self.exhausted = true;
-                break None;
+            if s.stats.states_expanded >= config.max_expansions {
+                s.stats.truncated = true;
+                s.exhausted = true;
+                return None;
             }
-            // Pop the entry with the smallest priority (ties: smaller cost,
-            // then insertion order). The shift-`remove` keeps the scan order
-            // equal to insertion order, so a `(priority, cost)` tie resolves
-            // the same way no matter which other entries have been popped
-            // before it. `swap_remove` would let the list *layout* pick tie
-            // winners instead, and which tied state expands first decides
-            // which repair is recorded.
-            let best_idx = self
-                .open
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.priority
-                        .total_cmp(&b.priority)
-                        .then(a.cost.total_cmp(&b.cost))
-                })
-                .map(|(i, _)| i)
-                .expect("open list is non-empty");
-            let entry = self.open.remove(best_idx);
-            self.stats.states_expanded += 1;
-            let state = entry.state;
+            let state = s.open.pop().expect("open list is non-empty").state;
+            s.stats.states_expanded += 1;
 
             let cover = problem.cover_for_with(&state, config.parallelism);
             let delta_p = cover.len() * problem.alpha();
-            let mut found: Option<RangedFdRepair> = None;
-            if (delta_p as i64) <= self.tau {
-                // Goal for the current τ: record it and tighten the budget.
-                let fd_set = problem.relaxed_fds(&state);
-                let dist_c = problem.dist_c(&state);
-                found = Some(RangedFdRepair {
+            let goal = (delta_p as i64) <= s.tau;
+            let upper = s.current_upper;
+            if goal {
+                s.tau = delta_p as i64 - 1;
+            }
+            if s.tau < s.tau_low {
+                // Nothing pops the open list again: drop it unrefreshed.
+                s.exhausted = true;
+                s.open = BinaryHeap::new();
+            } else {
+                if goal {
+                    s.current_upper = s.tau as usize;
+                    if self.algorithm == SearchAlgorithm::AStar {
+                        self.refresh();
+                    }
+                }
+                // A goal's children are where strictly cheaper-data /
+                // costlier-FD repairs of the rest of the range live.
+                self.expand(&state);
+            }
+            if goal {
+                return Some(RangedFdRepair {
                     repair: FdRepair {
-                        state: state.clone(),
-                        fd_set,
-                        dist_c,
+                        fd_set: problem.relaxed_fds(&state),
+                        dist_c: problem.dist_c(&state),
+                        state,
                         delta_p,
                         cover_rows: cover.iter().collect(),
                     },
-                    tau_range: (delta_p, self.current_upper),
+                    tau_range: (delta_p, upper),
                 });
-                self.tau = delta_p as i64 - 1;
-                if self.tau >= self.tau_low {
-                    self.current_upper = self.tau as usize;
-                }
-                // Refresh heuristic values for the tightened budget; states
-                // with no goal descendant any more are dropped. Entries are
-                // independent, so the re-estimates fan out over worker
-                // threads and surviving entries keep their original order.
-                if self.tau >= 0 {
-                    let new_tau = self.tau as usize;
-                    let states: Vec<&RepairState> = self.open.iter().map(|e| &e.state).collect();
-                    let refreshed = evaluate_heuristic_batch(
-                        &mut self.cache,
-                        config.heuristic_cache,
-                        problem,
-                        &states,
-                        new_tau,
-                        &config,
-                    );
-                    drop(states);
-                    charge_heuristic(&mut self.stats, &refreshed);
-                    let mut keep = refreshed.iter();
-                    self.open.retain_mut(|e| {
-                        let value = keep.next().expect("one refresh result per entry");
-                        match value.lower_bound {
-                            Some(lb) => {
-                                e.priority = lb;
-                                true
-                            }
-                            None => false,
-                        }
-                    });
-                } else {
-                    self.open.clear();
-                }
             }
+        }
+    }
 
-            if self.tau < self.tau_low {
-                self.exhausted = true;
-                break found;
-            }
+    /// Re-estimates every open entry for the tightened `τ`, in insertion
+    /// order, and drops the states with no goal descendant any more.
+    fn refresh(&mut self) {
+        let s = &mut self.sweep;
+        let entries = in_insertion_order(std::mem::take(&mut s.open));
+        let states: Vec<&RepairState> = entries.iter().map(|e| &e.state).collect();
+        let values = evaluate_heuristic_batch(
+            &mut s.cache,
+            self.problem,
+            &states,
+            s.tau as usize,
+            &self.config,
+        );
+        drop(states);
+        charge_heuristic(&mut s.stats, &values);
+        s.open = entries
+            .into_iter()
+            .zip(values)
+            .filter_map(|(mut e, v)| {
+                e.priority = v.lower_bound?;
+                Some(e)
+            })
+            .collect();
+    }
 
-            // Expand children (both for goal and non-goal states; a goal's
-            // children are where strictly cheaper-data / costlier-FD repairs
-            // live). Like the refresh, the child estimates are independent.
-            let new_tau = self.tau.max(0) as usize;
-            let children = state.children(problem.sigma(), problem.arity());
-            let costs: Vec<f64> = par_map_indexed(config.parallelism, children.len(), |i| {
-                problem.dist_c(&children[i])
-            });
-            let child_refs: Vec<&RepairState> = children.iter().collect();
-            let values = evaluate_heuristic_batch(
-                &mut self.cache,
-                config.heuristic_cache,
-                problem,
-                &child_refs,
-                new_tau,
-                &config,
-            );
-            drop(child_refs);
-            charge_heuristic(&mut self.stats, &values);
-            for ((child, cost), value) in children.into_iter().zip(costs).zip(values) {
-                if let Some(lb) = value.lower_bound {
-                    self.stats.states_generated += 1;
-                    self.open.push(RangeEntry {
-                        state: child,
-                        priority: lb,
-                        cost,
-                    });
-                }
-            }
-
-            if found.is_some() {
-                break found;
+    /// Generates the children of `state` and pushes those that can still
+    /// reach a goal within the current `τ`. Each child's estimate is
+    /// independent, so they fan out over worker threads; pushing in child
+    /// order keeps `seq`, and thus tie-breaking, deterministic.
+    fn expand(&mut self, state: &RepairState) {
+        let problem = self.problem;
+        let s = &mut self.sweep;
+        let children = state.children(problem.sigma(), problem.arity());
+        let costs: Vec<f64> = par_map_indexed(self.config.parallelism, children.len(), |i| {
+            problem.dist_c(&children[i])
+        });
+        let priorities: Vec<Option<f64>> = match self.algorithm {
+            SearchAlgorithm::BestFirst => costs.iter().copied().map(Some).collect(),
+            SearchAlgorithm::AStar => {
+                let refs: Vec<&RepairState> = children.iter().collect();
+                let values = evaluate_heuristic_batch(
+                    &mut s.cache,
+                    problem,
+                    &refs,
+                    s.tau as usize,
+                    &self.config,
+                );
+                charge_heuristic(&mut s.stats, &values);
+                values.iter().map(|v| v.lower_bound).collect()
             }
         };
-        self.stats.heuristic_cache_entries = self.cache.len();
-        if let Some(repair) = &produced {
-            self.found.push(repair.clone());
-            self.replay_idx = self.found.len();
+        for ((state, cost), priority) in children.into_iter().zip(costs).zip(priorities) {
+            let Some(priority) = priority else { continue };
+            s.stats.states_generated += 1;
+            s.open.push(OpenEntry {
+                priority,
+                cost,
+                seq: s.next_seq,
+                state,
+            });
+            s.next_seq += 1;
         }
-        produced
     }
 
     /// Drains the remaining repairs into a [`MultiRepairOutcome`].
@@ -547,7 +616,7 @@ impl<'p> RangeSearch<'p> {
         }
         MultiRepairOutcome {
             repairs,
-            stats: self.stats,
+            stats: self.sweep.stats,
         }
     }
 }

@@ -17,16 +17,16 @@
 //! Both return the cheapest relaxation `Σ'` whose
 //! `δ_P(Σ', I) = α · |C2opt(Σ', I)|` fits within the cell budget `τ`,
 //! together with search statistics (expanded/generated states, heuristic
-//! work).
+//! work). The traversal itself is [`crate::multi::RangeSearch`]:
+//! [`run_search`] runs it over the one-point range `[τ, τ]`.
 
-use crate::heuristic::{goal_cost_estimate, HeuristicCache, HeuristicConfig, HeuristicValue};
+use crate::heuristic::{HeuristicCache, HeuristicConfig};
+use crate::multi::RangeSearch;
 use crate::problem::RepairProblem;
 use crate::state::RepairState;
 use rt_constraints::FdSet;
-use rt_par::{par_map_indexed, Parallelism};
+use rt_par::Parallelism;
 use rt_relation::work::{Slot, Telemetry};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,40 +106,6 @@ impl Telemetry for SearchStats {
     }
 }
 
-/// Folds one batch of heuristic evaluations into the stats — the single
-/// accounting path for heuristic work, shared by `run_search` and the
-/// τ-sweep (both its refresh loop and its child expansion). Cache hits
-/// report `nodes == 0`, so `heuristic_nodes` counts enumeration work only.
-pub(crate) fn charge_heuristic(stats: &mut SearchStats, values: &[HeuristicValue]) {
-    for v in values {
-        stats.heuristic_nodes += v.nodes;
-        if v.cache_hit {
-            stats.heuristic_cache_hits += 1;
-        }
-    }
-}
-
-/// Evaluates `gc` for a batch of states, through the cache when enabled or
-/// via the uncached per-state reference path otherwise. Both paths produce
-/// bit-identical lower bounds; only the `nodes`/`cache_hit` accounting
-/// differs.
-pub(crate) fn evaluate_heuristic_batch(
-    cache: &mut HeuristicCache,
-    use_cache: bool,
-    problem: &RepairProblem,
-    states: &[&RepairState],
-    tau: usize,
-    config: &SearchConfig,
-) -> Vec<HeuristicValue> {
-    if use_cache {
-        cache.evaluate_many(problem, states, tau, &config.heuristic, config.parallelism)
-    } else {
-        par_map_indexed(config.parallelism, states.len(), |i| {
-            goal_cost_estimate(problem, states[i], tau, &config.heuristic)
-        })
-    }
-}
-
 /// A minimal FD relaxation found by the search.
 #[derive(Debug, Clone)]
 pub struct FdRepair {
@@ -165,130 +131,22 @@ pub struct FdRepairOutcome {
     pub stats: SearchStats,
 }
 
-/// Open-list entry ordered by ascending priority (BinaryHeap is a max-heap,
-/// so comparisons are reversed).
-struct OpenEntry {
-    priority: f64,
-    tie: f64,
-    seq: u64,
-    state: RepairState,
-}
-
-impl PartialEq for OpenEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for OpenEntry {}
-impl PartialOrd for OpenEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OpenEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller priority = greater entry = popped first.
-        other
-            .priority
-            .total_cmp(&self.priority)
-            .then_with(|| other.tie.total_cmp(&self.tie))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Shared search driver for Algorithm 2 and the best-first baseline — the
-/// primitive the engine's `fd_repair_at` delegates to, with the traversal
-/// order chosen by `algorithm` (A* heuristic vs. plain `dist_c`).
+/// Algorithm 2 and the best-first baseline — the primitive the engine's
+/// `fd_repair_at` delegates to: a [`RangeSearch`] over the one-point range
+/// `[tau, tau]`, which ends at its first goal, with the traversal order
+/// chosen by `algorithm` (A* heuristic vs. plain `dist_c`).
 pub fn run_search(
     problem: &RepairProblem,
     tau: usize,
     config: &SearchConfig,
     algorithm: SearchAlgorithm,
 ) -> FdRepairOutcome {
-    let mut stats = SearchStats::default();
-    let mut cache = HeuristicCache::new();
-    let mut seq = 0u64;
-    let mut open: BinaryHeap<OpenEntry> = BinaryHeap::new();
-    let root = RepairState::root(problem.fd_count());
-    open.push(OpenEntry {
-        priority: 0.0,
-        tie: 0.0,
-        seq,
-        state: root,
-    });
-    stats.states_generated += 1;
-
-    let outcome_repair = loop {
-        let Some(entry) = open.pop() else { break None };
-        if stats.states_expanded >= config.max_expansions {
-            stats.truncated = true;
-            break None;
-        }
-        stats.states_expanded += 1;
-        let state = entry.state;
-
-        // Goal test: δ_P(Σ_h, I) ≤ τ.
-        let cover = problem.cover_for_with(&state, config.parallelism);
-        let delta_p = cover.len() * problem.alpha();
-        if delta_p <= tau {
-            let fd_set = problem.relaxed_fds(&state);
-            let dist_c = problem.dist_c(&state);
-            break Some(FdRepair {
-                state,
-                fd_set,
-                dist_c,
-                delta_p,
-                cover_rows: cover.iter().collect(),
-            });
-        }
-
-        // Expand children: priorities are independent per child, so the
-        // heuristic evaluations fan out over worker threads; pushing in
-        // child order keeps `seq` (and thus tie-breaking) deterministic.
-        let children = state.children(problem.sigma(), problem.arity());
-        let costs: Vec<f64> = par_map_indexed(config.parallelism, children.len(), |i| {
-            problem.dist_c(&children[i])
-        });
-        let values: Vec<HeuristicValue> = match algorithm {
-            SearchAlgorithm::BestFirst => costs
-                .iter()
-                .map(|&cost| HeuristicValue {
-                    lower_bound: Some(cost),
-                    nodes: 0,
-                    cache_hit: false,
-                })
-                .collect(),
-            SearchAlgorithm::AStar => {
-                let refs: Vec<&RepairState> = children.iter().collect();
-                evaluate_heuristic_batch(
-                    &mut cache,
-                    config.heuristic_cache,
-                    problem,
-                    &refs,
-                    tau,
-                    config,
-                )
-            }
-        };
-        charge_heuristic(&mut stats, &values);
-        for ((child, cost), value) in children.into_iter().zip(costs).zip(values) {
-            if let Some(priority) = value.lower_bound {
-                seq += 1;
-                stats.states_generated += 1;
-                open.push(OpenEntry {
-                    priority,
-                    tie: cost,
-                    seq,
-                    state: child,
-                });
-            }
-        }
-    };
-
-    stats.heuristic_cache_entries = cache.len();
+    let cache = HeuristicCache::new();
+    let mut search = RangeSearch::start(problem, tau, tau, config, algorithm, cache);
+    let repair = search.next_repair().map(|ranged| ranged.repair);
     FdRepairOutcome {
-        repair: outcome_repair,
-        stats,
+        repair,
+        stats: search.stats(),
     }
 }
 
