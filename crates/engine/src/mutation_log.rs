@@ -12,132 +12,61 @@
 //! ]
 //! ```
 //!
-//! Cell values map JSON-naturally: integral numbers (within ±2^53 so they
-//! survive the float representation exactly) become `Int`, fractional
-//! numbers become `Float`, strings become `Str`, `null` becomes `Null`.
-//! Integral-valued floats use the reserved string prefix `"float:3"` so
-//! they do not collapse into `Int` on the way back in, and string cells
-//! that happen to start with a reserved prefix are escaped as
-//! `"str:<original>"` — the round trip never changes a cell's type.
-//! V-instance variables are deliberately not
-//! representable — logs describe *input* mutations, and the engine rejects
-//! variable cells at the mutation boundary. Attributes may be named
-//! (schema lookup) or numeric indices; FDs use the usual `"X1,X2->A"` spec
-//! syntax. [`render_mutation_log`] writes this format,
+//! Cell values use the workspace's one cell-value codec, [`encode_value`] /
+//! [`decode_value`], which the `rt-proto` wire shares: integers below 2^53
+//! in magnitude and fractional floats are JSON numbers, strings are
+//! strings, `null` is `Null`, and every other value is a reserved tagged
+//! string (`"int:…"`, `"float:…"`, `"var:attr:id"`; a string cell that
+//! starts with a tag is escaped as `"str:…"`), so the round trip never
+//! changes a cell's type. Variable cells decode, but the engine rejects them
+//! at the mutation boundary: logs describe *input* mutations. Attributes may
+//! be named (schema lookup) or numeric indices; FDs use the usual
+//! `"X1,X2->A"` spec syntax. [`render_mutation_log`] writes this format,
 //! [`parse_mutation_log`] reads it back; the two round-trip.
 
 use crate::json::{self, JsonValue};
 use rt_constraints::Fd;
 use rt_core::MutationOp;
-use rt_relation::{AttrId, CellRef, Schema, Tuple, Value};
+use rt_relation::{AttrId, CellRef, Schema, Tuple, Value, VarId};
 
-/// Exclusive bound on integer magnitudes accepted from JSON: below 2^53
-/// every integer round-trips through f64 exactly; at and above it, a
-/// written value may already have been silently rounded by the float
-/// representation, so it cannot be trusted.
+/// Exclusive bound on the integers a JSON number carries exactly: below
+/// 2^53 every integer round-trips through f64; at and above it, a written
+/// number may already have been rounded by the float parse, so it cannot be
+/// trusted.
 const MAX_EXACT_INT: i64 = 1 << 53;
 
-fn render_value(value: &Value, out: &mut String) {
+/// Encodes a cell value as JSON — the workspace's one cell-value codec,
+/// used by mutation logs and by the `rt-proto` wire (which carries repaired
+/// V-instances, hence the variable tag).
+///
+/// Values map JSON-naturally when that round-trips exactly. Integers of
+/// magnitude ≥ 2^53, integral or non-finite floats and variables use the
+/// reserved tagged strings `"int:…"`, `"float:…"` and `"var:attr:id"`, and
+/// a string cell that starts with a tag is escaped as `"str:…"`.
+/// [`decode_value`] reproduces the value bit-for-bit.
+pub fn encode_value(value: &Value) -> JsonValue {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        // Fractional floats are JSON-natural (the shortest decimal form
-        // round-trips exactly); integral-valued or non-finite floats would
-        // read back as Int (or not parse at all), so they use the reserved
-        // "float:" string prefix instead.
-        Value::Float(x) if x.get().is_finite() && x.get().fract() != 0.0 => {
-            out.push_str(&x.get().to_string())
-        }
-        Value::Float(x) => json::render_str(&format!("float:{}", x.get()), out),
-        // String cells that *look* like a tagged value are escaped with the
-        // "str:" prefix so the round trip never changes their type.
-        Value::Str(s) if s.starts_with("float:") || s.starts_with("str:") => {
-            json::render_str(&format!("str:{s}"), out)
-        }
-        Value::Str(s) => json::render_str(s, out),
-        // Variables only appear in *repaired* V-instances, never in logged
-        // input mutations; render defensively as a tagged string.
-        Value::Var(v) => json::render_str(&format!("var:{}:{}", v.attr, v.id), out),
+        Value::Null => JsonValue::Null,
+        Value::Int(i) if *i > -MAX_EXACT_INT && *i < MAX_EXACT_INT => JsonValue::Num(*i as f64),
+        Value::Int(i) => JsonValue::Str(format!("int:{i}")),
+        Value::Float(x) if x.get().is_finite() && x.get().fract() != 0.0 => JsonValue::Num(x.get()),
+        Value::Float(x) => JsonValue::Str(format!("float:{}", x.get())),
+        Value::Str(s) if is_reserved(s) => JsonValue::Str(format!("str:{s}")),
+        Value::Str(s) => JsonValue::Str(s.clone()),
+        Value::Var(v) => JsonValue::Str(format!("var:{}:{}", v.attr, v.id)),
     }
 }
 
-/// Renders ops as a JSON mutation log (attribute references are written as
-/// schema names).
-pub fn render_mutation_log(ops: &[MutationOp], schema: &Schema) -> String {
-    let mut out = String::from("[");
-    for (i, op) in ops.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n ");
-        }
-        match op {
-            MutationOp::InsertTuples(tuples) => {
-                out.push_str("{\"op\": \"insert\", \"rows\": [");
-                for (j, tuple) in tuples.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push('[');
-                    for (k, (_, value)) in tuple.cells().enumerate() {
-                        if k > 0 {
-                            out.push_str(", ");
-                        }
-                        render_value(value, &mut out);
-                    }
-                    out.push(']');
-                }
-                out.push_str("]}");
-            }
-            MutationOp::DeleteTuples(rows) => {
-                out.push_str("{\"op\": \"delete\", \"rows\": [");
-                for (j, row) in rows.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&row.to_string());
-                }
-                out.push_str("]}");
-            }
-            MutationOp::UpdateCell(cell, value) => {
-                out.push_str(&format!(
-                    "{{\"op\": \"update\", \"row\": {}, \"attr\": ",
-                    cell.row
-                ));
-                match schema.attr_name(cell.attr) {
-                    Ok(name) => json::render_str(name, &mut out),
-                    Err(_) => json::render_str(&cell.attr.0.to_string(), &mut out),
-                }
-                out.push_str(", \"value\": ");
-                render_value(value, &mut out);
-                out.push('}');
-            }
-            MutationOp::AddFd(fd) => {
-                out.push_str("{\"op\": \"add_fd\", \"fd\": ");
-                let lhs: Vec<&str> = fd
-                    .lhs
-                    .iter()
-                    .map(|a| schema.attr_name(a).unwrap_or("?"))
-                    .collect();
-                json::render_str(
-                    &format!(
-                        "{}->{}",
-                        lhs.join(","),
-                        schema.attr_name(fd.rhs).unwrap_or("?")
-                    ),
-                    &mut out,
-                );
-                out.push('}');
-            }
-            MutationOp::RemoveFd(idx) => {
-                out.push_str(&format!("{{\"op\": \"remove_fd\", \"index\": {idx}}}"));
-            }
-        }
-    }
-    out.push(']');
-    out
+fn is_reserved(s: &str) -> bool {
+    ["str:", "float:", "int:", "var:"]
+        .iter()
+        .any(|tag| s.starts_with(tag))
 }
 
-fn decode_value(v: &JsonValue) -> Result<Value, String> {
-    match v {
+/// Decodes a cell value written by [`encode_value`]. An integral JSON
+/// number of magnitude ≥ 2^53 is rejected rather than truncated.
+pub fn decode_value(value: &JsonValue) -> Result<Value, String> {
+    match value {
         JsonValue::Null => Ok(Value::Null),
         JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < MAX_EXACT_INT as f64 => {
             Ok(Value::int(*n as i64))
@@ -145,21 +74,78 @@ fn decode_value(v: &JsonValue) -> Result<Value, String> {
         JsonValue::Num(n) if n.fract() != 0.0 => Ok(Value::float(*n)),
         JsonValue::Num(n) => Err(format!(
             "cell value {n} is not exactly representable in JSON (integers need |v| < 2^53; \
-             use the \"float:{n}\" spelling for an integral float)"
+             use the \"int:\" spelling for a larger integer, \"float:\" for an integral float)"
         )),
         JsonValue::Str(s) => {
+            let bad = |kind: &str| format!("bad {kind} literal `{s}`");
             if let Some(rest) = s.strip_prefix("str:") {
                 Ok(Value::str(rest))
             } else if let Some(rest) = s.strip_prefix("float:") {
                 rest.parse::<f64>()
                     .map(Value::float)
-                    .map_err(|_| format!("bad float literal in `{s}`"))
+                    .map_err(|_| bad("float"))
+            } else if let Some(rest) = s.strip_prefix("int:") {
+                rest.parse::<i64>().map(Value::int).map_err(|_| bad("int"))
+            } else if let Some(rest) = s.strip_prefix("var:") {
+                let (attr, id) = rest.split_once(':').ok_or_else(|| bad("variable"))?;
+                let attr = attr.parse::<u16>().map_err(|_| bad("variable"))?;
+                let id = id.parse::<u32>().map_err(|_| bad("variable"))?;
+                Ok(Value::Var(VarId::new(attr, id)))
             } else {
                 Ok(Value::str(s.clone()))
             }
         }
         other => Err(format!("unsupported cell value {other:?}")),
     }
+}
+
+/// An attribute by schema name, or by index when the schema has no such
+/// attribute.
+fn attr_ref(attr: AttrId, schema: &Schema) -> JsonValue {
+    match schema.attr_name(attr) {
+        Ok(name) => JsonValue::Str(name.to_string()),
+        Err(_) => JsonValue::Num(f64::from(attr.0)),
+    }
+}
+
+/// Renders ops as a JSON mutation log (attribute references are written as
+/// schema names).
+pub fn render_mutation_log(ops: &[MutationOp], schema: &Schema) -> String {
+    fn arr(items: impl Iterator<Item = JsonValue>) -> JsonValue {
+        JsonValue::Arr(items.collect())
+    }
+    let num = |n: usize| JsonValue::Num(n as f64);
+    let entries = ops.iter().map(|op| {
+        let (kind, fields) = match op {
+            MutationOp::InsertTuples(tuples) => {
+                let rows = tuples
+                    .iter()
+                    .map(|t| arr(t.cells().map(|(_, v)| encode_value(v))));
+                ("insert", vec![("rows", arr(rows))])
+            }
+            MutationOp::DeleteTuples(rows) => {
+                ("delete", vec![("rows", arr(rows.iter().map(|&r| num(r))))])
+            }
+            MutationOp::UpdateCell(cell, value) => (
+                "update",
+                vec![
+                    ("row", num(cell.row)),
+                    ("attr", attr_ref(cell.attr, schema)),
+                    ("value", encode_value(value)),
+                ],
+            ),
+            MutationOp::AddFd(fd) => {
+                let name = |a| schema.attr_name(a).unwrap_or("?");
+                let lhs: Vec<&str> = fd.lhs.iter().map(name).collect();
+                let spec = format!("{}->{}", lhs.join(","), name(fd.rhs));
+                ("add_fd", vec![("fd", JsonValue::Str(spec))])
+            }
+            MutationOp::RemoveFd(idx) => ("remove_fd", vec![("index", num(*idx))]),
+        };
+        let fields = std::iter::once(("op", JsonValue::Str(kind.to_string()))).chain(fields);
+        JsonValue::Obj(fields.map(|(k, v)| (k.to_string(), v)).collect())
+    });
+    json::render(&arr(entries))
 }
 
 fn decode_attr(v: &JsonValue, schema: &Schema) -> Result<AttrId, String> {
@@ -330,6 +316,18 @@ mod tests {
                 Value::str("float:3"),
                 Value::str("str:float:9"),
                 Value::str("float:not-a-number"),
+            ]),
+            // Integers a JSON number cannot carry exactly (tagged).
+            Tuple::new(vec![
+                Value::int(1 << 60),
+                Value::int(-(1 << 53)),
+                Value::int(i64::MIN),
+            ]),
+            // Strings that look like the integer and variable tags.
+            Tuple::new(vec![
+                Value::str("int:9"),
+                Value::str("var:0:1"),
+                Value::str("str:int:1"),
             ]),
         ])];
         let text = render_mutation_log(&ops, &s);

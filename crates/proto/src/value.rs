@@ -1,78 +1,12 @@
-//! Self-describing wire encoding for relational [`Value`]s, plus small
-//! JSON field-access helpers shared by the codec modules.
+//! The wire's cell-value codec and small JSON field-access helpers shared
+//! by the codec modules.
+//!
+//! Cells travel in the workspace's one cell-value encoding,
+//! [`encode_value`] / [`decode_value`], which mutation logs share; it lives
+//! next to the log format in `rt_engine::mutation_log`.
 
 use rt_engine::json::JsonValue;
-use rt_relation::{Value, VarId};
-
-/// Exclusive bound on integers that survive a JSON `f64` exactly.
-const MAX_EXACT_INT: i64 = 1 << 53;
-
-/// Encodes a cell value for the wire.
-///
-/// The encoding extends the mutation-log conventions
-/// (`rt_engine::mutation_log`) to *all* value kinds, because wire repairs
-/// carry repaired V-instances: integral floats, huge integers, NaN/∞ and
-/// fresh variables use reserved tagged strings (`"float:…"`, `"int:…"`,
-/// `"var:attr:id"`), string cells that collide with a tag are escaped as
-/// `"str:…"`, and everything else maps JSON-naturally. Decoding with
-/// [`decode_value`] reproduces the value bit-for-bit.
-pub fn encode_value(value: &Value) -> JsonValue {
-    match value {
-        Value::Null => JsonValue::Null,
-        Value::Int(i) if *i > -MAX_EXACT_INT && *i < MAX_EXACT_INT => JsonValue::Num(*i as f64),
-        Value::Int(i) => JsonValue::Str(format!("int:{i}")),
-        Value::Float(x) if x.get().is_finite() && x.get().fract() != 0.0 => JsonValue::Num(x.get()),
-        Value::Float(x) => JsonValue::Str(format!("float:{}", x.get())),
-        Value::Str(s) if is_reserved(s) => JsonValue::Str(format!("str:{s}")),
-        Value::Str(s) => JsonValue::Str(s.clone()),
-        Value::Var(v) => JsonValue::Str(format!("var:{}:{}", v.attr, v.id)),
-    }
-}
-
-fn is_reserved(s: &str) -> bool {
-    s.starts_with("str:")
-        || s.starts_with("float:")
-        || s.starts_with("int:")
-        || s.starts_with("var:")
-}
-
-/// Decodes a wire cell value written by [`encode_value`].
-pub fn decode_value(value: &JsonValue) -> Result<Value, String> {
-    match value {
-        JsonValue::Null => Ok(Value::Null),
-        JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < MAX_EXACT_INT as f64 => {
-            Ok(Value::int(*n as i64))
-        }
-        JsonValue::Num(n) => Ok(Value::float(*n)),
-        JsonValue::Str(s) => {
-            if let Some(rest) = s.strip_prefix("str:") {
-                Ok(Value::str(rest))
-            } else if let Some(rest) = s.strip_prefix("float:") {
-                rest.parse::<f64>()
-                    .map(Value::float)
-                    .map_err(|_| format!("bad float literal `{s}`"))
-            } else if let Some(rest) = s.strip_prefix("int:") {
-                rest.parse::<i64>()
-                    .map(Value::int)
-                    .map_err(|_| format!("bad int literal `{s}`"))
-            } else if let Some(rest) = s.strip_prefix("var:") {
-                let (attr, id) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("bad variable literal `{s}`"))?;
-                let attr = attr
-                    .parse::<u16>()
-                    .map_err(|_| format!("bad variable literal `{s}`"))?;
-                let id = id
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad variable literal `{s}`"))?;
-                Ok(Value::Var(VarId::new(attr, id)))
-            } else {
-                Ok(Value::str(s.clone()))
-            }
-        }
-        other => Err(format!("unsupported wire cell value {other:?}")),
-    }
-}
+pub use rt_engine::mutation_log::{decode_value, encode_value};
 
 // ---------------------------------------------------------------------------
 // JSON field-access helpers used by every codec in this crate. They turn
@@ -141,7 +75,7 @@ pub(crate) fn u64_str(n: u64) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_relation::Value;
+    use rt_relation::{Value, VarId};
 
     #[test]
     fn every_value_kind_round_trips_bit_exactly() {
@@ -180,6 +114,9 @@ mod tests {
         assert!(decode_value(&JsonValue::Str("int:xyz".into())).is_err());
         assert!(decode_value(&JsonValue::Str("float:xyz".into())).is_err());
         assert!(decode_value(&JsonValue::Bool(true)).is_err());
+        // An integral number at or beyond 2^53 may already be rounded.
+        assert!(decode_value(&JsonValue::Num(9_007_199_254_740_992.0)).is_err());
+        assert!(decode_value(&JsonValue::Num(-1.152_921_504_606_847e18)).is_err());
         assert!(decode_value(&JsonValue::Arr(vec![])).is_err());
     }
 }
