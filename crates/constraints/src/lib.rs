@@ -55,7 +55,5 @@ pub use discovery::{discover_fds, DiscoveryConfig};
 pub use fd::{Fd, FdSet};
 pub use incremental::{incident_conflict_edges, FdPartitionIndex};
 pub use partition::{PartitionStore, StrippedPartition};
-pub use violations::{
-    ConflictEdge, ConflictGraph, ConflictGraphDeltaSummary, DifferenceSet, DifferenceSetIndex,
-};
+pub use violations::{ConflictEdge, ConflictGraph, ConflictGraphDeltaSummary};
 pub use weights::{AttrCountWeight, DistinctCountWeight, EntropyWeight, Weight};

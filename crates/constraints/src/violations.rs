@@ -53,65 +53,6 @@ impl ConflictEdge {
     }
 }
 
-/// A difference set together with the number of conflict edges carrying it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DifferenceSet {
-    /// Attributes on which the tuples of these edges differ.
-    pub attrs: AttrSet,
-    /// Number of conflict edges with exactly this difference set.
-    pub edge_count: usize,
-}
-
-impl DifferenceSet {
-    /// Does an edge with this difference set violate the FD `lhs → rhs`?
-    pub fn violates(&self, lhs: AttrSet, rhs: rt_relation::AttrId) -> bool {
-        lhs.is_disjoint_from(self.attrs) && self.attrs.contains(rhs)
-    }
-
-    /// Does it violate at least one FD of `fds`?
-    pub fn violates_any(&self, fds: &FdSet) -> bool {
-        fds.iter().any(|(_, fd)| self.violates(fd.lhs, fd.rhs))
-    }
-}
-
-/// All distinct difference sets of a conflict graph, sorted by decreasing
-/// edge count (the A* heuristic prefers "heavy" difference sets first).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DifferenceSetIndex {
-    sets: Vec<DifferenceSet>,
-}
-
-impl DifferenceSetIndex {
-    /// Number of distinct difference sets.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// `true` when there are no difference sets (no conflicts).
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
-    /// Iterate over the difference sets (decreasing edge count).
-    pub fn iter(&self) -> impl Iterator<Item = &DifferenceSet> {
-        self.sets.iter()
-    }
-
-    /// The difference sets as a slice.
-    pub fn as_slice(&self) -> &[DifferenceSet] {
-        &self.sets
-    }
-
-    /// Difference sets still violated by the given (relaxed) FD set.
-    pub fn violated_by(&self, fds: &FdSet) -> Vec<DifferenceSet> {
-        self.sets
-            .iter()
-            .filter(|d| d.violates_any(fds))
-            .copied()
-            .collect()
-    }
-}
-
 /// What an incremental conflict-graph patch did, in edges. `edges_relabeled`
 /// counts edges whose row pair survived but whose violated-FD labels or
 /// difference set changed; any non-zero field means FD-level search results
@@ -449,28 +390,6 @@ impl ConflictGraph {
         CompactGraph::from_edges(&kept)
     }
 
-    /// Number of edges that still violate a relaxation `Σ'`.
-    pub fn violation_count_for(&self, relaxed: &FdSet) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| e.violates_any(relaxed))
-            .count()
-    }
-
-    /// Groups edges by difference set, sorted by decreasing edge count.
-    pub fn difference_sets(&self) -> DifferenceSetIndex {
-        let mut counts: HashMap<AttrSet, usize> = HashMap::new();
-        for e in &self.edges {
-            *counts.entry(e.difference_set).or_insert(0) += 1;
-        }
-        let mut sets: Vec<DifferenceSet> = counts
-            .into_iter()
-            .map(|(attrs, edge_count)| DifferenceSet { attrs, edge_count })
-            .collect();
-        sets.sort_by(|a, b| b.edge_count.cmp(&a.edge_count).then(a.attrs.cmp(&b.attrs)));
-        DifferenceSetIndex { sets }
-    }
-
     /// Applies an incremental delta: drops every stored edge incident to
     /// `dirty_rows`, splices in `recomputed` (the edges incident to those
     /// rows under the instance's *current* tuples, as produced by
@@ -696,9 +615,6 @@ mod tests {
         assert_eq!(cg.edges()[0].difference_set, AttrSet::from_attrs([b, d]));
         assert_eq!(cg.edges()[1].difference_set, AttrSet::from_attrs([a, d]));
         assert_eq!(cg.edges()[2].difference_set, AttrSet::from_attrs([b, c, d]));
-        let index = cg.difference_sets();
-        assert_eq!(index.len(), 3);
-        assert!(index.iter().all(|ds| ds.edge_count == 1));
     }
 
     #[test]
@@ -736,7 +652,6 @@ mod tests {
         let schema = inst.schema().clone();
         // Fully relaxed FDs: append every legal attribute to both LHSs.
         let relaxed = FdSet::parse(&["A,C,D->B", "A,B,C->D"], &schema).unwrap();
-        assert_eq!(cg.violation_count_for(&relaxed), 0);
         assert!(cg.subgraph_for(&relaxed).is_empty());
         // Sanity: relaxed set really holds on the data.
         assert!(relaxed.holds_on(&inst));
@@ -755,15 +670,15 @@ mod tests {
         let fds = FdSet::parse(&["A->B"], &schema).unwrap();
         let cg = ConflictGraph::build(&inst, &fds);
         assert!(cg.is_empty());
-        assert!(cg.difference_sets().is_empty());
         assert_eq!(cg.conflicting_rows(), Vec::<usize>::new());
     }
 
     #[test]
     fn difference_set_violation_logic() {
-        let d = DifferenceSet {
-            attrs: AttrSet::from_attrs([AttrId(1), AttrId(3)]),
-            edge_count: 5,
+        let d = ConflictEdge {
+            rows: (0, 1),
+            violated_fds: vec![0],
+            difference_set: AttrSet::from_attrs([AttrId(1), AttrId(3)]),
         };
         // FD A0 -> A1: lhs disjoint from diff, rhs in diff → violated.
         assert!(d.violates(AttrSet::singleton(AttrId(0)), AttrId(1)));
