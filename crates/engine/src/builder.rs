@@ -4,7 +4,6 @@ use crate::engine::RepairEngine;
 use crate::error::EngineError;
 use crate::stats::EngineStats;
 use rt_constraints::FdSet;
-use rt_core::heuristic::HeuristicConfig;
 use rt_core::{Parallelism, RepairProblem, SearchAlgorithm, SearchConfig, ShardPlan, WeightKind};
 use rt_relation::Instance;
 
@@ -94,7 +93,6 @@ pub struct RepairEngineBuilder {
     parallelism: Parallelism,
     algorithm: SearchAlgorithm,
     max_expansions: usize,
-    heuristic: HeuristicConfig,
     heuristic_cache: bool,
     seed: u64,
     shard_rows: ShardRows,
@@ -110,7 +108,6 @@ impl RepairEngineBuilder {
             parallelism: defaults.parallelism,
             algorithm: SearchAlgorithm::AStar,
             max_expansions: defaults.max_expansions,
-            heuristic: defaults.heuristic,
             heuristic_cache: defaults.heuristic_cache,
             seed: 0,
             shard_rows: ShardRows::Auto,
@@ -142,13 +139,6 @@ impl RepairEngineBuilder {
     /// Must be at least 1.
     pub fn max_expansions(mut self, max_expansions: usize) -> Self {
         self.max_expansions = max_expansions;
-        self
-    }
-
-    /// Tuning knobs of the A* heuristic (default:
-    /// [`HeuristicConfig::default`]).
-    pub fn heuristic(mut self, heuristic: HeuristicConfig) -> Self {
-        self.heuristic = heuristic;
         self
     }
 
@@ -185,16 +175,6 @@ impl RepairEngineBuilder {
         if self.max_expansions == 0 {
             return Err(EngineError::InvalidConfig(
                 "max_expansions must be at least 1 (the search has to expand the root)".into(),
-            ));
-        }
-        if self.heuristic.max_diff_sets == 0 {
-            return Err(EngineError::InvalidConfig(
-                "heuristic.max_diff_sets must be at least 1".into(),
-            ));
-        }
-        if self.heuristic.node_budget == 0 {
-            return Err(EngineError::InvalidConfig(
-                "heuristic.node_budget must be at least 1".into(),
             ));
         }
         if self.fds.is_empty() {
@@ -244,9 +224,9 @@ impl RepairEngineBuilder {
         };
         let search_config = SearchConfig {
             max_expansions: self.max_expansions,
-            heuristic: self.heuristic,
             parallelism: self.parallelism,
             heuristic_cache: self.heuristic_cache,
+            ..SearchConfig::default()
         };
         Ok(RepairEngine::from_parts(
             problem,

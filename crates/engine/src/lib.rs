@@ -109,7 +109,7 @@ pub use stream::{RepairPoint, RepairStream, Spectrum};
 // works as a one-stop import.
 pub use rt_baseline::{UnifiedCostConfig, UnifiedRepair};
 pub use rt_constraints::{Fd, FdSet};
-pub use rt_core::heuristic::{HeuristicCache, HeuristicConfig};
+pub use rt_core::heuristic::HeuristicCache;
 pub use rt_core::{
     FdRepair, MutationEffect, MutationOp, Parallelism, Repair, RepairProblem, SearchAlgorithm,
     SearchStats, ShardPlan, WeightKind,

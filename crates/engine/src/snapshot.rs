@@ -687,6 +687,17 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     };
     let heuristic_cache = r.bool_()?;
     let has_partition_index = r.bool_()?;
+    // The builder cannot produce a zero limit, so a snapshot carrying one
+    // is corrupt: the search could not even expand its root.
+    for (name, value) in [
+        ("max_expansions", max_expansions),
+        ("heuristic.max_diff_sets", max_diff_sets),
+        ("heuristic.node_budget", node_budget),
+    ] {
+        if value == 0 {
+            return Err(bad(format!("config: {name} must be at least 1")));
+        }
+    }
     let search_config = SearchConfig {
         max_expansions,
         heuristic: HeuristicConfig {

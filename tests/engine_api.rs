@@ -64,27 +64,6 @@ fn builder_rejects_fds_outside_the_schema() {
     assert!(err.to_string().contains("attribute"));
 }
 
-#[test]
-fn builder_rejects_degenerate_heuristic_configs() {
-    let (instance, fds) = figure2();
-    let err = RepairEngine::builder(instance.clone(), fds.clone())
-        .heuristic(rt_engine::HeuristicConfig {
-            max_diff_sets: 0,
-            node_budget: 100,
-        })
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, EngineError::InvalidConfig(_)), "got {err:?}");
-    let err = RepairEngine::builder(instance, fds)
-        .heuristic(rt_engine::HeuristicConfig {
-            max_diff_sets: 5,
-            node_budget: 0,
-        })
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, EngineError::InvalidConfig(_)), "got {err:?}");
-}
-
 // ---------------------------------------------------------------------------
 // Equivalence with the rt-core primitives
 // ---------------------------------------------------------------------------

@@ -194,3 +194,29 @@ fn trailing_garbage_is_rejected() {
     let err = RepairEngine::restore(&bytes).unwrap_err();
     assert!(err.to_string().contains("trailing"), "got {err}");
 }
+
+#[test]
+fn zero_search_limits_in_the_config_fail_typed() {
+    let bytes = figure2_engine().snapshot().unwrap();
+    // Header: magic (8), version (4), section count (4); then the config
+    // section's tag (4), payload length (8) and CRC (4).
+    let (len_at, crc_at, payload_at) = (20, 28, 32);
+    let len = u64::from_le_bytes(bytes[len_at..crc_at].try_into().unwrap()) as usize;
+    // Config payload: weight and algorithm tags (1 + 1), seed (8), then
+    // max_expansions, max_diff_sets and node_budget as u64s.
+    for (field, offset) in [
+        ("max_expansions", 10),
+        ("max_diff_sets", 18),
+        ("node_budget", 26),
+    ] {
+        let mut corrupt = bytes.clone();
+        let at = payload_at + offset;
+        corrupt[at..at + 8].fill(0);
+        // Re-seal the section so the decoder reaches the field check.
+        let crc = crc32(&corrupt[payload_at..payload_at + len]);
+        corrupt[crc_at..payload_at].copy_from_slice(&crc.to_le_bytes());
+        let err = RepairEngine::restore(&corrupt).unwrap_err();
+        assert!(matches!(err, EngineError::Snapshot(_)), "{field}: {err:?}");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    }
+}
