@@ -13,7 +13,7 @@
 //! [`RangeSearch`] is the crate's only A* traversal: Algorithm 2 is the
 //! one-point range `[τ, τ]`, which ends at its first goal.
 
-use crate::heuristic::{goal_cost_estimate, HeuristicCache, HeuristicValue};
+use crate::heuristic::{goal_cost_estimate, HeuristicCache};
 use crate::problem::RepairProblem;
 use crate::repair::Repair;
 use crate::search::{run_search, FdRepair, SearchAlgorithm, SearchConfig, SearchStats};
@@ -115,48 +115,8 @@ impl Ord for OpenEntry {
     }
 }
 
-/// The open list's entries in insertion order.
-fn in_insertion_order(open: BinaryHeap<OpenEntry>) -> Vec<OpenEntry> {
-    let mut entries = open.into_vec();
-    entries.sort_unstable_by_key(|e| e.seq);
-    entries
-}
-
-/// Folds one batch of heuristic evaluations into the stats — the single
-/// accounting path for heuristic work (refresh and child expansion alike).
-/// Cache hits report `nodes == 0`, so `heuristic_nodes` counts enumeration
-/// work only.
-fn charge_heuristic(stats: &mut SearchStats, values: &[HeuristicValue]) {
-    for v in values {
-        stats.heuristic_nodes += v.nodes;
-        if v.cache_hit {
-            stats.heuristic_cache_hits += 1;
-        }
-    }
-}
-
-/// Evaluates `gc` for a batch of states, through the cache when enabled or
-/// via the uncached per-state reference path otherwise. Both paths produce
-/// bit-identical lower bounds; only the `nodes`/`cache_hit` accounting
-/// differs.
-fn evaluate_heuristic_batch(
-    cache: &mut HeuristicCache,
-    problem: &RepairProblem,
-    states: &[&RepairState],
-    tau: usize,
-    config: &SearchConfig,
-) -> Vec<HeuristicValue> {
-    if config.heuristic_cache {
-        cache.evaluate_many(problem, states, tau, &config.heuristic, config.parallelism)
-    } else {
-        par_map_indexed(config.parallelism, states.len(), |i| {
-            goal_cost_estimate(problem, states[i], tau, &config.heuristic)
-        })
-    }
-}
-
-/// The suspended state of a [`RangeSearch`]: everything the traversal knows
-/// except its borrow of the problem.
+/// The state of a [`RangeSearch`]: everything the traversal knows except its
+/// borrow of the problem. A live search holds one; suspending hands it out.
 ///
 /// A checkpoint is fully owned, so it can outlive the search (and the
 /// borrow of the engine's problem) and be stashed across queries. Resuming
@@ -303,6 +263,40 @@ impl SweepCheckpoint {
                 parts.cache_nodes_spent,
             ),
         }
+    }
+}
+
+impl SweepCheckpoint {
+    /// Lower bounds `gc(S)` at the current `τ` for a batch of states, with
+    /// the work charged to the stats — the single accounting path for
+    /// heuristic work (refresh and child expansion alike). Goes through the
+    /// cache when enabled, or the uncached per-state reference path
+    /// otherwise: both give bit-identical bounds and differ only in the
+    /// `nodes`/`cache_hit` accounting. Cache hits report `nodes == 0`, so
+    /// `heuristic_nodes` counts enumeration work only.
+    fn estimate(
+        &mut self,
+        problem: &RepairProblem,
+        states: &[&RepairState],
+        config: &SearchConfig,
+    ) -> Vec<Option<f64>> {
+        let tau = self.tau as usize;
+        let values = if config.heuristic_cache {
+            self.cache
+                .evaluate_many(problem, states, tau, &config.heuristic, config.parallelism)
+        } else {
+            par_map_indexed(config.parallelism, states.len(), |i| {
+                goal_cost_estimate(problem, states[i], tau, &config.heuristic)
+            })
+        };
+        values
+            .iter()
+            .map(|v| {
+                self.stats.heuristic_nodes += v.nodes;
+                self.stats.heuristic_cache_hits += usize::from(v.cache_hit);
+                v.lower_bound
+            })
+            .collect()
     }
 }
 
@@ -544,26 +538,21 @@ impl<'p> RangeSearch<'p> {
         }
     }
 
-    /// Re-estimates every open entry for the tightened `τ`, in insertion
-    /// order, and drops the states with no goal descendant any more.
+    /// Re-estimates every open entry for the tightened `τ` and drops the
+    /// states with no goal descendant any more. Entries go in insertion
+    /// order, the order checkpoints export, so the batch the heuristic
+    /// cache sees does not depend on the heap's layout.
     fn refresh(&mut self) {
         let s = &mut self.sweep;
-        let entries = in_insertion_order(std::mem::take(&mut s.open));
+        let mut entries = std::mem::take(&mut s.open).into_vec();
+        entries.sort_unstable_by_key(|e| e.seq);
         let states: Vec<&RepairState> = entries.iter().map(|e| &e.state).collect();
-        let values = evaluate_heuristic_batch(
-            &mut s.cache,
-            self.problem,
-            &states,
-            s.tau as usize,
-            &self.config,
-        );
-        drop(states);
-        charge_heuristic(&mut s.stats, &values);
+        let bounds = s.estimate(self.problem, &states, &self.config);
         s.open = entries
             .into_iter()
-            .zip(values)
-            .filter_map(|(mut e, v)| {
-                e.priority = v.lower_bound?;
+            .zip(bounds)
+            .filter_map(|(mut e, bound)| {
+                e.priority = bound?;
                 Some(e)
             })
             .collect();
@@ -584,15 +573,7 @@ impl<'p> RangeSearch<'p> {
             SearchAlgorithm::BestFirst => costs.iter().copied().map(Some).collect(),
             SearchAlgorithm::AStar => {
                 let refs: Vec<&RepairState> = children.iter().collect();
-                let values = evaluate_heuristic_batch(
-                    &mut s.cache,
-                    problem,
-                    &refs,
-                    s.tau as usize,
-                    &self.config,
-                );
-                charge_heuristic(&mut s.stats, &values);
-                values.iter().map(|v| v.lower_bound).collect()
+                s.estimate(problem, &refs, &self.config)
             }
         };
         for ((state, cost), priority) in children.into_iter().zip(costs).zip(priorities) {
@@ -891,7 +872,7 @@ mod tests {
         // `HeuristicValue::nodes` — which, with the cache on, is exactly the
         // cache's own ledger of enumeration work (hits charge 0 nodes). Both
         // charge sites (τ-refresh and child expansion) go through the single
-        // `charge_heuristic` path, so the two ledgers cannot drift.
+        // `SweepCheckpoint::estimate` path, so the two ledgers cannot drift.
         let problem = figure2_problem();
         let config = SearchConfig::default();
         let mut search = RangeSearch::new(&problem, 0, problem.delta_p_original(), &config);
