@@ -23,13 +23,14 @@
 //! * [`repair::repair_data_fds_with`] — Algorithm 1: one `τ`-constrained
 //!   repair.
 //! * [`search::run_search`] — Algorithm 2 (A*) and the best-first baseline:
-//!   minimal FD relaxation for a given `τ`.
+//!   minimal FD relaxation for a given `τ`, run as a [`multi::RangeSearch`]
+//!   over the one-point range `[τ, τ]`.
 //! * [`data_repair::repair_data`] — Algorithms 4 & 5: near-optimal data
 //!   repair for a fixed (possibly relaxed) FD set, returning a V-instance.
 //! * [`multi::RangeSearch`] / [`multi::sampling_search`] — Algorithm 6
-//!   (Range-Repair, resumable and checkpointable) and the Sampling-Repair
-//!   comparator: a set of repairs covering a whole range of relative-trust
-//!   values.
+//!   (Range-Repair, resumable and checkpointable; the crate's one A*
+//!   traversal) and the Sampling-Repair comparator: a set of repairs
+//!   covering a whole range of relative-trust values.
 //! * [`mutation`] — live inserts/deletes/cell updates and FD edits of a
 //!   prepared [`RepairProblem`], maintained incrementally (delta partition
 //!   maintenance + edge-level conflict-graph patching) instead of rebuilt.
