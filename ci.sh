@@ -51,11 +51,13 @@ echo "==> cargo test --test recovery (crash recovery ≡ uninterrupted, chaos fa
 cargo test -q --test recovery
 
 # The scale-up contract: the sharded conflict-graph build must be
-# bit-identical to the monolithic engine — spectra, repairs and search
-# stats — including under shard-bridging mutation batches. Runs in every
-# mode at the 100k-row warehouse variant (release, so the big smoke stays
-# cheap; the debug default inside `cargo test -q` above covers 20k rows).
-echo "==> cargo test --release --test shard_equivalence (sharded ≡ monolithic, 100k warehouse)"
+# bit-identical to the monolithic one — spectra, repairs and search stats —
+# including under shard-bridging mutation batches. 100k rows is exactly the
+# engine's sharding threshold, so this step is the one that runs the
+# engine's automatic sharding (asserted: shards > 0) against a monolithic
+# rt-core build; the debug default inside `cargo test -q` above builds its
+# 20k rows monolithic and compares them with the sharded rt-core path.
+echo "==> cargo test --release --test shard_equivalence (engine shards 100k warehouse ≡ monolithic)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 
 # The conflict-sized contract: Algorithm 4's cover-row check and diff, the
@@ -130,8 +132,9 @@ if [ "$bench" -eq 1 ]; then
     # perfbench/ — work counters are exact; the server's idle clock is a
     # logical request counter, so even the serve counters are exact),
     # and the warehouse scale tiers (10k/100k/1M rows streamed through the
-    # one-pass loader into the sharded engine build, per-row counters
-    # hard-asserted flat and the 10k tier sharded ≡ monolithic).
+    # one-pass loader into a default engine build, monolithic at 10k and
+    # sharded from 100k, per-row counters hard-asserted flat and the 100k
+    # tier sharded ≡ monolithic).
     # --selftest additionally proves the gate trips when any counter is
     # artificially inflated. Re-baseline intentional changes with:
     # cargo run --release -p rt-bench --bin bench_gate -- --out ci/bench_baseline.json

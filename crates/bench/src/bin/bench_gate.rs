@@ -338,16 +338,21 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
 /// orders of magnitude — that is the scale-up claim, stated as counters.
 const WAREHOUSE_TIERS: [(usize, &str); 3] = [(10_000, "10k"), (100_000, "100k"), (1_000_000, "1m")];
 
+/// The row count from which the engine builder shards the conflict-graph
+/// build. The 10k tier stays below it; the 100k and 1m tiers shard.
+const ENGINE_SHARD_ROWS: usize = 100_000;
+
 /// Scenario: the memory-bounded scale-up path end to end — stream a seeded
-/// warehouse CSV from disk in one pass, build the engine through the
-/// sharded conflict-graph path, and sweep the gated prefix — at 10k, 100k
-/// and 1M rows. The gate is *per-row* work: bytes hashed per row and the
-/// peak resident-cell estimate must not grow with the tier (hard asserts,
-/// on top of the baseline). At the smallest tier the sharded engine is also
-/// hard-checked bit-identical to a monolithic build.
+/// warehouse CSV from disk in one pass, build a default engine (monolithic
+/// at 10k rows, sharded from 100k on), and sweep the gated prefix — at 10k,
+/// 100k and 1M rows. The gate is *per-row* work: bytes hashed per row and
+/// the peak resident-cell estimate must not grow with the tier (hard
+/// asserts, on top of the baseline). At the smallest sharded tier the
+/// engine is also hard-checked bit-identical to a monolithic
+/// `RepairProblem`.
 fn measure_warehouse(metrics: &mut Metrics) {
-    use rt_core::ShardPlan;
-    use rt_engine::ShardRows;
+    use rt_core::{MultiRepairOutcome, RangeSearch, RepairProblem, ShardPlan};
+    use rt_engine::RepairPoint;
     use rt_scenarios::{gen, WAREHOUSE_ERRORS};
 
     // (tier label, milli-units per row) series for the flatness asserts.
@@ -391,41 +396,66 @@ fn measure_warehouse(metrics: &mut Metrics) {
             .parallelism(Parallelism::Serial)
             .max_expansions(400_000)
             .seed(17)
-            .shard_rows(ShardRows::Threshold(0))
             .build()
-            .expect("warehouse engine builds sharded");
+            .expect("warehouse engine builds");
         let stats = engine.stats();
         let plan_shards =
             ShardPlan::compute(engine.problem().instance(), engine.problem().sigma()).shard_count();
-        // The acceptance invariant: one build per shard, never a monolithic
-        // rebuild.
+        // The row count picks the build path. A sharded build is one build
+        // per shard, never a monolithic rebuild.
+        let sharded = rows >= ENGINE_SHARD_ROWS;
+        let (builds, shards) = if sharded {
+            (plan_shards, plan_shards)
+        } else {
+            (1, 0)
+        };
         assert_eq!(
-            stats.conflict_graph_builds, plan_shards,
-            "warehouse.{label}: sharded build count must equal the shard count"
+            (stats.conflict_graph_builds, stats.shards),
+            (builds, shards),
+            "warehouse.{label}: (conflict-graph builds, shards) for {rows} rows"
         );
-        assert_eq!(stats.shards, plan_shards, "warehouse.{label}");
         let edge_count = engine.problem().conflict_graph().edge_count();
         let prefix = sweep_prefix(&engine, label);
         let w = rt_relation::work::snapshot();
 
-        // At the cheapest tier, cross-check the whole sharded pipeline
-        // against a monolithic build of the same loaded instance.
-        if rows == WAREHOUSE_TIERS[0].0 {
-            let mono = RepairEngine::builder(report.instance.clone(), fds.clone())
-                .weight(WeightKind::DistinctCount)
-                .parallelism(Parallelism::Serial)
-                .max_expansions(400_000)
-                .seed(17)
-                .shard_rows(ShardRows::Off)
-                .build()
-                .expect("warehouse engine builds monolithic");
+        // At the smallest sharded tier, cross-check the engine against a
+        // monolithic build of the same loaded instance.
+        if sharded && rows == ENGINE_SHARD_ROWS {
+            let mono = RepairProblem::with_weight_owned(
+                report.instance.clone(),
+                &fds,
+                WeightKind::DistinctCount,
+                Parallelism::Serial,
+            );
             assert_eq!(
                 engine.problem().conflict_graph(),
-                mono.problem().conflict_graph(),
+                mono.conflict_graph(),
                 "warehouse.{label}: sharded conflict graph diverged from monolithic"
             );
+            let mut search =
+                RangeSearch::new(&mono, 0, mono.delta_p_original(), engine.search_config());
+            let repairs: Vec<_> = std::iter::from_fn(|| search.next_repair())
+                .take(SCENARIO_SWEEP_POINTS)
+                .collect();
+            let outcome = MultiRepairOutcome {
+                repairs,
+                stats: search.stats(),
+            };
+            let points = outcome
+                .repairs
+                .iter()
+                .zip(outcome.materialize(&mono, 17))
+                .map(|(ranged, repair)| RepairPoint {
+                    tau_range: ranged.tau_range,
+                    repair,
+                })
+                .collect();
+            let mono_prefix = Spectrum {
+                points,
+                search_stats: outcome.stats,
+            };
             assert!(
-                prefix.bit_identical(&sweep_prefix(&mono, label)),
+                prefix.bit_identical(&mono_prefix),
                 "warehouse.{label}: sharded sweep diverged from monolithic"
             );
         }

@@ -4,72 +4,28 @@ use crate::engine::RepairEngine;
 use crate::error::EngineError;
 use crate::stats::EngineStats;
 use rt_constraints::FdSet;
-use rt_core::{Parallelism, RepairProblem, SearchAlgorithm, SearchConfig, ShardPlan, WeightKind};
+use rt_core::{Parallelism, RepairProblem, SearchConfig, ShardPlan, WeightKind};
 use rt_relation::Instance;
 
-/// When (and whether) the builder shards the conflict-graph construction.
-///
-/// Sharding partitions the rows into blocking-closed shards
-/// ([`rt_core::ShardPlan`]), builds one conflict graph per shard and merges
-/// them — bit-identical to the monolithic build, but without a
-/// whole-instance blocking pass and with the instance moved (never cloned)
-/// into the problem. On small instances the extra partitioning pass is not
-/// worth it, hence the row threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardRows {
-    /// Shard when the instance has at least
-    /// [`ShardRows::AUTO_THRESHOLD`] rows (the default).
-    #[default]
-    Auto,
-    /// Never shard: always run the monolithic build.
-    Off,
-    /// Shard when the instance has at least this many rows
-    /// (`Threshold(0)` shards always).
-    Threshold(usize),
-}
-
-impl ShardRows {
-    /// Row count at which [`ShardRows::Auto`] starts sharding.
-    pub const AUTO_THRESHOLD: usize = 100_000;
-
-    /// Should an instance with `rows` rows be built sharded?
-    pub fn applies_to(self, rows: usize) -> bool {
-        match self {
-            ShardRows::Auto => rows >= Self::AUTO_THRESHOLD,
-            ShardRows::Off => false,
-            ShardRows::Threshold(t) => rows >= t,
-        }
-    }
-
-    /// Parses the CLI spelling: `auto`, `off`, or a row threshold.
-    pub fn parse(s: &str) -> Result<ShardRows, String> {
-        match s {
-            "auto" => Ok(ShardRows::Auto),
-            "off" => Ok(ShardRows::Off),
-            n => n.parse::<usize>().map(ShardRows::Threshold).map_err(|_| {
-                format!("invalid shard threshold `{n}` (use auto, off, or a row count)")
-            }),
-        }
-    }
-
-    /// The stable spelling (inverse of [`ShardRows::parse`]).
-    pub fn spec(self) -> String {
-        match self {
-            ShardRows::Auto => "auto".to_string(),
-            ShardRows::Off => "off".to_string(),
-            ShardRows::Threshold(t) => t.to_string(),
-        }
-    }
-}
+/// Row count from which [`RepairEngineBuilder::build`] shards the
+/// conflict-graph construction: it partitions the rows into
+/// blocking-closed shards ([`ShardPlan`]), builds one conflict graph per
+/// shard and merges them, bit-identical to the monolithic build but without
+/// a whole-instance blocking pass. Below it the extra partitioning pass is
+/// not worth it.
+const SHARD_ROWS: usize = 100_000;
 
 /// Builder returned by [`RepairEngine::builder`].
 ///
-/// Every knob has a sensible default (the paper's experimental setup):
-/// distinct-count weighting, A* search, a 500 000-state expansion cap,
-/// automatic parallelism and seed 0 for the data-repair step.
+/// Four options, each with the default of the paper's experimental setup:
+/// distinct-count weighting, automatic parallelism, a 500 000-state
+/// expansion cap and seed 0 for the data-repair step. Queries always run
+/// A* with the memoized heuristic; the conflict graph is built sharded
+/// from 100 000 rows on. Best-first search, the uncached heuristic and a
+/// forced build path are reached through `rt_core` directly.
 ///
 /// ```
-/// use rt_engine::{RepairEngine, SearchAlgorithm, WeightKind, Parallelism};
+/// use rt_engine::{RepairEngine, WeightKind, Parallelism};
 /// use rt_relation::{Instance, Schema};
 /// use rt_constraints::FdSet;
 ///
@@ -79,7 +35,6 @@ impl ShardRows {
 /// let engine = RepairEngine::builder(instance, fds)
 ///     .weight(WeightKind::Entropy)
 ///     .parallelism(Parallelism::Auto)
-///     .algorithm(SearchAlgorithm::AStar)
 ///     .max_expansions(100_000)
 ///     .build()
 ///     .unwrap();
@@ -91,11 +46,8 @@ pub struct RepairEngineBuilder {
     fds: FdSet,
     weight: WeightKind,
     parallelism: Parallelism,
-    algorithm: SearchAlgorithm,
     max_expansions: usize,
-    heuristic_cache: bool,
     seed: u64,
-    shard_rows: ShardRows,
 }
 
 impl RepairEngineBuilder {
@@ -106,11 +58,8 @@ impl RepairEngineBuilder {
             fds,
             weight: WeightKind::DistinctCount,
             parallelism: defaults.parallelism,
-            algorithm: SearchAlgorithm::AStar,
             max_expansions: defaults.max_expansions,
-            heuristic_cache: defaults.heuristic_cache,
             seed: 0,
-            shard_rows: ShardRows::Auto,
         }
     }
 
@@ -128,26 +77,10 @@ impl RepairEngineBuilder {
         self
     }
 
-    /// Which FD-modification search to run (default:
-    /// [`SearchAlgorithm::AStar`]).
-    pub fn algorithm(mut self, algorithm: SearchAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Hard cap on expanded search states per query (default: 500 000).
     /// Must be at least 1.
     pub fn max_expansions(mut self, max_expansions: usize) -> Self {
         self.max_expansions = max_expansions;
-        self
-    }
-
-    /// Memoize the structural half of the A* heuristic `gc(S)` across
-    /// states and `τ` values (default: `true`). Results are bit-identical
-    /// either way; `false` forces the uncached per-state enumeration, the
-    /// reference path the equivalence tests compare against.
-    pub fn heuristic_cache(mut self, enabled: bool) -> Self {
-        self.heuristic_cache = enabled;
         self
     }
 
@@ -158,19 +91,10 @@ impl RepairEngineBuilder {
         self
     }
 
-    /// When to shard the conflict-graph build (default:
-    /// [`ShardRows::Auto`]). Sharded and monolithic builds are bit-identical;
-    /// sharding only changes how the graph is constructed (per blocking-closed
-    /// row shard, then merged) and the `conflict_graph_builds` / `shards`
-    /// accounting in [`EngineStats`].
-    pub fn shard_rows(mut self, shard_rows: ShardRows) -> Self {
-        self.shard_rows = shard_rows;
-        self
-    }
-
     /// Validates the configuration and prepares the engine: the conflict
     /// graph of `(I, Σ)` and its difference-set index are built here,
-    /// exactly once for the lifetime of the engine.
+    /// exactly once for the lifetime of the engine, sharded when the
+    /// instance has at least 100 000 rows.
     pub fn build(self) -> Result<RepairEngine, EngineError> {
         if self.max_expansions == 0 {
             return Err(EngineError::InvalidConfig(
@@ -195,8 +119,7 @@ impl RepairEngineBuilder {
             }
         }
 
-        let sharded = self.shard_rows.applies_to(self.instance.len());
-        let (problem, graph_builds, shards) = if sharded {
+        let (problem, graph_builds, shards) = if self.instance.len() >= SHARD_ROWS {
             let plan = ShardPlan::compute(&self.instance, &self.fds);
             let problem = RepairProblem::from_sharded(
                 self.instance,
@@ -225,13 +148,11 @@ impl RepairEngineBuilder {
         let search_config = SearchConfig {
             max_expansions: self.max_expansions,
             parallelism: self.parallelism,
-            heuristic_cache: self.heuristic_cache,
             ..SearchConfig::default()
         };
         Ok(RepairEngine::from_parts(
             problem,
             search_config,
-            self.algorithm,
             self.seed,
             stats,
         ))

@@ -60,7 +60,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct RepairEngine {
     problem: RepairProblem,
     search_config: SearchConfig,
-    algorithm: SearchAlgorithm,
     seed: u64,
     stats: Mutex<EngineStats>,
     /// The most recent suspended sweep, resumable by the next `sweep` over
@@ -92,14 +91,12 @@ impl RepairEngine {
     pub(crate) fn from_parts(
         problem: RepairProblem,
         search_config: SearchConfig,
-        algorithm: SearchAlgorithm,
         seed: u64,
         stats: EngineStats,
     ) -> Self {
         RepairEngine {
             problem,
             search_config,
-            algorithm,
             seed,
             stats: Mutex::new(stats),
             sweep_cache: Mutex::new(None),
@@ -126,7 +123,6 @@ impl RepairEngine {
         Ok(crate::snapshot::encode(
             &self.problem,
             &self.search_config,
-            self.algorithm,
             self.seed,
             &stats,
             sweep,
@@ -149,7 +145,6 @@ impl RepairEngine {
         Ok(RepairEngine {
             problem: decoded.problem,
             search_config: decoded.search_config,
-            algorithm: decoded.algorithm,
             seed: decoded.seed,
             stats: Mutex::new(decoded.stats),
             sweep_cache: Mutex::new(decoded.sweep),
@@ -293,7 +288,12 @@ impl RepairEngine {
     }
 
     fn run_fd_search(&self, tau: usize) -> Result<(FdRepair, SearchStats), EngineError> {
-        let outcome = run_search(&self.problem, tau, &self.search_config, self.algorithm);
+        let outcome = run_search(
+            &self.problem,
+            tau,
+            &self.search_config,
+            SearchAlgorithm::AStar,
+        );
         {
             let mut stats = lock(&self.stats);
             stats.absorb(&outcome.stats);
@@ -464,7 +464,6 @@ impl std::fmt::Debug for RepairEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RepairEngine")
             .field("problem", &self.problem)
-            .field("algorithm", &self.algorithm)
             .field("seed", &self.seed)
             .field("stats", &self.stats())
             .finish()

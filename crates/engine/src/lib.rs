@@ -96,7 +96,7 @@ pub mod snapshot;
 mod stats;
 mod stream;
 
-pub use builder::{RepairEngineBuilder, ShardRows};
+pub use builder::RepairEngineBuilder;
 pub use engine::RepairEngine;
 pub use error::EngineError;
 pub use mutation::{MutationBatch, MutationOutcome};
@@ -111,6 +111,6 @@ pub use rt_baseline::{UnifiedCostConfig, UnifiedRepair};
 pub use rt_constraints::{Fd, FdSet};
 pub use rt_core::heuristic::HeuristicCache;
 pub use rt_core::{
-    FdRepair, MutationEffect, MutationOp, Parallelism, Repair, RepairProblem, SearchAlgorithm,
-    SearchStats, ShardPlan, WeightKind,
+    FdRepair, MutationEffect, MutationOp, Parallelism, Repair, RepairProblem, SearchStats,
+    ShardPlan, WeightKind,
 };

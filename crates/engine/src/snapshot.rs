@@ -35,7 +35,7 @@ use rt_core::heuristic::HeuristicConfig;
 use rt_core::search::FdRepair;
 use rt_core::{
     CacheEntryExport, HeuristicCache, Parallelism, RangedFdRepair, RepairProblem, RepairState,
-    SearchAlgorithm, SearchConfig, SweepCheckpoint, SweepCheckpointParts, WeightKind,
+    SearchConfig, SweepCheckpoint, SweepCheckpointParts, WeightKind,
 };
 use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
@@ -408,18 +408,10 @@ fn weight_tag(weight: WeightKind) -> u8 {
     }
 }
 
-fn algorithm_tag(algorithm: SearchAlgorithm) -> u8 {
-    match algorithm {
-        SearchAlgorithm::AStar => 0,
-        SearchAlgorithm::BestFirst => 1,
-    }
-}
-
 /// Serializes an engine's full prepared state.
 pub(crate) fn encode(
     problem: &RepairProblem,
     search_config: &SearchConfig,
-    algorithm: SearchAlgorithm,
     seed: u64,
     stats: &EngineStats,
     sweep: Option<SweepCheckpointParts>,
@@ -431,7 +423,8 @@ pub(crate) fn encode(
 
     let mut config = Vec::new();
     put_u8(&mut config, weight_tag(problem.weight_kind()));
-    put_u8(&mut config, algorithm_tag(algorithm));
+    // The search-algorithm byte: engines run A* only, so it is always 0.
+    put_u8(&mut config, 0);
     put_u64(&mut config, seed);
     put_usize(&mut config, search_config.max_expansions);
     put_usize(&mut config, search_config.heuristic.max_diff_sets);
@@ -582,7 +575,6 @@ pub(crate) fn encode(
 pub(crate) struct DecodedEngine {
     pub problem: RepairProblem,
     pub search_config: SearchConfig,
-    pub algorithm: SearchAlgorithm,
     pub seed: u64,
     pub stats: EngineStats,
     pub sweep: Option<SweepCheckpoint>,
@@ -670,11 +662,13 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         2 => WeightKind::Entropy,
         t => return Err(bad(format!("unknown weight kind {t}"))),
     };
-    let algorithm = match r.u8()? {
-        0 => SearchAlgorithm::AStar,
-        1 => SearchAlgorithm::BestFirst,
-        t => return Err(bad(format!("unknown search algorithm {t}"))),
-    };
+    // Engines run A* only; the byte stays in the layout, reserved at 0.
+    let algorithm = r.u8()?;
+    if algorithm != 0 {
+        return Err(bad(format!(
+            "config: search algorithm tag {algorithm} is reserved (expected 0, A*)"
+        )));
+    }
     let seed = r.u64()?;
     let max_expansions = r.usize_()?;
     let max_diff_sets = r.usize_()?;
@@ -909,7 +903,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     Ok(DecodedEngine {
         problem,
         search_config,
-        algorithm,
         seed,
         stats,
         sweep,
@@ -965,15 +958,7 @@ mod tests {
             dict_entries: 16,
             shards: 17,
         };
-        let bytes = encode(
-            &problem,
-            &config,
-            SearchAlgorithm::AStar,
-            0,
-            &stats,
-            Some(sweep),
-            None,
-        );
+        let bytes = encode(&problem, &config, 0, &stats, Some(sweep), None);
         let decoded = decode(&bytes).unwrap();
         // A restored engine never built a conflict graph, by design.
         let expected = EngineStats {

@@ -68,8 +68,9 @@ pub struct EngineStats {
     /// refreshed after every applied mutation batch; dictionaries are
     /// append-only, so within a session this only grows.
     pub dict_entries: usize,
-    /// Shards of the [`rt_core::ShardPlan`] the engine was built with
-    /// ([`crate::ShardRows`]); `0` for a monolithic build. Fixed at build
+    /// Shards of the [`rt_core::ShardPlan`] the engine was built with (an
+    /// instance of at least 100 000 rows builds sharded); `0` for a
+    /// monolithic build. Fixed at build
     /// time: mutations patch the merged conflict graph and never replan.
     /// For a sharded build, `conflict_graph_builds` equals this count — one
     /// per-shard build, never a monolithic one.

@@ -3,7 +3,7 @@
 
 use crate::value::{obj, str_field, u64_field, u64_str, usize_field};
 use rt_engine::json::JsonValue;
-use rt_engine::{Parallelism, RepairEngineBuilder, ShardRows, WeightKind};
+use rt_engine::{Parallelism, RepairEngineBuilder, WeightKind};
 
 /// Reads the value following the flag at `args[*i]`, advancing `i` past it.
 /// The one value reader of every command-line and REPL flag.
@@ -16,7 +16,7 @@ pub fn take_value(args: &[String], i: &mut usize) -> Result<String, String> {
 }
 
 /// Engine-configuration options (`--weight`, `--seed`, `--max-expansions`,
-/// `--threads`, `--shard-rows`).
+/// `--threads`).
 ///
 /// This type *is* the option surface: `rtclean` subcommands, the
 /// `rtclean connect` REPL and `create_session` requests all parse and
@@ -33,8 +33,6 @@ pub struct EngineOpts {
     pub max_expansions: usize,
     /// Worker threads.
     pub threads: Parallelism,
-    /// Sharded conflict-graph build threshold.
-    pub shard_rows: ShardRows,
 }
 
 impl EngineOpts {
@@ -46,7 +44,6 @@ impl EngineOpts {
             seed: default_seed,
             max_expansions: 500_000,
             threads: Parallelism::Auto,
-            shard_rows: ShardRows::Auto,
         }
     }
 
@@ -74,10 +71,6 @@ impl EngineOpts {
             "--threads" => {
                 let v = take_value(args, i)?;
                 self.threads = Parallelism::parse(&v).map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--shard-rows" => {
-                let v = take_value(args, i)?;
-                self.shard_rows = ShardRows::parse(&v).map_err(|e| format!("--shard-rows: {e}"))?;
             }
             _ => return Ok(false),
         }
@@ -121,7 +114,6 @@ impl EngineOpts {
             .parallelism(self.threads)
             .max_expansions(self.max_expansions)
             .seed(self.seed)
-            .shard_rows(self.shard_rows)
     }
 
     pub(crate) fn encode(&self) -> JsonValue {
@@ -130,10 +122,11 @@ impl EngineOpts {
             ("seed", u64_str(self.seed)),
             ("max_expansions", crate::value::num(self.max_expansions)),
             ("threads", JsonValue::Str(self.threads_spec())),
-            ("shard_rows", JsonValue::Str(self.shard_rows.spec())),
         ])
     }
 
+    /// Fields other than the four are ignored, so a `create_session` from
+    /// a peer that still sends `shard_rows` decodes.
     pub(crate) fn decode(v: &JsonValue) -> Result<EngineOpts, String> {
         Ok(EngineOpts {
             weight: Self::parse_weight(str_field(v, "weight")?)
@@ -142,14 +135,6 @@ impl EngineOpts {
             max_expansions: usize_field(v, "max_expansions")?,
             threads: Parallelism::parse(str_field(v, "threads")?)
                 .map_err(|e| format!("field `threads`: {e}"))?,
-            // Tolerant of peers predating sharding: missing means Auto.
-            shard_rows: match v.get("shard_rows") {
-                None => ShardRows::Auto,
-                Some(JsonValue::Str(s)) => {
-                    ShardRows::parse(s).map_err(|e| format!("field `shard_rows`: {e}"))?
-                }
-                Some(_) => return Err("field `shard_rows`: expected a string".to_string()),
-            },
         })
     }
 }
@@ -173,8 +158,6 @@ mod tests {
             "1234",
             "--threads",
             "serial",
-            "--shard-rows",
-            "250000",
             "--other",
         ]);
         let mut opts = EngineOpts::new(0);
@@ -190,7 +173,6 @@ mod tests {
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.max_expansions, 1234);
         assert_eq!(opts.threads, Parallelism::Serial);
-        assert_eq!(opts.shard_rows, ShardRows::Threshold(250_000));
     }
 
     #[test]
@@ -204,10 +186,6 @@ mod tests {
         assert!(opts.consume_flag(&args(&["--seed", "x"]), &mut i).is_err());
         let mut i = 0;
         assert!(opts.consume_flag(&args(&["--threads"]), &mut i).is_err());
-        let mut i = 0;
-        assert!(opts
-            .consume_flag(&args(&["--shard-rows", "sometimes"]), &mut i)
-            .is_err());
     }
 
     #[test]
@@ -217,20 +195,20 @@ mod tests {
             seed: u64::MAX,
             max_expansions: 77,
             threads: Parallelism::Fixed(4),
-            shard_rows: ShardRows::Threshold(123),
         };
         let decoded = EngineOpts::decode(&opts.encode()).unwrap();
         assert_eq!(decoded, opts);
     }
 
     #[test]
-    fn wire_decode_defaults_missing_shard_rows_to_auto() {
-        // A create_session from a peer predating the sharding option.
-        let mut encoded = EngineOpts::new(3).encode();
-        if let JsonValue::Obj(fields) = &mut encoded {
-            fields.retain(|(k, _)| k != "shard_rows");
-        }
-        let decoded = EngineOpts::decode(&encoded).unwrap();
-        assert_eq!(decoded.shard_rows, ShardRows::Auto);
+    fn wire_decode_ignores_a_legacy_shard_rows_field() {
+        // A create_session from a peer that still sends the dropped option.
+        let opts = EngineOpts::new(3);
+        let mut encoded = opts.encode();
+        let JsonValue::Obj(fields) = &mut encoded else {
+            panic!("options encode as an object");
+        };
+        fields.push(("shard_rows".to_string(), JsonValue::Str("off".to_string())));
+        assert_eq!(EngineOpts::decode(&encoded).unwrap(), opts);
     }
 }

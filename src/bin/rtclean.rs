@@ -35,8 +35,8 @@
 //! and `repair` — parses through one loop, [`parse`], against its row of
 //! the flag table ([`COMMANDS`], [`OPEN`], [`LOAD`], [`REPAIR`]): the row
 //! names the flags the command accepts and the arguments it requires.
-//! The engine flags (`--weight`, `--seed`, `--max-expansions`, `--threads`,
-//! `--shard-rows`) go through [`EngineOpts::consume_flag`], the same path a
+//! The engine flags (`--weight`, `--seed`, `--max-expansions`, `--threads`)
+//! go through [`EngineOpts::consume_flag`], the same path a
 //! `create_session` wire request takes. `--help` prints the usage to stdout
 //! and exits 0; a parse error prints to stderr and exits 1.
 
@@ -122,11 +122,6 @@ options:
   --threads <T>        worker threads: auto | serial | <count>  (default: auto)
                        results are identical for every setting; more threads
                        only make the repair faster
-  --shard-rows <S>     shard the conflict-graph build: auto | off | <row
-                       threshold> (default: auto = shard at 100000 rows).
-                       Shards are blocking-closed row groups built
-                       independently and merged; results are bit-identical
-                       to the monolithic build at every setting
   --help               print this help
 ";
 
@@ -154,13 +149,7 @@ struct Command {
 
 // Flag groups shared between rows.
 const HELP: &[&str] = &["--help", "-h"];
-const ENGINE: &[&str] = &[
-    "--weight",
-    "--seed",
-    "--max-expansions",
-    "--threads",
-    "--shard-rows",
-];
+const ENGINE: &[&str] = &["--weight", "--seed", "--max-expansions", "--threads"];
 const DATA: &[&str] = &["--fd", "--tsv"];
 const TAU: &[&str] = &["--tau", "--tau-r"];
 const SELECT: &[&str] = &["--spectrum", "--output"];
@@ -807,7 +796,6 @@ fn run_serve(options: &Options) -> Result<(), String> {
 const REPL_HELP: &str = "\
 commands:
   open <name> [--weight K] [--seed N] [--max-expansions N] [--threads T]
-              [--shard-rows S]
                          create a session and make it current
   load <file.csv> --fd <spec> [--fd ...] [--tsv]
                          load CSV/TSV + FDs, building the session's engine
@@ -1210,22 +1198,22 @@ mod tests {
         let expected: [(&str, &str); 7] = [
             (
                 "",
-                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                "--help -h --weight --seed --max-expansions --threads --fd --tsv \
                  --tau --tau-r --spectrum --output",
             ),
             (
                 "apply",
-                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                "--help -h --weight --seed --max-expansions --threads --fd --tsv \
                  --log --per-op --batch --verify",
             ),
             (
                 "scenario",
-                "--help -h --weight --seed --max-expansions --threads --shard-rows \
+                "--help -h --weight --seed --max-expansions --threads \
                  --tau --tau-r --spectrum --output --rows",
             ),
             (
                 "snapshot",
-                "--help -h --weight --seed --max-expansions --threads --shard-rows --fd --tsv \
+                "--help -h --weight --seed --max-expansions --threads --fd --tsv \
                  --output",
             ),
             ("restore", "--help -h --tau --tau-r --spectrum --output"),
@@ -1244,7 +1232,6 @@ mod tests {
             ("--seed", Some("1")),
             ("--max-expansions", Some("5")),
             ("--threads", Some("serial")),
-            ("--shard-rows", Some("off")),
             ("--fd", Some("A->B")),
             ("--tsv", None),
             ("--tau", Some("1")),

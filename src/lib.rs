@@ -88,7 +88,7 @@
 //!
 //! Configuration that used to be scattered across `SearchConfig`,
 //! `WeightKind` and per-call seeds moves onto the builder:
-//! `RepairEngine::builder(i, fds).weight(..).algorithm(..).max_expansions(..)
+//! `RepairEngine::builder(i, fds).weight(..).max_expansions(..)
 //! .parallelism(..).seed(..).build()?`. Failures that used to be `Option`s
 //! or panics surface as the typed [`prelude::EngineError`].
 //!
@@ -120,7 +120,7 @@ pub use rt_server as server;
 pub mod prelude {
     pub use rt_engine::{
         EngineError, EngineStats, MutationBatch, MutationEffect, MutationOp, MutationOutcome,
-        RepairEngine, RepairEngineBuilder, RepairPoint, RepairStream, ShardRows, Spectrum,
+        RepairEngine, RepairEngineBuilder, RepairPoint, RepairStream, Spectrum,
     };
 
     pub use rt_baseline::{unified_cost_repair, UnifiedCostConfig, UnifiedRepair};

@@ -164,6 +164,11 @@ fn every_subcommand_reports_its_parse_errors_on_stderr_with_exit_1() {
             "--threads: invalid thread count `x` (use auto, serial, or a number)",
         ),
         (&["d.csv"], "at least one --fd is required"),
+        // The build path follows the row count; there is no flag for it.
+        (
+            &["d.csv", "--fd", "A->B", "--shard-rows", "off"],
+            "unknown option `--shard-rows`",
+        ),
         (
             &["d.csv", "e.csv", "--fd", "A->B"],
             "unexpected positional argument `e.csv`",

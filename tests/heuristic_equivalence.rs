@@ -8,8 +8,9 @@
 //!    [`goal_cost_estimate`] bit-for-bit on every state of a traversal
 //!    sample, at every `τ` — including repeat queries served from the cache
 //!    and descending-`τ` queries derived from a recorded run.
-//! 2. **Sweeps are cache-independent**: full spectra with the cache on and
-//!    off are [`Spectrum::bit_identical`]; the uncached path is the
+//! 2. **Sweeps are cache-independent**: [`RangeSearch`] spectra with
+//!    `SearchConfig::heuristic_cache` on and off agree on every field
+//!    [`Spectrum::bit_identical`] compares; the uncached path is the
 //!    reference.
 //! 3. **Admissibility on random problems**: against an exhaustive
 //!    goal-enumeration oracle on ≤ 6-row instances, `gc(S)` never exceeds
@@ -143,26 +144,9 @@ fn memoized_heuristic_matches_the_uncached_oracle() {
     }
 }
 
-fn engine_with(
-    instance: &Instance,
-    fds: &FdSet,
-    weight: WeightKind,
-    seed: u64,
-    cache: bool,
-) -> RepairEngine {
-    RepairEngine::builder(instance.clone(), fds.clone())
-        .weight(weight)
-        .parallelism(Parallelism::Serial)
-        .max_expansions(100_000)
-        .seed(seed)
-        .heuristic_cache(cache)
-        .build()
-        .unwrap()
-}
-
 /// Contract 2: full sweeps with the heuristic cache on and off are
 /// bit-identical — the cache changes how much work the sweep does, never
-/// what it records.
+/// what it records. Compares the fields `Spectrum::bit_identical` compares.
 #[test]
 fn sweeps_are_bit_identical_with_and_without_the_heuristic_cache() {
     for case in 0..48u64 {
@@ -170,17 +154,37 @@ fn sweeps_are_bit_identical_with_and_without_the_heuristic_cache() {
         let instance = random_instance(&mut rng, 14);
         let fds = random_fds(&mut rng, instance.schema().arity());
         let weight = WEIGHTS[(case % 3) as usize];
+        let problem = RepairProblem::with_weight(&instance, &fds, weight);
         let context = format!("case {case} ({weight:?})");
 
-        let sweep = |cache| {
-            engine_with(&instance, &fds, weight, case, cache)
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"))
+        let sweep = |heuristic_cache| {
+            let config = SearchConfig {
+                max_expansions: 100_000,
+                parallelism: Parallelism::Serial,
+                heuristic_cache,
+                ..SearchConfig::default()
+            };
+            let outcome =
+                RangeSearch::new(&problem, 0, problem.delta_p_original(), &config).run_to_end();
+            assert!(!outcome.stats.truncated, "{context}: truncated");
+            let repairs = outcome.materialize(&problem, case);
+            (outcome.repairs, repairs)
         };
-        assert!(
-            sweep(false).bit_identical(&sweep(true)),
-            "{context}: the heuristic cache changed the spectrum"
-        );
+        let (uncached, uncached_repairs) = sweep(false);
+        let (cached, cached_repairs) = sweep(true);
+        assert_eq!(uncached.len(), cached.len(), "{context}: spectrum sizes");
+        for (i, (u, c)) in uncached.iter().zip(&cached).enumerate() {
+            assert_eq!(u.tau_range, c.tau_range, "{context}: point {i} interval");
+        }
+        for (i, (u, c)) in uncached_repairs.iter().zip(&cached_repairs).enumerate() {
+            let at = format!("{context}: point {i}");
+            assert_eq!(u.state, c.state, "{at} state");
+            assert_eq!(u.delta_p, c.delta_p, "{at} δP");
+            assert_eq!(u.dist_c.to_bits(), c.dist_c.to_bits(), "{at} dist_c");
+            assert_eq!(u.modified_fds, c.modified_fds, "{at} Σ'");
+            assert_eq!(u.repaired_instance, c.repaired_instance, "{at} I'");
+            assert_eq!(u.changed_cells, c.changed_cells, "{at} Δd");
+        }
     }
 }
 

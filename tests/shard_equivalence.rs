@@ -1,23 +1,33 @@
 //! The shard ≡ monolithic contract of the scale-up build path.
 //!
 //! Hard invariant (mirroring the parallel ≡ serial and incremental ≡
-//! rebuild contracts): an engine built with sharding forced on
-//! (`ShardRows::Threshold(0)`) produces repairs, spectra and
-//! search-trajectory stats **bit-identical** to a monolithic engine
-//! (`ShardRows::Off`) on the same `(I, Σ)` — while its
-//! `conflict_graph_builds` equals the shard count of the partition plan
-//! (one per-shard build, never a monolithic one).
+//! rebuild contracts): a problem built per shard and merged
+//! (`RepairProblem::from_sharded` over a [`ShardPlan`]) has the conflict
+//! graph, repairs, spectra and search-trajectory stats of the monolithic
+//! build (`RepairProblem::with_weight`) on the same `(I, Σ)`, **bit for
+//! bit**.
 //!
 //! The main test is a 48-case seeded property loop: random instances,
 //! random FD sets, rotated across all three weighting functions, then
 //! extended with mutation batches that *bridge* two shards (an update that
 //! drags a row into another shard's blocking class), driving the
 //! deterministic shard merge/re-split path.
+//!
+//! The engine picks its build path by row count (sharded from 100 000 rows
+//! on). The warehouse smoke test checks that choice and its accounting —
+//! one conflict-graph build per shard, never a rebuild on mutation — and
+//! compares the engine with the path its row count did not pick.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use relative_trust::core::repair::materialize_fd_repair;
+use relative_trust::core::{run_search, MultiRepairOutcome};
 use relative_trust::prelude::*;
 use relative_trust::relation::AttrId;
+
+/// The row count from which `RepairEngineBuilder::build` shards the
+/// conflict-graph build.
+const ENGINE_SHARD_ROWS: usize = 100_000;
 
 /// A random instance whose LHS domains are wide enough that the blocking
 /// closure genuinely fragments: most cases decompose into several shards.
@@ -52,21 +62,42 @@ fn random_fds(rng: &mut StdRng, arity: usize) -> FdSet {
     fds
 }
 
-fn build(
-    instance: Instance,
-    fds: FdSet,
-    weight: WeightKind,
-    seed: u64,
-    shard_rows: ShardRows,
-) -> RepairEngine {
-    RepairEngine::builder(instance, fds)
-        .weight(weight)
-        .parallelism(Parallelism::Serial)
-        .max_expansions(100_000)
-        .seed(seed)
-        .shard_rows(shard_rows)
-        .build()
-        .unwrap()
+fn config() -> SearchConfig {
+    SearchConfig {
+        max_expansions: 100_000,
+        parallelism: Parallelism::Serial,
+        ..SearchConfig::default()
+    }
+}
+
+/// The first `limit` points of the `[0, δ_P(Σ)]` spectrum of `problem`,
+/// materialized with `seed` — what an engine's sweep yields.
+fn spectrum_prefix(problem: &RepairProblem, seed: u64, limit: usize) -> Spectrum {
+    let mut search = RangeSearch::new(problem, 0, problem.delta_p_original(), &config());
+    let repairs: Vec<_> = std::iter::from_fn(|| search.next_repair())
+        .take(limit)
+        .collect();
+    let outcome = MultiRepairOutcome {
+        repairs,
+        stats: search.stats(),
+    };
+    assert!(
+        !outcome.stats.truncated,
+        "the spectrum hit the expansion cap"
+    );
+    let points = outcome
+        .repairs
+        .iter()
+        .zip(outcome.materialize(problem, seed))
+        .map(|(ranged, repair)| RepairPoint {
+            tau_range: ranged.tau_range,
+            repair,
+        })
+        .collect();
+    Spectrum {
+        points,
+        search_stats: outcome.stats,
+    }
 }
 
 /// Field-by-field bit-identity, cross-checked against the engine's own
@@ -105,20 +136,45 @@ fn assert_spectra_identical(a: &Spectrum, b: &Spectrum, context: &str) {
 /// A cell update that drags `victim` into `target`'s blocking class under
 /// the first FD (copying the LHS cells) while keeping the RHS different —
 /// i.e. a mutation that *bridges* two shards with a genuine conflict edge.
-fn bridging_batch(instance: &Instance, fds: &FdSet, target: usize, victim: usize) -> MutationBatch {
+fn bridging_ops(instance: &Instance, fds: &FdSet, target: usize, victim: usize) -> Vec<MutationOp> {
     let fd = fds.get(0);
-    let mut batch = MutationBatch::new();
+    let mut ops = Vec::new();
     for attr in fd.lhs.iter() {
         let v = instance.cell(CellRef::new(target, attr)).unwrap().clone();
-        batch = batch.update_cell(CellRef::new(victim, attr), v);
+        ops.push(MutationOp::UpdateCell(CellRef::new(victim, attr), v));
     }
     let rhs_target = instance.cell(CellRef::new(target, fd.rhs)).unwrap();
     let rhs_victim = instance.cell(CellRef::new(victim, fd.rhs)).unwrap();
     if rhs_target == rhs_victim {
         // Same RHS would merely merge classes without a conflict; force one.
-        batch = batch.update_cell(CellRef::new(victim, fd.rhs), Value::int(777_777));
+        ops.push(MutationOp::UpdateCell(
+            CellRef::new(victim, fd.rhs),
+            Value::int(777_777),
+        ));
     }
-    batch
+    ops
+}
+
+/// Applies `ops` to both problems: the same effect, the same patched
+/// conflict graph.
+fn apply_to_both(
+    sharded: &mut RepairProblem,
+    monolithic: &mut RepairProblem,
+    ops: &[MutationOp],
+    context: &str,
+) {
+    let a = sharded
+        .apply_mutations(ops)
+        .unwrap_or_else(|e| panic!("{context}: sharded: {e}"));
+    let b = monolithic
+        .apply_mutations(ops)
+        .unwrap_or_else(|e| panic!("{context}: monolithic: {e}"));
+    assert_eq!(a, b, "{context}: mutation effects differ");
+    assert_eq!(
+        sharded.conflict_graph(),
+        monolithic.conflict_graph(),
+        "{context}: patched conflict graphs differ"
+    );
 }
 
 /// The 48-case seeded property loop, with shard-bridging mutations.
@@ -144,119 +200,78 @@ fn sharded_matches_monolithic_on_random_cases() {
             multi_shard_cases += 1;
         }
 
-        let mut sharded = build(
-            instance.clone(),
-            fds.clone(),
-            weight,
-            case,
-            ShardRows::Threshold(0),
-        );
-        let mut monolithic = build(instance.clone(), fds.clone(), weight, case, ShardRows::Off);
-
-        // The accounting contract: one conflict-graph build *per shard*,
-        // never a monolithic one — and exactly one for the oracle.
-        assert_eq!(
-            sharded.stats().conflict_graph_builds,
-            shard_count,
-            "{context}: sharded build count"
-        );
-        assert_eq!(sharded.stats().shards, shard_count, "{context}");
-        assert_eq!(monolithic.stats().conflict_graph_builds, 1, "{context}");
-        assert_eq!(monolithic.stats().shards, 0, "{context}");
+        let mut sharded =
+            RepairProblem::from_sharded(instance.clone(), &fds, &plan, weight, Parallelism::Serial)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+        let mut monolithic = RepairProblem::with_weight(&instance, &fds, weight);
 
         // The prepared state is literally identical.
         assert_eq!(
-            sharded.problem().conflict_graph(),
-            monolithic.problem().conflict_graph(),
+            sharded.conflict_graph(),
+            monolithic.conflict_graph(),
             "{context}: conflict graphs differ"
         );
 
         // Every output matches bit-for-bit, including search trajectories.
-        let s = sharded
-            .spectrum()
-            .unwrap_or_else(|e| panic!("{context}: {e}"));
-        let m = monolithic
-            .spectrum()
-            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        let s = spectrum_prefix(&sharded, case, usize::MAX);
+        let m = spectrum_prefix(&monolithic, case, usize::MAX);
         assert_spectra_identical(&s, &m, &context);
         assert_eq!(
-            sharded.stats().states_expanded,
-            monolithic.stats().states_expanded,
+            s.search_stats.states_expanded, m.search_stats.states_expanded,
             "{context}: search trajectory diverged"
         );
         assert_eq!(
-            sharded.stats().states_generated,
-            monolithic.stats().states_generated,
+            s.search_stats.states_generated, m.search_stats.states_generated,
             "{context}"
         );
+        // Single-τ repairs (Algorithm 1): the same I′, Δd and Σ′, or the
+        // same failure.
+        let repair_at = |problem: &RepairProblem, tau| {
+            let outcome = run_search(problem, tau, &config(), SearchAlgorithm::AStar);
+            let repair = outcome.repair.map(|r| {
+                let r = materialize_fd_repair(
+                    problem,
+                    &r,
+                    tau,
+                    case,
+                    Parallelism::Serial,
+                    outcome.stats,
+                );
+                (r.repaired_instance, r.changed_cells, r.modified_fds)
+            });
+            (repair, outcome.stats.truncated)
+        };
         for tau in [sharded.delta_p_original() / 2, sharded.delta_p_original()] {
-            match (sharded.repair_at(tau), monolithic.repair_at(tau)) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.repaired_instance, b.repaired_instance,
-                        "{context}: τ={tau}"
-                    );
-                    assert_eq!(a.changed_cells, b.changed_cells, "{context}: τ={tau}");
-                    assert_eq!(a.modified_fds, b.modified_fds, "{context}: τ={tau}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{context}: τ={tau}"),
-                (a, b) => panic!("{context}: τ={tau}: feasibility disagrees ({a:?} vs {b:?})"),
-            }
+            assert_eq!(
+                repair_at(&sharded, tau),
+                repair_at(&monolithic, tau),
+                "{context}: τ={tau}"
+            );
         }
 
-        // A mutation batch that bridges two shards: the sharded engine must
-        // patch its merged graph without ever rebuilding, and stay
-        // bit-identical to the mutated monolithic engine.
+        // A mutation batch that bridges two shards: the merged graph is
+        // patched, and stays bit-identical to the mutated monolithic one.
         if shard_count >= 2 {
             let target = plan.shards()[0][0];
             let victim = plan.shards()[1][0];
-            let batch = bridging_batch(&instance, &fds, target, victim);
-            sharded
-                .apply(&batch)
-                .unwrap_or_else(|e| panic!("{context}: sharded bridge: {e}"));
-            monolithic
-                .apply(&batch)
-                .unwrap_or_else(|e| panic!("{context}: monolithic bridge: {e}"));
+            let bridge = bridging_ops(&instance, &fds, target, victim);
+            apply_to_both(&mut sharded, &mut monolithic, &bridge, &context);
 
-            let replanned =
-                ShardPlan::compute(sharded.problem().instance(), sharded.problem().sigma());
+            let replanned = ShardPlan::compute(sharded.instance(), sharded.sigma());
             assert_eq!(
                 replanned.shard_of(target),
                 replanned.shard_of(victim),
                 "{context}: the bridge must merge the two shards"
             );
-            let stats = sharded.stats();
-            assert_eq!(
-                stats.conflict_graph_builds, shard_count,
-                "{context}: a mutation must never trigger a rebuild"
-            );
-            assert_eq!(stats.shards, shard_count, "{context}: fixed at build time");
-            assert_eq!(stats.graph_rebuild_avoided, 1, "{context}");
-
-            let s = sharded
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            let m = monolithic
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let s = spectrum_prefix(&sharded, case, usize::MAX);
+            let m = spectrum_prefix(&monolithic, case, usize::MAX);
             assert_spectra_identical(&s, &m, &format!("{context} post-bridge"));
 
             // Deleting the bridge row stays bit-identical too.
-            let delete = MutationBatch::new().delete_tuples(vec![victim]);
-            sharded
-                .apply(&delete)
-                .unwrap_or_else(|e| panic!("{context}: sharded delete: {e}"));
-            monolithic
-                .apply(&delete)
-                .unwrap_or_else(|e| panic!("{context}: monolithic delete: {e}"));
-            let stats = sharded.stats();
-            assert_eq!(stats.conflict_graph_builds, shard_count, "{context}");
-            let s = sharded
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            let m = monolithic
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let delete = [MutationOp::DeleteTuples(vec![victim])];
+            apply_to_both(&mut sharded, &mut monolithic, &delete, &context);
+            let s = spectrum_prefix(&sharded, case, usize::MAX);
+            let m = spectrum_prefix(&monolithic, case, usize::MAX);
             assert_spectra_identical(&s, &m, &format!("{context} post-resplit"));
         }
     }
@@ -268,40 +283,43 @@ fn sharded_matches_monolithic_on_random_cases() {
     );
 }
 
-/// Thread count must not leak into the partition or the merged graph.
+/// Thread count must not leak into the merged graph.
 #[test]
 fn sharded_build_is_identical_across_parallelism_settings() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let instance = random_instance(&mut rng);
     let fds = random_fds(&mut rng, instance.schema().arity());
-    let serial = RepairEngine::builder(instance.clone(), fds.clone())
-        .parallelism(Parallelism::Serial)
-        .shard_rows(ShardRows::Threshold(0))
-        .build()
-        .unwrap();
+    let plan = ShardPlan::compute(&instance, &fds);
+    let build = |par| {
+        RepairProblem::from_sharded(
+            instance.clone(),
+            &fds,
+            &plan,
+            WeightKind::DistinctCount,
+            par,
+        )
+        .unwrap()
+    };
+    let serial = build(Parallelism::Serial);
     for par in [
         Parallelism::Fixed(2),
         Parallelism::Fixed(4),
         Parallelism::Auto,
     ] {
-        let parallel = RepairEngine::builder(instance.clone(), fds.clone())
-            .parallelism(par)
-            .shard_rows(ShardRows::Threshold(0))
-            .build()
-            .unwrap();
         assert_eq!(
-            serial.problem().conflict_graph(),
-            parallel.problem().conflict_graph(),
+            serial.conflict_graph(),
+            build(par).conflict_graph(),
             "{par:?}"
         );
-        assert_eq!(serial.stats().shards, parallel.stats().shards, "{par:?}");
     }
 }
 
-/// The scale smoke test: the warehouse scenario, sharded vs monolithic,
-/// bit-identical over the gated sweep prefix. Row count honors
-/// `RT_WAREHOUSE_ROWS` (CI runs the 100k-row variant in release; the debug
-/// default stays small enough for `cargo test`).
+/// The scale smoke test: a default-built engine on the warehouse scenario
+/// against the build path its row count did not pick, over the gated sweep
+/// prefix and a shard-bridging mutation. Row count honors
+/// `RT_WAREHOUSE_ROWS` (CI runs the 100k-row variant in release, where the
+/// engine shards; the debug default stays small enough for `cargo test`,
+/// where it builds monolithic).
 #[test]
 fn warehouse_sharded_matches_monolithic() {
     let rows: usize = std::env::var("RT_WAREHOUSE_ROWS")
@@ -316,49 +334,84 @@ fn warehouse_sharded_matches_monolithic() {
         },
     )
     .expect("warehouse scenario builds");
+    let (instance, fds) = (&scenario.dirty, &scenario.dirty_fds);
 
-    let plan = ShardPlan::compute(&scenario.dirty, &scenario.dirty_fds);
+    let plan = ShardPlan::compute(instance, fds);
     assert!(
         plan.shard_count() >= 2,
         "warehouse must decompose into region shards (got {})",
         plan.shard_count()
     );
 
-    let sharded = build(
-        scenario.dirty.clone(),
-        scenario.dirty_fds.clone(),
-        WeightKind::DistinctCount,
-        17,
-        ShardRows::Threshold(0),
-    );
-    let monolithic = build(
-        scenario.dirty.clone(),
-        scenario.dirty_fds.clone(),
-        WeightKind::DistinctCount,
-        17,
-        ShardRows::Off,
-    );
-    assert_eq!(sharded.stats().conflict_graph_builds, plan.shard_count());
-    assert_eq!(sharded.stats().shards, plan.shard_count());
+    let mut engine = RepairEngine::builder(instance.clone(), fds.clone())
+        .weight(WeightKind::DistinctCount)
+        .parallelism(Parallelism::Serial)
+        .max_expansions(100_000)
+        .seed(17)
+        .build()
+        .unwrap();
+    let stats = engine.stats();
+    // The row count picks the path: sharded iff rows ≥ the threshold, with
+    // one conflict-graph build per shard.
+    let sharded = stats.shards > 0;
     assert_eq!(
-        sharded.problem().conflict_graph(),
-        monolithic.problem().conflict_graph()
+        sharded,
+        rows >= ENGINE_SHARD_ROWS,
+        "{rows} rows built with {} shards",
+        stats.shards
     );
+    let (builds, shards) = if sharded {
+        (plan.shard_count(), plan.shard_count())
+    } else {
+        (1, 0)
+    };
+    assert_eq!(
+        (stats.conflict_graph_builds, stats.shards),
+        (builds, shards)
+    );
+
+    // The path the row count did not pick, built in rt-core.
+    let mut other = if sharded {
+        RepairProblem::with_weight(instance, fds, WeightKind::DistinctCount)
+    } else {
+        RepairProblem::from_sharded(
+            instance.clone(),
+            fds,
+            &plan,
+            WeightKind::DistinctCount,
+            Parallelism::Serial,
+        )
+        .unwrap()
+    };
+    assert_eq!(engine.problem().conflict_graph(), other.conflict_graph());
 
     // The gated prefix of the τ-sweep (a full spectrum at this scale is a
     // bench-only exercise), bit-identical.
-    let prefix = |engine: &RepairEngine| {
-        let mut points = Vec::new();
-        for point in engine.sweep(0..=engine.delta_p_original()).take(3) {
-            points.push(point.expect("sweep point materializes"));
-        }
-        Spectrum {
-            points,
-            search_stats: Default::default(),
-        }
+    let mut points = Vec::new();
+    for point in engine.sweep(0..=engine.delta_p_original()).take(3) {
+        points.push(point.expect("sweep point materializes"));
+    }
+    let e = Spectrum {
+        points,
+        search_stats: Default::default(),
     };
-    let s = prefix(&sharded);
-    let m = prefix(&monolithic);
-    assert_spectra_identical(&s, &m, "warehouse prefix");
-    assert!(!s.points.is_empty(), "prefix must materialize points");
+    assert_spectra_identical(&e, &spectrum_prefix(&other, 17, 3), "warehouse prefix");
+    assert!(!e.points.is_empty(), "prefix must materialize points");
+
+    // A bridging batch patches the engine's graph: no rebuild, no replan.
+    let target = plan.shards()[0][0];
+    let victim = plan.shards()[1][0];
+    let bridge = bridging_ops(instance, fds, target, victim);
+    engine
+        .apply(&bridge.iter().cloned().collect::<MutationBatch>())
+        .expect("bridge applies");
+    other.apply_mutations(&bridge).expect("bridge applies");
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.conflict_graph_builds, stats.shards),
+        (builds, shards),
+        "a mutation must never trigger a rebuild or a replan"
+    );
+    assert_eq!(stats.graph_rebuild_avoided, 1);
+    assert_eq!(engine.problem().conflict_graph(), other.conflict_graph());
 }

@@ -220,3 +220,19 @@ fn zero_search_limits_in_the_config_fail_typed() {
         assert!(err.to_string().contains(field), "{field}: {err}");
     }
 }
+
+#[test]
+fn a_reserved_algorithm_byte_in_the_config_fails_typed() {
+    let mut bytes = figure2_engine().snapshot().unwrap();
+    // The same offsets as `zero_search_limits_in_the_config_fail_typed`;
+    // the algorithm tag is config payload byte 1, always 0 (A*).
+    let (len_at, crc_at, payload_at) = (20, 28, 32);
+    let len = u64::from_le_bytes(bytes[len_at..crc_at].try_into().unwrap()) as usize;
+    assert_eq!(bytes[payload_at + 1], 0, "engines write A* as 0");
+    bytes[payload_at + 1] = 1;
+    let crc = crc32(&bytes[payload_at..payload_at + len]);
+    bytes[crc_at..payload_at].copy_from_slice(&crc.to_le_bytes());
+    let err = RepairEngine::restore(&bytes).unwrap_err();
+    assert!(matches!(err, EngineError::Snapshot(_)), "{err:?}");
+    assert!(err.to_string().contains("algorithm"), "{err}");
+}
