@@ -178,7 +178,7 @@ mod tests {
     fn wire_codes_are_stable_and_distinct() {
         let errors = [
             EngineError::InvalidConfig("x".into()),
-            EngineError::Relation(RelationError::Csv("x".into())),
+            EngineError::Relation(RelationError::UnknownAttribute("x".into())),
             EngineError::Fd("x".into()),
             EngineError::io("p", "m"),
             EngineError::Parse {
@@ -213,8 +213,8 @@ mod tests {
 
     #[test]
     fn relation_errors_convert() {
-        let e: EngineError = RelationError::Csv("bad header".into()).into();
+        let e: EngineError = RelationError::DuplicateAttribute("Income".into()).into();
         assert!(matches!(e, EngineError::Relation(_)));
-        assert!(e.to_string().contains("bad header"));
+        assert!(e.to_string().contains("Income"));
     }
 }

@@ -443,7 +443,8 @@ pub(crate) fn encode(
             put_usize(&mut config, n);
         }
     }
-    put_bool(&mut config, search_config.heuristic_cache);
+    // The heuristic-cache byte: engines always memoize, so it is always 1.
+    put_u8(&mut config, 1);
     put_bool(&mut config, problem.has_partition_index());
 
     let mut schema_sec = Vec::new();
@@ -679,7 +680,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         (2, n) => Parallelism::Fixed(n),
         (t, _) => return Err(bad(format!("unknown parallelism tag {t}"))),
     };
-    let heuristic_cache = r.bool_()?;
+    // Engines always memoize the heuristic; the byte stays in the layout,
+    // reserved at 1.
+    let heuristic_cache = r.u8()?;
+    if heuristic_cache != 1 {
+        return Err(bad(format!(
+            "config: heuristic cache byte {heuristic_cache} is reserved (expected 1, cached)"
+        )));
+    }
     let has_partition_index = r.bool_()?;
     // The builder cannot produce a zero limit, so a snapshot carrying one
     // is corrupt: the search could not even expand its root.
@@ -699,7 +707,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             node_budget,
         },
         parallelism,
-        heuristic_cache,
+        heuristic_cache: true,
     };
 
     // SCHEMA

@@ -70,7 +70,7 @@ mod tests {
         assert_eq!(e.to_string(), "line 17: expected 3 fields, found 2");
         let e: IoError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
         assert!(e.to_string().contains("gone"));
-        let e: IoError = RelationError::Csv("bad".into()).into();
-        assert!(e.to_string().contains("bad"));
+        let e: IoError = RelationError::DuplicateAttribute("dup".into()).into();
+        assert!(e.to_string().contains("dup"));
     }
 }

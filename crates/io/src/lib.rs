@@ -6,10 +6,17 @@
 //! only writes it). It never builds a per-cell `Value` to find a cell's
 //! code: a hand-rolled, offline, streaming record parser
 //! ([`record::RecordReader`]: quoting, escaped quotes, CRLF, multiline
-//! quoted fields, configurable delimiter, header handling, a leading
-//! byte-order mark) feeds raw field text **directly into the dictionary
-//! encoding** via `rt_relation::EncodedLoader`, with a configurable
-//! per-cell null policy. Every load is one streaming pass on every core:
+//! quoted fields, configurable delimiter, a leading byte-order mark) feeds
+//! raw field text **directly into the dictionary encoding** via
+//! `rt_relation::EncodedLoader`.
+//!
+//! The dialect is fixed apart from the delimiter. The first record names
+//! the columns. Unquoted fields are trimmed, and are null exactly when they
+//! are one of [`rt_relation::csv::NULL_TOKENS`] — the tokens the CSV writer
+//! quotes, so whatever it writes reads back as the same data. Quoted fields
+//! are literal: `""` loads as an empty string, `,,` as a null.
+//!
+//! Every load is one streaming pass on every core:
 //! after the header, the input is cut into blocks of about 256 KiB that
 //! end at record boundaries; one worker per core (the loading thread is
 //! one) parses each block once and encodes it against block-local
@@ -23,14 +30,10 @@
 //! depend on the block size or the number of cores. Memory is the encoded
 //! columns, the distinct texts and at most one block per worker plus one.
 //!
-//! Entry points, from most to least convenient:
+//! Entry points (both infer every column's type):
 //!
-//! * [`load_path`] — a file, with inferred column types.
-//! * [`read_instance`] — any `Read` source, with inferred column types.
-//! * [`read_instance_with_types`] — any `Read` source, with the column
-//!   types given; a field that does not parse under its type fails the load
-//!   on its own line.
-//! * [`InstanceCsvExt`] — the `Instance::from_csv` convenience.
+//! * [`load_path`] — a file.
+//! * [`read_instance`] — any `Read` source, never buffered whole.
 //!
 //! ```
 //! use rt_io::{read_instance, CsvOptions};
@@ -55,6 +58,7 @@ pub use error::IoError;
 
 use record::{BlockCutter, Record, RecordReader};
 use rt_par::Parallelism;
+use rt_relation::csv::NULL_TOKENS;
 use rt_relation::{ColumnType, EncodedBlock, EncodedLoader, Instance, Schema};
 use std::any::Any;
 use std::io::{BufRead, BufReader, Read};
@@ -62,47 +66,30 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::{mpsc, Mutex};
 
-/// Dialect and policy knobs for the typed reader.
+/// The reader's delimiter and the loaded relation's name; the rest of the
+/// dialect is fixed (see the [crate docs](crate)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsvOptions {
     /// Field delimiter (a single ASCII byte; `,` for CSV, `\t` for TSV).
     pub delimiter: u8,
-    /// When `true` (the default) the first record names the columns;
-    /// otherwise columns are named `c0`, `c1`, ….
-    pub has_header: bool,
-    /// Trim ASCII whitespace around *unquoted* fields before null
-    /// classification and type inference (quoted fields are always
-    /// literal). Default `true`.
-    pub trim: bool,
-    /// Unquoted fields equal to any of these tokens become `Null`. Quoted
-    /// fields are never null — `""` loads as an empty string, `,,` as a
-    /// null. Default: `""`, `"NULL"`, `"null"`, `"NA"`.
-    pub null_tokens: Vec<String>,
     /// Relation name given to the loaded schema.
     pub relation_name: String,
 }
 
 impl CsvOptions {
-    /// Comma-separated, with a header row and the default null policy.
+    /// Comma-separated.
     pub fn csv() -> Self {
         CsvOptions {
             delimiter: b',',
-            has_header: true,
-            trim: true,
-            null_tokens: rt_relation::csv::NULL_TOKENS
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
             relation_name: "csv".to_string(),
         }
     }
 
-    /// Tab-separated, otherwise like [`CsvOptions::csv`].
+    /// Tab-separated.
     pub fn tsv() -> Self {
         CsvOptions {
             delimiter: b'\t',
             relation_name: "tsv".to_string(),
-            ..CsvOptions::csv()
         }
     }
 
@@ -110,32 +97,6 @@ impl CsvOptions {
     pub fn relation(mut self, name: impl Into<String>) -> Self {
         self.relation_name = name.into();
         self
-    }
-
-    /// Sets whether the first record is a header.
-    pub fn header(mut self, has_header: bool) -> Self {
-        self.has_header = has_header;
-        self
-    }
-
-    /// Replaces the null-token list.
-    pub fn nulls<I: IntoIterator<Item = S>, S: Into<String>>(mut self, tokens: I) -> Self {
-        self.null_tokens = tokens.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Normalizes one raw field: applies trimming, then the null policy.
-    /// `None` means the cell is null.
-    fn normalize<'a>(&self, text: &'a str, quoted: bool) -> Option<&'a str> {
-        if quoted {
-            return Some(text);
-        }
-        let t = if self.trim { text.trim() } else { text };
-        if self.null_tokens.iter().any(|n| n == t) {
-            None
-        } else {
-            Some(t)
-        }
     }
 }
 
@@ -150,9 +111,9 @@ impl Default for CsvOptions {
 pub struct LoadReport {
     /// The loaded instance, dictionary-encoded as it was read.
     pub instance: Instance,
-    /// The column types the cells were parsed under.
+    /// Each column's type, inferred from its cells.
     pub columns: Vec<ColumnType>,
-    /// Number of null cells produced by the null policy.
+    /// Number of null cells (unquoted [`NULL_TOKENS`]).
     pub null_cells: usize,
 }
 
@@ -166,16 +127,21 @@ fn check_arity(found: usize, expected: usize, line: usize) -> Result<(), IoError
     Ok(())
 }
 
+/// One raw field as a cell's text: a quoted field is literal; an unquoted
+/// one is trimmed, and is null (`None`) when it is one of [`NULL_TOKENS`].
+fn normalize(text: &str, quoted: bool) -> Option<&str> {
+    if quoted {
+        return Some(text);
+    }
+    let text = text.trim();
+    (!NULL_TOKENS.contains(&text)).then_some(text)
+}
+
 /// Normalizes one record and appends it to `block`.
-fn push_record(
-    block: &mut EncodedBlock,
-    record: Record<'_>,
-    arity: usize,
-    options: &CsvOptions,
-) -> Result<(), IoError> {
+fn push_record(block: &mut EncodedBlock, record: Record<'_>, arity: usize) -> Result<(), IoError> {
     check_arity(record.len(), arity, record.line)?;
     block
-        .push_row(record.fields().map(|(t, q)| options.normalize(t, q)))
+        .push_row(record.fields().map(|(t, q)| normalize(t, q)))
         .map_err(|e| IoError::parse(record.line, e.to_string()))
 }
 
@@ -211,13 +177,12 @@ impl Slot {
 
     /// Parses the block's records into its encoded rows, stopping at the
     /// first error.
-    fn encode(&mut self, arity: usize, options: &CsvOptions) {
-        let mut records =
-            RecordReader::starting_at(&self.text[..], options.delimiter, self.first_line);
+    fn encode(&mut self, arity: usize, delimiter: u8) {
+        let mut records = RecordReader::starting_at(&self.text[..], delimiter, self.first_line);
         self.error = loop {
             match records.next_record() {
                 Ok(Some(record)) => {
-                    if let Err(e) = push_record(&mut self.block, record, arity, options) {
+                    if let Err(e) = push_record(&mut self.block, record, arity) {
                         break Some(e);
                     }
                 }
@@ -228,16 +193,10 @@ impl Slot {
     }
 }
 
-/// The load loop: reads the header (or, for headerless input, names the
-/// columns after the first record's width and loads it as data), then cuts
-/// the rest of the input into blocks of about [`BLOCK_BYTES`] and encodes
-/// them. Column types are `columns` when given, inferred otherwise.
-fn load<R: BufRead>(
-    input: R,
-    columns: Option<&[ColumnType]>,
-    options: &CsvOptions,
-) -> Result<LoadReport, IoError> {
-    load_blocks(input, columns, options, BLOCK_BYTES, Parallelism::Auto)
+/// The load loop: reads the header, then cuts the rest of the input into
+/// blocks of about [`BLOCK_BYTES`] and encodes them.
+fn load<R: BufRead>(input: R, options: &CsvOptions) -> Result<LoadReport, IoError> {
+    load_blocks(input, options, BLOCK_BYTES, Parallelism::Auto)
 }
 
 /// [`load`] with the block size and worker count as arguments. Blocks are
@@ -247,53 +206,28 @@ fn load<R: BufRead>(
 /// encoded inline.
 fn load_blocks<R: BufRead>(
     input: R,
-    columns: Option<&[ColumnType]>,
     options: &CsvOptions,
     block_bytes: usize,
     workers: Parallelism,
 ) -> Result<LoadReport, IoError> {
-    let mut records = RecordReader::new(input, options.delimiter)?;
-    let Some(first) = records.next_record()? else {
+    let delimiter = options.delimiter;
+    let mut records = RecordReader::new(input, delimiter)?;
+    let Some(header) = records.next_record()? else {
         return Err(IoError::parse(0, "empty input: missing header"));
     };
-    let names: Vec<String> = if options.has_header {
-        first
-            .fields()
-            .map(|(t, quoted)| {
-                if !quoted && options.trim {
-                    t.trim().to_string()
-                } else {
-                    t.to_string()
-                }
-            })
-            .collect()
-    } else {
-        (0..first.len()).map(|i| format!("c{i}")).collect()
-    };
+    let names: Vec<String> = header
+        .fields()
+        .map(|(t, quoted)| if quoted { t } else { t.trim() }.to_string())
+        .collect();
     let arity = names.len();
-    if let Some(columns) = columns {
-        if columns.len() != arity {
-            return Err(IoError::parse(
-                1,
-                format!(
-                    "{} column types provided for {arity} columns",
-                    columns.len()
-                ),
-            ));
-        }
-    }
-    let mut loader = EncodedLoader::new(Schema::new(&options.relation_name, names)?, columns)?;
+    let mut loader = EncodedLoader::new(Schema::new(&options.relation_name, names)?);
     let mut slot = Slot::new(loader.block());
-    if !options.has_header {
-        push_record(&mut slot.block, first, arity, options)?;
-        loader.merge(&mut slot.block);
-    }
     let (lines, input) = records.into_input();
-    let mut cutter = BlockCutter::new(input, options.delimiter, lines);
+    let mut cutter = BlockCutter::new(input, delimiter, lines);
     if let Some(first_line) = cutter.next_block(&mut slot.text, block_bytes) {
         slot.first_line = first_line;
         if cutter.is_done() {
-            slot.encode(arity, options);
+            slot.encode(arity, delimiter);
             if let Some(e) = slot.error {
                 return Err(e);
             }
@@ -305,7 +239,7 @@ fn load_blocks<R: BufRead>(
                 .map(|_| Slot::new(loader.block()))
                 .collect();
             let plan = (arity, block_bytes, rows + rows / 8);
-            run_workers(&mut loader, &mut cutter, slot, free, plan, options)?;
+            run_workers(&mut loader, &mut cutter, slot, free, plan, delimiter)?;
         }
     }
     assert!(
@@ -336,7 +270,7 @@ fn run_workers<R: BufRead>(
     mut first: Slot,
     mut free: Vec<Slot>,
     (arity, block_bytes, rows): (usize, usize, usize),
-    options: &CsvOptions,
+    delimiter: u8,
 ) -> Result<(), IoError> {
     for slot in std::iter::once(&mut first).chain(&mut free) {
         slot.block.reserve(rows);
@@ -355,7 +289,7 @@ fn run_workers<R: BufRead>(
                     .recv();
                 let Ok(mut slot) = job else { break };
                 let encoded =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| slot.encode(arity, options)));
+                    std::panic::catch_unwind(AssertUnwindSafe(|| slot.encode(arity, delimiter)));
                 slot.panic = encoded.err();
                 if to_loader.send(slot).is_err() {
                     break;
@@ -402,7 +336,7 @@ fn run_workers<R: BufRead>(
                 Err(_) => match queued() {
                     // Nothing is back yet: encode a queued block here.
                     Some(mut slot) => {
-                        slot.encode(arity, options);
+                        slot.encode(arity, delimiter);
                         slot
                     }
                     None => done.recv().expect("every block in flight comes back"),
@@ -429,7 +363,7 @@ fn run_workers<R: BufRead>(
 
 /// Loads a file with inferred column types, in one streaming pass.
 pub fn load_path(path: impl AsRef<Path>, options: &CsvOptions) -> Result<LoadReport, IoError> {
-    load(BufReader::new(std::fs::File::open(path)?), None, options)
+    load(BufReader::new(std::fs::File::open(path)?), options)
 }
 
 /// An alias of [`load_path`]; `chunk_rows` is ignored, since the loader
@@ -446,39 +380,7 @@ pub fn load_path_chunked(
 /// Loads any `Read` source with inferred column types, in one streaming
 /// pass (the source is never buffered whole).
 pub fn read_instance<R: Read>(reader: R, options: &CsvOptions) -> Result<LoadReport, IoError> {
-    load(BufReader::new(reader), None, options)
-}
-
-/// Loads any `Read` source in one streaming pass with caller-provided
-/// column types. Each distinct field text is parsed under its column's
-/// type when first seen, so a bad field fails the load on its own line.
-pub fn read_instance_with_types<R: Read>(
-    reader: R,
-    columns: &[ColumnType],
-    options: &CsvOptions,
-) -> Result<LoadReport, IoError> {
-    load(BufReader::new(reader), Some(columns), options)
-}
-
-/// `Instance::from_csv`-style conveniences, as an extension trait so the
-/// inherent-looking spelling works without `rt-relation` depending on this
-/// crate.
-pub trait InstanceCsvExt: Sized {
-    /// Loads a CSV/TSV file into a new instance (typed, encoded path).
-    fn from_csv(path: impl AsRef<Path>, options: &CsvOptions) -> Result<Self, IoError>;
-
-    /// Loads CSV/TSV text into a new instance (typed, encoded path).
-    fn from_csv_str(text: &str, options: &CsvOptions) -> Result<Self, IoError>;
-}
-
-impl InstanceCsvExt for Instance {
-    fn from_csv(path: impl AsRef<Path>, options: &CsvOptions) -> Result<Self, IoError> {
-        Ok(load_path(path, options)?.instance)
-    }
-
-    fn from_csv_str(text: &str, options: &CsvOptions) -> Result<Self, IoError> {
-        Ok(read_instance(text.as_bytes(), options)?.instance)
-    }
+    load(BufReader::new(reader), options)
 }
 
 #[cfg(test)]
@@ -538,58 +440,25 @@ Cara,NA,-0.5,
     }
 
     #[test]
-    fn headerless_and_tsv_dialects() {
-        let report = read_instance(
-            "1\t2.5\n3\t4.5\n".as_bytes(),
-            &CsvOptions::tsv().header(false),
-        )
-        .unwrap();
+    fn tsv_dialect_infers_every_column() {
+        let report =
+            read_instance("a\tb\n1\t2.5\n3\t4.5\n".as_bytes(), &CsvOptions::tsv()).unwrap();
         assert_eq!(report.instance.len(), 2);
-        assert_eq!(
-            report
-                .instance
-                .schema()
-                .attributes()
-                .map(|(_, n)| n.to_string())
-                .collect::<Vec<_>>(),
-            vec!["c0", "c1"]
-        );
+        assert_eq!(report.instance.schema().name(), "tsv");
         assert_eq!(report.columns, vec![ColumnType::Int, ColumnType::Float]);
     }
 
     #[test]
-    fn explicit_types_stream_in_one_pass() {
-        let report = read_instance_with_types(
-            "a,b\n1,x\n2,y\n".as_bytes(),
-            &[ColumnType::Str, ColumnType::Str],
-            &CsvOptions::csv(),
-        )
-        .unwrap();
-        assert_eq!(
-            *report.instance.cell(CellRef::new(0, AttrId(0))).unwrap(),
-            Value::str("1")
-        );
-        // Wrong arity of the type list is a typed error.
-        assert!(read_instance_with_types(
-            "a,b\n1,2\n".as_bytes(),
-            &[ColumnType::Int],
-            &CsvOptions::csv(),
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn from_csv_extension_round_trips_a_file() {
+    fn a_file_and_its_text_load_alike() {
         let dir = std::env::temp_dir().join("rt_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
         std::fs::write(&path, SAMPLE).unwrap();
-        let inst = Instance::from_csv(&path, &CsvOptions::csv().relation("people")).unwrap();
+        let options = CsvOptions::csv().relation("people");
+        let inst = load_path(&path, &options).unwrap().instance;
         assert_eq!(inst.schema().name(), "people");
         assert_eq!(inst.len(), 3);
-        // The file and the in-memory text load alike.
-        let buffered =
-            Instance::from_csv_str(SAMPLE, &CsvOptions::csv().relation("people")).unwrap();
+        let buffered = read_instance(SAMPLE.as_bytes(), &options).unwrap().instance;
         assert_eq!(inst, buffered);
         std::fs::remove_file(&path).ok();
     }
@@ -617,15 +486,15 @@ Cara,NA,-0.5,
         }
     }
 
-    /// One oracle case: CSV text and, for a typed load, its column types.
-    /// Fields mix plain and quoted text, quoted line breaks and doubled
-    /// quotes, nulls, padding and U+FEFF; lines end in LF or CRLF with
-    /// blank lines between records. `case % 8` picks one fault, placed in
-    /// a late record: none (three in eight), a ragged row, a stray quote,
-    /// text after a closing quote, an unterminated quote at EOF or invalid
-    /// UTF-8. Every third case is a typed load, with bad fields in two
-    /// columns of neighbouring rows.
-    fn oracle_case(case: usize) -> (Vec<u8>, Option<Vec<ColumnType>>) {
+    /// One oracle case's CSV text. Fields mix plain and quoted text,
+    /// quoted line breaks and doubled quotes, nulls, padding, numbers and
+    /// U+FEFF; lines end in LF or CRLF with blank lines between records.
+    /// `case % 8` picks one fault, placed in a late record: none (three in
+    /// eight), a ragged row, a stray quote, text after a closing quote, an
+    /// unterminated quote at EOF or invalid UTF-8. Every third case also
+    /// has a ragged row a few rows before that record, followed a few rows
+    /// later by a stray quote, so the first error is not the last one.
+    fn oracle_case(case: usize) -> Vec<u8> {
         const TEXT: &[&str] = &[
             "ab",
             "7",
@@ -645,16 +514,9 @@ Cara,NA,-0.5,
         ];
         const NUMBERS: &[&str] = &["1", "07", "-3", "", "NA", "42"];
         let mut rng = Mix(0x5EED ^ case as u64);
-        let typed = case.is_multiple_of(3);
         let arity = 1 + rng.below(4);
         let rows = 20 + rng.below(400);
         let eol = if rng.below(2) == 0 { "\n" } else { "\r\n" };
-        let columns: Vec<ColumnType> = (0..arity)
-            .map(|a| match (typed, a % 2) {
-                (true, 0) => ColumnType::Int,
-                _ => ColumnType::Str,
-            })
-            .collect();
         let mut lines: Vec<String> = Vec::with_capacity(rows + 1);
         lines.push(
             (0..arity)
@@ -663,10 +525,9 @@ Cara,NA,-0.5,
                 .join(","),
         );
         for _ in 0..rows {
-            let fields: Vec<&str> = columns
-                .iter()
-                .map(|ty| match ty {
-                    ColumnType::Int => NUMBERS[rng.below(NUMBERS.len())],
+            let fields: Vec<&str> = (0..arity)
+                .map(|a| match a % 2 {
+                    0 => NUMBERS[rng.below(NUMBERS.len())],
                     _ => TEXT[rng.below(TEXT.len())],
                 })
                 .collect();
@@ -686,19 +547,10 @@ Cara,NA,-0.5,
             6 => lines.push("\"open, never closed".to_string()),
             _ => {}
         }
-        if typed && arity > 2 {
-            let bad = late.min(rows - 1);
-            let mut second: Vec<&str> = lines[bad].split(',').collect();
-            if second.len() == arity && !lines[bad].contains('"') {
-                second[0] = "oops";
-                lines[bad] = second.join(",");
-                let first = bad - 1 - rng.below(3);
-                let mut fields: Vec<&str> = lines[first].split(',').collect();
-                if fields.len() == arity && !lines[first].contains('"') {
-                    fields[2] = "1.5";
-                    lines[first] = fields.join(",");
-                }
-            }
+        if case.is_multiple_of(3) {
+            let ragged = late - 4 - rng.below(3);
+            lines[ragged].push_str(",extra");
+            lines[ragged + 1 + rng.below(3)].insert_str(0, "x\"y");
         }
         let mut text = Vec::new();
         for (i, line) in lines.iter().enumerate() {
@@ -713,7 +565,7 @@ Cara,NA,-0.5,
                 text.extend_from_slice(eol.as_bytes());
             }
         }
-        (text, typed.then_some(columns))
+        text
     }
 
     /// Everything a load reports, in a comparable form.
@@ -739,15 +591,9 @@ Cara,NA,-0.5,
         let options = CsvOptions::csv();
         let (mut loaded, mut failed) = (0, 0);
         for case in 0..48 {
-            let (text, columns) = oracle_case(case);
+            let text = oracle_case(case);
             let load = |block_bytes, workers| {
-                summary(load_blocks(
-                    &text[..],
-                    columns.as_deref(),
-                    &options,
-                    block_bytes,
-                    workers,
-                ))
+                summary(load_blocks(&text[..], &options, block_bytes, workers))
             };
             let reference = load(text.len().max(1), Parallelism::Serial);
             match &reference {

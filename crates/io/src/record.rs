@@ -54,8 +54,8 @@ pub struct RecordReader<R> {
 }
 
 /// One field of the current record: its byte range and whether it was
-/// quoted (quoted fields are exempt from trimming and null classification
-/// downstream).
+/// quoted (the loader trims unquoted fields and reads some as null; quoted
+/// fields are literal).
 #[derive(Debug, Clone, Copy)]
 struct Span {
     start: usize,
@@ -164,9 +164,9 @@ impl<R: BufRead> RecordReader<R> {
     /// borrows the reader's buffers and is invalidated by the next call.
     pub fn next_record(&mut self) -> Result<Option<Record<'_>>, IoError> {
         // Skip *empty* lines between records. Whitespace-only lines are
-        // NOT skipped: they are real one-field records (null or a literal
-        // "   " depending on the caller's trim/null policy) — silently
-        // dropping them would shift row indices against the source file.
+        // NOT skipped: they are real one-field records (the loader trims
+        // them to a null) — silently dropping them would shift row indices
+        // against the source file.
         loop {
             if !self.next_line()? {
                 return Ok(None);
@@ -532,8 +532,8 @@ mod tests {
 
     #[test]
     fn whitespace_only_lines_are_records_not_blanks() {
-        // A single-column file: the "   " row is a real record (null under
-        // the default trim/null policy downstream), not a skippable blank.
+        // A single-column file: the "   " row is a real record (a null once
+        // the loader trims it), not a skippable blank.
         let recs = collect("a\nx\n   \ny\n", b',').unwrap();
         assert_eq!(recs.len(), 4);
         assert_eq!(recs[2][0], ("   ".to_string(), false));

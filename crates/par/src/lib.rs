@@ -122,10 +122,31 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = par
-        .effective_threads()
-        .min(len / MIN_ITEMS_PER_THREAD.max(1))
-        .max(1);
+    let threads = par.effective_threads().min(len / MIN_ITEMS_PER_THREAD);
+    fork_join(threads, len, f)
+}
+
+/// Like [`par_map_indexed`] but without the small-input cutoff: always uses
+/// up to `len` workers even for a handful of items.
+///
+/// Intended for coarse-grained fan-out where each item is a large unit of
+/// work (a whole experiment, a τ-search, a graph component), so thread-spawn
+/// overhead is negligible compared to the per-item cost.
+pub fn par_map_coarse<R, F>(par: Parallelism, len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    fork_join(par.effective_threads().min(len), len, f)
+}
+
+/// Maps `f` over `0..len` on up to `threads` threads (inline when that is
+/// one or fewer), returning results in index order.
+fn fork_join<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     if threads <= 1 || len <= 1 {
         return (0..len).map(f).collect();
     }
@@ -148,43 +169,6 @@ where
             handles.push(scope.spawn(move || range.map(f).collect::<Vec<R>>()));
         }
         // The calling thread works on the first chunk instead of idling.
-        per_chunk.push(first.map(f).collect());
-        for handle in handles {
-            per_chunk.push(handle.join().expect("worker thread panicked"));
-        }
-    });
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// Like [`par_map_indexed`] but without the small-input cutoff: always uses
-/// up to `len` workers even for a handful of items.
-///
-/// Intended for coarse-grained fan-out where each item is a large unit of
-/// work (a whole experiment, a τ-search, a graph component), so thread-spawn
-/// overhead is negligible compared to the per-item cost.
-pub fn par_map_coarse<R, F>(par: Parallelism, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = par.effective_threads().min(len).max(1);
-    if threads <= 1 || len <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunk_len = len.div_ceil(threads);
-    let chunks: Vec<std::ops::Range<usize>> = (0..threads)
-        .map(|t| (t * chunk_len).min(len)..((t + 1) * chunk_len).min(len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let f = &f;
-    let mut per_chunk: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks.len().saturating_sub(1));
-        let mut iter = chunks.iter().cloned();
-        let first = iter.next().expect("at least one non-empty chunk");
-        for range in iter {
-            handles.push(scope.spawn(move || range.map(f).collect::<Vec<R>>()));
-        }
         per_chunk.push(first.map(f).collect());
         for handle in handles {
             per_chunk.push(handle.join().expect("worker thread panicked"));

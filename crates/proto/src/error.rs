@@ -175,10 +175,6 @@ fn encode_relation_error(err: &RelationError) -> JsonValue {
             ("kind", JsonValue::Str("incompatible_instances".into())),
             ("message", JsonValue::Str(msg.clone())),
         ]),
-        RelationError::Csv(msg) => obj(vec![
-            ("kind", JsonValue::Str("csv".into())),
-            ("message", JsonValue::Str(msg.clone())),
-        ]),
         RelationError::Io(msg) => obj(vec![
             ("kind", JsonValue::Str("io".into())),
             ("message", JsonValue::Str(msg.clone())),
@@ -213,7 +209,6 @@ fn decode_relation_error(v: &JsonValue) -> Result<RelationError, String> {
         "incompatible_instances" => Ok(RelationError::IncompatibleInstances(
             str_field(v, "message")?.to_string(),
         )),
-        "csv" => Ok(RelationError::Csv(str_field(v, "message")?.to_string())),
         "io" => Ok(RelationError::Io(str_field(v, "message")?.to_string())),
         other => Err(format!("unknown relation error kind `{other}`")),
     }
@@ -257,7 +252,6 @@ mod tests {
             }),
             EngineError::Relation(RelationError::RowOutOfRange { row: 5, rows: 4 }),
             EngineError::Relation(RelationError::IncompatibleInstances("sizes".into())),
-            EngineError::Relation(RelationError::Csv("bad header".into())),
             EngineError::Relation(RelationError::Io("pipe".into())),
         ];
         for err in errors {

@@ -23,7 +23,7 @@ pub struct LoadSummary {
     pub types: Vec<String>,
     /// Number of loaded tuples.
     pub rows: usize,
-    /// Null cells produced by the null policy.
+    /// Null cells: unquoted fields the loader read as null.
     pub null_cells: usize,
     /// `δ_P(Σ, I)` — the session's spectrum budget reference.
     pub delta_p: usize,

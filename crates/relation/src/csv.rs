@@ -3,7 +3,7 @@
 //! Repaired instances are written back out as CSV; reading CSV is `rt-io`'s
 //! job (typed, dictionary-encoded loads). The writer quotes exactly the
 //! fields `rt-io` would otherwise misread, so its output loads back as the
-//! same data under `rt-io`'s default dialect.
+//! same data through `rt-io`.
 
 use crate::dict::{AttrDict, Code, CodeSpace};
 use crate::instance::Instance;
@@ -12,7 +12,7 @@ use crate::Result;
 use std::io::Write;
 use std::path::Path;
 
-/// The unquoted fields `rt-io`'s default CSV dialect reads as `Null`. A
+/// The unquoted fields `rt-io` reads as `Null` (after trimming them). A
 /// string cell equal to one of them is written quoted, so it reads back as
 /// that string.
 pub const NULL_TOKENS: [&str; 4] = ["", "NULL", "null", "NA"];

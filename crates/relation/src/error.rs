@@ -41,8 +41,6 @@ pub enum RelationError {
     },
     /// Two instances were diffed/compared but have different schemas or sizes.
     IncompatibleInstances(String),
-    /// CSV parsing failed.
-    Csv(String),
     /// Underlying I/O error (stringified so the error type stays `Clone + Eq`).
     Io(String),
 }
@@ -80,7 +78,6 @@ impl fmt::Display for RelationError {
             RelationError::IncompatibleInstances(msg) => {
                 write!(f, "incompatible instances: {msg}")
             }
-            RelationError::Csv(msg) => write!(f, "csv error: {msg}"),
             RelationError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }

@@ -45,7 +45,7 @@
 //! use rt_relation::{EncodedLoader, Schema, Value, AttrId, CellRef, ColumnType};
 //!
 //! let schema = Schema::new("readings", vec!["sensor", "value"]).unwrap();
-//! let mut loader = EncodedLoader::new(schema, None).unwrap();
+//! let mut loader = EncodedLoader::new(schema);
 //! let mut block = loader.block();
 //! block.push_row([Some("s1"), Some("20.5")]).unwrap();
 //! block.push_row([Some("s1"), None]).unwrap();

@@ -19,8 +19,9 @@
 //! the block's own, block after block — so the result is the same however
 //! the rows were split into blocks.
 //!
-//! Column types need not be known up front. While a column's type is open,
-//! each distinct raw text gets a *provisional id* on first sight (in
+//! Column types come from the data alone: the paper's algorithms only
+//! compare cells for equality, so no caller needs to impose one. Each
+//! distinct raw text gets a *provisional id* on first sight (in
 //! first-occurrence order, null taking an id of its own) and rows store
 //! provisional ids; each block records what its distinct texts say about
 //! the column's type. At the end of the input, [`EncodedLoader::finish`]
@@ -29,9 +30,7 @@
 //! codes, in exactly the dictionary order, that a value-by-value load of
 //! the typed cells would. The code column is rewritten only where distinct
 //! spellings collapse to one value (`7` and `07` under `Int`, `1` and `1.0`
-//! under `Float`). With types given by the caller, a block parses each
-//! first sighting under its column's type, so a bad field fails the row
-//! that carries it, and the merge interns new values as it meets them.
+//! under `Float`).
 //!
 //! The work counters see one `key_bytes_hashed` charge per non-null cell
 //! (its length) and one per interned value, and no `key_allocs`: a first
@@ -121,15 +120,18 @@ struct ColumnState {
     can_float: bool,
 }
 
-impl ColumnState {
-    fn new() -> Self {
+impl Default for ColumnState {
+    /// No evidence yet: every type is still possible.
+    fn default() -> Self {
         ColumnState {
             saw_value: false,
             can_int: true,
             can_float: true,
         }
     }
+}
 
+impl ColumnState {
     fn observe(&mut self, text: &str) {
         self.saw_value = true;
         if self.can_int && text.parse::<i64>().is_err() {
@@ -277,12 +279,9 @@ impl Distinct {
 }
 
 /// One column of an [`EncodedBlock`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BlockColumn {
-    /// The caller's type, checked on every first sighting; `None` while
-    /// the type is inferred.
-    ty: Option<ColumnType>,
-    /// What the block's distinct texts say about an inferred type.
+    /// What the block's distinct texts say about the column's type.
     state: ColumnState,
     distinct: Distinct,
     /// The block-local id of each row's cell.
@@ -300,7 +299,6 @@ struct BlockColumn {
 pub struct EncodedBlock {
     /// The load's hasher, the same in every block.
     hasher: CellHasher,
-    names: Vec<String>,
     columns: Vec<BlockColumn>,
     rows: usize,
     null_cells: usize,
@@ -309,13 +307,12 @@ pub struct EncodedBlock {
 }
 
 impl EncodedBlock {
-    /// Appends one row. Field `i` is the raw text of column `i`, already
-    /// classified by the caller's null policy (`None` = null).
+    /// Appends one row. Field `i` is the raw text of column `i`, or `None`
+    /// for a null.
     ///
     /// # Errors
     ///
-    /// Fails on arity mismatch or on a field that does not parse under its
-    /// column's given [`ColumnType`]; no row is appended in that case.
+    /// Fails on arity mismatch; no row is appended in that case.
     pub fn push_row<'t, I>(&mut self, fields: I) -> Result<()>
     where
         I: IntoIterator<Item = Option<&'t str>>,
@@ -329,7 +326,7 @@ impl EncodedBlock {
             });
         }
         let mut nulls = 0;
-        for (a, (field, col)) in fields.zip(&mut self.columns).enumerate() {
+        for (field, col) in fields.zip(&mut self.columns) {
             let distinct = &mut col.distinct;
             let id = match field {
                 None => {
@@ -348,21 +345,7 @@ impl EncodedBlock {
                     match distinct.find(hash, text) {
                         Some(i) => distinct.text_id(i),
                         None => {
-                            match col.ty {
-                                None => col.state.observe(text),
-                                Some(ty) => {
-                                    if let Err(e) = ty.parse(text) {
-                                        // Take back the row's earlier cells.
-                                        for col in &mut self.columns[..a] {
-                                            col.ids.pop();
-                                        }
-                                        let name = &self.names[a];
-                                        return Err(RelationError::Csv(format!(
-                                            "column `{name}`: {e}"
-                                        )));
-                                    }
-                                }
-                            }
+                            col.state.observe(text);
                             distinct.insert(hash, text)
                         }
                     }
@@ -395,52 +378,18 @@ impl EncodedBlock {
 }
 
 /// One column of an [`EncodedLoader`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ColumnLoad {
-    /// The caller's type, or `None` while it is inferred.
-    ty: Option<ColumnType>,
     state: ColumnState,
     /// Every distinct value merged so far; ids are provisional ids.
     distinct: Distinct,
-    /// With a given type: the code of each id. Empty while inferred, where
-    /// codes are fixed at finish.
-    codes: Vec<Code>,
 }
 
 impl ColumnLoad {
-    /// The id of a value the merge meets for the first time — the text
-    /// with `hash`, or null for `None` — interned at once when the type is
-    /// given.
-    fn first_sighting(&mut self, value: Option<(u64, &str)>, dict: &mut AttrDict) -> Code {
-        let id = match value {
-            None => self.distinct.insert_null(),
-            Some((hash, text)) => self.distinct.insert(hash, text),
-        };
-        if let Some(ty) = self.ty {
-            let value = value.map_or(Value::Null, |(_, text)| {
-                ty.parse(text)
-                    .expect("the block parsed this text under the column's type")
-            });
-            self.codes.push(dict.intern_uncounted(&value));
-        }
-        id
-    }
-
-    /// The code (given type) or provisional id (inferred) of `id`.
-    fn code(&self, id: Code) -> Code {
-        match self.ty {
-            Some(_) => self.codes[id as usize],
-            None => id,
-        }
-    }
-
-    /// Fixes an inferred column's type, interns its distinct values in
+    /// Fixes the column's type, interns its distinct values in
     /// first-occurrence order and rewrites `codes` from provisional ids to
-    /// codes where the two differ. A typed column is already final.
+    /// codes where the two differ.
     fn finish(self, dict: &mut AttrDict, codes: &mut [Code]) -> ColumnType {
-        if let Some(ty) = self.ty {
-            return ty;
-        }
         let ty = self.state.conclude();
         let distinct = &self.distinct;
         let remap: Vec<Code> = (0..distinct.len())
@@ -481,64 +430,34 @@ pub struct EncodedLoader {
     columns: Vec<ColumnLoad>,
     /// One hasher per load, cloned into every block.
     hasher: CellHasher,
-    /// Block-local id → code or provisional id (reused across merges).
+    /// Block-local id → provisional id (reused across merges).
     remap: Vec<Code>,
     null_cells: usize,
 }
 
 impl EncodedLoader {
-    /// Starts a typed bulk load of an empty instance over `schema`. With
-    /// `types`, cells parse under those column types; with `None`, each
+    /// Starts a bulk load of an empty instance over `schema`. Each
     /// column's type is inferred from its cells and fixed by
     /// [`EncodedLoader::finish`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when `types` does not provide exactly one type per attribute.
-    pub fn new(schema: Schema, types: Option<&[ColumnType]>) -> Result<Self> {
+    pub fn new(schema: Schema) -> Self {
         let arity = schema.arity();
-        if let Some(types) = types {
-            if types.len() != arity {
-                return Err(RelationError::ArityMismatch {
-                    tuple: types.len(),
-                    schema: arity,
-                });
-            }
-        }
-        let columns = (0..arity)
-            .map(|a| ColumnLoad {
-                ty: types.map(|types| types[a]),
-                state: ColumnState::new(),
-                distinct: Distinct::default(),
-                codes: Vec::new(),
-            })
-            .collect();
-        Ok(EncodedLoader {
+        EncodedLoader {
             out: vec![Column::default(); arity],
             schema,
             rows: 0,
-            columns,
+            columns: (0..arity).map(|_| ColumnLoad::default()).collect(),
             hasher: CellHasher::new(),
             remap: Vec::new(),
             null_cells: 0,
-        })
+        }
     }
 
     /// An empty block for this load.
     pub fn block(&self) -> EncodedBlock {
-        let schema = &self.schema;
         EncodedBlock {
             hasher: self.hasher.clone(),
-            names: schema.attributes().map(|(_, n)| n.to_string()).collect(),
-            columns: self
-                .columns
-                .iter()
-                .map(|col| BlockColumn {
-                    ty: col.ty,
-                    state: ColumnState::new(),
-                    distinct: Distinct::default(),
-                    ids: Vec::new(),
-                })
+            columns: (0..self.schema.arity())
+                .map(|_| BlockColumn::default())
                 .collect(),
             rows: 0,
             null_cells: 0,
@@ -560,15 +479,15 @@ impl EncodedLoader {
             "a block merges only into the loader that made it"
         );
         work::count_key_hash(block.hashed_bytes);
-        for ((col, local), Column { dict, codes }) in self
+        for ((col, local), Column { codes, .. }) in self
             .columns
             .iter_mut()
             .zip(&mut block.columns)
             .zip(&mut self.out)
         {
             col.state.absorb(local.state);
-            local.state = ColumnState::new();
-            if col.ty.is_none() && col.distinct.len() == 0 {
+            local.state = ColumnState::default();
+            if col.distinct.len() == 0 {
                 // The column's first rows: their block-local ids are the
                 // load's provisional ids, so the block's values and ids are
                 // taken over as they are.
@@ -587,8 +506,11 @@ impl EncodedLoader {
                         .find(hash, text)
                         .map(|i| col.distinct.text_id(i)),
                 };
-                let id = found.unwrap_or_else(|| col.first_sighting(value, dict));
-                self.remap.push(col.code(id));
+                let id = found.unwrap_or_else(|| match value {
+                    None => col.distinct.insert_null(),
+                    Some((hash, text)) => col.distinct.insert(hash, text),
+                });
+                self.remap.push(id);
             }
             // Grow to the next power of two, as pushing row by row would,
             // so the column's capacity does not depend on the block sizes.
@@ -612,7 +534,7 @@ impl EncodedLoader {
         self.null_cells
     }
 
-    /// Ends the load: fixes every inferred column type and returns the
+    /// Ends the load: fixes every column's type and returns the
     /// instance together with the type of each column.
     pub fn finish(self) -> (Instance, Vec<ColumnType>) {
         let EncodedLoader {
@@ -646,7 +568,7 @@ mod tests {
 
     #[test]
     fn typed_rows_land_with_codes_in_lockstep() {
-        let mut loader = EncodedLoader::new(schema(), Some(&TYPES)).unwrap();
+        let mut loader = EncodedLoader::new(schema());
         let mut block = loader.block();
         block
             .push_row([Some("alice"), Some("1.5"), Some("3")])
@@ -687,60 +609,44 @@ mod tests {
 
     #[test]
     fn alternate_spellings_share_one_code() {
-        // With the type given, and with it inferred at the end of the load.
-        for types in [Some(&[ColumnType::Int][..]), None] {
-            let schema = Schema::new("t", vec!["n"]).unwrap();
-            let mut loader = EncodedLoader::new(schema, types).unwrap();
-            let mut block = loader.block();
-            for text in ["07", "7", " 7".trim(), "8"] {
-                block.push_row([Some(text)]).unwrap();
-            }
-            loader.merge(&mut block);
-            let (inst, types) = loader.finish();
-            assert_eq!(types, [ColumnType::Int]);
-            assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(1, AttrId(0)));
-            assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(2, AttrId(0)));
-            assert_eq!(inst.codes(AttrId(0)), [0, 0, 0, 1]);
-            assert_eq!(
-                inst.dict(AttrId(0)).constants(),
-                [Value::Int(7), Value::Int(8)]
-            );
+        // The type is inferred at the end of the load, and the spellings of
+        // one integer collapse to one code then.
+        let schema = Schema::new("t", vec!["n"]).unwrap();
+        let mut loader = EncodedLoader::new(schema);
+        let mut block = loader.block();
+        for text in ["07", "7", " 7".trim(), "8"] {
+            block.push_row([Some(text)]).unwrap();
         }
+        loader.merge(&mut block);
+        let (inst, types) = loader.finish();
+        assert_eq!(types, [ColumnType::Int]);
+        assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(1, AttrId(0)));
+        assert_eq!(inst.code_at(0, AttrId(0)), inst.code_at(2, AttrId(0)));
+        assert_eq!(inst.codes(AttrId(0)), [0, 0, 0, 1]);
+        assert_eq!(
+            inst.dict(AttrId(0)).constants(),
+            [Value::Int(7), Value::Int(8)]
+        );
     }
 
     #[test]
     fn bad_fields_are_typed_errors_and_leave_the_instance_unchanged() {
-        let mut loader = EncodedLoader::new(schema(), Some(&TYPES)).unwrap();
+        let mut loader = EncodedLoader::new(schema());
         let mut block = loader.block();
         block.push_row([Some("a"), Some("1.0"), Some("1")]).unwrap();
-        let err = block
-            .push_row([Some("b"), Some("oops"), Some("2")])
-            .unwrap_err();
-        assert!(matches!(err, RelationError::Csv(_)));
-        assert!(err.to_string().contains("score"));
-        // Non-finite floats never enter an instance.
-        let err = block
-            .push_row([Some("b"), Some("inf"), Some("2")])
-            .unwrap_err();
-        assert!(matches!(err, RelationError::Csv(_)));
-        // Ragged rows are arity errors.
-        assert!(matches!(
-            block.push_row([Some("b")]),
-            Err(RelationError::ArityMismatch { .. })
-        ));
+        // Ragged rows, short or long, are arity errors.
+        for ragged in [&[Some("b")][..], &[Some("b"), None, None, None]] {
+            assert!(matches!(
+                block.push_row(ragged.iter().copied()),
+                Err(RelationError::ArityMismatch { .. })
+            ));
+        }
         assert_eq!(block.rows(), 1);
         loader.merge(&mut block);
-        let (inst, _) = loader.finish();
+        let (inst, types) = loader.finish();
         assert_eq!(inst.len(), 1);
         assert_eq!(inst.codes(AttrId(0)).len(), 1);
-    }
-
-    #[test]
-    fn loader_requires_one_type_per_attribute() {
-        assert!(matches!(
-            EncodedLoader::new(schema(), Some(&[ColumnType::Str])),
-            Err(RelationError::ArityMismatch { .. })
-        ));
+        assert_eq!(types, TYPES);
     }
 
     #[test]
@@ -757,7 +663,7 @@ mod tests {
         ];
         let load = |split: usize| {
             let schema = Schema::new("t", vec!["n", "s"]).unwrap();
-            let mut loader = EncodedLoader::new(schema, None).unwrap();
+            let mut loader = EncodedLoader::new(schema);
             let mut block = loader.block();
             for part in [&rows[..split], &rows[split..]] {
                 for row in part {
@@ -801,8 +707,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "only into the loader that made it")]
     fn a_block_merges_only_into_its_own_loader() {
-        let mut loader = EncodedLoader::new(schema(), None).unwrap();
-        let mut other = EncodedLoader::new(schema(), None).unwrap().block();
+        let mut loader = EncodedLoader::new(schema());
+        let mut other = EncodedLoader::new(schema()).block();
         loader.merge(&mut other);
     }
 

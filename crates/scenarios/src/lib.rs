@@ -37,7 +37,7 @@ pub mod inject;
 pub use inject::{inject, ErrorSpec, InjectionReport};
 
 use rt_constraints::{Fd, FdSet};
-use rt_io::{CsvOptions, InstanceCsvExt};
+use rt_io::CsvOptions;
 use rt_relation::Instance;
 
 /// The bundled HOSP-style fixture (70 rows, 13 columns: quoted names,
@@ -174,8 +174,10 @@ fn info(name: &str) -> ScenarioInfo {
 /// that the clean data already violates — an inaccurate constraint rather
 /// than a corrupted one.
 fn hospital(config: &ScenarioConfig) -> Scenario {
-    let clean = Instance::from_csv_str(HOSPITAL_CSV, &CsvOptions::csv().relation("hospital"))
-        .expect("bundled fixture parses");
+    let options = CsvOptions::csv().relation("hospital");
+    let clean = rt_io::read_instance(HOSPITAL_CSV.as_bytes(), &options)
+        .expect("bundled fixture parses")
+        .instance;
     let clean = match config.rows {
         Some(n) if n < clean.len() => clean.truncate(n),
         _ => clean,

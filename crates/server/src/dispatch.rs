@@ -114,31 +114,15 @@ fn try_dispatch(state: &ServerState, request: Request) -> Result<Response, Error
             if cells > state.config.max_session_cells {
                 return Err(memory_limit(cells, state.config.max_session_cells));
             }
-            let schema = report.instance.schema().clone();
             let specs: Vec<&str> = fds.iter().map(String::as_str).collect();
-            let sigma = FdSet::parse(&specs, &schema)
+            let sigma = FdSet::parse(&specs, report.instance.schema())
                 .map_err(|e| ErrorFrame::engine(EngineError::Fd(e)))?;
             let engine = guard
                 .opts
                 .configure(RepairEngine::builder(report.instance, sigma))
                 .build()
                 .map_err(ErrorFrame::engine)?;
-            let summary = LoadSummary {
-                relation: schema.name().to_string(),
-                attributes: (0..schema.arity())
-                    .map(|i| {
-                        schema
-                            .attr_name(rt_relation::AttrId(i as u16))
-                            .unwrap_or("?")
-                            .to_string()
-                    })
-                    .collect(),
-                types: report.columns.iter().map(|c| c.to_string()).collect(),
-                rows: engine.problem().instance().len(),
-                null_cells: report.null_cells,
-                delta_p: engine.delta_p_original(),
-                conflict_edges: engine.problem().conflict_graph().edge_count(),
-            };
+            let summary = summary_of(&engine);
             guard.engine = Some(engine);
             // A fresh engine is a fresh durability baseline: rotate a
             // snapshot now so every later mutation only needs the WAL.
@@ -407,8 +391,8 @@ fn persist_rotation(
     }
 }
 
-/// Recomputes the `load_csv`-shaped summary from a restored engine, so a
-/// reconnecting client learns the schema it is talking to. Each column's
+/// The `load_csv` summary of an engine, freshly loaded or restored (so a
+/// reconnecting client learns the schema it is talking to). Each column's
 /// type follows the loader's rule (`rt-io`'s inference) over the column's
 /// dictionary constants: any string makes it `str`, else any float
 /// `float`, else any integer `int`, and a column with no non-null value

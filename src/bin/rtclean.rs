@@ -56,10 +56,10 @@ usage: rtclean <input.csv> --fd \"X1,X2->A\" [--fd ...] [options]
        rtclean serve [--listen <host:port>] [--unix <path>] [serve options]
        rtclean connect [<host:port> | unix:<path>]
 
-Input files load through the typed ingestion layer: column types
-(int/float/str) are inferred, a configurable null policy applies per cell,
-and the data is parsed directly into dictionary codes. Use --tsv for
-tab-separated input.
+Input files load through the typed ingestion layer: the first row names
+the columns, column types (int/float/str) are inferred, an unquoted field
+is trimmed and is null when empty or NULL, null or NA, and the data is
+parsed directly into dictionary codes. Use --tsv for tab-separated input.
 
 `rtclean apply` replays a JSON mutation log (inserts / deletes / cell
 updates / FD edits) against a live engine session, maintaining the prepared

@@ -16,8 +16,7 @@
 //!   unified [`prelude::EngineError`];
 //! * [`relation`] — schemas, tuples, instances and V-instances;
 //! * [`io`] — typed, streaming CSV/TSV ingestion that parses directly into
-//!   dictionary codes (`rt_io::load_path`, `Instance::from_csv` via
-//!   [`prelude::InstanceCsvExt`]);
+//!   dictionary codes (`rt_io::load_path`, `rt_io::read_instance`);
 //! * [`scenarios`] — the catalog of named, seeded end-to-end workloads
 //!   behind `rtclean scenario <name>`;
 //! * [`par`] — the parallel execution layer: the [`prelude::Parallelism`]
@@ -137,7 +136,7 @@ pub mod prelude {
         RepairQuality,
     };
     pub use rt_graph::{approx_vertex_cover, UndirectedGraph};
-    pub use rt_io::{CsvOptions, InstanceCsvExt, IoError, LoadReport};
+    pub use rt_io::{CsvOptions, IoError, LoadReport};
     pub use rt_relation::{
         AttrId, CellRef, ColumnType, Instance, RelationError, Schema, Tuple, Value,
     };

@@ -110,6 +110,11 @@ fn usage_goes_to_stderr_with_exit_1_when_there_is_no_input() {
     let dir = Dir::new("usage");
     let usage = usage(&dir);
     assert!(usage.ends_with("  --help               print this help\n\n"));
+    // The input dialect is fixed: no null-policy or header flag exists.
+    assert!(usage.contains(
+        "the first row names\nthe columns, column types (int/float/str) are inferred, an unquoted field\n\
+         is trimmed and is null when empty or NULL, null or NA,"
+    ));
     for args in [
         &["--fd", "A->B"][..],
         &["apply", "--fd", "A->B", "--log", "m.json"],

@@ -1,12 +1,11 @@
 //! Edge-case coverage for the typed CSV/TSV ingestion layer, driven
 //! through the public facade the way a user would: quoted delimiters,
-//! CRLF endings, ragged rows, null-token policy, a byte-order mark,
+//! CRLF endings, ragged rows, null tokens, a byte-order mark,
 //! type-inference conflicts falling back to `Str`, types fixed only at the
 //! end of the input, and error order.
 
 use relative_trust::io::{
-    load_path, load_path_chunked, read_instance, read_instance_with_types, CsvOptions, IoError,
-    LoadReport,
+    load_path, load_path_chunked, read_instance, CsvOptions, IoError, LoadReport,
 };
 use relative_trust::prelude::*;
 use relative_trust::scenarios::{gen, WAREHOUSE_ERRORS};
@@ -60,11 +59,11 @@ fn ragged_rows_are_errors_with_line_numbers() {
 }
 
 #[test]
-fn null_tokens_apply_per_cell_and_quoting_escapes_them() {
+fn unquoted_null_spellings_load_as_null_and_quoted_ones_as_text() {
     let csv = "a,b\nNULL,1\nNA,2\n\"NULL\",3\n,4\n";
     let report = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap();
     let inst = &report.instance;
-    // Unquoted NULL / NA / empty all hit the default null policy...
+    // Unquoted NULL / NA / empty are all null tokens...
     assert!(inst.cell(CellRef::new(0, AttrId(0))).unwrap().is_null());
     assert!(inst.cell(CellRef::new(1, AttrId(0))).unwrap().is_null());
     assert!(inst.cell(CellRef::new(3, AttrId(0))).unwrap().is_null());
@@ -74,30 +73,13 @@ fn null_tokens_apply_per_cell_and_quoting_escapes_them() {
         Value::str("NULL")
     );
     assert_eq!(report.null_cells, 3);
-
-    // A custom token list replaces the default policy entirely.
-    let custom = CsvOptions::csv().nulls(["-"]);
-    let report = read_instance("a\n-\nNULL\n".as_bytes(), &custom).unwrap();
-    assert!(report
-        .instance
-        .cell(CellRef::new(0, AttrId(0)))
-        .unwrap()
-        .is_null());
-    assert_eq!(
-        *report.instance.cell(CellRef::new(1, AttrId(0))).unwrap(),
-        Value::str("NULL")
-    );
 }
 
 #[test]
 fn empty_input_is_an_error() {
-    for err in [
-        read_instance("".as_bytes(), &CsvOptions::csv()).unwrap_err(),
-        read_instance_with_types("".as_bytes(), &[], &CsvOptions::csv()).unwrap_err(),
-    ] {
-        assert!(matches!(err, IoError::Parse { line: 0, .. }), "{err:?}");
-        assert!(err.to_string().contains("missing header"), "{err}");
-    }
+    let err = read_instance("".as_bytes(), &CsvOptions::csv()).unwrap_err();
+    assert!(matches!(err, IoError::Parse { line: 0, .. }), "{err:?}");
+    assert!(err.to_string().contains("missing header"), "{err}");
 }
 
 #[test]
@@ -140,8 +122,7 @@ fn tsv_dialect_and_instance_from_csv_round_trip() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("data.tsv");
     std::fs::write(&path, "id\tscore\n1\t2.5\n2\t3.5\n").unwrap();
-    // The `Instance::from_csv` spelling comes from the extension trait.
-    let inst = Instance::from_csv(&path, &CsvOptions::tsv()).unwrap();
+    let inst = load_path(&path, &CsvOptions::tsv()).unwrap().instance;
     assert_eq!(inst.len(), 2);
     assert_eq!(
         *inst.cell(CellRef::new(1, AttrId(1))).unwrap(),
@@ -178,13 +159,11 @@ fn assert_same_load(a: &LoadReport, b: &LoadReport, context: &str) {
 #[test]
 fn chunked_streaming_is_identical_for_every_chunk_size() {
     // Every entry point is the same one-pass load: the in-memory reader,
-    // the reader with the inferred types given back to it, the file
-    // loader, and `load_path_chunked`, whose chunk size is ignored.
+    // the file loader, and `load_path_chunked`, whose chunk size is
+    // ignored.
     let csv = relative_trust::scenarios::HOSPITAL_CSV;
     let options = CsvOptions::csv().relation("hospital");
     let whole = read_instance(csv.as_bytes(), &options).unwrap();
-    let typed = read_instance_with_types(csv.as_bytes(), &whole.columns, &options).unwrap();
-    assert_same_load(&whole, &typed, "given types");
 
     let dir = std::env::temp_dir().join("rt_csv_io_chunked_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -246,13 +225,6 @@ fn a_leading_byte_order_mark_is_not_part_of_the_first_name() {
         .collect();
     assert_eq!(names, ["A", "B"]);
     assert_eq!(report.columns, [ColumnType::Int, ColumnType::Str]);
-    // Headerless input: the first cell is the integer 1, not "\u{feff}1".
-    let report =
-        read_instance("\u{feff}1,x\n".as_bytes(), &CsvOptions::csv().header(false)).unwrap();
-    assert_eq!(
-        *report.instance.cell(CellRef::new(0, AttrId(0))).unwrap(),
-        Value::Int(1)
-    );
 }
 
 #[test]
@@ -319,34 +291,12 @@ fn deferred_typing_keeps_value_by_value_codes() {
         &read_instance(csv.as_bytes(), &options).unwrap(),
         "read_instance",
     );
-    assert_same_load(
-        &expected,
-        &read_instance_with_types(csv.as_bytes(), &columns, &options).unwrap(),
-        "read_instance_with_types",
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn the_first_bad_line_is_the_one_reported() {
-    // Given types: the bad Int on line 3 fails the load before the reader
-    // reaches the unterminated quote on line 5.
-    let csv = "a,b\n1,x\noops,y\n2,z\n\"open,w\n";
-    let err = read_instance_with_types(
-        csv.as_bytes(),
-        &[ColumnType::Int, ColumnType::Str],
-        &CsvOptions::csv(),
-    )
-    .unwrap_err();
-    match err {
-        IoError::Parse { line, message } => {
-            assert_eq!(line, 3);
-            assert!(message.contains("`oops` is not an integer"), "{message}");
-        }
-        other => panic!("expected a parse error, got {other:?}"),
-    }
-    // Inferred types: the first ragged line, ahead of later ragged and
-    // malformed ones.
+    // The first ragged line, ahead of later ragged and malformed ones.
     let csv = "a,b\n1,x\n2\n3,y,z\n\"open,w\n";
     let err = read_instance(csv.as_bytes(), &CsvOptions::csv()).unwrap_err();
     assert!(matches!(err, IoError::Parse { line: 3, .. }), "{err:?}");
@@ -699,15 +649,9 @@ fn line_at(lines: &[String], offset: usize) -> usize {
     panic!("the input is shorter than {offset} bytes")
 }
 
-fn parse_error(lines: &[String], columns: Option<&[ColumnType]>) -> (usize, String) {
+fn parse_error(lines: &[String]) -> (usize, String) {
     let text = lines.join("\n") + "\n";
-    let options = CsvOptions::csv();
-    let err = match columns {
-        Some(columns) => read_instance_with_types(text.as_bytes(), columns, &options),
-        None => read_instance(text.as_bytes(), &options),
-    }
-    .unwrap_err();
-    match err {
+    match read_instance(text.as_bytes(), &CsvOptions::csv()).unwrap_err() {
         IoError::Parse { line, message } => (line, message),
         other => panic!("expected a parse error, got {other:?}"),
     }
@@ -715,34 +659,45 @@ fn parse_error(lines: &[String], columns: Option<&[ColumnType]>) -> (usize, Stri
 
 #[test]
 fn multi_block_loads_report_their_first_bad_line() {
-    // A bad typed field in the second block beats a ragged row in the
-    // fourth, though the later block may be encoded first.
-    let mut lines = numeric_rows(150_000, 2);
-    let bad = line_at(&lines, BLOCK + BLOCK / 2);
-    let ragged = line_at(&lines, 3 * BLOCK + BLOCK / 2);
-    lines[bad - 1] = "oops,1".to_string();
-    lines[ragged - 1] = "1".to_string();
-    let types = [ColumnType::Int, ColumnType::Int];
-    let (line, message) = parse_error(&lines, Some(&types));
-    assert_eq!(line, bad);
-    assert!(message.contains("`oops` is not an integer"), "{message}");
+    // An error in the second block beats one in the fourth, though the
+    // later block may be encoded first: a ragged row beats a stray quote,
+    // and a stray quote beats a ragged row.
+    let lines = numeric_rows(150_000, 2);
+    let early = line_at(&lines, BLOCK + BLOCK / 2);
+    let late = line_at(&lines, 3 * BLOCK + BLOCK / 2);
+    for (first, second, expected) in [
+        ("1", "x\"y,1", "expected 2 fields, found 1"),
+        ("x\"y,1", "1", "unexpected quote"),
+    ] {
+        let mut lines = lines.clone();
+        lines[early - 1] = first.to_string();
+        lines[late - 1] = second.to_string();
+        let (line, message) = parse_error(&lines);
+        assert_eq!(line, early);
+        assert!(message.contains(expected), "{message}");
+    }
 
-    // Within one later block, a bad field in column 2 beats a bad field in
-    // column 0 on a later row.
-    let mut lines = numeric_rows(100_000, 3);
+    // Within one later block, a fault in the last column beats a fault in
+    // the first column on a later row.
+    let lines = numeric_rows(100_000, 3);
     let first = line_at(&lines, 2 * BLOCK + BLOCK / 3);
-    lines[first - 1] = "1,2,x2".to_string();
-    lines[first + 2] = "x0,2,3".to_string();
-    let types = [ColumnType::Int, ColumnType::Str, ColumnType::Int];
-    let (line, message) = parse_error(&lines, Some(&types));
-    assert_eq!(line, first);
-    assert!(message.contains("column `c2`: `x2`"), "{message}");
+    for (bad, later, expected) in [
+        ("1,2", "x\"0,2,3", "expected 3 fields, found 2"),
+        ("1,2,x\"2", "1", "unexpected quote"),
+    ] {
+        let mut lines = lines.clone();
+        lines[first - 1] = bad.to_string();
+        lines[first + 2] = later.to_string();
+        let (line, message) = parse_error(&lines);
+        assert_eq!(line, first);
+        assert!(message.contains(expected), "{message}");
+    }
 
     // A stray quote on line 2 of a 2 MiB input.
     let mut lines = numeric_rows(300_000, 2);
     assert!(lines.iter().map(|l| l.len() + 1).sum::<usize>() > 8 * BLOCK);
     lines[1] = "x\"y,1".to_string();
-    let (line, message) = parse_error(&lines, None);
+    let (line, message) = parse_error(&lines);
     assert_eq!(line, 2);
     assert!(message.contains("unexpected quote"), "{message}");
 }

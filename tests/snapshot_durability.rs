@@ -236,3 +236,20 @@ fn a_reserved_algorithm_byte_in_the_config_fails_typed() {
     assert!(matches!(err, EngineError::Snapshot(_)), "{err:?}");
     assert!(err.to_string().contains("algorithm"), "{err}");
 }
+
+#[test]
+fn a_disabled_heuristic_cache_byte_in_the_config_fails_typed() {
+    let mut bytes = figure2_engine().snapshot().unwrap();
+    // The same offsets as `zero_search_limits_in_the_config_fail_typed`;
+    // after node_budget (26..34) come the parallelism tag and count
+    // (1 + 8), then the heuristic-cache byte at 43, always 1.
+    let (len_at, crc_at, payload_at) = (20, 28, 32);
+    let len = u64::from_le_bytes(bytes[len_at..crc_at].try_into().unwrap()) as usize;
+    assert_eq!(bytes[payload_at + 43], 1, "engines write the cache as on");
+    bytes[payload_at + 43] = 0;
+    let crc = crc32(&bytes[payload_at..payload_at + len]);
+    bytes[crc_at..payload_at].copy_from_slice(&crc.to_le_bytes());
+    let err = RepairEngine::restore(&bytes).unwrap_err();
+    assert!(matches!(err, EngineError::Snapshot(_)), "{err:?}");
+    assert!(err.to_string().contains("heuristic cache"), "{err}");
+}
