@@ -421,8 +421,8 @@ fn measure_warehouse(metrics: &mut Metrics) {
         // At the smallest sharded tier, cross-check the engine against a
         // monolithic build of the same loaded instance.
         if sharded && rows == ENGINE_SHARD_ROWS {
-            let mono = RepairProblem::with_weight_owned(
-                report.instance.clone(),
+            let mono = RepairProblem::with_weight_par(
+                &report.instance,
                 &fds,
                 WeightKind::DistinctCount,
                 Parallelism::Serial,

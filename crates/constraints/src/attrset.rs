@@ -117,11 +117,6 @@ impl AttrSet {
         self.0 & !other.0 == 0
     }
 
-    /// `true` when `self ⊇ other`.
-    pub fn is_superset_of(self, other: AttrSet) -> bool {
-        other.is_subset_of(self)
-    }
-
     /// `true` when the two sets share no attribute.
     pub fn is_disjoint_from(self, other: AttrSet) -> bool {
         self.0 & other.0 == 0
@@ -147,15 +142,6 @@ impl AttrSet {
             None
         } else {
             Some(AttrId(63 - self.0.leading_zeros() as u16))
-        }
-    }
-
-    /// The smallest attribute, if any.
-    pub fn min_attr(self) -> Option<AttrId> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(AttrId(self.0.trailing_zeros() as u16))
         }
     }
 
@@ -251,7 +237,6 @@ mod tests {
         assert_eq!(a.intersection(b), s(&[2]));
         assert_eq!(a.difference(b), s(&[0, 1]));
         assert!(s(&[1]).is_subset_of(a));
-        assert!(a.is_superset_of(s(&[0, 2])));
         assert!(!a.is_subset_of(b));
         assert!(s(&[5]).is_disjoint_from(a));
         assert!(!a.is_disjoint_from(b));
@@ -286,9 +271,7 @@ mod tests {
     fn min_max_attr() {
         let a = s(&[5, 17, 3]);
         assert_eq!(a.max_attr(), Some(AttrId(17)));
-        assert_eq!(a.min_attr(), Some(AttrId(3)));
         assert_eq!(AttrSet::EMPTY.max_attr(), None);
-        assert_eq!(AttrSet::EMPTY.min_attr(), None);
         assert_eq!(s(&[63]).max_attr(), Some(AttrId(63)));
     }
 

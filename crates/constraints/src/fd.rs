@@ -257,32 +257,6 @@ impl FdSet {
             .collect()
     }
 
-    /// Closure of an attribute set under this FD set (textbook fixpoint).
-    ///
-    /// Used to reason about implication, e.g. to price "appending a key
-    /// attribute" differently, and by tests validating minimality of mined
-    /// FD covers.
-    pub fn closure(&self, attrs: AttrSet) -> AttrSet {
-        let mut closure = attrs;
-        loop {
-            let mut changed = false;
-            for fd in &self.fds {
-                if fd.lhs.is_subset_of(closure) && !closure.contains(fd.rhs) {
-                    closure.insert(fd.rhs);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return closure;
-            }
-        }
-    }
-
-    /// `true` when this FD set logically implies `fd`.
-    pub fn implies(&self, fd: &Fd) -> bool {
-        self.closure(fd.lhs).contains(fd.rhs)
-    }
-
     /// `true` when `other` is a relaxation of `self`: every instance
     /// satisfying `self` also satisfies `other`. For the positional
     /// LHS-extension representation used here this reduces to
@@ -419,20 +393,6 @@ mod tests {
         assert!(fds.extension_delta(&different_rhs).is_none());
         let dropped_lhs = FdSet::parse(&["B->B", "C->D"], &schema);
         assert!(dropped_lhs.is_err() || fds.extension_delta(&dropped_lhs.unwrap()).is_none());
-    }
-
-    #[test]
-    fn closure_and_implication() {
-        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
-        let fds = FdSet::parse(&["A->B", "B->C"], &schema).unwrap();
-        let closure = fds.closure(AttrSet::singleton(AttrId(0)));
-        assert!(closure.contains(AttrId(0)));
-        assert!(closure.contains(AttrId(1)));
-        assert!(closure.contains(AttrId(2)));
-        assert!(!closure.contains(AttrId(3)));
-        assert!(fds.implies(&Fd::parse("A->C", &schema).unwrap()));
-        assert!(!fds.implies(&Fd::parse("A->D", &schema).unwrap()));
-        assert!(fds.implies(&Fd::parse("A,D->B", &schema).unwrap()));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::collections::{BTreeSet, HashMap};
 /// without allocating or hashing a `Vec<Value>` per probe. Codes are
 /// append-only in the instance's dictionaries, so stored keys stay valid
 /// across every mutation.
-/// Unlike [`crate::StrippedPartition`], singleton classes are kept: a row
-/// alone in its class today may receive a peer from the next insert.
+/// Singleton classes are kept: a row alone in its class today may receive a
+/// peer from the next insert.
 #[derive(Debug, Clone, Default)]
 pub struct FdPartitionIndex {
     /// `per_fd[i]` maps the (code-keyed) LHS projection of FD `i` to the

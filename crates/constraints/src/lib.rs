@@ -7,10 +7,7 @@
 //!   FD-modification search space;
 //! * [`Fd`] / [`FdSet`] — functional dependencies `X → A` and sets thereof,
 //!   including the LHS-extension mechanism used to *relax* FDs (the only FD
-//!   modification the paper allows) and implication-based reasoning;
-//! * [`partition`] — stripped partitions (equivalence classes of tuples under
-//!   a set of attributes), the workhorse of both violation detection and FD
-//!   discovery;
+//!   modification the paper allows);
 //! * [`violations`] — conflict-graph construction (Definition 6) and the
 //!   per-edge *difference sets* that power the A* heuristic of Section 5.2,
 //!   plus edge-level patching (`apply_delta`, `retract_tuples`) for live
@@ -19,10 +16,7 @@
 //!   partitions, so mutations recompute conflicts only around the touched
 //!   rows;
 //! * [`weights`] — the monotone weighting functions `w(Y)` that price LHS
-//!   extensions (attribute count, distinct-value count, entropy);
-//! * [`discovery`] — level-wise exact FD discovery used to set up the
-//!   experiments (the paper mines FDs with small LHSs from the clean data).
-
+//!   extensions (attribute count, distinct-value count, entropy).
 //!
 //! ```
 //! use rt_constraints::{ConflictGraph, FdSet};
@@ -43,17 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod attrset;
-pub mod discovery;
 pub mod fd;
 pub mod incremental;
-pub mod partition;
 pub mod violations;
 pub mod weights;
 
 pub use attrset::AttrSet;
-pub use discovery::{discover_fds, DiscoveryConfig};
 pub use fd::{Fd, FdSet};
 pub use incremental::{incident_conflict_edges, FdPartitionIndex};
-pub use partition::{PartitionStore, StrippedPartition};
 pub use violations::{ConflictEdge, ConflictGraph, ConflictGraphDeltaSummary};
 pub use weights::{AttrCountWeight, DistinctCountWeight, EntropyWeight, Weight};

@@ -18,6 +18,16 @@
 //! the original `Σ` and answer questions about any relaxation by filtering
 //! its edges through bitset operations on the stored difference sets,
 //! avoiding a full re-partitioning per search state.
+//!
+//! # Determinism contract
+//!
+//! Blocking groups rows into LHS classes and RHS sub-classes by their
+//! dictionary codes, never by hash order. Every class, sub-class and block
+//! is ordered by its **first (smallest) row index**, and rows within a
+//! class are ascending. Classes being disjoint, this coincides with the
+//! lexicographic order of the class vectors. So the edges a build emits,
+//! and their order, do not depend on which codes a dictionary assigned.
+//! The shard plan orders its shards by smallest row the same way.
 
 use crate::attrset::AttrSet;
 use crate::fd::{Fd, FdSet};
@@ -551,18 +561,6 @@ impl ConflictGraph {
         });
         summary
     }
-
-    /// Rows that participate in at least one conflict.
-    pub fn conflicting_rows(&self) -> Vec<usize> {
-        let mut rows: Vec<usize> = self
-            .edges
-            .iter()
-            .flat_map(|e| [e.rows.0, e.rows.1])
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -596,7 +594,6 @@ mod tests {
         assert_eq!(rows, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(cg.edge_count(), 3);
         assert!(!cg.is_empty());
-        assert_eq!(cg.conflicting_rows(), vec![0, 1, 2, 3]);
         // Edge labels: (t1,t2) violates both FDs; (t2,t3) only C->D; (t3,t4) only A->B.
         assert_eq!(cg.edges()[0].violated_fds, vec![0, 1]);
         assert_eq!(cg.edges()[1].violated_fds, vec![1]);
@@ -670,7 +667,6 @@ mod tests {
         let fds = FdSet::parse(&["A->B"], &schema).unwrap();
         let cg = ConflictGraph::build(&inst, &fds);
         assert!(cg.is_empty());
-        assert_eq!(cg.conflicting_rows(), Vec::<usize>::new());
     }
 
     #[test]

@@ -80,36 +80,12 @@ impl RepairProblem {
         weight: WeightKind,
         par: Parallelism,
     ) -> Self {
-        Self::with_weight_owned(instance.clone(), sigma, weight, par)
-    }
-
-    pub(crate) fn build_weight(instance: &Instance, weight: WeightKind) -> Arc<dyn Weight> {
-        match weight {
-            WeightKind::AttrCount => Arc::new(AttrCountWeight),
-            WeightKind::DistinctCount => Arc::new(DistinctCountWeight::new(instance)),
-            WeightKind::Entropy => Arc::new(EntropyWeight::new(instance)),
-        }
-    }
-
-    /// The owned-instance form of [`RepairProblem::with_weight_par`]: the
-    /// instance is **moved** into the problem instead of deep-copied.
-    ///
-    /// This is the scale-safe construction path — at a million rows the
-    /// borrow-and-clone constructors briefly hold two full tuple sets, the
-    /// caller's and the problem's; builders that own their instance (the
-    /// engine builder, the sharded path) should hand it over instead.
-    pub fn with_weight_owned(
-        instance: Instance,
-        sigma: &FdSet,
-        weight: WeightKind,
-        par: Parallelism,
-    ) -> Self {
-        let weight_fn = Self::build_weight(&instance, weight);
-        let conflict = ConflictGraph::build_with(&instance, sigma, par);
+        let weight_fn = Self::build_weight(instance, weight);
+        let conflict = ConflictGraph::build_with(instance, sigma, par);
         let diff_groups = Self::group_by_difference_set(&conflict);
         let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
         RepairProblem {
-            instance,
+            instance: instance.clone(),
             sigma: sigma.clone(),
             conflict,
             diff_groups,
@@ -117,6 +93,14 @@ impl RepairProblem {
             alpha,
             weight_kind: weight,
             incremental: None,
+        }
+    }
+
+    pub(crate) fn build_weight(instance: &Instance, weight: WeightKind) -> Arc<dyn Weight> {
+        match weight {
+            WeightKind::AttrCount => Arc::new(AttrCountWeight),
+            WeightKind::DistinctCount => Arc::new(DistinctCountWeight::new(instance)),
+            WeightKind::Entropy => Arc::new(EntropyWeight::new(instance)),
         }
     }
 

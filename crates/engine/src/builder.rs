@@ -131,8 +131,8 @@ impl RepairEngineBuilder {
             .map_err(EngineError::InvalidConfig)?;
             (problem, plan.shard_count(), plan.shard_count())
         } else {
-            let problem = RepairProblem::with_weight_owned(
-                self.instance,
+            let problem = RepairProblem::with_weight_par(
+                &self.instance,
                 &self.fds,
                 self.weight,
                 self.parallelism,

@@ -35,11 +35,6 @@ impl UndirectedGraph {
         self.edge_count
     }
 
-    /// Number of vertices with at least one incident edge.
-    pub fn non_isolated_vertex_count(&self) -> usize {
-        self.adjacency.iter().filter(|a| !a.is_empty()).count()
-    }
-
     /// `true` when the graph has no edges.
     pub fn is_empty(&self) -> bool {
         self.edge_count == 0
@@ -238,7 +233,6 @@ mod tests {
         assert_eq!(g.degree(2), 2);
         assert_eq!(g.degree(9), 0);
         assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(g.non_isolated_vertex_count(), 4);
     }
 
     #[test]

@@ -345,20 +345,39 @@ fn run_workers<R: BufRead>(
             if let Some(panic) = slot.panic {
                 std::panic::resume_unwind(panic);
             }
-            let at = slot.seq % capacity;
-            ready[at] = Some(slot);
-            while let Some(mut slot) = ready[merged % capacity].take() {
-                if let Some(e) = slot.error.take() {
-                    return Err(e);
-                }
-                loader.merge(&mut slot.block);
-                // A no-op unless the merge took the block's buffers over.
-                slot.block.reserve(rows);
-                merged += 1;
-                free.push(slot);
-            }
+            merge_in_order(loader, &mut ready, &mut merged, slot, &mut free, rows)?;
         }
     })
+}
+
+/// Parks `slot` at its place in the `ready` ring, then merges into
+/// `loader` every parked block that is next in input order, advancing
+/// `merged` and handing each merged slot back to `free` (sized again for
+/// `rows` rows). A block's error is returned when the block's turn comes,
+/// so the first error in input order wins whatever order blocks come back
+/// in.
+fn merge_in_order(
+    loader: &mut EncodedLoader,
+    ready: &mut [Option<Slot>],
+    merged: &mut usize,
+    slot: Slot,
+    free: &mut Vec<Slot>,
+    rows: usize,
+) -> Result<(), IoError> {
+    let capacity = ready.len();
+    let at = slot.seq % capacity;
+    ready[at] = Some(slot);
+    while let Some(mut slot) = ready[*merged % capacity].take() {
+        if let Some(e) = slot.error.take() {
+            return Err(e);
+        }
+        loader.merge(&mut slot.block);
+        // A no-op unless the merge took the block's buffers over.
+        slot.block.reserve(rows);
+        *merged += 1;
+        free.push(slot);
+    }
+    Ok(())
 }
 
 /// Loads a file with inferred column types, in one streaming pass.
@@ -615,5 +634,60 @@ Cara,NA,-0.5,
             loaded >= 12 && failed >= 12,
             "{loaded} loaded, {failed} failed"
         );
+    }
+
+    /// A block that fails with `error` (or, without one, holds the rows of
+    /// `text`) at position `seq` of a two-column input.
+    fn hand_built_slot(
+        loader: &EncodedLoader,
+        seq: usize,
+        text: &str,
+        error: Option<IoError>,
+    ) -> Slot {
+        let mut slot = Slot::new(loader.block());
+        slot.seq = seq;
+        slot.text = text.as_bytes().to_vec();
+        slot.first_line = 2;
+        slot.encode(2, b',');
+        slot.error = error;
+        slot
+    }
+
+    #[test]
+    fn blocks_merge_and_fail_in_input_order_whatever_order_they_return_in() {
+        let schema = || Schema::new("R", vec!["a", "b"]).unwrap();
+        let late = || IoError::parse(9, "late");
+
+        // Both blocks fail, the later one first back: the earlier error wins.
+        let mut loader = EncodedLoader::new(schema());
+        let (mut ready, mut merged, mut free) = (vec![None, None], 0, Vec::new());
+        let failed = hand_built_slot(&loader, 1, "", Some(late()));
+        assert_eq!(
+            merge_in_order(&mut loader, &mut ready, &mut merged, failed, &mut free, 4),
+            Ok(())
+        );
+        let early = hand_built_slot(&loader, 0, "", Some(IoError::parse(2, "early")));
+        assert_eq!(
+            merge_in_order(&mut loader, &mut ready, &mut merged, early, &mut free, 4),
+            Err(IoError::parse(2, "early"))
+        );
+        assert_eq!(merged, 0);
+
+        // The later block fails, the clean earlier one comes back second: it
+        // is merged, then the later block's error is returned.
+        let mut loader = EncodedLoader::new(schema());
+        let (mut ready, mut merged, mut free) = (vec![None, None], 0, Vec::new());
+        let failed = hand_built_slot(&loader, 1, "", Some(late()));
+        assert_eq!(
+            merge_in_order(&mut loader, &mut ready, &mut merged, failed, &mut free, 4),
+            Ok(())
+        );
+        let clean = hand_built_slot(&loader, 0, "1,x\n2,y\n", None);
+        assert_eq!(
+            merge_in_order(&mut loader, &mut ready, &mut merged, clean, &mut free, 4),
+            Err(late())
+        );
+        assert_eq!((merged, free.len()), (1, 1));
+        assert_eq!(loader.finish().0.len(), 2);
     }
 }

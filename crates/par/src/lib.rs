@@ -61,11 +61,6 @@ impl Parallelism {
         }
     }
 
-    /// `true` when this setting runs on the calling thread only.
-    pub fn is_serial(self) -> bool {
-        self.effective_threads() <= 1
-    }
-
     /// Parses the CLI spelling used by `rtclean --threads`:
     /// `"auto"`, `"serial"`, `"1"` (= serial) or a thread count.
     pub fn parse(s: &str) -> Result<Parallelism, String> {
@@ -226,16 +221,6 @@ impl Gate {
         *in_use += 1;
         GatePass { gate: self }
     }
-
-    /// Non-blocking [`Gate::enter`]: `None` when the gate is full.
-    pub fn try_enter(&self) -> Option<GatePass<'_>> {
-        let mut in_use = self.in_use.lock().expect("gate lock poisoned");
-        if *in_use >= self.capacity {
-            return None;
-        }
-        *in_use += 1;
-        Some(GatePass { gate: self })
-    }
 }
 
 /// An occupied [`Gate`] slot; dropping it releases the slot.
@@ -263,9 +248,6 @@ mod tests {
         assert_eq!(Parallelism::Fixed(0).effective_threads(), 1);
         assert_eq!(Parallelism::Fixed(5).effective_threads(), 5);
         assert!(Parallelism::Auto.effective_threads() >= 1);
-        assert!(Parallelism::Serial.is_serial());
-        assert!(Parallelism::Fixed(1).is_serial());
-        assert!(!Parallelism::Fixed(4).is_serial());
     }
 
     #[test]
@@ -330,14 +312,5 @@ mod tests {
         });
         assert!(peak.load(Ordering::SeqCst) <= 2);
         assert_eq!(gate.in_use(), 0);
-    }
-
-    #[test]
-    fn gate_try_enter_fills_and_releases() {
-        let gate = Gate::new(1);
-        let pass = gate.try_enter().unwrap();
-        assert!(gate.try_enter().is_none());
-        drop(pass);
-        assert!(gate.try_enter().is_some());
     }
 }

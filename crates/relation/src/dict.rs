@@ -239,11 +239,6 @@ impl AttrDict {
         self.len() == 0
     }
 
-    /// Number of interned constants.
-    pub fn constant_count(&self) -> usize {
-        self.const_values.len()
-    }
-
     /// Number of interned variables.
     pub fn var_count(&self) -> usize {
         self.var_values.len()
@@ -531,7 +526,6 @@ mod tests {
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(d.intern(&Value::str("a")), a);
-        assert_eq!(d.constant_count(), 2);
         assert_eq!(d.decode(a), Value::str("a"));
         assert_eq!(d.lookup(&Value::str("b")), Some(b));
         assert_eq!(d.lookup(&Value::str("zzz")), None);

@@ -23,7 +23,7 @@
 //!   config and deterministic fork/join maps every other crate fans out
 //!   with (results are bit-identical for every thread count);
 //! * [`constraints`] — functional dependencies, violation detection,
-//!   conflict graphs, difference sets, weights and FD discovery;
+//!   conflict graphs, difference sets and weights;
 //! * [`graph`] — undirected graphs, connected components and approximate
 //!   vertex cover;
 //! * [`core`] — the repair algorithms themselves (τ-constrained repairs, A*
@@ -123,9 +123,7 @@ pub mod prelude {
     };
 
     pub use rt_baseline::{unified_cost_repair, UnifiedCostConfig, UnifiedRepair};
-    pub use rt_constraints::{
-        discover_fds, AttrSet, ConflictGraph, DiscoveryConfig, Fd, FdSet, Weight,
-    };
+    pub use rt_constraints::{AttrSet, ConflictGraph, Fd, FdSet, Weight};
     pub use rt_core::{
         goal_cost_estimate, repair_data, sampling_search, HeuristicCache, HeuristicConfig,
         Parallelism, RangeSearch, Repair, RepairProblem, RepairState, SearchAlgorithm,

@@ -1,16 +1,15 @@
 //! The code-path ≡ value-path contract of the dictionary-encoding layer.
 //!
-//! PR 4 moved every equality hot path — conflict-graph blocking, stripped
-//! partitions, FD partition indexes, the data-repair clean index — from
-//! `Vec<Value>` keys onto per-attribute dictionary codes
-//! ([`relative_trust::relation::Instance::codes`]). The hard invariant,
-//! mirroring the parallel ≡ serial and incremental ≡ rebuild contracts of
-//! PRs 1–3: the code-keyed paths are **bit-identical** to value-level
-//! semantics ([`Value::matches`]) —
+//! Every equality hot path — conflict-graph blocking, FD partition indexes,
+//! the data-repair clean index — groups rows by per-attribute dictionary
+//! codes ([`relative_trust::relation::Instance::codes`]), not by
+//! `Vec<Value>` keys. The hard invariant, mirroring the parallel ≡ serial
+//! and incremental ≡ rebuild contracts: the code-keyed paths are
+//! **bit-identical** to value-level semantics ([`Value::matches`]) —
 //!
-//! * partition classes and conflict graphs equal naive value-keyed
-//!   reference implementations (re-implemented here, on values, as the
-//!   oracle);
+//! * conflict graphs equal a naive value-keyed reference implementation
+//!   (re-implemented here, on values, as the oracle), V-instance variables
+//!   included;
 //! * full repair spectra do not depend on *which* codes the dictionary
 //!   assigned (instances with scrambled interning orders produce
 //!   bit-identical spectra);
@@ -23,11 +22,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relative_trust::constraints::{PartitionStore, StrippedPartition};
 use relative_trust::datagen::{generate_mutation_stream, MutationStreamConfig};
 use relative_trust::prelude::*;
 use relative_trust::relation::{AttrId, Tuple, Value};
-use std::collections::HashMap;
 
 /// A random instance mixing integer, string and null cells over small
 /// domains (so FDs actually conflict and strings actually collide).
@@ -83,20 +80,6 @@ fn random_fds(rng: &mut StdRng, arity: usize) -> FdSet {
         fds.push(Fd::new(lhs, AttrId(rhs as u16)));
     }
     fds
-}
-
-/// Value-level oracle for stripped partitions: group rows by their
-/// `Vec<Value>` projection, drop singletons, order classes by first row.
-fn value_partition_classes(instance: &Instance, attrs: AttrSet) -> Vec<Vec<usize>> {
-    let attr_vec = attrs.to_vec();
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (row, tuple) in instance.tuples() {
-        let key: Vec<Value> = attr_vec.iter().map(|a| tuple.get(*a).clone()).collect();
-        groups.entry(key).or_default().push(row);
-    }
-    let mut classes: Vec<Vec<usize>> = groups.into_values().filter(|c| c.len() > 1).collect();
-    classes.sort_unstable_by_key(|c| c[0]);
-    classes
 }
 
 /// Value-level oracle for the conflict graph: the quadratic definition —
@@ -155,47 +138,6 @@ fn build(instance: Instance, fds: FdSet, weight: WeightKind, seed: u64) -> Repai
         .seed(seed)
         .build()
         .unwrap()
-}
-
-/// Partitions: code-keyed compute/refine and the cached store all equal the
-/// value-level oracle on random instances (including V-instance variables).
-#[test]
-fn partition_classes_match_value_oracle() {
-    for case in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(0xD1C7 + case);
-        let instance = random_instance(&mut rng);
-        let arity = instance.schema().arity();
-        let mut store = PartitionStore::new(arity);
-        for _ in 0..4 {
-            let size = rng.gen_range(1..4usize);
-            let mut attrs = AttrSet::new();
-            while attrs.len() < size {
-                attrs.insert(AttrId(rng.gen_range(0..arity) as u16));
-            }
-            let context = format!("case {case}, attrs {attrs}");
-            let expected = value_partition_classes(&instance, attrs);
-            let computed = StrippedPartition::compute(&instance, attrs);
-            let got: Vec<Vec<usize>> = computed.classes().map(<[usize]>::to_vec).collect();
-            assert_eq!(got, expected, "{context}: compute");
-            // The store's TANE-style refinement is bit-identical to the
-            // direct computation (same classes, same order).
-            assert_eq!(
-                store.partition(&instance, attrs),
-                computed,
-                "{context}: store"
-            );
-            // Refining by a further attribute equals direct computation too.
-            let extra = AttrId(rng.gen_range(0..arity) as u16);
-            if !attrs.contains(extra) {
-                assert_eq!(
-                    computed.refine(&instance, AttrSet::singleton(extra)),
-                    StrippedPartition::compute(&instance, attrs.with(extra)),
-                    "{context}: refine by {extra}"
-                );
-            }
-        }
-        assert!(store.cached_singles() <= arity);
-    }
 }
 
 /// Conflict graphs: the code-keyed blocking build equals the quadratic
@@ -345,7 +287,8 @@ fn mutation_streams_keep_encoding_and_spectra_identical() {
 
 /// Spot check of the reserved variable range: variables land above
 /// `VAR_CODE_BASE`, constants below, and shared variables share a class in
-/// the code-keyed partition exactly like the value-level semantics demand.
+/// the code-keyed conflict-graph blocking exactly like the value-level
+/// semantics demand.
 #[test]
 fn variable_codes_respect_the_reserved_range() {
     use relative_trust::relation::{AttrDict, CellRef, VAR_CODE_BASE};
@@ -363,13 +306,16 @@ fn variable_codes_respect_the_reserved_range() {
     assert!(AttrDict::is_var_code(codes[1]));
     assert_eq!(codes[1], codes[2], "same variable, same code");
 
-    // Rows 1 and 2 share the variable → one class {1, 2}; row 0 is a
-    // singleton. Identical to the value-level oracle.
-    let p = StrippedPartition::compute(&instance, AttrSet::singleton(AttrId(0)));
-    let got: Vec<Vec<usize>> = p.classes().map(<[usize]>::to_vec).collect();
-    assert_eq!(got, vec![vec![1, 2]]);
-    assert_eq!(
-        got,
-        value_partition_classes(&instance, AttrSet::singleton(AttrId(0)))
-    );
+    // Rows 1 and 2 share the variable → one A-class {1, 2}, and they
+    // disagree on B, so A->B has exactly the edge (1, 2); the constant in
+    // row 0 joins neither. Identical to the value-level oracle.
+    let fds = FdSet::parse(&["A->B"], instance.schema()).unwrap();
+    let graph = relative_trust::constraints::ConflictGraph::build(&instance, &fds);
+    let got: Vec<(usize, usize)> = graph.edges().iter().map(|e| e.rows).collect();
+    assert_eq!(got, vec![(1, 2)]);
+    let expected: Vec<(usize, usize)> = value_conflict_edges(&instance, &fds)
+        .into_iter()
+        .map(|(rows, _, _)| rows)
+        .collect();
+    assert_eq!(got, expected);
 }

@@ -235,32 +235,6 @@ fn csv_round_trip_feeds_the_repair_pipeline() {
 }
 
 #[test]
-fn discovered_fds_hold_and_can_seed_the_pipeline() {
-    // FD discovery on clean generated data: discovered FDs must include the
-    // planted one, and repairing a perturbed instance against them works.
-    let (clean, planted) = generate_census_like(&CensusLikeConfig::single_fd(300, 8, 3));
-    let discovered = discover_fds(
-        &clean,
-        &DiscoveryConfig {
-            max_lhs_size: 3,
-            minimal_only: true,
-            max_fds: Some(50),
-        },
-    );
-    for (_, fd) in discovered.iter() {
-        assert!(fd.holds_on(&clean), "discovered FD {fd} does not hold");
-    }
-    // The planted FD (or something implying it) is discoverable.
-    let planted_fd = planted.get(0);
-    assert!(
-        discovered.implies(planted_fd),
-        "discovered FDs {} do not imply the planted FD {}",
-        discovered,
-        planted_fd
-    );
-}
-
-#[test]
 fn sampling_and_range_repair_agree_through_the_facade() {
     let (instance, fds) = employee_example();
     let engine = RepairEngine::new(instance, fds).unwrap();

@@ -20,15 +20,15 @@
 //! * the hash-free grouping kernel (a radix sort of row ids by dictionary
 //!   codes) against the `HashMap<CodeKey, Vec<usize>>` grouping it
 //!   replaced, its binary-search lookups against a hashed clean index, and
-//!   its consumers — `ShardPlan`, `StrippedPartition`, the conflict-graph
-//!   build and `integrate_fd` — against hash-loop references kept here;
+//!   its consumers — `ShardPlan`, the conflict-graph build and
+//!   `integrate_fd` — against hash-loop references kept here;
 //! * per-shard graph builds over many 2-row shards of a column with a
 //!   large code space, which must cost what the shards cost.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relative_trust::prelude::*;
-use rt_constraints::{DistinctCountWeight, StrippedPartition};
+use rt_constraints::DistinctCountWeight;
 use rt_core::data_repair::{
     cover_rows_consistent, repair_data_with_cover, repair_data_with_cover_par,
 };
@@ -650,20 +650,6 @@ fn shard_plan_partitions_and_graph_blocking_match_hash_references() {
             reference_shards(&instance, &fds).as_slice(),
             "case {case}"
         );
-
-        let all: Vec<usize> = (0..instance.len()).collect();
-        for (_, fd) in fds.iter() {
-            let expected: Vec<Vec<usize>> = reference_groups(&instance, &fd.lhs.to_vec(), &all)
-                .into_iter()
-                .filter(|c| c.len() > 1)
-                .collect();
-            let partition = StrippedPartition::compute(&instance, fd.lhs);
-            assert_eq!(
-                partition.classes().collect::<Vec<&[usize]>>(),
-                expected.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                "case {case}"
-            );
-        }
 
         // The whole-instance build, FD by FD: every edge is some FD's
         // reference pair, labelled with exactly the FDs that pair violates.
