@@ -199,7 +199,6 @@ fn measure_mutations(metrics: &mut Metrics) {
     ));
     metrics.push(m("edges_added", stats.edges_added as u64));
     metrics.push(m("edges_removed", stats.edges_removed as u64));
-    metrics.push(m("components_dirtied", stats.components_dirtied as u64));
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));
     metrics.extend(work_metrics);

@@ -477,8 +477,7 @@ impl ConflictGraph {
     /// number of edges removed.
     ///
     /// The renumbering is monotonic, so the edge list stays sorted without a
-    /// re-sort — the whole retraction is one linear pass over the edges,
-    /// touching only the components the removed tuples participated in.
+    /// re-sort — the whole retraction is one linear pass over the edges.
     pub fn retract_tuples(&mut self, rows: &[usize]) -> usize {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
         let before = self.edges.len();

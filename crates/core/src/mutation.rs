@@ -14,7 +14,7 @@
 //! * the conflict graph is patched edge-level via
 //!   [`rt_constraints::ConflictGraph::apply_delta`] /
 //!   [`ConflictGraph::retract_tuples`](rt_constraints::ConflictGraph::retract_tuples),
-//!   touching only the affected components;
+//!   touching only the edges incident to the touched rows;
 //! * the difference-set groups, `α` and (for built-in weightings) the
 //!   weighting function are refreshed from the patched state.
 //!
@@ -64,8 +64,6 @@ pub struct MutationEffect {
     pub edges_removed: usize,
     /// Conflict edges whose labels or difference set changed in place.
     pub edges_relabeled: usize,
-    /// Connected components of the conflict graph the mutation touched.
-    pub components_dirtied: usize,
     /// `true` when the weighting function was rebuilt against the mutated
     /// instance (built-in weightings after a data change).
     pub weight_refreshed: bool,
@@ -97,7 +95,6 @@ impl Telemetry for MutationEffect {
             ("edges_added", Slot::Count(&mut self.edges_added)),
             ("edges_removed", Slot::Count(&mut self.edges_removed)),
             ("edges_relabeled", Slot::Count(&mut self.edges_relabeled)),
-            ("components_dirtied", Slot::Count(&mut self.components_dirtied)),
             ("weight_refreshed", Slot::Flag(&mut self.weight_refreshed)),
             ("search_state_invalidated", Slot::Flag(&mut self.search_state_invalidated)),
             ("diff_groups_changed", Slot::Flag(&mut self.diff_groups_changed)),
@@ -182,27 +179,11 @@ impl RepairProblem {
             index.insert_row(&self.instance, &self.sigma, row);
         }
         let recomputed = incident_conflict_edges(&self.instance, &self.sigma, index, &dirty);
-        // Pre-patch count included, seeded with the *existing* rows the new
-        // edges attach to: a new row bridging two old components merges
-        // them in the post graph, but both count as dirtied.
-        let partners: Vec<usize> = {
-            let mut rows: Vec<usize> = recomputed
-                .iter()
-                .flat_map(|e| [e.rows.0, e.rows.1])
-                .filter(|&r| r < start)
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            rows
-        };
-        let before = self.conflict.to_graph().components_touching(&partners);
         let summary = self
             .conflict
             .apply_delta(&dirty, recomputed, self.instance.len());
         effect.absorb(&summary);
         effect.rows_inserted += dirty.len();
-        let after = self.conflict.to_graph().components_touching(&dirty);
-        effect.components_dirtied += before.max(after);
         Ok(())
     }
 
@@ -223,34 +204,11 @@ impl RepairProblem {
                 self.instance.len()
             ));
         }
-        // Surviving endpoints of dying edges, for the dirtied-component
-        // count (their ids after compaction).
-        let neighbors: Vec<usize> = {
-            let is_doomed = |r: usize| doomed.binary_search(&r).is_ok();
-            let mut n: Vec<usize> = self
-                .conflict
-                .edges()
-                .iter()
-                .filter(|e| is_doomed(e.rows.0) || is_doomed(e.rows.1))
-                .flat_map(|e| [e.rows.0, e.rows.1])
-                .filter(|&r| !is_doomed(r))
-                .map(|r| r - doomed.partition_point(|&d| d < r))
-                .collect();
-            n.sort_unstable();
-            n.dedup();
-            n
-        };
         self.index();
         let index = self.incremental.as_mut().expect("index built above");
         for &row in &doomed {
             index.remove_row(&self.instance, &self.sigma, row);
         }
-        // Count components on both sides of the patch: the pre-graph run
-        // (seeded with the doomed rows) sees components the deletion empties
-        // outright; the post-graph run (seeded with the surviving
-        // neighbours) sees the remnants, including a component the deletion
-        // split in two.
-        let before = self.conflict.to_graph().components_touching(&doomed);
         effect.edges_removed += self.conflict.retract_tuples(&doomed);
         self.instance
             .remove_rows(&doomed)
@@ -260,8 +218,6 @@ impl RepairProblem {
             .expect("index built above")
             .shift_after_removal(&doomed);
         effect.rows_deleted += doomed.len();
-        let after = self.conflict.to_graph().components_touching(&neighbors);
-        effect.components_dirtied += before.max(after);
         Ok(())
     }
 
@@ -292,17 +248,11 @@ impl RepairProblem {
         let index = self.incremental.as_mut().expect("index built above");
         index.insert_row(&self.instance, &self.sigma, cell.row);
         let recomputed = incident_conflict_edges(&self.instance, &self.sigma, index, &[cell.row]);
-        // Pre-patch count included: an update that *resolves* the row's
-        // conflicts leaves it isolated afterwards, but it still dirtied the
-        // component it used to sit in.
-        let before = self.conflict.to_graph().components_touching(&[cell.row]);
         let summary = self
             .conflict
             .apply_delta(&[cell.row], recomputed, self.instance.len());
         effect.absorb(&summary);
         effect.cells_updated += 1;
-        let after = self.conflict.to_graph().components_touching(&[cell.row]);
-        effect.components_dirtied += before.max(after);
         Ok(())
     }
 
@@ -320,30 +270,11 @@ impl RepairProblem {
         if let Some(index) = self.incremental.as_mut() {
             index.push_fd(&self.instance, &self.sigma);
         }
-        let fd_idx = self.sigma.len() - 1;
-        let before_graph = self.conflict.to_graph();
         let summary = self
             .conflict
-            .integrate_fd(&self.instance, &self.sigma, fd_idx);
+            .integrate_fd(&self.instance, &self.sigma, self.sigma.len() - 1);
         effect.absorb(&summary);
         effect.fds_added += 1;
-        let dirty: Vec<usize> = {
-            let mut rows: Vec<usize> = self
-                .conflict
-                .edges()
-                .iter()
-                .filter(|e| e.violated_fds.binary_search(&fd_idx).is_ok())
-                .flat_map(|e| [e.rows.0, e.rows.1])
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            rows
-        };
-        // Pre-patch count included: a new FD's edges can merge several old
-        // components into one, and each of those counts as dirtied.
-        let before = before_graph.components_touching(&dirty);
-        let after = self.conflict.to_graph().components_touching(&dirty);
-        effect.components_dirtied += before.max(after);
         Ok(())
     }
 
@@ -354,30 +285,13 @@ impl RepairProblem {
                 self.sigma.len()
             ));
         }
-        let dirty: Vec<usize> = {
-            let mut rows: Vec<usize> = self
-                .conflict
-                .edges()
-                .iter()
-                .filter(|e| e.violated_fds.binary_search(&idx).is_ok())
-                .flat_map(|e| [e.rows.0, e.rows.1])
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            rows
-        };
         self.sigma.remove(idx);
         if let Some(index) = self.incremental.as_mut() {
             index.remove_fd(idx);
         }
-        // Pre-patch count included: components carried entirely by this
-        // FD's edges vanish from the post graph but were still dirtied.
-        let before = self.conflict.to_graph().components_touching(&dirty);
         let summary = self.conflict.remove_fd_labels(idx);
         effect.absorb(&summary);
         effect.fds_removed += 1;
-        let after = self.conflict.to_graph().components_touching(&dirty);
-        effect.components_dirtied += before.max(after);
         Ok(())
     }
 }
@@ -465,7 +379,6 @@ mod tests {
             )])])
             .unwrap();
         assert_eq!(effect.edges_added, 0);
-        assert_eq!(effect.components_dirtied, 0);
         assert!(!effect.search_state_invalidated);
         assert_matches_fresh(&p, WeightKind::AttrCount);
     }
@@ -506,10 +419,9 @@ mod tests {
     }
 
     #[test]
-    fn bridging_insert_counts_both_merged_components() {
+    fn bridging_insert_merges_two_components_like_a_fresh_build() {
         // Components before: {0,1} (conflict on A->B) and {2,3} (conflict
-        // on C->D). The inserted row conflicts into both, merging them —
-        // the merge dirtied two components, not the one that remains.
+        // on C->D). The inserted row conflicts into both, merging them.
         let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
         let inst = Instance::from_int_rows(
             schema.clone(),
@@ -527,12 +439,10 @@ mod tests {
             p.conflict_graph().to_graph().connected_components().len(),
             2
         );
-        let effect = p
-            .apply_mutations(&[MutationOp::InsertTuples(vec![rt_relation::Tuple::new(
-                vec![Value::int(1), Value::int(3), Value::int(3), Value::int(7)],
-            )])])
-            .unwrap();
-        assert_eq!(effect.components_dirtied, 2);
+        p.apply_mutations(&[MutationOp::InsertTuples(vec![rt_relation::Tuple::new(
+            vec![Value::int(1), Value::int(3), Value::int(3), Value::int(7)],
+        )])])
+        .unwrap();
         assert_eq!(
             p.conflict_graph().to_graph().connected_components().len(),
             1
@@ -541,10 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn resolving_a_conflict_still_counts_the_dirtied_component() {
+    fn resolving_update_empties_the_graph_like_a_fresh_build() {
         // Instance [[1,1],[1,2]] with A->B: one conflict edge (0,1). Fixing
-        // t2[B] resolves it — the post graph is empty, but the mutation
-        // dirtied the component that used to exist.
+        // t2[B] resolves it and leaves the graph empty.
         let schema = Schema::with_arity(2).unwrap();
         let inst = Instance::from_int_rows(schema.clone(), &[vec![1, 1], vec![1, 2]]).unwrap();
         let fds = FdSet::parse(&["A0->A1"], &schema).unwrap();
@@ -556,23 +465,19 @@ mod tests {
             )])
             .unwrap();
         assert_eq!(effect.edges_removed, 1);
-        assert_eq!(effect.components_dirtied, 1);
         assert!(p.conflict_graph().is_empty());
         assert_matches_fresh(&p, WeightKind::AttrCount);
     }
 
     #[test]
-    fn update_dirties_only_touched_components() {
+    fn single_update_matches_fresh_build() {
         let (inst, fds) = figure2();
         let mut p = RepairProblem::with_weight(&inst, &fds, WeightKind::AttrCount);
-        // Figure 2's conflict graph is one path 0-1-2-3: a single component.
-        let effect = p
-            .apply_mutations(&[MutationOp::UpdateCell(
-                CellRef::new(0, AttrId(1)),
-                Value::int(2),
-            )])
-            .unwrap();
-        assert_eq!(effect.components_dirtied, 1);
+        p.apply_mutations(&[MutationOp::UpdateCell(
+            CellRef::new(0, AttrId(1)),
+            Value::int(2),
+        )])
+        .unwrap();
         assert_matches_fresh(&p, WeightKind::AttrCount);
     }
 }

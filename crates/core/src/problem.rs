@@ -187,18 +187,16 @@ impl RepairProblem {
     /// recomputed from it deterministically, which is bit-identical to what
     /// the original build produced: grouping reads only the edge multiset,
     /// and the built-in weights sum in value order regardless of dictionary
-    /// interning order.
+    /// interning order. The per-FD partition index is built lazily on the
+    /// first mutation, as for a freshly built problem.
     pub fn from_restored(
         instance: Instance,
         sigma: FdSet,
         conflict: ConflictGraph,
         weight: WeightKind,
-        rebuild_partitions: bool,
     ) -> Self {
         let diff_groups = Self::group_by_difference_set(&conflict);
         let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
-        let incremental =
-            rebuild_partitions.then(|| rt_constraints::FdPartitionIndex::build(&instance, &sigma));
         let weight_fn = Self::build_weight(&instance, weight);
         RepairProblem {
             instance,
@@ -208,7 +206,7 @@ impl RepairProblem {
             weight: weight_fn,
             alpha,
             weight_kind: weight,
-            incremental,
+            incremental: None,
         }
     }
 
@@ -216,12 +214,6 @@ impl RepairProblem {
     /// serialize this tag and rebuild the weight from it on restore.
     pub fn weight_kind(&self) -> WeightKind {
         self.weight_kind
-    }
-
-    /// Whether the lazily built per-FD partition index is currently
-    /// materialized (it is, once a mutation has been applied).
-    pub fn has_partition_index(&self) -> bool {
-        self.incremental.is_some()
     }
 
     /// The (original, unrepaired) instance `I`.

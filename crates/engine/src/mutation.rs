@@ -215,8 +215,8 @@ impl FromIterator<MutationOp> for MutationBatch {
 /// What [`crate::RepairEngine::apply`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationOutcome {
-    /// Aggregated per-op effects (rows/FDs touched, edge delta, dirtied
-    /// components, invalidation verdict).
+    /// Aggregated per-op effects (rows/FDs touched, edge delta,
+    /// invalidation verdict).
     pub effect: MutationEffect,
     /// `true` when the engine's suspended sweep checkpoint survived the
     /// batch: the mutation provably left every FD-level search answer

@@ -17,7 +17,13 @@
 //! magic      := "RTSNAP01"                      (8 bytes)
 //! version    := u32                             (SNAPSHOT_VERSION)
 //! section    := tag:u32 len:u64 crc:u32 payload (len bytes)
+//! config     := weight:u8 seed:u64 max_expansions:u64
+//!               parallelism_tag:u8 threads:u64
 //! ```
+//!
+//! CONFIG holds only what a builder can set; the rest of the restored
+//! [`SearchConfig`] is its default, and the per-FD partition index is
+//! rebuilt lazily on the first mutation, as in a freshly built engine.
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
@@ -31,7 +37,6 @@
 use crate::error::EngineError;
 use crate::stats::EngineStats;
 use rt_constraints::{AttrSet, ConflictEdge, ConflictGraph, Fd, FdSet};
-use rt_core::heuristic::HeuristicConfig;
 use rt_core::search::FdRepair;
 use rt_core::{
     CacheEntryExport, HeuristicCache, Parallelism, RangedFdRepair, RepairProblem, RepairState,
@@ -44,7 +49,7 @@ use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 // Section tags. CONFIG..STATS are required; SWEEP and WARM are present only
 // when the engine holds the corresponding cache.
@@ -423,12 +428,8 @@ pub(crate) fn encode(
 
     let mut config = Vec::new();
     put_u8(&mut config, weight_tag(problem.weight_kind()));
-    // The search-algorithm byte: engines run A* only, so it is always 0.
-    put_u8(&mut config, 0);
     put_u64(&mut config, seed);
     put_usize(&mut config, search_config.max_expansions);
-    put_usize(&mut config, search_config.heuristic.max_diff_sets);
-    put_usize(&mut config, search_config.heuristic.node_budget);
     match search_config.parallelism {
         Parallelism::Auto => {
             put_u8(&mut config, 0);
@@ -443,9 +444,6 @@ pub(crate) fn encode(
             put_usize(&mut config, n);
         }
     }
-    // The heuristic-cache byte: engines always memoize, so it is always 1.
-    put_u8(&mut config, 1);
-    put_bool(&mut config, problem.has_partition_index());
 
     let mut schema_sec = Vec::new();
     put_str(&mut schema_sec, schema.name());
@@ -663,51 +661,23 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         2 => WeightKind::Entropy,
         t => return Err(bad(format!("unknown weight kind {t}"))),
     };
-    // Engines run A* only; the byte stays in the layout, reserved at 0.
-    let algorithm = r.u8()?;
-    if algorithm != 0 {
-        return Err(bad(format!(
-            "config: search algorithm tag {algorithm} is reserved (expected 0, A*)"
-        )));
-    }
     let seed = r.u64()?;
     let max_expansions = r.usize_()?;
-    let max_diff_sets = r.usize_()?;
-    let node_budget = r.usize_()?;
     let parallelism = match (r.u8()?, r.usize_()?) {
         (0, _) => Parallelism::Auto,
         (1, _) => Parallelism::Serial,
         (2, n) => Parallelism::Fixed(n),
         (t, _) => return Err(bad(format!("unknown parallelism tag {t}"))),
     };
-    // Engines always memoize the heuristic; the byte stays in the layout,
-    // reserved at 1.
-    let heuristic_cache = r.u8()?;
-    if heuristic_cache != 1 {
-        return Err(bad(format!(
-            "config: heuristic cache byte {heuristic_cache} is reserved (expected 1, cached)"
-        )));
-    }
-    let has_partition_index = r.bool_()?;
     // The builder cannot produce a zero limit, so a snapshot carrying one
     // is corrupt: the search could not even expand its root.
-    for (name, value) in [
-        ("max_expansions", max_expansions),
-        ("heuristic.max_diff_sets", max_diff_sets),
-        ("heuristic.node_budget", node_budget),
-    ] {
-        if value == 0 {
-            return Err(bad(format!("config: {name} must be at least 1")));
-        }
+    if max_expansions == 0 {
+        return Err(bad("config: max_expansions must be at least 1"));
     }
     let search_config = SearchConfig {
         max_expansions,
-        heuristic: HeuristicConfig {
-            max_diff_sets,
-            node_budget,
-        },
         parallelism,
-        heuristic_cache: true,
+        ..SearchConfig::default()
     };
 
     // SCHEMA
@@ -819,8 +789,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     // invariant of restore (ROADMAP item 3): warm state, zero builds.
     stats.conflict_graph_builds = 0;
 
-    let problem =
-        RepairProblem::from_restored(instance, sigma, conflict, weight, has_partition_index);
+    let problem = RepairProblem::from_restored(instance, sigma, conflict, weight);
 
     // SWEEP (optional)
     let sweep = match optional(SEC_SWEEP) {
@@ -960,11 +929,10 @@ mod tests {
             mutation_batches: 10,
             edges_added: 11,
             edges_removed: 12,
-            components_dirtied: 13,
-            graph_rebuild_avoided: 14,
-            sweep_cache_hits: 15,
-            dict_entries: 16,
-            shards: 17,
+            graph_rebuild_avoided: 13,
+            sweep_cache_hits: 14,
+            dict_entries: 15,
+            shards: 16,
         };
         let bytes = encode(&problem, &config, 0, &stats, Some(sweep), None);
         let decoded = decode(&bytes).unwrap();

@@ -51,9 +51,6 @@ pub struct EngineStats {
     /// Conflict edges removed by incremental maintenance, across all
     /// batches.
     pub edges_removed: usize,
-    /// Connected components of the conflict graph dirtied by mutations,
-    /// across all batches.
-    pub components_dirtied: usize,
     /// Full conflict-graph rebuilds that incremental maintenance made
     /// unnecessary — one per applied non-empty batch. The headline
     /// invariant extends to the mutable engine: `conflict_graph_builds`
@@ -94,7 +91,6 @@ impl Telemetry for EngineStats {
             ("mutation_batches", Slot::Count(&mut self.mutation_batches)),
             ("edges_added", Slot::Count(&mut self.edges_added)),
             ("edges_removed", Slot::Count(&mut self.edges_removed)),
-            ("components_dirtied", Slot::Count(&mut self.components_dirtied)),
             ("graph_rebuild_avoided", Slot::Count(&mut self.graph_rebuild_avoided)),
             ("sweep_cache_hits", Slot::Count(&mut self.sweep_cache_hits)),
             ("dict_entries", Slot::Gauge(&mut self.dict_entries)),

@@ -60,14 +60,6 @@ impl UndirectedGraph {
         inserted
     }
 
-    /// `true` when `{u, v}` is an edge.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adjacency
-            .get(u)
-            .map(|a| a.contains(&v))
-            .unwrap_or(false)
-    }
-
     /// Degree of a vertex (0 for unknown vertices).
     pub fn degree(&self, v: usize) -> usize {
         self.adjacency.get(v).map(BTreeSet::len).unwrap_or(0)
@@ -89,16 +81,6 @@ impl UndirectedGraph {
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
-    }
-
-    /// Builds the union of this graph with another (same semantics as adding
-    /// every edge of `other`).
-    pub fn union(&self, other: &UndirectedGraph) -> UndirectedGraph {
-        let mut out = self.clone();
-        for (u, v) in other.edges() {
-            out.add_edge(u, v);
-        }
-        out
     }
 
     /// Checks whether `cover` touches every edge.
@@ -150,38 +132,6 @@ impl UndirectedGraph {
         components
     }
 
-    /// Number of distinct connected components containing at least one of
-    /// `seeds` and at least one edge.
-    ///
-    /// The traversal is scoped: only the components actually reachable from
-    /// the seeds are walked, so the cost is proportional to the *affected*
-    /// part of the graph, not to the whole graph. Incremental maintenance
-    /// uses this to report how many components a mutation dirtied.
-    pub fn components_touching(&self, seeds: &[usize]) -> usize {
-        let n = self.adjacency.len();
-        // A hash set, not a vec![false; n]: the visited structure must also
-        // cost only as much as the part actually walked.
-        let mut visited: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        let mut components = 0usize;
-        let mut stack = Vec::new();
-        for &seed in seeds {
-            if seed >= n || visited.contains(&seed) || self.adjacency[seed].is_empty() {
-                continue;
-            }
-            components += 1;
-            visited.insert(seed);
-            stack.push(seed);
-            while let Some(v) = stack.pop() {
-                for u in self.neighbors(v) {
-                    if visited.insert(u) {
-                        stack.push(u);
-                    }
-                }
-            }
-        }
-        components
-    }
-
     /// The subgraph induced by `vertices` (which must be sorted ascending),
     /// with vertex ids remapped to `0..vertices.len()`.
     ///
@@ -213,9 +163,8 @@ mod tests {
         assert!(g.add_edge(0, 5)); // grows vertex set
         assert_eq!(g.edge_count(), 2);
         assert!(g.vertex_bound() >= 6);
-        assert!(g.has_edge(1, 0));
-        assert!(g.has_edge(0, 5));
-        assert!(!g.has_edge(1, 5));
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(0, 1), (0, 5)]);
+        assert_eq!(g.neighbors(5).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -240,27 +189,6 @@ mod tests {
         let g = UndirectedGraph::from_edges(&[(1, 0), (2, 1), (3, 2)]);
         let edges: Vec<(usize, usize)> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn union_merges_edge_sets() {
-        let a = UndirectedGraph::from_edges(&[(0, 1)]);
-        let b = UndirectedGraph::from_edges(&[(1, 2), (0, 1)]);
-        let u = a.union(&b);
-        assert_eq!(u.edge_count(), 2);
-        assert!(u.has_edge(0, 1) && u.has_edge(1, 2));
-    }
-
-    #[test]
-    fn components_touching_counts_seeded_components_once() {
-        // Components: {0,1,2}, {4,5}, {7,8}; vertex 9 is isolated.
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (4, 5), (7, 8)]);
-        assert_eq!(g.components_touching(&[]), 0);
-        assert_eq!(g.components_touching(&[0]), 1);
-        assert_eq!(g.components_touching(&[0, 2]), 1); // same component
-        assert_eq!(g.components_touching(&[1, 5]), 2);
-        assert_eq!(g.components_touching(&[3, 99]), 0); // isolated / unknown
-        assert_eq!(g.components_touching(&[0, 4, 7]), 3);
     }
 
     #[test]

@@ -200,17 +200,6 @@ impl Gate {
         }
     }
 
-    /// The maximum number of concurrently held passes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of passes currently held (a snapshot; may be stale by the
-    /// time the caller looks at it).
-    pub fn in_use(&self) -> usize {
-        *self.in_use.lock().expect("gate lock poisoned")
-    }
-
     /// Blocks until a slot is free, then occupies it for the lifetime of
     /// the returned pass.
     pub fn enter(&self) -> GatePass<'_> {
@@ -241,6 +230,7 @@ impl Drop for GatePass<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Arc};
 
     #[test]
     fn effective_threads_floor_is_one() {
@@ -289,14 +279,29 @@ mod tests {
         assert_eq!(results, vec![0, 2, 4, 6]);
     }
 
+    /// Enters `gate` `passes` times from a helper thread, holding every
+    /// pass until all are in, and returns the channel it reports on: a slot
+    /// that is never freed times the test out instead of hanging it.
+    fn enter_from_helper(
+        gate: &Arc<Gate>,
+        passes: usize,
+    ) -> (mpsc::Receiver<()>, std::thread::JoinHandle<()>) {
+        let (tx, rx) = mpsc::channel();
+        let gate = Arc::clone(gate);
+        let helper = std::thread::spawn(move || {
+            let _held: Vec<GatePass<'_>> = (0..passes).map(|_| gate.enter()).collect();
+            tx.send(()).expect("the test holds the receiver");
+        });
+        (rx, helper)
+    }
+
     #[test]
     fn gate_bounds_concurrency() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
 
-        let gate = Gate::new(2);
-        assert_eq!(gate.capacity(), 2);
-        assert_eq!(Gate::new(0).capacity(), 1);
-
+        let wait = Duration::from_secs(10);
+        let gate = Arc::new(Gate::new(2));
         let peak = AtomicUsize::new(0);
         let live = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -311,6 +316,23 @@ mod tests {
             }
         });
         assert!(peak.load(Ordering::SeqCst) <= 2);
-        assert_eq!(gate.in_use(), 0);
+        // Every pass was released: both slots can be held at once again.
+        let (entered, helper) = enter_from_helper(&gate, 2);
+        assert_eq!(entered.recv_timeout(wait), Ok(()));
+        helper.join().expect("helper thread panicked");
+
+        // A zero capacity is clamped to one: a second pass waits for the
+        // first to be dropped.
+        let single = Arc::new(Gate::new(0));
+        let first = single.enter();
+        let (second, helper) = enter_from_helper(&single, 1);
+        assert_eq!(
+            second.recv_timeout(Duration::from_millis(100)),
+            Err(mpsc::RecvTimeoutError::Timeout),
+            "a zero-capacity gate admitted two passes"
+        );
+        drop(first);
+        assert_eq!(second.recv_timeout(wait), Ok(()));
+        helper.join().expect("helper thread panicked");
     }
 }

@@ -366,11 +366,10 @@ mod tests {
             mutation_batches: 10,
             edges_added: 11,
             edges_removed: 12,
-            components_dirtied: 13,
-            graph_rebuild_avoided: 14,
-            sweep_cache_hits: 15,
-            dict_entries: 16,
-            shards: 17,
+            graph_rebuild_avoided: 13,
+            sweep_cache_hits: 14,
+            dict_entries: 15,
+            shards: 16,
         };
         assert_eq!(decode_telemetry(&encode_telemetry(stats)), Ok(stats));
         let search = SearchStats {
@@ -391,7 +390,6 @@ mod tests {
             edges_added: 6,
             edges_removed: 7,
             edges_relabeled: 8,
-            components_dirtied: 9,
             weight_refreshed: true,
             search_state_invalidated: true,
             diff_groups_changed: true,

@@ -239,11 +239,6 @@ impl AttrDict {
         self.len() == 0
     }
 
-    /// Number of interned variables.
-    pub fn var_count(&self) -> usize {
-        self.var_values.len()
-    }
-
     /// The interned variables, in code order.
     pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
         self.var_values.iter().map(|v| match v {
@@ -545,7 +540,7 @@ mod tests {
         assert_eq!(d.intern(&Value::Var(VarId::new(0, 1))), v1);
         assert_eq!(d.decode(v2), Value::Var(VarId::new(0, 2)));
         assert_eq!(d.len(), 3);
-        assert_eq!(d.var_count(), 2);
+        assert_eq!(d.var_ids().count(), 2);
     }
 
     #[test]

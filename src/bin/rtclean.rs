@@ -597,21 +597,15 @@ fn run_apply(options: &Options) -> Result<(), EngineError> {
         for (i, op) in ops.iter().enumerate() {
             let outcome = engine.apply(&MutationBatch::new().push(op.clone()))?;
             println!(
-                "  op #{i:<3} {}  components {}  sweep cache {}",
+                "  op #{i:<3} {}  sweep cache {}",
                 effect_line(&outcome.effect),
-                outcome.effect.components_dirtied,
                 sweep_cache(outcome.sweep_cache_retained)
             );
         }
     } else {
         let batch: MutationBatch = ops.iter().cloned().collect();
         let effect = engine.apply(&batch)?.effect;
-        println!(
-            "  batch of {}: {}  components {}",
-            batch.len(),
-            effect_line(&effect),
-            effect.components_dirtied,
-        );
+        println!("  batch of {}: {}", batch.len(), effect_line(&effect));
     }
 
     let stats = engine.stats();
@@ -629,8 +623,8 @@ fn run_apply(options: &Options) -> Result<(), EngineError> {
         stats.conflict_graph_builds, stats.graph_rebuild_avoided
     );
     println!(
-        "  incremental edge delta: +{} / -{}  ({} components dirtied)",
-        stats.edges_added, stats.edges_removed, stats.components_dirtied
+        "  incremental edge delta: +{} / -{}",
+        stats.edges_added, stats.edges_removed
     );
 
     let budget = engine.delta_p_original();

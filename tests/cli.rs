@@ -442,7 +442,7 @@ inferred column types: A:int, B:int, C:str
             "
 live session after replay: 6 tuples, 1 FD, 2 conflict edges
   conflict graph builds : 1 (rebuilds avoided: {avoided})
-  incremental edge delta: +2 / -2  (5 components dirtied)
+  incremental edge delta: +2 / -2
 
 post-mutation spectrum (δP reference 1):
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {{C -> B}}
@@ -452,11 +452,11 @@ verify: OK — incremental session is bit-identical to a fresh rebuild (1 spectr
         )
     };
     let per_op = "  \
-op #0   rows +2/-0  cells ~0  fds +0/-0  edges +2/-0  components 1  sweep cache reset
-  op #1   rows +0/-0  cells ~1  fds +0/-0  edges +0/-1  components 1  sweep cache reset
-  op #2   rows +0/-1  cells ~0  fds +0/-0  edges +0/-1  components 1  sweep cache reset
-  op #3   rows +0/-0  cells ~0  fds +1/-0  edges +0/-0  components 1  sweep cache reset
-  op #4   rows +0/-0  cells ~0  fds +0/-1  edges +0/-0  components 1  sweep cache reset
+op #0   rows +2/-0  cells ~0  fds +0/-0  edges +2/-0  sweep cache reset
+  op #1   rows +0/-0  cells ~1  fds +0/-0  edges +0/-1  sweep cache reset
+  op #2   rows +0/-1  cells ~0  fds +0/-0  edges +0/-1  sweep cache reset
+  op #3   rows +0/-0  cells ~0  fds +1/-0  edges +0/-0  sweep cache reset
+  op #4   rows +0/-0  cells ~0  fds +0/-1  edges +0/-0  sweep cache reset
 ";
     let base = [
         "apply", "d.csv", "--fd", "A->B", "--log", "m.json", "--verify",
@@ -465,7 +465,7 @@ op #0   rows +2/-0  cells ~0  fds +0/-0  edges +2/-0  components 1  sweep cache 
         dir.run(&[&base[..], &["--per-op"]].concat()),
         run(0, &format!("{head}{per_op}{}", tail(5)), "")
     );
-    let batch = "  batch of 5: rows +2/-1  cells ~1  fds +1/-1  edges +2/-2  components 5\n";
+    let batch = "  batch of 5: rows +2/-1  cells ~1  fds +1/-1  edges +2/-2\n";
     assert_eq!(
         dir.run(&[&base[..], &["--batch"]].concat()),
         run(0, &format!("{head}{batch}{}", tail(1)), "")

@@ -187,7 +187,7 @@ fn spectra_are_invariant_under_code_assignment_order() {
             scrambled.push(tuple).unwrap();
         }
         for attr in instance.schema().attr_ids() {
-            for _ in 0..instance.dict(attr).var_count() {
+            for _ in instance.dict(attr).var_ids() {
                 // Keep the fresh-variable counters aligned with the
                 // original so downstream variable allocation matches.
                 scrambled.fresh_var(attr);
