@@ -50,6 +50,16 @@ cargo test -q --test protocol_roundtrip
 echo "==> cargo test --test recovery (crash recovery ≡ uninterrupted, chaos faults typed)"
 cargo test -q --test recovery
 
+# The search contracts every heuristic speed-up must keep: the memoized
+# heuristic reproduces the uncached `gc(S)` value for value and stays
+# admissible, and A*, best-first, Range-Repair and sampling return goals of
+# minimum `dist_c` against exhaustive enumeration of every extension state.
+echo "==> cargo test --test heuristic_equivalence (memoized gc(S) ≡ uncached, admissible)"
+cargo test -q --test heuristic_equivalence
+
+echo "==> cargo test --test optimality_oracle (every τ gets a cheapest goal, by exhaustive enumeration)"
+cargo test -q --test optimality_oracle
+
 # The scale-up contract: the sharded conflict-graph build must be
 # bit-identical to the monolithic one — spectra, repairs and search stats —
 # including under shard-bridging mutation batches. 100k rows is exactly the

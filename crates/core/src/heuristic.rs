@@ -19,6 +19,13 @@
 //! node budget caps the recursion; when the budget runs out a branch
 //! optimistically assumes its remaining difference sets can be resolved for
 //! free, which keeps the estimate a lower bound (it can only get smaller).
+//!
+//! A branch carries the difference sets it left unresolved as a bitmask
+//! over their selection slots (at most `MAX_DIFF_SETS` of them), passed
+//! by value to every child. Only a leave-unresolved decision reads it: it
+//! builds the union graph of the masked groups' edges and takes its cover.
+//! Adjacency is a set, so that graph, and its cover, do not depend on the
+//! order the groups' edges are added in.
 
 use crate::problem::{DiffSetGroup, RepairProblem};
 use crate::state::RepairState;
@@ -27,11 +34,17 @@ use rt_graph::{approx_vertex_cover, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use std::collections::{HashMap, HashSet};
 
+/// Maximum number of difference sets (`|Ds|`) fed into the enumeration.
+const MAX_DIFF_SETS: usize = 5;
+
+/// The difference sets a branch left unresolved, one bit per selection slot.
+type SlotMask = u32;
+
+const _: () = assert!(MAX_DIFF_SETS <= SlotMask::BITS as usize);
+
 /// Tuning knobs of the heuristic.
 #[derive(Debug, Clone, Copy)]
 pub struct HeuristicConfig {
-    /// Maximum number of difference sets (`|Ds|`) fed into the enumeration.
-    pub max_diff_sets: usize,
     /// Maximum number of recursion nodes before a branch falls back to the
     /// optimistic estimate.
     pub node_budget: usize,
@@ -40,7 +53,6 @@ pub struct HeuristicConfig {
 impl Default for HeuristicConfig {
     fn default() -> Self {
         HeuristicConfig {
-            max_diff_sets: 5,
             node_budget: 20_000,
         }
     }
@@ -117,7 +129,7 @@ fn enumerate_goal_candidates(
     }
     // Select Ds: heaviest difference sets first, preferring small overlap
     // with the already selected ones (ties in the paper's description).
-    let selected = select_diff_sets(&violated, config.max_diff_sets);
+    let selected = select_diff_sets(&violated, MAX_DIFF_SETS);
     // The unresolved graphs are indexed by the sorted rows of the selected
     // groups' edges, not by all rows: the remap preserves order, so their
     // covers (only the sizes are read) are those of the row-indexed graphs.
@@ -130,7 +142,9 @@ fn enumerate_goal_candidates(
     let local = |row: usize| rows.binary_search(&row).expect("row of a selected edge");
     let selected: Vec<Selected> = selected
         .into_iter()
-        .map(|group| Selected {
+        .enumerate()
+        .map(|(slot, group)| Selected {
+            slot,
             attrs: group.attrs,
             edges: group
                 .edges
@@ -139,20 +153,21 @@ fn enumerate_goal_candidates(
                 .collect(),
         })
         .collect();
-    let selected: Vec<&Selected> = selected.iter().collect();
+    let remaining: Vec<&Selected> = selected.iter().collect();
 
     let mut ctx = Context {
         problem,
         tau,
         budget: config.node_budget,
+        selected: &selected,
+        vertices: rows.len(),
         nodes: 0,
         best: Vec::new(),
         raw: Vec::new(),
         truncated: false,
         skipped_any: false,
     };
-    let empty = UndirectedGraph::with_vertices(rows.len());
-    ctx.recurse(state.clone(), empty, 0, &selected);
+    ctx.recurse(state.clone(), 0, 0, &remaining);
     let pushes = ctx
         .raw
         .iter()
@@ -392,12 +407,7 @@ impl HeuristicCache {
         self.nodes_spent
     }
 
-    fn key_for(
-        &self,
-        problem: &RepairProblem,
-        state: &RepairState,
-        config: &HeuristicConfig,
-    ) -> CacheKey {
+    fn key_for(&self, problem: &RepairProblem, state: &RepairState) -> CacheKey {
         let groups = problem.diff_groups();
         let fd_count = problem.fd_count();
         let violates = |group: &DiffSetGroup, j: usize, fd: &rt_constraints::Fd| {
@@ -411,7 +421,7 @@ impl HeuristicCache {
             .iter()
             .filter(|g| problem.sigma().iter().any(|(j, fd)| violates(g, j, fd)))
             .collect();
-        let selected = select_diff_sets(&violated, config.max_diff_sets);
+        let selected = select_diff_sets(&violated, MAX_DIFF_SETS);
         let selection: Vec<u32> = selected
             .iter()
             .map(|s| {
@@ -487,10 +497,7 @@ impl HeuristicCache {
         config: &HeuristicConfig,
         par: Parallelism,
     ) -> Vec<HeuristicValue> {
-        let keys: Vec<CacheKey> = states
-            .iter()
-            .map(|s| self.key_for(problem, s, config))
-            .collect();
+        let keys: Vec<CacheKey> = states.iter().map(|s| self.key_for(problem, s)).collect();
         // First occurrence of each key that cannot answer `τ` from its
         // recorded run (missing, truncated at a different τ, or recorded at
         // a smaller τ with skipped branches).
@@ -594,9 +601,11 @@ fn select_diff_sets<'a>(violated: &[&'a DiffSetGroup], max: usize) -> Vec<&'a Di
     selected
 }
 
-/// A selected difference-set group, its edges in local vertex ids of the
+/// A selected difference-set group: its slot (index in the selection, its
+/// bit in a `SlotMask`) and its edges in local vertex ids of the
 /// enumeration's unresolved graphs.
 struct Selected {
+    slot: usize,
     attrs: AttrSet,
     edges: Vec<(usize, usize)>,
 }
@@ -605,6 +614,10 @@ struct Context<'a> {
     problem: &'a RepairProblem,
     tau: usize,
     budget: usize,
+    /// Every selected group, in slot order.
+    selected: &'a [Selected],
+    /// Vertex count of the unresolved graphs (the selected groups' rows).
+    vertices: usize,
     nodes: usize,
     best: Vec<RepairState>,
     /// Every `push_minimal` call in order, with its path threshold (the
@@ -621,15 +634,16 @@ impl<'a> Context<'a> {
     /// Recursive enumeration of minimal goal candidates (Algorithm 3).
     ///
     /// * `current` — the state built so far (extends the root state);
-    /// * `unresolved` — accumulated edges of difference sets we chose *not*
-    ///   to resolve (their vertex cover must stay within the budget);
+    /// * `unresolved` — slots of the difference sets we chose *not* to
+    ///   resolve (the vertex cover of their edges must stay within the
+    ///   budget);
     /// * `path_threshold` — largest `|cover| · α` of any leave-unresolved
     ///   decision on the path so far (0 if none);
     /// * `remaining` — difference sets still to be decided.
     fn recurse(
         &mut self,
         current: RepairState,
-        unresolved: UndirectedGraph,
+        unresolved: SlotMask,
         path_threshold: usize,
         remaining: &[&Selected],
     ) {
@@ -663,12 +677,14 @@ impl<'a> Context<'a> {
 
         // Option 1: leave `d` unresolved, paying for it through the vertex
         // cover of the accumulated unresolved edges (Algorithm 3, lines 6-11).
-        let mut with_d = unresolved.clone();
-        for &(u, v) in &d.edges {
-            with_d.add_edge(u, v);
+        let with_d = unresolved | 1 << d.slot;
+        let mut graph = UndirectedGraph::with_vertices(self.vertices);
+        for group in self.selected.iter().filter(|g| with_d & 1 << g.slot != 0) {
+            for &(u, v) in &group.edges {
+                graph.add_edge(u, v);
+            }
         }
-        let cover = approx_vertex_cover(&with_d);
-        let threshold = cover.len() * self.problem.alpha();
+        let threshold = approx_vertex_cover(&graph).len() * self.problem.alpha();
         if threshold <= self.tau {
             self.recurse(current.clone(), with_d, path_threshold.max(threshold), rest);
         } else {
@@ -709,7 +725,7 @@ impl<'a> Context<'a> {
                         .any(|(_, fd)| fd.lhs.is_disjoint_from(g.attrs) && g.attrs.contains(fd.rhs))
                 })
                 .collect();
-            self.recurse(extended, unresolved.clone(), path_threshold, &still);
+            self.recurse(extended, unresolved, path_threshold, &still);
             if self.nodes >= self.budget {
                 self.truncated = true;
                 return;
@@ -856,12 +872,49 @@ mod tests {
     }
 
     #[test]
+    fn groups_left_unresolved_together_pay_for_their_union() {
+        // Two conflicts under A -> B on disjoint rows, with difference sets
+        // {B, C} and {B, D}: each group's cover is one row, their union's two.
+        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
+        let inst = Instance::from_int_rows(
+            schema.clone(),
+            &[
+                vec![1, 1, 1, 1],
+                vec![1, 2, 2, 1],
+                vec![2, 1, 1, 1],
+                vec![2, 2, 1, 2],
+            ],
+        )
+        .unwrap();
+        let fds = FdSet::parse(&["A->B"], &schema).unwrap();
+        let problem = RepairProblem::with_weight(&inst, &fds, WeightKind::AttrCount);
+        let groups = problem.diff_groups();
+        assert_eq!(groups.len(), 2);
+        let cost = |unresolved: &[&DiffSetGroup]| {
+            let mut graph = UndirectedGraph::with_vertices(inst.len());
+            for &(u, v) in unresolved.iter().flat_map(|g| &g.edges) {
+                graph.add_edge(u, v);
+            }
+            approx_vertex_cover(&graph).len() * problem.alpha()
+        };
+        let alone = cost(&[&groups[0]]).max(cost(&[&groups[1]]));
+        let together = cost(&[&groups[0], &groups[1]]);
+        assert!(alone < together);
+        let config = HeuristicConfig::default();
+        let root = RepairState::root(1);
+        // At τ = `alone` either group may stay unresolved, but not both: the
+        // other one costs an appended attribute.
+        let h = goal_cost_estimate(&problem, &root, alone, &config);
+        assert_eq!(h.lower_bound, Some(1.0));
+        assert_eq!(exact_cheapest_goal(&problem, &root, alone), Some(1.0));
+        let h = goal_cost_estimate(&problem, &root, together, &config);
+        assert_eq!(h.lower_bound, Some(0.0));
+    }
+
+    #[test]
     fn budget_exhaustion_stays_optimistic() {
         let problem = figure2_problem();
-        let tight = HeuristicConfig {
-            max_diff_sets: 5,
-            node_budget: 1,
-        };
+        let tight = HeuristicConfig { node_budget: 1 };
         let root = RepairState::root(2);
         let exact = exact_cheapest_goal(&problem, &root, 2).unwrap();
         let h = goal_cost_estimate(&problem, &root, 2, &tight);

@@ -23,7 +23,7 @@
 //! graph, same repairs, same spectrum — to a [`RepairProblem`] freshly built
 //! on the mutated `(I, Σ)`.
 
-use crate::problem::RepairProblem;
+use crate::problem::{RepairProblem, WeightKind};
 use rt_constraints::{incident_conflict_edges, Fd, FdPartitionIndex};
 use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{CellRef, Tuple, Value};
@@ -122,17 +122,29 @@ impl RepairProblem {
     pub fn apply_mutations(&mut self, ops: &[MutationOp]) -> Result<MutationEffect, String> {
         let alpha_before = self.alpha;
         let mut effect = MutationEffect::default();
-        for op in ops {
-            self.apply_one(op, &mut effect)?;
+        // A data-dependent weight shares the instance's columns. Drop it
+        // while data ops run, so their writes land in place instead of
+        // copying each written column, and rebuild it on every exit.
+        let old_fp = self.weight.fingerprint();
+        let writes_data = ops
+            .iter()
+            .any(|op| !matches!(op, MutationOp::AddFd(_) | MutationOp::RemoveFd(_)));
+        if writes_data {
+            self.weight = Self::build_weight(&self.instance, WeightKind::AttrCount);
         }
+        let applied = ops
+            .iter()
+            .try_for_each(|op| self.apply_one(op, &mut effect));
+        if writes_data {
+            self.weight = Self::build_weight(&self.instance, self.weight_kind);
+        }
+        applied?;
         self.alpha = Self::compute_alpha(self.instance.schema().arity(), self.sigma.len());
         self.diff_groups = Self::group_by_difference_set(&self.conflict);
 
         let data_changed = effect.rows_inserted + effect.rows_deleted + effect.cells_updated > 0;
         let mut weight_changed = false;
         if data_changed {
-            let old_fp = self.weight.fingerprint();
-            self.weight = Self::build_weight(&self.instance, self.weight_kind);
             let new_fp = self.weight.fingerprint();
             weight_changed = !(old_fp.is_some() && old_fp == new_fp);
             effect.weight_refreshed = true;
@@ -299,9 +311,9 @@ impl RepairProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::WeightKind;
     use rt_constraints::FdSet;
     use rt_relation::{AttrId, Instance, Schema};
+    use std::sync::Arc;
 
     fn figure2() -> (Instance, FdSet) {
         let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
@@ -396,6 +408,30 @@ mod tests {
         // it must be assumed changed.
         assert!(effect.weight_refreshed);
         assert!(effect.search_state_invalidated);
+        assert_matches_fresh(&p, WeightKind::DistinctCount);
+    }
+
+    #[test]
+    fn repeated_updates_write_their_column_in_place() {
+        let (inst, fds) = figure2();
+        let mut p = RepairProblem::with_weight(&inst, &fds, WeightKind::DistinctCount);
+        let b = AttrId(1);
+        // The first write copies column B away from `inst`; the rebuilt
+        // weight must not hold the copy when the second batch writes it.
+        for (value, first) in [(5, true), (6, false)] {
+            // A raw pointer, not a handle: holding one would force the copy.
+            // A copied column is allocated while its original is still held,
+            // so equal addresses mean the write landed in place.
+            let before = Arc::as_ptr(p.instance().column(b));
+            let effect = p
+                .apply_mutations(&[MutationOp::UpdateCell(
+                    CellRef::new(0, b),
+                    Value::int(value),
+                )])
+                .unwrap();
+            assert!(effect.weight_refreshed);
+            assert_eq!(before == Arc::as_ptr(p.instance().column(b)), !first);
+        }
         assert_matches_fresh(&p, WeightKind::DistinctCount);
     }
 
