@@ -155,7 +155,7 @@ fn measure_mutations(metrics: &mut Metrics) {
     let after = engine.spectrum().expect("post-mutation spectrum completes");
     let stats = engine.stats();
     assert_eq!(stats.conflict_graph_builds, 1, "engine invariant violated");
-    assert_eq!(stats.graph_rebuild_avoided, ops.len());
+    assert_eq!(stats.mutation_batches, ops.len());
     // Snapshot the equality-work counters *before* the fresh-rebuild
     // verification below: the gate measures the incremental session, not the
     // gate's own cross-check.
@@ -193,10 +193,7 @@ fn measure_mutations(metrics: &mut Metrics) {
         "conflict_graph_builds",
         stats.conflict_graph_builds as u64,
     ));
-    metrics.push(m(
-        "graph_rebuild_avoided",
-        stats.graph_rebuild_avoided as u64,
-    ));
+    metrics.push(m("mutation_batches", stats.mutation_batches as u64));
     metrics.push(m("edges_added", stats.edges_added as u64));
     metrics.push(m("edges_removed", stats.edges_removed as u64));
     metrics.push(m("points", points as u64));

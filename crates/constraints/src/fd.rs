@@ -87,6 +87,15 @@ impl Fd {
         t1.agree_on(t2, self.lhs) && !t1.get(self.rhs).matches(t2.get(self.rhs))
     }
 
+    /// Does a tuple pair whose difference set (the attributes it disagrees
+    /// on) is `diff` violate this FD with its LHS extended by `extension`?
+    /// The pair agrees on the LHS of [`Fd::extend_lhs`] and differs on the
+    /// RHS: `(X ∪ Y) ∩ diff = ∅ ∧ A ∈ diff`. Every "which FDs does this
+    /// conflict violate" question goes through this one predicate.
+    pub fn violated_by_diff(&self, extension: AttrSet, diff: AttrSet) -> bool {
+        diff.contains(self.rhs) && self.extend_lhs(extension).lhs.is_disjoint_from(diff)
+    }
+
     /// `true` when the whole instance satisfies the FD (`I |= X → A`).
     ///
     /// Quadratic fallback used by tests and small examples; production code

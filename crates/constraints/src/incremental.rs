@@ -164,8 +164,8 @@ impl FdPartitionIndex {
 /// For every dirty row `r` and FD `X → A`, the only rows that can conflict
 /// with `r` on that FD are the members of `r`'s `X`-class, and among those
 /// exactly the ones differing on `A`. The union over FDs is therefore the
-/// complete set of conflicting pairs involving a dirty row; labels and
-/// difference sets are recomputed per pair, so the returned edges are
+/// complete set of conflicting pairs involving a dirty row; difference sets
+/// are recomputed per pair, so the returned edges are
 /// bit-identical to what a from-scratch [`crate::ConflictGraph::build`]
 /// would produce for them.
 pub fn incident_conflict_edges(
@@ -192,7 +192,7 @@ pub fn incident_conflict_edges(
     }
     pairs
         .into_iter()
-        .map(|pair| crate::violations::labelled_edge(instance, fds, pair))
+        .map(|pair| ConflictEdge::of(instance, pair))
         .collect()
 }
 
@@ -299,7 +299,7 @@ mod tests {
             .edges()
             .iter()
             .filter(|e| e.rows.0 == 3 || e.rows.1 == 3)
-            .cloned()
+            .copied()
             .collect();
         assert_eq!(local, expected);
     }

@@ -35,45 +35,46 @@ use rt_graph::{CompactGraph, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{code_runs, row_u32, sort_rows_by_codes, Code, CodeSpace, Instance};
-use std::collections::HashMap;
 
 /// One conflict-graph edge: a pair of tuples violating at least one FD.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Its difference set alone decides which FDs, and which relaxations of
+/// them, the pair violates ([`Fd::violated_by_diff`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConflictEdge {
     /// Row indices of the two conflicting tuples (`rows.0 < rows.1`).
     pub rows: (usize, usize),
-    /// Indices (into the original FD set) of the FDs violated by this pair.
-    pub violated_fds: Vec<usize>,
     /// Attributes on which the two tuples differ.
     pub difference_set: AttrSet,
 }
 
 impl ConflictEdge {
-    /// Does this edge violate the FD `lhs → rhs`?
-    ///
-    /// True iff the tuples agree on the (possibly extended) LHS and differ on
-    /// the RHS, which in difference-set terms is `lhs ∩ diff = ∅ ∧ rhs ∈ diff`.
-    pub fn violates(&self, lhs: AttrSet, rhs: rt_relation::AttrId) -> bool {
-        lhs.is_disjoint_from(self.difference_set) && self.difference_set.contains(rhs)
+    /// The edge of a row pair, its difference set read off the code
+    /// columns (equal codes ⟺ matching cells).
+    pub(crate) fn of(instance: &Instance, pair: (usize, usize)) -> Self {
+        ConflictEdge {
+            rows: pair,
+            difference_set: AttrSet::from_attrs(instance.differing_attrs_coded(pair.0, pair.1)),
+        }
     }
 
     /// Does this edge violate at least one FD of `fds`?
     pub fn violates_any(&self, fds: &FdSet) -> bool {
-        fds.iter().any(|(_, fd)| self.violates(fd.lhs, fd.rhs))
+        fds.iter()
+            .any(|(_, fd)| fd.violated_by_diff(AttrSet::EMPTY, self.difference_set))
     }
 }
 
 /// What an incremental conflict-graph patch did, in edges. `edges_relabeled`
-/// counts edges whose row pair survived but whose violated-FD labels or
-/// difference set changed; any non-zero field means FD-level search results
-/// computed against the old graph are stale.
+/// counts edges whose row pair survived but whose difference set changed, or
+/// (for an FD edit) whose violated-FD positions moved; any non-zero field
+/// means FD-level search results computed against the old graph are stale.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConflictGraphDeltaSummary {
     /// Edges that exist now but did not before.
     pub edges_added: usize,
     /// Edges that existed before but do not now.
     pub edges_removed: usize,
-    /// Edges whose labels or difference set changed in place.
+    /// Edges whose difference set or violated-FD positions changed in place.
     pub edges_relabeled: usize,
 }
 
@@ -85,30 +86,6 @@ impl Telemetry for ConflictGraphDeltaSummary {
             ("edges_removed", Slot::Count(&mut self.edges_removed)),
             ("edges_relabeled", Slot::Count(&mut self.edges_relabeled)),
         ]
-    }
-}
-
-/// Builds a fully labelled conflict edge for a row pair from the code
-/// columns alone: the difference set is read off the per-attribute codes,
-/// and the violated FDs follow from it (`X → A` is violated by the pair iff
-/// the pair agrees on `X` and differs on `A`, i.e. `X ∩ diff = ∅ ∧ A ∈
-/// diff` — the same predicate [`ConflictEdge::violates`] uses, and exactly
-/// equivalent to the value-level [`FdSet::violated_by`]).
-pub(crate) fn labelled_edge(
-    instance: &Instance,
-    fds: &FdSet,
-    pair: (usize, usize),
-) -> ConflictEdge {
-    let diff = AttrSet::from_attrs(instance.differing_attrs_coded(pair.0, pair.1));
-    let violated_fds = fds
-        .iter()
-        .filter(|(_, fd)| fd.lhs.is_disjoint_from(diff) && diff.contains(fd.rhs))
-        .map(|(i, _)| i)
-        .collect();
-    ConflictEdge {
-        rows: pair,
-        violated_fds,
-        difference_set: diff,
     }
 }
 
@@ -174,8 +151,8 @@ impl ConflictGraph {
     /// Construction follows Section 6 of the paper: for every FD, partition
     /// tuples by their LHS projection, sub-partition each class by the RHS,
     /// and emit one edge for every pair of tuples in the same class
-    /// but different sub-classes. Edges found for several FDs are merged and
-    /// labelled with every violated FD.
+    /// but different sub-classes. Edges found for several FDs are merged
+    /// into one; each keeps the difference set of its two tuples.
     pub fn build(instance: &Instance, fds: &FdSet) -> Self {
         Self::build_with(instance, fds, Parallelism::Serial)
     }
@@ -193,13 +170,13 @@ impl ConflictGraph {
     /// 2. **pair scans** (parallel over blocks): each block emits its
     ///    cross-sub-class row pairs independently — blocks never share
     ///    mutable state;
-    /// 3. **merge + labelling** (deterministic): pair lists are merged into
-    ///    one edge map in block order, then the per-edge difference sets are
-    ///    computed in parallel over the *sorted* edge list.
+    /// 3. **merge + difference sets** (deterministic): the pair lists are
+    ///    concatenated, sorted and deduplicated, then the per-edge difference
+    ///    sets are computed in parallel over the *sorted* edge list.
     ///
-    /// Because the final edge list is sorted by row pair and FD labels are
-    /// sorted and deduplicated, the result is bit-identical for every
-    /// `Parallelism` setting (covered by the workspace determinism tests).
+    /// Because the final edge list is sorted by row pair, the result is
+    /// bit-identical for every `Parallelism` setting (covered by the
+    /// workspace determinism tests).
     pub fn build_with(instance: &Instance, fds: &FdSet, par: Parallelism) -> Self {
         Self::build_over(instance, fds, (0..row_u32(instance.len())).collect(), par)
     }
@@ -239,44 +216,22 @@ impl ConflictGraph {
         // is `Value::matches`-faithful (equal codes ⟺ matching cells), so
         // the blocks — and hence the edges — are bit-identical to
         // value-level blocking.
-        let blocks: Vec<(usize, Vec<Vec<usize>>)> = fds
+        let blocks: Vec<Vec<Vec<usize>>> = fds
             .iter()
-            .flat_map(|(fd_idx, fd)| {
-                fd_blocks(instance, fd, rows.clone())
-                    .into_iter()
-                    .map(move |b| (fd_idx, b))
-            })
+            .flat_map(|(_, fd)| fd_blocks(instance, fd, rows.clone()))
             .collect();
 
         // Phase 2: per-block pair scans, fanned out over worker threads.
         let per_block: Vec<Vec<(usize, usize)>> =
-            par_map_indexed(par, blocks.len(), |b| block_pairs(&blocks[b].1));
+            par_map_indexed(par, blocks.len(), |b| block_pairs(&blocks[b]));
 
-        // Phase 3a: deterministic merge, in block order.
-        let mut edge_map: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        for ((fd_idx, _), pairs) in blocks.iter().zip(per_block) {
-            for pair in pairs {
-                edge_map.entry(pair).or_default().push(*fd_idx);
-            }
-        }
-
-        // Phase 3b: sort the edge keys, then label edges in parallel (the
-        // difference-set computation walks both tuples, which dominates for
+        // Phase 3: merge the pairs found for several FDs, then compute the
+        // difference sets in parallel (walking both tuples dominates for
         // wide schemas).
-        let mut keyed: Vec<((usize, usize), Vec<usize>)> = edge_map.into_iter().collect();
-        keyed.sort_unstable_by_key(|(rows, _)| *rows);
-        let edges: Vec<ConflictEdge> = par_map_indexed(par, keyed.len(), |i| {
-            let ((u, v), violated) = &keyed[i];
-            let mut violated = violated.clone();
-            violated.sort_unstable();
-            violated.dedup();
-            let diff = AttrSet::from_attrs(instance.differing_attrs_coded(*u, *v));
-            ConflictEdge {
-                rows: (*u, *v),
-                violated_fds: violated,
-                difference_set: diff,
-            }
-        });
+        let mut pairs: Vec<(usize, usize)> = per_block.into_iter().flatten().collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let edges = par_map_indexed(par, pairs.len(), |i| ConflictEdge::of(instance, pairs[i]));
         ConflictGraph {
             row_count: instance.len(),
             edges,
@@ -419,27 +374,29 @@ impl ConflictGraph {
     ) -> ConflictGraphDeltaSummary {
         debug_assert!(dirty_rows.windows(2).all(|w| w[0] < w[1]));
         let is_dirty = |r: usize| dirty_rows.binary_search(&r).is_ok();
-        let mut old_incident: HashMap<(usize, usize), (Vec<usize>, AttrSet)> = HashMap::new();
+        // `retain` visits the edges in order, so `old` stays sorted.
+        let mut old: Vec<ConflictEdge> = Vec::new();
         self.edges.retain(|e| {
-            if is_dirty(e.rows.0) || is_dirty(e.rows.1) {
-                old_incident.insert(e.rows, (e.violated_fds.clone(), e.difference_set));
-                false
-            } else {
-                true
+            let dirty = is_dirty(e.rows.0) || is_dirty(e.rows.1);
+            if dirty {
+                old.push(*e);
             }
+            !dirty
         });
         let mut summary = ConflictGraphDeltaSummary::default();
+        let mut kept = 0;
         for e in &recomputed {
-            match old_incident.remove(&e.rows) {
-                Some((labels, diff)) => {
-                    if labels != e.violated_fds || diff != e.difference_set {
+            match old.binary_search_by_key(&e.rows, |o| o.rows) {
+                Ok(i) => {
+                    kept += 1;
+                    if old[i].difference_set != e.difference_set {
                         summary.edges_relabeled += 1;
                     }
                 }
-                None => summary.edges_added += 1,
+                Err(_) => summary.edges_added += 1,
             }
         }
-        summary.edges_removed = old_incident.len();
+        summary.edges_removed = old.len() - kept;
         self.edges = Self::merge_sorted(std::mem::take(&mut self.edges), recomputed);
         self.row_count = new_row_count;
         summary
@@ -492,19 +449,13 @@ impl ConflictGraph {
         before - self.edges.len()
     }
 
-    /// Integrates a newly appended FD (`fds.get(fd_idx)`, with `fd_idx`
-    /// pointing past the FDs the graph was built for): one blocking pass
-    /// over the data *for that FD only* (the build's blocking) finds its
-    /// violating pairs, which
-    /// either label existing edges or become new ones.
-    pub fn integrate_fd(
-        &mut self,
-        instance: &Instance,
-        fds: &FdSet,
-        fd_idx: usize,
-    ) -> ConflictGraphDeltaSummary {
+    /// Integrates a newly appended FD: one blocking pass over the data *for
+    /// that FD only* (the build's blocking) finds its violating pairs, which
+    /// either already are edges (counted as relabeled: the new FD's position
+    /// joins the ones they violate) or become new ones.
+    pub fn integrate_fd(&mut self, instance: &Instance, fd: &Fd) -> ConflictGraphDeltaSummary {
         let rows = (0..row_u32(instance.len())).collect();
-        let mut pairs: Vec<(usize, usize)> = fd_blocks(instance, fds.get(fd_idx), rows)
+        let mut pairs: Vec<(usize, usize)> = fd_blocks(instance, fd, rows)
             .iter()
             .flat_map(|block| block_pairs(block))
             .collect();
@@ -514,18 +465,11 @@ impl ConflictGraph {
         let mut summary = ConflictGraphDeltaSummary::default();
         let mut fresh: Vec<ConflictEdge> = Vec::new();
         for pair in pairs {
-            match self.edges.binary_search_by_key(&pair, |e| e.rows) {
-                Ok(i) => {
-                    let edge = &mut self.edges[i];
-                    if let Err(pos) = edge.violated_fds.binary_search(&fd_idx) {
-                        edge.violated_fds.insert(pos, fd_idx);
-                        summary.edges_relabeled += 1;
-                    }
-                }
-                Err(_) => {
-                    fresh.push(labelled_edge(instance, fds, pair));
-                    summary.edges_added += 1;
-                }
+            if self.edges.binary_search_by_key(&pair, |e| e.rows).is_ok() {
+                summary.edges_relabeled += 1;
+            } else {
+                fresh.push(ConflictEdge::of(instance, pair));
+                summary.edges_added += 1;
             }
         }
         // `pairs` was sorted, so `fresh` is too: splice by linear merge.
@@ -533,30 +477,23 @@ impl ConflictGraph {
         summary
     }
 
-    /// Withdraws the FD at `fd_idx` from the edge labels: the label
-    /// disappears, later FD indices shift down by one (matching the
-    /// [`FdSet`]'s positional renumbering after a removal), and edges left
-    /// with no violated FD are dropped.
-    pub fn remove_fd_labels(&mut self, fd_idx: usize) -> ConflictGraphDeltaSummary {
+    /// Withdraws the FD at `fd_idx` of `fds`, the FD set *before* the
+    /// removal: edges that violate no other FD of `fds` are dropped. FD
+    /// positions are what an edge's violations are named by, and every later
+    /// FD shifts down by one, so a surviving edge counts as relabeled when the
+    /// removed FD or a later one violated it.
+    pub fn remove_fd(&mut self, fds: &FdSet, fd_idx: usize) -> ConflictGraphDeltaSummary {
         let mut summary = ConflictGraphDeltaSummary::default();
-        self.edges.retain_mut(|e| {
-            let had = e.violated_fds.binary_search(&fd_idx).is_ok();
-            let shifted = e.violated_fds.last().is_some_and(|&f| f > fd_idx);
-            e.violated_fds.retain(|&f| f != fd_idx);
-            for f in &mut e.violated_fds {
-                if *f > fd_idx {
-                    *f -= 1;
-                }
-            }
-            if e.violated_fds.is_empty() {
+        self.edges.retain(|e| {
+            let violated = |fd: &Fd| fd.violated_by_diff(AttrSet::EMPTY, e.difference_set);
+            if !fds.iter().any(|(j, fd)| j != fd_idx && violated(fd)) {
                 summary.edges_removed += 1;
-                false
-            } else {
-                if had || shifted {
-                    summary.edges_relabeled += 1;
-                }
-                true
+                return false;
             }
+            if fds.as_slice()[fd_idx..].iter().any(violated) {
+                summary.edges_relabeled += 1;
+            }
+            true
         });
         summary
     }
@@ -593,10 +530,18 @@ mod tests {
         assert_eq!(rows, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(cg.edge_count(), 3);
         assert!(!cg.is_empty());
-        // Edge labels: (t1,t2) violates both FDs; (t2,t3) only C->D; (t3,t4) only A->B.
-        assert_eq!(cg.edges()[0].violated_fds, vec![0, 1]);
-        assert_eq!(cg.edges()[1].violated_fds, vec![1]);
-        assert_eq!(cg.edges()[2].violated_fds, vec![0]);
+        // Violated FDs: (t1,t2) both; (t2,t3) only C->D; (t3,t4) only A->B.
+        let violated: Vec<Vec<usize>> = cg
+            .edges()
+            .iter()
+            .map(|e| {
+                fds.iter()
+                    .filter(|(_, fd)| fd.violated_by_diff(AttrSet::EMPTY, e.difference_set))
+                    .map(|(j, _)| j)
+                    .collect()
+            })
+            .collect();
+        assert_eq!(violated, vec![vec![0, 1], vec![1], vec![0]]);
     }
 
     #[test]
@@ -672,15 +617,16 @@ mod tests {
     fn difference_set_violation_logic() {
         let d = ConflictEdge {
             rows: (0, 1),
-            violated_fds: vec![0],
             difference_set: AttrSet::from_attrs([AttrId(1), AttrId(3)]),
         };
+        let diff = d.difference_set;
+        let none = AttrSet::EMPTY;
         // FD A0 -> A1: lhs disjoint from diff, rhs in diff → violated.
-        assert!(d.violates(AttrSet::singleton(AttrId(0)), AttrId(1)));
+        assert!(Fd::from_indices(&[0], 1).violated_by_diff(none, diff));
         // FD A1 -> A3: lhs inside diff → tuples do not even agree on lhs.
-        assert!(!d.violates(AttrSet::singleton(AttrId(1)), AttrId(3)));
+        assert!(!Fd::from_indices(&[1], 3).violated_by_diff(none, diff));
         // FD A0 -> A2: rhs not in diff → tuples agree on rhs.
-        assert!(!d.violates(AttrSet::singleton(AttrId(0)), AttrId(2)));
+        assert!(!Fd::from_indices(&[0], 2).violated_by_diff(none, diff));
         let schema = Schema::with_arity(4).unwrap();
         let fds = FdSet::parse(&["A0->A1"], &schema).unwrap();
         assert!(d.violates_any(&fds));
@@ -738,17 +684,18 @@ mod tests {
         let schema = inst.schema().clone();
         let mut cg = ConflictGraph::build(&inst, &fds);
         // Add B->C: t2=(.,2,1,.) vs t3=(.,2,1,.) agree on C, but t2/t3 vs
-        // others create fresh labelled pairs.
-        fds.push(Fd::parse("B->C", &schema).unwrap());
-        let summary = cg.integrate_fd(&inst, &fds, 2);
+        // others create fresh pairs.
+        let fd = Fd::parse("B->C", &schema).unwrap();
+        fds.push(fd);
+        cg.integrate_fd(&inst, &fd);
         assert_eq!(cg, ConflictGraph::build(&inst, &fds));
-        let _ = summary;
-        // Remove the first FD; labels shift down and edges violating only
-        // A->B disappear.
+        // Remove the first FD: (t1,t2) still violates C->D, which shifts
+        // down a position; (t3,t4) violated only A->B and disappears.
+        let summary = cg.remove_fd(&fds, 0);
         fds.remove(0);
-        let summary = cg.remove_fd_labels(0);
         assert_eq!(cg, ConflictGraph::build(&inst, &fds));
-        assert!(summary.edges_removed > 0 || summary.edges_relabeled > 0);
+        assert_eq!(summary.edges_removed, 1);
+        assert_eq!(summary.edges_relabeled, cg.edge_count());
     }
 
     #[test]
@@ -802,11 +749,13 @@ mod tests {
     fn edge_violates_uses_extended_lhs() {
         let (inst, fds) = figure2();
         let cg = ConflictGraph::build(&inst, &fds);
-        let edge = &cg.edges()[2]; // (t3,t4), diff = BCD
+        let diff = cg.edges()[2].difference_set; // (t3,t4), diff = BCD
         let fd = fds.get(0); // A -> B
-        assert!(edge.violates(fd.lhs, fd.rhs));
+        assert!(fd.violated_by_diff(AttrSet::EMPTY, diff));
         // Extending the LHS with C (inside the difference set) resolves it.
-        let extended = Fd::new(fd.lhs.with(AttrId(2)), fd.rhs);
-        assert!(!edge.violates(extended.lhs, extended.rhs));
+        assert!(!fd.violated_by_diff(AttrSet::singleton(AttrId(2)), diff));
+        // The RHS never joins the LHS (`Fd::extend_lhs`), so an extension
+        // naming B leaves the violation standing.
+        assert!(fd.violated_by_diff(AttrSet::singleton(AttrId(1)), diff));
     }
 }

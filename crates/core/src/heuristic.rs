@@ -29,7 +29,7 @@
 
 use crate::problem::{DiffSetGroup, RepairProblem};
 use crate::state::RepairState;
-use rt_constraints::AttrSet;
+use rt_constraints::{AttrSet, Fd, FdSet};
 use rt_graph::{approx_vertex_cover, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use std::collections::{HashMap, HashSet};
@@ -71,60 +71,49 @@ pub struct HeuristicValue {
     pub cache_hit: bool,
 }
 
-/// Full record of one structural enumeration run at a fixed `(S, τ)`.
-struct EnumerationRun {
-    /// The minimal candidate goal states, in discovery order (what the
-    /// uncached oracle consumes).
-    best: Vec<RepairState>,
-    /// Every `push_minimal` call in order, as component-wise attribute
-    /// *additions* relative to the evaluated state, each annotated with its
-    /// path threshold: the largest `|cover| · α` of any leave-unresolved
-    /// branch on the path from the root (0 when the path resolves
-    /// everything). A later, tighter `τ'` visits exactly the pushes with
-    /// threshold `≤ τ'` — in the same order — as long as this run was not
-    /// budget-truncated.
-    pushes: Vec<(Vec<AttrSet>, usize)>,
-    /// Recursion nodes spent.
-    nodes: usize,
-    /// `true` when the node budget cut the enumeration short (the visit
-    /// order beyond the cut depends on `τ`, so truncated runs only answer
-    /// their own `τ`).
-    truncated: bool,
-    /// `true` when some leave-unresolved branch was infeasible at this `τ`
-    /// (so a *larger* `τ` would explore a strictly bigger tree).
-    skipped_any: bool,
+/// The FDs of `sigma`, their LHSs extended by `extensions`, that a conflict
+/// with difference set `diff` violates ([`Fd::violated_by_diff`]).
+fn violated_fds<'a>(
+    sigma: &'a FdSet,
+    extensions: &'a [AttrSet],
+    diff: AttrSet,
+) -> impl Iterator<Item = usize> + 'a {
+    sigma
+        .iter()
+        .filter(move |(j, fd)| fd.violated_by_diff(extensions[*j], diff))
+        .map(|(j, _)| j)
 }
 
 /// Runs the structural half of `gc(S)`: difference-set selection plus the
-/// cheapest-resolution enumeration. The costing half — `dist_c` over the
-/// candidates — is left to the caller, which is what makes the structural
-/// half cacheable across states.
+/// cheapest-resolution enumeration, recorded as the run's pushes. The
+/// costing half — `dist_c` over the minimal candidates
+/// ([`HeuristicCache::derive`]) — is left to the caller, which is what makes
+/// the structural half cacheable across states.
 fn enumerate_goal_candidates(
     problem: &RepairProblem,
     state: &RepairState,
     tau: usize,
     config: &HeuristicConfig,
-) -> EnumerationRun {
-    let relaxed = problem.relaxed_fds(state);
+) -> StructuralEntry {
     // Difference sets still violated by the state's relaxation.
     let violated: Vec<&DiffSetGroup> = problem
         .diff_groups()
         .iter()
         .filter(|g| {
-            relaxed
-                .iter()
-                .any(|(_, fd)| fd.lhs.is_disjoint_from(g.attrs) && g.attrs.contains(fd.rhs))
+            violated_fds(problem.sigma(), state.extensions(), g.attrs)
+                .next()
+                .is_some()
         })
         .collect();
     if violated.is_empty() {
         // The state itself is a goal (no violations at all): its own cost is
         // the exact answer, at every τ.
-        return EnumerationRun {
-            best: vec![state.clone()],
-            pushes: vec![(vec![AttrSet::EMPTY; problem.fd_count()], 0)],
-            nodes: 0,
+        return StructuralEntry {
+            tau,
             truncated: false,
             skipped_any: false,
+            nodes: 0,
+            pushes: vec![(vec![AttrSet::EMPTY; problem.fd_count()], 0)],
         };
     }
     // Select Ds: heaviest difference sets first, preferring small overlap
@@ -162,7 +151,6 @@ fn enumerate_goal_candidates(
         selected: &selected,
         vertices: rows.len(),
         nodes: 0,
-        best: Vec::new(),
         raw: Vec::new(),
         truncated: false,
         skipped_any: false,
@@ -181,33 +169,50 @@ fn enumerate_goal_candidates(
             (adds, *t)
         })
         .collect();
-    EnumerationRun {
-        best: ctx.best,
-        pushes,
-        nodes: ctx.nodes,
+    StructuralEntry {
+        tau,
         truncated: ctx.truncated,
         skipped_any: ctx.skipped_any,
+        nodes: ctx.nodes,
+        pushes,
     }
 }
 
-/// Computes `gc(state)` for the given cell budget `τ`.
+/// Computes `gc(state)` for the given cell budget `τ`: a fresh enumeration
+/// at `τ`, with no cache — the reference the memoized path must match.
 pub fn goal_cost_estimate(
     problem: &RepairProblem,
     state: &RepairState,
     tau: usize,
     config: &HeuristicConfig,
 ) -> HeuristicValue {
-    let run = enumerate_goal_candidates(problem, state, tau, config);
-    let lower_bound = run
-        .best
-        .iter()
-        .map(|s| problem.dist_c(s))
-        .min_by(|a, b| a.total_cmp(b));
+    let entry = enumerate_goal_candidates(problem, state, tau, config);
     HeuristicValue {
-        lower_bound,
-        nodes: run.nodes,
+        lower_bound: cheapest(problem, state, &HeuristicCache::derive(&entry, tau)),
+        nodes: entry.nodes,
         cache_hit: false,
     }
+}
+
+/// The least `dist_c` of `state` extended by one of `additions`; the first
+/// of equals, as `min_by(total_cmp)` picks it.
+fn cheapest(
+    problem: &RepairProblem,
+    state: &RepairState,
+    additions: &[Vec<AttrSet>],
+) -> Option<f64> {
+    additions
+        .iter()
+        .map(|adds| {
+            let ext: Vec<AttrSet> = state
+                .extensions()
+                .iter()
+                .zip(adds)
+                .map(|(base, add)| base.union(*add))
+                .collect();
+            problem.weight().extension_cost(&ext)
+        })
+        .min_by(|a, b| a.total_cmp(b))
 }
 
 /// Cache key for the structural half of `gc(S)`.
@@ -236,15 +241,29 @@ struct CacheKey {
     violation: Vec<u64>,
 }
 
-/// Cached structural enumeration for one key: the raw push sequence of the
-/// recorded run (additions + path thresholds), plus the run's `τ` and
-/// completion flags that decide which other `τ` values it can answer.
+/// One structural enumeration run at a fixed `(S, τ)`, as the cache keeps
+/// it: the run's `τ` and completion flags, which decide which other `τ`
+/// values it can answer, and its pushes.
 #[derive(Debug, Clone)]
 struct StructuralEntry {
+    /// The `τ` the run was recorded at.
     tau: usize,
+    /// `true` when the node budget cut the enumeration short (the visit
+    /// order beyond the cut depends on `τ`, so truncated runs only answer
+    /// their own `τ`).
     truncated: bool,
+    /// `true` when some leave-unresolved branch was infeasible at this `τ`
+    /// (so a *larger* `τ` would explore a strictly bigger tree).
     skipped_any: bool,
+    /// Recursion nodes spent.
     nodes: usize,
+    /// Every candidate push in order, as component-wise attribute
+    /// *additions* relative to the evaluated state, each annotated with its
+    /// path threshold: the largest `|cover| · α` of any leave-unresolved
+    /// branch on the path from the root (0 when the path resolves
+    /// everything). A later, tighter `τ'` visits exactly the pushes with
+    /// threshold `≤ τ'` — in the same order — as long as this run was not
+    /// budget-truncated.
     pushes: Vec<(Vec<AttrSet>, usize)>,
 }
 
@@ -261,14 +280,6 @@ impl StructuralEntry {
     fn serves(&self, tau: usize) -> bool {
         tau == self.tau || (!self.truncated && (tau < self.tau || !self.skipped_any))
     }
-}
-
-/// Minimal candidate additions for one `(key, τ)`, derived from a
-/// [`StructuralEntry`] by threshold-filtering its pushes and replaying the
-/// minimality filter.
-#[derive(Debug, Clone)]
-struct DerivedEntry {
-    additions: Vec<Vec<AttrSet>>,
 }
 
 /// `a` extends `b`, component-wise, on addition vectors (equivalent to
@@ -298,7 +309,9 @@ fn adds_extend(a: &[AttrSet], b: &[AttrSet]) -> bool {
 #[derive(Debug, Default)]
 pub struct HeuristicCache {
     structural: HashMap<CacheKey, StructuralEntry>,
-    derived: HashMap<(CacheKey, usize), DerivedEntry>,
+    /// Minimal candidate additions per `(key, τ)`, derived from the
+    /// structural entry by [`HeuristicCache::derive`].
+    derived: HashMap<(CacheKey, usize), Vec<Vec<AttrSet>>>,
     hits: usize,
     nodes_spent: usize,
 }
@@ -410,10 +423,8 @@ impl HeuristicCache {
     fn key_for(&self, problem: &RepairProblem, state: &RepairState) -> CacheKey {
         let groups = problem.diff_groups();
         let fd_count = problem.fd_count();
-        let violates = |group: &DiffSetGroup, j: usize, fd: &rt_constraints::Fd| {
-            group.attrs.contains(fd.rhs)
-                && fd.lhs.is_disjoint_from(group.attrs)
-                && state.extensions()[j].is_disjoint_from(group.attrs)
+        let violates = |group: &DiffSetGroup, j: usize, fd: &Fd| {
+            fd.violated_by_diff(state.extensions()[j], group.attrs)
         };
         // Mirror of the run's own selection: violated groups in group order,
         // then the greedy heaviest-first pick.
@@ -446,10 +457,10 @@ impl HeuristicCache {
         }
     }
 
-    /// Threshold-filters a recorded run at `tau` and replays the online
-    /// minimality filter, reproducing exactly the candidate set (and order)
-    /// a fresh enumeration at `tau` would build.
-    fn derive(entry: &StructuralEntry, tau: usize) -> DerivedEntry {
+    /// Threshold-filters a recorded run at `tau` and keeps the minimal
+    /// additions (those extending no other), in discovery order: exactly
+    /// the candidates a fresh enumeration at `tau` stands for.
+    fn derive(entry: &StructuralEntry, tau: usize) -> Vec<Vec<AttrSet>> {
         let mut additions: Vec<Vec<AttrSet>> = Vec::new();
         for (adds, threshold) in &entry.pushes {
             if *threshold > tau {
@@ -461,7 +472,7 @@ impl HeuristicCache {
             additions.retain(|b| !adds_extend(b, adds));
             additions.push(adds.clone());
         }
-        DerivedEntry { additions }
+        additions
     }
 
     /// Evaluates `gc` for one state. Equivalent to
@@ -514,15 +525,7 @@ impl HeuristicCache {
             }
         }
         let computed: Vec<StructuralEntry> = par_map_indexed(par, miss_idx.len(), |m| {
-            let state = states[miss_idx[m]];
-            let run = enumerate_goal_candidates(problem, state, tau, config);
-            StructuralEntry {
-                tau,
-                truncated: run.truncated,
-                skipped_any: run.skipped_any,
-                nodes: run.nodes,
-                pushes: run.pushes,
-            }
+            enumerate_goal_candidates(problem, states[miss_idx[m]], tau, config)
         });
         for (&i, entry) in miss_idx.iter().zip(computed) {
             self.nodes_spent += entry.nodes;
@@ -553,21 +556,8 @@ impl HeuristicCache {
                         .insert(derived_key.clone(), Self::derive(entry, tau));
                 }
                 let derived = self.derived.get(&derived_key).expect("inserted above");
-                let lower_bound = derived
-                    .additions
-                    .iter()
-                    .map(|adds| {
-                        let ext: Vec<AttrSet> = state
-                            .extensions()
-                            .iter()
-                            .zip(adds)
-                            .map(|(base, add)| base.union(*add))
-                            .collect();
-                        problem.weight().extension_cost(&ext)
-                    })
-                    .min_by(|a, b| a.total_cmp(b));
                 HeuristicValue {
-                    lower_bound,
+                    lower_bound: cheapest(problem, state, derived),
                     nodes: miss_nodes,
                     cache_hit: !is_miss,
                 }
@@ -619,8 +609,7 @@ struct Context<'a> {
     /// Vertex count of the unresolved graphs (the selected groups' rows).
     vertices: usize,
     nodes: usize,
-    best: Vec<RepairState>,
-    /// Every `push_minimal` call in order, with its path threshold (the
+    /// Every candidate push in order, with its path threshold (the
     /// largest leave-unresolved `|cover| · α` on the path) — the raw
     /// material for [`HeuristicCache`]'s τ-derivable entries.
     raw: Vec<(RepairState, usize)>,
@@ -649,14 +638,14 @@ impl<'a> Context<'a> {
     ) {
         self.nodes += 1;
         if remaining.is_empty() {
-            self.push_minimal(current, path_threshold);
+            self.raw.push((current, path_threshold));
             return;
         }
         if self.nodes >= self.budget {
             // Budget exhausted: optimistically assume the rest resolves for
             // free. `current` is a lower-bound witness.
             self.truncated = true;
-            self.push_minimal(current, path_threshold);
+            self.raw.push((current, path_threshold));
             return;
         }
         let d = remaining[0];
@@ -664,13 +653,9 @@ impl<'a> Context<'a> {
 
         // If the choices made for earlier difference sets already resolve
         // `d`, it imposes no further constraint.
-        let relaxed = self.problem.relaxed_fds(&current);
-        let violated_fds: Vec<usize> = relaxed
-            .iter()
-            .filter(|(_, fd)| fd.lhs.is_disjoint_from(d.attrs) && d.attrs.contains(fd.rhs))
-            .map(|(j, _)| j)
-            .collect();
-        if violated_fds.is_empty() {
+        let sigma = self.problem.sigma();
+        let violated: Vec<usize> = violated_fds(sigma, current.extensions(), d.attrs).collect();
+        if violated.is_empty() {
             self.recurse(current, unresolved, path_threshold, rest);
             return;
         }
@@ -693,13 +678,9 @@ impl<'a> Context<'a> {
         // Candidate attributes per violated FD: any attribute of `d` other
         // than that FD's RHS (all such attributes are outside the current
         // LHS because the LHS is disjoint from `d`).
-        let choices: Vec<(usize, Vec<rt_relation::AttrId>)> = violated_fds
+        let choices: Vec<(usize, Vec<rt_relation::AttrId>)> = violated
             .iter()
-            .map(|&j| {
-                let fd = relaxed.get(j);
-                let attrs: Vec<rt_relation::AttrId> = d.attrs.without(fd.rhs).iter().collect();
-                (j, attrs)
-            })
+            .map(|&j| (j, d.attrs.without(sigma.get(j).rhs).iter().collect()))
             .collect();
         if choices.iter().any(|(_, attrs)| attrs.is_empty()) {
             // Some violated FD cannot be resolved by extension (the
@@ -715,14 +696,13 @@ impl<'a> Context<'a> {
             }
             // Remaining difference sets that the extended state still
             // violates.
-            let ext_relaxed = self.problem.relaxed_fds(&extended);
             let still: Vec<&Selected> = rest
                 .iter()
                 .copied()
                 .filter(|g| {
-                    ext_relaxed
-                        .iter()
-                        .any(|(_, fd)| fd.lhs.is_disjoint_from(g.attrs) && g.attrs.contains(fd.rhs))
+                    violated_fds(sigma, extended.extensions(), g.attrs)
+                        .next()
+                        .is_some()
                 })
                 .collect();
             self.recurse(extended, unresolved, path_threshold, &still);
@@ -744,19 +724,6 @@ impl<'a> Context<'a> {
                 slot += 1;
             }
         }
-    }
-
-    /// Inserts a candidate goal state, dropping any state that extends
-    /// another candidate (only minimal states matter for the minimum cost).
-    /// The raw push (and its path threshold) is recorded regardless, so a
-    /// cached run can replay this filter for tighter `τ` values.
-    fn push_minimal(&mut self, candidate: RepairState, path_threshold: usize) {
-        self.raw.push((candidate.clone(), path_threshold));
-        if self.best.iter().any(|s| candidate.extends(s)) {
-            return;
-        }
-        self.best.retain(|s| !s.extends(&candidate));
-        self.best.push(candidate);
     }
 }
 

@@ -36,9 +36,9 @@
 //!   maintenance + edge-level conflict-graph patching) instead of rebuilt.
 //!
 //! The historical free-function conveniences (`repair_data_fds`,
-//! `find_repairs_range`, `modify_fds_astar`, …) are gone — `rt-lint` D005
-//! fails the build if one is reintroduced. New code should go through the
-//! engine (or, for one-shot use, these fully parameterized primitives).
+//! `find_repairs_range`, `modify_fds_astar`, …) are gone. New code should go
+//! through the engine (or, for one-shot use, these fully parameterized
+//! primitives).
 //!
 //! ```
 //! use rt_relation::{Instance, Schema};

@@ -525,13 +525,7 @@ impl<'p> RangeSearch<'p> {
             }
             if goal {
                 return Some(RangedFdRepair {
-                    repair: FdRepair {
-                        fd_set: problem.relaxed_fds(&state),
-                        dist_c: problem.dist_c(&state),
-                        state,
-                        delta_p,
-                        cover_rows: cover.iter().collect(),
-                    },
+                    repair: FdRepair::at_goal(problem, state, &cover),
                     tau_range: (delta_p, upper),
                 });
             }

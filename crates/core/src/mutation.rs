@@ -45,7 +45,7 @@ pub enum MutationOp {
 }
 
 /// What a mutation (batch) did to the prepared state. Effects fold together
-/// through [`Telemetry::absorb`]; the three flags are sticky.
+/// through [`Telemetry::absorb`]; the two flags are sticky.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationEffect {
     /// Tuples appended.
@@ -62,11 +62,9 @@ pub struct MutationEffect {
     pub edges_added: usize,
     /// Conflict edges that existed before but do not now.
     pub edges_removed: usize,
-    /// Conflict edges whose labels or difference set changed in place.
+    /// Conflict edges whose difference set or violated-FD positions changed
+    /// in place.
     pub edges_relabeled: usize,
-    /// `true` when the weighting function was rebuilt against the mutated
-    /// instance (built-in weightings after a data change).
-    pub weight_refreshed: bool,
     /// `true` when FD-level search results computed against the
     /// pre-mutation state may now differ — the signal consumers use to
     /// decide whether cached sweeps survive. `false` means every
@@ -95,7 +93,6 @@ impl Telemetry for MutationEffect {
             ("edges_added", Slot::Count(&mut self.edges_added)),
             ("edges_removed", Slot::Count(&mut self.edges_removed)),
             ("edges_relabeled", Slot::Count(&mut self.edges_relabeled)),
-            ("weight_refreshed", Slot::Flag(&mut self.weight_refreshed)),
             ("search_state_invalidated", Slot::Flag(&mut self.search_state_invalidated)),
             ("diff_groups_changed", Slot::Flag(&mut self.diff_groups_changed)),
         ]
@@ -143,12 +140,8 @@ impl RepairProblem {
         self.diff_groups = Self::group_by_difference_set(&self.conflict);
 
         let data_changed = effect.rows_inserted + effect.rows_deleted + effect.cells_updated > 0;
-        let mut weight_changed = false;
-        if data_changed {
-            let new_fp = self.weight.fingerprint();
-            weight_changed = !(old_fp.is_some() && old_fp == new_fp);
-            effect.weight_refreshed = true;
-        }
+        let weight_changed =
+            data_changed && (old_fp.is_none() || old_fp != self.weight.fingerprint());
         effect.diff_groups_changed = effect.fds_added > 0
             || effect.fds_removed > 0
             || effect.rows_deleted > 0
@@ -282,9 +275,7 @@ impl RepairProblem {
         if let Some(index) = self.incremental.as_mut() {
             index.push_fd(&self.instance, &self.sigma);
         }
-        let summary = self
-            .conflict
-            .integrate_fd(&self.instance, &self.sigma, self.sigma.len() - 1);
+        let summary = self.conflict.integrate_fd(&self.instance, &fd);
         effect.absorb(&summary);
         effect.fds_added += 1;
         Ok(())
@@ -297,11 +288,11 @@ impl RepairProblem {
                 self.sigma.len()
             ));
         }
+        let summary = self.conflict.remove_fd(&self.sigma, idx);
         self.sigma.remove(idx);
         if let Some(index) = self.incremental.as_mut() {
             index.remove_fd(idx);
         }
-        let summary = self.conflict.remove_fd_labels(idx);
         effect.absorb(&summary);
         effect.fds_removed += 1;
         Ok(())
@@ -406,7 +397,6 @@ mod tests {
             .unwrap();
         // No conflicts, but the distinct-count weighting has no fingerprint:
         // it must be assumed changed.
-        assert!(effect.weight_refreshed);
         assert!(effect.search_state_invalidated);
         assert_matches_fresh(&p, WeightKind::DistinctCount);
     }
@@ -429,7 +419,7 @@ mod tests {
                     Value::int(value),
                 )])
                 .unwrap();
-            assert!(effect.weight_refreshed);
+            assert_eq!(effect.cells_updated, 1);
             assert_eq!(before == Arc::as_ptr(p.instance().column(b)), !first);
         }
         assert_matches_fresh(&p, WeightKind::DistinctCount);

@@ -25,6 +25,7 @@ use crate::multi::RangeSearch;
 use crate::problem::RepairProblem;
 use crate::state::RepairState;
 use rt_constraints::FdSet;
+use rt_graph::VertexCover;
 use rt_par::Parallelism;
 use rt_relation::work::{Slot, Telemetry};
 
@@ -119,6 +120,22 @@ pub struct FdRepair {
     pub delta_p: usize,
     /// Rows of the 2-approximate vertex cover of the remaining conflicts.
     pub cover_rows: Vec<usize>,
+}
+
+impl FdRepair {
+    /// The repair a goal `state` stands for, given the vertex cover of the
+    /// conflicts its relaxation leaves: `Σ'`, `dist_c` and `δ_P` all follow
+    /// from the state. The search builds every repair it finds here, and a
+    /// snapshot restore rebuilds the stored ones the same way.
+    pub fn at_goal(problem: &RepairProblem, state: RepairState, cover: &VertexCover) -> Self {
+        FdRepair {
+            fd_set: problem.relaxed_fds(&state),
+            dist_c: problem.dist_c(&state),
+            delta_p: cover.len() * problem.alpha(),
+            cover_rows: cover.iter().collect(),
+            state,
+        }
+    }
 }
 
 /// Outcome of one FD-modification search.

@@ -76,10 +76,10 @@
 //! assert_eq!(outcome.effect.rows_inserted, 1);
 //!
 //! // Still the same session — and still exactly one graph build; the
-//! // rebuild the batch would have forced was avoided.
+//! // batch patched the graph instead of forcing a rebuild.
 //! let stats = engine.stats();
 //! assert_eq!(stats.conflict_graph_builds, 1);
-//! assert_eq!(stats.graph_rebuild_avoided, 1);
+//! assert_eq!(stats.mutation_batches, 1);
 //! assert!(engine.spectrum().is_ok());
 //! ```
 

@@ -19,11 +19,25 @@
 //! section    := tag:u32 len:u64 crc:u32 payload (len bytes)
 //! config     := weight:u8 seed:u64 max_expansions:u64
 //!               parallelism_tag:u8 threads:u64
+//! graph      := row_count:u64 edge_count:u64 edge*
+//! edge       := u:u64 v:u64 difference_set:u64
+//! found      := state tau_lo:u64 tau_hi:u64     (one per found repair)
+//! state      := ext_count:u64 ext:u64*          (one extension per FD)
 //! ```
 //!
 //! CONFIG holds only what a builder can set; the rest of the restored
 //! [`SearchConfig`] is its default, and the per-FD partition index is
 //! rebuilt lazily on the first mutation, as in a freshly built engine.
+//!
+//! Each fact is stored once. An edge is its row pair and difference set:
+//! which FDs it violates follows from the difference set
+//! ([`Fd::violated_by_diff`]). A found repair is its search state and
+//! `τ` range: the decoder rebuilds `Σ'`, `dist_c`, `δ_P` and the cover rows
+//! with the code the search runs at a goal ([`FdRepair::at_goal`]). The
+//! decoder rejects a difference set that is not its two rows' differing
+//! attributes or that violates no FD, any state or heuristic-cache addition
+//! that is not one set per FD inside `R \ (X ∪ {A})`, and a cache selection
+//! past the last difference-set group.
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
@@ -49,7 +63,7 @@ use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 // Section tags. CONFIG..STATS are required; SWEEP and WARM are present only
 // when the engine holds the corresponding cache.
@@ -330,17 +344,15 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn state(&mut self, fd_count: usize) -> Result<RepairState, EngineError> {
+    /// A search state: one LHS extension per FD of `sigma`, each inside
+    /// that FD's `R \ (X ∪ {A})`.
+    fn state(&mut self, sigma: &FdSet, arity: usize) -> Result<RepairState, EngineError> {
         let n = self.count(8)?;
-        if n != fd_count {
-            return Err(bad(format!(
-                "repair state has {n} extensions for {fd_count} FDs"
-            )));
-        }
         let mut exts = Vec::with_capacity(n);
         for _ in 0..n {
             exts.push(AttrSet::from_bits(self.u64()?));
         }
+        check_extensions(&exts, sigma, arity)?;
         Ok(RepairState::new(exts))
     }
 
@@ -356,14 +368,26 @@ impl<'a> Reader<'a> {
         Ok(t)
     }
 
-    fn cache(&mut self) -> Result<(Vec<CacheEntryExport>, usize, usize), EngineError> {
+    /// A heuristic cache of `problem`: every selection names one of its
+    /// difference-set groups, every push adds one extension per FD.
+    fn cache(
+        &mut self,
+        problem: &RepairProblem,
+    ) -> Result<(Vec<CacheEntryExport>, usize, usize), EngineError> {
+        let groups = problem.diff_groups().len();
         let n = self.count(8)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let sel_n = self.count(4)?;
             let mut selection = Vec::with_capacity(sel_n);
             for _ in 0..sel_n {
-                selection.push(self.u32()?);
+                let group = self.u32()?;
+                if group as usize >= groups {
+                    return Err(bad(format!(
+                        "cache selects difference-set group {group} of {groups}"
+                    )));
+                }
+                selection.push(group);
             }
             let vio_n = self.count(8)?;
             let mut violation = Vec::with_capacity(vio_n);
@@ -382,6 +406,7 @@ impl<'a> Reader<'a> {
                 for _ in 0..add_n {
                     adds.push(AttrSet::from_bits(self.u64()?));
                 }
+                check_extensions(&adds, problem.sigma(), problem.arity())?;
                 let threshold = self.usize_()?;
                 pushes.push((adds, threshold));
             }
@@ -494,10 +519,6 @@ pub(crate) fn encode(
     for e in graph.edges() {
         put_usize(&mut graph_sec, e.rows.0);
         put_usize(&mut graph_sec, e.rows.1);
-        put_usize(&mut graph_sec, e.violated_fds.len());
-        for &f in &e.violated_fds {
-            put_usize(&mut graph_sec, f);
-        }
         put_u64(&mut graph_sec, e.difference_set.bits());
     }
 
@@ -534,17 +555,6 @@ pub(crate) fn encode(
         put_usize(&mut sec, parts.found.len());
         for ranged in &parts.found {
             put_state(&mut sec, &ranged.repair.state);
-            put_usize(&mut sec, ranged.repair.fd_set.len());
-            for (_, fd) in ranged.repair.fd_set.iter() {
-                put_u64(&mut sec, fd.lhs.bits());
-                put_u16(&mut sec, fd.rhs.0);
-            }
-            put_f64(&mut sec, ranged.repair.dist_c);
-            put_usize(&mut sec, ranged.repair.delta_p);
-            put_usize(&mut sec, ranged.repair.cover_rows.len());
-            for &r in &ranged.repair.cover_rows {
-                put_usize(&mut sec, r);
-            }
             put_usize(&mut sec, ranged.tau_range.0);
             put_usize(&mut sec, ranged.tau_range.1);
         }
@@ -598,6 +608,27 @@ fn read_fd(r: &mut Reader<'_>, arity: usize) -> Result<Fd, EngineError> {
         return Err(bad("trivial FD in snapshot: RHS appears in LHS"));
     }
     Ok(Fd::new(lhs, rhs))
+}
+
+/// Rejects extensions that are not one set per FD of `sigma`, each inside
+/// that FD's legal additions `R \ (X ∪ {A})`.
+fn check_extensions(exts: &[AttrSet], sigma: &FdSet, arity: usize) -> Result<(), EngineError> {
+    if exts.len() != sigma.len() {
+        return Err(bad(format!(
+            "{} LHS extensions for {} FDs",
+            exts.len(),
+            sigma.len()
+        )));
+    }
+    for (ext, (j, fd)) in exts.iter().zip(sigma.iter()) {
+        if !ext.is_subset_of(fd.extension_candidates(arity)) {
+            return Err(bad(format!(
+                "extension {:#x} of FD {j} leaves R \\ (X ∪ {{A}})",
+                ext.bits()
+            )));
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
@@ -754,33 +785,31 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             instance.len()
         )));
     }
-    let edge_n = r.count(32)?;
-    let mask = AttrSet::all(arity);
+    let edge_n = r.count(24)?;
     let mut edges = Vec::with_capacity(edge_n);
     for _ in 0..edge_n {
-        let u = r.usize_()?;
-        let v = r.usize_()?;
-        let label_n = r.count(8)?;
-        let mut violated_fds = Vec::with_capacity(label_n);
-        for _ in 0..label_n {
-            let f = r.usize_()?;
-            if f >= sigma.len() {
-                return Err(bad(format!("edge label {f} out of range")));
-            }
-            violated_fds.push(f);
-        }
-        let diff = AttrSet::from_bits(r.u64()?);
-        if !diff.is_subset_of(mask) {
-            return Err(bad("difference set has attributes outside the schema"));
-        }
+        let rows = (r.usize_()?, r.usize_()?);
+        let difference_set = AttrSet::from_bits(r.u64()?);
         edges.push(ConflictEdge {
-            rows: (u, v),
-            violated_fds,
-            difference_set: diff,
+            rows,
+            difference_set,
         });
     }
     let conflict = ConflictGraph::from_parts(row_count, edges)
         .map_err(|e| bad(format!("bad conflict graph: {e}")))?;
+    // Rows are in range now, so each edge can be checked against its rows.
+    for e in conflict.edges() {
+        let (u, v) = e.rows;
+        if e.difference_set != AttrSet::from_attrs(instance.differing_attrs_coded(u, v)) {
+            return Err(bad(format!(
+                "conflict edge {:?}: difference set is not its rows' differing attributes",
+                e.rows
+            )));
+        }
+        if !e.violates_any(&sigma) {
+            return Err(bad(format!("conflict edge {:?} violates no FD", e.rows)));
+        }
+    }
 
     // STATS
     let mut r = section(SEC_STATS, "stats")?;
@@ -795,11 +824,11 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     let sweep = match optional(SEC_SWEEP) {
         None => None,
         Some(mut r) => {
-            let fd_count = problem.fd_count();
+            let (sigma, arity) = (problem.sigma(), problem.arity());
             let open_n = r.count(8)?;
             let mut open = Vec::with_capacity(open_n);
             for _ in 0..open_n {
-                let state = r.state(fd_count)?;
+                let state = r.state(sigma, arity)?;
                 let priority = r.f64_()?;
                 let cost = r.f64_()?;
                 open.push((state, priority, cost));
@@ -813,39 +842,21 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             let found_n = r.count(8)?;
             let mut found = Vec::with_capacity(found_n);
             for _ in 0..found_n {
-                let state = r.state(fd_count)?;
-                let set_n = r.count(10)?;
-                if set_n != fd_count {
+                let state = r.state(sigma, arity)?;
+                let tau_range = (r.usize_()?, r.usize_()?);
+                // Σ', dist_c, δP and the cover follow from the state, as at
+                // the goal that found it.
+                let cover = problem.cover_for_with(&state, search_config.parallelism);
+                let repair = FdRepair::at_goal(&problem, state, &cover);
+                if tau_range.0 != repair.delta_p || tau_range.0 > tau_range.1 {
                     return Err(bad(format!(
-                        "found repair has {set_n} FDs, expected {fd_count}"
+                        "found repair with δP {} covers τ range {tau_range:?}",
+                        repair.delta_p
                     )));
                 }
-                let mut fd_vec = Vec::with_capacity(set_n);
-                for _ in 0..set_n {
-                    fd_vec.push(read_fd(&mut r, arity)?);
-                }
-                let fd_set = FdSet::from_fds(fd_vec);
-                let dist_c = r.f64_()?;
-                let delta_p = r.usize_()?;
-                let cover_n = r.count(8)?;
-                let mut cover_rows = Vec::with_capacity(cover_n);
-                for _ in 0..cover_n {
-                    cover_rows.push(r.usize_()?);
-                }
-                let lo = r.usize_()?;
-                let hi = r.usize_()?;
-                found.push(RangedFdRepair {
-                    repair: FdRepair {
-                        state,
-                        fd_set,
-                        dist_c,
-                        delta_p,
-                        cover_rows,
-                    },
-                    tau_range: (lo, hi),
-                });
+                found.push(RangedFdRepair { repair, tau_range });
             }
-            let (cache_entries, cache_hits, cache_nodes_spent) = r.cache()?;
+            let (cache_entries, cache_hits, cache_nodes_spent) = r.cache(&problem)?;
             if !r.is_done() {
                 return Err(bad("trailing bytes in sweep section"));
             }
@@ -869,7 +880,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     let warm = match optional(SEC_WARM) {
         None => None,
         Some(mut r) => {
-            let (entries, hits, nodes_spent) = r.cache()?;
+            let (entries, hits, nodes_spent) = r.cache(&problem)?;
             if !r.is_done() {
                 return Err(bad("trailing bytes in warm-cache section"));
             }
@@ -929,10 +940,9 @@ mod tests {
             mutation_batches: 10,
             edges_added: 11,
             edges_removed: 12,
-            graph_rebuild_avoided: 13,
-            sweep_cache_hits: 14,
-            dict_entries: 15,
-            shards: 16,
+            sweep_cache_hits: 13,
+            dict_entries: 14,
+            shards: 15,
         };
         let bytes = encode(&problem, &config, 0, &stats, Some(sweep), None);
         let decoded = decode(&bytes).unwrap();
@@ -943,5 +953,59 @@ mod tests {
         };
         assert_eq!(decoded.stats, expected);
         assert_eq!(decoded.sweep.unwrap().stats(), search_stats);
+    }
+
+    /// Cache entries are checked against the restored problem, in the SWEEP
+    /// and WARM sections alike: a selection past the last difference-set
+    /// group, or an addition that is not one legal extension per FD, fails
+    /// typed.
+    #[test]
+    fn cache_entries_outside_the_problem_fail_typed() {
+        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
+        let rows = [[1, 1, 1, 1], [1, 2, 1, 3], [2, 2, 1, 1], [2, 3, 4, 3]];
+        let rows: Vec<Vec<i64>> = rows.iter().map(|r| r.to_vec()).collect();
+        let instance = Instance::from_int_rows(schema.clone(), &rows).unwrap();
+        let fds = FdSet::parse(&["A->B", "C->D"], &schema).unwrap();
+        let problem = RepairProblem::with_weight(&instance, &fds, WeightKind::AttrCount);
+        let config = SearchConfig::default();
+        let mut search = RangeSearch::new(&problem, 0, problem.delta_p_original(), &config);
+        search.next_repair().unwrap();
+        let parts = search.suspend().export_parts();
+        let at = parts
+            .cache_entries
+            .iter()
+            .position(|e| !e.pushes.is_empty())
+            .expect("the heuristic recorded a candidate");
+        let groups = problem.diff_groups().len() as u32;
+        let (mut past, mut wide, mut short) = (parts.clone(), parts.clone(), parts.clone());
+        past.cache_entries[at].selection[0] = groups;
+        wide.cache_entries[at].pushes[0].0[0] = AttrSet::from_bits(1 << 40);
+        short.cache_entries[at].pushes[0].0.pop();
+        for (what, bad_parts) in [
+            ("selection", past),
+            ("attribute 40", wide),
+            ("one FD short", short),
+        ] {
+            let warm = (bad_parts.cache_entries.clone(), 0, 0);
+            let stats = EngineStats::default();
+            for bytes in [
+                encode(&problem, &config, 0, &stats, Some(bad_parts), None),
+                encode(&problem, &config, 0, &stats, None, Some(warm)),
+            ] {
+                let err = decode(&bytes).err().expect(what);
+                assert!(matches!(err, EngineError::Snapshot(_)), "{what}: {err:?}");
+            }
+        }
+        // Unedited, both sections restore.
+        let warm = (parts.cache_entries.clone(), 0, 0);
+        assert!(decode(&encode(
+            &problem,
+            &config,
+            0,
+            &EngineStats::default(),
+            Some(parts),
+            Some(warm)
+        ))
+        .is_ok());
     }
 }

@@ -51,11 +51,6 @@ pub struct EngineStats {
     /// Conflict edges removed by incremental maintenance, across all
     /// batches.
     pub edges_removed: usize,
-    /// Full conflict-graph rebuilds that incremental maintenance made
-    /// unnecessary — one per applied non-empty batch. The headline
-    /// invariant extends to the mutable engine: `conflict_graph_builds`
-    /// stays at `1` while this counter grows.
-    pub graph_rebuild_avoided: usize,
     /// Sweeps answered (partially or fully) from a retained
     /// [`rt_core::SweepCheckpoint`] instead of a fresh traversal.
     pub sweep_cache_hits: usize,
@@ -91,7 +86,6 @@ impl Telemetry for EngineStats {
             ("mutation_batches", Slot::Count(&mut self.mutation_batches)),
             ("edges_added", Slot::Count(&mut self.edges_added)),
             ("edges_removed", Slot::Count(&mut self.edges_removed)),
-            ("graph_rebuild_avoided", Slot::Count(&mut self.graph_rebuild_avoided)),
             ("sweep_cache_hits", Slot::Count(&mut self.sweep_cache_hits)),
             ("dict_entries", Slot::Gauge(&mut self.dict_entries)),
             ("shards", Slot::Gauge(&mut self.shards)),

@@ -77,12 +77,6 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "direct DefaultHasher/RandomState use bypassing the rt-relation::work counters",
     },
     LintInfo {
-        id: "D005",
-        severity: Severity::Warning,
-        scope: "everywhere",
-        summary: "call to a removed pre-engine free function",
-    },
-    LintInfo {
         id: "D006",
         severity: Severity::Warning,
         scope: "crates/engine (the typed-EngineError boundary)",
@@ -154,18 +148,6 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// The removed pre-engine free functions (deprecated in PR 2, deleted with
-/// the service layer); D005 flags any call, keeping the surface from
-/// creeping back.
-const DEPRECATED_FNS: &[&str] = &[
-    "repair_data_fds",
-    "repair_data_fds_relative",
-    "find_repairs_range",
-    "find_repairs_sampling",
-    "modify_fds_astar",
-    "modify_fds_best_first",
-];
-
 /// Which workspace crate a repo-relative path belongs to, for lint scoping.
 fn crate_of(path: &str) -> &str {
     let path = path.strip_prefix("./").unwrap_or(path);
@@ -208,7 +190,6 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Finding> {
     lint_hash_iteration(&ctx, &code, &mut findings);
     lint_wall_clock(&ctx, &code, &mut findings);
     lint_hasher(&ctx, &code, &mut findings);
-    lint_deprecated_calls(&ctx, &code, &mut findings);
     lint_engine_unwrap(&ctx, &code, &mut findings);
     lint_durability_fs(&ctx, &code, &mut findings);
 
@@ -771,24 +752,6 @@ fn lint_hasher(ctx: &Ctx, code: &[Token], out: &mut Vec<Finding>) {
                 "hash through the dictionary code layer (AttrDict/CodeKey) so the work \
                  counters see it, or justify with `// rtlint: allow(D004) -- <why this path \
                  is cold and deterministic>`",
-            ));
-        }
-    }
-}
-
-/// D005: calls to the removed pre-engine free functions.
-fn lint_deprecated_calls(ctx: &Ctx, code: &[Token], out: &mut Vec<Finding>) {
-    for i in 0..code.len() {
-        if code[i].kind == TokKind::Ident
-            && DEPRECATED_FNS.contains(&code[i].text.as_str())
-            && code.get(i + 1).is_some_and(|t| t.is_punct("("))
-        {
-            out.push(ctx.finding(
-                "D005",
-                &code[i],
-                format!("call to removed free function `{}`", code[i].text),
-                "build a session with rt_engine::RepairEngine (or use run_search / \
-                 repair_data_fds_with / RangeSearch directly)",
             ));
         }
     }

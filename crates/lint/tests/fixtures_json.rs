@@ -68,7 +68,7 @@ fn list_prints_the_full_catalog() {
         .expect("rt-lint binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     for id in [
-        "D001", "D002", "D003", "D004", "D005", "D006", "D007", "A001", "A002", "U001",
+        "D001", "D002", "D003", "D004", "D006", "D007", "A001", "A002", "U001",
     ] {
         assert!(stdout.contains(id), "--list is missing {id}:\n{stdout}");
     }

@@ -366,10 +366,9 @@ mod tests {
             mutation_batches: 10,
             edges_added: 11,
             edges_removed: 12,
-            graph_rebuild_avoided: 13,
-            sweep_cache_hits: 14,
-            dict_entries: 15,
-            shards: 16,
+            sweep_cache_hits: 13,
+            dict_entries: 14,
+            shards: 15,
         };
         assert_eq!(decode_telemetry(&encode_telemetry(stats)), Ok(stats));
         let search = SearchStats {
@@ -390,7 +389,6 @@ mod tests {
             edges_added: 6,
             edges_removed: 7,
             edges_relabeled: 8,
-            weight_refreshed: true,
             search_state_invalidated: true,
             diff_groups_changed: true,
         };
@@ -445,7 +443,7 @@ mod tests {
                 effect: MutationEffect {
                     rows_inserted: 2,
                     cells_updated: 1,
-                    weight_refreshed: true,
+                    search_state_invalidated: true,
                     ..Default::default()
                 },
                 sweep_cache_retained: true,

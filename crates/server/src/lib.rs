@@ -27,8 +27,8 @@
 //!   on every run.
 //! * **One build per session.** The conflict graph is built once, by
 //!   `load_csv`; every later request goes through the engine's
-//!   incremental paths (`conflict_graph_builds` stays 1, mutations bump
-//!   `graph_rebuild_avoided`).
+//!   incremental paths (`conflict_graph_builds` stays 1 while
+//!   `mutation_batches` grows).
 //! * **Bounded everything.** Frames are capped (8 MiB), connections are
 //!   bounded by an [`rt_par::Gate`], sessions by count and by cells, and
 //!   capacity pressure evicts idle sessions LRU-first — busy sessions are

@@ -125,7 +125,7 @@ fn main() -> Result<(), EngineError> {
     let stats = engine.stats();
     println!(
         "conflict graph builds: {} (rebuilds avoided: {})",
-        stats.conflict_graph_builds, stats.graph_rebuild_avoided
+        stats.conflict_graph_builds, stats.mutation_batches
     );
     assert_eq!(stats.conflict_graph_builds, 1);
 

@@ -620,7 +620,7 @@ fn run_apply(options: &Options) -> Result<(), EngineError> {
     );
     println!(
         "  conflict graph builds : {} (rebuilds avoided: {})",
-        stats.conflict_graph_builds, stats.graph_rebuild_avoided
+        stats.conflict_graph_builds, stats.mutation_batches
     );
     println!(
         "  incremental edge delta: +{} / -{}",

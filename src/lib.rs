@@ -69,9 +69,8 @@
 //! ## Migrating from the free functions
 //!
 //! Versions up to 0.1 exposed the algorithms as free functions taking a
-//! `&RepairProblem`. That surface is **removed** (and `rt-lint` D005 fails
-//! the build if one is reintroduced); each former function maps to one
-//! engine query:
+//! `&RepairProblem`. That surface is **removed** (a call to one no longer
+//! compiles); each former function maps to one engine query:
 //!
 //! | removed free function               | engine replacement                          |
 //! |-------------------------------------|---------------------------------------------|

@@ -141,7 +141,8 @@ fn build(instance: Instance, fds: FdSet, weight: WeightKind, seed: u64) -> Repai
 }
 
 /// Conflict graphs: the code-keyed blocking build equals the quadratic
-/// value-level definition — rows, FD labels and difference sets.
+/// value-level definition — rows, difference sets, and the FDs each edge
+/// violates by the difference-set predicate (`Fd::violated_by_diff`).
 #[test]
 fn conflict_graphs_match_value_oracle() {
     for case in 0..48u64 {
@@ -153,7 +154,14 @@ fn conflict_graphs_match_value_oracle() {
         let got: Vec<((usize, usize), Vec<usize>, AttrSet)> = graph
             .edges()
             .iter()
-            .map(|e| (e.rows, e.violated_fds.clone(), e.difference_set))
+            .map(|e| {
+                let violated = fds
+                    .iter()
+                    .filter(|(_, fd)| fd.violated_by_diff(AttrSet::EMPTY, e.difference_set))
+                    .map(|(j, _)| j)
+                    .collect();
+                (e.rows, violated, e.difference_set)
+            })
             .collect();
         assert_eq!(got, value_conflict_edges(&instance, &fds), "{context}");
         assert_encoding_faithful(&instance, &context);

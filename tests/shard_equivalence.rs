@@ -412,6 +412,6 @@ fn warehouse_sharded_matches_monolithic() {
         (builds, shards),
         "a mutation must never trigger a rebuild or a replan"
     );
-    assert_eq!(stats.graph_rebuild_avoided, 1);
+    assert_eq!(stats.mutation_batches, 1);
     assert_eq!(engine.problem().conflict_graph(), other.conflict_graph());
 }

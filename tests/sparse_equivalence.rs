@@ -652,7 +652,8 @@ fn shard_plan_partitions_and_graph_blocking_match_hash_references() {
         );
 
         // The whole-instance build, FD by FD: every edge is some FD's
-        // reference pair, labelled with exactly the FDs that pair violates.
+        // reference pair, and its difference set violates exactly the FDs
+        // that pair violates.
         let mut labels: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
         for (fd_idx, fd) in fds.iter() {
             for pair in reference_pairs(&instance, fd) {
@@ -662,18 +663,23 @@ fn shard_plan_partitions_and_graph_blocking_match_hash_references() {
         let graph = ConflictGraph::build_with(&instance, &fds, Parallelism::Fixed(2));
         assert_eq!(graph.edge_count(), labels.len(), "case {case}");
         for e in graph.edges() {
-            assert_eq!(Some(&e.violated_fds), labels.get(&e.rows), "case {case}");
+            let violated: Vec<usize> = fds
+                .iter()
+                .filter(|(_, fd)| fd.violated_by_diff(AttrSet::EMPTY, e.difference_set))
+                .map(|(j, _)| j)
+                .collect();
+            assert_eq!(Some(&violated), labels.get(&e.rows), "case {case}");
         }
 
         // integrate_fd: from an empty graph, each FD adds exactly its
         // reference pairs; FD by FD, the result is the batch build.
         let mut grown = ConflictGraph::from_parts(instance.len(), Vec::new()).unwrap();
-        for (fd_idx, fd) in fds.iter() {
+        for (_, fd) in fds.iter() {
             let mut alone = ConflictGraph::from_parts(instance.len(), Vec::new()).unwrap();
-            alone.integrate_fd(&instance, &fds, fd_idx);
+            alone.integrate_fd(&instance, fd);
             let rows: Vec<(usize, usize)> = alone.edges().iter().map(|e| e.rows).collect();
             assert_eq!(rows, reference_pairs(&instance, fd), "case {case}");
-            grown.integrate_fd(&instance, &fds, fd_idx);
+            grown.integrate_fd(&instance, fd);
         }
         assert_eq!(grown, graph, "case {case}");
     }
