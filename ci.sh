@@ -164,8 +164,18 @@ if [ "$bench" -eq 1 ]; then
     # against the changed crates and pass its goldens: its self-test runs
     # every workload at tiny sizes (about two minutes) in the gitignored
     # .bench_tmp/ scratch directory.
+    # Building perfbench rewrites perfbench/Cargo.lock (rt-io's rt-par
+    # dependency is newer than the committed lockfile), and files under
+    # perfbench/ change only with the benchmark: put the lockfile back
+    # afterwards, and on failure too.
     echo "==> perfbench --selftest (benchmark builds, every metric emitted, goldens pass)"
+    lock_copy="$(mktemp)"
+    cp perfbench/Cargo.lock "$lock_copy"
+    trap 'cp "$lock_copy" perfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selftest
+    cp "$lock_copy" perfbench/Cargo.lock
+    rm -f "$lock_copy"
+    trap - EXIT
 fi
 
 # Code size is tracked next to the bench trajectory (ROADMAP). The second

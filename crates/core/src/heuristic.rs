@@ -29,7 +29,7 @@
 
 use crate::problem::{DiffSetGroup, RepairProblem};
 use crate::state::RepairState;
-use rt_constraints::{AttrSet, Fd, FdSet};
+use rt_constraints::{AttrSet, FdSet};
 use rt_graph::{approx_vertex_cover, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use std::collections::{HashMap, HashSet};
@@ -84,28 +84,35 @@ fn violated_fds<'a>(
         .map(|(j, _)| j)
 }
 
-/// Runs the structural half of `gc(S)`: difference-set selection plus the
-/// cheapest-resolution enumeration, recorded as the run's pushes. The
+/// The `Ds` selection of `state`: the difference-set groups its relaxation
+/// still violates, in group order, narrowed by [`select_diff_sets`]. Each
+/// selected group is named by its index into `problem.diff_groups()`, in
+/// selection order. Empty exactly when the state violates nothing.
+fn selection(problem: &RepairProblem, state: &RepairState) -> Vec<u32> {
+    let (sigma, exts, groups) = (problem.sigma(), state.extensions(), problem.diff_groups());
+    let violated: Vec<u32> = (0..groups.len() as u32)
+        .filter(|&g| {
+            violated_fds(sigma, exts, groups[g as usize].attrs)
+                .next()
+                .is_some()
+        })
+        .collect();
+    select_diff_sets(groups, violated, MAX_DIFF_SETS)
+}
+
+/// Runs the structural half of `gc(S)` over the state's `Ds` selection:
+/// the cheapest-resolution enumeration, recorded as the run's pushes. The
 /// costing half — `dist_c` over the minimal candidates
 /// ([`HeuristicCache::derive`]) — is left to the caller, which is what makes
 /// the structural half cacheable across states.
 fn enumerate_goal_candidates(
     problem: &RepairProblem,
     state: &RepairState,
+    selection: &[u32],
     tau: usize,
     config: &HeuristicConfig,
 ) -> StructuralEntry {
-    // Difference sets still violated by the state's relaxation.
-    let violated: Vec<&DiffSetGroup> = problem
-        .diff_groups()
-        .iter()
-        .filter(|g| {
-            violated_fds(problem.sigma(), state.extensions(), g.attrs)
-                .next()
-                .is_some()
-        })
-        .collect();
-    if violated.is_empty() {
+    if selection.is_empty() {
         // The state itself is a goal (no violations at all): its own cost is
         // the exact answer, at every τ.
         return StructuralEntry {
@@ -116,26 +123,24 @@ fn enumerate_goal_candidates(
             pushes: vec![(vec![AttrSet::EMPTY; problem.fd_count()], 0)],
         };
     }
-    // Select Ds: heaviest difference sets first, preferring small overlap
-    // with the already selected ones (ties in the paper's description).
-    let selected = select_diff_sets(&violated, MAX_DIFF_SETS);
+    let groups = problem.diff_groups();
     // The unresolved graphs are indexed by the sorted rows of the selected
     // groups' edges, not by all rows: the remap preserves order, so their
     // covers (only the sizes are read) are those of the row-indexed graphs.
-    let mut rows: Vec<usize> = selected
+    let mut rows: Vec<usize> = selection
         .iter()
-        .flat_map(|g| g.edges.iter().flat_map(|&(u, v)| [u, v]))
+        .flat_map(|&g| groups[g as usize].edges.iter().flat_map(|&(u, v)| [u, v]))
         .collect();
     rows.sort_unstable();
     rows.dedup();
     let local = |row: usize| rows.binary_search(&row).expect("row of a selected edge");
-    let selected: Vec<Selected> = selected
-        .into_iter()
+    let selected: Vec<Selected> = selection
+        .iter()
         .enumerate()
-        .map(|(slot, group)| Selected {
+        .map(|(slot, &g)| Selected {
             slot,
-            attrs: group.attrs,
-            edges: group
+            attrs: groups[g as usize].attrs,
+            edges: groups[g as usize]
                 .edges
                 .iter()
                 .map(|&(u, v)| (local(u), local(v)))
@@ -186,7 +191,7 @@ pub fn goal_cost_estimate(
     tau: usize,
     config: &HeuristicConfig,
 ) -> HeuristicValue {
-    let entry = enumerate_goal_candidates(problem, state, tau, config);
+    let entry = enumerate_goal_candidates(problem, state, &selection(problem, state), tau, config);
     HeuristicValue {
         lower_bound: cheapest(problem, state, &HeuristicCache::derive(&entry, tau)),
         nodes: entry.nodes,
@@ -312,91 +317,12 @@ pub struct HeuristicCache {
     /// Minimal candidate additions per `(key, τ)`, derived from the
     /// structural entry by [`HeuristicCache::derive`].
     derived: HashMap<(CacheKey, usize), Vec<Vec<AttrSet>>>,
-    hits: usize,
-    nodes_spent: usize,
-}
-
-/// One structural cache entry in export form: the key's two components plus
-/// the recorded run, all as plain data a snapshot codec can serialize. The
-/// export carries resolution *structure* only — no weights — exactly like
-/// the live cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheEntryExport {
-    /// Selected difference-set group indices, in selection order.
-    pub selection: Vec<u32>,
-    /// Violation-matrix bitset restricted to the selection.
-    pub violation: Vec<u64>,
-    /// The `τ` the run was recorded at.
-    pub tau: usize,
-    /// Whether the node budget cut the run short.
-    pub truncated: bool,
-    /// Whether some leave-unresolved branch was infeasible at `tau`.
-    pub skipped_any: bool,
-    /// Recursion nodes the run spent.
-    pub nodes: usize,
-    /// Every recorded push: component-wise additions plus path threshold.
-    pub pushes: Vec<(Vec<AttrSet>, usize)>,
 }
 
 impl HeuristicCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Exports the structural entries as plain data, sorted by key so the
-    /// byte stream a codec produces from the result is deterministic.
-    /// Derived (per-`τ`) entries are not exported: `HeuristicCache::derive`
-    /// is a pure function of a structural entry, so they are rebuilt on
-    /// demand bit-identically.
-    pub fn export_entries(&self) -> Vec<CacheEntryExport> {
-        let mut entries: Vec<CacheEntryExport> = self
-            .structural
-            .iter()
-            .map(|(key, e)| CacheEntryExport {
-                selection: key.selection.clone(),
-                violation: key.violation.clone(),
-                tau: e.tau,
-                truncated: e.truncated,
-                skipped_any: e.skipped_any,
-                nodes: e.nodes,
-                pushes: e.pushes.clone(),
-            })
-            .collect();
-        entries.sort_by(|a, b| {
-            a.selection
-                .cmp(&b.selection)
-                .then_with(|| a.violation.cmp(&b.violation))
-        });
-        entries
-    }
-
-    /// Rebuilds a cache from exported entries plus the accounting totals
-    /// ([`HeuristicCache::hits`], [`HeuristicCache::nodes_spent`]) captured
-    /// alongside them, preserving the stats ledger across a restore.
-    pub fn from_exported(entries: Vec<CacheEntryExport>, hits: usize, nodes_spent: usize) -> Self {
-        let mut structural = HashMap::with_capacity(entries.len());
-        for e in entries {
-            structural.insert(
-                CacheKey {
-                    selection: e.selection,
-                    violation: e.violation,
-                },
-                StructuralEntry {
-                    tau: e.tau,
-                    truncated: e.truncated,
-                    skipped_any: e.skipped_any,
-                    nodes: e.nodes,
-                    pushes: e.pushes,
-                },
-            );
-        }
-        HeuristicCache {
-            structural,
-            derived: HashMap::new(),
-            hits,
-            nodes_spent,
-        }
     }
 
     /// Number of distinct structural entries stored.
@@ -409,46 +335,15 @@ impl HeuristicCache {
         self.structural.is_empty()
     }
 
-    /// Number of evaluations served without running the enumeration.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Total recursion nodes spent on misses — the cache's side of the
-    /// `SearchStats::heuristic_nodes` ledger.
-    pub fn nodes_spent(&self) -> usize {
-        self.nodes_spent
-    }
-
     fn key_for(&self, problem: &RepairProblem, state: &RepairState) -> CacheKey {
-        let groups = problem.diff_groups();
+        let (sigma, exts, groups) = (problem.sigma(), state.extensions(), problem.diff_groups());
         let fd_count = problem.fd_count();
-        let violates = |group: &DiffSetGroup, j: usize, fd: &Fd| {
-            fd.violated_by_diff(state.extensions()[j], group.attrs)
-        };
-        // Mirror of the run's own selection: violated groups in group order,
-        // then the greedy heaviest-first pick.
-        let violated: Vec<&DiffSetGroup> = groups
-            .iter()
-            .filter(|g| problem.sigma().iter().any(|(j, fd)| violates(g, j, fd)))
-            .collect();
-        let selected = select_diff_sets(&violated, MAX_DIFF_SETS);
-        let selection: Vec<u32> = selected
-            .iter()
-            .map(|s| {
-                groups
-                    .iter()
-                    .position(|g| std::ptr::eq(g, *s))
-                    .expect("selected group comes from the problem's groups") as u32
-            })
-            .collect();
+        let selection = selection(problem, state);
         let mut violation = vec![0u64; (selection.len() * fd_count).div_ceil(64).max(1)];
-        for (slot, group) in selected.iter().enumerate() {
-            for (j, fd) in problem.sigma().iter() {
-                if violates(group, j, fd) {
-                    let bit = slot * fd_count + j;
-                    violation[bit / 64] |= 1u64 << (bit % 64);
-                }
+        for (slot, &g) in selection.iter().enumerate() {
+            for j in violated_fds(sigma, exts, groups[g as usize].attrs) {
+                let bit = slot * fd_count + j;
+                violation[bit / 64] |= 1u64 << (bit % 64);
             }
         }
         CacheKey {
@@ -525,10 +420,10 @@ impl HeuristicCache {
             }
         }
         let computed: Vec<StructuralEntry> = par_map_indexed(par, miss_idx.len(), |m| {
-            enumerate_goal_candidates(problem, states[miss_idx[m]], tau, config)
+            let i = miss_idx[m];
+            enumerate_goal_candidates(problem, states[i], &keys[i].selection, tau, config)
         });
         for (&i, entry) in miss_idx.iter().zip(computed) {
-            self.nodes_spent += entry.nodes;
             self.structural.insert(keys[i].clone(), entry);
         }
         let mut charged = miss_idx.into_iter().peekable();
@@ -537,12 +432,7 @@ impl HeuristicCache {
             .zip(&keys)
             .enumerate()
             .map(|(i, (state, key))| {
-                let is_miss = charged.peek() == Some(&i);
-                if is_miss {
-                    charged.next();
-                } else {
-                    self.hits += 1;
-                }
+                let is_miss = charged.next_if_eq(&i).is_some();
                 let miss_nodes = if is_miss {
                     self.structural.get(key).expect("inserted above").nodes
                 } else {
@@ -566,12 +456,11 @@ impl HeuristicCache {
     }
 }
 
-/// Greedy selection of difference sets: pick the heaviest remaining set,
-/// breaking ties in favour of small attribute overlap with what is already
-/// selected.
-fn select_diff_sets<'a>(violated: &[&'a DiffSetGroup], max: usize) -> Vec<&'a DiffSetGroup> {
-    let mut remaining: Vec<&DiffSetGroup> = violated.to_vec();
-    let mut selected: Vec<&DiffSetGroup> = Vec::new();
+/// Greedy selection of difference sets among the `violated` groups (indices
+/// into `groups`, ascending): pick the heaviest remaining set, breaking ties
+/// in favour of small attribute overlap with what is already selected.
+fn select_diff_sets(groups: &[DiffSetGroup], mut remaining: Vec<u32>, max: usize) -> Vec<u32> {
+    let mut selected: Vec<u32> = Vec::new();
     let mut covered = AttrSet::EMPTY;
     while selected.len() < max && !remaining.is_empty() {
         // Score: primarily edge count (descending), secondarily overlap with
@@ -579,13 +468,14 @@ fn select_diff_sets<'a>(violated: &[&'a DiffSetGroup], max: usize) -> Vec<&'a Di
         let (idx, _) = remaining
             .iter()
             .enumerate()
-            .min_by_key(|(_, g)| {
+            .min_by_key(|(_, &g)| {
+                let g = &groups[g as usize];
                 let overlap = g.attrs.intersection(covered).len();
                 (std::cmp::Reverse(g.edges.len()), overlap)
             })
             .expect("remaining is non-empty");
         let chosen = remaining.remove(idx);
-        covered = covered.union(chosen.attrs);
+        covered = covered.union(groups[chosen as usize].attrs);
         selected.push(chosen);
     }
     selected
@@ -890,35 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_export_round_trips_and_replays_identically() {
-        let problem = figure2_problem();
-        let config = HeuristicConfig::default();
-        let mut cache = HeuristicCache::new();
-        let root = RepairState::root(2);
-        let states: Vec<RepairState> = std::iter::once(root.clone())
-            .chain(root.children(problem.sigma(), problem.arity()))
-            .collect();
-        let refs: Vec<&RepairState> = states.iter().collect();
-        let live = cache.evaluate_many(&problem, &refs, 3, &config, Parallelism::Serial);
-        let exported = cache.export_entries();
-        assert!(!exported.is_empty());
-        let mut restored =
-            HeuristicCache::from_exported(exported.clone(), cache.hits(), cache.nodes_spent());
-        assert_eq!(restored.len(), cache.len());
-        assert_eq!(restored.hits(), cache.hits());
-        assert_eq!(restored.nodes_spent(), cache.nodes_spent());
-        // The restored cache serves the same τ from its entries: every
-        // evaluation is a hit with the same lower bound.
-        let replayed = restored.evaluate_many(&problem, &refs, 3, &config, Parallelism::Serial);
-        for (a, b) in live.iter().zip(&replayed) {
-            assert_eq!(a.lower_bound, b.lower_bound);
-            assert!(b.cache_hit);
-        }
-        // Export order is deterministic (sorted by key).
-        assert_eq!(restored.export_entries(), exported);
-    }
-
-    #[test]
     fn selection_prefers_heavy_sets() {
         let g1 = DiffSetGroup {
             attrs: AttrSet::from_bits(0b0011),
@@ -932,10 +793,7 @@ mod tests {
             attrs: AttrSet::from_bits(0b1100),
             edges: vec![(6, 7), (8, 9)],
         };
-        let all = [&g1, &g2, &g3];
-        let selected = select_diff_sets(&all, 2);
-        assert_eq!(selected.len(), 2);
-        assert_eq!(selected[0].edges.len(), 3);
-        assert_eq!(selected[1].edges.len(), 2);
+        let selected = select_diff_sets(&[g1, g2, g3], vec![0, 1, 2], 2);
+        assert_eq!(selected, vec![0, 2]);
     }
 }

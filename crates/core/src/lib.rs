@@ -78,9 +78,7 @@ pub mod shard;
 pub mod state;
 
 pub use data_repair::{repair_data, repair_data_par, DataRepairOutcome};
-pub use heuristic::{
-    goal_cost_estimate, CacheEntryExport, HeuristicCache, HeuristicConfig, HeuristicValue,
-};
+pub use heuristic::{goal_cost_estimate, HeuristicCache, HeuristicConfig, HeuristicValue};
 pub use multi::{
     sampling_search, MultiRepairOutcome, RangeSearch, RangedFdRepair, SweepCheckpoint,
     SweepCheckpointParts,

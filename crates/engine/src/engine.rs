@@ -105,9 +105,9 @@ impl RepairEngine {
     }
 
     /// Serializes the engine's full prepared state — dictionaries, code
-    /// columns, FDs, the conflict graph, cumulative stats, a suspended sweep
-    /// checkpoint and any salvaged heuristic cache — into the versioned,
-    /// checksummed [`crate::snapshot`] binary format.
+    /// columns, FDs, the conflict graph, cumulative stats and a suspended
+    /// sweep's traversal — into the versioned, checksummed
+    /// [`crate::snapshot`] binary format. The heuristic memo is not stored.
     ///
     /// A [`RepairEngine::restore`] of these bytes answers every query
     /// bit-identically to this engine, without ever rebuilding the conflict
@@ -116,9 +116,6 @@ impl RepairEngine {
         let sweep = lock(&self.sweep_cache)
             .as_ref()
             .map(SweepCheckpoint::export_parts);
-        let warm = lock(&self.warm_heuristic)
-            .as_ref()
-            .map(|c| (c.export_entries(), c.hits(), c.nodes_spent()));
         let stats = *lock(&self.stats);
         Ok(crate::snapshot::encode(
             &self.problem,
@@ -126,7 +123,6 @@ impl RepairEngine {
             self.seed,
             &stats,
             sweep,
-            warm,
         ))
     }
 
@@ -136,20 +132,21 @@ impl RepairEngine {
     /// rebuilt — so [`EngineStats::conflict_graph_builds`] reads `0` on the
     /// restored engine. Difference-set groups, the weighting function and
     /// the normalization constant are recomputed deterministically from the
-    /// restored state, and suspended sweep checkpoints plus salvaged
-    /// heuristic caches come back warm. Truncated, corrupt or
-    /// version-skewed input fails with a typed [`EngineError::Snapshot`],
-    /// never a panic.
+    /// restored state, and a suspended sweep resumes where it stopped. The
+    /// heuristic memo starts cold: answers are bit-identical, while the
+    /// heuristic work counters count the enumeration the restored engine
+    /// redoes. Truncated, corrupt or version-skewed input fails with a typed
+    /// [`EngineError::Snapshot`], never a panic.
     pub fn restore(bytes: &[u8]) -> Result<RepairEngine, EngineError> {
         let decoded = crate::snapshot::decode(bytes)?;
-        Ok(RepairEngine {
-            problem: decoded.problem,
-            search_config: decoded.search_config,
-            seed: decoded.seed,
-            stats: Mutex::new(decoded.stats),
-            sweep_cache: Mutex::new(decoded.sweep),
-            warm_heuristic: Mutex::new(decoded.warm),
-        })
+        let engine = Self::from_parts(
+            decoded.problem,
+            decoded.search_config,
+            decoded.seed,
+            decoded.stats,
+        );
+        *lock(&engine.sweep_cache) = decoded.sweep;
+        Ok(engine)
     }
 
     /// Applies a validated, all-or-nothing batch of mutations to the live

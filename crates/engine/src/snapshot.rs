@@ -4,11 +4,15 @@
 //! A snapshot captures everything the engine paid for at build time and
 //! accumulated since — per-attribute dictionaries, columnar code arrays,
 //! the FD set, the conflict graph with its difference sets, cumulative
-//! stats, the suspended sweep checkpoint and any salvaged heuristic cache —
-//! so a restored engine answers every query bit-identically to the original
-//! **without rebuilding the conflict graph**
-//! ([`crate::EngineStats::conflict_graph_builds`] is `0` after a restore:
-//! the restored engine never built one).
+//! stats and the suspended sweep's traversal — so a restored engine answers
+//! every query bit-identically to the original **without rebuilding the
+//! conflict graph** ([`crate::EngineStats::conflict_graph_builds`] is `0`
+//! after a restore: the restored engine never built one).
+//!
+//! The heuristic memo ([`rt_core::HeuristicCache`]) is never stored: `gc(S)`
+//! is a pure function of the problem, the state and `τ`, so a restored
+//! engine's memo starts cold and refills as its queries run. Only the
+//! heuristic work counters it reports after the restore differ.
 //!
 //! # Format grammar
 //!
@@ -21,9 +25,17 @@
 //!               parallelism_tag:u8 threads:u64
 //! graph      := row_count:u64 edge_count:u64 edge*
 //! edge       := u:u64 v:u64 difference_set:u64
+//! sweep      := open_count:u64 open* tau:i64 tau_low:i64 tau_high:u64
+//!               current_upper:u64 search_stats exhausted:u8
+//!               found_count:u64 found*
+//! open       := state priority:f64 cost:f64     (in insertion order)
 //! found      := state tau_lo:u64 tau_hi:u64     (one per found repair)
 //! state      := ext_count:u64 ext:u64*          (one extension per FD)
 //! ```
+//!
+//! The sections are CONFIG (1), SCHEMA (2), DICTS (3), CODES (4), FDS (5),
+//! GRAPH (6) and STATS (7), plus SWEEP (8) when the engine holds a
+//! suspended sweep; any other tag fails as unknown.
 //!
 //! CONFIG holds only what a builder can set; the rest of the restored
 //! [`SearchConfig`] is its default, and the per-FD partition index is
@@ -35,9 +47,10 @@
 //! `τ` range: the decoder rebuilds `Σ'`, `dist_c`, `δ_P` and the cover rows
 //! with the code the search runs at a goal ([`FdRepair::at_goal`]). The
 //! decoder rejects a difference set that is not its two rows' differing
-//! attributes or that violates no FD, any state or heuristic-cache addition
-//! that is not one set per FD inside `R \ (X ∪ {A})`, and a cache selection
-//! past the last difference-set group.
+//! attributes or that violates no FD, any state that is not one set per FD
+//! inside `R \ (X ∪ {A})`, a found range that does not start at its `δ_P`,
+//! and a `τ` cursor the search cannot produce (see `check_cursor`).
+//! Open-list priorities and costs are stored and trusted as they are.
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
@@ -53,8 +66,8 @@ use crate::stats::EngineStats;
 use rt_constraints::{AttrSet, ConflictEdge, ConflictGraph, Fd, FdSet};
 use rt_core::search::FdRepair;
 use rt_core::{
-    CacheEntryExport, HeuristicCache, Parallelism, RangedFdRepair, RepairProblem, RepairState,
-    SearchConfig, SweepCheckpoint, SweepCheckpointParts, WeightKind,
+    Parallelism, RangedFdRepair, RepairProblem, RepairState, SearchConfig, SweepCheckpoint,
+    SweepCheckpointParts, WeightKind,
 };
 use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
@@ -63,10 +76,10 @@ use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
-// Section tags. CONFIG..STATS are required; SWEEP and WARM are present only
-// when the engine holds the corresponding cache.
+// Section tags. CONFIG..STATS are required; SWEEP is present only when the
+// engine holds a suspended sweep.
 const SEC_CONFIG: u32 = 1;
 const SEC_SCHEMA: u32 = 2;
 const SEC_DICTS: u32 = 3;
@@ -75,7 +88,6 @@ const SEC_FDS: u32 = 5;
 const SEC_GRAPH: u32 = 6;
 const SEC_STATS: u32 = 7;
 const SEC_SWEEP: u32 = 8;
-const SEC_WARM: u32 = 9;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), hand-rolled: the build environment is offline.
@@ -191,34 +203,6 @@ fn put_telemetry<T: Telemetry>(out: &mut Vec<u8>, mut t: T) {
             Slot::Total(v) => put_u64(out, *v),
         }
     }
-}
-
-fn put_cache(out: &mut Vec<u8>, entries: &[CacheEntryExport], hits: usize, nodes_spent: usize) {
-    put_usize(out, entries.len());
-    for e in entries {
-        put_usize(out, e.selection.len());
-        for &s in &e.selection {
-            put_u32(out, s);
-        }
-        put_usize(out, e.violation.len());
-        for &v in &e.violation {
-            put_u64(out, v);
-        }
-        put_usize(out, e.tau);
-        put_bool(out, e.truncated);
-        put_bool(out, e.skipped_any);
-        put_usize(out, e.nodes);
-        put_usize(out, e.pushes.len());
-        for (adds, threshold) in &e.pushes {
-            put_usize(out, adds.len());
-            for a in adds {
-                put_u64(out, a.bits());
-            }
-            put_usize(out, *threshold);
-        }
-    }
-    put_usize(out, hits);
-    put_usize(out, nodes_spent);
 }
 
 fn push_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
@@ -367,63 +351,6 @@ impl<'a> Reader<'a> {
         }
         Ok(t)
     }
-
-    /// A heuristic cache of `problem`: every selection names one of its
-    /// difference-set groups, every push adds one extension per FD.
-    fn cache(
-        &mut self,
-        problem: &RepairProblem,
-    ) -> Result<(Vec<CacheEntryExport>, usize, usize), EngineError> {
-        let groups = problem.diff_groups().len();
-        let n = self.count(8)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sel_n = self.count(4)?;
-            let mut selection = Vec::with_capacity(sel_n);
-            for _ in 0..sel_n {
-                let group = self.u32()?;
-                if group as usize >= groups {
-                    return Err(bad(format!(
-                        "cache selects difference-set group {group} of {groups}"
-                    )));
-                }
-                selection.push(group);
-            }
-            let vio_n = self.count(8)?;
-            let mut violation = Vec::with_capacity(vio_n);
-            for _ in 0..vio_n {
-                violation.push(self.u64()?);
-            }
-            let tau = self.usize_()?;
-            let truncated = self.bool_()?;
-            let skipped_any = self.bool_()?;
-            let nodes = self.usize_()?;
-            let push_n = self.count(8)?;
-            let mut pushes = Vec::with_capacity(push_n);
-            for _ in 0..push_n {
-                let add_n = self.count(8)?;
-                let mut adds = Vec::with_capacity(add_n);
-                for _ in 0..add_n {
-                    adds.push(AttrSet::from_bits(self.u64()?));
-                }
-                check_extensions(&adds, problem.sigma(), problem.arity())?;
-                let threshold = self.usize_()?;
-                pushes.push((adds, threshold));
-            }
-            entries.push(CacheEntryExport {
-                selection,
-                violation,
-                tau,
-                truncated,
-                skipped_any,
-                nodes,
-                pushes,
-            });
-        }
-        let hits = self.usize_()?;
-        let nodes_spent = self.usize_()?;
-        Ok((entries, hits, nodes_spent))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -445,7 +372,6 @@ pub(crate) fn encode(
     seed: u64,
     stats: &EngineStats,
     sweep: Option<SweepCheckpointParts>,
-    warm: Option<(Vec<CacheEntryExport>, usize, usize)>,
 ) -> Vec<u8> {
     let instance = problem.instance();
     let schema = instance.schema();
@@ -528,7 +454,7 @@ pub(crate) fn encode(
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut out, SNAPSHOT_VERSION);
-    let section_count = 7 + sweep.is_some() as u32 + warm.is_some() as u32;
+    let section_count = 7 + sweep.is_some() as u32;
     put_u32(&mut out, section_count);
     push_section(&mut out, SEC_CONFIG, &config);
     push_section(&mut out, SEC_SCHEMA, &schema_sec);
@@ -558,19 +484,7 @@ pub(crate) fn encode(
             put_usize(&mut sec, ranged.tau_range.0);
             put_usize(&mut sec, ranged.tau_range.1);
         }
-        put_cache(
-            &mut sec,
-            &parts.cache_entries,
-            parts.cache_hits,
-            parts.cache_nodes_spent,
-        );
         push_section(&mut out, SEC_SWEEP, &sec);
-    }
-
-    if let Some((entries, hits, nodes_spent)) = warm {
-        let mut sec = Vec::new();
-        put_cache(&mut sec, &entries, hits, nodes_spent);
-        push_section(&mut out, SEC_WARM, &sec);
     }
 
     out
@@ -587,7 +501,6 @@ pub(crate) struct DecodedEngine {
     pub seed: u64,
     pub stats: EngineStats,
     pub sweep: Option<SweepCheckpoint>,
-    pub warm: Option<HeuristicCache>,
 }
 
 fn read_fd(r: &mut Reader<'_>, arity: usize) -> Result<Fd, EngineError> {
@@ -625,6 +538,49 @@ fn check_extensions(exts: &[AttrSet], sigma: &FdSet, arity: usize) -> Result<(),
             return Err(bad(format!(
                 "extension {:#x} of FD {j} leaves R \\ (X ∪ {{A}})",
                 ext.bits()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a sweep cursor that `RangeSearch::advance` cannot produce. The
+/// search starts at `τ = τ_high` and closes each found repair's range at
+/// its `δ_P`, so the ranges chain downwards from `τ_high`, and until the
+/// range is exhausted both `τ` and the next range's upper end sit one below
+/// the last `δ_P`. `τ_low > τ_high` stays legal: a dropped stream over an
+/// empty range stashes exactly that.
+fn check_cursor(parts: &SweepCheckpointParts) -> Result<(), EngineError> {
+    let tau_high = parts.tau_high as i128;
+    if parts.tau_low < 0 {
+        return Err(bad(format!("sweep τ_low {} is negative", parts.tau_low)));
+    }
+    if i128::from(parts.tau) > tau_high || parts.current_upper as i128 > tau_high {
+        return Err(bad(format!(
+            "sweep cursor τ {} / upper {} lies above τ_high {}",
+            parts.tau, parts.current_upper, parts.tau_high
+        )));
+    }
+    let mut upper = Some(parts.tau_high);
+    for ranged in &parts.found {
+        if Some(ranged.tau_range.1) != upper {
+            return Err(bad(format!(
+                "found τ range {:?} does not chain from {upper:?}",
+                ranged.tau_range
+            )));
+        }
+        upper = ranged.tau_range.0.checked_sub(1);
+    }
+    if !parts.exhausted {
+        // The search casts τ_high to its i64 cursor the same way.
+        let tau = match parts.found.last() {
+            Some(last) => last.tau_range.0 as i64 - 1,
+            None => parts.tau_high as i64,
+        };
+        if parts.tau != tau || Some(parts.current_upper) != upper {
+            return Err(bad(format!(
+                "unexhausted sweep cursor τ {} / upper {} is not τ {tau} / upper {upper:?}",
+                parts.tau, parts.current_upper
             )));
         }
     }
@@ -679,7 +635,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             .map(|(_, p)| Reader::new(p))
     };
     for (tag, _) in &sections {
-        if !(SEC_CONFIG..=SEC_WARM).contains(tag) {
+        if !(SEC_CONFIG..=SEC_SWEEP).contains(tag) {
             return Err(bad(format!("unknown section tag {tag}")));
         }
     }
@@ -856,11 +812,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
                 }
                 found.push(RangedFdRepair { repair, tau_range });
             }
-            let (cache_entries, cache_hits, cache_nodes_spent) = r.cache(&problem)?;
             if !r.is_done() {
                 return Err(bad("trailing bytes in sweep section"));
             }
-            Some(SweepCheckpoint::from_parts(SweepCheckpointParts {
+            let parts = SweepCheckpointParts {
                 open,
                 tau,
                 tau_low,
@@ -869,22 +824,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
                 stats,
                 exhausted,
                 found,
-                cache_entries,
-                cache_hits,
-                cache_nodes_spent,
-            }))
-        }
-    };
-
-    // WARM (optional)
-    let warm = match optional(SEC_WARM) {
-        None => None,
-        Some(mut r) => {
-            let (entries, hits, nodes_spent) = r.cache(&problem)?;
-            if !r.is_done() {
-                return Err(bad("trailing bytes in warm-cache section"));
-            }
-            Some(HeuristicCache::from_exported(entries, hits, nodes_spent))
+            };
+            check_cursor(&parts)?;
+            Some(SweepCheckpoint::from_parts(parts))
         }
     };
 
@@ -894,7 +836,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         seed,
         stats,
         sweep,
-        warm,
     })
 }
 
@@ -944,7 +885,7 @@ mod tests {
             dict_entries: 14,
             shards: 15,
         };
-        let bytes = encode(&problem, &config, 0, &stats, Some(sweep), None);
+        let bytes = encode(&problem, &config, 0, &stats, Some(sweep));
         let decoded = decode(&bytes).unwrap();
         // A restored engine never built a conflict graph, by design.
         let expected = EngineStats {
@@ -953,59 +894,5 @@ mod tests {
         };
         assert_eq!(decoded.stats, expected);
         assert_eq!(decoded.sweep.unwrap().stats(), search_stats);
-    }
-
-    /// Cache entries are checked against the restored problem, in the SWEEP
-    /// and WARM sections alike: a selection past the last difference-set
-    /// group, or an addition that is not one legal extension per FD, fails
-    /// typed.
-    #[test]
-    fn cache_entries_outside_the_problem_fail_typed() {
-        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
-        let rows = [[1, 1, 1, 1], [1, 2, 1, 3], [2, 2, 1, 1], [2, 3, 4, 3]];
-        let rows: Vec<Vec<i64>> = rows.iter().map(|r| r.to_vec()).collect();
-        let instance = Instance::from_int_rows(schema.clone(), &rows).unwrap();
-        let fds = FdSet::parse(&["A->B", "C->D"], &schema).unwrap();
-        let problem = RepairProblem::with_weight(&instance, &fds, WeightKind::AttrCount);
-        let config = SearchConfig::default();
-        let mut search = RangeSearch::new(&problem, 0, problem.delta_p_original(), &config);
-        search.next_repair().unwrap();
-        let parts = search.suspend().export_parts();
-        let at = parts
-            .cache_entries
-            .iter()
-            .position(|e| !e.pushes.is_empty())
-            .expect("the heuristic recorded a candidate");
-        let groups = problem.diff_groups().len() as u32;
-        let (mut past, mut wide, mut short) = (parts.clone(), parts.clone(), parts.clone());
-        past.cache_entries[at].selection[0] = groups;
-        wide.cache_entries[at].pushes[0].0[0] = AttrSet::from_bits(1 << 40);
-        short.cache_entries[at].pushes[0].0.pop();
-        for (what, bad_parts) in [
-            ("selection", past),
-            ("attribute 40", wide),
-            ("one FD short", short),
-        ] {
-            let warm = (bad_parts.cache_entries.clone(), 0, 0);
-            let stats = EngineStats::default();
-            for bytes in [
-                encode(&problem, &config, 0, &stats, Some(bad_parts), None),
-                encode(&problem, &config, 0, &stats, None, Some(warm)),
-            ] {
-                let err = decode(&bytes).err().expect(what);
-                assert!(matches!(err, EngineError::Snapshot(_)), "{what}: {err:?}");
-            }
-        }
-        // Unedited, both sections restore.
-        let warm = (parts.cache_entries.clone(), 0, 0);
-        assert!(decode(&encode(
-            &problem,
-            &config,
-            0,
-            &EngineStats::default(),
-            Some(parts),
-            Some(warm)
-        ))
-        .is_ok());
     }
 }

@@ -72,7 +72,7 @@ catalog (seeded generation or a bundled fixture + seeded error injection)
 and repairs it; `rtclean scenario list` prints the catalog.
 
 `rtclean snapshot` builds an engine and writes its full prepared state
-(dictionaries, code columns, conflict graph, heuristic warm-start) to a
+(dictionaries, code columns, conflict graph, suspended sweep) to a
 versioned, checksummed binary snapshot; `rtclean restore` rebuilds the
 engine from such a file — without ever rebuilding the conflict graph —
 and answers repair queries from it.

@@ -81,7 +81,7 @@ fn sample_states(problem: &RepairProblem, cap: usize) -> Vec<RepairState> {
 /// Each case evaluates a state sample through one long-lived cache, three
 /// times per `τ` (cold, warm, warm-after-tighter-τ), walking `τ`
 /// *downwards* like the sweep does — every answer must match the uncached
-/// oracle bit-for-bit, and the cache's hit/node ledger must add up.
+/// oracle bit-for-bit, a miss must charge the oracle's nodes and a hit none.
 #[test]
 fn memoized_heuristic_matches_the_uncached_oracle() {
     for case in 0..48u64 {
@@ -95,8 +95,7 @@ fn memoized_heuristic_matches_the_uncached_oracle() {
 
         let states = sample_states(&problem, 40);
         let mut cache = HeuristicCache::new();
-        let mut expected_nodes = 0usize;
-        let mut expected_hits = 0usize;
+        let mut hits = 0usize;
         let taus: Vec<usize> = {
             let hi = problem.delta_p_original();
             [hi, hi.saturating_sub(1), hi / 2, 0]
@@ -117,9 +116,9 @@ fn memoized_heuristic_matches_the_uncached_oracle() {
                         "{context}: τ={tau} round {round} state {state}: \
                          cached gc diverged from the oracle"
                     );
-                    expected_nodes += cached.nodes;
                     if cached.cache_hit {
-                        expected_hits += 1;
+                        hits += 1;
+                        assert_eq!(cached.nodes, 0, "{context}: a hit charges no nodes");
                     } else {
                         assert_eq!(
                             cached.nodes, oracle.nodes,
@@ -129,16 +128,8 @@ fn memoized_heuristic_matches_the_uncached_oracle() {
                 }
             }
         }
-        // The accounting contract: the cache's own ledger is exactly the sum
-        // of what the per-call values reported.
-        assert_eq!(
-            cache.nodes_spent(),
-            expected_nodes,
-            "{context}: node ledger"
-        );
-        assert_eq!(cache.hits(), expected_hits, "{context}: hit ledger");
         assert!(
-            cache.hits() > 0,
+            hits > 0,
             "{context}: repeat queries never hit the cache — the suite is vacuous"
         );
     }

@@ -33,6 +33,39 @@ fn figure2_engine() -> RepairEngine {
         .unwrap()
 }
 
+/// The catalog's `census` scenario under the default engine settings.
+fn census_engine() -> RepairEngine {
+    let scenario = relative_trust::scenarios::build("census", &ScenarioConfig::default()).unwrap();
+    RepairEngine::new(scenario.dirty, scenario.dirty_fds).unwrap()
+}
+
+/// Every point of `b` equals the same point of `a` bit for bit: τ range,
+/// state, `Σ'`, `dist_c` bits, `δ_P`, the repaired instance and its changed
+/// cells.
+fn assert_points_identical(a: &[RepairPoint], b: &[RepairPoint], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}: point count");
+    for (i, (a, b)) in a.iter().zip(b).enumerate() {
+        assert_eq!(a.tau_range, b.tau_range, "{context}: point {i} τ range");
+        let (a, b) = (&a.repair, &b.repair);
+        assert_eq!(a.state, b.state, "{context}: point {i} state");
+        assert_eq!(a.modified_fds, b.modified_fds, "{context}: point {i} Σ'");
+        assert_eq!(
+            a.dist_c.to_bits(),
+            b.dist_c.to_bits(),
+            "{context}: point {i} dist_c"
+        );
+        assert_eq!(a.delta_p, b.delta_p, "{context}: point {i} δP");
+        assert_eq!(
+            a.repaired_instance, b.repaired_instance,
+            "{context}: point {i} instance"
+        );
+        assert_eq!(
+            a.changed_cells, b.changed_cells,
+            "{context}: point {i} changed cells"
+        );
+    }
+}
+
 #[test]
 fn crc32_matches_known_vectors() {
     // The classic IEEE check value.
@@ -145,37 +178,45 @@ fn a_restored_engine_mutates_like_the_original() {
     assert!(!a.conflict_graph().is_empty(), "the batch leaves conflicts");
 }
 
+/// A sweep suspended after some points and restored from a snapshot (whose
+/// heuristic memo starts cold) resumes to exactly the points of an
+/// uninterrupted sweep, on Figure 2 and on the census scenario.
 #[test]
 fn restore_carries_the_suspended_sweep_checkpoint() {
-    let engine = figure2_engine();
-    // Materialize only part of the range, leaving a suspended checkpoint.
-    let mut stream = engine.sweep(0..=engine.delta_p_original());
-    let first = stream.next().unwrap().unwrap();
-    drop(stream);
+    let cases = [
+        ("figure 2", figure2_engine as fn() -> RepairEngine, 1),
+        ("census", census_engine, 3),
+    ];
+    for (name, build, pulled) in cases {
+        let uninterrupted = build().spectrum().unwrap().points;
+        assert!(
+            uninterrupted.len() > pulled,
+            "{name}: points left to resume"
+        );
 
-    let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
-    // Resuming on the restored engine replays the same points the original
-    // would have produced, from the same checkpoint.
-    let original: Vec<_> = engine
-        .sweep(0..=engine.delta_p_original())
-        .map(|p| p.unwrap())
-        .collect();
-    let resumed: Vec<_> = restored
-        .sweep(0..=restored.delta_p_original())
-        .map(|p| p.unwrap())
-        .collect();
-    assert_eq!(original.len(), resumed.len());
-    assert_eq!(first.tau_range, original[0].tau_range);
-    for (a, b) in original.iter().zip(&resumed) {
-        assert_eq!(a.tau_range, b.tau_range);
-        assert_eq!(a.repair.data_changes(), b.repair.data_changes());
+        let engine = build();
+        let range = 0..=engine.delta_p_original();
+        // Materialize only part of the range, leaving a suspended checkpoint.
+        let first: Vec<_> = engine
+            .sweep(range.clone())
+            .take(pulled)
+            .map(|p| p.unwrap())
+            .collect();
+        assert_points_identical(&uninterrupted[..pulled], &first, name);
+
+        let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
+        // The restored engine resumes from the checkpoint: the pulled points
+        // replay, and the rest match the uninterrupted sweep.
+        let resumed: Vec<_> = restored.sweep(range).map(|p| p.unwrap()).collect();
+        assert_points_identical(&uninterrupted, &resumed, name);
+        assert_eq!(restored.stats().conflict_graph_builds, 0, "{name}");
+        // The resume shows up as a sweep-cache hit.
+        assert_eq!(
+            restored.stats().sweep_cache_hits,
+            engine.stats().sweep_cache_hits + 1,
+            "{name}"
+        );
     }
-    assert_eq!(restored.stats().conflict_graph_builds, 0);
-    // The checkpoint resume shows up as a sweep-cache hit on both sides.
-    assert_eq!(
-        engine.stats().sweep_cache_hits,
-        restored.stats().sweep_cache_hits
-    );
 }
 
 #[test]
@@ -223,7 +264,7 @@ fn wrong_magic_and_version_fail_typed() {
 
     // A version from the future and the previous ones alike fail the typed
     // version check; there is no compatibility reader.
-    for version in [0xFF_u32, 2, 3, 4, 5] {
+    for version in [0xFF_u32, 2, 3, 4, 5, 6] {
         let mut stamped = bytes.clone();
         stamped[8..12].copy_from_slice(&version.to_le_bytes());
         let err = RepairEngine::restore(&stamped).unwrap_err();
@@ -273,6 +314,8 @@ const HEADER: usize = 16;
 /// Section tags of the conflict graph and of the suspended sweep.
 const SEC_GRAPH: u32 = 6;
 const SEC_SWEEP: u32 = 8;
+/// The heuristic memo's section before version 7; now an unknown tag.
+const SEC_WARM: u32 = 9;
 /// A Figure-2 search state: extension count, then one extension per FD.
 const STATE_LEN: usize = 8 + 2 * 8;
 
@@ -307,9 +350,28 @@ fn put(bytes: &mut [u8], at: usize, v: u64) {
     bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Offset of the found-repair count in a Figure-2 SWEEP payload: the open
-/// list (state, priority, cost per entry), then τ, τ_low, τ_high and the
-/// current upper end, the search stats' slots and the exhausted flag.
+/// The payload of section `tag`.
+fn section(bytes: &[u8], tag: u32) -> &[u8] {
+    let mut at = HEADER;
+    while at < bytes.len() {
+        let len = get(bytes, at + 4) as usize;
+        if u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == tag {
+            return &bytes[at + 16..at + 16 + len];
+        }
+        at += 16 + len;
+    }
+    panic!("the snapshot has no section {tag}");
+}
+
+/// Offset of τ in a Figure-2 SWEEP payload: after the open list (state,
+/// priority, cost per entry). τ_low, τ_high and the current upper end
+/// follow, 8 bytes each.
+fn tau_at(sweep: &[u8]) -> usize {
+    8 + get(sweep, 0) as usize * (STATE_LEN + 16)
+}
+
+/// Offset of the found-repair count in a Figure-2 SWEEP payload: the τ
+/// cursor, then the search stats' slots and the exhausted flag.
 fn found_at(sweep: &[u8]) -> usize {
     let mut stats = SearchStats::default();
     let stats_len: usize = stats
@@ -317,7 +379,7 @@ fn found_at(sweep: &[u8]) -> usize {
         .iter()
         .map(|(_, slot)| if matches!(slot, Slot::Flag(_)) { 1 } else { 8 })
         .sum();
-    8 + get(sweep, 0) as usize * (STATE_LEN + 16) + 4 * 8 + stats_len + 1
+    tau_at(sweep) + 4 * 8 + stats_len + 1
 }
 
 fn assert_snapshot_error(bytes: &[u8], expected: &str, context: &str) {
@@ -449,4 +511,92 @@ fn found_repairs_replay_from_their_states() {
 
     // C,A -> B has δP 2, which does not open the stored range [4, 4].
     assert_snapshot_error(&swap(0, 0b0100), "τ range", "δP 2 at [4, 4]");
+}
+
+/// SWEEP holds the traversal and nothing else: an exhausted sweep's payload
+/// ends right after its found list, with no heuristic memo behind it.
+#[test]
+fn the_sweep_section_stores_no_heuristic_memo() {
+    let engine = figure2_engine();
+    engine.spectrum().unwrap();
+    let bytes = engine.snapshot().unwrap();
+    let sweep = section(&bytes, SEC_SWEEP);
+    let found_n = get(sweep, found_at(sweep)) as usize;
+    assert_eq!(found_n, 3, "Figure 2's spectrum has three repairs");
+    assert_eq!(
+        sweep.len(),
+        found_at(sweep) + 8 + found_n * (STATE_LEN + 16)
+    );
+}
+
+/// Tag 9 carried the heuristic memo before version 7; a section with it,
+/// even an empty memo, now fails typed as unknown.
+#[test]
+fn a_heuristic_memo_section_fails_typed_as_unknown() {
+    let mut bytes = figure2_engine().snapshot().unwrap();
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    // An empty memo at version 6: entry count, hits and nodes spent.
+    let payload = [0u8; 24];
+    bytes.extend(SEC_WARM.to_le_bytes());
+    bytes.extend((payload.len() as u64).to_le_bytes());
+    bytes.extend(crc32(&payload).to_le_bytes());
+    bytes.extend(payload);
+    assert_snapshot_error(&bytes, "unknown section tag 9", "tag 9");
+}
+
+/// The SWEEP cursor must be one the search can produce. Raising τ and the
+/// current upper end past τ_high made a resumed census point report a τ
+/// range outside its own sweep; it now fails typed, as do a negative τ_low,
+/// found ranges that do not chain down from τ_high, and an unexhausted
+/// cursor that is not one below the last found δP.
+#[test]
+fn a_sweep_cursor_the_search_cannot_produce_fails_typed() {
+    let engine = census_engine();
+    let hi = engine.delta_p_original();
+    let pulled = engine.sweep(0..=hi).take(3).count();
+    assert_eq!(pulled, 3);
+    let bytes = engine.snapshot().unwrap();
+    assert!(RepairEngine::restore(&bytes).is_ok());
+    let crafted = reseal(&bytes, SEC_SWEEP, |sweep| {
+        let tau = tau_at(sweep);
+        for at in [tau, tau + 24] {
+            let v = get(sweep, at);
+            put(sweep, at, v + 1000);
+        }
+    });
+    assert_snapshot_error(&crafted, "above τ_high", "census τ + 1000");
+
+    // Figure 2, one point pulled: τ = current upper = 3, range [0, 4].
+    let engine = figure2_engine();
+    engine.sweep(0..=4).next().unwrap().unwrap();
+    let bytes = engine.snapshot().unwrap();
+    let edit = |offset: usize, v: u64| {
+        reseal(&bytes, SEC_SWEEP, |sweep| {
+            let tau = tau_at(sweep);
+            assert_eq!(
+                [0, 8, 16, 24].map(|i| get(sweep, tau + i)),
+                [3, 0, 4, 3],
+                "τ, τ_low, τ_high, current upper"
+            );
+            put(sweep, tau + offset, v);
+        })
+    };
+    let cases = [
+        (edit(8, u64::MAX), "negative", "τ_low −1"),
+        (edit(0, 2), "unexhausted", "τ 2"),
+        (edit(24, 2), "unexhausted", "current upper 2"),
+        (edit(16, 5), "chain", "τ_high 5"),
+    ];
+    for (crafted, expected, what) in cases {
+        assert_snapshot_error(&crafted, expected, what);
+    }
+
+    // A dropped stream over an empty range stashes τ_low > τ_high, which
+    // restores.
+    let (lo, hi) = (5, 3);
+    let engine = figure2_engine();
+    drop(engine.sweep(lo..=hi));
+    let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
+    assert_eq!(restored.sweep(lo..=hi).count(), 0);
 }
