@@ -37,7 +37,8 @@ fn spectrum_signature(s: &Spectrum) -> (usize, usize) {
 /// given scenario prefix, in the order of the
 /// [`WorkSnapshot`](rt_relation::work::WorkSnapshot) table: bytes
 /// hashed and heap allocations spent building equality keys, `Value`-level
-/// comparisons in hot paths, and code cells copied out of shared columns.
+/// comparisons in hot paths, code cells copied out of shared columns, and
+/// the packed push items stored by heuristic memo entries.
 fn push_work_counters(metrics: &mut Metrics, prefix: &str) {
     let mut w = rt_relation::work::snapshot();
     for (name, slot) in w.slots() {

@@ -26,12 +26,19 @@
 //! builds the union graph of the masked groups' edges and takes its cover.
 //! Adjacency is a set, so that graph, and its cover, do not depend on the
 //! order the groups' edges are added in.
+//!
+//! The memo ([`HeuristicCache`]) stores each run as one `StructuralEntry`:
+//! its candidate pushes packed into a flat buffer of `(FD, attribute)`
+//! items (`Pushes`) appended at each leaf, plus the minimal additions
+//! derived from them for each `τ` asked so far. One map, keyed on the
+//! state's projection, holds everything; a hit allocates nothing.
 
 use crate::problem::{DiffSetGroup, RepairProblem};
 use crate::state::RepairState;
 use rt_constraints::{AttrSet, FdSet};
 use rt_graph::{approx_vertex_cover, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
+use rt_relation::{work, AttrId};
 use std::collections::{HashMap, HashSet};
 
 /// Maximum number of difference sets (`|Ds|`) fed into the enumeration.
@@ -112,16 +119,12 @@ fn enumerate_goal_candidates(
     tau: usize,
     config: &HeuristicConfig,
 ) -> StructuralEntry {
+    let mut pushes = Pushes::default();
     if selection.is_empty() {
         // The state itself is a goal (no violations at all): its own cost is
         // the exact answer, at every τ.
-        return StructuralEntry {
-            tau,
-            truncated: false,
-            skipped_any: false,
-            nodes: 0,
-            pushes: vec![(vec![AttrSet::EMPTY; problem.fd_count()], 0)],
-        };
+        pushes.record(state.extensions(), state.extensions(), 0);
+        return StructuralEntry::new(tau, false, false, 0, pushes);
     }
     let groups = problem.diff_groups();
     // The unresolved graphs are indexed by the sorted rows of the selected
@@ -155,32 +158,14 @@ fn enumerate_goal_candidates(
         budget: config.node_budget,
         selected: &selected,
         vertices: rows.len(),
+        base: state.extensions(),
         nodes: 0,
-        raw: Vec::new(),
+        pushes,
         truncated: false,
         skipped_any: false,
     };
     ctx.recurse(state.clone(), 0, 0, &remaining);
-    let pushes = ctx
-        .raw
-        .iter()
-        .map(|(s, t)| {
-            let adds: Vec<AttrSet> = s
-                .extensions()
-                .iter()
-                .zip(state.extensions())
-                .map(|(ext, base)| ext.difference(*base))
-                .collect();
-            (adds, *t)
-        })
-        .collect();
-    StructuralEntry {
-        tau,
-        truncated: ctx.truncated,
-        skipped_any: ctx.skipped_any,
-        nodes: ctx.nodes,
-        pushes,
-    }
+    StructuralEntry::new(tau, ctx.truncated, ctx.skipped_any, ctx.nodes, ctx.pushes)
 }
 
 /// Computes `gc(state)` for the given cell budget `τ`: a fresh enumeration
@@ -193,7 +178,7 @@ pub fn goal_cost_estimate(
 ) -> HeuristicValue {
     let entry = enumerate_goal_candidates(problem, state, &selection(problem, state), tau, config);
     HeuristicValue {
-        lower_bound: cheapest(problem, state, &HeuristicCache::derive(&entry, tau)),
+        lower_bound: cheapest(problem, state, &entry.derive(tau, problem.fd_count())),
         nodes: entry.nodes,
         cache_hit: false,
     }
@@ -246,10 +231,79 @@ struct CacheKey {
     violation: Vec<u64>,
 }
 
+/// Bits of a packed push item that hold the attribute: an [`AttrSet`] is a
+/// `u64` mask, so every attribute is below 64.
+const ATTR_BITS: u32 = 6;
+
+/// Every candidate push of one enumeration run, in discovery order, packed
+/// into flat buffers. Push `i` is the run of `items` from `ends[i - 1]`
+/// (0 for the first) to `ends[i]`: its component-wise attribute
+/// *additions* relative to the evaluated state, one `u32` item
+/// `fd_index << ATTR_BITS | attribute` per added attribute, FD by FD,
+/// attributes ascending. Its path threshold — the largest `|cover| · α` of
+/// any leave-unresolved branch on the path from the root, 0 when the path
+/// resolves everything — is `thresholds[levels[i]]`: a path threshold is
+/// the cover of one set of unresolved slots, so a run has at most
+/// `2^MAX_DIFF_SETS` distinct ones, and a byte per push names it.
+#[derive(Debug, Default)]
+struct Pushes {
+    items: Vec<u32>,
+    ends: Vec<u32>,
+    /// The run's distinct path thresholds, in order of first use.
+    thresholds: Vec<usize>,
+    levels: Vec<u8>,
+}
+
+const _: () = assert!(1 << MAX_DIFF_SETS <= u8::MAX as usize);
+
+impl Pushes {
+    /// Appends the push of the leaf state `leaf`: its additions over `base`.
+    fn record(&mut self, base: &[AttrSet], leaf: &[AttrSet], threshold: usize) {
+        assert!(
+            leaf.len() <= 1 << (u32::BITS - ATTR_BITS),
+            "FD index does not fit a packed push item"
+        );
+        for (j, (ext, base)) in leaf.iter().zip(base).enumerate() {
+            for attr in ext.difference(*base).iter() {
+                self.items.push((j as u32) << ATTR_BITS | u32::from(attr.0));
+            }
+        }
+        let end = u32::try_from(self.items.len()).expect("a run's items fit a u32 offset");
+        self.ends.push(end);
+        let level = match self.thresholds.iter().position(|&t| t == threshold) {
+            Some(level) => level,
+            None => {
+                self.thresholds.push(threshold);
+                self.thresholds.len() - 1
+            }
+        };
+        self.levels
+            .push(u8::try_from(level).expect("one threshold per set of unresolved slots"));
+    }
+
+    /// Releases the spare capacity the buffers grew while recording.
+    fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.levels.shrink_to_fit();
+    }
+
+    /// Overwrites `adds` (one set per FD) with the additions of push `i`.
+    fn decode(&self, i: usize, adds: &mut [AttrSet]) {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        adds.fill(AttrSet::EMPTY);
+        for &item in &self.items[start..self.ends[i] as usize] {
+            let j = (item >> ATTR_BITS) as usize;
+            adds[j].insert(AttrId((item & ((1 << ATTR_BITS) - 1)) as u16));
+        }
+    }
+}
+
 /// One structural enumeration run at a fixed `(S, τ)`, as the cache keeps
 /// it: the run's `τ` and completion flags, which decide which other `τ`
-/// values it can answer, and its pushes.
-#[derive(Debug, Clone)]
+/// values it can answer, its packed pushes, and the minimal additions
+/// derived from them so far.
+#[derive(Debug)]
 struct StructuralEntry {
     /// The `τ` the run was recorded at.
     tau: usize,
@@ -262,17 +316,35 @@ struct StructuralEntry {
     skipped_any: bool,
     /// Recursion nodes spent.
     nodes: usize,
-    /// Every candidate push in order, as component-wise attribute
-    /// *additions* relative to the evaluated state, each annotated with its
-    /// path threshold: the largest `|cover| · α` of any leave-unresolved
-    /// branch on the path from the root (0 when the path resolves
-    /// everything). A later, tighter `τ'` visits exactly the pushes with
-    /// threshold `≤ τ'` — in the same order — as long as this run was not
-    /// budget-truncated.
-    pushes: Vec<(Vec<AttrSet>, usize)>,
+    /// Every candidate push in discovery order with its path threshold. A
+    /// later, tighter `τ'` visits exactly the pushes with threshold `≤ τ'`
+    /// — in the same order — as long as this run was not budget-truncated.
+    pushes: Pushes,
+    /// The minimal candidate additions at each `τ` asked so far
+    /// ([`StructuralEntry::derive`]). Replacing the entry drops them; the
+    /// new run derives the same lists again, bit for bit.
+    derived: Vec<(usize, Vec<Vec<AttrSet>>)>,
 }
 
 impl StructuralEntry {
+    fn new(
+        tau: usize,
+        truncated: bool,
+        skipped_any: bool,
+        nodes: usize,
+        mut pushes: Pushes,
+    ) -> Self {
+        pushes.shrink_to_fit();
+        StructuralEntry {
+            tau,
+            truncated,
+            skipped_any,
+            nodes,
+            pushes,
+            derived: Vec::new(),
+        }
+    }
+
     /// Can this recorded run answer a query at `tau` exactly?
     ///
     /// * its own `τ` — trivially (same run);
@@ -284,6 +356,41 @@ impl StructuralEntry {
     ///   recorded tree is already the `τ = ∞` tree).
     fn serves(&self, tau: usize) -> bool {
         tau == self.tau || (!self.truncated && (tau < self.tau || !self.skipped_any))
+    }
+
+    /// Threshold-filters the recorded run at `tau` and keeps the minimal
+    /// additions (those extending no other), in discovery order: exactly
+    /// the candidates a fresh enumeration at `tau` stands for. Each push is
+    /// decoded into one reused `fd_count`-long scratch vector.
+    fn derive(&self, tau: usize, fd_count: usize) -> Vec<Vec<AttrSet>> {
+        let mut additions: Vec<Vec<AttrSet>> = Vec::new();
+        let mut adds = vec![AttrSet::EMPTY; fd_count];
+        let admitted: Vec<bool> = self.pushes.thresholds.iter().map(|&t| t <= tau).collect();
+        for (i, &level) in self.pushes.levels.iter().enumerate() {
+            if !admitted[usize::from(level)] {
+                continue;
+            }
+            self.pushes.decode(i, &mut adds);
+            if additions.iter().any(|b| adds_extend(&adds, b)) {
+                continue;
+            }
+            additions.retain(|b| !adds_extend(b, &adds));
+            additions.push(adds.clone());
+        }
+        additions
+    }
+
+    /// The minimal additions at `tau`, derived on the first ask and kept.
+    fn additions(&mut self, tau: usize, fd_count: usize) -> &[Vec<AttrSet>] {
+        debug_assert!(self.serves(tau));
+        let at = match self.derived.iter().position(|(t, _)| *t == tau) {
+            Some(at) => at,
+            None => {
+                self.derived.push((tau, self.derive(tau, fd_count)));
+                self.derived.len() - 1
+            }
+        };
+        &self.derived[at].1
     }
 }
 
@@ -307,6 +414,10 @@ fn adds_extend(a: &[AttrSet], b: &[AttrSet]) -> bool {
 /// order is the discovery order and `min_by(total_cmp)` picks the first of
 /// equals, hit and miss paths produce bit-identical lower bounds.
 ///
+/// Each entry keeps the minimal additions it derived per `τ`, so the table
+/// is one map and a hit allocates nothing. Inserting an entry charges its
+/// packed push items to [`work::count_heuristic_memo_items`].
+///
 /// The cache holds only resolution *structure* — no weights — so it stays
 /// valid across weight refreshes; it must be dropped whenever the
 /// difference-set groups themselves change (see
@@ -314,9 +425,6 @@ fn adds_extend(a: &[AttrSet], b: &[AttrSet]) -> bool {
 #[derive(Debug, Default)]
 pub struct HeuristicCache {
     structural: HashMap<CacheKey, StructuralEntry>,
-    /// Minimal candidate additions per `(key, τ)`, derived from the
-    /// structural entry by [`HeuristicCache::derive`].
-    derived: HashMap<(CacheKey, usize), Vec<Vec<AttrSet>>>,
 }
 
 impl HeuristicCache {
@@ -350,24 +458,6 @@ impl HeuristicCache {
             selection,
             violation,
         }
-    }
-
-    /// Threshold-filters a recorded run at `tau` and keeps the minimal
-    /// additions (those extending no other), in discovery order: exactly
-    /// the candidates a fresh enumeration at `tau` stands for.
-    fn derive(entry: &StructuralEntry, tau: usize) -> Vec<Vec<AttrSet>> {
-        let mut additions: Vec<Vec<AttrSet>> = Vec::new();
-        for (adds, threshold) in &entry.pushes {
-            if *threshold > tau {
-                continue;
-            }
-            if additions.iter().any(|b| adds_extend(adds, b)) {
-                continue;
-            }
-            additions.retain(|b| !adds_extend(b, adds));
-            additions.push(adds.clone());
-        }
-        additions
     }
 
     /// Evaluates `gc` for one state. Equivalent to
@@ -424,8 +514,10 @@ impl HeuristicCache {
             enumerate_goal_candidates(problem, states[i], &keys[i].selection, tau, config)
         });
         for (&i, entry) in miss_idx.iter().zip(computed) {
+            work::count_heuristic_memo_items(entry.pushes.items.len());
             self.structural.insert(keys[i].clone(), entry);
         }
+        let fd_count = problem.fd_count();
         let mut charged = miss_idx.into_iter().peekable();
         states
             .iter()
@@ -433,22 +525,10 @@ impl HeuristicCache {
             .enumerate()
             .map(|(i, (state, key))| {
                 let is_miss = charged.next_if_eq(&i).is_some();
-                let miss_nodes = if is_miss {
-                    self.structural.get(key).expect("inserted above").nodes
-                } else {
-                    0
-                };
-                let derived_key = (key.clone(), tau);
-                if !self.derived.contains_key(&derived_key) {
-                    let entry = self.structural.get(key).expect("present for every key");
-                    debug_assert!(entry.serves(tau));
-                    self.derived
-                        .insert(derived_key.clone(), Self::derive(entry, tau));
-                }
-                let derived = self.derived.get(&derived_key).expect("inserted above");
+                let entry = self.structural.get_mut(key).expect("present for every key");
                 HeuristicValue {
-                    lower_bound: cheapest(problem, state, derived),
-                    nodes: miss_nodes,
+                    nodes: if is_miss { entry.nodes } else { 0 },
+                    lower_bound: cheapest(problem, state, entry.additions(tau, fd_count)),
                     cache_hit: !is_miss,
                 }
             })
@@ -498,11 +578,12 @@ struct Context<'a> {
     selected: &'a [Selected],
     /// Vertex count of the unresolved graphs (the selected groups' rows).
     vertices: usize,
+    /// The evaluated state's extensions, which each push is relative to.
+    base: &'a [AttrSet],
     nodes: usize,
-    /// Every candidate push in order, with its path threshold (the
-    /// largest leave-unresolved `|cover| · α` on the path) — the raw
-    /// material for [`HeuristicCache`]'s τ-derivable entries.
-    raw: Vec<(RepairState, usize)>,
+    /// Every candidate push so far — the material for [`HeuristicCache`]'s
+    /// τ-derivable entries.
+    pushes: Pushes,
     /// Set when the node budget cut the enumeration short.
     truncated: bool,
     /// Set when some leave-unresolved branch was infeasible at this `τ`.
@@ -528,14 +609,16 @@ impl<'a> Context<'a> {
     ) {
         self.nodes += 1;
         if remaining.is_empty() {
-            self.raw.push((current, path_threshold));
+            self.pushes
+                .record(self.base, current.extensions(), path_threshold);
             return;
         }
         if self.nodes >= self.budget {
             // Budget exhausted: optimistically assume the rest resolves for
             // free. `current` is a lower-bound witness.
             self.truncated = true;
-            self.raw.push((current, path_threshold));
+            self.pushes
+                .record(self.base, current.extensions(), path_threshold);
             return;
         }
         let d = remaining[0];
@@ -777,6 +860,59 @@ mod tests {
         let h = goal_cost_estimate(&problem, &root, 2, &tight);
         let lb = h.lower_bound.expect("budget fallback must keep a bound");
         assert!(lb <= exact + 1e-9);
+    }
+
+    #[test]
+    fn packed_pushes_decode_to_each_leafs_additions() {
+        // Three FDs; the base already extends FD 0 by {0} and FD 2 by {5}.
+        let base = RepairState::new(vec![
+            AttrSet::from_bits(1),
+            AttrSet::EMPTY,
+            AttrSet::from_bits(1 << 5),
+        ]);
+        let leaves = [
+            // Attribute 63 on FD 0, and two attributes added to FD 2.
+            base.with_attr(0, AttrId(63))
+                .with_attr(2, AttrId(1))
+                .with_attr(2, AttrId(40)),
+            // The base itself: an empty push between two others.
+            base.clone(),
+            // One attribute on FD 1 only.
+            base.with_attr(1, AttrId(7)),
+        ];
+        let mut pushes = Pushes::default();
+        for (t, leaf) in leaves.iter().enumerate() {
+            pushes.record(base.extensions(), leaf.extensions(), 10 * (t % 2));
+        }
+        assert_eq!(pushes.thresholds, vec![0, 10]);
+        assert_eq!(pushes.levels, vec![0, 1, 0]);
+        // Stale bits in the scratch vector must not survive a decode.
+        let mut adds = vec![AttrSet::from_bits(u64::MAX); 3];
+        for (i, leaf) in leaves.iter().enumerate() {
+            pushes.decode(i, &mut adds);
+            let expected: Vec<AttrSet> = leaf
+                .extensions()
+                .iter()
+                .zip(base.extensions())
+                .map(|(ext, base)| ext.difference(*base))
+                .collect();
+            assert_eq!(adds, expected, "push {i}");
+        }
+    }
+
+    #[test]
+    fn a_state_violating_nothing_records_one_empty_push() {
+        let problem = figure2_problem();
+        // A -> B extended by D and C -> D by {A, B} resolve every conflict.
+        let state = RepairState::new(vec![AttrSet::from_bits(0b1000), AttrSet::from_bits(0b0011)]);
+        assert!(selection(&problem, &state).is_empty());
+        let entry =
+            enumerate_goal_candidates(&problem, &state, &[], 0, &HeuristicConfig::default());
+        assert!(entry.pushes.items.is_empty());
+        assert_eq!(entry.pushes.ends, vec![0]);
+        assert_eq!(entry.pushes.thresholds, vec![0]);
+        assert_eq!(entry.pushes.levels, vec![0]);
+        assert_eq!(entry.derive(0, 2), vec![vec![AttrSet::EMPTY; 2]]);
     }
 
     #[test]

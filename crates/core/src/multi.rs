@@ -148,6 +148,13 @@ pub struct SweepCheckpoint {
 }
 
 impl SweepCheckpoint {
+    /// The signed `τ` cursor a sweep bound `tau` starts at: `tau` itself,
+    /// clamped to `i64::MAX`. No state needs a larger budget, since `δ_P`
+    /// counts cells, so the clamp changes no repair.
+    pub fn cursor(tau: usize) -> i64 {
+        i64::try_from(tau).unwrap_or(i64::MAX)
+    }
+
     /// The inclusive `τ` range the suspended sweep was started with.
     pub fn range(&self) -> (usize, usize) {
         (self.tau_low.max(0) as usize, self.tau_high)
@@ -381,8 +388,8 @@ impl<'p> RangeSearch<'p> {
             sweep: SweepCheckpoint {
                 open: BinaryHeap::from(vec![root]),
                 next_seq: 1,
-                tau: tau_high as i64,
-                tau_low: tau_low as i64,
+                tau: SweepCheckpoint::cursor(tau_high),
+                tau_low: SweepCheckpoint::cursor(tau_low),
                 tau_high,
                 current_upper: tau_high,
                 // The root is the only state generated up front.

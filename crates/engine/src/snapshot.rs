@@ -572,10 +572,10 @@ fn check_cursor(parts: &SweepCheckpointParts) -> Result<(), EngineError> {
         upper = ranged.tau_range.0.checked_sub(1);
     }
     if !parts.exhausted {
-        // The search casts τ_high to its i64 cursor the same way.
+        // The search starts its i64 cursor at τ_high the same way.
         let tau = match parts.found.last() {
             Some(last) => last.tau_range.0 as i64 - 1,
-            None => parts.tau_high as i64,
+            None => SweepCheckpoint::cursor(parts.tau_high),
         };
         if parts.tau != tau || Some(parts.current_upper) != upper {
             return Err(bad(format!(

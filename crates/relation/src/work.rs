@@ -4,7 +4,8 @@
 //! CI container is single-core and offline, see `ci/bench_baseline.json`).
 //! The first three counters here measure what dictionary encoding is
 //! supposed to remove from the equality hot paths; the fourth measures what
-//! copy-on-write columns are supposed to remove from instance copies:
+//! copy-on-write columns are supposed to remove from instance copies; the
+//! fifth measures what the heuristic memo holds:
 //!
 //! * [`count_key_alloc`] — one heap allocation made solely to build a
 //!   grouping or probe key (a `Vec<Value>`/`Vec<&Value>` key, or a spilled
@@ -19,7 +20,10 @@
 //! * [`count_cells_copied`] — code cells copied because a column shared
 //!   between instances was written: an instance's one column write path
 //!   charges the copied column's length, so a clone that writes nothing,
-//!   or writes a value a cell already holds, counts nothing.
+//!   or writes a value a cell already holds, counts nothing;
+//! * [`count_heuristic_memo_items`] — packed `(FD, attribute)` items stored
+//!   by heuristic memo entries, charged when an entry is inserted: the
+//!   memo's size, which a count of its entries does not show.
 //!
 //! The counters are process-global atomics. Totals are bit-deterministic for
 //! a deterministic workload even under the workspace's parallel execution
@@ -42,6 +46,7 @@ static KEY_BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
 static KEY_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static VALUE_COMPARES: AtomicU64 = AtomicU64::new(0);
 static CELLS_COPIED: AtomicU64 = AtomicU64::new(0);
+static HEURISTIC_MEMO_ITEMS: AtomicU64 = AtomicU64::new(0);
 static RESIDENT_CELLS: AtomicU64 = AtomicU64::new(0);
 static PEAK_RESIDENT_CELLS: AtomicU64 = AtomicU64::new(0);
 
@@ -56,6 +61,8 @@ pub struct WorkSnapshot {
     pub value_compares: u64,
     /// Code cells copied out of shared columns on their first write.
     pub cells_copied: u64,
+    /// Packed push items stored by inserted heuristic memo entries.
+    pub heuristic_memo_items: u64,
 }
 
 impl Telemetry for WorkSnapshot {
@@ -66,6 +73,7 @@ impl Telemetry for WorkSnapshot {
             ("key_allocs", Slot::Total(&mut self.key_allocs)),
             ("value_compares", Slot::Total(&mut self.value_compares)),
             ("cells_copied", Slot::Total(&mut self.cells_copied)),
+            ("heuristic_memo_items", Slot::Total(&mut self.heuristic_memo_items)),
         ]
     }
 }
@@ -92,6 +100,12 @@ pub fn count_value_compares(n: usize) {
 #[inline]
 pub fn count_cells_copied(n: usize) {
     CELLS_COPIED.fetch_add(n as u64, Relaxed);
+}
+
+/// Records `n` packed push items stored by a new heuristic memo entry.
+#[inline]
+pub fn count_heuristic_memo_items(n: usize) {
+    HEURISTIC_MEMO_ITEMS.fetch_add(n as u64, Relaxed);
 }
 
 /// Raises the resident-cell gauge by `n` cells and folds the new level into
@@ -121,6 +135,7 @@ pub fn snapshot() -> WorkSnapshot {
         key_allocs: KEY_ALLOCS.load(Relaxed),
         value_compares: VALUE_COMPARES.load(Relaxed),
         cells_copied: CELLS_COPIED.load(Relaxed),
+        heuristic_memo_items: HEURISTIC_MEMO_ITEMS.load(Relaxed),
     }
 }
 
@@ -131,6 +146,7 @@ pub fn reset() {
     KEY_ALLOCS.store(0, Relaxed);
     VALUE_COMPARES.store(0, Relaxed);
     CELLS_COPIED.store(0, Relaxed);
+    HEURISTIC_MEMO_ITEMS.store(0, Relaxed);
     RESIDENT_CELLS.store(0, Relaxed);
     PEAK_RESIDENT_CELLS.store(0, Relaxed);
 }
@@ -227,11 +243,13 @@ mod tests {
         count_key_alloc();
         count_value_compares(3);
         count_cells_copied(5);
+        count_heuristic_memo_items(7);
         let delta = snapshot().since(&before);
         assert!(delta.key_bytes_hashed >= 16);
         assert!(delta.key_allocs >= 1);
         assert!(delta.value_compares >= 3);
         assert!(delta.cells_copied >= 5);
+        assert!(delta.heuristic_memo_items >= 7);
         // `since` saturates instead of underflowing.
         assert_eq!(before.since(&snapshot()), WorkSnapshot::default());
     }

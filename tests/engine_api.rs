@@ -144,6 +144,38 @@ fn sweep_matches_range_search_with_one_graph_build() {
     assert!(stats.states_expanded > 0);
 }
 
+/// Sweep bounds above `i64::MAX` start the search's signed `τ` cursor at
+/// `i64::MAX`: the full-range sweep finds the `0..=δP` sweep's repairs, its
+/// first range reaching up to the requested end, and a range wholly above
+/// `i64::MAX` finds the root's repair.
+#[test]
+fn a_full_range_sweep_finds_the_delta_p_sweep_points() {
+    let engine = figure2_engine();
+    let sweep = |range| {
+        engine
+            .sweep(range)
+            .collect::<Result<Vec<RepairPoint>, _>>()
+            .unwrap()
+    };
+    let bounded = sweep(0..=engine.delta_p_original());
+    let full = sweep(0..=usize::MAX);
+    assert_eq!(full.len(), bounded.len());
+    for (i, (f, b)) in full.iter().zip(&bounded).enumerate() {
+        let upper = if i == 0 { usize::MAX } else { b.tau_range.1 };
+        assert_eq!(f.tau_range, (b.tau_range.0, upper));
+        assert_eq!(f.repair.state, b.repair.state);
+        assert_eq!(f.repair.modified_fds, b.repair.modified_fds);
+        assert_eq!(f.repair.dist_c.to_bits(), b.repair.dist_c.to_bits());
+        assert_eq!(f.repair.delta_p, b.repair.delta_p);
+        assert_eq!(f.repair.repaired_instance, b.repair.repaired_instance);
+        assert_eq!(f.repair.changed_cells, b.repair.changed_cells);
+    }
+    let above = sweep(i64::MAX as usize + 1..=usize::MAX);
+    assert_eq!(above.len(), 1);
+    assert_eq!(above[0].tau_range, (bounded[0].tau_range.0, usize::MAX));
+    assert_eq!(above[0].repair.state, bounded[0].repair.state);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep laziness
 // ---------------------------------------------------------------------------
