@@ -1,7 +1,8 @@
 //! Greedy unified-cost repair.
 
 use rt_constraints::{AttrSet, ConflictGraph, FdSet, Weight};
-use rt_core::data_repair::repair_data;
+use rt_core::data_repair::repair_data_with_cover;
+use rt_core::Parallelism;
 use rt_graph::approx_vertex_cover;
 use rt_relation::{AttrId, CellRef, Instance};
 
@@ -141,9 +142,15 @@ pub fn unified_cost_repair_with_graph(
         }
     }
 
-    // Repair whatever violations remain by modifying cells.
+    // Repair whatever violations remain by modifying cells. `modified_fds`
+    // relaxes `sigma`, so its violating pairs are among `conflict`'s edges.
     let modified_fds = sigma.extend_lhs(&appended);
-    let data = repair_data(instance, &modified_fds, config.seed);
+    let cover_rows: Vec<usize> = conflict
+        .subgraph_for(&modified_fds)
+        .vertex_cover_with(Parallelism::Serial)
+        .iter()
+        .collect();
+    let data = repair_data_with_cover(instance, &modified_fds, &cover_rows, config.seed);
     let data_cost = config.cell_change_weight * data.changed_cells.len() as f64;
 
     UnifiedRepair {

@@ -11,10 +11,7 @@
 //! * [`violations`] — conflict-graph construction (Definition 6) and the
 //!   per-edge *difference sets* that power the A* heuristic of Section 5.2,
 //!   plus edge-level patching (`apply_delta`, `retract_tuples`) for live
-//!   mutations;
-//! * [`incremental`] — delta maintenance of the per-FD LHS equivalence
-//!   partitions, so mutations recompute conflicts only around the touched
-//!   rows;
+//!   mutations, which recomputes conflicts only around the touched rows;
 //! * [`weights`] — the monotone weighting functions `w(Y)` that price LHS
 //!   extensions (attribute count, distinct-value count, entropy).
 //!
@@ -38,12 +35,10 @@
 
 pub mod attrset;
 pub mod fd;
-pub mod incremental;
 pub mod violations;
 pub mod weights;
 
 pub use attrset::AttrSet;
 pub use fd::{Fd, FdSet};
-pub use incremental::{incident_conflict_edges, FdPartitionIndex};
 pub use violations::{ConflictEdge, ConflictGraph, ConflictGraphDeltaSummary};
 pub use weights::{AttrCountWeight, DistinctCountWeight, EntropyWeight, Weight};

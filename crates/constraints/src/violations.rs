@@ -34,7 +34,7 @@ use crate::fd::{Fd, FdSet};
 use rt_graph::{CompactGraph, UndirectedGraph};
 use rt_par::{par_map_indexed, Parallelism};
 use rt_relation::work::{Slot, Telemetry};
-use rt_relation::{code_runs, row_u32, sort_rows_by_codes, Code, CodeSpace, Instance};
+use rt_relation::{code_range, code_runs, row_u32, sort_rows_by_codes, Code, CodeSpace, Instance};
 
 /// One conflict-graph edge: a pair of tuples violating at least one FD.
 /// Its difference set alone decides which FDs, and which relaxations of
@@ -118,6 +118,48 @@ fn fd_blocks(instance: &Instance, fd: &Fd, mut rows: Vec<u32>) -> Vec<Vec<Vec<us
         .collect();
     blocks.sort_unstable_by_key(|subs| subs[0][0]);
     blocks
+}
+
+/// The conflict partners of `dirty` (ascending) for one FD, read off the
+/// code columns: the dirty rows are sorted by their LHS codes
+/// ([`sort_rows_by_codes`]), every row of the instance probes them
+/// ([`code_range`]) and pairs with each dirty row of its LHS class whose
+/// RHS code differs. Nothing is hashed, and nothing is allocated but the
+/// sorted dirty rows and the pairs; a pair of two dirty rows is pushed
+/// from both ends.
+fn fd_partner_pairs(instance: &Instance, fd: &Fd, dirty: &[u32], pairs: &mut Vec<(usize, usize)>) {
+    let key: Vec<(&[Code], CodeSpace)> = fd.lhs.iter().map(|a| instance.code_column(a)).collect();
+    let lhs_cols: Vec<&[Code]> = key.iter().map(|&(col, _)| col).collect();
+    let rhs = instance.codes(fd.rhs);
+    let mut sorted = dirty.to_vec();
+    sort_rows_by_codes(&mut sorted, &key);
+    for row in 0..instance.len() {
+        for &d in code_range(&sorted, &lhs_cols, |i| lhs_cols[i][row]) {
+            let d = d as usize;
+            if rhs[d] != rhs[row] {
+                pairs.push((row.min(d), row.max(d)));
+            }
+        }
+    }
+}
+
+/// The conflict edges incident to `dirty_rows` (ascending) under the
+/// instance's current tuples, sorted by row pair: one
+/// [`fd_partner_pairs`] pass per FD. The difference sets are computed per
+/// pair, so the edges equal those a [`ConflictGraph::build`] emits for
+/// these pairs.
+fn incident_edges(instance: &Instance, fds: &FdSet, dirty_rows: &[usize]) -> Vec<ConflictEdge> {
+    let dirty: Vec<u32> = dirty_rows.iter().map(|&r| row_u32(r)).collect();
+    let mut pairs = Vec::new();
+    for (_, fd) in fds.iter() {
+        fd_partner_pairs(instance, fd, &dirty, &mut pairs);
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+        .into_iter()
+        .map(|pair| ConflictEdge::of(instance, pair))
+        .collect()
 }
 
 /// Every pair of rows in different sub-classes of a block: each violates
@@ -355,24 +397,28 @@ impl ConflictGraph {
         CompactGraph::from_edges(&kept)
     }
 
-    /// Applies an incremental delta: drops every stored edge incident to
-    /// `dirty_rows`, splices in `recomputed` (the edges incident to those
-    /// rows under the instance's *current* tuples, as produced by
-    /// [`crate::incremental::incident_conflict_edges`]) and adopts
-    /// `new_row_count`.
+    /// Applies an incremental delta after the tuples at `dirty_rows`
+    /// (ascending) were inserted or overwritten in `instance`: drops every
+    /// stored edge incident to them, splices in the edges incident to them
+    /// under the current tuples and adopts the instance's row count.
+    ///
+    /// The partners are read off the code columns, one pass per FD of
+    /// `fds`: the dirty rows sorted by their LHS codes
+    /// ([`sort_rows_by_codes`]), each row of the instance probes them
+    /// ([`code_range`]) and pairs with the dirty rows of its LHS class whose
+    /// RHS code differs. No index is kept between calls.
     ///
     /// Edges between two untouched rows are untouched tuples on both ends,
     /// so they are carried over verbatim; the result is bit-identical to a
-    /// from-scratch build against the mutated instance. `dirty_rows` must be
-    /// sorted; `recomputed` must be sorted by row pair (both hold for the
-    /// producer above).
+    /// from-scratch build against the mutated instance.
     pub fn apply_delta(
         &mut self,
+        instance: &Instance,
+        fds: &FdSet,
         dirty_rows: &[usize],
-        recomputed: Vec<ConflictEdge>,
-        new_row_count: usize,
     ) -> ConflictGraphDeltaSummary {
         debug_assert!(dirty_rows.windows(2).all(|w| w[0] < w[1]));
+        let recomputed = incident_edges(instance, fds, dirty_rows);
         let is_dirty = |r: usize| dirty_rows.binary_search(&r).is_ok();
         // `retain` visits the edges in order, so `old` stays sorted.
         let mut old: Vec<ConflictEdge> = Vec::new();
@@ -398,7 +444,7 @@ impl ConflictGraph {
         }
         summary.edges_removed = old.len() - kept;
         self.edges = Self::merge_sorted(std::mem::take(&mut self.edges), recomputed);
-        self.row_count = new_row_count;
+        self.row_count = instance.len();
         summary
     }
 
@@ -646,21 +692,69 @@ mod tests {
         assert_eq!(rows, vec![(0, 2), (1, 2)]);
     }
 
+    /// The edges of `graph` touching a row of `rows`.
+    fn touching(graph: &ConflictGraph, rows: &[usize]) -> Vec<ConflictEdge> {
+        graph
+            .edges()
+            .iter()
+            .filter(|e| rows.contains(&e.rows.0) || rows.contains(&e.rows.1))
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn incident_edges_match_batch_build() {
+        let (inst, fds) = figure2();
+        let batch = ConflictGraph::build(&inst, &fds);
+        // Every row dirty: the batch edges, each pair once.
+        let all: Vec<usize> = (0..inst.len()).collect();
+        assert_eq!(incident_edges(&inst, &fds, &all), batch.edges());
+        // One dirty row: exactly the batch edges touching it.
+        assert_eq!(incident_edges(&inst, &fds, &[3]), touching(&batch, &[3]));
+        assert_eq!(
+            incident_edges(&inst, &fds, &[1, 3]),
+            touching(&batch, &[1, 3])
+        );
+
+        // A dirty row alone in its LHS class for every FD has no partner.
+        let schema = inst.schema().clone();
+        let rows = [vec![1, 1, 1, 1], vec![1, 2, 1, 3], vec![7, 2, 8, 1]];
+        let lonely = Instance::from_int_rows(schema, &rows).unwrap();
+        assert!(incident_edges(&lonely, &fds, &[2]).is_empty());
+        assert_eq!(incident_edges(&lonely, &fds, &[0]).len(), 1);
+    }
+
+    #[test]
+    fn incident_edges_past_the_radix_threshold_match_the_batch_build() {
+        // 1,500 rows in 37 A-classes and 11 C-classes; more than 512 dirty
+        // rows, so `sort_rows_by_codes` takes its radix path.
+        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
+        let rows: Vec<Vec<i64>> = (0..1500)
+            .map(|i| vec![i % 37, i % 5, i % 11, (i / 11) % 3])
+            .collect();
+        let inst = Instance::from_int_rows(schema.clone(), &rows).unwrap();
+        let fds = FdSet::parse(&["A->B", "C->D", "A,C->B"], &schema).unwrap();
+        let batch = ConflictGraph::build(&inst, &fds);
+        let dirty: Vec<usize> = (0..inst.len()).filter(|r| r % 3 != 1).collect();
+        assert!(dirty.len() > 512);
+        assert_eq!(
+            incident_edges(&inst, &fds, &dirty),
+            touching(&batch, &dirty)
+        );
+        let all: Vec<usize> = (0..inst.len()).collect();
+        assert_eq!(incident_edges(&inst, &fds, &all), batch.edges());
+    }
+
     #[test]
     fn apply_delta_tracks_a_cell_update() {
-        use crate::incremental::{incident_conflict_edges, FdPartitionIndex};
         use rt_relation::{CellRef, Value};
         let (mut inst, fds) = figure2();
         let mut cg = ConflictGraph::build(&inst, &fds);
-        let mut index = FdPartitionIndex::build(&inst, &fds);
         // Set t4[A] = 1: breaks the (t3,t4) conflict on A->B and creates a
         // fresh (t1,t4)/(t2,t4) situation on A->B.
-        index.remove_row(&inst, &fds, 3);
         inst.set_cell(CellRef::new(3, AttrId(0)), Value::int(1))
             .unwrap();
-        index.insert_row(&inst, &fds, 3);
-        let recomputed = incident_conflict_edges(&inst, &fds, &index, &[3]);
-        let summary = cg.apply_delta(&[3], recomputed, inst.len());
+        let summary = cg.apply_delta(&inst, &fds, &[3]);
         assert_eq!(cg, ConflictGraph::build(&inst, &fds));
         assert!(summary.edges_added > 0 || summary.edges_removed > 0);
     }

@@ -196,7 +196,8 @@ impl SweepCheckpoint {
 /// counters differ, since the memo starts cold.
 #[derive(Debug, Clone)]
 pub struct SweepCheckpointParts {
-    /// Open-list entries as `(state, priority, cost)`, in insertion order.
+    /// Open-list entries as `(state, priority, cost)`, in insertion order;
+    /// the cost is [`RepairProblem::dist_c`] of the state.
     pub open: Vec<(RepairState, f64, f64)>,
     /// The budget the traversal is currently exploring.
     pub tau: i64,
@@ -375,11 +376,12 @@ impl<'p> RangeSearch<'p> {
         algorithm: SearchAlgorithm,
         cache: HeuristicCache,
     ) -> Self {
+        let state = RepairState::root(problem.fd_count());
         let root = OpenEntry {
             priority: 0.0,
-            cost: 0.0,
+            cost: problem.dist_c(&state),
             seq: 0,
-            state: RepairState::root(problem.fd_count()),
+            state,
         };
         RangeSearch {
             problem,

@@ -8,13 +8,14 @@
 //! [`RepairProblem::apply_mutations`] patches the prepared state instead of
 //! rebuilding it:
 //!
-//! * the per-FD LHS equivalence partitions
-//!   ([`rt_constraints::FdPartitionIndex`], built lazily on the first
-//!   mutation) move the touched rows between classes;
-//! * the conflict graph is patched edge-level via
-//!   [`rt_constraints::ConflictGraph::apply_delta`] /
-//!   [`ConflictGraph::retract_tuples`](rt_constraints::ConflictGraph::retract_tuples),
-//!   touching only the edges incident to the touched rows;
+//! * inserted and updated rows find their conflict partners in one pass per
+//!   FD over the code columns, which define the LHS classes; no index is
+//!   kept beside them ([`rt_constraints::ConflictGraph::apply_delta`]);
+//! * deleted rows take their edges with them and the rest are renumbered
+//!   ([`ConflictGraph::retract_tuples`](rt_constraints::ConflictGraph::retract_tuples));
+//! * an added FD costs one blocking pass for that FD
+//!   ([`ConflictGraph::integrate_fd`](rt_constraints::ConflictGraph::integrate_fd)),
+//!   a removed one a filter over the edges' difference sets;
 //! * the difference-set groups, `α` and (for built-in weightings) the
 //!   weighting function are refreshed from the patched state.
 //!
@@ -24,7 +25,7 @@
 //! on the mutated `(I, Σ)`.
 
 use crate::problem::{RepairProblem, WeightKind};
-use rt_constraints::{incident_conflict_edges, Fd, FdPartitionIndex};
+use rt_constraints::Fd;
 use rt_relation::work::{Slot, Telemetry};
 use rt_relation::{CellRef, Tuple, Value};
 
@@ -100,14 +101,6 @@ impl Telemetry for MutationEffect {
 }
 
 impl RepairProblem {
-    /// The lazily built partition index (one linear pass on first use).
-    fn index(&mut self) -> &mut FdPartitionIndex {
-        if self.incremental.is_none() {
-            self.incremental = Some(FdPartitionIndex::build(&self.instance, &self.sigma));
-        }
-        self.incremental.as_mut().expect("index was just built")
-    }
-
     /// Applies a sequence of mutations, incrementally maintaining the
     /// prepared state, and reports what changed.
     ///
@@ -178,15 +171,9 @@ impl RepairProblem {
                 .map_err(|e| e.to_string())?;
         }
         let dirty: Vec<usize> = (start..self.instance.len()).collect();
-        self.index();
-        let index = self.incremental.as_mut().expect("index built above");
-        for &row in &dirty {
-            index.insert_row(&self.instance, &self.sigma, row);
-        }
-        let recomputed = incident_conflict_edges(&self.instance, &self.sigma, index, &dirty);
         let summary = self
             .conflict
-            .apply_delta(&dirty, recomputed, self.instance.len());
+            .apply_delta(&self.instance, &self.sigma, &dirty);
         effect.absorb(&summary);
         effect.rows_inserted += dirty.len();
         Ok(())
@@ -209,19 +196,10 @@ impl RepairProblem {
                 self.instance.len()
             ));
         }
-        self.index();
-        let index = self.incremental.as_mut().expect("index built above");
-        for &row in &doomed {
-            index.remove_row(&self.instance, &self.sigma, row);
-        }
         effect.edges_removed += self.conflict.retract_tuples(&doomed);
         self.instance
             .remove_rows(&doomed)
             .map_err(|e| e.to_string())?;
-        self.incremental
-            .as_mut()
-            .expect("index built above")
-            .shift_after_removal(&doomed);
         effect.rows_deleted += doomed.len();
         Ok(())
     }
@@ -244,18 +222,12 @@ impl RepairProblem {
                 self.instance.len()
             ));
         }
-        self.index();
-        let index = self.incremental.as_mut().expect("index built above");
-        index.remove_row(&self.instance, &self.sigma, cell.row);
         self.instance
             .set_cell(cell, value.clone())
             .map_err(|e| e.to_string())?;
-        let index = self.incremental.as_mut().expect("index built above");
-        index.insert_row(&self.instance, &self.sigma, cell.row);
-        let recomputed = incident_conflict_edges(&self.instance, &self.sigma, index, &[cell.row]);
         let summary = self
             .conflict
-            .apply_delta(&[cell.row], recomputed, self.instance.len());
+            .apply_delta(&self.instance, &self.sigma, &[cell.row]);
         effect.absorb(&summary);
         effect.cells_updated += 1;
         Ok(())
@@ -272,9 +244,6 @@ impl RepairProblem {
             }
         }
         self.sigma.push(fd);
-        if let Some(index) = self.incremental.as_mut() {
-            index.push_fd(&self.instance, &self.sigma);
-        }
         let summary = self.conflict.integrate_fd(&self.instance, &fd);
         effect.absorb(&summary);
         effect.fds_added += 1;
@@ -290,9 +259,6 @@ impl RepairProblem {
         }
         let summary = self.conflict.remove_fd(&self.sigma, idx);
         self.sigma.remove(idx);
-        if let Some(index) = self.incremental.as_mut() {
-            index.remove_fd(idx);
-        }
         effect.absorb(&summary);
         effect.fds_removed += 1;
         Ok(())

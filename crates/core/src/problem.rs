@@ -7,6 +7,10 @@
 //! it?", "how large is its 2-approximate vertex cover?", "what is
 //! `δ_P(Σ', I)`?") is answered with bitset filtering only — no further passes
 //! over the data.
+//!
+//! A mutation ([`crate::mutation`]) patches the graph in place. The problem
+//! keeps no index beside it: the instance's code columns define every FD's
+//! LHS classes, and a mutation reads them there.
 
 use crate::state::RepairState;
 use rt_constraints::{
@@ -54,9 +58,6 @@ pub struct RepairProblem {
     /// Which built-in weighting the weight was constructed from — what lets
     /// a mutation rebuild it against the mutated instance.
     pub(crate) weight_kind: WeightKind,
-    /// Per-FD LHS equivalence partitions, built lazily on the first
-    /// mutation and delta-maintained afterwards.
-    pub(crate) incremental: Option<rt_constraints::FdPartitionIndex>,
 }
 
 impl RepairProblem {
@@ -92,7 +93,6 @@ impl RepairProblem {
             weight: weight_fn,
             alpha,
             weight_kind: weight,
-            incremental: None,
         }
     }
 
@@ -153,7 +153,6 @@ impl RepairProblem {
             weight: weight_fn,
             alpha,
             weight_kind: weight,
-            incremental: None,
         })
     }
 
@@ -187,8 +186,7 @@ impl RepairProblem {
     /// recomputed from it deterministically, which is bit-identical to what
     /// the original build produced: grouping reads only the edge multiset,
     /// and the built-in weights sum in value order regardless of dictionary
-    /// interning order. The per-FD partition index is built lazily on the
-    /// first mutation, as for a freshly built problem.
+    /// interning order.
     pub fn from_restored(
         instance: Instance,
         sigma: FdSet,
@@ -206,7 +204,6 @@ impl RepairProblem {
             weight: weight_fn,
             alpha,
             weight_kind: weight,
-            incremental: None,
         }
     }
 

@@ -28,7 +28,7 @@
 //! sweep      := open_count:u64 open* tau:i64 tau_low:i64 tau_high:u64
 //!               current_upper:u64 search_stats exhausted:u8
 //!               found_count:u64 found*
-//! open       := state priority:f64 cost:f64     (in insertion order)
+//! open       := state priority:f64              (in insertion order)
 //! found      := state tau_lo:u64 tau_hi:u64     (one per found repair)
 //! state      := ext_count:u64 ext:u64*          (one extension per FD)
 //! ```
@@ -38,19 +38,22 @@
 //! suspended sweep; any other tag fails as unknown.
 //!
 //! CONFIG holds only what a builder can set; the rest of the restored
-//! [`SearchConfig`] is its default, and the per-FD partition index is
-//! rebuilt lazily on the first mutation, as in a freshly built engine.
+//! [`SearchConfig`] is its default.
 //!
 //! Each fact is stored once. An edge is its row pair and difference set:
 //! which FDs it violates follows from the difference set
 //! ([`Fd::violated_by_diff`]). A found repair is its search state and
 //! `τ` range: the decoder rebuilds `Σ'`, `dist_c`, `δ_P` and the cover rows
-//! with the code the search runs at a goal ([`FdRepair::at_goal`]). The
+//! with the code the search runs at a goal ([`FdRepair::at_goal`]). An
+//! open-list entry is its state and priority: the decoder recomputes its
+//! cost as `dist_c` of the state, as the search's expansion computed it,
+//! so a crafted cost cannot reorder a resumed search. The
 //! decoder rejects a difference set that is not its two rows' differing
 //! attributes or that violates no FD, any state that is not one set per FD
 //! inside `R \ (X ∪ {A})`, a found range that does not start at its `δ_P`,
 //! and a `τ` cursor the search cannot produce (see `check_cursor`).
-//! Open-list priorities and costs are stored and trusted as they are.
+//! Open-list priorities are stored and trusted as they are: recomputing
+//! them needs heuristic work (`gc(S)` per open state).
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
@@ -76,7 +79,7 @@ use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 // Section tags. CONFIG..STATS are required; SWEEP is present only when the
 // engine holds a suspended sweep.
@@ -467,10 +470,9 @@ pub(crate) fn encode(
     if let Some(parts) = sweep {
         let mut sec = Vec::new();
         put_usize(&mut sec, parts.open.len());
-        for (state, priority, cost) in &parts.open {
+        for (state, priority, _cost) in &parts.open {
             put_state(&mut sec, state);
             put_f64(&mut sec, *priority);
-            put_f64(&mut sec, *cost);
         }
         put_i64(&mut sec, parts.tau);
         put_i64(&mut sec, parts.tau_low);
@@ -786,7 +788,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             for _ in 0..open_n {
                 let state = r.state(sigma, arity)?;
                 let priority = r.f64_()?;
-                let cost = r.f64_()?;
+                let cost = problem.dist_c(&state);
                 open.push((state, priority, cost));
             }
             let tau = r.i64()?;
@@ -894,5 +896,55 @@ mod tests {
         };
         assert_eq!(decoded.stats, expected);
         assert_eq!(decoded.sweep.unwrap().stats(), search_stats);
+    }
+
+    /// An open entry is stored as its state and priority: a cost handed to
+    /// the encoder, even a crafted one, does not travel, and the restored
+    /// entry's cost is `dist_c` of its state, bit for bit.
+    #[test]
+    fn restored_open_costs_are_dist_c_of_their_states() {
+        let schema = Schema::new("R", vec!["A", "B", "C", "D"]).unwrap();
+        let rows = [
+            vec![1, 1, 1, 1],
+            vec![1, 2, 1, 3],
+            vec![2, 2, 1, 1],
+            vec![2, 3, 4, 3],
+            vec![2, 4, 4, 5],
+        ];
+        let instance = Instance::from_int_rows(schema.clone(), &rows).unwrap();
+        let fds = FdSet::parse(&["A->B", "C->D"], &schema).unwrap();
+        // Suspended before its first expansion, a sweep stores the root,
+        // whose `dist_c` under Entropy is an empty float sum, -0.0.
+        for (weight, pulled) in [
+            (WeightKind::DistinctCount, 1),
+            (WeightKind::Entropy, 1),
+            (WeightKind::Entropy, 0),
+        ] {
+            let problem = RepairProblem::with_weight(&instance, &fds, weight);
+            let config = SearchConfig::default();
+            let mut search = RangeSearch::new(&problem, 0, problem.delta_p_original(), &config);
+            for _ in 0..pulled {
+                search.next_repair().unwrap();
+            }
+            let mut parts = search.suspend().export_parts();
+            let honest = parts.open.clone();
+            assert!(!honest.is_empty(), "{weight:?}: open entries to check");
+            for (_, _, cost) in &mut parts.open {
+                *cost += 1.5;
+            }
+            let bytes = encode(&problem, &config, 0, &EngineStats::default(), Some(parts));
+            let decoded = decode(&bytes).unwrap();
+            let open = decoded.sweep.unwrap().export_parts().open;
+            assert_eq!(open.len(), honest.len());
+            for ((state, priority, cost), (want_state, want_priority, want_cost)) in
+                open.iter().zip(&honest)
+            {
+                assert_eq!(state, want_state);
+                assert_eq!(priority.to_bits(), want_priority.to_bits());
+                let dist_c = decoded.problem.dist_c(state);
+                assert_eq!(cost.to_bits(), dist_c.to_bits(), "{weight:?}: {state:?}");
+                assert_eq!(cost.to_bits(), want_cost.to_bits(), "{weight:?}: {state:?}");
+            }
+        }
     }
 }

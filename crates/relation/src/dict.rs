@@ -6,7 +6,7 @@
 //! [`Value::matches`]). That makes each column a candidate for classic
 //! dictionary encoding: intern the distinct values of attribute `A` once,
 //! hand out dense `u32` [`Code`]s, and let every hot path — conflict-graph
-//! blocking, stripped partitions, partition indexes, clean-tuple lookups —
+//! blocking, a mutation's partner search, clean-tuple lookups —
 //! sort, hash and compare 4-byte codes instead of heap-allocated
 //! `Vec<Value>` keys. Whole-instance grouping sorts rows by their codes'
 //! dense slots ([`sort_rows_by_codes`]) and hashes nothing; maps updated in
@@ -31,8 +31,8 @@
 //! colliding with instance codes.
 //!
 //! A dictionary is **append-only**: interning never re-assigns or frees a
-//! code, so codes stored by long-lived consumers (partition indexes, clean
-//! indexes) stay valid across row deletions and cell updates. Codes are
+//! code, so codes stored by long-lived consumers (clean indexes) stay
+//! valid across row deletions and cell updates. Codes are
 //! meaningful only *within* the dictionary (and its clones) that issued
 //! them; comparing codes across independently built instances is a bug —
 //! equal data interned in different orders yields different codes.

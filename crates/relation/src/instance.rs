@@ -391,8 +391,7 @@ impl Instance {
     ///
     /// Returns the number of rows actually removed. A surviving row's new
     /// index is its old index minus the number of removed rows below it —
-    /// the monotonic renumbering incremental consumers (conflict-graph
-    /// retraction, partition indexes) rely on.
+    /// the monotonic renumbering conflict-graph retraction relies on.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! The code-path ≡ value-path contract of the dictionary-encoding layer.
 //!
-//! Every equality hot path — conflict-graph blocking, FD partition indexes,
-//! the data-repair clean index — groups rows by per-attribute dictionary
+//! Every equality hot path — conflict-graph blocking, a mutation's partner
+//! search, the data-repair clean index — groups rows by per-attribute dictionary
 //! codes ([`relative_trust::relation::Instance::codes`]), not by
 //! `Vec<Value>` keys. The hard invariant, mirroring the parallel ≡ serial
 //! and incremental ≡ rebuild contracts: the code-keyed paths are

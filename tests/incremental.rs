@@ -442,3 +442,53 @@ fn fd_edit_sequence_stays_equivalent_at_every_step() {
     }
     assert_eq!(engine.stats().conflict_graph_builds, 1);
 }
+
+/// One insert batch of more than 512 rows into a generated instance of a
+/// few thousand: the partner search sorts the batch on its radix path, and
+/// the result is bit-identical to a fresh build. Every other inserted row
+/// is an existing row with a new value of the first FD's RHS, so it
+/// conflicts with its LHS class; the rest are plain copies.
+#[test]
+fn a_large_insert_batch_matches_a_rebuild() {
+    let config = CensusLikeConfig {
+        seed: 0x5EED,
+        ..CensusLikeConfig::multi_fd(3000, 8, 2, 2)
+    };
+    let (instance, fds) = generate_census_like(&config);
+    let rhs = fds.get(0).rhs;
+    let rows: Vec<Tuple> = (0..700)
+        .map(|i| {
+            let mut tuple = instance.tuple(i * 4).unwrap();
+            if i % 2 == 0 {
+                tuple.set(rhs, Value::int(1_000_000 + i as i64));
+            }
+            tuple
+        })
+        .collect();
+    let mut engine = build(instance, fds, WeightKind::DistinctCount, 11);
+    assert!(engine.problem().conflict_graph().is_empty());
+    let outcome = engine
+        .apply(&MutationBatch::new().insert_tuples(rows))
+        .unwrap();
+    assert_eq!(outcome.effect.rows_inserted, 700);
+
+    let problem = engine.problem();
+    let fresh = build(
+        problem.instance().clone(),
+        problem.sigma().clone(),
+        WeightKind::DistinctCount,
+        11,
+    );
+    assert!(problem.conflict_graph().edge_count() >= 350);
+    assert_eq!(problem.conflict_graph(), fresh.problem().conflict_graph());
+    assert_eq!(engine.delta_p_original(), fresh.delta_p_original());
+    let tau = engine.delta_p_original();
+    let (a, b) = (
+        engine.repair_at(tau).unwrap(),
+        fresh.repair_at(tau).unwrap(),
+    );
+    assert_eq!(a.repaired_instance, b.repaired_instance);
+    assert_eq!(a.changed_cells, b.changed_cells);
+    assert_eq!(a.modified_fds, b.modified_fds);
+    assert_eq!(engine.stats().conflict_graph_builds, 1);
+}

@@ -132,15 +132,14 @@ fn restore_preserves_mutated_state() {
     assert_eq!(restored.stats().mutation_batches, 1);
 }
 
-/// A restored engine rebuilds its per-FD partition index on its first
-/// mutation, as a freshly built one does: after one batch of every op kind,
-/// the original, the restored engine and a fresh build on the final
-/// `(I, Σ)` agree bit for bit.
+/// A restored engine mutates as the original does: after one batch of
+/// every op kind, the original, the restored engine and a fresh build on
+/// the final `(I, Σ)` agree bit for bit.
 #[test]
 fn a_restored_engine_mutates_like_the_original() {
     let mut original = figure2_engine();
     let schema = original.problem().instance().schema().clone();
-    // One mutation first, so the original holds a built partition index.
+    // One mutation first, so the original is itself a mutated engine.
     original
         .update_cell(CellRef::new(3, AttrId(1)), Value::int(2))
         .unwrap();
@@ -264,7 +263,7 @@ fn wrong_magic_and_version_fail_typed() {
 
     // A version from the future and the previous ones alike fail the typed
     // version check; there is no compatibility reader.
-    for version in [0xFF_u32, 2, 3, 4, 5, 6] {
+    for version in [0xFF_u32, 2, 3, 4, 5, 6, 7] {
         let mut stamped = bytes.clone();
         stamped[8..12].copy_from_slice(&version.to_le_bytes());
         let err = RepairEngine::restore(&stamped).unwrap_err();
@@ -363,14 +362,14 @@ fn section(bytes: &[u8], tag: u32) -> &[u8] {
     panic!("the snapshot has no section {tag}");
 }
 
-/// Offset of τ in a Figure-2 SWEEP payload: after the open list (state,
-/// priority, cost per entry). τ_low, τ_high and the current upper end
-/// follow, 8 bytes each.
+/// Offset of τ in a SWEEP payload: after the open list, each entry a state
+/// (its extension count, then one extension per FD) and a priority.
+/// τ_low, τ_high and the current upper end follow, 8 bytes each.
 fn tau_at(sweep: &[u8]) -> usize {
-    8 + get(sweep, 0) as usize * (STATE_LEN + 16)
+    (0..get(sweep, 0)).fold(8, |at, _| at + 8 + 8 * get(sweep, at) as usize + 8)
 }
 
-/// Offset of the found-repair count in a Figure-2 SWEEP payload: the τ
+/// Offset of the found-repair count in a SWEEP payload: the τ
 /// cursor, then the search stats' slots and the exhausted flag.
 fn found_at(sweep: &[u8]) -> usize {
     let mut stats = SearchStats::default();
@@ -560,6 +559,7 @@ fn a_sweep_cursor_the_search_cannot_produce_fails_typed() {
     assert!(RepairEngine::restore(&bytes).is_ok());
     let crafted = reseal(&bytes, SEC_SWEEP, |sweep| {
         let tau = tau_at(sweep);
+        assert_eq!([8, 16].map(|i| get(sweep, tau + i)), [0, hi as u64]);
         for at in [tau, tau + 24] {
             let v = get(sweep, at);
             put(sweep, at, v + 1000);
