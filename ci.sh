@@ -50,9 +50,10 @@ cargo test -q --test protocol_roundtrip
 echo "==> cargo test --test recovery (crash recovery ≡ uninterrupted, chaos faults typed)"
 cargo test -q --test recovery
 
-# The snapshot contract under it: a restored engine answers bit-identically
-# to the original without rebuilding its conflict graph, and crafted bytes
-# (fields that lie under a resealed CRC) fail typed, never in a resumed sweep.
+# The snapshot contract under it: a restored engine, built from the stored
+# (I, Σ) through the builder, answers bit-identically to the original, and
+# crafted bytes (fields that lie under a resealed CRC) fail typed, never in
+# a resumed sweep.
 echo "==> cargo test --test snapshot_durability (restored ≡ original, crafted input fails typed)"
 cargo test -q --test snapshot_durability
 

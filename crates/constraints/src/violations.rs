@@ -311,31 +311,6 @@ impl ConflictGraph {
                 ));
             }
         }
-        Self::from_parts(row_count, edges)
-    }
-
-    /// Reassembles a conflict graph from previously exported parts — the
-    /// snapshot/restore path. The edge list must be sorted by row pair with
-    /// every row inside `0..row_count`; out-of-range or out-of-order input
-    /// is rejected so a corrupt snapshot cannot smuggle in a graph that
-    /// breaks the determinism invariants downstream.
-    pub fn from_parts(row_count: usize, edges: Vec<ConflictEdge>) -> Result<Self, String> {
-        for w in edges.windows(2) {
-            if w[0].rows >= w[1].rows {
-                return Err(format!(
-                    "conflict edges out of order: {:?} is not before {:?}",
-                    w[0].rows, w[1].rows
-                ));
-            }
-        }
-        for e in &edges {
-            if e.rows.0 >= e.rows.1 || e.rows.1 >= row_count {
-                return Err(format!(
-                    "conflict edge {:?} out of range for {row_count} rows",
-                    e.rows
-                ));
-            }
-        }
         Ok(ConflictGraph { row_count, edges })
     }
 

@@ -10,7 +10,10 @@
 //!
 //! * inserted and updated rows find their conflict partners in one pass per
 //!   FD over the code columns, which define the LHS classes; no index is
-//!   kept beside them ([`rt_constraints::ConflictGraph::apply_delta`]);
+//!   kept beside them ([`rt_constraints::ConflictGraph::apply_delta`]). A
+//!   run of consecutive insert and update ops collects its dirty rows and
+//!   patches the graph once, before the next delete or FD op and at the end
+//!   of the batch;
 //! * deleted rows take their edges with them and the rest are renumbered
 //!   ([`ConflictGraph::retract_tuples`](rt_constraints::ConflictGraph::retract_tuples));
 //! * an added FD costs one blocking pass for that FD
@@ -47,6 +50,12 @@ pub enum MutationOp {
 
 /// What a mutation (batch) did to the prepared state. Effects fold together
 /// through [`Telemetry::absorb`]; the two flags are sticky.
+///
+/// The edge counts compare the graph before and after each patch, and a
+/// run of consecutive insert and update ops is patched once: its counts
+/// are net over the run. An edge that one update of the run creates and a
+/// later one removes is counted in neither `edges_added` nor
+/// `edges_removed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationEffect {
     /// Tuples appended.
@@ -122,9 +131,12 @@ impl RepairProblem {
         if writes_data {
             self.weight = Self::build_weight(&self.instance, WeightKind::AttrCount);
         }
+        // Rows inserted or overwritten since the graph was last patched.
+        let mut dirty = Vec::new();
         let applied = ops
             .iter()
-            .try_for_each(|op| self.apply_one(op, &mut effect));
+            .try_for_each(|op| self.apply_one(op, &mut dirty, &mut effect));
+        self.patch_dirty(&mut dirty, &mut effect);
         if writes_data {
             self.weight = Self::build_weight(&self.instance, self.weight_kind);
         }
@@ -146,36 +158,64 @@ impl RepairProblem {
         Ok(effect)
     }
 
-    fn apply_one(&mut self, op: &MutationOp, effect: &mut MutationEffect) -> Result<(), String> {
+    /// Applies one op. Inserts and updates only write the instance and
+    /// record their rows in `dirty`; every other op reads or renumbers the
+    /// graph, so the pending rows are patched in first.
+    fn apply_one(
+        &mut self,
+        op: &MutationOp,
+        dirty: &mut Vec<usize>,
+        effect: &mut MutationEffect,
+    ) -> Result<(), String> {
         match op {
-            MutationOp::InsertTuples(rows) => self.insert_tuples_inner(rows, effect),
-            MutationOp::DeleteTuples(rows) => self.delete_tuples_inner(rows, effect),
-            MutationOp::UpdateCell(cell, value) => self.update_cell_inner(*cell, value, effect),
-            MutationOp::AddFd(fd) => self.add_fd_inner(*fd, effect),
-            MutationOp::RemoveFd(idx) => self.remove_fd_inner(*idx, effect),
+            MutationOp::InsertTuples(rows) => self.insert_tuples_inner(rows, dirty, effect),
+            MutationOp::UpdateCell(cell, value) => {
+                self.update_cell_inner(*cell, value, dirty, effect)
+            }
+            MutationOp::DeleteTuples(rows) => {
+                self.patch_dirty(dirty, effect);
+                self.delete_tuples_inner(rows, effect)
+            }
+            MutationOp::AddFd(fd) => {
+                self.patch_dirty(dirty, effect);
+                self.add_fd_inner(*fd, effect)
+            }
+            MutationOp::RemoveFd(idx) => {
+                self.patch_dirty(dirty, effect);
+                self.remove_fd_inner(*idx, effect)
+            }
         }
+    }
+
+    /// Patches the graph around the rows written since the last patch, in
+    /// one [`ConflictGraph::apply_delta`](rt_constraints::ConflictGraph::apply_delta)
+    /// pass, and empties `dirty`.
+    fn patch_dirty(&mut self, dirty: &mut Vec<usize>, effect: &mut MutationEffect) {
+        if dirty.is_empty() {
+            return;
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        let summary = self
+            .conflict
+            .apply_delta(&self.instance, &self.sigma, dirty);
+        effect.absorb(&summary);
+        dirty.clear();
     }
 
     fn insert_tuples_inner(
         &mut self,
         rows: &[Tuple],
+        dirty: &mut Vec<usize>,
         effect: &mut MutationEffect,
     ) -> Result<(), String> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let start = self.instance.len();
         for tuple in rows {
             self.instance
                 .push(tuple.clone())
                 .map_err(|e| e.to_string())?;
+            dirty.push(self.instance.len() - 1);
+            effect.rows_inserted += 1;
         }
-        let dirty: Vec<usize> = (start..self.instance.len()).collect();
-        let summary = self
-            .conflict
-            .apply_delta(&self.instance, &self.sigma, &dirty);
-        effect.absorb(&summary);
-        effect.rows_inserted += dirty.len();
         Ok(())
     }
 
@@ -208,6 +248,7 @@ impl RepairProblem {
         &mut self,
         cell: CellRef,
         value: &Value,
+        dirty: &mut Vec<usize>,
         effect: &mut MutationEffect,
     ) -> Result<(), String> {
         if cell.attr.index() >= self.instance.schema().arity() {
@@ -225,10 +266,7 @@ impl RepairProblem {
         self.instance
             .set_cell(cell, value.clone())
             .map_err(|e| e.to_string())?;
-        let summary = self
-            .conflict
-            .apply_delta(&self.instance, &self.sigma, &[cell.row]);
-        effect.absorb(&summary);
+        dirty.push(cell.row);
         effect.cells_updated += 1;
         Ok(())
     }
@@ -457,6 +495,28 @@ mod tests {
             )])
             .unwrap();
         assert_eq!(effect.edges_removed, 1);
+        assert!(p.conflict_graph().is_empty());
+        assert_matches_fresh(&p, WeightKind::AttrCount);
+    }
+
+    /// A run of updates is patched once, so its edge counts are net: the
+    /// conflict the first update creates and the second one resolves is
+    /// counted in neither.
+    #[test]
+    fn an_update_undone_in_the_same_run_counts_no_edges() {
+        let schema = Schema::with_arity(2).unwrap();
+        let inst = Instance::from_int_rows(schema.clone(), &[vec![1, 1], vec![1, 1]]).unwrap();
+        let fds = FdSet::parse(&["A0->A1"], &schema).unwrap();
+        let mut p = RepairProblem::with_weight(&inst, &fds, WeightKind::AttrCount);
+        let cell = CellRef::new(1, AttrId(1));
+        let effect = p
+            .apply_mutations(&[
+                MutationOp::UpdateCell(cell, Value::int(2)),
+                MutationOp::UpdateCell(cell, Value::int(1)),
+            ])
+            .unwrap();
+        assert_eq!(effect.cells_updated, 2);
+        assert_eq!((effect.edges_added, effect.edges_removed), (0, 0));
         assert!(p.conflict_graph().is_empty());
         assert_matches_fresh(&p, WeightKind::AttrCount);
     }

@@ -81,13 +81,24 @@ impl RepairProblem {
         weight: WeightKind,
         par: Parallelism,
     ) -> Self {
-        let weight_fn = Self::build_weight(instance, weight);
         let conflict = ConflictGraph::build_with(instance, sigma, par);
+        Self::assemble(instance.clone(), sigma.clone(), conflict, weight)
+    }
+
+    /// The parts every construction derives from `(I, Σ)` and its built
+    /// conflict graph: the difference-set groups, `α` and the weighting.
+    fn assemble(
+        instance: Instance,
+        sigma: FdSet,
+        conflict: ConflictGraph,
+        weight: WeightKind,
+    ) -> Self {
         let diff_groups = Self::group_by_difference_set(&conflict);
         let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
+        let weight_fn = Self::build_weight(&instance, weight);
         RepairProblem {
-            instance: instance.clone(),
-            sigma: sigma.clone(),
+            instance,
+            sigma,
             conflict,
             diff_groups,
             weight: weight_fn,
@@ -142,18 +153,7 @@ impl RepairProblem {
             ConflictGraph::build_for_rows(&instance, sigma, &plan.shards()[s], Parallelism::Serial)
         });
         let conflict = ConflictGraph::merge_shards(instance.len(), shard_graphs)?;
-        let diff_groups = Self::group_by_difference_set(&conflict);
-        let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
-        let weight_fn = Self::build_weight(&instance, weight);
-        Ok(RepairProblem {
-            instance,
-            sigma: sigma.clone(),
-            conflict,
-            diff_groups,
-            weight: weight_fn,
-            alpha,
-            weight_kind: weight,
-        })
+        Ok(Self::assemble(instance, sigma.clone(), conflict, weight))
     }
 
     pub(crate) fn compute_alpha(arity: usize, fd_count: usize) -> usize {
@@ -179,36 +179,8 @@ impl RepairProblem {
         out
     }
 
-    /// Reassembles a prepared problem from restored parts — the
-    /// snapshot-restore path. The conflict graph is adopted verbatim (it is
-    /// **not** rebuilt from the data; that is the whole point of a
-    /// snapshot); the difference-set index, weighting function and `α` are
-    /// recomputed from it deterministically, which is bit-identical to what
-    /// the original build produced: grouping reads only the edge multiset,
-    /// and the built-in weights sum in value order regardless of dictionary
-    /// interning order.
-    pub fn from_restored(
-        instance: Instance,
-        sigma: FdSet,
-        conflict: ConflictGraph,
-        weight: WeightKind,
-    ) -> Self {
-        let diff_groups = Self::group_by_difference_set(&conflict);
-        let alpha = Self::compute_alpha(instance.schema().arity(), sigma.len());
-        let weight_fn = Self::build_weight(&instance, weight);
-        RepairProblem {
-            instance,
-            sigma,
-            conflict,
-            diff_groups,
-            weight: weight_fn,
-            alpha,
-            weight_kind: weight,
-        }
-    }
-
     /// Which built-in weighting the problem was constructed with. Snapshots
-    /// serialize this tag and rebuild the weight from it on restore.
+    /// serialize this tag and hand it to the builder on restore.
     pub fn weight_kind(&self) -> WeightKind {
         self.weight_kind
     }

@@ -104,14 +104,15 @@ impl RepairEngine {
         }
     }
 
-    /// Serializes the engine's full prepared state — dictionaries, code
-    /// columns, FDs, the conflict graph, cumulative stats and a suspended
-    /// sweep's traversal — into the versioned, checksummed
-    /// [`crate::snapshot`] binary format. The heuristic memo is not stored.
+    /// Serializes the engine's `(I, Σ)` — dictionaries, code columns and
+    /// FDs — with its settings, cumulative stats and a suspended sweep's
+    /// traversal into the versioned, checksummed [`crate::snapshot`] binary
+    /// format. Neither the conflict graph nor the heuristic memo is stored:
+    /// both follow from `(I, Σ)`.
     ///
     /// A [`RepairEngine::restore`] of these bytes answers every query
-    /// bit-identically to this engine, without ever rebuilding the conflict
-    /// graph. Every engine state can be encoded, so this returns `Ok`.
+    /// bit-identically to this engine. Every engine state can be encoded,
+    /// so this returns `Ok`.
     pub fn snapshot(&self) -> Result<Vec<u8>, EngineError> {
         let sweep = lock(&self.sweep_cache)
             .as_ref()
@@ -128,25 +129,23 @@ impl RepairEngine {
 
     /// Reconstructs an engine from [`RepairEngine::snapshot`] bytes.
     ///
-    /// The conflict graph is adopted verbatim from the snapshot — never
-    /// rebuilt — so [`EngineStats::conflict_graph_builds`] reads `0` on the
-    /// restored engine. Difference-set groups, the weighting function and
-    /// the normalization constant are recomputed deterministically from the
-    /// restored state, and a suspended sweep resumes where it stopped. The
+    /// The stored `(I, Σ)` and settings go through
+    /// [`RepairEngine::builder`], so the conflict graph is built as any
+    /// build builds it: [`EngineStats::conflict_graph_builds`] and
+    /// [`EngineStats::shards`] describe that build, and every other counter
+    /// is the snapshot's. A suspended sweep resumes where it stopped. The
     /// heuristic memo starts cold: answers are bit-identical, while the
     /// heuristic work counters count the enumeration the restored engine
-    /// redoes. Truncated, corrupt or version-skewed input fails with a typed
-    /// [`EngineError::Snapshot`], never a panic.
+    /// redoes. Truncated, corrupt or version-skewed input, and an `(I, Σ)`
+    /// the builder rejects, fail with a typed [`EngineError::Snapshot`],
+    /// never a panic.
     pub fn restore(bytes: &[u8]) -> Result<RepairEngine, EngineError> {
         let decoded = crate::snapshot::decode(bytes)?;
-        let engine = Self::from_parts(
-            decoded.problem,
-            decoded.search_config,
-            decoded.seed,
-            decoded.stats,
-        );
-        *lock(&engine.sweep_cache) = decoded.sweep;
-        Ok(engine)
+        Ok(RepairEngine {
+            stats: Mutex::new(decoded.stats),
+            sweep_cache: Mutex::new(decoded.sweep),
+            ..decoded.engine
+        })
     }
 
     /// Applies a validated, all-or-nothing batch of mutations to the live

@@ -1,13 +1,14 @@
-//! The engine snapshot codec: the full prepared state of a
-//! [`crate::RepairEngine`] as one versioned, checksummed binary blob.
+//! The engine snapshot codec: the full state of a [`crate::RepairEngine`]
+//! as one versioned, checksummed binary blob.
 //!
-//! A snapshot captures everything the engine paid for at build time and
-//! accumulated since — per-attribute dictionaries, columnar code arrays,
-//! the FD set, the conflict graph with its difference sets, cumulative
-//! stats and the suspended sweep's traversal — so a restored engine answers
-//! every query bit-identically to the original **without rebuilding the
-//! conflict graph** ([`crate::EngineStats::conflict_graph_builds`] is `0`
-//! after a restore: the restored engine never built one).
+//! A snapshot stores `(I, Σ)` and what the engine accumulated since it was
+//! built — per-attribute dictionaries, columnar code arrays, the FD set,
+//! cumulative stats and the suspended sweep's traversal. The conflict graph
+//! is not stored: it is a function of `(I, Σ)` (Section 6 of the paper), so
+//! the decoder builds its engine with [`crate::RepairEngine::builder`] from
+//! the stored instance, FDs and settings, exactly as a fresh build would,
+//! and a restored engine answers every query bit-identically to the
+//! original.
 //!
 //! The heuristic memo ([`rt_core::HeuristicCache`]) is never stored: `gc(S)`
 //! is a pure function of the problem, the state and `τ`, so a restored
@@ -23,8 +24,6 @@
 //! section    := tag:u32 len:u64 crc:u32 payload (len bytes)
 //! config     := weight:u8 seed:u64 max_expansions:u64
 //!               parallelism_tag:u8 threads:u64
-//! graph      := row_count:u64 edge_count:u64 edge*
-//! edge       := u:u64 v:u64 difference_set:u64
 //! sweep      := open_count:u64 open* tau:i64 tau_low:i64 tau_high:u64
 //!               current_upper:u64 search_stats exhausted:u8
 //!               found_count:u64 found*
@@ -33,27 +32,30 @@
 //! state      := ext_count:u64 ext:u64*          (one extension per FD)
 //! ```
 //!
-//! The sections are CONFIG (1), SCHEMA (2), DICTS (3), CODES (4), FDS (5),
-//! GRAPH (6) and STATS (7), plus SWEEP (8) when the engine holds a
-//! suspended sweep; any other tag fails as unknown.
+//! The sections are CONFIG (1), SCHEMA (2), DICTS (3), CODES (4), FDS (5)
+//! and STATS (7), plus SWEEP (8) when the engine holds a suspended sweep;
+//! any other tag fails as unknown, tag 6 (the conflict graph before
+//! version 9) included.
 //!
 //! CONFIG holds only what a builder can set; the rest of the restored
-//! [`SearchConfig`] is its default.
+//! [`rt_core::SearchConfig`] is its default. The decoder hands CONFIG, the
+//! instance and the FDs to the builder, whose checks (a non-empty `Σ`, FD
+//! attributes inside the arity, `max_expansions ≥ 1`) reject what no
+//! engine can be built from. STATS is read against the built engine: every
+//! counter is the stored one except `conflict_graph_builds` and `shards`,
+//! which describe the build the restore ran.
 //!
-//! Each fact is stored once. An edge is its row pair and difference set:
-//! which FDs it violates follows from the difference set
-//! ([`Fd::violated_by_diff`]). A found repair is its search state and
-//! `τ` range: the decoder rebuilds `Σ'`, `dist_c`, `δ_P` and the cover rows
+//! Each fact is stored once. A found repair is its search state and `τ`
+//! range: the decoder rebuilds `Σ'`, `dist_c`, `δ_P` and the cover rows
 //! with the code the search runs at a goal ([`FdRepair::at_goal`]). An
 //! open-list entry is its state and priority: the decoder recomputes its
 //! cost as `dist_c` of the state, as the search's expansion computed it,
-//! so a crafted cost cannot reorder a resumed search. The
-//! decoder rejects a difference set that is not its two rows' differing
-//! attributes or that violates no FD, any state that is not one set per FD
-//! inside `R \ (X ∪ {A})`, a found range that does not start at its `δ_P`,
-//! and a `τ` cursor the search cannot produce (see `check_cursor`).
-//! Open-list priorities are stored and trusted as they are: recomputing
-//! them needs heuristic work (`gc(S)` per open state).
+//! so a crafted cost cannot reorder a resumed search. The decoder rejects
+//! any state that is not one set per FD inside `R \ (X ∪ {A})`, a found
+//! range that does not start at its `δ_P`, and a `τ` cursor the search
+//! cannot produce (see `check_cursor`). Open-list priorities are stored
+//! and trusted as they are: recomputing them needs heuristic work (`gc(S)`
+//! per open state).
 //!
 //! All integers are little-endian; `crc` is the IEEE CRC-32 of the payload.
 //! Floats travel as raw bit patterns, so a round trip is exact. Telemetry
@@ -64,9 +66,10 @@
 //! bytes before it allocates, and every decoded index is validated against
 //! the structure it points into.
 
+use crate::engine::RepairEngine;
 use crate::error::EngineError;
 use crate::stats::EngineStats;
-use rt_constraints::{AttrSet, ConflictEdge, ConflictGraph, Fd, FdSet};
+use rt_constraints::{AttrSet, Fd, FdSet};
 use rt_core::search::FdRepair;
 use rt_core::{
     Parallelism, RangedFdRepair, RepairProblem, RepairState, SearchConfig, SweepCheckpoint,
@@ -79,7 +82,7 @@ use rt_relation::{AttrDict, AttrId, Code, Instance, Schema, Value, VarId};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 // Section tags. CONFIG..STATS are required; SWEEP is present only when the
 // engine holds a suspended sweep.
@@ -88,9 +91,12 @@ const SEC_SCHEMA: u32 = 2;
 const SEC_DICTS: u32 = 3;
 const SEC_CODES: u32 = 4;
 const SEC_FDS: u32 = 5;
-const SEC_GRAPH: u32 = 6;
 const SEC_STATS: u32 = 7;
 const SEC_SWEEP: u32 = 8;
+/// Every tag the decoder reads; a section with any other tag is rejected.
+const KNOWN_SECTIONS: [u32; 7] = [
+    SEC_CONFIG, SEC_SCHEMA, SEC_DICTS, SEC_CODES, SEC_FDS, SEC_STATS, SEC_SWEEP,
+];
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), hand-rolled: the build environment is offline.
@@ -368,7 +374,7 @@ fn weight_tag(weight: WeightKind) -> u8 {
     }
 }
 
-/// Serializes an engine's full prepared state.
+/// Serializes an engine's `(I, Σ)`, settings, stats and suspended sweep.
 pub(crate) fn encode(
     problem: &RepairProblem,
     search_config: &SearchConfig,
@@ -441,30 +447,19 @@ pub(crate) fn encode(
         put_u16(&mut fds, fd.rhs.0);
     }
 
-    let graph = problem.conflict_graph();
-    let mut graph_sec = Vec::new();
-    put_usize(&mut graph_sec, graph.row_count());
-    put_usize(&mut graph_sec, graph.edge_count());
-    for e in graph.edges() {
-        put_usize(&mut graph_sec, e.rows.0);
-        put_usize(&mut graph_sec, e.rows.1);
-        put_u64(&mut graph_sec, e.difference_set.bits());
-    }
-
     let mut stats_sec = Vec::new();
     put_telemetry(&mut stats_sec, *stats);
 
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut out, SNAPSHOT_VERSION);
-    let section_count = 7 + sweep.is_some() as u32;
+    let section_count = 6 + sweep.is_some() as u32;
     put_u32(&mut out, section_count);
     push_section(&mut out, SEC_CONFIG, &config);
     push_section(&mut out, SEC_SCHEMA, &schema_sec);
     push_section(&mut out, SEC_DICTS, &dicts);
     push_section(&mut out, SEC_CODES, &codes);
     push_section(&mut out, SEC_FDS, &fds);
-    push_section(&mut out, SEC_GRAPH, &graph_sec);
     push_section(&mut out, SEC_STATS, &stats_sec);
 
     if let Some(parts) = sweep {
@@ -496,27 +491,23 @@ pub(crate) fn encode(
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// The decoded engine state [`crate::RepairEngine::restore`] reassembles.
+/// A decoded snapshot: the engine the builder made of the stored `(I, Σ)`
+/// and settings, with the stats and sweep [`crate::RepairEngine::restore`]
+/// installs in it.
 pub(crate) struct DecodedEngine {
-    pub problem: RepairProblem,
-    pub search_config: SearchConfig,
-    pub seed: u64,
+    pub engine: RepairEngine,
     pub stats: EngineStats,
     pub sweep: Option<SweepCheckpoint>,
 }
 
+/// Reads one FD. Its attributes are checked against the arity by the
+/// builder; the RHS is range-checked here because the trivial-FD test
+/// shifts by it.
 fn read_fd(r: &mut Reader<'_>, arity: usize) -> Result<Fd, EngineError> {
     let lhs = AttrSet::from_bits(r.u64()?);
     let rhs = r.u16()?;
-    let mask = AttrSet::all(arity);
     if rhs as usize >= arity {
         return Err(bad(format!("FD RHS {rhs} out of range for arity {arity}")));
-    }
-    if !lhs.is_subset_of(mask) {
-        return Err(bad(format!(
-            "FD LHS {:#x} has attributes outside arity {arity}",
-            lhs.bits()
-        )));
     }
     let rhs = AttrId(rhs);
     if lhs.contains(rhs) {
@@ -637,7 +628,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
             .map(|(_, p)| Reader::new(p))
     };
     for (tag, _) in &sections {
-        if !(SEC_CONFIG..=SEC_SWEEP).contains(tag) {
+        if !KNOWN_SECTIONS.contains(tag) {
             return Err(bad(format!("unknown section tag {tag}")));
         }
     }
@@ -657,16 +648,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         (1, _) => Parallelism::Serial,
         (2, n) => Parallelism::Fixed(n),
         (t, _) => return Err(bad(format!("unknown parallelism tag {t}"))),
-    };
-    // The builder cannot produce a zero limit, so a snapshot carrying one
-    // is corrupt: the search could not even expand its root.
-    if max_expansions == 0 {
-        return Err(bad("config: max_expansions must be at least 1"));
-    }
-    let search_config = SearchConfig {
-        max_expansions,
-        parallelism,
-        ..SearchConfig::default()
     };
 
     // SCHEMA
@@ -730,53 +711,27 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         fd_vec.push(read_fd(&mut r, arity)?);
     }
     let sigma = FdSet::from_fds(fd_vec);
-    if sigma.is_empty() {
-        return Err(bad("snapshot carries an empty FD set"));
-    }
 
-    // GRAPH
-    let mut r = section(SEC_GRAPH, "conflict graph")?;
-    let row_count = r.usize_()?;
-    if row_count != instance.len() {
-        return Err(bad(format!(
-            "conflict graph row count {row_count} does not match the {} instance rows",
-            instance.len()
-        )));
-    }
-    let edge_n = r.count(24)?;
-    let mut edges = Vec::with_capacity(edge_n);
-    for _ in 0..edge_n {
-        let rows = (r.usize_()?, r.usize_()?);
-        let difference_set = AttrSet::from_bits(r.u64()?);
-        edges.push(ConflictEdge {
-            rows,
-            difference_set,
-        });
-    }
-    let conflict = ConflictGraph::from_parts(row_count, edges)
-        .map_err(|e| bad(format!("bad conflict graph: {e}")))?;
-    // Rows are in range now, so each edge can be checked against its rows.
-    for e in conflict.edges() {
-        let (u, v) = e.rows;
-        if e.difference_set != AttrSet::from_attrs(instance.differing_attrs_coded(u, v)) {
-            return Err(bad(format!(
-                "conflict edge {:?}: difference set is not its rows' differing attributes",
-                e.rows
-            )));
-        }
-        if !e.violates_any(&sigma) {
-            return Err(bad(format!("conflict edge {:?} violates no FD", e.rows)));
-        }
-    }
+    // The engine is built as the builder builds any engine: its checks
+    // reject an `(I, Σ)` or a setting no engine can be built from.
+    let engine = RepairEngine::builder(instance, sigma)
+        .weight(weight)
+        .parallelism(parallelism)
+        .max_expansions(max_expansions)
+        .seed(seed)
+        .build()
+        .map_err(|e| bad(format!("cannot rebuild the engine: {e}")))?;
+    let problem = engine.problem();
 
-    // STATS
+    // STATS: the build's own counters replace the stored ones.
     let mut r = section(SEC_STATS, "stats")?;
-    let mut stats: EngineStats = r.telemetry()?;
-    // The restored engine never built a conflict graph — the headline
-    // invariant of restore (ROADMAP item 3): warm state, zero builds.
-    stats.conflict_graph_builds = 0;
-
-    let problem = RepairProblem::from_restored(instance, sigma, conflict, weight);
+    let stored: EngineStats = r.telemetry()?;
+    let built = engine.stats();
+    let stats = EngineStats {
+        conflict_graph_builds: built.conflict_graph_builds,
+        shards: built.shards,
+        ..stored
+    };
 
     // SWEEP (optional)
     let sweep = match optional(SEC_SWEEP) {
@@ -804,8 +759,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
                 let tau_range = (r.usize_()?, r.usize_()?);
                 // Σ', dist_c, δP and the cover follow from the state, as at
                 // the goal that found it.
-                let cover = problem.cover_for_with(&state, search_config.parallelism);
-                let repair = FdRepair::at_goal(&problem, state, &cover);
+                let cover = problem.cover_for_with(&state, parallelism);
+                let repair = FdRepair::at_goal(problem, state, &cover);
                 if tau_range.0 != repair.delta_p || tau_range.0 > tau_range.1 {
                     return Err(bad(format!(
                         "found repair with δP {} covers τ range {tau_range:?}",
@@ -833,9 +788,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
     };
 
     Ok(DecodedEngine {
-        problem,
-        search_config,
-        seed,
+        engine,
         stats,
         sweep,
     })
@@ -889,9 +842,11 @@ mod tests {
         };
         let bytes = encode(&problem, &config, 0, &stats, Some(sweep));
         let decoded = decode(&bytes).unwrap();
-        // A restored engine never built a conflict graph, by design.
+        // The graph counters describe the build the restore ran: one
+        // monolithic build of four rows.
         let expected = EngineStats {
-            conflict_graph_builds: 0,
+            conflict_graph_builds: 1,
+            shards: 0,
             ..stats
         };
         assert_eq!(decoded.stats, expected);
@@ -941,7 +896,7 @@ mod tests {
             {
                 assert_eq!(state, want_state);
                 assert_eq!(priority.to_bits(), want_priority.to_bits());
-                let dist_c = decoded.problem.dist_c(state);
+                let dist_c = decoded.engine.problem().dist_c(state);
                 assert_eq!(cost.to_bits(), dist_c.to_bits(), "{weight:?}: {state:?}");
                 assert_eq!(cost.to_bits(), want_cost.to_bits(), "{weight:?}: {state:?}");
             }

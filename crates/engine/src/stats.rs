@@ -6,16 +6,20 @@ use rt_relation::work::{Slot, Telemetry};
 ///
 /// The headline invariant of the session API:
 /// `conflict_graph_builds` stays at `1` no matter how many `repair_at`
-/// calls, sweeps or spectra the engine serves — the expensive
-/// data-dependent preparation happens exactly once, at build time.
+/// calls, sweeps, spectra or mutations the engine serves — the expensive
+/// data-dependent preparation happens exactly once, when the engine is
+/// built or restored.
 ///
 /// Search and mutation telemetry folds in by field name through
 /// [`Telemetry::absorb`]: the fields shared with [`rt_core::SearchStats`]
 /// and [`rt_core::MutationEffect`] are the ones that accumulate here.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
-    /// How many times the conflict graph of `(I, Σ)` was built. Always `1`
-    /// for an engine (at [`crate::RepairEngineBuilder::build`] time).
+    /// How many times the conflict graph of `(I, Σ)` was built: `1` for an
+    /// engine built monolithic, one per shard for a sharded build, counted
+    /// at [`crate::RepairEngineBuilder::build`] time. A
+    /// [`crate::RepairEngine::restore`] builds through the builder too, so
+    /// a restored engine counts its own build, not the original's.
     pub conflict_graph_builds: usize,
     /// Completed single-repair queries ([`crate::RepairEngine::repair_at`]
     /// and friends).
@@ -63,7 +67,8 @@ pub struct EngineStats {
     /// Shards of the [`rt_core::ShardPlan`] the engine was built with (an
     /// instance of at least 100 000 rows builds sharded); `0` for a
     /// monolithic build. Fixed at build
-    /// time: mutations patch the merged conflict graph and never replan.
+    /// time: mutations patch the merged conflict graph and never replan; a
+    /// restore plans afresh from the restored row count.
     /// For a sharded build, `conflict_graph_builds` equals this count — one
     /// per-shard build, never a monolithic one.
     pub shards: usize,

@@ -26,7 +26,9 @@
 //!   structural cell count. A scripted workload evicts the same sessions
 //!   on every run.
 //! * **One build per session.** The conflict graph is built once, by
-//!   `load_csv`; every later request goes through the engine's
+//!   `load_csv`, or, for a session recovered from its data dir, by the
+//!   snapshot restore, which stores `(I, Σ)` and not the graph; every
+//!   later request, WAL replay included, goes through the engine's
 //!   incremental paths (`conflict_graph_builds` stays 1 while
 //!   `mutation_batches` grows).
 //! * **Bounded everything.** Frames are capped (8 MiB), connections are

@@ -71,11 +71,11 @@ the mutated inputs and checks the outputs are bit-identical.
 catalog (seeded generation or a bundled fixture + seeded error injection)
 and repairs it; `rtclean scenario list` prints the catalog.
 
-`rtclean snapshot` builds an engine and writes its full prepared state
-(dictionaries, code columns, conflict graph, suspended sweep) to a
-versioned, checksummed binary snapshot; `rtclean restore` rebuilds the
-engine from such a file — without ever rebuilding the conflict graph —
-and answers repair queries from it.
+`rtclean snapshot` builds an engine and writes its state (dictionaries,
+code columns, FDs, stats, suspended sweep) to a versioned, checksummed
+binary snapshot; `rtclean restore` builds the engine of the stored
+(I, Σ) from such a file — its conflict graph among it — and answers
+repair queries from it.
 
 `rtclean serve` hosts named repair sessions over TCP (and optionally a
 Unix socket) speaking the line-delimited JSON protocol of rt-proto;
@@ -742,7 +742,7 @@ fn run_restore(options: &Options) -> Result<(), EngineError> {
         ),
     );
     println!(
-        "prepared state came back warm: conflict graph builds since restore = {}\n",
+        "engine built from the stored (I, Σ): conflict graph builds = {}\n",
         engine.stats().conflict_graph_builds
     );
     report_results(&engine, options)

@@ -416,7 +416,7 @@ fn snapshot_then_restore_gives_the_direct_spectrum() {
 
     let expected = format!(
         "restored 5 tuples × 3 attributes, 2 FDs, 2 conflict edges from d.snap
-prepared state came back warm: conflict graph builds since restore = 0
+engine built from the stored (I, Σ): conflict graph builds = 1
 
 {DIRTY_SPECTRUM}"
     );

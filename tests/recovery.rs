@@ -7,8 +7,8 @@
 //!   restarted on the same data dir, and the recovered session's spectrum
 //!   must be [`Spectrum::bit_identical`] to an uninterrupted in-process
 //!   twin that applied exactly the acknowledged mutations — with
-//!   `conflict_graph_builds == 0` (recovery decodes and replays, it never
-//!   rebuilds);
+//!   `conflict_graph_builds == 1` (the restore builds the graph of the
+//!   snapshot's `(I, Σ)` once; the WAL replay patches it, never rebuilds);
 //! * client-resilience regressions through the `rt-chaos` proxy: a
 //!   mid-frame disconnect is a typed [`ClientError::Io`] *immediately*,
 //!   retries are deterministic, capped, and only ever cover idempotent
@@ -215,8 +215,8 @@ fn seeded_crash_recovery_spectra_are_bit_identical_to_the_twin() {
             );
             let stats = restored.stats().unwrap();
             assert_eq!(
-                stats.conflict_graph_builds, 0,
-                "case seed={seed} kill={kill:?}: recovery rebuilt the conflict graph"
+                stats.conflict_graph_builds, 1,
+                "case seed={seed} kill={kill:?}: one build at restore, none during WAL replay"
             );
 
             let counters = client.server_stats().unwrap();

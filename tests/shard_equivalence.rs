@@ -15,8 +15,9 @@
 //!
 //! The engine picks its build path by row count (sharded from 100 000 rows
 //! on). The warehouse smoke test checks that choice and its accounting —
-//! one conflict-graph build per shard, never a rebuild on mutation — and
-//! compares the engine with the path its row count did not pick.
+//! one conflict-graph build per shard, never a rebuild on mutation, the same
+//! path again on restore — and compares the engine with the path its row
+//! count did not pick.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -397,6 +398,25 @@ fn warehouse_sharded_matches_monolithic() {
     };
     assert_spectra_identical(&e, &spectrum_prefix(&other, 17, 3), "warehouse prefix");
     assert!(!e.points.is_empty(), "prefix must materialize points");
+
+    // A restore builds its engine through the builder, so the row count
+    // picks the same path: the same shards and builds, the same graph, and
+    // the suspended prefix replays bit for bit.
+    let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
+    assert_eq!(restored.stats(), engine.stats());
+    assert_eq!(
+        restored.problem().conflict_graph(),
+        engine.problem().conflict_graph()
+    );
+    let replayed = Spectrum {
+        points: restored
+            .sweep(0..=restored.delta_p_original())
+            .take(e.points.len())
+            .map(|p| p.expect("restored sweep point materializes"))
+            .collect(),
+        search_stats: Default::default(),
+    };
+    assert_spectra_identical(&e, &replayed, "restored warehouse prefix");
 
     // A bridging batch patches the engine's graph: no rebuild, no replan.
     let target = plan.shards()[0][0];

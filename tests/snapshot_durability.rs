@@ -1,6 +1,7 @@
-//! Engine snapshot durability: a restored engine is bit-identical to the
-//! original without ever rebuilding the conflict graph, and corrupt,
-//! truncated or crafted snapshot bytes always fail typed — never panic.
+//! Engine snapshot durability: a restored engine, built from the stored
+//! `(I, Σ)` through the builder, is bit-identical to the original, and
+//! corrupt, truncated or crafted snapshot bytes always fail typed — never
+//! panic.
 
 use relative_trust::prelude::*;
 use rt_core::repair::materialize_fd_repair;
@@ -73,27 +74,60 @@ fn crc32_matches_known_vectors() {
     assert_eq!(crc32(b""), 0);
 }
 
+/// Restoring builds the conflict graph of the stored `(I, Σ)`: the restored
+/// graph is `ConflictGraph::build` of the restored instance and FDs, the
+/// stats are the original's field for field, and the spectrum is
+/// bit-identical — on Figure 2, on census after a sweep, and on a mutated
+/// engine.
 #[test]
-fn restore_is_bit_identical_and_never_rebuilds_the_graph() {
-    let engine = figure2_engine();
-    let spectrum = engine.spectrum().unwrap();
+fn restore_is_bit_identical_and_builds_the_graph_of_its_i_and_sigma() {
+    let census_after_a_sweep = || {
+        let engine = census_engine();
+        engine.spectrum().unwrap();
+        engine
+    };
+    let mutated = || {
+        let mut engine = figure2_engine();
+        engine
+            .apply(
+                &MutationBatch::new()
+                    .insert_row(vec![
+                        Value::int(7),
+                        Value::int(7),
+                        Value::int(1),
+                        Value::int(2),
+                    ])
+                    .update_cell(CellRef::new(1, AttrId(1)), Value::int(9)),
+            )
+            .unwrap();
+        engine
+    };
+    let cases = [
+        ("figure 2", figure2_engine as fn() -> RepairEngine),
+        ("census after a sweep", census_after_a_sweep),
+        ("mutated", mutated),
+    ];
+    for (name, build) in cases {
+        let engine = build();
+        let bytes = engine.snapshot().unwrap();
+        assert_eq!(&bytes[..8], SNAPSHOT_MAGIC);
 
-    let bytes = engine.snapshot().unwrap();
-    assert_eq!(&bytes[..8], SNAPSHOT_MAGIC);
-
-    let restored = RepairEngine::restore(&bytes).unwrap();
-    assert_eq!(
-        restored.stats().conflict_graph_builds,
-        0,
-        "a restored engine adopts the snapshot's conflict graph verbatim"
-    );
-    let restored_spectrum = restored.spectrum().unwrap();
-    assert!(
-        spectrum.bit_identical(&restored_spectrum),
-        "restored spectrum must be bit-identical to the original"
-    );
-    // Querying the restored engine still never builds a graph.
-    assert_eq!(restored.stats().conflict_graph_builds, 0);
+        let restored = RepairEngine::restore(&bytes).unwrap();
+        assert_eq!(restored.stats(), engine.stats(), "{name}: stats");
+        let problem = restored.problem();
+        assert_eq!(
+            problem.conflict_graph(),
+            &ConflictGraph::build(problem.instance(), problem.sigma()),
+            "{name}: the restored graph is the build of the restored (I, Σ)"
+        );
+        assert!(
+            engine
+                .spectrum()
+                .unwrap()
+                .bit_identical(&restored.spectrum().unwrap()),
+            "{name}: restored spectrum must be bit-identical to the original"
+        );
+    }
 }
 
 #[test]
@@ -104,8 +138,8 @@ fn snapshot_survives_a_second_generation() {
     let first = engine.snapshot().unwrap();
     let second = RepairEngine::restore(&first).unwrap().snapshot().unwrap();
     let grandchild = RepairEngine::restore(&second).unwrap();
+    assert_eq!(grandchild.stats(), engine.stats());
     assert!(spectrum.bit_identical(&grandchild.spectrum().unwrap()));
-    assert_eq!(grandchild.stats().conflict_graph_builds, 0);
 }
 
 #[test]
@@ -126,10 +160,10 @@ fn restore_preserves_mutated_state() {
     let spectrum = engine.spectrum().unwrap();
 
     let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
-    assert!(spectrum.bit_identical(&restored.spectrum().unwrap()));
-    assert_eq!(restored.stats().conflict_graph_builds, 0);
     // Counters carried over: the original ran one mutation batch.
+    assert_eq!(restored.stats(), engine.stats());
     assert_eq!(restored.stats().mutation_batches, 1);
+    assert!(spectrum.bit_identical(&restored.spectrum().unwrap()));
 }
 
 /// A restored engine mutates as the original does: after one batch of
@@ -208,7 +242,11 @@ fn restore_carries_the_suspended_sweep_checkpoint() {
         // replay, and the rest match the uninterrupted sweep.
         let resumed: Vec<_> = restored.sweep(range).map(|p| p.unwrap()).collect();
         assert_points_identical(&uninterrupted, &resumed, name);
-        assert_eq!(restored.stats().conflict_graph_builds, 0, "{name}");
+        assert_eq!(
+            restored.stats().conflict_graph_builds,
+            engine.stats().conflict_graph_builds,
+            "{name}"
+        );
         // The resume shows up as a sweep-cache hit.
         assert_eq!(
             restored.stats().sweep_cache_hits,
@@ -263,7 +301,7 @@ fn wrong_magic_and_version_fail_typed() {
 
     // A version from the future and the previous ones alike fail the typed
     // version check; there is no compatibility reader.
-    for version in [0xFF_u32, 2, 3, 4, 5, 6, 7] {
+    for version in [0xFF_u32, 2, 3, 4, 5, 6, 7, 8] {
         let mut stamped = bytes.clone();
         stamped[8..12].copy_from_slice(&version.to_le_bytes());
         let err = RepairEngine::restore(&stamped).unwrap_err();
@@ -310,9 +348,10 @@ fn zero_search_limits_in_the_config_fail_typed() {
 
 /// Snapshot header: magic (8), version (4), section count (4).
 const HEADER: usize = 16;
-/// Section tags of the conflict graph and of the suspended sweep.
-const SEC_GRAPH: u32 = 6;
+/// The suspended sweep's section tag.
 const SEC_SWEEP: u32 = 8;
+/// The conflict graph's section before version 9; now an unknown tag.
+const SEC_GRAPH: u32 = 6;
 /// The heuristic memo's section before version 7; now an unknown tag.
 const SEC_WARM: u32 = 9;
 /// A Figure-2 search state: extension count, then one extension per FD.
@@ -422,33 +461,6 @@ fn an_open_state_outside_its_fds_candidates_fails_typed() {
     }
 }
 
-/// A GRAPH edge is its row pair and difference set; the decoder checks the
-/// difference set against the two restored rows and against `Σ`.
-#[test]
-fn a_graph_edge_with_a_wrong_difference_set_fails_typed() {
-    let bytes = figure2_engine().snapshot().unwrap();
-    // Payload: row count, edge count, then (u, v, difference set) per edge.
-    // Figure 2's first edge is (t1, t2) with difference set BD.
-    let edge = 16;
-    let cases = [
-        // BCD: an FD-violating set, but not where t1 and t2 differ.
-        ((0, 1), 0b1110, "differing attributes"),
-        // A: neither t1 and t2's differences nor a violation.
-        ((0, 1), 0b0001, "differing attributes"),
-        // t1 and t3 differ on exactly AB, which violates neither A -> B nor C -> D.
-        ((0, 2), 0b0011, "violates no FD"),
-    ];
-    for ((u, v), diff, expected) in cases {
-        let crafted = reseal(&bytes, SEC_GRAPH, |graph| {
-            assert_eq!(get(graph, edge + 16), 0b1010, "t1, t2 differ on BD");
-            put(graph, edge, u);
-            put(graph, edge + 8, v);
-            put(graph, edge + 16, diff);
-        });
-        assert_snapshot_error(&crafted, expected, &format!("edge ({u}, {v}) {diff:#b}"));
-    }
-}
-
 /// A SWEEP found repair is its state and τ range: swapping in another valid
 /// state replays that state's `Σ'`, `dist_c`, `δ_P` and cover, as the search
 /// would have found them.
@@ -528,20 +540,37 @@ fn the_sweep_section_stores_no_heuristic_memo() {
     );
 }
 
+/// Appends a sealed section with `tag` and `payload` to a snapshot and
+/// counts it in the header.
+fn append_section(bytes: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    bytes.extend(tag.to_le_bytes());
+    bytes.extend((payload.len() as u64).to_le_bytes());
+    bytes.extend(crc32(payload).to_le_bytes());
+    bytes.extend(payload);
+}
+
 /// Tag 9 carried the heuristic memo before version 7; a section with it,
 /// even an empty memo, now fails typed as unknown.
 #[test]
 fn a_heuristic_memo_section_fails_typed_as_unknown() {
     let mut bytes = figure2_engine().snapshot().unwrap();
-    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
     // An empty memo at version 6: entry count, hits and nodes spent.
-    let payload = [0u8; 24];
-    bytes.extend(SEC_WARM.to_le_bytes());
-    bytes.extend((payload.len() as u64).to_le_bytes());
-    bytes.extend(crc32(&payload).to_le_bytes());
-    bytes.extend(payload);
+    append_section(&mut bytes, SEC_WARM, &[0u8; 24]);
     assert_snapshot_error(&bytes, "unknown section tag 9", "tag 9");
+}
+
+/// Tag 6 carried the conflict graph before version 9. The restore builds
+/// the graph from `(I, Σ)`, so a stored one, even an empty graph of the
+/// right row count, fails typed as unknown instead of being skipped.
+#[test]
+fn a_conflict_graph_section_fails_typed_as_unknown() {
+    let mut bytes = figure2_engine().snapshot().unwrap();
+    // A version 8 graph: row count, then the edge count.
+    let payload: Vec<u8> = [4u64, 0].iter().flat_map(|v| v.to_le_bytes()).collect();
+    append_section(&mut bytes, SEC_GRAPH, &payload);
+    assert_snapshot_error(&bytes, "unknown section tag 6", "tag 6");
 }
 
 /// The SWEEP cursor must be one the search can produce. Raising τ and the

@@ -673,9 +673,9 @@ fn shard_plan_partitions_and_graph_blocking_match_hash_references() {
 
         // integrate_fd: from an empty graph, each FD adds exactly its
         // reference pairs; FD by FD, the result is the batch build.
-        let mut grown = ConflictGraph::from_parts(instance.len(), Vec::new()).unwrap();
+        let mut grown = ConflictGraph::merge_shards(instance.len(), Vec::new()).unwrap();
         for (_, fd) in fds.iter() {
-            let mut alone = ConflictGraph::from_parts(instance.len(), Vec::new()).unwrap();
+            let mut alone = ConflictGraph::merge_shards(instance.len(), Vec::new()).unwrap();
             alone.integrate_fd(&instance, fd);
             let rows: Vec<(usize, usize)> = alone.edges().iter().map(|e| e.rows).collect();
             assert_eq!(rows, reference_pairs(&instance, fd), "case {case}");
