@@ -720,10 +720,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         .max_expansions(max_expansions)
         .seed(seed)
         .build()
-        .map_err(|e| bad(format!("cannot rebuild the engine: {e}")))?;
+        .map_err(|e| bad(format!("cannot build the engine: {e}")))?;
     let problem = engine.problem();
 
-    // STATS: the build's own counters replace the stored ones.
+    // STATS: the build's graph counters replace the stored ones.
     let mut r = section(SEC_STATS, "stats")?;
     let stored: EngineStats = r.telemetry()?;
     let built = engine.stats();
