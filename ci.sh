@@ -51,9 +51,9 @@ echo "==> cargo test --test recovery (crash recovery ≡ uninterrupted, chaos fa
 cargo test -q --test recovery
 
 # The snapshot contract under it: a restored engine, built from the stored
-# (I, Σ) through the builder, answers bit-identically to the original, and
-# crafted bytes (fields that lie under a resealed CRC) fail typed, never in
-# a resumed sweep.
+# (I, Σ) through the builder and holding no search state, answers
+# bit-identically to the original, and crafted bytes (fields that lie, or
+# sections no longer read, under a resealed CRC) fail typed.
 echo "==> cargo test --test snapshot_durability (restored ≡ original, crafted input fails typed)"
 cargo test -q --test snapshot_durability
 

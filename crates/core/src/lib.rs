@@ -81,7 +81,6 @@ pub use data_repair::{repair_data, repair_data_par, DataRepairOutcome};
 pub use heuristic::{goal_cost_estimate, HeuristicCache, HeuristicConfig, HeuristicValue};
 pub use multi::{
     sampling_search, MultiRepairOutcome, RangeSearch, RangedFdRepair, SweepCheckpoint,
-    SweepCheckpointParts,
 };
 pub use mutation::{MutationEffect, MutationOp};
 pub use problem::{RepairProblem, WeightKind};

@@ -151,7 +151,7 @@ impl SweepCheckpoint {
     /// The signed `τ` cursor a sweep bound `tau` starts at: `tau` itself,
     /// clamped to `i64::MAX`. No state needs a larger budget, since `δ_P`
     /// counts cells, so the clamp changes no repair.
-    pub fn cursor(tau: usize) -> i64 {
+    fn cursor(tau: usize) -> i64 {
         i64::try_from(tau).unwrap_or(i64::MAX)
     }
 
@@ -183,84 +183,6 @@ impl SweepCheckpoint {
     /// search's priorities but leaves the difference-set groups unchanged.
     pub fn into_heuristic_cache(self) -> HeuristicCache {
         self.cache
-    }
-}
-
-/// A [`SweepCheckpoint`] flattened into plain data for serialization: the
-/// traversal (open list, `τ` cursor, stats, found repairs) as owned values
-/// a snapshot codec can write and read back, without the heuristic memo.
-/// Round-tripping through [`SweepCheckpoint::export_parts`] /
-/// [`SweepCheckpoint::from_parts`] preserves the sweep bit-for-bit: a
-/// resumed search over the rebuilt checkpoint produces the same repairs in
-/// the same order as one over the original; only its heuristic work
-/// counters differ, since the memo starts cold.
-#[derive(Debug, Clone)]
-pub struct SweepCheckpointParts {
-    /// Open-list entries as `(state, priority, cost)`, in insertion order;
-    /// the cost is [`RepairProblem::dist_c`] of the state.
-    pub open: Vec<(RepairState, f64, f64)>,
-    /// The budget the traversal is currently exploring.
-    pub tau: i64,
-    /// Lower bound of the sweep range.
-    pub tau_low: i64,
-    /// Upper bound of the sweep range.
-    pub tau_high: usize,
-    /// Upper end of the interval the next repair will cover.
-    pub current_upper: usize,
-    /// Cumulative statistics at suspension time.
-    pub stats: SearchStats,
-    /// Whether the sweep had finished its range.
-    pub exhausted: bool,
-    /// Repairs already produced, in production order.
-    pub found: Vec<RangedFdRepair>,
-}
-
-impl SweepCheckpoint {
-    /// Flattens the checkpoint into [`SweepCheckpointParts`].
-    pub fn export_parts(&self) -> SweepCheckpointParts {
-        let mut open: Vec<&OpenEntry> = self.open.iter().collect();
-        open.sort_unstable_by_key(|e| e.seq);
-        SweepCheckpointParts {
-            open: open
-                .into_iter()
-                .map(|e| (e.state.clone(), e.priority, e.cost))
-                .collect(),
-            tau: self.tau,
-            tau_low: self.tau_low,
-            tau_high: self.tau_high,
-            current_upper: self.current_upper,
-            stats: self.stats,
-            exhausted: self.exhausted,
-            found: self.found.clone(),
-        }
-    }
-
-    /// Reassembles a checkpoint from exported parts. Insertion order is all
-    /// the tie-break needs, so the entries are renumbered from zero. The
-    /// heuristic memo starts empty: it is a pure function of the problem,
-    /// so the resumed sweep recomputes what it needs bit-identically.
-    pub fn from_parts(parts: SweepCheckpointParts) -> Self {
-        let next_seq = parts.open.len() as u64;
-        SweepCheckpoint {
-            open: (0..)
-                .zip(parts.open)
-                .map(|(seq, (state, priority, cost))| OpenEntry {
-                    priority,
-                    cost,
-                    seq,
-                    state,
-                })
-                .collect(),
-            next_seq,
-            tau: parts.tau,
-            tau_low: parts.tau_low,
-            tau_high: parts.tau_high,
-            current_upper: parts.current_upper,
-            stats: parts.stats,
-            exhausted: parts.exhausted,
-            found: parts.found,
-            cache: HeuristicCache::new(),
-        }
     }
 }
 
@@ -803,38 +725,6 @@ mod tests {
             }
             // The replayed prefix costs no additional expansions: total
             // stats equal the uninterrupted sweep's.
-            assert_eq!(
-                resumed.stats.states_expanded,
-                reference.stats.states_expanded
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_parts_round_trip_bit_identically() {
-        let problem = figure2_problem();
-        let config = SearchConfig::default();
-        let hi = problem.delta_p_original();
-        let reference = range_repair(&problem, 0, hi, &config);
-        for cut in 0..=reference.repairs.len() {
-            let mut search = RangeSearch::new(&problem, 0, hi, &config);
-            for _ in 0..cut {
-                search.next_repair().expect("prefix repair exists");
-            }
-            let checkpoint = search.suspend();
-            let rebuilt = SweepCheckpoint::from_parts(checkpoint.export_parts());
-            assert_eq!(rebuilt.range(), checkpoint.range());
-            assert_eq!(rebuilt.found_count(), checkpoint.found_count());
-            assert_eq!(rebuilt.is_exhausted(), checkpoint.is_exhausted());
-            let resumed = RangeSearch::resume(&problem, rebuilt, &config).run_to_end();
-            assert_eq!(resumed.repairs.len(), reference.repairs.len(), "cut={cut}");
-            for (a, b) in reference.repairs.iter().zip(resumed.repairs.iter()) {
-                assert_eq!(a.repair.state, b.repair.state);
-                assert_eq!(a.repair.delta_p, b.repair.delta_p);
-                assert_eq!(a.repair.cover_rows, b.repair.cover_rows);
-                assert_eq!(a.tau_range, b.tau_range);
-                assert_eq!(a.repair.dist_c.to_bits(), b.repair.dist_c.to_bits());
-            }
             assert_eq!(
                 resumed.stats.states_expanded,
                 reference.stats.states_expanded

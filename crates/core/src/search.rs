@@ -125,9 +125,12 @@ pub struct FdRepair {
 impl FdRepair {
     /// The repair a goal `state` stands for, given the vertex cover of the
     /// conflicts its relaxation leaves: `Σ'`, `dist_c` and `δ_P` all follow
-    /// from the state. The search builds every repair it finds here, and a
-    /// snapshot restore rebuilds the stored ones the same way.
-    pub fn at_goal(problem: &RepairProblem, state: RepairState, cover: &VertexCover) -> Self {
+    /// from the state. The search builds every repair it finds here.
+    pub(crate) fn at_goal(
+        problem: &RepairProblem,
+        state: RepairState,
+        cover: &VertexCover,
+    ) -> Self {
         FdRepair {
             fd_set: problem.relaxed_fds(&state),
             dist_c: problem.dist_c(&state),

@@ -105,25 +105,21 @@ impl RepairEngine {
     }
 
     /// Serializes the engine's `(I, Σ)` — dictionaries, code columns and
-    /// FDs — with its settings, cumulative stats and a suspended sweep's
-    /// traversal into the versioned, checksummed [`crate::snapshot`] binary
-    /// format. Neither the conflict graph nor the heuristic memo is stored:
-    /// both follow from `(I, Σ)`.
+    /// FDs — with its settings and cumulative stats into the versioned,
+    /// checksummed [`crate::snapshot`] binary format. Neither the conflict
+    /// graph nor any search state (a suspended sweep, the heuristic memo)
+    /// is stored: all of them follow from `(I, Σ)`.
     ///
     /// A [`RepairEngine::restore`] of these bytes answers every query
     /// bit-identically to this engine. Every engine state can be encoded,
     /// so this returns `Ok`.
     pub fn snapshot(&self) -> Result<Vec<u8>, EngineError> {
-        let sweep = lock(&self.sweep_cache)
-            .as_ref()
-            .map(SweepCheckpoint::export_parts);
         let stats = *lock(&self.stats);
         Ok(crate::snapshot::encode(
             &self.problem,
             &self.search_config,
             self.seed,
             &stats,
-            sweep,
         ))
     }
 
@@ -133,17 +129,16 @@ impl RepairEngine {
     /// [`RepairEngine::builder`], so the conflict graph is built as any
     /// build builds it: [`EngineStats::conflict_graph_builds`] and
     /// [`EngineStats::shards`] describe that build, and every other counter
-    /// is the snapshot's. A suspended sweep resumes where it stopped. The
-    /// heuristic memo starts cold: answers are bit-identical, while the
-    /// heuristic work counters count the enumeration the restored engine
-    /// redoes. Truncated, corrupt or version-skewed input, and an `(I, Σ)`
-    /// the builder rejects, fail with a typed [`EngineError::Snapshot`],
-    /// never a panic.
+    /// is the snapshot's. The sweep cache starts empty and the heuristic
+    /// memo cold, so the first sweep after a restore runs the search again:
+    /// answers are bit-identical, while the work counters count the search
+    /// the restored engine redoes. Truncated, corrupt or version-skewed
+    /// input, and an `(I, Σ)` the builder rejects, fail with a typed
+    /// [`EngineError::Snapshot`], never a panic.
     pub fn restore(bytes: &[u8]) -> Result<RepairEngine, EngineError> {
         let decoded = crate::snapshot::decode(bytes)?;
         Ok(RepairEngine {
             stats: Mutex::new(decoded.stats),
-            sweep_cache: Mutex::new(decoded.sweep),
             ..decoded.engine
         })
     }

@@ -5,7 +5,7 @@
 //! functional dependencies, and either
 //!
 //! * produces one repair for a chosen trust level (`--tau` / `--tau-r`), or
-//! * enumerates the whole spectrum of non-dominated repairs (`--spectrum`),
+//! * enumerates the whole spectrum of distinct repairs (`--spectrum`),
 //!   or
 //! * replays a JSON mutation log against a live engine (`apply`), keeping
 //!   the prepared state maintained incrementally — the conflict graph is
@@ -72,10 +72,10 @@ catalog (seeded generation or a bundled fixture + seeded error injection)
 and repairs it; `rtclean scenario list` prints the catalog.
 
 `rtclean snapshot` builds an engine and writes its state (dictionaries,
-code columns, FDs, stats, suspended sweep) to a versioned, checksummed
-binary snapshot; `rtclean restore` builds the engine of the stored
-(I, Σ) from such a file — its conflict graph among it — and answers
-repair queries from it.
+code columns, FDs, settings, stats) to a versioned, checksummed binary
+snapshot; `rtclean restore` builds the engine of the stored (I, Σ) from
+such a file — its conflict graph among it — and answers repair queries
+from it.
 
 `rtclean serve` hosts named repair sessions over TCP (and optionally a
 Unix socket) speaking the line-delimited JSON protocol of rt-proto;
@@ -113,7 +113,7 @@ options:
   --tsv                treat the input as tab-separated
   --tau <N>            allow at most N cell changes (single repair)
   --tau-r <F>          relative trust in [0,1]; 0 = trust the data (default: --spectrum)
-  --spectrum           enumerate all non-dominated repairs
+  --spectrum           enumerate all distinct repairs
   --weight <kind>      distinct | count | entropy   (default: distinct)
   --output <file>      write the repaired instance as CSV (needs --tau or --tau-r;
                        for snapshot: the snapshot file)
@@ -546,7 +546,7 @@ fn report_results(engine: &RepairEngine, options: &Options) -> Result<(), Engine
                 println!("{}", point_line(&point?, Some(schema)));
                 count += 1;
             }
-            println!("{}.", counted(count, "non-dominated repair"));
+            println!("{}.", counted(count, "distinct repair"));
             println!(
                 "\nre-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one."
             );
@@ -917,7 +917,7 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                 let n = spectrum.len();
                 (
                     spectrum.points,
-                    format!("{}.", counted(n, "non-dominated repair")),
+                    format!("{}.", counted(n, "distinct repair")),
                 )
             } else {
                 let parse_at = |idx: usize, what: &str, default: usize| -> Result<usize, String> {
@@ -1586,7 +1586,7 @@ mod tests {
         let repaired = eval(&mut session, "repair --tau 1").unwrap();
         assert!(repaired.contains("cell changes"), "got {repaired}");
         let spectrum = eval(&mut session, "spectrum").unwrap();
-        assert!(spectrum.contains("non-dominated"), "got {spectrum}");
+        assert!(spectrum.contains("distinct repair"), "got {spectrum}");
         let stats = eval(&mut session, "stats").unwrap();
         assert!(stats.contains("  conflict_graph_builds 1\n"), "got {stats}");
         let counters = eval(&mut session, "server-stats").unwrap();

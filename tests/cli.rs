@@ -279,7 +279,7 @@ FDs: {A -> B; C -> B}
 const DIRTY_SPECTRUM: &str =
     "  τ ∈ [   4,    4]  FD cost        0.0  cell changes     2   {A -> B; C -> B}
   τ ∈ [   2,    3]  FD cost        4.0  cell changes     1   {A,C -> B; C -> B}
-2 non-dominated repairs.
+2 distinct repairs.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 ";
@@ -346,7 +346,7 @@ FDs: {A -> B}
 1 conflicting tuple pair; repairing everything by cell changes would touch at most 1 cell
 
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {A -> B}
-1 non-dominated repair.
+1 distinct repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 ";
@@ -367,7 +367,7 @@ FDs: {A -> B}
 1 conflicting tuple pair; repairing everything by cell changes would touch at most 1 cell
 
   τ ∈ [   1,    1]  FD cost        0.0  cell changes     1   {A -> B}
-1 non-dominated repair.
+1 distinct repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 ";
@@ -526,7 +526,7 @@ repaired instance written to out.csv
 
     let expected = format!(
         "{header}  τ ∈ [   0,    0]  FD cost        0.0  cell changes     0   {{A -> B}}
-1 non-dominated repair.
+1 distinct repair.
 
 re-run with --tau <N> (or --tau-r <F>) and --output <file> to materialize one.
 "
@@ -673,7 +673,7 @@ fn repl_spectrum_over_the_wire_matches_the_batch_cli() {
         .read_to_string(&mut stderr)
         .unwrap();
     assert_eq!(stderr, "");
-    assert!(stdout.contains("2 non-dominated repairs."), "{stdout}");
+    assert!(stdout.contains("2 distinct repairs."), "{stdout}");
 
     let batch = dir.run(&["d.csv", "--fd", "A->B", "--fd", "C->B"]);
     assert_eq!(spectrum_lines(&stdout), spectrum_lines(&batch.stdout));

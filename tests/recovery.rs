@@ -292,6 +292,75 @@ fn restored_summary_reports_the_loaded_column_types() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A session evicted in the middle of a pagination reopens from its data
+/// dir on its next page. The snapshot taken at eviction holds no suspended
+/// sweep, so the reopened session runs the search again, and the pages
+/// still concatenate to the in-process sweep, bit for bit.
+#[test]
+fn an_evicted_session_reopens_in_the_middle_of_a_pagination() {
+    let scenario = relative_trust::scenarios::build("census", &ScenarioConfig::default()).unwrap();
+    let mut csv = Vec::new();
+    relative_trust::relation::csv::write_instance(&scenario.dirty, &mut csv).unwrap();
+    let csv = String::from_utf8(csv).unwrap();
+    let schema = scenario.dirty.schema();
+    let specs: Vec<String> = scenario
+        .dirty_fds
+        .iter()
+        .map(|(_, fd)| fd.display_with(schema).replace(' ', ""))
+        .collect();
+    let specs: Vec<&str> = specs.iter().map(String::as_str).collect();
+    let twin = local_engine(&csv, &specs);
+    let hi = twin.delta_p_original();
+    let local: Vec<RepairPoint> = twin.sweep(0..=hi).map(|p| p.unwrap()).collect();
+    const PAGE: usize = 4;
+    assert!(local.len() > 2 * PAGE, "census has pages left to page");
+
+    let dir = temp_dir("evict-mid-page");
+    let config = ServerConfig {
+        max_sessions: 1,
+        ..durable_config(&dir)
+    };
+    let (client, _handle, _addr, worker) = loopback(config);
+    let mut session = client.create_session("census", opts()).unwrap();
+    session.load_csv(&csv, false, &specs).unwrap();
+    let (mut wire, done) = session.sweep_page(0, hi, 0, PAGE).unwrap();
+    assert!(!done);
+    // The table holds one session: creating a second evicts the first.
+    let other = client.create_session("other", opts()).unwrap();
+    loop {
+        let (points, done) = session.sweep_page(0, hi, wire.len(), PAGE).unwrap();
+        wire.extend(points);
+        if done {
+            break;
+        }
+    }
+    let as_spectrum = |points: Vec<RepairPoint>| Spectrum {
+        points,
+        search_stats: SearchStats::default(),
+    };
+    assert!(
+        as_spectrum(wire).bit_identical(&as_spectrum(local)),
+        "the pages of a reopened session diverged from the in-process sweep"
+    );
+
+    let counters = client.server_stats().unwrap();
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing counter {name}"))
+    };
+    assert_eq!(counter("sessions_evicted"), 1);
+    assert_eq!(counter("sessions_recovered"), 1);
+    assert_eq!(counter("recovery_failures"), 0);
+
+    drop((session, other));
+    client.shutdown().unwrap();
+    worker.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn mid_frame_disconnect_is_a_typed_io_error_immediately() {
     let (client, _handle, addr, worker) = loopback(ServerConfig::default());

@@ -4,8 +4,6 @@
 //! panic.
 
 use relative_trust::prelude::*;
-use rt_core::repair::materialize_fd_repair;
-use rt_core::search::FdRepair;
 use rt_engine::{crc32, SNAPSHOT_MAGIC};
 use rt_relation::work::{Slot, Telemetry};
 
@@ -211,25 +209,24 @@ fn a_restored_engine_mutates_like_the_original() {
     assert!(!a.conflict_graph().is_empty(), "the batch leaves conflicts");
 }
 
-/// A sweep suspended after some points and restored from a snapshot (whose
-/// heuristic memo starts cold) resumes to exactly the points of an
-/// uninterrupted sweep, on Figure 2 and on the census scenario.
+/// A snapshot holds no search state: an engine snapshotted in the middle of
+/// a sweep restores with an empty sweep cache, and its sweep over the same
+/// range runs the search again to exactly the points of an uninterrupted
+/// sweep, on Figure 2 and on the census scenario.
 #[test]
-fn restore_carries_the_suspended_sweep_checkpoint() {
+fn a_restored_engine_re_sweeps_a_partly_drained_sweep() {
     let cases = [
         ("figure 2", figure2_engine as fn() -> RepairEngine, 1),
         ("census", census_engine, 3),
     ];
     for (name, build, pulled) in cases {
         let uninterrupted = build().spectrum().unwrap().points;
-        assert!(
-            uninterrupted.len() > pulled,
-            "{name}: points left to resume"
-        );
+        assert!(uninterrupted.len() > pulled, "{name}: points left to sweep");
 
         let engine = build();
         let range = 0..=engine.delta_p_original();
-        // Materialize only part of the range, leaving a suspended checkpoint.
+        // Materialize only part of the range, leaving a suspended checkpoint
+        // in the engine's sweep cache.
         let first: Vec<_> = engine
             .sweep(range.clone())
             .take(pulled)
@@ -238,19 +235,13 @@ fn restore_carries_the_suspended_sweep_checkpoint() {
         assert_points_identical(&uninterrupted[..pulled], &first, name);
 
         let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
-        // The restored engine resumes from the checkpoint: the pulled points
-        // replay, and the rest match the uninterrupted sweep.
-        let resumed: Vec<_> = restored.sweep(range).map(|p| p.unwrap()).collect();
-        assert_points_identical(&uninterrupted, &resumed, name);
-        assert_eq!(
-            restored.stats().conflict_graph_builds,
-            engine.stats().conflict_graph_builds,
-            "{name}"
-        );
-        // The resume shows up as a sweep-cache hit.
+        assert_eq!(restored.stats(), engine.stats(), "{name}: stats");
+        let swept: Vec<_> = restored.sweep(range).map(|p| p.unwrap()).collect();
+        assert_points_identical(&uninterrupted, &swept, name);
+        // The sweep did not resume a stored checkpoint: no cache hit.
         assert_eq!(
             restored.stats().sweep_cache_hits,
-            engine.stats().sweep_cache_hits + 1,
+            engine.stats().sweep_cache_hits,
             "{name}"
         );
     }
@@ -301,7 +292,7 @@ fn wrong_magic_and_version_fail_typed() {
 
     // A version from the future and the previous ones alike fail the typed
     // version check; there is no compatibility reader.
-    for version in [0xFF_u32, 2, 3, 4, 5, 6, 7, 8] {
+    for version in [0xFF_u32, 2, 3, 4, 5, 6, 7, 8, 9] {
         let mut stamped = bytes.clone();
         stamped[8..12].copy_from_slice(&version.to_le_bytes());
         let err = RepairEngine::restore(&stamped).unwrap_err();
@@ -341,84 +332,17 @@ fn zero_search_limits_in_the_config_fail_typed() {
 }
 
 // ---------------------------------------------------------------------------
-// Crafted snapshots: well-framed bytes whose fields lie. Each case rewrites
-// one section's payload and reseals its CRC, so the decoder's field checks,
-// not the framing, must reject it.
+// Crafted snapshots: well-framed bytes with a section the decoder no longer
+// reads. Each section is sealed, so the tag check, not the framing, must
+// reject it.
 // ---------------------------------------------------------------------------
 
-/// Snapshot header: magic (8), version (4), section count (4).
-const HEADER: usize = 16;
-/// The suspended sweep's section tag.
-const SEC_SWEEP: u32 = 8;
 /// The conflict graph's section before version 9; now an unknown tag.
 const SEC_GRAPH: u32 = 6;
+/// The suspended sweep's section before version 10; now an unknown tag.
+const SEC_SWEEP: u32 = 8;
 /// The heuristic memo's section before version 7; now an unknown tag.
 const SEC_WARM: u32 = 9;
-/// A Figure-2 search state: extension count, then one extension per FD.
-const STATE_LEN: usize = 8 + 2 * 8;
-
-/// Rewrites the payload of section `tag` with `edit` and reseals its length
-/// and CRC. Each section is `tag:u32 len:u64 crc:u32 payload`.
-fn reseal(bytes: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut edit = Some(edit);
-    let mut out = bytes[..HEADER].to_vec();
-    let mut at = HEADER;
-    while at < bytes.len() {
-        let t = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len = get(bytes, at + 4) as usize;
-        let mut payload = bytes[at + 16..at + 16 + len].to_vec();
-        if t == tag {
-            edit.take().expect("one section per tag")(&mut payload);
-        }
-        out.extend(t.to_le_bytes());
-        out.extend((payload.len() as u64).to_le_bytes());
-        out.extend(crc32(&payload).to_le_bytes());
-        out.extend(payload);
-        at += 16 + len;
-    }
-    assert!(edit.is_none(), "the snapshot has no section {tag}");
-    out
-}
-
-fn get(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-fn put(bytes: &mut [u8], at: usize, v: u64) {
-    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-/// The payload of section `tag`.
-fn section(bytes: &[u8], tag: u32) -> &[u8] {
-    let mut at = HEADER;
-    while at < bytes.len() {
-        let len = get(bytes, at + 4) as usize;
-        if u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == tag {
-            return &bytes[at + 16..at + 16 + len];
-        }
-        at += 16 + len;
-    }
-    panic!("the snapshot has no section {tag}");
-}
-
-/// Offset of τ in a SWEEP payload: after the open list, each entry a state
-/// (its extension count, then one extension per FD) and a priority.
-/// τ_low, τ_high and the current upper end follow, 8 bytes each.
-fn tau_at(sweep: &[u8]) -> usize {
-    (0..get(sweep, 0)).fold(8, |at, _| at + 8 + 8 * get(sweep, at) as usize + 8)
-}
-
-/// Offset of the found-repair count in a SWEEP payload: the τ
-/// cursor, then the search stats' slots and the exhausted flag.
-fn found_at(sweep: &[u8]) -> usize {
-    let mut stats = SearchStats::default();
-    let stats_len: usize = stats
-        .slots()
-        .iter()
-        .map(|(_, slot)| if matches!(slot, Slot::Flag(_)) { 1 } else { 8 })
-        .sum();
-    tau_at(sweep) + 4 * 8 + stats_len + 1
-}
 
 fn assert_snapshot_error(bytes: &[u8], expected: &str, context: &str) {
     let err = RepairEngine::restore(bytes)
@@ -429,115 +353,6 @@ fn assert_snapshot_error(bytes: &[u8], expected: &str, context: &str) {
         "{context}: {err:?}"
     );
     assert!(err.to_string().contains(expected), "{context}: {err}");
-}
-
-/// An open-list state must be one extension per FD inside `R \ (X ∪ {A})`:
-/// attribute 40 of a 4-attribute schema, or the FD's own RHS, fails typed
-/// instead of reaching the weight or the instance on the resumed sweep.
-#[test]
-fn an_open_state_outside_its_fds_candidates_fails_typed() {
-    for weight in [WeightKind::AttrCount, WeightKind::DistinctCount] {
-        let (instance, fds) = figure2();
-        let engine = RepairEngine::builder(instance, fds)
-            .weight(weight)
-            .build()
-            .unwrap();
-        let mut stream = engine.sweep(0..=engine.delta_p_original());
-        stream.next().unwrap().unwrap();
-        drop(stream);
-        let bytes = engine.snapshot().unwrap();
-        // The first open state's extension of A -> B sits after the open
-        // count (8) and the state's extension count (8).
-        for (bits, what) in [(1u64 << 40, "attribute 40"), (1 << 1, "its RHS B")] {
-            let crafted = reseal(&bytes, SEC_SWEEP, |sweep| {
-                assert!(
-                    get(sweep, 0) > 0,
-                    "a partly drained sweep keeps open states"
-                );
-                put(sweep, 16, bits);
-            });
-            assert_snapshot_error(&crafted, "extension", &format!("{weight:?}, {what}"));
-        }
-    }
-}
-
-/// A SWEEP found repair is its state and τ range: swapping in another valid
-/// state replays that state's `Σ'`, `dist_c`, `δ_P` and cover, as the search
-/// would have found them.
-#[test]
-fn found_repairs_replay_from_their_states() {
-    let engine = figure2_engine();
-    let hi = engine.delta_p_original();
-    for point in engine.sweep(0..=hi) {
-        point.unwrap();
-    }
-    let bytes = engine.snapshot().unwrap();
-    // Overwrites one extension of the first found repair (the root, τ range
-    // [4, 4]) with `bits`.
-    let swap = |fd: usize, bits: u64| {
-        reseal(&bytes, SEC_SWEEP, |sweep| {
-            let found = found_at(sweep);
-            assert_eq!(
-                get(sweep, found),
-                3,
-                "Figure 2's spectrum has three repairs"
-            );
-            let state = found + 8;
-            assert_eq!(get(sweep, state), 2, "one extension per FD");
-            assert_eq!((get(sweep, state + 8), get(sweep, state + 16)), (0, 0));
-            assert_eq!((get(sweep, state + 24), get(sweep, state + 32)), (4, 4));
-            put(sweep, state + 8 + 8 * fd, bits);
-        })
-    };
-
-    // A -> B, A,C -> D: like the root, δP = 4 (Figure 3), but dist_c 1.
-    let swapped = RepairState::new(vec![AttrSet::EMPTY, AttrSet::singleton(AttrId(0))]);
-    let restored = RepairEngine::restore(&swap(1, 0b0001)).unwrap();
-    let problem = restored.problem();
-    let expected = FdRepair {
-        fd_set: problem.relaxed_fds(&swapped),
-        dist_c: problem.dist_c(&swapped),
-        delta_p: problem.delta_p(&swapped),
-        cover_rows: problem.cover_for(&swapped).iter().collect(),
-        state: swapped.clone(),
-    };
-    let point = restored.sweep(0..=hi).next().unwrap().unwrap();
-    assert_eq!(point.tau_range, (4, 4));
-    let got = point.repair;
-    assert_eq!(got.state, swapped);
-    assert_eq!(got.modified_fds, expected.fd_set);
-    assert_eq!(got.dist_c.to_bits(), expected.dist_c.to_bits());
-    assert_eq!(got.delta_p, expected.delta_p);
-    // Algorithm 4 repairs exactly the cover rows it is handed.
-    let want = materialize_fd_repair(
-        problem,
-        &expected,
-        4,
-        restored.seed(),
-        Parallelism::Serial,
-        SearchStats::default(),
-    );
-    assert_eq!(got.repaired_instance, want.repaired_instance);
-    assert_eq!(got.changed_cells, want.changed_cells);
-
-    // C,A -> B has δP 2, which does not open the stored range [4, 4].
-    assert_snapshot_error(&swap(0, 0b0100), "τ range", "δP 2 at [4, 4]");
-}
-
-/// SWEEP holds the traversal and nothing else: an exhausted sweep's payload
-/// ends right after its found list, with no heuristic memo behind it.
-#[test]
-fn the_sweep_section_stores_no_heuristic_memo() {
-    let engine = figure2_engine();
-    engine.spectrum().unwrap();
-    let bytes = engine.snapshot().unwrap();
-    let sweep = section(&bytes, SEC_SWEEP);
-    let found_n = get(sweep, found_at(sweep)) as usize;
-    assert_eq!(found_n, 3, "Figure 2's spectrum has three repairs");
-    assert_eq!(
-        sweep.len(),
-        found_at(sweep) + 8 + found_n * (STATE_LEN + 16)
-    );
 }
 
 /// Appends a sealed section with `tag` and `payload` to a snapshot and
@@ -573,59 +388,30 @@ fn a_conflict_graph_section_fails_typed_as_unknown() {
     assert_snapshot_error(&bytes, "unknown section tag 6", "tag 6");
 }
 
-/// The SWEEP cursor must be one the search can produce. Raising τ and the
-/// current upper end past τ_high made a resumed census point report a τ
-/// range outside its own sweep; it now fails typed, as do a negative τ_low,
-/// found ranges that do not chain down from τ_high, and an unexhausted
-/// cursor that is not one below the last found δP.
+/// Tag 8 carried the suspended sweep before version 10. A restored engine
+/// runs its sweeps again, so a stored one, even the sweep a version 9
+/// snapshot held before its first point, fails typed as unknown instead of
+/// being resumed.
 #[test]
-fn a_sweep_cursor_the_search_cannot_produce_fails_typed() {
-    let engine = census_engine();
-    let hi = engine.delta_p_original();
-    let pulled = engine.sweep(0..=hi).take(3).count();
-    assert_eq!(pulled, 3);
-    let bytes = engine.snapshot().unwrap();
-    assert!(RepairEngine::restore(&bytes).is_ok());
-    let crafted = reseal(&bytes, SEC_SWEEP, |sweep| {
-        let tau = tau_at(sweep);
-        assert_eq!([8, 16].map(|i| get(sweep, tau + i)), [0, hi as u64]);
-        for at in [tau, tau + 24] {
-            let v = get(sweep, at);
-            put(sweep, at, v + 1000);
-        }
-    });
-    assert_snapshot_error(&crafted, "above τ_high", "census τ + 1000");
-
-    // Figure 2, one point pulled: τ = current upper = 3, range [0, 4].
-    let engine = figure2_engine();
-    engine.sweep(0..=4).next().unwrap().unwrap();
-    let bytes = engine.snapshot().unwrap();
-    let edit = |offset: usize, v: u64| {
-        reseal(&bytes, SEC_SWEEP, |sweep| {
-            let tau = tau_at(sweep);
-            assert_eq!(
-                [0, 8, 16, 24].map(|i| get(sweep, tau + i)),
-                [3, 0, 4, 3],
-                "τ, τ_low, τ_high, current upper"
-            );
-            put(sweep, tau + offset, v);
-        })
-    };
-    let cases = [
-        (edit(8, u64::MAX), "negative", "τ_low −1"),
-        (edit(0, 2), "unexhausted", "τ 2"),
-        (edit(24, 2), "unexhausted", "current upper 2"),
-        (edit(16, 5), "chain", "τ_high 5"),
-    ];
-    for (crafted, expected, what) in cases {
-        assert_snapshot_error(&crafted, expected, what);
+fn a_sweep_section_fails_typed_as_unknown() {
+    let mut bytes = figure2_engine().snapshot().unwrap();
+    let mut stats = SearchStats::default();
+    let mut payload = Vec::new();
+    // One open entry, the root: one empty extension per FD, priority 0.0.
+    for v in [1u64, 2, 0, 0, 0f64.to_bits()] {
+        payload.extend(v.to_le_bytes());
     }
-
-    // A dropped stream over an empty range stashes τ_low > τ_high, which
-    // restores.
-    let (lo, hi) = (5, 3);
-    let engine = figure2_engine();
-    drop(engine.sweep(lo..=hi));
-    let restored = RepairEngine::restore(&engine.snapshot().unwrap()).unwrap();
-    assert_eq!(restored.sweep(lo..=hi).count(), 0);
+    // τ, τ_low, τ_high and the current upper end of the range [0, 4].
+    for v in [4u64, 0, 4, 4] {
+        payload.extend(v.to_le_bytes());
+    }
+    // The search stats' slots, the exhausted flag and no found repair.
+    for (_, slot) in stats.slots() {
+        let len = if matches!(slot, Slot::Flag(_)) { 1 } else { 8 };
+        payload.extend(std::iter::repeat_n(0u8, len));
+    }
+    payload.push(0);
+    payload.extend(0u64.to_le_bytes());
+    append_section(&mut bytes, SEC_SWEEP, &payload);
+    assert_snapshot_error(&bytes, "unknown section tag 8", "tag 8");
 }
